@@ -377,6 +377,20 @@ pub(crate) fn to_step(action: Action) -> ScheduleStep {
     }
 }
 
+/// The inverse of [`to_step`] on the explorer's own steps. Every packet an
+/// exploration parks is header-only (messages are identical and the
+/// corrupted-start junk carries no payload), so a header names its packet
+/// exactly — the same fact that lets a schedule replay a found violation.
+pub(crate) fn from_step(step: ScheduleStep) -> Action {
+    match step {
+        ScheduleStep::Send => Action::SendMsg,
+        ScheduleStep::Park => Action::StepPark,
+        ScheduleStep::Deliver(h) => Action::Deliver(Packet::header_only(h)),
+        ScheduleStep::Drop(h) => Action::DropOldest(Packet::header_only(h)),
+        other => unreachable!("`{other}` is not an explorer step"),
+    }
+}
+
 /// Side statistics of one exploration run — what the search did, beyond
 /// the outcome it returned.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -642,6 +656,19 @@ mod tests {
             seqnum_fell,
             "no junk preload collided with seqnum's expected header across 16 seeds"
         );
+    }
+
+    #[test]
+    fn from_step_inverts_to_step() {
+        let packet = Packet::header_only(Header::new(3));
+        for action in [
+            Action::SendMsg,
+            Action::StepPark,
+            Action::Deliver(packet),
+            Action::DropOldest(packet),
+        ] {
+            assert_eq!(from_step(to_step(action)), action);
+        }
     }
 
     #[test]

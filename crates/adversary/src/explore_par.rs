@@ -18,12 +18,17 @@
 //!   node to a per-level arena, and full paths are reconstructed by walking
 //!   the parent chain — only on a violation or never. Expanding a node
 //!   copies two words instead of cloning an O(depth) vector.
-//! - **Pooled systems.** Expanded successors draw recycled [`System`]s from
-//!   a pool and refill them in place ([`System::assign_from`]); merged-out
-//!   duplicates and retired frontiers return to the pool. With the flat
-//!   multiset and fieldwise `clone_from` plumbing underneath, a warm
-//!   expansion performs no heap allocation (pinned by the allocation
-//!   regression test in `tests/explore_alloc.rs`).
+//! - **Key-only candidates.** Each worker tries every enabled action on one
+//!   reused trial [`System`], refilled in place from the parent
+//!   ([`System::assign_from`]), and records a discovered successor as its
+//!   state key plus its path record — no system. Most successors lose the
+//!   merge (same-level duplicates, and under a disk-spilling tier every
+//!   successor whose key lives only on disk), so only the winners are
+//!   rebuilt after the merge by replaying their one step from the parent;
+//!   each parent is recycled as soon as its children exist. The engine
+//!   holds at most two levels of systems, and a warm run performs no heap
+//!   allocation (pinned by the allocation regression test in
+//!   `tests/explore_alloc.rs`).
 //! - **Tiered dedup.** The visited set behind the engine is a
 //!   [`VisitedSet`] tier chosen by [`VisitedSpec`] (see [`crate::visited`]):
 //!   the exact RAM tier runs 64 FNV shards on the fixed-key FNV-64 hasher
@@ -57,6 +62,9 @@
 //!   per shard with a sorted key batch
 //!   ([`VisitedSet::probe_spilled_sorted`]), so a 4 KiB run block is read
 //!   once per level instead of once per candidate.
+//! - The winners' systems are rebuilt in rank order, each from its parent
+//!   and its recorded step alone, so which thread rebuilt a node cannot
+//!   change it.
 //! - Violations found within a level are collected, and the
 //!   lexicographically smallest schedule wins — not the first one a thread
 //!   happened to stumble on. (The sequential oracle instead returns the
@@ -77,7 +85,8 @@
 
 use crate::codec::EncodedState;
 use crate::explore::{
-    apply, build_root, enabled_actions_into, to_step, Action, ExploreConfig, ExploreOutcome,
+    apply, build_root, enabled_actions_into, from_step, to_step, Action, ExploreConfig,
+    ExploreOutcome,
 };
 use crate::por::PorCtx;
 use crate::schedule::{Schedule, ScheduleStep};
@@ -109,25 +118,39 @@ struct PathRec {
     step: ScheduleStep,
 }
 
-/// A successor discovered during a level, pending the deterministic merge.
+/// A successor discovered during a level, pending the deterministic merge:
+/// its state key and the edge that reached it, and no [`System`]. Winners
+/// are rebuilt from their parents after the merge ([`rebuild_frontier`]).
+#[derive(Debug, Clone, Copy)]
 struct Candidate {
     key: u64,
     rec: PathRec,
-    sys: System,
 }
 
-/// Per-worker scratch: action/oldest-copy buffers for the expansion core, a
-/// local system pool, and the candidate/violation out-buffers. Candidates
-/// are binned by visited-shard index at discovery time ([`shard_of`]), so
-/// the post-level merge starts from 64 disjoint key spaces per worker.
-/// Everything is reused level to level and run to run.
+/// Per-worker scratch: action/oldest-copy buffers and the trial system for
+/// the expansion core, the candidate/violation out-buffers, and the
+/// recycled systems and output of the rebuild phase. Candidates are binned
+/// by visited-shard index at discovery time ([`shard_of`]), so the
+/// post-level merge starts from 64 disjoint key spaces per worker.
+/// Everything is reused level to level and run to run. Systems are boxed
+/// for the reason given at [`ExploreArena`]'s frontier.
+#[allow(clippy::vec_box)]
 #[derive(Debug, Default)]
 struct WorkerScratch {
     actions: Vec<Action>,
     oldest: Vec<(Packet, CopyId)>,
-    pool: Vec<System>,
+    /// The one system every enabled action is tried on, refilled from the
+    /// parent before each try.
+    trial: Option<System>,
     candidates: Vec<Vec<Candidate>>,
     violations: Vec<PathRec>,
+    /// The contiguous run of frontier nodes whose children this worker
+    /// rebuilds, moved out of the frontier for the rebuild phase.
+    parents: Vec<Box<System>>,
+    /// Recycled systems for the rebuild phase.
+    pool: Vec<Box<System>>,
+    /// This worker's contiguous share of the next frontier, in rank order.
+    rebuilt: Vec<Box<System>>,
 }
 
 /// Per-shard merge state, retained in the arena: the shard's combined
@@ -144,13 +167,14 @@ struct ShardMerge {
     start: usize,
 }
 
-impl std::fmt::Debug for Candidate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Candidate")
-            .field("key", &self.key)
-            .field("rec", &self.rec)
-            .finish_non_exhaustive()
-    }
+/// Resident-memory peaks of one run, exported as gauges when telemetry is
+/// attached.
+#[derive(Debug, Default, Clone, Copy)]
+struct Peaks {
+    /// The largest frontier, by [`System::heap_bytes_estimate`].
+    frontier_bytes: usize,
+    /// The most candidates one level produced, times their record size.
+    candidate_bytes: usize,
 }
 
 /// Caller-owned reusable workspace for [`ParallelExplorer::explore_in`]:
@@ -159,16 +183,21 @@ impl std::fmt::Debug for Candidate {
 /// explorations through one arena keeps the steady-state expansion loop
 /// entirely off the allocator — the campaign runner and the allocation
 /// regression test both rely on this.
+#[allow(clippy::vec_box)] // see `frontier`
 #[derive(Debug)]
 pub struct ExploreArena {
     visited: Box<dyn VisitedSet>,
     spec: VisitedSpec,
-    pool: Vec<System>,
+    pool: Vec<Box<System>>,
     workers: Vec<WorkerScratch>,
     /// `levels[d]` holds one [`PathRec`] per frontier node at depth `d`
     /// (`levels[0]` stays empty: the root has no incoming step).
     levels: Vec<Vec<PathRec>>,
-    frontier: Vec<System>,
+    /// Systems are boxed so that the vectors a level passes through (the
+    /// frontier, the pool, each rebuilding worker's parents and output)
+    /// move pointers: a `System` is several hundred bytes inline, and every
+    /// one of those buffers holds a whole level at its peak.
+    frontier: Vec<Box<System>>,
     /// Shard-major transpose buffer: `bins_in[s * stride + w]` is worker
     /// `w`'s candidate bin for shard `s`, swapped in header-only so the
     /// merge can hand disjoint shard groups to threads.
@@ -235,7 +264,7 @@ impl ExploreArena {
     }
 
     /// Clears logical state while keeping every allocation: the visited
-    /// set retains capacity, systems return to the pool, level/merge
+    /// set retains capacity, the frontier returns to the pool, level/merge
     /// buffers reset to length zero.
     fn reset(&mut self, threads: usize) {
         self.visited.clear();
@@ -253,17 +282,17 @@ impl ExploreArena {
         } = self;
         pool.append(frontier);
         for bin in bins_in.iter_mut() {
-            pool.extend(bin.drain(..).map(|c| c.sys));
+            bin.clear();
         }
         for m in merges.iter_mut() {
-            pool.extend(m.bin.drain(..).map(|c| c.sys));
+            m.bin.clear();
         }
         for w in workers.iter_mut() {
             while w.candidates.len() < SHARDS {
                 w.candidates.push(Vec::new());
             }
             for bin in w.candidates.iter_mut() {
-                pool.extend(bin.drain(..).map(|c| c.sys));
+                bin.clear();
             }
             w.violations.clear();
         }
@@ -335,6 +364,9 @@ struct ExploreTelemetry {
     /// runs on worker threads and is excluded). This over wall time is the
     /// engine's Amdahl serial fraction; CI guards its share.
     merge_serial: Counter,
+    /// Nanoseconds spent rebuilding the merge winners' systems from their
+    /// parents (the phase after the merge; mostly on worker threads).
+    rebuild: Counter,
     /// Frontier width, one observation per depth level.
     frontier_width: Histogram,
 }
@@ -348,6 +380,7 @@ impl ExploreTelemetry {
             states: registry.counter("explore.states"),
             pruned: registry.counter("explore.pruned_states"),
             merge_serial: registry.counter("explore.merge_serial_ns"),
+            rebuild: registry.counter("explore.phase_ns.rebuild"),
             frontier_width: registry.histogram("explore.frontier_width"),
             registry,
             trace,
@@ -356,10 +389,10 @@ impl ExploreTelemetry {
 
     /// End-of-run derived metrics: visited-set shard occupancy (balance of
     /// the mixed-digest shard split, for tiers with resident shards),
-    /// overall throughput, the peak resident frontier estimate, and the
-    /// memory-footprint gauges of the tiered visited-set work
-    /// (`explore.visited_bytes`, `explore.codec_bytes_per_state`).
-    fn finalize(&self, visited: &dyn VisitedSet, elapsed_secs: f64, peak_frontier_bytes: usize) {
+    /// overall throughput, the peak resident frontier and candidate
+    /// estimates, and the memory-footprint gauges of the tiered visited-set
+    /// work (`explore.visited_bytes`, `explore.codec_bytes_per_state`).
+    fn finalize(&self, visited: &dyn VisitedSet, elapsed_secs: f64, peaks: Peaks) {
         let occupancy = self.registry.histogram("explore.shard_occupancy");
         let mut sizes = Vec::new();
         visited.shard_sizes(&mut sizes);
@@ -373,7 +406,10 @@ impl ExploreTelemetry {
         }
         self.registry
             .gauge("explore.peak_frontier_bytes")
-            .set(peak_frontier_bytes as u64);
+            .set(peaks.frontier_bytes as u64);
+        self.registry
+            .gauge("explore.peak_candidate_bytes")
+            .set(peaks.candidate_bytes as u64);
         self.registry
             .gauge("explore.visited_bytes")
             .set(visited.peak_memory_bytes() as u64);
@@ -455,13 +491,9 @@ impl ParallelExplorer {
     ) -> ExploreOutcome {
         let started = Instant::now();
         arena.reset(self.threads);
-        let (outcome, peak_frontier_bytes) = self.run(proto, cfg, arena);
+        let (outcome, peaks) = self.run(proto, cfg, arena);
         if let Some(tel) = &self.telemetry {
-            tel.finalize(
-                arena.visited(),
-                started.elapsed().as_secs_f64(),
-                peak_frontier_bytes,
-            );
+            tel.finalize(arena.visited(), started.elapsed().as_secs_f64(), peaks);
             tel.registry
                 .gauge("explore.threads")
                 .set(self.threads as u64);
@@ -474,7 +506,7 @@ impl ParallelExplorer {
         proto: &dyn DataLink,
         cfg: &ExploreConfig,
         arena: &mut ExploreArena,
-    ) -> (ExploreOutcome, usize) {
+    ) -> (ExploreOutcome, Peaks) {
         let tel = self.telemetry.as_ref();
         let root = build_root(proto, cfg, false);
         // The sleep rule is a pure function of (state, action), so workers
@@ -487,8 +519,8 @@ impl ParallelExplorer {
         if let Some(t) = tel {
             t.states.inc();
         }
-        arena.frontier.push(root);
-        let mut peak_frontier_bytes = 0usize;
+        arena.frontier.push(Box::new(root));
+        let mut peaks = Peaks::default();
 
         for depth in 0..cfg.max_depth {
             if arena.frontier.is_empty() {
@@ -508,8 +540,8 @@ impl ParallelExplorer {
                 t.frontier_width.record(arena.frontier.len() as u64);
                 // The resident estimate walks the frontier, so only pay for
                 // it when someone attached a registry to read it.
-                let bytes: usize = arena.frontier.iter().map(System::heap_bytes_estimate).sum();
-                peak_frontier_bytes = peak_frontier_bytes.max(bytes);
+                let bytes: usize = arena.frontier.iter().map(|s| s.heap_bytes_estimate()).sum();
+                peaks.frontier_bytes = peaks.frontier_bytes.max(bytes);
             }
             self.expand_level(cfg, por, arena);
 
@@ -522,7 +554,7 @@ impl ParallelExplorer {
                 .min();
             if let Some(rec) = best_violation {
                 let steps = arena.reconstruct(depth, rec);
-                return (materialize(proto, cfg, steps), peak_frontier_bytes);
+                return (materialize(proto, cfg, steps), peaks);
             }
 
             // Deterministic sharded merge: every shard is a disjoint key
@@ -562,6 +594,9 @@ impl ParallelExplorer {
                     }
                 }
             }
+            peaks.candidate_bytes = peaks
+                .candidate_bytes
+                .max(total * std::mem::size_of::<Candidate>());
             let mut serial_ns = serial_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
             // Per-shard sort + same-level dedup + batched spilled-run
@@ -595,8 +630,6 @@ impl ParallelExplorer {
             }
 
             let serial_resumed = tel.map(|_| Instant::now());
-            // The expanded frontier is dead; recycle its systems.
-            pool.append(frontier);
 
             // Admit pass (serial): shard-major over the compacted winners.
             // Each winner key was proven absent by the resident probe at
@@ -618,13 +651,12 @@ impl ParallelExplorer {
                             if let Some(t) = tel {
                                 t.dedup_hits.add(level_dedup);
                             }
-                            return (ExploreOutcome::Truncated { states }, peak_frontier_bytes);
+                            return (ExploreOutcome::Truncated { states }, peaks);
                         }
                         i += 1;
                     } else {
                         level_dedup += 1;
-                        let c = m.bin.remove(i);
-                        pool.push(c.sys);
+                        m.bin.remove(i);
                     }
                 }
             }
@@ -636,9 +668,9 @@ impl ParallelExplorer {
             // bin tail in descending (parent rank, step) order, so a
             // 64-way min-heap over the tails emits the level in global
             // path order with O(1) by-value pops — each node's index in
-            // the next frontier and the level's record arena *is* its path
-            // rank, the invariant that lets the merge compare two-word
-            // records instead of whole paths.
+            // the level's record arena, and so in the next frontier, *is*
+            // its path rank, the invariant that lets the merge compare
+            // two-word records instead of whole paths.
             while levels.len() <= depth + 1 {
                 levels.push(Vec::new());
             }
@@ -653,22 +685,27 @@ impl ParallelExplorer {
                 let m = &mut merges[s];
                 let c = m.bin.pop().expect("heap tracks non-empty tails");
                 level.push(c.rec);
-                frontier.push(c.sys);
                 if m.bin.len() > m.start {
                     heap_push(heap, (m.bin[m.bin.len() - 1].rec, s));
                 }
-            }
-            // What is left in the bins are the level's duplicates;
-            // recycle their systems.
-            for m in merges.iter_mut() {
-                pool.extend(m.bin.drain(..).map(|c| c.sys));
             }
             if let (Some(t), Some(resumed)) = (tel, serial_resumed) {
                 serial_ns += resumed.elapsed().as_nanos() as u64;
                 t.merge_serial.add(serial_ns);
             }
+
+            // Rebuild: the next frontier is the winners' systems, in rank
+            // order — unless the depth bound ends the search here, since
+            // nothing expands a last level.
+            if depth + 1 < cfg.max_depth {
+                let rebuild_started = tel.map(|_| Instant::now());
+                rebuild_frontier(self.threads, &levels[depth + 1], frontier, pool, workers);
+                if let (Some(t), Some(started)) = (tel, rebuild_started) {
+                    t.rebuild.add(started.elapsed().as_nanos() as u64);
+                }
+            }
         }
-        (ExploreOutcome::Exhausted { states }, peak_frontier_bytes)
+        (ExploreOutcome::Exhausted { states }, peaks)
     }
 
     /// Expands every frontier node, leaving each worker's discoveries in
@@ -679,17 +716,11 @@ impl ParallelExplorer {
         let tel = self.telemetry.as_ref();
         let ExploreArena {
             visited,
-            pool,
             workers,
             frontier,
             ..
         } = arena;
         let nworkers = self.threads.min(frontier.len().div_ceil(CHUNK)).max(1);
-        // Hand the recycled systems to the active workers round-robin so
-        // every thread draws from a warm local pool.
-        for (i, sys) in pool.drain(..).enumerate() {
-            workers[i % nworkers].pool.push(sys);
-        }
         if nworkers == 1 {
             let scratch = &mut workers[0];
             for (rank, sys) in frontier.iter().enumerate() {
@@ -731,36 +762,33 @@ fn expand_node(
         t.expansions.inc();
     }
     enabled_actions_into(sys, cfg, &mut scratch.oldest, &mut scratch.actions);
-    for k in 0..scratch.actions.len() {
-        let action = scratch.actions[k];
-        let mut next = match scratch.pool.pop() {
-            Some(mut recycled) => {
-                recycled.assign_from(sys);
-                recycled
-            }
-            None => sys.clone(),
-        };
-        apply(&mut next, action);
+    let next = scratch.trial.get_or_insert_with(|| sys.clone());
+    for &action in &scratch.actions {
+        next.assign_from(sys);
+        apply(next, action);
         let rec = PathRec {
             parent: rank,
             step: to_step(action),
         };
+        debug_assert_eq!(
+            from_step(rec.step),
+            action,
+            "the rebuild replays the record"
+        );
         if next.violation().is_some() {
             scratch.violations.push(rec);
-            scratch.pool.push(next);
             continue;
         }
         // Sleep-set pruning, mirrored exactly from the sequential engine:
         // after the violation check, before dedup. Pure in (state, action),
         // so every thread schedule prunes the identical edge set.
-        if por.sleeps(sys, &next, action, cfg) {
+        if por.sleeps(sys, next, action, cfg) {
             if let Some(t) = tel {
                 t.pruned.inc();
             }
-            scratch.pool.push(next);
             continue;
         }
-        let key = por.key(&next);
+        let key = por.key(next);
         // Frozen *resident* membership check — for disk-spilling tiers
         // this is the RAM delta only; spilled-run membership is settled
         // once per level by the merge's batched sorted probe, so the hot
@@ -770,18 +798,105 @@ fn expand_node(
             if let Some(t) = tel {
                 t.candidates.inc();
             }
-            scratch.candidates[shard_of(key)].push(Candidate {
-                key,
-                rec,
-                sys: next,
-            });
-        } else {
-            if let Some(t) = tel {
-                t.dedup_hits.inc();
-            }
-            scratch.pool.push(next);
+            scratch.candidates[shard_of(key)].push(Candidate { key, rec });
+        } else if let Some(t) = tel {
+            t.dedup_hits.inc();
         }
     }
+}
+
+/// The rebuild phase: materialises the next frontier from the level's
+/// winner records (`recs`, in rank order) by replaying each record's step
+/// on its parent in `frontier`. A rebuild depends only on its parent and
+/// step, so the records are cut at parent boundaries into contiguous
+/// slices, one per worker thread, and each worker takes ownership of the
+/// parents of its slice; concatenating the slices in worker order keeps
+/// rank order. Small levels stay inline, with the merge's threshold: a
+/// scope spawn costs more than a thousand rebuilds.
+#[allow(clippy::vec_box)] // see `ExploreArena::frontier`
+fn rebuild_frontier(
+    threads: usize,
+    recs: &[PathRec],
+    frontier: &mut Vec<Box<System>>,
+    pool: &mut Vec<Box<System>>,
+    workers: &mut [WorkerScratch],
+) {
+    let nworkers = threads.min(recs.len().div_ceil(CHUNK * SHARDS)).max(1);
+    let per = recs.len().div_ceil(nworkers);
+    // Worker w rebuilds `recs[cut(w)..cut(w + 1)]` and owns the parents
+    // ranked `first(w)..first(w + 1)`: every child of its parents, and
+    // the childless parents between them.
+    let cut = |w: usize| {
+        let mut b = (w * per).min(recs.len());
+        while b > 0 && b < recs.len() && recs[b].parent == recs[b - 1].parent {
+            b += 1;
+        }
+        b
+    };
+    let width = frontier.len();
+    let first = |w: usize| match w {
+        0 => 0,
+        _ => recs.get(cut(w)).map_or(width, |rec| rec.parent as usize),
+    };
+    for (w, scratch) in workers[..nworkers].iter_mut().enumerate().rev() {
+        scratch.parents.extend(frontier.drain(first(w)..));
+        let take = (cut(w + 1) - cut(w)).min(pool.len());
+        scratch.pool.extend(pool.drain(pool.len() - take..));
+    }
+    if nworkers == 1 {
+        rebuild_slice(recs, 0, &mut workers[0]);
+    } else {
+        std::thread::scope(|scope| {
+            for (w, scratch) in workers[..nworkers].iter_mut().enumerate() {
+                let (slice, first) = (&recs[cut(w)..cut(w + 1)], first(w));
+                scope.spawn(move || rebuild_slice(slice, first, scratch));
+            }
+        });
+    }
+    for scratch in workers[..nworkers].iter_mut() {
+        frontier.append(&mut scratch.rebuilt);
+        pool.append(&mut scratch.pool);
+    }
+}
+
+/// Rebuilds the children of `scratch.parents` (frontier ranks `first..`)
+/// from their records `recs`, last parent first, so each parent is
+/// recycled as soon as its children exist: its siblings copy it, the first
+/// child takes the parent itself, and a childless parent goes straight to
+/// the pool. A level therefore needs about as many systems as the wider of
+/// its two generations, not their sum.
+fn rebuild_slice(recs: &[PathRec], first: usize, scratch: &mut WorkerScratch) {
+    let mut end = recs.len();
+    while let Some(parent) = scratch.parents.pop() {
+        let rank = (first + scratch.parents.len()) as u32;
+        let mut start = end;
+        while start > 0 && recs[start - 1].parent == rank {
+            start -= 1;
+        }
+        if start == end {
+            scratch.pool.push(parent);
+            continue;
+        }
+        for rec in recs[start + 1..end].iter().rev() {
+            let mut sys = match scratch.pool.pop() {
+                Some(mut recycled) => {
+                    recycled.assign_from(&parent);
+                    recycled
+                }
+                None => parent.clone(),
+            };
+            apply(&mut sys, from_step(rec.step));
+            scratch.rebuilt.push(sys);
+        }
+        let mut sys = parent;
+        apply(&mut sys, from_step(recs[start].step));
+        scratch.rebuilt.push(sys);
+        end = start;
+    }
+    // A record left over would mean a child rebuilt from the wrong parent:
+    // a silently wrong frontier, so this is checked in release builds too.
+    assert_eq!(end, 0, "every record's parent belongs to this slice");
+    scratch.rebuilt.reverse();
 }
 
 /// Phase A of the sharded merge, one shard at a time: combine the workers'
@@ -1196,6 +1311,134 @@ mod tests {
     }
 
     #[test]
+    fn candidates_carry_no_system() {
+        // A key and a two-word path record: re-attaching a `System` (or any
+        // heap handle) to a candidate blows this bound.
+        assert!(
+            std::mem::size_of::<Candidate>() <= 24,
+            "candidate grew to {} bytes",
+            std::mem::size_of::<Candidate>()
+        );
+    }
+
+    #[test]
+    fn rebuild_replays_every_record_at_every_thread_count() {
+        // A synthetic level wide enough for the threaded rebuild: parent p
+        // has p % 4 children, so slice cuts fall beside childless parents
+        // and inside runs of siblings. Each rebuilt node must equal its
+        // parent with the record's step applied, in rank order.
+        let cfg = ExploreConfig::default();
+        let root = build_root(&SequenceNumber::new(), &cfg, false);
+        let mut walk = vec![root];
+        let mut i = 0;
+        while walk.len() < 64 {
+            let sys = walk[i].clone();
+            for action in crate::explore::enabled_actions(&sys, &cfg) {
+                let mut next = sys.clone();
+                apply(&mut next, action);
+                walk.push(next);
+            }
+            i += 1;
+        }
+        let parents: Vec<Box<System>> = (0..4000)
+            .map(|p| Box::new(walk[p % walk.len()].clone()))
+            .collect();
+        let mut recs = Vec::new();
+        let mut expected = Vec::new();
+        for (p, parent) in parents.iter().enumerate() {
+            for action in crate::explore::enabled_actions(parent, &cfg)
+                .into_iter()
+                .take(p % 4)
+            {
+                recs.push(PathRec {
+                    parent: p as u32,
+                    step: to_step(action),
+                });
+                let mut child = parent.clone();
+                apply(&mut child, action);
+                expected.push(state_key(&child));
+            }
+        }
+        assert!(recs.len() > 2 * CHUNK * SHARDS, "three workers get a slice");
+        for threads in [1, 2, 3] {
+            let mut workers: Vec<WorkerScratch> =
+                (0..threads).map(|_| WorkerScratch::default()).collect();
+            let mut frontier = parents.clone();
+            let mut pool = vec![parents[0].clone(); 100];
+            rebuild_frontier(threads, &recs, &mut frontier, &mut pool, &mut workers);
+            let keys: Vec<u64> = frontier.iter().map(|s| state_key(s)).collect();
+            assert_eq!(keys, expected, "{threads} threads");
+            // No system is lost: parents and the pool became the new
+            // frontier, the pool, or fresh clones on top.
+            assert!(frontier.len() + pool.len() >= parents.len() + 100);
+            assert!(workers
+                .iter()
+                .all(|w| w.parents.is_empty() && w.pool.is_empty() && w.rebuilt.is_empty()));
+        }
+    }
+
+    /// Every `System` the arena holds: pooled, frontier, and per worker.
+    fn systems_held(arena: &ExploreArena) -> usize {
+        arena.pool.len()
+            + arena.frontier.len()
+            + arena
+                .workers
+                .iter()
+                .map(|w| {
+                    w.parents.len()
+                        + w.pool.len()
+                        + w.rebuilt.len()
+                        + usize::from(w.trial.is_some())
+                })
+                .sum::<usize>()
+    }
+
+    #[test]
+    fn spilling_runs_hold_systems_for_two_levels_only() {
+        // Under a 4 KiB budget most of each level's successors are disk
+        // duplicates that only the merge's spilled probe can reject. The
+        // engine still holds no more systems than two adjacent levels plus
+        // one trial system per worker, far fewer than one level's
+        // candidates, and the report is the in-RAM tier's.
+        let cfg = ExploreConfig {
+            max_messages: 4,
+            max_depth: 16,
+            max_pool: 6,
+            max_states: 500_000,
+            ..ExploreConfig::default()
+        };
+        let proto = SequenceNumber::new();
+        let threads = 2;
+        let registry = Arc::new(Registry::new());
+        let explorer = ParallelExplorer::new(threads).with_telemetry(Arc::clone(&registry), None);
+        let mut arena = ExploreArena::with_visited(VisitedSpec::tiered(4 * 1024));
+        let report = explorer.explore_in(&proto, &cfg, &mut arena).report();
+        assert_eq!(
+            report,
+            ParallelExplorer::new(threads)
+                .explore(&proto, &cfg)
+                .report()
+        );
+        assert!(arena.visited().spills() > 0, "the 4 KiB budget must spill");
+
+        let mut widths: Vec<usize> = arena.levels.iter().map(Vec::len).collect();
+        widths[0] = 1; // the root
+        let two_levels = widths.windows(2).map(|w| w[0] + w[1]).max().unwrap();
+        let held = systems_held(&arena);
+        assert!(
+            held <= two_levels + threads,
+            "{held} systems held; two adjacent levels need at most {two_levels}"
+        );
+        let peak_candidates = registry.snapshot().gauges["explore.peak_candidate_bytes"].value
+            as usize
+            / std::mem::size_of::<Candidate>();
+        assert!(
+            held < peak_candidates,
+            "{held} systems held, but the largest level had only {peak_candidates} candidates"
+        );
+    }
+
+    #[test]
     fn telemetry_observes_without_perturbing() {
         let cfg = ExploreConfig::default();
         let plain = ParallelExplorer::new(4)
@@ -1234,6 +1477,20 @@ mod tests {
         assert!(
             snap.gauges["explore.peak_frontier_bytes"].value > 0,
             "resident frontier estimate was recorded"
+        );
+        assert_eq!(
+            snap.gauges["explore.peak_candidate_bytes"].value
+                % std::mem::size_of::<Candidate>() as u64,
+            0,
+            "the candidate peak is a whole number of records"
+        );
+        assert!(
+            snap.gauges["explore.peak_candidate_bytes"].value > 0,
+            "the candidate peak was recorded"
+        );
+        assert!(
+            snap.counters.contains_key("explore.phase_ns.rebuild"),
+            "the rebuild phase is timed"
         );
         assert!(!trace.is_empty(), "per-level spans were recorded");
     }

@@ -1,9 +1,9 @@
 //! Allocation regression pin for the exploration hot path.
 //!
-//! The zero-copy engine promises that steady-state expansion — pop a
-//! recycled [`System`], refill it with `assign_from`, apply an action, hash
-//! it, merge it — performs no heap allocation once the arena's buffers have
-//! warmed up. This pin makes that promise falsifiable: a counting global
+//! The zero-copy engine promises that steady-state expansion — refill the
+//! worker's trial [`System`] with `assign_from`, apply an action, hash it,
+//! merge its key, rebuild the winners from recycled systems — performs no
+//! heap allocation once the arena's buffers have warmed up. This pin makes that promise falsifiable: a counting global
 //! allocator measures a warm exploration end to end, and the budget is a
 //! small constant (the per-run root-system setup), not a function of the
 //! hundreds of expansions the scope performs. A regression that puts even
