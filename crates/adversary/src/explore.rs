@@ -24,9 +24,9 @@
 //! future behaviour of the deterministic system.
 //!
 //! This sequential explorer is the **oracle**: the level-synchronized
-//! parallel engine in [`explore_par`](crate::explore_par) shares the
-//! expansion core below (`enabled_actions` / `apply` / `state_key`) and is
-//! differentially tested against this one.
+//! parallel engine behind [`Explorer::parallel`](crate::Explorer::parallel)
+//! shares the expansion core below (`enabled_actions` / `apply` /
+//! `state_key`) and is differentially tested against this one.
 //!
 //! The two engines drive the visited tier through deliberately different
 //! contracts. The oracle calls [`VisitedSet::insert`] one key at a time —
@@ -200,9 +200,8 @@ pub enum ExploreOutcome {
         execution: Execution,
         /// Number of adversary actions on the path.
         depth: usize,
-        /// The attack as a replayable script (see
-        /// [`Schedule`](crate::Schedule)): running it against the same
-        /// protocol reproduces the violation.
+        /// The attack as a replayable script (see [`Schedule`]): running
+        /// it against the same protocol reproduces the violation.
         schedule: Schedule,
     },
     /// No invalid execution exists within the scope.
@@ -391,42 +390,19 @@ pub(crate) fn from_step(step: ScheduleStep) -> Action {
     }
 }
 
-/// Side statistics of one exploration run — what the search did, beyond
-/// the outcome it returned.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExploreStats {
-    /// Successor transitions put to sleep by the partial-order reduction
-    /// (always 0 with [`ExploreConfig::por`] off or inapplicable).
-    pub pruned: u64,
-}
-
-/// Exhaustively explores the adversary's choices against `proto`.
-pub fn explore(proto: &dyn DataLink, cfg: &ExploreConfig) -> ExploreOutcome {
-    explore_with_stats(proto, cfg).0
-}
-
-/// [`explore`], also returning the run's [`ExploreStats`]. A thin wrapper
-/// over the [`Explorer`](crate::Explorer) facade in its default
-/// configuration (sequential engine, exact in-RAM visited tier) — kept so
-/// the historical entry point and its regression pins stay valid.
-pub fn explore_with_stats(
-    proto: &dyn DataLink,
-    cfg: &ExploreConfig,
-) -> (ExploreOutcome, ExploreStats) {
-    crate::explorer::Explorer::new(*cfg).explore_with_stats(proto)
-}
-
 /// The sequential breadth-first search — the oracle engine, generic over
-/// the visited tier. `visited` must arrive empty (cleared); the facade owns
-/// its construction and reuse.
+/// the visited tier. `visited` must arrive empty (cleared); the
+/// [`Explorer`](crate::Explorer) owns its construction and reuse. Returns
+/// the outcome and the successor transitions the partial-order reduction
+/// put to sleep (0 with [`ExploreConfig::por`] off or inapplicable).
 pub(crate) fn run_sequential(
     proto: &dyn DataLink,
     cfg: &ExploreConfig,
     visited: &mut dyn VisitedSet,
-) -> (ExploreOutcome, ExploreStats) {
+) -> (ExploreOutcome, u64) {
     let root = build_root(proto, cfg, true);
     let por = crate::por::PorCtx::new(&root, cfg);
-    let mut stats = ExploreStats::default();
+    let mut pruned = 0u64;
     visited.insert(por.key(&root));
     let mut frontier: VecDeque<(System, Vec<ScheduleStep>)> = VecDeque::new();
     frontier.push_back((root, Vec::new()));
@@ -446,7 +422,7 @@ pub(crate) fn run_sequential(
                     depth: steps.len(),
                     schedule: Schedule::new(steps),
                 };
-                return (outcome, stats);
+                return (outcome, pruned);
             }
             // The sleep decision is a pure function of (state, action), so
             // it sits *after* the violation check (a violating successor is
@@ -454,7 +430,7 @@ pub(crate) fn run_sequential(
             // a slept edge is neither recorded nor expanded, here or in the
             // parallel engine.
             if por.sleeps(&sys, &next, action, cfg) {
-                stats.pruned += 1;
+                pruned += 1;
                 continue;
             }
             let key = por.key(&next);
@@ -463,7 +439,7 @@ pub(crate) fn run_sequential(
                     let outcome = ExploreOutcome::Truncated {
                         states: visited.len(),
                     };
-                    return (outcome, stats);
+                    return (outcome, pruned);
                 }
                 let mut steps = path.clone();
                 steps.push(to_step(action));
@@ -474,7 +450,7 @@ pub(crate) fn run_sequential(
     let outcome = ExploreOutcome::Exhausted {
         states: visited.len(),
     };
-    (outcome, stats)
+    (outcome, pruned)
 }
 
 #[cfg(test)]
@@ -484,6 +460,10 @@ mod tests {
     use nonfifo_ioa::spec::{check_dl1, check_pl1, Validity};
     use nonfifo_ioa::Dir;
     use nonfifo_protocols::{AlternatingBit, NaiveCycle, SequenceNumber, StabilizingDl};
+
+    fn explore(proto: &dyn DataLink, cfg: &ExploreConfig) -> ExploreOutcome {
+        crate::Explorer::new().explore(proto, cfg)
+    }
 
     #[test]
     fn finds_minimal_counterexample_for_alternating_bit() {

@@ -1,5 +1,5 @@
-//! Parallel state-space exploration: the engine of [`explore`] scaled to
-//! every core, with the sequential explorer kept as its oracle.
+//! Parallel state-space exploration: the sequential oracle's search scaled
+//! to every core, behind [`Explorer::parallel`](crate::Explorer::parallel).
 //!
 //! [`ParallelExplorer`] runs a **level-synchronized** breadth-first search
 //! over the composed system: all states at adversary-action depth `d` are
@@ -31,10 +31,10 @@
 //!   `tests/explore_alloc.rs`).
 //! - **Tiered dedup.** The visited set behind the engine is a
 //!   [`VisitedSet`] tier chosen by [`VisitedSpec`] (see [`crate::visited`]):
-//!   the exact RAM tier runs 64 FNV shards on the fixed-key FNV-64 hasher
-//!   ([`nonfifo_ioa::fingerprint`]), the tiered tier spills past a byte
-//!   budget to a sorted disk run, and the probabilistic tier trades
-//!   exactness for a fixed Bloom footprint. State keys come from the shared
+//!   the RAM tier runs 64 FNV shards on the fixed-key FNV-64 hasher
+//!   ([`nonfifo_ioa::fingerprint`]), and the tiered tier spills past a
+//!   byte budget to sorted disk runs; both are exact. State keys come
+//!   from the shared
 //!   [`StateCodec`](crate::codec::StateCodec), which folds in the
 //!   multiset's incrementally maintained content digest, so hashing a
 //!   state never walks the pool.
@@ -83,11 +83,11 @@
 //! replaying its schedule through the strict scheduler — which doubles as
 //! an end-to-end validation of every reported attack.
 
-use crate::codec::EncodedState;
 use crate::explore::{
     apply, build_root, enabled_actions_into, from_step, to_step, Action, ExploreConfig,
     ExploreOutcome,
 };
+use crate::explorer::record_run_end;
 use crate::por::PorCtx;
 use crate::schedule::{Schedule, ScheduleStep};
 use crate::system::System;
@@ -177,15 +177,15 @@ struct Peaks {
     candidate_bytes: usize,
 }
 
-/// Caller-owned reusable workspace for [`ParallelExplorer::explore_in`]:
-/// the visited set (any [`VisitedSpec`] tier), the system pool, per-worker
+/// The reusable workspace an [`Explorer`](crate::Explorer) owns: the
+/// visited set (any [`VisitedSpec`] tier), the system pool, per-worker
 /// scratches, the path arena, and the merge buffers. Running repeated
 /// explorations through one arena keeps the steady-state expansion loop
-/// entirely off the allocator — the campaign runner and the allocation
-/// regression test both rely on this.
+/// entirely off the allocator — the allocation regression test in
+/// `tests/explore_alloc.rs` pins this.
 #[allow(clippy::vec_box)] // see `frontier`
 #[derive(Debug)]
-pub struct ExploreArena {
+pub(crate) struct ExploreArena {
     visited: Box<dyn VisitedSet>,
     spec: VisitedSpec,
     pool: Vec<Box<System>>,
@@ -225,38 +225,20 @@ impl Default for ExploreArena {
 }
 
 impl ExploreArena {
-    /// Creates an empty arena on the exact in-RAM visited tier; buffers
-    /// warm up over the first run.
-    pub fn new() -> Self {
-        ExploreArena::default()
-    }
-
-    /// An empty arena deduplicating through `spec`'s visited tier.
-    pub fn with_visited(spec: VisitedSpec) -> Self {
-        let mut arena = ExploreArena::default();
-        arena.install_visited(spec);
-        arena
-    }
-
     /// Swaps the visited tier to `spec`. A no-op when the arena already
     /// runs that spec — the existing set (and its warmed allocations) is
     /// kept and merely cleared at the next run.
-    pub fn install_visited(&mut self, spec: VisitedSpec) {
+    pub(crate) fn install_visited(&mut self, spec: VisitedSpec) {
         if spec != self.spec {
             self.visited = spec.build();
             self.spec = spec;
         }
     }
 
-    /// The visited set of the most recent run — spill counts, resident
-    /// bytes, and the probabilistic tier's false-dedup bound are read here.
-    pub fn visited(&self) -> &dyn VisitedSet {
+    /// The visited set of the most recent run — spill counts and resident
+    /// bytes are read here.
+    pub(crate) fn visited(&self) -> &dyn VisitedSet {
         &*self.visited
-    }
-
-    /// The spec the current visited set was built from.
-    pub fn visited_spec(&self) -> VisitedSpec {
-        self.spec
     }
 
     pub(crate) fn visited_mut(&mut self) -> &mut dyn VisitedSet {
@@ -322,19 +304,10 @@ impl ExploreArena {
     }
 }
 
-/// The work-stealing breadth-first exploration engine.
-///
-/// # Example
-///
-/// ```
-/// use nonfifo_adversary::{ExploreConfig, ParallelExplorer};
-/// use nonfifo_protocols::AlternatingBit;
-///
-/// let outcome = ParallelExplorer::new(2).explore(&AlternatingBit::new(), &ExploreConfig::default());
-/// assert!(outcome.is_counterexample());
-/// ```
+/// The work-stealing breadth-first exploration engine, driven by
+/// [`Explorer::parallel`](crate::Explorer::parallel).
 #[derive(Debug, Clone)]
-pub struct ParallelExplorer {
+pub(crate) struct ParallelExplorer {
     threads: usize,
     telemetry: Option<ExploreTelemetry>,
 }
@@ -387,11 +360,10 @@ impl ExploreTelemetry {
         }
     }
 
-    /// End-of-run derived metrics: visited-set shard occupancy (balance of
-    /// the mixed-digest shard split, for tiers with resident shards),
-    /// overall throughput, the peak resident frontier and candidate
-    /// estimates, and the memory-footprint gauges of the tiered visited-set
-    /// work (`explore.visited_bytes`, `explore.codec_bytes_per_state`).
+    /// End-of-run metrics: the ones both engines export
+    /// ([`record_run_end`]), plus this engine's visited-set shard occupancy
+    /// (balance of the mixed-digest shard split, for tiers with resident
+    /// shards) and its peak resident frontier and candidate estimates.
     fn finalize(&self, visited: &dyn VisitedSet, elapsed_secs: f64, peaks: Peaks) {
         let occupancy = self.registry.histogram("explore.shard_occupancy");
         let mut sizes = Vec::new();
@@ -399,49 +371,20 @@ impl ExploreTelemetry {
         for size in sizes {
             occupancy.record(size);
         }
-        let states = visited.len();
-        if elapsed_secs > 0.0 {
-            self.registry
-                .set_value("explore.states_per_sec", states as f64 / elapsed_secs);
-        }
         self.registry
             .gauge("explore.peak_frontier_bytes")
             .set(peaks.frontier_bytes as u64);
         self.registry
             .gauge("explore.peak_candidate_bytes")
             .set(peaks.candidate_bytes as u64);
-        self.registry
-            .gauge("explore.visited_bytes")
-            .set(visited.peak_memory_bytes() as u64);
-        self.registry
-            .gauge("explore.codec_bytes_per_state")
-            .set(EncodedState::BYTES as u64);
-        if visited.spills() > 0 {
-            self.registry
-                .counter("explore.visited_spills")
-                .add(visited.spills());
-        }
-        // Wall time in the values map so CI can ratio merge_serial_ns
-        // against it without parsing states_per_sec backwards.
-        self.registry
-            .set_value("explore.wall_ns", elapsed_secs * 1e9);
-        if visited.disk_runs() > 0 {
-            self.registry
-                .gauge("explore.disk_runs")
-                .set(visited.disk_runs());
-        }
-        if visited.compaction_bytes() > 0 {
-            self.registry
-                .counter("explore.compaction_bytes")
-                .add(visited.compaction_bytes());
-        }
+        record_run_end(&self.registry, visited, elapsed_secs);
     }
 }
 
 impl ParallelExplorer {
     /// Creates an explorer with `threads` workers; `0` means one per
     /// available core.
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, usize::from)
         } else {
@@ -454,12 +397,12 @@ impl ParallelExplorer {
     }
 
     /// Attaches a metrics registry (and optionally a trace sink) that every
-    /// subsequent [`explore`](ParallelExplorer::explore) call records into:
-    /// states/candidates/dedup counters, per-depth frontier widths, shard
-    /// occupancy, throughput, peak frontier bytes, and per-level spans.
-    /// Telemetry never feeds back into the search — outcomes stay
+    /// subsequent [`explore_in`](ParallelExplorer::explore_in) call records
+    /// into: states/candidates/dedup counters, per-depth frontier widths,
+    /// shard occupancy, throughput, peak frontier bytes, and per-level
+    /// spans. Telemetry never feeds back into the search — outcomes stay
     /// byte-identical.
-    pub fn with_telemetry(
+    pub(crate) fn with_telemetry(
         mut self,
         registry: Arc<Registry>,
         trace: Option<Arc<TraceSink>>,
@@ -469,21 +412,15 @@ impl ParallelExplorer {
     }
 
     /// The worker count this explorer will use.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Explores `proto` within `cfg`'s scope. Same contract as
-    /// [`explore`](crate::explore()): shortest counterexample, certificate,
-    /// or truncation — and the result is identical for every thread count.
-    pub fn explore(&self, proto: &dyn DataLink, cfg: &ExploreConfig) -> ExploreOutcome {
-        self.explore_in(proto, cfg, &mut ExploreArena::new())
-    }
-
-    /// [`explore`](ParallelExplorer::explore) through a caller-owned
-    /// [`ExploreArena`], reusing its buffers. The outcome is identical to a
-    /// fresh-arena run; only the allocation profile changes.
-    pub fn explore_in(
+    /// Explores `proto` within `cfg`'s scope through `arena`, reusing its
+    /// buffers: the shortest counterexample, a certificate, or a
+    /// truncation — identical for every thread count and to a fresh-arena
+    /// run; only the allocation profile changes.
+    pub(crate) fn explore_in(
         &self,
         proto: &dyn DataLink,
         cfg: &ExploreConfig,
@@ -633,30 +570,23 @@ impl ParallelExplorer {
 
             // Admit pass (serial): shard-major over the compacted winners.
             // Each winner key was proven absent by the resident probe at
-            // expansion time plus the spilled probe above, so exact tiers
-            // take the probe-free insert; the probabilistic tier re-probes
-            // its filter and may still reject (a same-level false dedup),
-            // which stays on the rare path.
+            // expansion time plus the spilled probe above, so the
+            // probe-free insert admits every one.
             let mut level_dedup = 0u64;
-            for m in merges.iter_mut() {
+            for m in merges.iter() {
                 level_dedup += m.start as u64;
-                let mut i = m.start;
-                while i < m.bin.len() {
-                    if visited.insert_new(m.bin[i].key) {
-                        states += 1;
+                for c in &m.bin[m.start..] {
+                    let admitted = visited.insert_new(c.key);
+                    debug_assert!(admitted, "the merge proved every winner absent");
+                    states += 1;
+                    if let Some(t) = tel {
+                        t.states.inc();
+                    }
+                    if states >= cfg.max_states {
                         if let Some(t) = tel {
-                            t.states.inc();
+                            t.dedup_hits.add(level_dedup);
                         }
-                        if states >= cfg.max_states {
-                            if let Some(t) = tel {
-                                t.dedup_hits.add(level_dedup);
-                            }
-                            return (ExploreOutcome::Truncated { states }, peaks);
-                        }
-                        i += 1;
-                    } else {
-                        level_dedup += 1;
-                        m.bin.remove(i);
+                        return (ExploreOutcome::Truncated { states }, peaks);
                     }
                 }
             }
@@ -1017,24 +947,31 @@ fn materialize(
     }
 }
 
-/// Convenience wrapper: [`ParallelExplorer::new(threads)`] then
-/// [`explore`](ParallelExplorer::explore).
-pub fn explore_parallel(
-    proto: &dyn DataLink,
-    cfg: &ExploreConfig,
-    threads: usize,
-) -> ExploreOutcome {
-    ParallelExplorer::new(threads).explore(proto, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::state_key;
-    use crate::explore::{explore, Discipline};
+    use crate::explore::Discipline;
     use crate::visited::FnvSet;
     use crate::visited::SHARDS;
+    use crate::Explorer;
     use nonfifo_protocols::{AlternatingBit, GoBackN, NaiveCycle, SequenceNumber};
+
+    fn explore(proto: &dyn DataLink, cfg: &ExploreConfig) -> ExploreOutcome {
+        Explorer::new().explore(proto, cfg)
+    }
+
+    fn par(proto: &dyn DataLink, cfg: &ExploreConfig, threads: usize) -> ExploreOutcome {
+        fresh(&ParallelExplorer::new(threads), proto, cfg)
+    }
+
+    fn fresh(
+        engine: &ParallelExplorer,
+        proto: &dyn DataLink,
+        cfg: &ExploreConfig,
+    ) -> ExploreOutcome {
+        engine.explore_in(proto, cfg, &mut ExploreArena::default())
+    }
 
     fn outcome_kind(o: &ExploreOutcome) -> &'static str {
         match o {
@@ -1056,7 +993,7 @@ mod tests {
         for proto in &protos {
             let reports: Vec<String> = [1, 2, 8]
                 .iter()
-                .map(|&t| explore_parallel(proto.as_ref(), &cfg, t).report())
+                .map(|&t| par(proto.as_ref(), &cfg, t).report())
                 .collect();
             assert_eq!(reports[0], reports[1], "{}: 1 vs 2 threads", proto.name());
             assert_eq!(reports[0], reports[2], "{}: 1 vs 8 threads", proto.name());
@@ -1073,7 +1010,7 @@ mod tests {
         ];
         for proto in &protos {
             let seq = explore(proto.as_ref(), &cfg);
-            let par = explore_parallel(proto.as_ref(), &cfg, 4);
+            let par = par(proto.as_ref(), &cfg, 4);
             assert_eq!(
                 outcome_kind(&seq),
                 outcome_kind(&par),
@@ -1096,7 +1033,7 @@ mod tests {
 
     #[test]
     fn parallel_counterexample_replays_and_is_shortest() {
-        let outcome = explore_parallel(&AlternatingBit::new(), &ExploreConfig::default(), 8);
+        let outcome = par(&AlternatingBit::new(), &ExploreConfig::default(), 8);
         let ExploreOutcome::Counterexample {
             depth, schedule, ..
         } = outcome
@@ -1114,8 +1051,8 @@ mod tests {
             max_states: 10,
             ..ExploreConfig::default()
         };
-        let a = explore_parallel(&SequenceNumber::new(), &cfg, 1);
-        let b = explore_parallel(&SequenceNumber::new(), &cfg, 8);
+        let a = par(&SequenceNumber::new(), &cfg, 1);
+        let b = par(&SequenceNumber::new(), &cfg, 8);
         assert!(a.is_truncated(), "got {a:?}");
         assert_eq!(a.report(), b.report());
     }
@@ -1136,7 +1073,7 @@ mod tests {
             ..ExploreConfig::default()
         };
         for threads in [1, 4] {
-            match explore_parallel(&SequenceNumber::new(), &cfg, threads) {
+            match par(&SequenceNumber::new(), &cfg, threads) {
                 ExploreOutcome::Counterexample { schedule, .. } => {
                     assert_eq!(schedule.steps().len(), 1, "{threads} threads");
                 }
@@ -1163,7 +1100,7 @@ mod tests {
             };
             let reference = explore(&SequenceNumber::new(), &cfg).report();
             for threads in [1, 4] {
-                let par = explore_parallel(&SequenceNumber::new(), &cfg, threads).report();
+                let par = par(&SequenceNumber::new(), &cfg, threads).report();
                 assert_eq!(par, reference, "seed {seed}, {threads} threads");
             }
         }
@@ -1175,12 +1112,12 @@ mod tests {
             discipline: Discipline::LossyFifo,
             ..ExploreConfig::default()
         };
-        assert!(explore_parallel(&AlternatingBit::new(), &lossy, 4).is_certificate());
+        assert!(par(&AlternatingBit::new(), &lossy, 4).is_certificate());
         let reorder = ExploreConfig {
             discipline: Discipline::BoundedReorder(8),
             ..ExploreConfig::default()
         };
-        assert!(explore_parallel(&AlternatingBit::new(), &reorder, 4).is_counterexample());
+        assert!(par(&AlternatingBit::new(), &reorder, 4).is_counterexample());
     }
 
     #[test]
@@ -1196,15 +1133,15 @@ mod tests {
         // fallback on pooled systems — match fresh-arena runs exactly.
         let explorer = ParallelExplorer::new(2);
         let cfg = ExploreConfig::default();
-        let mut arena = ExploreArena::new();
+        let mut arena = ExploreArena::default();
         for _ in 0..2 {
             for proto in [
                 &AlternatingBit::new() as &dyn DataLink,
                 &SequenceNumber::new() as &dyn DataLink,
             ] {
                 let warm = explorer.explore_in(proto, &cfg, &mut arena).report();
-                let fresh = explorer.explore(proto, &cfg).report();
-                assert_eq!(warm, fresh, "{}", proto.name());
+                let cold = fresh(&explorer, proto, &cfg).report();
+                assert_eq!(warm, cold, "{}", proto.name());
             }
         }
     }
@@ -1296,7 +1233,7 @@ mod tests {
             for cfg in &scopes {
                 let reference = cloned_path_reference(proto.as_ref(), cfg).report();
                 for threads in [1, 4] {
-                    let engine = explore_parallel(proto.as_ref(), cfg, threads).report();
+                    let engine = par(proto.as_ref(), cfg, threads).report();
                     assert_eq!(
                         reference,
                         engine,
@@ -1411,14 +1348,10 @@ mod tests {
         let threads = 2;
         let registry = Arc::new(Registry::new());
         let explorer = ParallelExplorer::new(threads).with_telemetry(Arc::clone(&registry), None);
-        let mut arena = ExploreArena::with_visited(VisitedSpec::tiered(4 * 1024));
+        let mut arena = ExploreArena::default();
+        arena.install_visited(VisitedSpec::tiered(4 * 1024));
         let report = explorer.explore_in(&proto, &cfg, &mut arena).report();
-        assert_eq!(
-            report,
-            ParallelExplorer::new(threads)
-                .explore(&proto, &cfg)
-                .report()
-        );
+        assert_eq!(report, par(&proto, &cfg, threads).report());
         assert!(arena.visited().spills() > 0, "the 4 KiB budget must spill");
 
         let mut widths: Vec<usize> = arena.levels.iter().map(Vec::len).collect();
@@ -1441,16 +1374,13 @@ mod tests {
     #[test]
     fn telemetry_observes_without_perturbing() {
         let cfg = ExploreConfig::default();
-        let plain = ParallelExplorer::new(4)
-            .explore(&SequenceNumber::new(), &cfg)
-            .report();
+        let plain = par(&SequenceNumber::new(), &cfg, 4).report();
 
         let registry = Arc::new(Registry::new());
         let trace = Arc::new(TraceSink::new());
-        let instrumented = ParallelExplorer::new(4)
-            .with_telemetry(Arc::clone(&registry), Some(Arc::clone(&trace)))
-            .explore(&SequenceNumber::new(), &cfg)
-            .report();
+        let engine = ParallelExplorer::new(4)
+            .with_telemetry(Arc::clone(&registry), Some(Arc::clone(&trace)));
+        let instrumented = fresh(&engine, &SequenceNumber::new(), &cfg).report();
         assert_eq!(plain, instrumented, "telemetry must not change the outcome");
 
         let snap = registry.snapshot();

@@ -1,20 +1,12 @@
-//! The unified exploration facade.
+//! The exploration front door.
 //!
-//! Historically callers picked an engine by picking an entry point —
-//! [`explore_with_stats`](crate::explore_with_stats) for the sequential
-//! oracle, [`ParallelExplorer`] for the level-synchronized engine — and
-//! each entry point hard-wired its own visited-set construction. The
-//! [`Explorer`] facade owns all three decisions in one place: the
-//! [`ExploreConfig`] scope, the engine choice, and the [`VisitedSpec`]
-//! tier (plus the arena the tier lives in), with telemetry attached once
-//! and flowing to whichever engine runs.
-//!
-//! The historical entry points remain as thin delegating wrappers —
-//! `explore_with_stats` builds a default facade, and
-//! [`ParallelExplorer::explore`] remains thin over
-//! [`ParallelExplorer::explore_in`], the engine the facade's parallel path
-//! drives — so every existing pin and differential harness keeps its
-//! meaning.
+//! [`Explorer`] is the one public way to run an exhaustive search. It owns
+//! the engine choice (the sequential oracle or the level-synchronized
+//! parallel engine), the [`VisitedSpec`] tier and the reusable arena the
+//! tier lives in, and the telemetry sinks; the scope is an argument of
+//! each [`explore`](Explorer::explore) call, so one warmed explorer serves
+//! any number of scopes and protocols. Every tier is exact, so reports are
+//! byte-identical whatever the engine, thread count, tier or budget.
 //!
 //! ```
 //! use nonfifo_adversary::{ExploreConfig, Explorer, VisitedSpec};
@@ -22,15 +14,18 @@
 //!
 //! // Sequential engine, exact disk-spilling tier under a 64 KiB budget:
 //! // the report is byte-identical to the default in-RAM run.
-//! let mut tiered = Explorer::new(ExploreConfig::default())
-//!     .visited(VisitedSpec::tiered(64 * 1024));
-//! let mut ram = Explorer::new(ExploreConfig::default());
+//! let cfg = ExploreConfig::default();
 //! let proto = SequenceNumber::new();
-//! assert_eq!(tiered.explore(&proto).report(), ram.explore(&proto).report());
+//! let mut tiered = Explorer::new().visited(VisitedSpec::tiered(64 * 1024));
+//! let mut ram = Explorer::new();
+//! assert_eq!(
+//!     tiered.explore(&proto, &cfg).report(),
+//!     ram.explore(&proto, &cfg).report()
+//! );
 //! ```
 
 use crate::codec::EncodedState;
-use crate::explore::{run_sequential, ExploreConfig, ExploreOutcome, ExploreStats};
+use crate::explore::{run_sequential, ExploreConfig, ExploreOutcome};
 use crate::explore_par::{ExploreArena, ParallelExplorer};
 use crate::visited::{VisitedSet, VisitedSpec};
 use nonfifo_protocols::DataLink;
@@ -38,17 +33,15 @@ use nonfifo_telemetry::{Registry, TraceSink};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One front door for exhaustive exploration: owns the scope config, the
-/// engine choice (sequential oracle or level-synchronized parallel), the
-/// visited-tier spec, the reusable [`ExploreArena`], and the telemetry
-/// sinks. Build it fluent-style, then call
-/// [`explore`](Explorer::explore) any number of times — runs reuse the
-/// arena's warmed buffers, and after each run the visited set stays
-/// readable through [`visited_set`](Explorer::visited_set) for spill and
-/// false-dedup introspection.
-#[derive(Debug)]
+/// One front door for exhaustive exploration: owns the engine choice
+/// (sequential oracle or level-synchronized parallel), the visited-tier
+/// spec, the reusable arena, and the telemetry sinks. Build it
+/// fluent-style, then call [`explore`](Explorer::explore) any number of
+/// times, on any scope — runs reuse the arena's warmed buffers, and after
+/// each run the visited set stays readable through
+/// [`visited_set`](Explorer::visited_set) for spill introspection.
+#[derive(Debug, Default)]
 pub struct Explorer {
-    cfg: ExploreConfig,
     /// `None` = the sequential oracle; `Some(n)` = the parallel engine on
     /// `n` resolved worker threads.
     threads: Option<usize>,
@@ -56,22 +49,13 @@ pub struct Explorer {
     registry: Option<Arc<Registry>>,
     trace: Option<Arc<TraceSink>>,
     arena: ExploreArena,
-    last_stats: ExploreStats,
 }
 
 impl Explorer {
-    /// A facade over `cfg` in the default configuration: sequential
-    /// engine, exact in-RAM visited tier, no telemetry.
-    pub fn new(cfg: ExploreConfig) -> Self {
-        Explorer {
-            cfg,
-            threads: None,
-            spec: VisitedSpec::Ram,
-            registry: None,
-            trace: None,
-            arena: ExploreArena::new(),
-            last_stats: ExploreStats::default(),
-        }
+    /// An explorer in the default configuration: sequential engine, exact
+    /// in-RAM visited tier, no telemetry.
+    pub fn new() -> Self {
+        Explorer::default()
     }
 
     /// Switches to the parallel engine on `threads` workers (`0` = one per
@@ -87,10 +71,8 @@ impl Explorer {
         self
     }
 
-    /// Selects the visited tier runs deduplicate through. Exact tiers
-    /// ([`VisitedSpec::is_exact`]) produce reports byte-identical to the
-    /// default at any budget; the probabilistic tier's certificates hold
-    /// modulo [`VisitedSet::false_dedup_bound`].
+    /// Selects the visited tier runs deduplicate through. Every tier is
+    /// exact, so the report is byte-identical to the default at any budget.
     pub fn visited(mut self, spec: VisitedSpec) -> Self {
         self.spec = spec;
         self
@@ -110,189 +92,136 @@ impl Explorer {
         self
     }
 
-    /// The scope this facade explores.
-    pub fn config(&self) -> &ExploreConfig {
-        &self.cfg
-    }
-
     /// Resolved worker threads of the parallel engine, or `None` for the
     /// sequential oracle.
     pub fn threads(&self) -> Option<usize> {
         self.threads
     }
 
-    /// The visited-tier spec runs are built on.
-    pub fn visited_spec(&self) -> VisitedSpec {
-        self.spec
-    }
-
     /// The visited set of the most recent run: spill count, disk bytes,
-    /// peak resident bytes, and — on the probabilistic tier — the
-    /// false-dedup bound the certificate must be annotated with.
+    /// and peak resident bytes.
     pub fn visited_set(&self) -> &dyn VisitedSet {
         self.arena.visited()
     }
 
-    /// Side statistics of the most recent run. The parallel engine reports
-    /// its pruning through telemetry counters instead, so this is
-    /// meaningful after sequential runs only.
-    pub fn last_stats(&self) -> ExploreStats {
-        self.last_stats
-    }
-
-    /// Explores `proto` within the configured scope. Same outcome contract
-    /// as [`explore`](crate::explore()): shortest counterexample,
-    /// certificate, or truncation — deterministic in (protocol, config,
-    /// spec), whatever the engine or thread count.
-    pub fn explore(&mut self, proto: &dyn DataLink) -> ExploreOutcome {
-        self.explore_with_stats(proto).0
-    }
-
-    /// [`explore`](Explorer::explore), also returning the run's
-    /// [`ExploreStats`].
-    pub fn explore_with_stats(&mut self, proto: &dyn DataLink) -> (ExploreOutcome, ExploreStats) {
+    /// Explores `proto` within `cfg`'s scope: the shortest counterexample,
+    /// a certificate, or a truncation — deterministic in (protocol, scope),
+    /// whatever the engine, thread count, or tier.
+    pub fn explore(&mut self, proto: &dyn DataLink, cfg: &ExploreConfig) -> ExploreOutcome {
         self.arena.install_visited(self.spec);
-        self.last_stats = ExploreStats::default();
-        let outcome = match self.threads {
-            Some(threads) => {
-                let mut engine = ParallelExplorer::new(threads);
-                if let Some(registry) = &self.registry {
-                    engine = engine.with_telemetry(Arc::clone(registry), self.trace.clone());
-                }
-                engine.explore_in(proto, &self.cfg, &mut self.arena)
+        if let Some(threads) = self.threads {
+            let mut engine = ParallelExplorer::new(threads);
+            if let Some(registry) = &self.registry {
+                engine = engine.with_telemetry(Arc::clone(registry), self.trace.clone());
             }
-            None => {
-                let started = Instant::now();
-                self.arena.visited_mut().clear();
-                let (outcome, stats) = run_sequential(proto, &self.cfg, self.arena.visited_mut());
-                self.last_stats = stats;
-                if let Some(registry) = &self.registry {
-                    // The sequential oracle is uninstrumented (it is the
-                    // reference implementation); record the coarse counters
-                    // after the fact so metrics are meaningful on both
-                    // engines.
-                    registry.counter("explore.pruned_states").add(stats.pruned);
-                    if let ExploreOutcome::Exhausted { states }
-                    | ExploreOutcome::Truncated { states } = &outcome
-                    {
-                        registry.counter("explore.states").add(*states as u64);
-                        let secs = started.elapsed().as_secs_f64();
-                        if secs > 0.0 {
-                            registry.set_value("explore.states_per_sec", *states as f64 / secs);
-                        }
-                    }
-                    let visited = self.arena.visited();
-                    registry
-                        .gauge("explore.visited_bytes")
-                        .set(visited.peak_memory_bytes() as u64);
-                    registry
-                        .gauge("explore.codec_bytes_per_state")
-                        .set(EncodedState::BYTES as u64);
-                    if visited.spills() > 0 {
-                        registry
-                            .counter("explore.visited_spills")
-                            .add(visited.spills());
-                    }
-                    if visited.disk_runs() > 0 {
-                        registry.gauge("explore.disk_runs").set(visited.disk_runs());
-                    }
-                    if visited.compaction_bytes() > 0 {
-                        registry
-                            .counter("explore.compaction_bytes")
-                            .add(visited.compaction_bytes());
-                    }
-                }
-                outcome
+            return engine.explore_in(proto, cfg, &mut self.arena);
+        }
+        let started = Instant::now();
+        let visited = self.arena.visited_mut();
+        visited.clear();
+        let (outcome, pruned) = run_sequential(proto, cfg, visited);
+        if let Some(registry) = &self.registry {
+            // The sequential oracle is uninstrumented (it is the reference
+            // implementation); record its counters after the fact.
+            registry.counter("explore.pruned_states").add(pruned);
+            if let ExploreOutcome::Exhausted { states } | ExploreOutcome::Truncated { states } =
+                &outcome
+            {
+                registry.counter("explore.states").add(*states as u64);
             }
-        };
-        (outcome, self.last_stats)
+            record_run_end(
+                registry,
+                self.arena.visited(),
+                started.elapsed().as_secs_f64(),
+            );
+        }
+        outcome
+    }
+}
+
+/// The end-of-run metrics both engines export: throughput, wall time, the
+/// codec width, and the visited tier's footprint and spill accounting.
+pub(crate) fn record_run_end(registry: &Registry, visited: &dyn VisitedSet, elapsed_secs: f64) {
+    if elapsed_secs > 0.0 {
+        registry.set_value(
+            "explore.states_per_sec",
+            visited.len() as f64 / elapsed_secs,
+        );
+    }
+    // Wall time in the values map so CI can ratio merge_serial_ns against
+    // it without parsing states_per_sec backwards.
+    registry.set_value("explore.wall_ns", elapsed_secs * 1e9);
+    registry
+        .gauge("explore.visited_bytes")
+        .set(visited.peak_memory_bytes() as u64);
+    registry
+        .gauge("explore.codec_bytes_per_state")
+        .set(EncodedState::BYTES as u64);
+    if visited.spills() > 0 {
+        registry
+            .counter("explore.visited_spills")
+            .add(visited.spills());
+    }
+    if visited.disk_runs() > 0 {
+        registry.gauge("explore.disk_runs").set(visited.disk_runs());
+    }
+    if visited.compaction_bytes() > 0 {
+        registry
+            .counter("explore.compaction_bytes")
+            .add(visited.compaction_bytes());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore_with_stats, Discipline};
+    use crate::explore::Discipline;
     use nonfifo_protocols::{AlternatingBit, SequenceNumber};
 
     #[test]
-    fn facade_defaults_match_the_historical_entry_points() {
-        let cfg = ExploreConfig::default();
-        for proto in [
-            &SequenceNumber::new() as &dyn DataLink,
-            &AlternatingBit::new(),
-        ] {
-            let (legacy, legacy_stats) = explore_with_stats(proto, &cfg);
-            let mut facade = Explorer::new(cfg);
-            let (outcome, stats) = facade.explore_with_stats(proto);
-            assert_eq!(legacy.report(), outcome.report(), "{}", proto.name());
-            assert_eq!(legacy_stats, stats);
-
-            let par = ParallelExplorer::new(4).explore(proto, &cfg);
-            let mut par_facade = Explorer::new(cfg).parallel(4);
-            assert_eq!(
-                par.report(),
-                par_facade.explore(proto).report(),
-                "{}",
-                proto.name()
-            );
-        }
-    }
-
-    #[test]
-    fn tier_choice_is_invisible_in_exact_modes() {
+    fn tier_choice_is_invisible() {
         let cfg = ExploreConfig {
             discipline: Discipline::LossyFifo,
             ..ExploreConfig::default()
         };
         let proto = AlternatingBit::new();
-        let reference = Explorer::new(cfg).explore(&proto).report();
+        let reference = Explorer::new().explore(&proto, &cfg).report();
         // A 128-byte budget forces a spill every dozen states in this scope.
-        let mut tiered = Explorer::new(cfg).visited(VisitedSpec::tiered(128));
-        assert_eq!(tiered.explore(&proto).report(), reference);
+        let mut tiered = Explorer::new().visited(VisitedSpec::tiered(128));
+        assert_eq!(tiered.explore(&proto, &cfg).report(), reference);
         assert!(
             tiered.visited_set().spills() > 0,
             "tiny budget must have spilled"
         );
-        let mut par_tiered = Explorer::new(cfg)
+        let mut par_tiered = Explorer::new()
             .parallel(4)
             .visited(VisitedSpec::tiered(128));
-        assert_eq!(par_tiered.explore(&proto).report(), reference);
+        assert_eq!(par_tiered.explore(&proto, &cfg).report(), reference);
     }
 
     #[test]
-    fn facade_runs_reuse_one_arena_across_engines_and_tiers() {
-        let cfg = ExploreConfig::default();
+    fn runs_reuse_one_arena_across_engines_tiers_and_scopes() {
         let proto = SequenceNumber::new();
-        let reference = Explorer::new(cfg).explore(&proto).report();
-        let mut facade = Explorer::new(cfg);
+        let scopes = [
+            ExploreConfig::default(),
+            ExploreConfig {
+                max_depth: 10,
+                por: true,
+                ..ExploreConfig::default()
+            },
+        ];
+        let mut explorer = Explorer::new();
         for _ in 0..2 {
-            facade = facade.sequential();
-            assert_eq!(facade.explore(&proto).report(), reference);
-            facade = facade.parallel(2);
-            assert_eq!(facade.explore(&proto).report(), reference);
-            facade = facade.visited(VisitedSpec::tiered(4096));
-            assert_eq!(facade.explore(&proto).report(), reference);
-            facade = facade.visited(VisitedSpec::Ram);
+            for cfg in &scopes {
+                let reference = Explorer::new().explore(&proto, cfg).report();
+                explorer = explorer.sequential();
+                assert_eq!(explorer.explore(&proto, cfg).report(), reference);
+                explorer = explorer.parallel(2);
+                assert_eq!(explorer.explore(&proto, cfg).report(), reference);
+                explorer = explorer.visited(VisitedSpec::tiered(4096));
+                assert_eq!(explorer.explore(&proto, cfg).report(), reference);
+                explorer = explorer.visited(VisitedSpec::Ram);
+            }
         }
-    }
-
-    #[test]
-    fn probabilistic_runs_report_a_bound() {
-        let cfg = ExploreConfig::default();
-        let proto = SequenceNumber::new();
-        let mut facade = Explorer::new(cfg).visited(VisitedSpec::Probabilistic {
-            memory_budget: 1 << 20,
-        });
-        let outcome = facade.explore(&proto);
-        let bound = facade
-            .visited_set()
-            .false_dedup_bound()
-            .expect("probabilistic tier reports a bound");
-        assert!((0.0..1.0).contains(&bound));
-        // An ample filter over this small scope misses nothing: the state
-        // count matches the exact engines'.
-        let exact = Explorer::new(cfg).explore(&proto);
-        assert_eq!(outcome.report(), exact.report());
     }
 }

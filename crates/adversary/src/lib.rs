@@ -26,22 +26,18 @@
 //!   probabilistic channel.
 //! - [`boundness`] — empirical boundness and product-state counting for the
 //!   Theorem 2.1 experiments.
-//! - [`explore()`] — exhaustive small-scope model checking: every adversary
-//!   behaviour within a bounded scope (under a non-FIFO, bounded-reorder,
-//!   or lossy-FIFO [`Discipline`]), yielding either a *shortest* invalid
-//!   execution or a certificate that none exists in scope.
-//! - [`ParallelExplorer`] — the same exploration, level-synchronized across
-//!   worker threads with a sharded visited set: deterministic outcomes
-//!   independent of thread count, with the sequential explorer kept as the
-//!   differential oracle.
-//! - [`Explorer`] — the unified facade over both engines: one owner for
-//!   the scope config, engine choice, arena, and visited-tier
-//!   construction.
+//! - [`Explorer`] — exhaustive small-scope model checking, the one entry
+//!   point for it: every adversary behaviour within a bounded
+//!   [`ExploreConfig`] scope (under a non-FIFO, bounded-reorder, or
+//!   lossy-FIFO [`Discipline`]), yielding either a *shortest* invalid
+//!   execution or a certificate that none exists in scope. It runs the
+//!   sequential oracle or, with [`Explorer::parallel`], the same search
+//!   level-synchronized across worker threads with a sharded visited set —
+//!   deterministic outcomes independent of thread count.
 //! - [`StateCodec`] / [`VisitedSet`] — the state-identity layer: states
 //!   bit-packed to [`EncodedState::BYTES`] fixed bytes, deduplicated
-//!   through an exact in-RAM tier, an exact disk-spilling tier bounded by
-//!   a memory budget, or a probabilistic Bloom tier with a reported
-//!   false-dedup bound ([`VisitedSpec`]).
+//!   through an exact in-RAM tier or an exact disk-spilling tier bounded
+//!   by a memory budget ([`VisitedSpec`]).
 //! - [`shrink()`] — greedy counterexample shrinking: deletes runs of
 //!   adversary actions while the schedule still replays to a violation, so
 //!   machine-found attacks come back minimal and human-readable.
@@ -74,7 +70,7 @@ pub mod boundness;
 pub mod codec;
 mod dominant;
 pub mod explore;
-pub mod explore_par;
+mod explore_par;
 mod explorer;
 mod greedy;
 mod mf;
@@ -89,11 +85,7 @@ mod workpool;
 
 pub use codec::{CodecMode, EncodedState, StateCodec};
 pub use dominant::{DominantReport, DominantTracker, ProbRunConfig};
-pub use explore::{
-    explore, explore_with_stats, scope_root, Discipline, ExploreConfig, ExploreOutcome,
-    ExploreStats,
-};
-pub use explore_par::{explore_parallel, ExploreArena, ParallelExplorer};
+pub use explore::{scope_root, Discipline, ExploreConfig, ExploreOutcome};
 pub use explorer::Explorer;
 pub use greedy::GreedyReplayAdversary;
 pub use mf::{MfConfig, MfFalsifier, MfGrowthStage};
@@ -104,8 +96,7 @@ pub use schedule::{Schedule, ScheduleError, ScheduleStep};
 pub use shrink::{shrink, ShrinkError, ShrinkOutcome};
 pub use system::{Disposition, System};
 pub use visited::{
-    ProbabilisticVisited, RamVisited, TieredVisited, VisitedSet, VisitedSpec, DEFAULT_COMPACT_RUNS,
-    DEFAULT_MEMORY_BUDGET,
+    RamVisited, TieredVisited, VisitedSet, VisitedSpec, DEFAULT_COMPACT_RUNS, DEFAULT_MEMORY_BUDGET,
 };
 pub use workpool::ChunkCursor;
 

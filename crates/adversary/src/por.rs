@@ -10,7 +10,7 @@
 //!
 //! 1. a **sleep-set rule over inert deliveries** prunes redundant *edges*
 //!    (the `explore.pruned_states` counter), and
-//! 2. a **retired-copy quotient key** ([`PorCtx::key`]) collapses redundant
+//! 2. a **retired-copy quotient key** (`PorCtx::key`) collapses redundant
 //!    *states*: pool slots holding values both stations have permanently
 //!    retired ([`System::packet_retired`]) are anonymised in the dedup
 //!    digest, so states that differ only in which dead value fills a slot
@@ -93,7 +93,7 @@
 //! retired values occupy their pool slots are bisimilar: delivering or
 //! dropping one retired copy is matched, move for move, by delivering or
 //! dropping any other, and no other action can tell them apart. The reduced
-//! engines therefore deduplicate on [`PorCtx::key`], whose kernel is
+//! engines therefore deduplicate on `PorCtx::key`, whose kernel is
 //! exactly that bisimulation — the live-value histogram plus a retired-slot
 //! *count* in place of the retired values themselves. Because the key is a
 //! pure function of the state, the quotient graph the engines explore is

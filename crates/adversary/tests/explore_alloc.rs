@@ -10,7 +10,7 @@
 //! one allocation back into the per-expansion loop blows the budget by an
 //! order of magnitude.
 
-use nonfifo_adversary::{ExploreArena, ExploreConfig, ParallelExplorer};
+use nonfifo_adversary::{ExploreConfig, Explorer};
 use nonfifo_protocols::SequenceNumber;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,17 +73,16 @@ fn warm_exploration_allocates_a_small_constant() {
     // violation (so no schedule materialization muddies the count), single
     // thread (so no spawn overhead either — the promise under test is the
     // expansion loop itself).
-    let explorer = ParallelExplorer::new(1);
+    let mut explorer = Explorer::new().parallel(1);
     let cfg = ExploreConfig::default();
-    let mut arena = ExploreArena::new();
 
     // Warm-up: the first runs grow every buffer the engine will ever need
     // for this scope (shards, pools, scratches, the path arena).
-    let cold = explorer.explore_in(&SequenceNumber::new(), &cfg, &mut arena);
-    explorer.explore_in(&SequenceNumber::new(), &cfg, &mut arena);
+    let cold = explorer.explore(&SequenceNumber::new(), &cfg);
+    explorer.explore(&SequenceNumber::new(), &cfg);
 
     let before = allocations();
-    let warm = explorer.explore_in(&SequenceNumber::new(), &cfg, &mut arena);
+    let warm = explorer.explore(&SequenceNumber::new(), &cfg);
     let spent = allocations() - before;
 
     assert_eq!(
@@ -105,12 +104,11 @@ fn warm_exploration_allocates_a_small_constant() {
 #[test]
 #[ignore]
 fn diagnose_allocation_sources() {
-    let explorer = ParallelExplorer::new(1);
+    let mut explorer = Explorer::new().parallel(1);
     let cfg = ExploreConfig::default();
-    let mut arena = ExploreArena::new();
     for run in 0..6 {
         let before = allocations();
-        explorer.explore_in(&SequenceNumber::new(), &cfg, &mut arena);
+        explorer.explore(&SequenceNumber::new(), &cfg);
         println!("run {run}: {} allocations", allocations() - before);
     }
 }

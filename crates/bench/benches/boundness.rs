@@ -2,7 +2,7 @@
 //! cost and randomized schedule exploration per protocol.
 
 use nonfifo_adversary::boundness::{probe, BoundnessProbeConfig};
-use nonfifo_adversary::{explore, BoundnessOracle, ExploreConfig, System};
+use nonfifo_adversary::{BoundnessOracle, ExploreConfig, Explorer, System};
 use nonfifo_bench::harness::Group;
 use nonfifo_protocols::{AlternatingBit, DataLink, NaiveCycle, SequenceNumber};
 
@@ -40,7 +40,7 @@ fn bench_oracle_fork() {
 fn bench_exhaustive_explore() {
     let group = Group::new("exhaustive_explore").samples(3);
     group.bench("abp_counterexample", || {
-        let outcome = explore(&AlternatingBit::new(), &ExploreConfig::default());
+        let outcome = Explorer::new().explore(&AlternatingBit::new(), &ExploreConfig::default());
         assert!(outcome.is_counterexample());
         outcome
     });
@@ -52,7 +52,7 @@ fn bench_exhaustive_explore() {
         ..ExploreConfig::default()
     };
     group.bench("seqnum_certificate", || {
-        explore(&SequenceNumber::new(), &cfg)
+        Explorer::new().explore(&SequenceNumber::new(), &cfg)
     });
 }
 

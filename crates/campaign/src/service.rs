@@ -48,6 +48,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// The largest `POST /campaign` body the daemon reads: 16 MiB, far above
+/// any real plan (the shipped ones are a few KB). The body buffer is sized
+/// from the client's `Content-Length`, so without a cap one request could
+/// make the daemon allocate whatever a client claims.
+const MAX_BODY_BYTES: usize = 16 << 20;
+
 /// How a [`CampaignService`] runs campaigns.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceConfig {
@@ -330,7 +336,7 @@ impl CampaignService {
         records
     }
 
-    /// Serves HTTP on `listener` until [`request_shutdown`] (or a
+    /// Serves HTTP on `listener` until [`request_shutdown`](Self::request_shutdown) (or a
     /// `POST /shutdown` request) fires. Connections are handled on their
     /// own threads; campaigns submitted concurrently share the cache.
     ///
@@ -406,6 +412,21 @@ impl CampaignService {
                 respond(&mut writer, "200 OK", "text/plain", "shutting down\n");
                 // Wake the accept loop so it observes the flag.
                 let _ = TcpStream::connect(addr);
+            }
+            ("POST", "/campaign") if content_length > MAX_BODY_BYTES => {
+                let line = WireMsg::Error {
+                    message: format!(
+                        "request body of {content_length} bytes exceeds the \
+                         {MAX_BODY_BYTES}-byte limit"
+                    ),
+                }
+                .to_line();
+                respond(
+                    &mut writer,
+                    "413 Payload Too Large",
+                    "application/x-ndjson",
+                    &line,
+                );
             }
             ("POST", "/campaign") => {
                 let mut body = vec![0u8; content_length];

@@ -339,8 +339,8 @@ impl fmt::Display for FaultRecord {
 
 /// A fault-injecting decorator over any [`Channel`].
 ///
-/// See the [module docs](self) for the fault model and the soundness
-/// contract. Cloning forks the complete state — inner channel, RNG
+/// The fault model and the soundness contract are set out in the `chaos`
+/// module docs. Cloning forks the complete state — inner channel, RNG
 /// position, fault log — so a forked chaos channel replays identically.
 ///
 /// # Example

@@ -11,7 +11,7 @@
 //! nonfifo explore  <protocol> [--messages N] [--depth D] [--pool P]
 //!                  [--max-states M] [--discipline nonfifo|reorder<b>|lossy]
 //!                  [--parallel] [--threads N] [--por] [--differential]
-//!                  [--visited ram|tiered|probabilistic]
+//!                  [--visited ram|tiered]
 //!                  [--memory-budget BYTES] [--compact-runs N]
 //!                  [--no-shrink] [--metrics]
 //!                  [--metrics-out FILE] [--trace-out FILE]
@@ -43,9 +43,8 @@ mod registry;
 
 use args::{Args, ArgsError, CommonOpts};
 use nonfifo_adversary::{
-    explore, shrink, Discipline, ExploreConfig, ExploreOutcome, Explorer, FalsifyOutcome,
-    GreedyReplayAdversary, MfConfig, MfFalsifier, ParallelExplorer, PfConfig, PfFalsifier,
-    VisitedSpec,
+    shrink, Discipline, ExploreConfig, ExploreOutcome, Explorer, FalsifyOutcome,
+    GreedyReplayAdversary, MfConfig, MfFalsifier, PfConfig, PfFalsifier, VisitedSpec,
 };
 use nonfifo_core::{CrashEvent, CrashMode, NonFifoError, SimConfig, SimError, Station};
 use nonfifo_telemetry::{Registry, TraceSink};
@@ -67,7 +66,7 @@ usage:
   nonfifo explore  <protocol> [--messages N] [--depth D] [--pool P]
                    [--max-states M] [--discipline nonfifo|reorder<b>|lossy]
                    [--parallel] [--threads N] [--por] [--differential]
-                   [--visited ram|tiered|probabilistic]
+                   [--visited ram|tiered]
                    [--memory-budget BYTES] [--compact-runs N]
                    [--no-shrink] [--metrics]
                    [--metrics-out FILE] [--trace-out FILE]
@@ -94,13 +93,11 @@ run is checked against the full explorer (outcome kind, counterexample
 depth, shrunk attack script) instead of the byte-report comparison the
 flag performs between the sequential and parallel engines otherwise.
 
-explore --visited picks the visited-set tier: ram (exact, in-RAM — the
-default), tiered (exact, spills sorted disk runs when the resident
-estimate exceeds --memory-budget bytes; reports stay byte-identical to
-ram at any budget), or probabilistic (a fixed-footprint Bloom filter of
---memory-budget bytes; certificates are annotated with the bounded
-false-dedup rate, exit codes unchanged). --memory-budget defaults to
-1 GiB (2^30 bytes) and requires a non-ram tier; the effective budget —
+explore --visited picks the visited-set tier: ram (in-RAM — the
+default) or tiered (spills sorted disk runs when the resident estimate
+exceeds --memory-budget bytes). Both are exact: reports are
+byte-identical at any budget. --memory-budget defaults to
+1 GiB (2^30 bytes) and requires --visited tiered; the effective budget —
 default or not — is always printed in the scope banner. --compact-runs
 (tiered only, default 8) sets how many spilled runs may accumulate
 before a background streaming merge compacts them into one: lower
@@ -583,10 +580,7 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
                 ArgsError(format!("--memory-budget needs a byte count, got {text:?}"))
             })?;
             if matches!(spec, VisitedSpec::Ram) {
-                return Err(ArgsError(
-                    "--memory-budget requires --visited tiered or probabilistic".into(),
-                )
-                .into());
+                return Err(ArgsError("--memory-budget requires --visited tiered".into()).into());
             }
             spec = spec.with_budget(bytes);
             budget_defaulted = false;
@@ -604,15 +598,10 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
         }
         (spec, budget_defaulted)
     };
-    if args.flag("differential") && !spec.is_exact() {
-        // The probabilistic tier may certify with fewer states than the
-        // exact oracle, so a byte-report comparison is meaningless.
-        return Err(ArgsError("--differential requires an exact visited tier".into()).into());
-    }
     let opts = CommonOpts::from_args(args)?;
     let (metrics, trace) = telemetry_sinks(&opts);
     let parallel = args.flag("parallel") || args.option("threads").is_some();
-    let mut explorer = Explorer::new(cfg).visited(spec);
+    let mut explorer = Explorer::new().visited(spec);
     if parallel {
         explorer = explorer.parallel(args.option_or("threads", 0)?);
     }
@@ -642,7 +631,7 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
             other => format!(", visited {other}"),
         },
     );
-    let outcome = explorer.explore(proto.as_ref());
+    let outcome = explorer.explore(proto.as_ref(), &cfg);
     if let Some(registry) = &metrics {
         if let ExploreOutcome::Counterexample { depth, .. } = &outcome {
             registry.set_value("explore.counterexample_depth", *depth as f64);
@@ -655,7 +644,9 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
             // explorer instead — outcome kind, counterexample depth, and
             // (for clean scopes) the shrunk attack script.
             let full_cfg = ExploreConfig { por: false, ..cfg };
-            let full = ParallelExplorer::new(0).explore(proto.as_ref(), &full_cfg);
+            let full = Explorer::new()
+                .parallel(0)
+                .explore(proto.as_ref(), &full_cfg);
             if let Some(mismatch) = por_differential_mismatch(proto.as_ref(), &cfg, &outcome, &full)
             {
                 println!("DIFFERENTIAL MISMATCH between reduced and full explorers: {mismatch}");
@@ -676,10 +667,11 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
             }
         } else {
             let other = if parallel {
-                explore(proto.as_ref(), &cfg)
+                Explorer::new()
             } else {
-                ParallelExplorer::new(0).explore(proto.as_ref(), &cfg)
-            };
+                Explorer::new().parallel(0)
+            }
+            .explore(proto.as_ref(), &cfg);
             if outcome.report() != other.report() {
                 println!("DIFFERENTIAL MISMATCH between sequential and parallel engines:");
                 println!("--- this engine ---\n{}", outcome.report());
@@ -718,13 +710,6 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
         }
         ExploreOutcome::Exhausted { states } => {
             println!("certificate: no invalid execution in scope (exhaustive, {states} states)");
-            if let Some(bound) = explorer.visited_set().false_dedup_bound() {
-                println!(
-                    "(probabilistic tier: certificate holds modulo a false-dedup \
-                     probability ≤ {bound:.3e} per state — rerun with --visited \
-                     tiered for an exact certificate)"
-                );
-            }
         }
         ExploreOutcome::Truncated { states } => {
             println!("inconclusive: state budget exhausted after {states} states");
@@ -744,8 +729,7 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
             visited.compaction_bytes(),
             visited.peak_memory_bytes(),
             match spec {
-                VisitedSpec::Tiered { memory_budget, .. }
-                | VisitedSpec::Probabilistic { memory_budget } => memory_budget,
+                VisitedSpec::Tiered { memory_budget, .. } => memory_budget,
                 VisitedSpec::Ram => 0,
             },
         );

@@ -12,7 +12,7 @@ use nonfifo_campaign::{
 use nonfifo_telemetry::Json;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -202,32 +202,53 @@ fn http(addr: &str, method: &str, path: &str, body: &str) -> (String, String) {
     (head.to_string(), body.to_string())
 }
 
-#[test]
-fn http_daemon_serves_campaigns_byte_identical_to_batch() {
-    let (render, aggregate) = batch_baseline();
+/// Starts `nonfifo serve` on an ephemeral port; returns the daemon and the
+/// bound address scraped from its banner line.
+fn spawn_daemon() -> (Child, String) {
     let mut daemon = Command::new(BIN)
         .args(["serve", "--addr", "127.0.0.1:0"])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
         .unwrap();
-    // Scrape the bound address from the banner line.
-    let mut stdout = daemon.stdout.take().unwrap();
-    let addr = {
-        let mut banner = Vec::new();
-        let mut byte = [0u8; 1];
-        while !banner.ends_with(b"/\n") {
-            assert_eq!(stdout.read(&mut byte).unwrap(), 1, "daemon died at startup");
-            banner.push(byte[0]);
+    // Borrowed, not taken: the daemon prints after its banner, so the pipe
+    // must stay open.
+    let stdout = daemon.stdout.as_mut().unwrap();
+    let mut banner = Vec::new();
+    let mut byte = [0u8; 1];
+    while !banner.ends_with(b"/\n") {
+        assert_eq!(stdout.read(&mut byte).unwrap(), 1, "daemon died at startup");
+        banner.push(byte[0]);
+    }
+    let addr = String::from_utf8(banner)
+        .unwrap()
+        .trim()
+        .strip_prefix("serving on http://")
+        .and_then(|s| s.strip_suffix('/'))
+        .expect("banner names the bound address")
+        .to_string();
+    (daemon, addr)
+}
+
+/// `POST /shutdown`, then waits for the daemon to exit cleanly.
+fn shut_down(mut daemon: Child, addr: &str) {
+    let (head, _) = http(addr, "POST", "/shutdown", "");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        if let Some(status) = daemon.try_wait().unwrap() {
+            assert!(status.success(), "daemon exits cleanly on /shutdown");
+            break;
         }
-        let banner = String::from_utf8(banner).unwrap();
-        banner
-            .trim()
-            .strip_prefix("serving on http://")
-            .and_then(|s| s.strip_suffix('/'))
-            .expect("banner names the bound address")
-            .to_string()
-    };
+        assert!(Instant::now() < deadline, "daemon ignored /shutdown");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+#[test]
+fn http_daemon_serves_campaigns_byte_identical_to_batch() {
+    let (render, aggregate) = batch_baseline();
+    let (daemon, addr) = spawn_daemon();
 
     let (head, body) = http(&addr, "GET", "/healthz", "");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -313,15 +334,32 @@ fn http_daemon_serves_campaigns_byte_identical_to_batch() {
             > 0.0
     );
 
-    let (head, _) = http(&addr, "POST", "/shutdown", "");
+    shut_down(daemon, &addr);
+}
+
+#[test]
+fn oversized_bodies_get_a_413_and_the_daemon_keeps_serving() {
+    let (daemon, addr) = spawn_daemon();
+    // A 1 TiB claim with no body behind it: the daemon must refuse it
+    // from the header alone instead of allocating the claimed size.
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    write!(
+        stream,
+        "POST /campaign HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 1099511627776\r\n\
+         Connection: close\r\n\r\n"
+    )
+    .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let (head, body) = response.split_once("\r\n\r\n").expect("a header block");
+    assert!(head.starts_with("HTTP/1.1 413"), "{head}");
+    let WireMsg::Error { message } = WireMsg::parse_line(body.trim()).unwrap() else {
+        panic!("413 body is an error message: {body}");
+    };
+    assert!(message.contains("1099511627776"), "{message}");
+
+    let (head, body) = http(&addr, "GET", "/healthz", "");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Some(status) = daemon.try_wait().unwrap() {
-            assert!(status.success(), "daemon exits cleanly on /shutdown");
-            break;
-        }
-        assert!(Instant::now() < deadline, "daemon ignored /shutdown");
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    assert_eq!(body, "ok\n");
+    shut_down(daemon, &addr);
 }

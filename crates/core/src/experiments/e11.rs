@@ -8,7 +8,7 @@
 //! general.
 
 use super::table::markdown;
-use nonfifo_adversary::{explore, ExploreConfig, ExploreOutcome};
+use nonfifo_adversary::{ExploreConfig, ExploreOutcome, Explorer};
 use nonfifo_protocols::{AlternatingBit, DataLink, GoBackN, NaiveCycle, SequenceNumber};
 use std::fmt;
 
@@ -62,7 +62,7 @@ impl fmt::Display for E11Report {
 }
 
 fn probe(proto: &dyn DataLink, cfg: ExploreConfig) -> E11Row {
-    let outcome = explore(proto, &cfg);
+    let outcome = Explorer::new().explore(proto, &cfg);
     let scope = format!("{}/{}/{}", cfg.max_messages, cfg.max_depth, cfg.max_pool);
     match outcome {
         ExploreOutcome::Counterexample {

@@ -13,7 +13,7 @@
 //! deterministic.
 
 use super::table::markdown;
-use nonfifo_adversary::{explore, ExploreConfig, ExploreOutcome, ParallelExplorer};
+use nonfifo_adversary::{ExploreConfig, ExploreOutcome, Explorer};
 use nonfifo_protocols::SequenceNumber;
 use std::fmt;
 
@@ -95,9 +95,10 @@ fn states_of(outcome: &ExploreOutcome) -> usize {
 
 fn certify(cfg: ExploreConfig) -> E13Row {
     let proto = SequenceNumber::new();
-    let par = ParallelExplorer::new(0).explore(&proto, &cfg);
-    let seq = explore(&proto, &cfg);
-    let por = ParallelExplorer::new(0).explore(&proto, &ExploreConfig { por: true, ..cfg });
+    let mut parallel = Explorer::new().parallel(0);
+    let par = parallel.explore(&proto, &cfg);
+    let seq = Explorer::new().explore(&proto, &cfg);
+    let por = parallel.explore(&proto, &ExploreConfig { por: true, ..cfg });
     let verdict = match &par {
         ExploreOutcome::Exhausted { .. } => "certified safe (exhaustive)".to_string(),
         ExploreOutcome::Counterexample { depth, .. } => {

@@ -70,7 +70,7 @@ pub use nonfifo_transport as transport;
 /// A convenience prelude bringing the most commonly used items into scope.
 pub mod prelude {
     pub use nonfifo_adversary::{
-        explore, BoundnessOracle, ExploreConfig, ExploreOutcome, FalsifyOutcome, MfFalsifier,
+        BoundnessOracle, ExploreConfig, ExploreOutcome, Explorer, FalsifyOutcome, MfFalsifier,
         PfFalsifier,
     };
     pub use nonfifo_campaign::{CampaignPlan, CampaignRunner, ScenarioSpec};

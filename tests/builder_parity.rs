@@ -29,8 +29,8 @@ fn assert_parity(old: Simulation, new: Simulation, n: u64, label: &str) {
     assert_eq!(old_snap, new_snap, "{label}: metrics diverged");
 }
 
-/// Every chain from the migration table in `docs/builder_migration.md`,
-/// over a representative protocol.
+/// One builder chain per spelling the removed constructors had (each
+/// channel discipline, plus a fault plan), over a representative protocol.
 fn migration_chains(seed: u64) -> Vec<(&'static str, Simulation)> {
     let plan = FaultPlan::parse("dup 0.15\ndrop 0.1").expect("plan");
     vec![

@@ -9,8 +9,7 @@
 //! runtime).
 
 use nonfifo::adversary::{
-    explore, scope_root, Discipline, ExploreArena, ExploreConfig, ExploreOutcome, ParallelExplorer,
-    Schedule,
+    scope_root, Discipline, ExploreConfig, ExploreOutcome, Explorer, Schedule,
 };
 use nonfifo::protocols::{
     AlternatingBit, DataLink, GoBackN, Outnumber, SequenceNumber, SlidingWindow,
@@ -93,8 +92,8 @@ fn sequential_and_parallel_agree_across_the_matrix() {
     for_seeds(cases(), |seed, rng| {
         let proto = random_protocol(rng);
         let cfg = random_scope(rng);
-        let seq = explore(proto.as_ref(), &cfg);
-        let par = ParallelExplorer::new(0).explore(proto.as_ref(), &cfg);
+        let seq = Explorer::new().explore(proto.as_ref(), &cfg);
+        let par = Explorer::new().parallel(0).explore(proto.as_ref(), &cfg);
         assert_eq!(
             kind(&seq),
             kind(&par),
@@ -124,11 +123,13 @@ fn parallel_reports_are_byte_identical_across_thread_counts() {
     for_seeds(cases(), |seed, rng| {
         let proto = random_protocol(rng);
         let cfg = random_scope(rng);
-        let baseline = ParallelExplorer::new(1)
+        let baseline = Explorer::new()
+            .parallel(1)
             .explore(proto.as_ref(), &cfg)
             .report();
         for threads in [2, 8] {
-            let report = ParallelExplorer::new(threads)
+            let report = Explorer::new()
+                .parallel(threads)
                 .explore(proto.as_ref(), &cfg)
                 .report();
             assert_eq!(
@@ -146,24 +147,25 @@ fn parallel_reports_are_byte_identical_across_thread_counts() {
 fn arena_reuse_is_invisible() {
     // The engine's zero-copy machinery — parent-pointer path records,
     // pooled systems refilled with `assign_from`, reused worker scratch —
-    // lives in the `ExploreArena`. Running a random sequence of scopes and
-    // protocols through ONE arena (so every run inherits the previous
-    // run's recycled buffers, including across protocol switches) must
-    // produce byte-identical reports to fresh-arena runs.
+    // lives in the arena an `Explorer` owns. Running a random sequence of
+    // scopes and protocols through ONE explorer (so every run inherits the
+    // previous run's recycled buffers, including across protocol switches)
+    // must produce byte-identical reports to fresh-explorer runs.
     for_seeds(cases(), |seed, rng| {
-        let explorer = ParallelExplorer::new(1 + rng.gen_range(0..3));
-        let mut arena = ExploreArena::new();
+        let threads = 1 + rng.gen_range(0..3);
+        let mut explorer = Explorer::new().parallel(threads);
         for round in 0..3 {
             let proto = random_protocol(rng);
             let cfg = random_scope(rng);
-            let warm = explorer
-                .explore_in(proto.as_ref(), &cfg, &mut arena)
+            let warm = explorer.explore(proto.as_ref(), &cfg).report();
+            let fresh = Explorer::new()
+                .parallel(threads)
+                .explore(proto.as_ref(), &cfg)
                 .report();
-            let fresh = explorer.explore(proto.as_ref(), &cfg).report();
             assert_eq!(
                 warm,
                 fresh,
-                "seed {seed} round {round}: warm-arena report diverges for {} under {}",
+                "seed {seed} round {round}: warm-explorer report diverges for {} under {}",
                 proto.name(),
                 cfg.discipline,
             );
@@ -180,7 +182,7 @@ fn counterexamples_replay_and_certificates_quiesce() {
         let proto = random_protocol(rng);
         let cfg = random_scope(rng);
         if let ExploreOutcome::Counterexample { schedule, .. } =
-            ParallelExplorer::new(0).explore(proto.as_ref(), &cfg)
+            Explorer::new().parallel(0).explore(proto.as_ref(), &cfg)
         {
             // Replay from the scope's root: corrupted scopes only violate
             // when the seeded junk is present, so a clean boot would abort.

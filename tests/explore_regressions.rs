@@ -7,8 +7,7 @@
 //! attributed directly.
 
 use nonfifo::adversary::{
-    explore, shrink, Discipline, ExploreConfig, ExploreOutcome, Explorer, ParallelExplorer,
-    VisitedSpec,
+    shrink, Discipline, ExploreConfig, ExploreOutcome, Explorer, VisitedSpec,
 };
 use nonfifo::protocols::{
     AlternatingBit, DataLink, GoBackN, NaiveCycle, Outnumber, SequenceNumber, SlidingWindow,
@@ -36,8 +35,8 @@ fn cycle_scope() -> ExploreConfig {
 
 fn pinned_depth(proto: &dyn DataLink, cfg: &ExploreConfig, expected: usize) {
     for (engine, outcome) in [
-        ("sequential", explore(proto, cfg)),
-        ("parallel", ParallelExplorer::new(0).explore(proto, cfg)),
+        ("sequential", Explorer::new().explore(proto, cfg)),
+        ("parallel", Explorer::new().parallel(0).explore(proto, cfg)),
     ] {
         let ExploreOutcome::Counterexample { depth, .. } = outcome else {
             panic!("{engine}: expected counterexample for {}", proto.name());
@@ -72,8 +71,10 @@ fn sequence_number_certificate_pins_its_state_count() {
     // states means the search got weaker, more means the state key or the
     // action set changed.
     for outcome in [
-        explore(&SequenceNumber::new(), &small()),
-        ParallelExplorer::new(0).explore(&SequenceNumber::new(), &small()),
+        Explorer::new().explore(&SequenceNumber::new(), &small()),
+        Explorer::new()
+            .parallel(0)
+            .explore(&SequenceNumber::new(), &small()),
     ] {
         let ExploreOutcome::Exhausted { states } = outcome else {
             panic!("expected certificate, got {outcome:?}");
@@ -84,23 +85,16 @@ fn sequence_number_certificate_pins_its_state_count() {
 
 #[test]
 fn visited_tiers_preserve_the_pinned_certificate() {
-    // The same 111-state pin through the facade, on every tier: the
-    // disk-spilling tier under a budget small enough to force several
-    // compactions, and the probabilistic tier with an ample filter.
-    // Identical counts mean tier choice cannot move the certified surface.
-    for spec in [
-        VisitedSpec::Ram,
-        VisitedSpec::tiered(256),
-        VisitedSpec::Probabilistic {
-            memory_budget: 1 << 20,
-        },
-    ] {
+    // The same 111-state pin on every tier, the disk-spilling one under a
+    // budget small enough to force several compactions. Identical counts
+    // mean tier choice cannot move the certified surface.
+    for spec in [VisitedSpec::Ram, VisitedSpec::tiered(256)] {
         for threads in [None, Some(0)] {
-            let mut facade = Explorer::new(small()).visited(spec);
+            let mut explorer = Explorer::new().visited(spec);
             if let Some(t) = threads {
-                facade = facade.parallel(t);
+                explorer = explorer.parallel(t);
             }
-            let outcome = facade.explore(&SequenceNumber::new());
+            let outcome = explorer.explore(&SequenceNumber::new(), &small());
             let ExploreOutcome::Exhausted { states } = outcome else {
                 panic!("expected certificate on {spec}, got {outcome:?}");
             };
@@ -116,7 +110,9 @@ fn alternating_bit_survives_fifo_and_lossy_but_not_reorder() {
             discipline,
             ..small()
         };
-        let outcome = ParallelExplorer::new(0).explore(&AlternatingBit::new(), &cfg);
+        let outcome = Explorer::new()
+            .parallel(0)
+            .explore(&AlternatingBit::new(), &cfg);
         assert!(
             outcome.is_certificate(),
             "expected certificate under {discipline}, got {outcome:?}"
@@ -126,7 +122,9 @@ fn alternating_bit_survives_fifo_and_lossy_but_not_reorder() {
         discipline: Discipline::BoundedReorder(8),
         ..small()
     };
-    let outcome = ParallelExplorer::new(0).explore(&AlternatingBit::new(), &cfg);
+    let outcome = Explorer::new()
+        .parallel(0)
+        .explore(&AlternatingBit::new(), &cfg);
     assert!(outcome.is_counterexample(), "got {outcome:?}");
 }
 
@@ -145,8 +143,10 @@ fn por_reduction_pins_its_state_counts() {
     // ~4.5x) the E13 experiment reports.
     for (cfg, expected) in [(small(), 51), (cycle_scope(), 94)] {
         for outcome in [
-            explore(&SequenceNumber::new(), &with_por(&cfg)),
-            ParallelExplorer::new(0).explore(&SequenceNumber::new(), &with_por(&cfg)),
+            Explorer::new().explore(&SequenceNumber::new(), &with_por(&cfg)),
+            Explorer::new()
+                .parallel(0)
+                .explore(&SequenceNumber::new(), &with_por(&cfg)),
         ] {
             let ExploreOutcome::Exhausted { states } = outcome else {
                 panic!("expected reduced certificate, got {outcome:?}");
@@ -173,8 +173,10 @@ fn por_agrees_with_full_explorer_across_catalog() {
     ];
     for proto in &catalog {
         let cfg = small();
-        let reduced = ParallelExplorer::new(0).explore(proto.as_ref(), &with_por(&cfg));
-        let full = ParallelExplorer::new(0).explore(proto.as_ref(), &cfg);
+        let reduced = Explorer::new()
+            .parallel(0)
+            .explore(proto.as_ref(), &with_por(&cfg));
+        let full = Explorer::new().parallel(0).explore(proto.as_ref(), &cfg);
         match (&reduced, &full) {
             (
                 ExploreOutcome::Counterexample {
@@ -226,8 +228,12 @@ fn por_keeps_corrupted_start_phantoms_reachable() {
             corrupt_start: Some(seed),
             ..small()
         };
-        let reduced = ParallelExplorer::new(0).explore(&SequenceNumber::new(), &with_por(&cfg));
-        let full = ParallelExplorer::new(0).explore(&SequenceNumber::new(), &cfg);
+        let reduced = Explorer::new()
+            .parallel(0)
+            .explore(&SequenceNumber::new(), &with_por(&cfg));
+        let full = Explorer::new()
+            .parallel(0)
+            .explore(&SequenceNumber::new(), &cfg);
         match expected_depth {
             Some(d) => {
                 for (engine, outcome) in [("reduced", &reduced), ("full", &full)] {
@@ -261,7 +267,9 @@ fn sequence_number_certified_at_large_scope() {
         max_states: 20_000_000,
         ..ExploreConfig::default()
     };
-    let outcome = ParallelExplorer::new(0).explore(&SequenceNumber::new(), &cfg);
+    let outcome = Explorer::new()
+        .parallel(0)
+        .explore(&SequenceNumber::new(), &cfg);
     let ExploreOutcome::Exhausted { states } = outcome else {
         panic!("expected exhaustive certificate, got {outcome:?}");
     };
@@ -285,8 +293,10 @@ fn por_certifies_the_large_scope_in_tier_one() {
         ..ExploreConfig::default()
     };
     for outcome in [
-        explore(&SequenceNumber::new(), &cfg),
-        ParallelExplorer::new(0).explore(&SequenceNumber::new(), &cfg),
+        Explorer::new().explore(&SequenceNumber::new(), &cfg),
+        Explorer::new()
+            .parallel(0)
+            .explore(&SequenceNumber::new(), &cfg),
     ] {
         let ExploreOutcome::Exhausted { states } = outcome else {
             panic!("expected reduced certificate, got {outcome:?}");

@@ -3,7 +3,7 @@
 //! schema, and — the load-bearing guarantee — that attaching telemetry
 //! never changes what a run computes.
 
-use nonfifo::adversary::{ExploreConfig, ParallelExplorer};
+use nonfifo::adversary::{ExploreConfig, Explorer, VisitedSpec};
 use nonfifo::channel::{
     AdversarialChannel, BoundedReorderChannel, ChannelIntrospect, ChaosChannel, CorruptingChannel,
     Discipline, FaultObserver, FaultPlan, FifoChannel, LossyFifoChannel, ProbabilisticChannel,
@@ -185,11 +185,13 @@ fn explorer_reports_are_byte_identical_with_telemetry_enabled() {
             Box::new(SequenceNumber::new()) as Box<dyn nonfifo::protocols::DataLink>,
             Box::new(AlternatingBit::new()),
         ] {
-            let plain = ParallelExplorer::new(threads)
+            let plain = Explorer::new()
+                .parallel(threads)
                 .explore(proto.as_ref(), &cfg)
                 .report();
             let registry = Arc::new(Registry::new());
-            let watched = ParallelExplorer::new(threads)
+            let watched = Explorer::new()
+                .parallel(threads)
                 .with_telemetry(Arc::clone(&registry), Some(Arc::new(TraceSink::new())))
                 .explore(proto.as_ref(), &cfg)
                 .report();
@@ -200,6 +202,62 @@ fn explorer_reports_are_byte_identical_with_telemetry_enabled() {
                 proto.name()
             );
             assert!(registry.snapshot().counters["explore.states"] > 0);
+        }
+    }
+}
+
+#[test]
+fn both_engines_export_the_same_search_counters() {
+    // Both engines end a run through one shared export, so on the same
+    // scope and tier their deterministic search counters agree exactly.
+    // (`explore.visited_bytes` is excluded: the resident peak depends on
+    // when each engine inserts relative to a spill.)
+    const SHARED: [&str; 5] = [
+        "explore.states",
+        "explore.pruned_states",
+        "explore.visited_spills",
+        "explore.disk_runs",
+        "explore.compaction_bytes",
+    ];
+    let scope = |messages, depth, pool, por| ExploreConfig {
+        max_messages: messages,
+        max_depth: depth,
+        max_pool: pool,
+        max_states: 500_000,
+        por,
+        ..ExploreConfig::default()
+    };
+    for (cfg, spec, expected) in [
+        (
+            scope(6, 20, 6, true),
+            VisitedSpec::Ram,
+            [Some(148), Some(80), None, None, None],
+        ),
+        (
+            scope(6, 20, 8, false),
+            VisitedSpec::tiered(6 * 1024),
+            [Some(6005), Some(0), Some(11), Some(4), Some(110_128)],
+        ),
+    ] {
+        for threads in [None, Some(2)] {
+            let registry = Arc::new(Registry::new());
+            let mut explorer = Explorer::new()
+                .visited(spec)
+                .with_telemetry(Arc::clone(&registry), None);
+            if let Some(t) = threads {
+                explorer = explorer.parallel(t);
+            }
+            assert!(explorer
+                .explore(&SequenceNumber::new(), &cfg)
+                .is_certificate());
+            let snap = registry.snapshot();
+            let export = SHARED.map(|name| {
+                snap.counters
+                    .get(name)
+                    .or(snap.gauges.get(name).map(|g| &g.value))
+                    .copied()
+            });
+            assert_eq!(export, expected, "{spec}, threads {threads:?}: {SHARED:?}");
         }
     }
 }

@@ -1,19 +1,17 @@
 //! Property harness for the visited-set tiers and the state codec.
 //!
 //! For random small scopes, random protocols, and every channel
-//! [`Discipline`], the exact tiers must be invisible: a run deduplicating
+//! [`Discipline`], the tiers must be invisible: a run deduplicating
 //! through the disk-spilling tier — even under a budget tiny enough to
 //! force spills every few states — must produce a report byte-identical
-//! to the in-RAM run, on both engines. The probabilistic tier must honor
-//! the false-dedup bound it reports, and the [`StateCodec`] must
+//! to the in-RAM run, on both engines. The [`StateCodec`] must
 //! reproduce the legacy state digests bit-for-bit on reachable states.
 //! Cases run on the workspace PRNG so each is addressable by seed;
 //! `PROPTEST_CASES` scales the case count (CI pins it for reproducible
 //! runtime).
 
 use nonfifo::adversary::{
-    scope_root, state_digest, Discipline, ExploreConfig, ExploreOutcome, Explorer, StateCodec,
-    VisitedSpec,
+    scope_root, state_digest, Discipline, ExploreConfig, Explorer, StateCodec, VisitedSpec,
 };
 use nonfifo::protocols::{
     AlternatingBit, DataLink, GoBackN, Outnumber, SequenceNumber, SlidingWindow,
@@ -76,27 +74,18 @@ fn random_scope(rng: &mut StdRng) -> ExploreConfig {
     }
 }
 
-fn states_of(outcome: &ExploreOutcome) -> Option<usize> {
-    match outcome {
-        ExploreOutcome::Exhausted { states } | ExploreOutcome::Truncated { states } => {
-            Some(*states)
-        }
-        ExploreOutcome::Counterexample { .. } => None,
-    }
-}
-
 #[test]
 fn exact_tiers_are_byte_identical_across_the_matrix() {
     for_seeds(cases(), |seed, rng| {
         let proto = random_protocol(rng);
         let cfg = random_scope(rng);
-        let reference = Explorer::new(cfg).explore(proto.as_ref()).report();
+        let reference = Explorer::new().explore(proto.as_ref(), &cfg).report();
         // A budget this small spills every ~20 admitted states, so every
         // scope that certifies exercises many delta→run compactions.
         let spec = VisitedSpec::tiered(256);
-        let seq = Explorer::new(cfg)
+        let seq = Explorer::new()
             .visited(spec)
-            .explore(proto.as_ref())
+            .explore(proto.as_ref(), &cfg)
             .report();
         assert_eq!(
             reference,
@@ -106,10 +95,10 @@ fn exact_tiers_are_byte_identical_across_the_matrix() {
             cfg.discipline,
         );
         for threads in [2, 8] {
-            let par = Explorer::new(cfg)
+            let par = Explorer::new()
                 .parallel(threads)
                 .visited(spec)
-                .explore(proto.as_ref())
+                .explore(proto.as_ref(), &cfg)
                 .report();
             assert_eq!(
                 reference,
@@ -139,24 +128,24 @@ fn multi_run_invariance_across_budget_compaction_and_threads() {
         por: false,
     };
     let proto = SequenceNumber::new();
-    let reference = Explorer::new(cfg).explore(&proto).report();
+    let reference = Explorer::new().explore(&proto, &cfg).report();
     // 4 KiB forces a spill every ~340 admitted states (many compaction
     // cycles at every threshold); 64 KiB spills a few times; usize::MAX
     // never spills and must degenerate to the pure-RAM answer.
     for budget in [4 * 1024, 64 * 1024, usize::MAX] {
         for compact_runs in [1, 2, 8] {
             let spec = VisitedSpec::tiered(budget).with_compact_runs(compact_runs);
-            let seq = Explorer::new(cfg).visited(spec).explore(&proto).report();
+            let seq = Explorer::new().visited(spec).explore(&proto, &cfg).report();
             assert_eq!(
                 reference, seq,
                 "sequential report diverges at budget {budget}, \
                  compact-runs {compact_runs}"
             );
             for threads in [1, 2, 8] {
-                let par = Explorer::new(cfg)
+                let par = Explorer::new()
                     .parallel(threads)
                     .visited(spec)
-                    .explore(&proto)
+                    .explore(&proto, &cfg)
                     .report();
                 assert_eq!(
                     reference, par,
@@ -183,10 +172,10 @@ fn dropped_arena_deletes_every_spill_file() {
         por: false,
     };
     // A compaction threshold above the spill count keeps every run live.
-    let mut facade = Explorer::new(cfg)
+    let mut facade = Explorer::new()
         .parallel(2)
         .visited(VisitedSpec::tiered(4 * 1024).with_compact_runs(64));
-    facade.explore(&SequenceNumber::new());
+    facade.explore(&SequenceNumber::new(), &cfg);
     let paths = facade.visited_set().spill_paths();
     assert!(
         paths.len() > 1,
@@ -220,9 +209,9 @@ fn forced_spills_leave_no_trace_in_the_report() {
         por: false,
     };
     let proto = SequenceNumber::new();
-    let reference = Explorer::new(cfg).explore(&proto).report();
-    let mut tiered = Explorer::new(cfg).visited(VisitedSpec::tiered(512).with_compact_runs(2));
-    assert_eq!(tiered.explore(&proto).report(), reference);
+    let reference = Explorer::new().explore(&proto, &cfg).report();
+    let mut tiered = Explorer::new().visited(VisitedSpec::tiered(512).with_compact_runs(2));
+    assert_eq!(tiered.explore(&proto, &cfg).report(), reference);
     let visited = tiered.visited_set();
     assert!(visited.spills() > 0, "512-byte budget must spill");
     assert!(visited.disk_bytes() > 0, "spills must land on disk");
@@ -240,52 +229,6 @@ fn forced_spills_leave_no_trace_in_the_report() {
         "resident stays near budget + compactor buffers, got {}",
         visited.peak_memory_bytes()
     );
-}
-
-#[test]
-fn probabilistic_tier_honors_its_reported_bound() {
-    for_seeds(cases(), |seed, rng| {
-        let proto = random_protocol(rng);
-        let cfg = random_scope(rng);
-        let exact = Explorer::new(cfg).explore(proto.as_ref());
-        let Some(exact_states) = states_of(&exact) else {
-            return; // Counterexample scopes have no state count to compare.
-        };
-        // A filter an order of magnitude under-sized for big scopes and
-        // ample for small ones: both regimes must stay within the bound
-        // the tier itself reports.
-        let mut prob = Explorer::new(cfg).visited(VisitedSpec::Probabilistic {
-            memory_budget: 16 * 1024,
-        });
-        let outcome = prob.explore(proto.as_ref());
-        let bound = prob
-            .visited_set()
-            .false_dedup_bound()
-            .expect("probabilistic tier reports a bound");
-        assert!(
-            (0.0..1.0).contains(&bound),
-            "seed {seed}: bound {bound} out of range"
-        );
-        let Some(prob_states) = states_of(&outcome) else {
-            return; // A (sound) counterexample ends the run early.
-        };
-        assert!(
-            prob_states <= exact_states,
-            "seed {seed}: false dedup can only shrink the state count"
-        );
-        // Expected misses ≤ bound × inserts; allow generous headroom so
-        // the assertion checks the bound's order of magnitude, not luck.
-        let missed = exact_states - prob_states;
-        let allowance = (bound * exact_states as f64 * 16.0).ceil() as usize + 1;
-        assert!(
-            missed <= allowance,
-            "seed {seed}: {missed} states lost to false dedup exceeds the \
-             reported bound {bound:.3e} × {exact_states} states (allowance \
-             {allowance}) for {} under {}",
-            proto.name(),
-            cfg.discipline,
-        );
-    });
 }
 
 #[test]
