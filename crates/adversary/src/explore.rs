@@ -28,6 +28,17 @@
 //! shares the expansion core below (`enabled_actions` / `apply` /
 //! `state_key`) and is differentially tested against this one.
 //!
+//! The oracle is one plain BFS queue, but it copies no history. Its
+//! systems keep counters only (no event log); each attempted successor is
+//! one reused trial [`System`] refilled from its parent with
+//! [`System::assign_from`], and only a successor whose key is admitted is
+//! cloned into the queue, so slept edges and duplicates cost no
+//! allocation. Paths are `(parent, step)` records, one per admitted state,
+//! walked back only for a counterexample, whose execution comes from the
+//! same strict-scheduler replay the parallel engine reports through
+//! (`materialize`). A unit test holds that replay to the event log a
+//! logged system records under the same actions.
+//!
 //! The two engines drive the visited tier through deliberately different
 //! contracts. The oracle calls [`VisitedSet::insert`] one key at a time —
 //! the simplest use of the trait, and the easiest to audit. The parallel
@@ -160,10 +171,10 @@ pub fn scope_root(proto: &dyn DataLink, cfg: &ExploreConfig) -> System {
 }
 
 /// Builds the exploration root for `cfg`: a fresh closed system, its event
-/// log disabled first when `event_log` is false (the parallel engine's
-/// counters-only frontier), then the corrupted-start preload applied if
-/// configured. Both engines — and the counterexample re-materialisation —
-/// construct their roots through this one path, so corrupted starts cannot
+/// log disabled first when `event_log` is false (the engines' counters-only
+/// frontiers), then the corrupted-start preload applied if configured.
+/// Both engines — and the counterexample re-materialisation — construct
+/// their roots through this one path, so corrupted starts cannot
 /// desynchronise them.
 pub(crate) fn build_root(proto: &dyn DataLink, cfg: &ExploreConfig, event_log: bool) -> System {
     let mut root = System::new(proto);
@@ -400,50 +411,57 @@ pub(crate) fn run_sequential(
     cfg: &ExploreConfig,
     visited: &mut dyn VisitedSet,
 ) -> (ExploreOutcome, u64) {
-    let root = build_root(proto, cfg, true);
+    let root = build_root(proto, cfg, false);
     let por = crate::por::PorCtx::new(&root, cfg);
     let mut pruned = 0u64;
     visited.insert(por.key(&root));
-    let mut frontier: VecDeque<(System, Vec<ScheduleStep>)> = VecDeque::new();
-    frontier.push_back((root, Vec::new()));
+    // Path records: the state admitted `n`-th (the root is 0th) was reached
+    // by taking `paths[n - 1].1` from the state admitted `paths[n - 1].0`-th.
+    let mut paths: Vec<(usize, ScheduleStep)> = Vec::new();
+    // Frontier entries: a state, its admission index, and its depth.
+    let mut frontier: VecDeque<(System, usize, usize)> = VecDeque::new();
+    let mut trial = root.clone();
+    frontier.push_back((root, 0, 0));
+    let (mut oldest, mut actions) = (Vec::new(), Vec::new());
 
-    while let Some((sys, path)) = frontier.pop_front() {
-        if path.len() >= cfg.max_depth {
+    while let Some((sys, id, depth)) = frontier.pop_front() {
+        if depth >= cfg.max_depth {
             continue;
         }
-        for action in enabled_actions(&sys, cfg) {
-            let mut next = sys.clone();
-            apply(&mut next, action);
-            if next.violation().is_some() {
-                let mut steps = path.clone();
+        enabled_actions_into(&sys, cfg, &mut oldest, &mut actions);
+        for &action in &actions {
+            trial.assign_from(&sys);
+            apply(&mut trial, action);
+            if trial.violation().is_some() {
+                let mut steps = Vec::with_capacity(depth + 1);
                 steps.push(to_step(action));
-                let outcome = ExploreOutcome::Counterexample {
-                    execution: next.execution().clone(),
-                    depth: steps.len(),
-                    schedule: Schedule::new(steps),
-                };
-                return (outcome, pruned);
+                let mut node = id;
+                while node > 0 {
+                    let (parent, step) = paths[node - 1];
+                    steps.push(step);
+                    node = parent;
+                }
+                steps.reverse();
+                return (materialize(proto, cfg, steps), pruned);
             }
             // The sleep decision is a pure function of (state, action), so
             // it sits *after* the violation check (a violating successor is
             // never inert, but keep the order manifest) and *before* dedup:
             // a slept edge is neither recorded nor expanded, here or in the
             // parallel engine.
-            if por.sleeps(&sys, &next, action, cfg) {
+            if por.sleeps(&sys, &trial, action, cfg) {
                 pruned += 1;
                 continue;
             }
-            let key = por.key(&next);
-            if visited.insert(key) {
+            if visited.insert(por.key(&trial)) {
                 if visited.len() >= cfg.max_states {
                     let outcome = ExploreOutcome::Truncated {
                         states: visited.len(),
                     };
                     return (outcome, pruned);
                 }
-                let mut steps = path.clone();
-                steps.push(to_step(action));
-                frontier.push_back((next, steps));
+                paths.push((id, to_step(action)));
+                frontier.push_back((trial.clone(), paths.len(), depth + 1));
             }
         }
     }
@@ -453,13 +471,39 @@ pub(crate) fn run_sequential(
     (outcome, pruned)
 }
 
+/// Turns a found violating path into the reported counterexample: replays
+/// `steps` through the strict scheduler from the scope's event-logged root
+/// and records the full invalid execution. Both engines explore on
+/// counters-only systems and report through this one replay, which doubles
+/// as an end-to-end validation of every reported attack.
+pub(crate) fn materialize(
+    proto: &dyn DataLink,
+    cfg: &ExploreConfig,
+    steps: Vec<ScheduleStep>,
+) -> ExploreOutcome {
+    let schedule = Schedule::new(steps);
+    // Replay from the same (possibly corrupted) root that produced the
+    // violation — a clean boot would desynchronise corrupted-start runs.
+    let sys = Schedule::run_steps_from(schedule.steps(), build_root(proto, cfg, true))
+        .expect("explorer-found schedule must replay");
+    assert!(
+        sys.violation().is_some(),
+        "explorer-found schedule must reproduce its violation"
+    );
+    ExploreOutcome::Counterexample {
+        execution: sys.execution().clone(),
+        depth: schedule.steps().len(),
+        schedule,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::state_key;
     use nonfifo_ioa::spec::{check_dl1, check_pl1, Validity};
     use nonfifo_ioa::Dir;
-    use nonfifo_protocols::{AlternatingBit, NaiveCycle, SequenceNumber, StabilizingDl};
+    use nonfifo_protocols::{AlternatingBit, GoBackN, NaiveCycle, SequenceNumber, StabilizingDl};
 
     fn explore(proto: &dyn DataLink, cfg: &ExploreConfig) -> ExploreOutcome {
         crate::Explorer::new().explore(proto, cfg)
@@ -636,6 +680,69 @@ mod tests {
             seqnum_fell,
             "no junk preload collided with seqnum's expected header across 16 seeds"
         );
+    }
+
+    #[test]
+    fn replayed_counterexamples_match_the_live_event_log() {
+        // The oracle explores on counters-only systems and reports the
+        // strict scheduler's replay of the found path. That replay must
+        // record exactly what an event-logged system records when stepped
+        // through the same actions with `apply`, or the reported
+        // executions would depend on the engine's bookkeeping.
+        let cycle3 = ExploreConfig {
+            max_messages: 4,
+            max_depth: 16,
+            max_pool: 6,
+            max_states: 500_000,
+            ..ExploreConfig::default()
+        };
+        let corrupted = ExploreConfig {
+            max_messages: 2,
+            max_depth: 8,
+            max_pool: 4,
+            corrupt_start: Some(8),
+            ..ExploreConfig::default()
+        };
+        let reorder = ExploreConfig {
+            discipline: Discipline::BoundedReorder(8),
+            ..ExploreConfig::default()
+        };
+        let cases: [(&str, Box<dyn DataLink>, ExploreConfig); 5] = [
+            (
+                "abp",
+                Box::new(AlternatingBit::new()),
+                ExploreConfig::default(),
+            ),
+            ("cycle3", Box::new(NaiveCycle::new(3)), cycle3),
+            ("gbn1", Box::new(GoBackN::new(1)), ExploreConfig::default()),
+            ("abp reorder8", Box::new(AlternatingBit::new()), reorder),
+            (
+                "seqnum corrupt8",
+                Box::new(SequenceNumber::new()),
+                corrupted,
+            ),
+        ];
+        for (name, proto, cfg) in &cases {
+            let ExploreOutcome::Counterexample {
+                execution,
+                schedule,
+                ..
+            } = explore(proto.as_ref(), cfg)
+            else {
+                panic!("{name}: expected a counterexample");
+            };
+            let mut live = build_root(proto.as_ref(), cfg, true);
+            for &step in schedule.steps() {
+                assert_eq!(
+                    live.violation(),
+                    None,
+                    "{name}: violation before the last step"
+                );
+                apply(&mut live, from_step(step));
+            }
+            assert!(live.violation().is_some(), "{name}: live run must violate");
+            assert_eq!(&execution, live.execution(), "{name}");
+        }
     }
 
     #[test]

@@ -80,16 +80,17 @@
 //! Frontier states are held with counters-only executions
 //! ([`System::disable_event_log`]) so cloning a node is O(protocol state),
 //! not O(history); the winning counterexample is re-materialised by
-//! replaying its schedule through the strict scheduler — which doubles as
-//! an end-to-end validation of every reported attack.
+//! replaying its schedule through the strict scheduler (`materialize`,
+//! shared with the oracle) — which doubles as an end-to-end validation of
+//! every reported attack.
 
 use crate::explore::{
-    apply, build_root, enabled_actions_into, from_step, to_step, Action, ExploreConfig,
-    ExploreOutcome,
+    apply, build_root, enabled_actions_into, from_step, materialize, to_step, Action,
+    ExploreConfig, ExploreOutcome,
 };
 use crate::explorer::record_run_end;
 use crate::por::PorCtx;
-use crate::schedule::{Schedule, ScheduleStep};
+use crate::schedule::ScheduleStep;
 use crate::system::System;
 use crate::visited::{shard_of, VisitedSet, VisitedSpec, SHARDS};
 use crate::workpool::ChunkCursor;
@@ -922,29 +923,6 @@ fn heap_pop(heap: &mut Vec<(PathRec, usize)>) -> Option<(PathRec, usize)> {
         i = child;
     }
     top
-}
-
-/// Re-runs the winning path through the strict scheduler to recover the
-/// full invalid execution (frontier systems carry counters-only logs).
-fn materialize(
-    proto: &dyn DataLink,
-    cfg: &ExploreConfig,
-    steps: Vec<ScheduleStep>,
-) -> ExploreOutcome {
-    let schedule = Schedule::new(steps);
-    // Replay from the same (possibly corrupted) root that produced the
-    // violation — a clean boot would desynchronise corrupted-start runs.
-    let sys = Schedule::run_steps_from(schedule.steps(), build_root(proto, cfg, true))
-        .expect("explorer-found schedule must replay");
-    assert!(
-        sys.violation().is_some(),
-        "explorer-found schedule must reproduce its violation"
-    );
-    ExploreOutcome::Counterexample {
-        execution: sys.execution().clone(),
-        depth: schedule.steps().len(),
-        schedule,
-    }
 }
 
 #[cfg(test)]

@@ -146,9 +146,9 @@ impl System {
     /// ([`Execution::counts_only`]): the online monitor still observes every
     /// event and [`counts`](System::counts) stays exact, but
     /// [`execution`](System::execution) no longer accumulates history, so
-    /// cloning the system is O(state) instead of O(history). The parallel
-    /// explorer clones one system per expanded edge and re-materialises the
-    /// winning execution by replaying its schedule.
+    /// cloning the system is O(state) instead of O(history). Both explorer
+    /// engines copy systems on every expanded edge and re-materialise a
+    /// found execution by replaying its schedule.
     ///
     /// # Panics
     ///

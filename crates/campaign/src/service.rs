@@ -54,6 +54,13 @@ use std::time::{Duration, Instant};
 /// make the daemon allocate whatever a client claims.
 const MAX_BODY_BYTES: usize = 16 << 20;
 
+/// The most workers one `submit` may request: 64, well above any core
+/// count the daemon runs on. A campaign spawns one worker process per
+/// shard and shards are bounded only by the plan's cache misses, so
+/// without a cap one request could make the daemon spawn a process per
+/// run.
+const MAX_WORKERS: u64 = 64;
+
 /// How a [`CampaignService`] runs campaigns.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceConfig {
@@ -453,6 +460,16 @@ impl CampaignService {
     fn handle_campaign(&self, writer: &mut BufWriter<TcpStream>, body: &str) {
         let (plan_text, workers) = if body.trim_start().starts_with('{') {
             match WireMsg::parse_line(body) {
+                Ok(WireMsg::Submit { workers, .. }) if workers > MAX_WORKERS => {
+                    let line = WireMsg::Error {
+                        message: format!(
+                            "submit requests {workers} workers; the limit is {MAX_WORKERS}"
+                        ),
+                    }
+                    .to_line();
+                    respond(writer, "400 Bad Request", "application/x-ndjson", &line);
+                    return;
+                }
                 Ok(WireMsg::Submit { plan, workers }) => (plan, workers as usize),
                 Ok(other) => {
                     let line = WireMsg::Error {

@@ -60,7 +60,9 @@ pub enum WireMsg {
     Submit {
         /// The campaign plan document, verbatim.
         plan: String,
-        /// Requested worker-process count.
+        /// Requested worker-process count (`0` = the daemon's default).
+        /// The daemon answers counts above 64 with a `400` and an
+        /// [`WireMsg::Error`] line.
         workers: u64,
     },
     /// Daemon → worker: your slice of the plan. The worker re-expands the

@@ -363,3 +363,33 @@ fn oversized_bodies_get_a_413_and_the_daemon_keeps_serving() {
     assert_eq!(body, "ok\n");
     shut_down(daemon, &addr);
 }
+
+#[test]
+fn oversized_worker_counts_get_a_400_and_the_daemon_keeps_serving() {
+    let (daemon, addr) = spawn_daemon();
+    let submit = |workers| {
+        WireMsg::Submit {
+            plan: PLAN.to_string(),
+            workers,
+        }
+        .to_line()
+    };
+    let (head, body) = http(&addr, "POST", "/campaign", &submit(1_000_000));
+    assert!(head.starts_with("HTTP/1.1 400"), "{head}");
+    let WireMsg::Error { message } = WireMsg::parse_line(body.trim()).unwrap() else {
+        panic!("400 body is an error message: {body}");
+    };
+    assert!(message.contains("1000000"), "{message}");
+
+    let (head, body) = http(&addr, "GET", "/healthz", "");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert_eq!(body, "ok\n");
+    let (head, body) = http(&addr, "POST", "/campaign", &submit(2));
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let last = WireMsg::parse_line(body.lines().last().unwrap()).unwrap();
+    let WireMsg::Report { render, .. } = last else {
+        panic!("stream ends with the report: {body}");
+    };
+    assert_eq!(render, batch_baseline().0, "served == batch");
+    shut_down(daemon, &addr);
+}

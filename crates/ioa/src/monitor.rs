@@ -2,26 +2,55 @@
 //!
 //! [`crate::spec`] checks a recorded [`Execution`](crate::Execution) after
 //! the fact; this monitor checks PL1 and the identical-message form of
-//! DL1/DL2 *online*, in O(1) amortised time and O(in-transit) space, so the
-//! simulation engine can run millions of events without retaining the trace.
+//! DL1/DL2 *online*, without retaining the trace. PL1 needs the fate of
+//! every copy ever sent (a receipt after a delivery or a drop is a
+//! violation), so the monitor keeps one entry per sent copy: space is
+//! O(copies sent), not O(in transit). The entries live in flat per-direction
+//! tables ordered by copy id, which makes the common insert a `push`, a
+//! lookup a binary search, and copying a monitor a `memcpy`.
 
 use crate::event::Event;
-use crate::fingerprint::Fnv64;
 use crate::packet::{CopyId, Dir, Packet};
 use crate::spec::SpecViolation;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-
-/// Copy-state map keyed by the fixed-key FNV-64 hasher: `CopyId`s are small
-/// sequential integers, so the cheap hash wins over SipHash and stays
-/// deterministic across runs.
-type CopyMap = HashMap<CopyId, CopyState, BuildHasherDefault<Fnv64>>;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum CopyState {
     Sent(Packet),
     Delivered,
     Dropped,
+}
+
+/// The fate of every copy seen in one direction, kept sorted by copy id.
+///
+/// Channels mint copy ids in ascending order, so a new copy almost always
+/// lands past the last entry, found without a search, and
+/// [`set`](CopyTable::set) appends it; only ids from a separate range (the
+/// chaos layer's twins, minted from `CHAOS_COPY_BASE`) arrive out of order
+/// and take the binary-search insert. A flat vector of `Copy` pairs also makes `clone_from` a plain
+/// copy into the target's buffer: no rehash, and no allocation once the
+/// target has held a table this large.
+#[derive(Debug, Clone, Default)]
+struct CopyTable(Vec<(CopyId, CopyState)>);
+
+impl CopyTable {
+    fn find(&self, copy: CopyId) -> Result<usize, usize> {
+        match self.0.last() {
+            Some(&(last, _)) if last < copy => Err(self.0.len()),
+            _ => self.0.binary_search_by_key(&copy, |&(id, _)| id),
+        }
+    }
+
+    fn get_mut(&mut self, copy: CopyId) -> Option<&mut CopyState> {
+        self.find(copy).ok().map(|i| &mut self.0[i].1)
+    }
+
+    /// Records `state` for `copy`, replacing any earlier entry.
+    fn set(&mut self, copy: CopyId, state: CopyState) {
+        match self.find(copy) {
+            Ok(i) => self.0[i].1 = state,
+            Err(i) => self.0.insert(i, (copy, state)),
+        }
+    }
 }
 
 /// Online checker for PL1 (both directions) and the prefix-count form of
@@ -40,8 +69,8 @@ enum CopyState {
 /// ```
 #[derive(Debug, Default)]
 pub struct SpecMonitor {
-    copies_fwd: CopyMap,
-    copies_bwd: CopyMap,
+    copies_fwd: CopyTable,
+    copies_bwd: CopyTable,
     sm: u64,
     rm: u64,
     events_seen: u64,
@@ -67,18 +96,12 @@ impl Clone for SpecMonitor {
     }
 
     /// Fieldwise `clone_from` so monitor clones in the explorer's pooled
-    /// systems reuse the copy-map allocations. `HashMap::clone_from`
-    /// reallocates whenever the two tables' bucket counts differ — which
-    /// for maps of varying size is nearly always — so the maps are refilled
-    /// via clear + extend instead: `clear` keeps the buckets, and a table
-    /// only grows when the source outsizes everything the target has held.
+    /// systems copy the tables into the buffers they already own. It goes
+    /// through the inner vectors: `CopyTable`'s derived `clone_from` would
+    /// allocate a fresh one.
     fn clone_from(&mut self, source: &Self) {
-        self.copies_fwd.clear();
-        self.copies_fwd
-            .extend(source.copies_fwd.iter().map(|(&k, &v)| (k, v)));
-        self.copies_bwd.clear();
-        self.copies_bwd
-            .extend(source.copies_bwd.iter().map(|(&k, &v)| (k, v)));
+        self.copies_fwd.0.clone_from(&source.copies_fwd.0);
+        self.copies_bwd.0.clone_from(&source.copies_bwd.0);
         self.sm = source.sm;
         self.rm = source.rm;
         self.events_seen = source.events_seen;
@@ -177,7 +200,7 @@ impl SpecMonitor {
         Ok(())
     }
 
-    fn copies(&mut self, dir: Dir) -> &mut CopyMap {
+    fn copies(&mut self, dir: Dir) -> &mut CopyTable {
         match dir {
             Dir::Forward => &mut self.copies_fwd,
             Dir::Backward => &mut self.copies_bwd,
@@ -206,31 +229,27 @@ impl SpecMonitor {
                 }
             }
             Event::SendPkt { dir, packet, copy } => {
-                self.copies(dir).insert(copy, CopyState::Sent(packet));
+                self.copies(dir).set(copy, CopyState::Sent(packet));
                 Ok(())
             }
             Event::ReceivePkt { dir, packet, copy } => {
-                let state = self.copies(dir).get(&copy).copied();
-                match state {
-                    None => Err(SpecViolation::UnsentDelivery { dir, copy }),
-                    Some(CopyState::Delivered) => {
-                        Err(SpecViolation::DuplicateDelivery { dir, copy })
+                let Some(state) = self.copies(dir).get_mut(copy) else {
+                    return Err(SpecViolation::UnsentDelivery { dir, copy });
+                };
+                match *state {
+                    CopyState::Delivered => Err(SpecViolation::DuplicateDelivery { dir, copy }),
+                    CopyState::Dropped => Err(SpecViolation::DeliveredAfterDrop { dir, copy }),
+                    CopyState::Sent(sent) if sent != packet => {
+                        Err(SpecViolation::CorruptedDelivery { dir, copy })
                     }
-                    Some(CopyState::Dropped) => {
-                        Err(SpecViolation::DeliveredAfterDrop { dir, copy })
-                    }
-                    Some(CopyState::Sent(sent)) => {
-                        if sent != packet {
-                            Err(SpecViolation::CorruptedDelivery { dir, copy })
-                        } else {
-                            self.copies(dir).insert(copy, CopyState::Delivered);
-                            Ok(())
-                        }
+                    CopyState::Sent(_) => {
+                        *state = CopyState::Delivered;
+                        Ok(())
                     }
                 }
             }
             Event::DropPkt { dir, copy, .. } => {
-                self.copies(dir).insert(copy, CopyState::Dropped);
+                self.copies(dir).set(copy, CopyState::Dropped);
                 Ok(())
             }
         }

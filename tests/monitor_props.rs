@@ -1,0 +1,288 @@
+//! Differential properties of the online [`SpecMonitor`].
+//!
+//! The monitor keeps the fate of every sent copy in flat per-direction
+//! tables ordered by copy id. These properties drive it and a reference
+//! model — the same rules over a `HashMap` — with identical seeded event
+//! streams and require identical verdicts event by event, and identical
+//! latched and convergence-mode state at the end. The streams interleave
+//! ascending channel ids with chaos-range ids (the one out-of-order case)
+//! and mix in duplicate receipts, receipts after a drop, receipts of
+//! copies never sent and corrupted receipts. `clone_from` into warmed
+//! monitors is held to a fresh `clone`. Every case is addressable by seed;
+//! `PROPTEST_CASES` scales the case count.
+
+use nonfifo::channel::CHAOS_COPY_BASE;
+use nonfifo::ioa::{CopyId, Dir, Event, Header, Message, Packet, SpecMonitor, SpecViolation};
+use nonfifo_rng::StdRng;
+use std::collections::HashMap;
+
+/// Cases per property: `PROPTEST_CASES` if set, else a small default that
+/// keeps the whole harness in tier-1 time.
+fn cases() -> u64 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
+
+fn for_seeds(cases: u64, case: impl Fn(u64, &mut StdRng)) {
+    for seed in 0..cases {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            case(seed, &mut rng);
+        }));
+        if let Err(payload) = result {
+            eprintln!("property failed at seed {seed}; rerun replays it exactly");
+            std::panic::resume_unwind(payload);
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fate {
+    Sent(Packet),
+    Delivered,
+    Dropped,
+}
+
+/// The monitor's rules over a hash map: the specification the flat tables
+/// must match verdict for verdict.
+#[derive(Default)]
+struct Reference {
+    copies: HashMap<(Dir, CopyId), Fate>,
+    sm: u64,
+    rm: u64,
+    events_seen: u64,
+    first_violation: Option<SpecViolation>,
+    convergence_mode: bool,
+    overdeliveries: u64,
+    last_overdelivery_index: Option<usize>,
+}
+
+impl Reference {
+    fn observe(&mut self, event: &Event) -> Result<(), SpecViolation> {
+        self.events_seen += 1;
+        let result = match *event {
+            Event::SendMsg(_) => {
+                self.sm += 1;
+                Ok(())
+            }
+            Event::ReceiveMsg(_) => {
+                self.rm += 1;
+                let event_index = (self.events_seen - 1) as usize;
+                if self.rm <= self.sm {
+                    Ok(())
+                } else if self.convergence_mode {
+                    self.overdeliveries += 1;
+                    self.last_overdelivery_index = Some(event_index);
+                    Ok(())
+                } else {
+                    Err(SpecViolation::MessageInvented { event_index })
+                }
+            }
+            Event::SendPkt { dir, packet, copy } => {
+                self.copies.insert((dir, copy), Fate::Sent(packet));
+                Ok(())
+            }
+            Event::ReceivePkt { dir, packet, copy } => match self.copies.get(&(dir, copy)) {
+                None => Err(SpecViolation::UnsentDelivery { dir, copy }),
+                Some(Fate::Delivered) => Err(SpecViolation::DuplicateDelivery { dir, copy }),
+                Some(Fate::Dropped) => Err(SpecViolation::DeliveredAfterDrop { dir, copy }),
+                Some(&Fate::Sent(sent)) if sent != packet => {
+                    Err(SpecViolation::CorruptedDelivery { dir, copy })
+                }
+                Some(Fate::Sent(_)) => {
+                    self.copies.insert((dir, copy), Fate::Delivered);
+                    Ok(())
+                }
+            },
+            Event::DropPkt { dir, copy, .. } => {
+                self.copies.insert((dir, copy), Fate::Dropped);
+                Ok(())
+            }
+        };
+        if let Err(v) = result {
+            self.first_violation.get_or_insert(v);
+        }
+        result
+    }
+}
+
+fn pkt(h: u32) -> Packet {
+    Packet::header_only(Header::new(h))
+}
+
+/// A seeded event stream over both directions. Copy ids come from a
+/// per-direction ascending counter, or (one send in five) from the chaos
+/// range, so the two interleave. Receipts and drops pick a sent copy at
+/// random, whatever its fate, which yields duplicate receipts and receipts
+/// after a drop; some receipts name a copy never sent or carry a corrupted
+/// packet.
+fn random_stream(rng: &mut StdRng, len: usize) -> Vec<Event> {
+    let mut next_inner = [0u64; 2];
+    let mut next_chaos = [CHAOS_COPY_BASE; 2];
+    let mut sent: [Vec<(CopyId, Packet)>; 2] = [Vec::new(), Vec::new()];
+    let mut events = Vec::with_capacity(len);
+    let mut msg = 0;
+    for _ in 0..len {
+        let d = rng.gen_range(0..2);
+        let dir = [Dir::Forward, Dir::Backward][d];
+        let event = match rng.gen_range(0..10) {
+            0 => {
+                msg += 1;
+                Event::SendMsg(Message::identical(msg))
+            }
+            1 => Event::ReceiveMsg(Message::identical(msg)),
+            2..=4 => {
+                let raw = if rng.gen_bool(0.2) {
+                    next_chaos[d] += 1 + rng.gen_range(0..3) as u64;
+                    next_chaos[d]
+                } else {
+                    next_inner[d] += 1 + rng.gen_range(0..2) as u64;
+                    next_inner[d]
+                };
+                let (copy, packet) = (CopyId::from_raw(raw), pkt(rng.gen_range(0..4) as u32));
+                sent[d].push((copy, packet));
+                Event::SendPkt { dir, packet, copy }
+            }
+            5..=7 if !sent[d].is_empty() => {
+                let (copy, mut packet) = sent[d][rng.gen_range(0..sent[d].len())];
+                if rng.gen_bool(0.1) {
+                    packet = pkt(packet.header().index() + 1);
+                }
+                Event::ReceivePkt { dir, packet, copy }
+            }
+            8 if !sent[d].is_empty() => {
+                let (copy, packet) = sent[d][rng.gen_range(0..sent[d].len())];
+                Event::DropPkt { dir, packet, copy }
+            }
+            _ => {
+                // A copy id no send in this direction has used yet: just
+                // past the end of either range.
+                let raw = if rng.gen_bool(0.5) {
+                    next_inner[d] + 1 + rng.gen_range(0..4) as u64
+                } else {
+                    next_chaos[d] + 1
+                };
+                let copy = CopyId::from_raw(raw);
+                Event::ReceivePkt {
+                    dir,
+                    packet: pkt(0),
+                    copy,
+                }
+            }
+        };
+        events.push(event);
+    }
+    events
+}
+
+fn assert_same_state(mon: &SpecMonitor, reference: &Reference, seed: u64) {
+    assert_eq!(
+        mon.first_violation(),
+        reference.first_violation,
+        "seed {seed}"
+    );
+    assert_eq!(mon.events_seen(), reference.events_seen, "seed {seed}");
+    assert_eq!(mon.messages_sent(), reference.sm, "seed {seed}");
+    assert_eq!(mon.messages_delivered(), reference.rm, "seed {seed}");
+    assert_eq!(
+        mon.overdeliveries(),
+        reference.overdeliveries,
+        "seed {seed}"
+    );
+    assert_eq!(
+        mon.last_overdelivery_index(),
+        reference.last_overdelivery_index,
+        "seed {seed}"
+    );
+}
+
+#[test]
+fn flat_tables_match_the_hash_map_reference() {
+    for_seeds(cases(), |seed, rng| {
+        let convergence = rng.gen_bool(0.5);
+        let (mut mon, mut reference) = if convergence {
+            (
+                SpecMonitor::convergence(),
+                Reference {
+                    convergence_mode: true,
+                    ..Reference::default()
+                },
+            )
+        } else {
+            (SpecMonitor::new(), Reference::default())
+        };
+        let len = 50 + rng.gen_range(0..400);
+        for (i, event) in random_stream(rng, len).iter().enumerate() {
+            assert_eq!(
+                mon.observe(event),
+                reference.observe(event),
+                "seed {seed}, event {i}: {event:?}"
+            );
+        }
+        assert_eq!(mon.is_convergence_mode(), convergence);
+        assert_same_state(&mon, &reference, seed);
+    });
+}
+
+#[test]
+fn streams_cover_every_verdict() {
+    // The differential above is only as strong as its streams: over the
+    // default seeds every PL1 verdict and the chaos range must show up.
+    let mut seen = [false; 5];
+    let mut chaos = false;
+    for seed in 0..64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut reference = Reference::default();
+        for event in random_stream(&mut rng, 400) {
+            if let Event::SendPkt { copy, .. } = event {
+                chaos |= copy.raw() >= CHAOS_COPY_BASE;
+            }
+            let slot = match reference.observe(&event) {
+                Ok(()) => continue,
+                Err(SpecViolation::UnsentDelivery { .. }) => 0,
+                Err(SpecViolation::DuplicateDelivery { .. }) => 1,
+                Err(SpecViolation::DeliveredAfterDrop { .. }) => 2,
+                Err(SpecViolation::CorruptedDelivery { .. }) => 3,
+                Err(SpecViolation::MessageInvented { .. }) => 4,
+                Err(other) => panic!("unexpected verdict {other:?}"),
+            };
+            seen[slot] = true;
+        }
+    }
+    assert!(chaos, "no chaos-range copy id in any stream");
+    assert_eq!(seen, [true; 5], "verdicts seen: {seen:?}");
+}
+
+#[test]
+fn clone_from_into_warmed_monitors_equals_a_fresh_clone() {
+    for_seeds(cases(), |seed, rng| {
+        let source_len = 20 + rng.gen_range(0..200);
+        let mut source = SpecMonitor::new();
+        for event in random_stream(rng, source_len) {
+            let _ = source.observe(&event);
+        }
+        // Warm targets built from shorter and longer streams than the
+        // source, so their tables start smaller and larger than its own.
+        for warm_len in [source_len / 4, source_len * 3] {
+            let mut target = SpecMonitor::convergence();
+            for event in random_stream(rng, warm_len) {
+                let _ = target.observe(&event);
+            }
+            target.clone_from(&source);
+            let mut fresh = source.clone();
+            assert_eq!(
+                format!("{target:?}"),
+                format!("{fresh:?}"),
+                "seed {seed}, warm length {warm_len}"
+            );
+            // And the copies stay equal as they run on.
+            for event in random_stream(rng, 100) {
+                assert_eq!(target.observe(&event), fresh.observe(&event), "seed {seed}");
+            }
+            assert_eq!(target.first_violation(), fresh.first_violation());
+            assert_eq!(target.events_seen(), fresh.events_seen());
+        }
+    });
+}
