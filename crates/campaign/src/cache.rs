@@ -14,8 +14,9 @@
 
 use crate::runner::{RunOutcome, RunRecord};
 use crate::spec::RunSpec;
-use nonfifo_core::NonFifoError;
-use nonfifo_telemetry::{Json, MetricsSnapshot};
+use nonfifo_core::{NonFifoError, RunCounters};
+use nonfifo_telemetry::{Json, MetricsSnapshot, SCHEMA_VERSION};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -23,6 +24,71 @@ use std::sync::{Arc, RwLock};
 
 /// Version stamp of the cache file schema.
 pub const CACHE_SCHEMA_VERSION: u64 = 1;
+
+/// A run's metrics: the counters of a run this process executed, or the
+/// snapshot a cache file or wire line carried. Counters get their metric
+/// names only when a snapshot is read — a cache insert, a wire line, an
+/// aggregate — so a run nobody exports never formats a name.
+#[derive(Debug, Clone)]
+pub enum RunMetrics {
+    /// The counters of a run executed in this process.
+    Counters(Box<RunCounters>),
+    /// A snapshot parsed from a cache file or a wire line.
+    Snapshot(MetricsSnapshot),
+}
+
+impl RunMetrics {
+    /// The metrics as a name-keyed snapshot (borrowed if already one).
+    pub fn snapshot(&self) -> Cow<'_, MetricsSnapshot> {
+        match self {
+            RunMetrics::Counters(c) => Cow::Owned(c.snapshot()),
+            RunMetrics::Snapshot(s) => Cow::Borrowed(s),
+        }
+    }
+
+    /// Merges runs' metrics into one campaign-wide snapshot. Equal to
+    /// folding each run's snapshot in with
+    /// [`MetricsSnapshot::merge_from`] (its rules are order-free for
+    /// everything a run records), but counters are summed as counters
+    /// and named once, not once per run.
+    pub fn aggregate<'a>(runs: impl IntoIterator<Item = &'a RunMetrics>) -> MetricsSnapshot {
+        let mut agg = MetricsSnapshot {
+            schema_version: SCHEMA_VERSION,
+            ..MetricsSnapshot::default()
+        };
+        let mut counters: Option<RunCounters> = None;
+        for run in runs {
+            match run {
+                RunMetrics::Counters(c) => counters.get_or_insert_with(RunCounters::new).merge(c),
+                RunMetrics::Snapshot(s) => agg.merge_from(s),
+            }
+        }
+        if let Some(counters) = counters {
+            agg.merge_from(&counters.snapshot());
+        }
+        agg
+    }
+}
+
+/// Equal when the snapshots are: a run compares equal to its own cache
+/// or wire replay.
+impl PartialEq for RunMetrics {
+    fn eq(&self, other: &RunMetrics) -> bool {
+        self.snapshot() == other.snapshot()
+    }
+}
+
+impl From<MetricsSnapshot> for RunMetrics {
+    fn from(snapshot: MetricsSnapshot) -> Self {
+        RunMetrics::Snapshot(snapshot)
+    }
+}
+
+impl From<RunCounters> for RunMetrics {
+    fn from(counters: RunCounters) -> Self {
+        RunMetrics::Counters(Box::new(counters))
+    }
+}
 
 /// The cached portion of a run record: everything except the spec (which
 /// the lookup key already proves) and the `cached` marker.
@@ -38,8 +104,8 @@ pub struct CachedRun {
     pub fwd_sends: u64,
     /// Messages delivered.
     pub delivered: u64,
-    /// The run's full metrics snapshot.
-    pub metrics: MetricsSnapshot,
+    /// The run's metrics.
+    pub metrics: RunMetrics,
 }
 
 impl CachedRun {
@@ -57,7 +123,10 @@ impl CachedRun {
             ("steps".to_string(), Json::Uint(self.steps)),
             ("fwd_sends".to_string(), Json::Uint(self.fwd_sends)),
             ("delivered".to_string(), Json::Uint(self.delivered)),
-            ("metrics".to_string(), self.metrics.to_json_value()),
+            (
+                "metrics".to_string(),
+                self.metrics.snapshot().to_json_value(),
+            ),
         ])
     }
 
@@ -90,7 +159,7 @@ impl CachedRun {
             steps: field("steps")?,
             fwd_sends: field("fwd_sends")?,
             delivered: field("delivered")?,
-            metrics,
+            metrics: metrics.into(),
         })
     }
 }
@@ -151,9 +220,18 @@ impl CampaignCache {
         })
     }
 
-    /// Stores `record` under `spec`'s key.
+    /// Stores `record` under `spec`'s key. The entry keeps the metrics
+    /// as a snapshot, so later saves do not rename them.
     pub fn insert(&mut self, spec: &RunSpec, record: &RunRecord) {
-        self.entries.insert(spec.fingerprint(), record.into());
+        let run = CachedRun {
+            outcome: record.outcome,
+            fingerprint: record.fingerprint,
+            steps: record.steps,
+            fwd_sends: record.fwd_sends,
+            delivered: record.delivered,
+            metrics: RunMetrics::Snapshot(record.metrics.snapshot().into_owned()),
+        };
+        self.entries.insert(spec.fingerprint(), run);
     }
 
     /// Serializes the cache as a compact JSON document.
@@ -368,7 +446,7 @@ mod tests {
         let (runs, cache) = populated();
         for spec in &runs {
             let record = cache.lookup(spec).unwrap();
-            let run = CachedRun::from(&record);
+            let run = CachedRun::from(record);
             let back = CachedRun::from_json_value(&run.to_json_value()).unwrap();
             assert_eq!(back, run);
         }

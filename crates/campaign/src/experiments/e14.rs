@@ -105,12 +105,13 @@ fn headers_of(protocol: &str) -> u64 {
 
 fn row_from(record: &RunRecord) -> E14Row {
     let headers = headers_of(&record.spec.protocol);
-    let fwd_sends = record.metrics.counters["chan.fwd.sends"];
-    let in_transit_hw = record.metrics.gauges["sim.fwd.in_transit"].high_water;
+    let metrics = record.metrics.snapshot();
+    let fwd_sends = metrics.counters["chan.fwd.sends"];
+    let in_transit_hw = metrics.gauges["sim.fwd.in_transit"].high_water;
     // Cross-validate the telemetry pipeline against the engine statistics
     // carried on the record.
     let agrees = fwd_sends == record.fwd_sends
-        && record.metrics.counters["sim.messages.received"] == record.delivered;
+        && metrics.counters["sim.messages.received"] == record.delivered;
     E14Row {
         protocol: record.spec.protocol.clone(),
         headers,

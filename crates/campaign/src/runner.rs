@@ -10,13 +10,15 @@
 //! **byte-identical at any thread count**: parallelism changes wall-clock
 //! time and nothing else.
 //!
-//! Each run gets a fresh simulation, a fresh telemetry
-//! [`Registry`](nonfifo_telemetry::Registry), and a deterministic seed from
-//! its spec, so runs are independent and a result can be cached: the
+//! Each run gets a fresh simulation counting into its own
+//! [`RunCounters`](nonfifo_core::RunCounters) and a deterministic seed
+//! from its spec, so runs are independent and a result can be cached: the
 //! [`CampaignCache`] is consulted before the pool spins up, and cached
 //! records are indistinguishable from fresh ones in every report artifact.
+//! A run's counters are named only where a snapshot is read: the
+//! aggregate, a cache insert, a wire line.
 
-use crate::cache::{CachedRun, CampaignCache};
+use crate::cache::{CachedRun, CampaignCache, RunMetrics};
 use crate::shard::{merge_reports, PlanExpansion, ShardReport};
 use crate::spec::RunSpec;
 use nonfifo_adversary::ChunkCursor;
@@ -26,10 +28,10 @@ use nonfifo_core::{
     corrupted_simulation, drive_corrupted, NonFifoError, SeedVerdict, SimConfig, SimError,
     Simulation, StabilizeConfig,
 };
+use nonfifo_ioa::Dir;
 use nonfifo_protocols::{catalog, DataLink};
-use nonfifo_telemetry::{MetricsSnapshot, Registry, SCHEMA_VERSION};
+use nonfifo_telemetry::MetricsSnapshot;
 use std::fmt;
-use std::sync::Arc;
 
 /// How one campaign run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,8 +92,8 @@ pub struct RunRecord {
     pub fwd_sends: u64,
     /// Messages delivered.
     pub delivered: u64,
-    /// The run's full metrics snapshot (fresh registry per run).
-    pub metrics: MetricsSnapshot,
+    /// The run's metrics: its own counters, or a cached snapshot.
+    pub metrics: RunMetrics,
     /// True if this record was replayed from the cache rather than run.
     pub cached: bool,
 }
@@ -141,7 +143,10 @@ impl CampaignRunner {
     /// Fails fast (before any simulation) on unknown protocol names or
     /// invalid discipline parameters.
     pub fn run(&self, runs: &[RunSpec]) -> Result<CampaignReport, NonFifoError> {
-        self.run_with_cache(runs, &mut CampaignCache::new())
+        let expansion = PlanExpansion::new(runs.to_vec())?;
+        let all: Vec<usize> = (0..expansion.len()).collect();
+        let part = self.execute(&expansion, &all);
+        merge_reports(&expansion, Vec::new(), vec![part])
     }
 
     /// Runs every spec, replaying cache hits and inserting fresh results.
@@ -212,7 +217,7 @@ impl CampaignRunner {
             })
         };
         fresh.sort_unstable_by_key(|(i, _)| *i);
-        ShardReport::from_records(0, &fresh)
+        ShardReport::from_records(0, fresh)
     }
 }
 
@@ -222,7 +227,6 @@ pub(crate) fn execute_one(spec: &RunSpec) -> RunRecord {
     if let Some(severity) = spec.corruption {
         return execute_corrupted(spec, proto, severity);
     }
-    let registry = Arc::new(Registry::new());
     let mut builder = Simulation::builder(proto)
         .channel(spec.discipline.clone())
         .seed(spec.seed);
@@ -230,7 +234,7 @@ pub(crate) fn execute_one(spec: &RunSpec) -> RunRecord {
         builder = builder.fault_plan(plan.clone());
     }
     let mut sim = builder.build();
-    sim.attach_telemetry(Arc::clone(&registry), None);
+    sim.count_events();
     let cfg = SimConfig {
         max_steps_per_message: spec
             .budget
@@ -240,8 +244,7 @@ pub(crate) fn execute_one(spec: &RunSpec) -> RunRecord {
     };
     let result = sim.deliver(spec.messages, &cfg);
     let fingerprint = sim.execution_fingerprint();
-    let metrics = registry.snapshot();
-    let counter = |name: &str| metrics.counters.get(name).copied().unwrap_or(0);
+    let counters = sim.counters().expect("events are counted").clone();
     let (outcome, steps, fwd_sends, delivered) = match &result {
         Ok(stats) => (
             RunOutcome::Delivered,
@@ -252,14 +255,14 @@ pub(crate) fn execute_one(spec: &RunSpec) -> RunRecord {
         Err(SimError::Stalled { diagnostic, .. }) => (
             RunOutcome::Stalled,
             diagnostic.at_step,
-            counter("chan.fwd.sends"),
+            counters.sends(Dir::Forward),
             diagnostic.messages_delivered,
         ),
         Err(SimError::Violation(_)) => (
             RunOutcome::Violation,
             0,
-            counter("chan.fwd.sends"),
-            counter("sim.messages.received"),
+            counters.sends(Dir::Forward),
+            counters.messages_received(),
         ),
     };
     RunRecord {
@@ -269,7 +272,7 @@ pub(crate) fn execute_one(spec: &RunSpec) -> RunRecord {
         steps,
         fwd_sends,
         delivered,
-        metrics,
+        metrics: counters.into(),
         cached: false,
     }
 }
@@ -277,10 +280,10 @@ pub(crate) fn execute_one(spec: &RunSpec) -> RunRecord {
 /// Executes one corruption-bearing spec: the run starts from a seeded
 /// scramble (scramble seed = run seed) and is judged by convergence
 /// instead of clean-start delivery — `Delivered` means the execution
-/// acquired a legal suffix after its corrupted prefix. The telemetry
-/// registry is attached between building and driving the simulation, so
-/// corrupted records carry the same per-run metrics as clean ones (minus
-/// the preload events, which land before the registry exists).
+/// acquired a legal suffix after its corrupted prefix. Event counting
+/// starts between building and driving the simulation, so corrupted
+/// records carry the same per-run metrics as clean ones (minus the
+/// preload events, which land before counting starts).
 fn execute_corrupted(
     spec: &RunSpec,
     proto: Box<dyn DataLink>,
@@ -296,16 +299,15 @@ fn execute_corrupted(
             .unwrap_or(StabilizeConfig::default().max_steps_per_message),
         ..StabilizeConfig::default()
     };
-    let registry = Arc::new(Registry::new());
     let mut sim = corrupted_simulation(proto, spec.seed, &stab_cfg);
-    sim.attach_telemetry(Arc::clone(&registry), None);
+    sim.count_events();
     let outcome = drive_corrupted(&mut sim, spec.seed, &stab_cfg);
     // Phantom deliveries from the scramble don't count: only real workload
     // payloads do (junk payloads live at or above 2^40, so no collisions).
     let delivered = (0..spec.messages)
         .filter(|m| sim.delivered_payloads().contains(m))
         .count() as u64;
-    let metrics = registry.snapshot();
+    let counters = sim.counters().expect("events are counted").clone();
     RunRecord {
         spec: spec.clone(),
         outcome: match outcome.verdict {
@@ -315,22 +317,22 @@ fn execute_corrupted(
         },
         fingerprint: outcome.fingerprint,
         steps: outcome.steps,
-        fwd_sends: metrics.counters.get("chan.fwd.sends").copied().unwrap_or(0),
+        fwd_sends: counters.sends(Dir::Forward),
         delivered,
-        metrics,
+        metrics: counters.into(),
         cached: false,
     }
 }
 
-impl From<&RunRecord> for CachedRun {
-    fn from(r: &RunRecord) -> Self {
+impl From<RunRecord> for CachedRun {
+    fn from(r: RunRecord) -> Self {
         CachedRun {
             outcome: r.outcome,
             fingerprint: r.fingerprint,
             steps: r.steps,
             fwd_sends: r.fwd_sends,
             delivered: r.delivered,
-            metrics: r.metrics.clone(),
+            metrics: r.metrics,
         }
     }
 }
@@ -398,13 +400,7 @@ impl CampaignReport {
     /// Deterministic: the merge order is the input-spec order, not the
     /// completion order.
     pub fn aggregate_metrics(&self) -> MetricsSnapshot {
-        let mut agg = MetricsSnapshot {
-            schema_version: SCHEMA_VERSION,
-            ..MetricsSnapshot::default()
-        };
-        for record in &self.records {
-            agg.merge_from(&record.metrics);
-        }
+        let mut agg = RunMetrics::aggregate(self.records.iter().map(|r| &r.metrics));
         agg.counters
             .insert("campaign.runs_total".to_string(), self.records.len() as u64);
         agg.counters

@@ -34,13 +34,13 @@
 //! A warm replay differs from the cold run only in the
 //! `campaign.cache_hits` counter.
 
-use crate::cache::SharedCache;
+use crate::cache::{RunMetrics, SharedCache};
 use crate::plan::CampaignPlan;
 use crate::runner::RunRecord;
 use crate::shard::{merge_reports, PlanExpansion, ShardRecord, ShardReport, ShardSpec};
 use crate::wire::WireMsg;
 use nonfifo_core::NonFifoError;
-use nonfifo_telemetry::{MetricsSnapshot, Registry, SCHEMA_VERSION};
+use nonfifo_telemetry::Registry;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -240,13 +240,7 @@ impl CampaignService {
                 part.records.extend(refill.records);
                 part.records.sort_unstable_by_key(|r| r.index);
             }
-            let mut delta = MetricsSnapshot {
-                schema_version: SCHEMA_VERSION,
-                ..MetricsSnapshot::default()
-            };
-            for record in &part.records {
-                delta.merge_from(&record.run.metrics);
-            }
+            let delta = RunMetrics::aggregate(part.records.iter().map(|r| &r.run.metrics));
             emit(
                 &sink,
                 &WireMsg::Metrics {
@@ -621,6 +615,7 @@ pub fn run_worker(
 mod tests {
     use super::*;
     use crate::runner::CampaignRunner;
+    use nonfifo_telemetry::{MetricsSnapshot, SCHEMA_VERSION};
 
     const PLAN: &str = "\
 schema_version 1

@@ -15,7 +15,7 @@
 //! its spec, the merged report is byte-identical to a single-process batch
 //! run at any worker count — the property the daemon's CI smoke diffs.
 
-use crate::cache::{CachedRun, CampaignCache};
+use crate::cache::{CachedRun, CampaignCache, RunMetrics};
 use crate::plan::CampaignPlan;
 use crate::runner::{execute_one, CampaignReport, RunRecord};
 use crate::spec::RunSpec;
@@ -227,11 +227,14 @@ impl ShardSpec {
         let mut records = Vec::with_capacity(self.indices.len());
         for &index in &self.indices {
             let spec = &expansion.runs()[index];
-            let record = execute_one(spec);
+            let mut run = CachedRun::from(execute_one(spec));
+            // Every record this stage produces is streamed as a wire line,
+            // so its counters are named once, here.
+            run.metrics = RunMetrics::Snapshot(run.metrics.snapshot().into_owned());
             let shard_record = ShardRecord {
                 index,
                 spec_fingerprint: spec.fingerprint(),
-                run: CachedRun::from(&record),
+                run,
             };
             sink(&shard_record);
             records.push(shard_record);
@@ -267,14 +270,14 @@ pub struct ShardReport {
 
 impl ShardReport {
     /// Wraps already-executed records (the batch runner's thread pool
-    /// produces `RunRecord`s directly) as a shard report.
-    pub fn from_records(shard: usize, records: &[(usize, RunRecord)]) -> ShardReport {
+    /// produces `RunRecord`s directly) as a shard report, moving them.
+    pub fn from_records(shard: usize, records: Vec<(usize, RunRecord)>) -> ShardReport {
         ShardReport {
             shard,
             records: records
-                .iter()
+                .into_iter()
                 .map(|(index, record)| ShardRecord {
-                    index: *index,
+                    index,
                     spec_fingerprint: record.spec.fingerprint(),
                     run: CachedRun::from(record),
                 })
@@ -323,8 +326,8 @@ pub fn merge_reports(
         }
         *slot = Some(record);
     }
-    for part in &parts {
-        for record in &part.records {
+    for part in parts {
+        for record in part.records {
             let index = record.index;
             let spec = expansion
                 .runs()
@@ -346,7 +349,7 @@ pub fn merge_reports(
             if slot.is_some() {
                 return Err(merge_err(format!("two records for run {index}")));
             }
-            let run = &record.run;
+            let run = record.run;
             *slot = Some(RunRecord {
                 spec,
                 outcome: run.outcome,
@@ -354,7 +357,7 @@ pub fn merge_reports(
                 steps: run.steps,
                 fwd_sends: run.fwd_sends,
                 delivered: run.delivered,
-                metrics: run.metrics.clone(),
+                metrics: run.metrics,
                 cached: false,
             });
         }

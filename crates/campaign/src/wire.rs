@@ -346,7 +346,7 @@ mod tests {
             steps: 42,
             fwd_sends: 7,
             delivered: 5,
-            metrics: registry.snapshot(),
+            metrics: registry.snapshot().into(),
         }
     }
 

@@ -258,7 +258,9 @@ fn cmd_simulate(args: &Args) -> Result<(), NonFifoError> {
         payloads: args.flag("payloads"),
         ..SimConfig::default()
     };
-    match sim.deliver(messages, &cfg) {
+    let result = sim.deliver(messages, &cfg);
+    sim.publish_metrics();
+    match result {
         Ok(stats) => {
             println!("{proto} over {channel}:");
             println!("  messages delivered : {}", stats.messages_delivered);
@@ -353,6 +355,7 @@ fn cmd_chaos(args: &Args) -> Result<(), NonFifoError> {
         println!("  (the plan injects no faults and schedules no crashes)");
     }
     let result = sim.deliver(messages, &cfg);
+    sim.publish_metrics();
     match &result {
         Ok(stats) => {
             println!("  messages delivered : {}", stats.messages_delivered);
@@ -756,10 +759,7 @@ fn cmd_campaign(args: &Args) -> Result<(), NonFifoError> {
     let text = std::fs::read_to_string(plan_path).map_err(|e| NonFifoError::io(plan_path, &e))?;
     let plan = CampaignPlan::parse(&text)?;
     let runs = plan.expand();
-    let mut cache = match args.option("cache") {
-        Some(path) => CampaignCache::load(path)?,
-        None => CampaignCache::new(),
-    };
+    let mut cache = args.option("cache").map(CampaignCache::load).transpose()?;
     let runner = CampaignRunner::new(threads);
     println!(
         "campaign: {} scenario(s), {} run(s), {} thread(s), plan {plan_path}",
@@ -768,7 +768,10 @@ fn cmd_campaign(args: &Args) -> Result<(), NonFifoError> {
         runner.threads()
     );
     let started = std::time::Instant::now();
-    let report = runner.run_with_cache(&runs, &mut cache)?;
+    let report = match &mut cache {
+        Some(cache) => runner.run_with_cache(&runs, cache)?,
+        None => runner.run(&runs)?,
+    };
     let elapsed = started.elapsed().as_secs_f64();
     println!("\n{}", report.render());
     println!(
@@ -796,7 +799,7 @@ fn cmd_campaign(args: &Args) -> Result<(), NonFifoError> {
             runs.len() as f64 / elapsed
         );
     }
-    if let Some(path) = args.option("cache") {
+    if let (Some(path), Some(cache)) = (args.option("cache"), &cache) {
         cache.save(path)?;
         println!("cache written to {path} ({} entries)", cache.len());
     }

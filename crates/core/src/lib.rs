@@ -31,12 +31,14 @@
 #![warn(missing_docs)]
 
 mod builder;
+mod counters;
 mod error;
 pub mod experiments;
 mod simulation;
 mod stabilize;
 
 pub use builder::SimulationBuilder;
+pub use counters::RunCounters;
 pub use error::NonFifoError;
 pub use simulation::{
     CrashEvent, CrashMode, RunStats, SimConfig, SimError, Simulation, StallDiagnostic, Station,

@@ -1,133 +1,30 @@
 //! The user-facing simulation engine.
 
 use crate::builder::SimulationBuilder;
+use crate::counters::RunCounters;
 use nonfifo_channel::{BoxedChannel, ScramblePlan};
 use nonfifo_ioa::fingerprint::Fnv64;
 use nonfifo_ioa::{
     CopyId, Dir, Event, Execution, Header, Message, Packet, Payload, SpecMonitor, SpecViolation,
 };
 use nonfifo_protocols::{BoxedReceiver, BoxedTransmitter, DataLink, GhostInfo};
-use nonfifo_telemetry::{Counter, Gauge, Histogram, Registry, TraceSink};
+use nonfifo_telemetry::{Registry, TraceSink};
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Telemetry plumbing for a [`Simulation`]: pre-bound metric handles plus an
-/// optional trace sink. Recording is observation-only — nothing here feeds
-/// back into protocol, channel, or monitor state, so runs are bit-identical
-/// with telemetry attached or not (property-tested in `tests/telemetry.rs`).
+/// Telemetry plumbing for a [`Simulation`]: the run's [`RunCounters`],
+/// where they fold, and an optional trace sink. Recording is
+/// observation-only — nothing here feeds back into protocol, channel, or
+/// monitor state, so runs are bit-identical with telemetry attached or not
+/// (property-tested in `tests/telemetry.rs`).
 #[derive(Debug, Clone)]
 struct SimTelemetry {
-    registry: Arc<Registry>,
+    counters: RunCounters,
+    registry: Option<Arc<Registry>>,
     trace: Option<Arc<TraceSink>>,
-    msgs_sent: Counter,
-    msgs_received: Counter,
-    fwd: DirTelemetry,
-    bwd: DirTelemetry,
-    packets_per_message: Histogram,
-    header_usage: Histogram,
-    /// `chan.fwd.sends` reading at the most recent `send_msg`, for the
-    /// packets-per-message histogram.
-    round_sends_base: u64,
-}
-
-#[derive(Debug, Clone)]
-struct DirTelemetry {
-    name: &'static str,
-    sends: Counter,
-    delivered: Counter,
-    drops: Counter,
-    injected: Counter,
-    in_transit: Gauge,
-}
-
-impl DirTelemetry {
-    fn new(registry: &Registry, name: &'static str) -> Self {
-        DirTelemetry {
-            name,
-            sends: registry.counter(&format!("chan.{name}.sends")),
-            delivered: registry.counter(&format!("chan.{name}.delivered")),
-            drops: registry.counter(&format!("chan.{name}.drops")),
-            injected: registry.counter(&format!("chan.{name}.injected")),
-            in_transit: registry.gauge(&format!("sim.{name}.in_transit")),
-        }
-    }
-}
-
-impl SimTelemetry {
-    fn new(registry: Arc<Registry>, trace: Option<Arc<TraceSink>>) -> Self {
-        SimTelemetry {
-            msgs_sent: registry.counter("sim.messages.sent"),
-            msgs_received: registry.counter("sim.messages.received"),
-            fwd: DirTelemetry::new(&registry, "fwd"),
-            bwd: DirTelemetry::new(&registry, "bwd"),
-            packets_per_message: registry.histogram("sim.packets_per_message"),
-            header_usage: registry.histogram("sim.header_usage"),
-            round_sends_base: 0,
-            registry,
-            trace,
-        }
-    }
-
-    fn lane(&self, dir: Dir) -> &DirTelemetry {
-        match dir {
-            Dir::Forward => &self.fwd,
-            Dir::Backward => &self.bwd,
-        }
-    }
-
-    /// Bumps a per-header counter, e.g. `chan.fwd.send.h3`.
-    fn per_header(&self, dir: Dir, verb: &str, h: Header) {
-        let name = self.lane(dir).name;
-        self.registry
-            .counter(&format!("chan.{name}.{verb}.h{}", h.index()))
-            .inc();
-    }
-
-    /// Observes one recorded event. Purely additive: counters only.
-    fn observe(&mut self, event: &Event) {
-        match event {
-            Event::SendMsg(_) => {
-                self.msgs_sent.inc();
-                self.round_sends_base = self.fwd.sends.get();
-            }
-            Event::ReceiveMsg(_) => {
-                self.msgs_received.inc();
-                self.packets_per_message
-                    .record(self.fwd.sends.get() - self.round_sends_base);
-                self.round_sends_base = self.fwd.sends.get();
-                if let Some(trace) = &self.trace {
-                    trace.instant("sim", "deliver_msg", Vec::new());
-                }
-            }
-            Event::SendPkt { dir, packet, .. } => {
-                self.lane(*dir).sends.inc();
-                self.per_header(*dir, "send", packet.header());
-                if *dir == Dir::Forward {
-                    self.header_usage.record(u64::from(packet.header().index()));
-                }
-            }
-            Event::ReceivePkt { dir, packet, .. } => {
-                self.lane(*dir).delivered.inc();
-                self.per_header(*dir, "recv", packet.header());
-            }
-            Event::DropPkt { dir, packet, .. } => {
-                self.lane(*dir).drops.inc();
-                self.per_header(*dir, "drop", packet.header());
-                if let Some(trace) = &self.trace {
-                    trace.instant("sim", "drop_pkt", Vec::new());
-                }
-            }
-        }
-    }
-
-    /// Counts chaos-injected copies (already observed as sends above).
-    fn observe_injected(&self, dir: Dir, packet: &Packet) {
-        self.lane(dir).injected.inc();
-        self.per_header(dir, "injected", packet.header());
-    }
 }
 
 /// The station a [`CrashEvent`] targets.
@@ -408,7 +305,7 @@ pub struct Simulation {
     tx_crashed_since_send: bool,
     restart_backoff: u64,
     round_start_step: u64,
-    telemetry: Option<SimTelemetry>,
+    telemetry: Option<Box<SimTelemetry>>,
     execution: Option<Execution>,
 }
 
@@ -458,13 +355,58 @@ impl Simulation {
         }
     }
 
-    /// Attaches a metrics registry (and optionally a trace sink) to the
-    /// running simulation. Every subsequent event updates the registry's
-    /// counters/gauges/histograms; the trace sink receives round spans and
-    /// delivery/drop instants. Telemetry never influences the run itself:
-    /// fingerprints and statistics are identical with or without it.
+    /// Attaches telemetry to the running simulation. Every subsequent
+    /// event is counted in the run's [`RunCounters`], and the trace sink
+    /// receives round spans and delivery/drop instants. The counters reach
+    /// `registry` in one fold, when [`publish_metrics`] is called: nothing
+    /// is named, locked or shared per event. Telemetry never influences
+    /// the run itself: fingerprints and statistics are identical with or
+    /// without it.
+    ///
+    /// [`publish_metrics`]: Simulation::publish_metrics
     pub fn attach_telemetry(&mut self, registry: Arc<Registry>, trace: Option<Arc<TraceSink>>) {
-        self.telemetry = Some(SimTelemetry::new(registry, trace));
+        self.telemetry = Some(Box::new(SimTelemetry {
+            counters: RunCounters::new(),
+            registry: Some(registry),
+            trace,
+        }));
+    }
+
+    /// Starts counting events in [`RunCounters`] with no registry or trace
+    /// sink: for callers that read [`counters`](Simulation::counters)
+    /// directly. Observation-only, like
+    /// [`attach_telemetry`](Simulation::attach_telemetry).
+    pub fn count_events(&mut self) {
+        self.telemetry = Some(Box::new(SimTelemetry {
+            counters: RunCounters::new(),
+            registry: None,
+            trace: None,
+        }));
+    }
+
+    /// The run's counters since telemetry was attached (or since the last
+    /// [`publish_metrics`](Simulation::publish_metrics)); `None` without
+    /// telemetry.
+    pub fn counters(&self) -> Option<&RunCounters> {
+        self.telemetry.as_ref().map(|t| &t.counters)
+    }
+
+    /// Folds the counters into the registry given to
+    /// [`attach_telemetry`](Simulation::attach_telemetry) — the one place
+    /// the simulator names its metrics — and restarts them from zero, so
+    /// publishing again later adds only what happened in between (the
+    /// registry's gauges keep the larger reading). A no-op without a
+    /// registry.
+    pub fn publish_metrics(&mut self) {
+        if let Some(SimTelemetry {
+            counters,
+            registry: Some(registry),
+            ..
+        }) = self.telemetry.as_deref_mut()
+        {
+            registry.merge_from(&counters.snapshot());
+            counters.restart();
+        }
     }
 
     /// Starts retaining the full event sequence as an [`Execution`]. Only
@@ -700,7 +642,14 @@ impl Simulation {
             exec.push(*event);
         }
         if let Some(tel) = &mut self.telemetry {
-            tel.observe(event);
+            tel.counters.observe(event);
+            if let Some(trace) = &tel.trace {
+                match event {
+                    Event::ReceiveMsg(_) => trace.instant("sim", "deliver_msg", Vec::new()),
+                    Event::DropPkt { .. } => trace.instant("sim", "drop_pkt", Vec::new()),
+                    _ => {}
+                }
+            }
         }
     }
 
@@ -882,8 +831,8 @@ impl Simulation {
         // is what keeps the monitor PL1-sound under fault injection.
         for (pkt, copy) in self.fwd.drain_injected_sends() {
             self.sent_values.insert(pkt);
-            if let Some(tel) = &self.telemetry {
-                tel.observe_injected(Dir::Forward, &pkt);
+            if let Some(tel) = &mut self.telemetry {
+                tel.counters.observe_injected(Dir::Forward, pkt.header());
             }
             self.record(&Event::SendPkt {
                 dir: Dir::Forward,
@@ -933,8 +882,8 @@ impl Simulation {
             }
         }
         for (pkt, copy) in self.bwd.drain_injected_sends() {
-            if let Some(tel) = &self.telemetry {
-                tel.observe_injected(Dir::Backward, &pkt);
+            if let Some(tel) = &mut self.telemetry {
+                tel.counters.observe_injected(Dir::Backward, pkt.header());
             }
             self.record(&Event::SendPkt {
                 dir: Dir::Backward,
@@ -961,9 +910,11 @@ impl Simulation {
         }
         self.fwd.tick();
         self.bwd.tick();
-        if let Some(tel) = &self.telemetry {
-            tel.fwd.in_transit.set(self.fwd.in_transit_len() as u64);
-            tel.bwd.in_transit.set(self.bwd.in_transit_len() as u64);
+        if let Some(tel) = &mut self.telemetry {
+            tel.counters.set_in_transit(
+                self.fwd.in_transit_len() as u64,
+                self.bwd.in_transit_len() as u64,
+            );
         }
         let s = self.tx.space_bytes() + self.rx.space_bytes();
         self.peak_space = self.peak_space.max(s);

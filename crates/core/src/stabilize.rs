@@ -185,7 +185,7 @@ pub fn stabilize_run(proto: impl DataLink, seed: u64, cfg: &StabilizeConfig) -> 
 
 /// Builds — but does not drive — the corrupted simulation for
 /// `(protocol, seed, config)`. Callers that need to instrument the run
-/// (the campaign runner attaches a telemetry registry here) can interpose
+/// (the campaign runner starts event counting here) can interpose
 /// between this and [`drive_corrupted`]; [`stabilize_run`] is exactly the
 /// two composed.
 pub fn corrupted_simulation(proto: impl DataLink, seed: u64, cfg: &StabilizeConfig) -> Simulation {

@@ -8,7 +8,9 @@
 //! * [`Registry`] — named counters, gauges (with high-water marks), and
 //!   power-of-two histograms. Registration takes a lock once per metric;
 //!   recording is relaxed atomics, so the parallel explorer's workers
-//!   record without synchronizing.
+//!   record without synchronizing. A single-threaded run records into
+//!   plain slots instead ([`LocalHistogram`] and plain integers) and
+//!   folds them in once with [`Registry::merge_from`].
 //! * [`MetricsSnapshot`] — a frozen registry with a pinned, versioned JSON
 //!   schema ([`SCHEMA_VERSION`]) and a human summary table. What
 //!   `--metrics-out` writes and the CI bench-smoke guard reads.
@@ -32,7 +34,7 @@ mod trace;
 
 pub use json::{Json, JsonError};
 pub use metrics::{
-    bucket_of, bucket_upper, Counter, Gauge, Histogram, Registry, HISTOGRAM_BUCKETS,
+    bucket_of, bucket_upper, Counter, Gauge, Histogram, LocalHistogram, Registry, HISTOGRAM_BUCKETS,
 };
 pub use snapshot::{
     GaugeSnapshot, HistogramSnapshot, MetricsSnapshot, SnapshotError, SCHEMA_VERSION,

@@ -127,26 +127,100 @@ impl Histogram {
         self.0.sum.load(Ordering::Relaxed)
     }
 
+    /// Adds a snapshot's observations, as if each had been recorded here.
+    fn merge(&self, other: &HistogramSnapshot) {
+        if other.count == 0 {
+            return;
+        }
+        let cell = &*self.0;
+        cell.count.fetch_add(other.count, Ordering::Relaxed);
+        cell.sum.fetch_add(other.sum, Ordering::Relaxed);
+        cell.min.fetch_min(other.min, Ordering::Relaxed);
+        cell.max.fetch_max(other.max, Ordering::Relaxed);
+        for &(le, n) in &other.buckets {
+            cell.buckets[bucket_of(le)].fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
     fn snapshot(&self) -> HistogramSnapshot {
         let cell = &*self.0;
-        let count = cell.count.load(Ordering::Relaxed);
-        HistogramSnapshot {
-            count,
+        LocalHistogram {
+            count: cell.count.load(Ordering::Relaxed),
             sum: cell.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                cell.min.load(Ordering::Relaxed)
-            },
+            min: cell.min.load(Ordering::Relaxed),
             max: cell.max.load(Ordering::Relaxed),
-            buckets: cell
+            buckets: std::array::from_fn(|i| cell.buckets[i].load(Ordering::Relaxed)),
+        }
+        .snapshot()
+    }
+}
+
+/// A single-threaded histogram: the same buckets and exact
+/// count/sum/min/max as [`Histogram`], held in plain integers. A value
+/// recorded on one thread needs no atomics, no lock and no shared cell,
+/// so per-run telemetry records into these and exports once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LocalHistogram {
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    buckets: [u64; HISTOGRAM_BUCKETS],
+}
+
+impl Default for LocalHistogram {
+    fn default() -> Self {
+        LocalHistogram {
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+            buckets: [0; HISTOGRAM_BUCKETS],
+        }
+    }
+}
+
+impl LocalHistogram {
+    /// An empty histogram.
+    pub fn new() -> Self {
+        LocalHistogram::default()
+    }
+
+    /// Records one observation. The sum wraps, like [`Histogram`]'s.
+    pub fn record(&mut self, v: u64) {
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        self.buckets[bucket_of(v)] += 1;
+    }
+
+    /// Adds `other`'s observations, with [`MetricsSnapshot::merge_from`]'s
+    /// histogram rule.
+    pub fn merge(&mut self, other: &LocalHistogram) {
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+    }
+
+    /// The exported form: min reads 0 when empty, and only non-empty
+    /// buckets are listed.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            count: self.count,
+            sum: self.sum,
+            min: if self.count == 0 { 0 } else { self.min },
+            max: self.max,
+            buckets: self
                 .buckets
                 .iter()
                 .enumerate()
-                .filter_map(|(i, b)| {
-                    let n = b.load(Ordering::Relaxed);
-                    (n > 0).then_some((bucket_upper(i), n))
-                })
+                .filter(|&(_, &n)| n > 0)
+                .map(|(i, &n)| (bucket_upper(i), n))
                 .collect(),
         }
     }
@@ -212,6 +286,27 @@ impl Registry {
     pub fn set_value(&self, name: &str, value: f64) {
         let mut inner = self.inner.lock().expect("registry poisoned");
         inner.values.insert(name.to_string(), value);
+    }
+
+    /// Folds `other` into the registry by [`MetricsSnapshot::merge_from`]'s
+    /// rules, so `registry.snapshot()` afterwards equals the old snapshot
+    /// merged with `other`. This is how a run that recorded into plain
+    /// per-run slots reports into a shared registry: once, at the end.
+    pub fn merge_from(&self, other: &MetricsSnapshot) {
+        for (k, &v) in &other.counters {
+            self.counter(k).add(v);
+        }
+        for (k, g) in &other.gauges {
+            let cell = self.gauge(k);
+            cell.0.value.fetch_max(g.value, Ordering::Relaxed);
+            cell.0.high_water.fetch_max(g.high_water, Ordering::Relaxed);
+        }
+        for (k, h) in &other.histograms {
+            self.histogram(k).merge(h);
+        }
+        for (k, &v) in &other.values {
+            self.set_value(k, v);
+        }
     }
 
     /// A point-in-time snapshot of every metric.
@@ -292,6 +387,51 @@ mod tests {
         assert_eq!(hs.min, 0);
         assert_eq!(hs.max, 7);
         assert_eq!(hs.buckets, vec![(0, 1), (1, 1), (3, 2), (7, 1)]);
+    }
+
+    #[test]
+    fn local_histograms_export_like_shared_ones() {
+        let reg = Registry::new();
+        let shared = reg.histogram("h");
+        let mut local = LocalHistogram::new();
+        assert_eq!(local.snapshot(), shared.snapshot(), "empty: min reads 0");
+        for v in [0, 1, 5, 9, 1000, 1 << 40] {
+            shared.record(v);
+            local.record(v);
+        }
+        assert_eq!(local.snapshot(), shared.snapshot());
+        let mut doubled = local.clone();
+        doubled.merge(&local);
+        let mut merged = reg.snapshot();
+        merged.merge_from(&reg.snapshot());
+        assert_eq!(doubled.snapshot(), merged.histograms["h"]);
+        doubled.merge(&LocalHistogram::new());
+        assert_eq!(doubled.snapshot(), merged.histograms["h"]);
+    }
+
+    #[test]
+    fn registry_merge_matches_snapshot_merge() {
+        let source = Registry::new();
+        source.counter("c").add(3);
+        source.gauge("g").set(7);
+        source.gauge("g").set(2);
+        source.histogram("h").record(12);
+        source.histogram("empty");
+        source.set_value("v", 1.5);
+        let snap = source.snapshot();
+
+        let target = Registry::new();
+        target.counter("c").add(1);
+        target.gauge("g").set(4);
+        target.histogram("h").record(1);
+        let mut expected = target.snapshot();
+        expected.merge_from(&snap);
+        target.merge_from(&snap);
+        assert_eq!(target.snapshot(), expected);
+        // Into an empty registry, the fold is the snapshot itself.
+        let empty = Registry::new();
+        empty.merge_from(&snap);
+        assert_eq!(empty.snapshot(), snap);
     }
 
     #[test]

@@ -18,6 +18,7 @@ fn observe(mut sim: Simulation, n: u64) -> (u64, MetricsSnapshot) {
     let registry = Arc::new(Registry::new());
     sim.attach_telemetry(Arc::clone(&registry), None);
     sim.deliver(n, &SimConfig::default()).expect("delivery");
+    sim.publish_metrics();
     (sim.execution_fingerprint(), registry.snapshot())
 }
 

@@ -1,0 +1,373 @@
+//! Differential properties of the simulator's per-run counters.
+//!
+//! A simulation counts its events in plain [`RunCounters`] slots and names
+//! them only when a snapshot is read. These properties hold that snapshot
+//! to a reference built the way the simulator used to record: every event
+//! of the run's retained log replayed through a [`Registry`], one
+//! `format!`-named counter bump per packet event, with the fixed metrics
+//! registered up front. Chaos-injected copies — which the log records as
+//! plain sends — are identified by a channel wrapper that logs what the
+//! harness drains. The cases cover abp, seqnum, window4, gbn4, srej4 and
+//! outnumber5 over fifo, probabilistic, lossy and reorder channels, chaos
+//! plans with `dup`/`drop`/`corrupt`, and heavy corrupted `stabilizing-dl`
+//! starts. Every case is addressable by seed; `PROPTEST_CASES` scales the
+//! case count.
+
+use nonfifo::campaign::RunMetrics;
+use nonfifo::channel::{
+    BoxedChannel, Channel, ChannelIntrospect, CorruptionSeverity, Discipline, FaultObserver,
+    FaultPlan, FaultRecord, ScramblePlan,
+};
+use nonfifo::core::{drive_corrupted, RunCounters, SimConfig, Simulation, StabilizeConfig};
+use nonfifo::ioa::{CopyId, Dir, Event, Header, Packet};
+use nonfifo::protocols::catalog;
+use nonfifo::telemetry::{MetricsSnapshot, Registry, SCHEMA_VERSION};
+use nonfifo_rng::StdRng;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+
+/// Cases per property: `PROPTEST_CASES` if set, else a small default that
+/// keeps the whole harness in tier-1 time.
+fn cases() -> u64 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
+
+fn for_seeds(cases: u64, case: impl Fn(u64, &mut StdRng)) {
+    for seed in 0..cases {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            case(seed, &mut rng);
+        }));
+        if let Err(payload) = result {
+            eprintln!("property failed at seed {seed}; rerun replays it exactly");
+            std::panic::resume_unwind(payload);
+        }
+    }
+}
+
+/// Copies the harness drained as injected sends, per direction.
+type Injected = Arc<Mutex<HashSet<(Dir, CopyId)>>>;
+
+/// A channel that forwards everything to `inner` and logs the copies the
+/// harness drains through `drain_injected_sends`.
+#[derive(Debug, Clone)]
+struct Recording {
+    inner: BoxedChannel,
+    injected: Injected,
+}
+
+impl Channel for Recording {
+    fn dir(&self) -> Dir {
+        self.inner.dir()
+    }
+    fn send(&mut self, packet: Packet) -> CopyId {
+        self.inner.send(packet)
+    }
+    fn poll_deliver(&mut self) -> Option<(Packet, CopyId)> {
+        self.inner.poll_deliver()
+    }
+    fn tick(&mut self) {
+        self.inner.tick();
+    }
+    fn in_transit_len(&self) -> usize {
+        self.inner.in_transit_len()
+    }
+    fn total_sent(&self) -> u64 {
+        self.inner.total_sent()
+    }
+    fn total_delivered(&self) -> u64 {
+        self.inner.total_delivered()
+    }
+}
+
+impl ChannelIntrospect for Recording {
+    fn header_copies(&self, h: Header) -> usize {
+        self.inner.header_copies(h)
+    }
+    fn packet_copies(&self, p: Packet) -> usize {
+        self.inner.packet_copies(p)
+    }
+    fn header_copies_older_than(&self, h: Header, watermark: CopyId) -> usize {
+        self.inner.header_copies_older_than(h, watermark)
+    }
+    fn transit_census(&self) -> Vec<(Packet, usize)> {
+        self.inner.transit_census()
+    }
+}
+
+impl FaultObserver for Recording {
+    fn drain_drops(&mut self) -> Vec<(Packet, CopyId)> {
+        self.inner.drain_drops()
+    }
+    fn drain_injected_sends(&mut self) -> Vec<(Packet, CopyId)> {
+        let drained = self.inner.drain_injected_sends();
+        let dir = self.inner.dir();
+        let mut log = self.injected.lock().unwrap();
+        log.extend(drained.iter().map(|&(_, copy)| (dir, copy)));
+        drained
+    }
+    fn active_faults(&self) -> Vec<String> {
+        self.inner.active_faults()
+    }
+    fn fault_log(&self) -> Vec<FaultRecord> {
+        self.inner.fault_log()
+    }
+}
+
+/// The reference: the retained events from `from` on, replayed through a
+/// registry exactly as the simulator recorded per event before it had
+/// per-run slots. Gauges are left out (the log has no step boundaries);
+/// [`check_gauges`] covers them.
+fn reference(events: &[Event], injected: &HashSet<(Dir, CopyId)>) -> MetricsSnapshot {
+    let registry = Registry::new();
+    let lane = |dir: Dir| match dir {
+        Dir::Forward => "fwd",
+        Dir::Backward => "bwd",
+    };
+    let msgs_sent = registry.counter("sim.messages.sent");
+    let msgs_received = registry.counter("sim.messages.received");
+    for name in ["fwd", "bwd"] {
+        for metric in ["sends", "delivered", "drops", "injected"] {
+            registry.counter(&format!("chan.{name}.{metric}"));
+        }
+    }
+    let packets_per_message = registry.histogram("sim.packets_per_message");
+    let header_usage = registry.histogram("sim.header_usage");
+    let fwd_sends = registry.counter("chan.fwd.sends");
+    let per_header = |dir: Dir, verb: &str, h: Header| {
+        registry
+            .counter(&format!("chan.{}.{verb}.h{}", lane(dir), h.index()))
+            .inc();
+    };
+    let mut round_base = 0;
+    for event in events {
+        match *event {
+            Event::SendMsg(_) => {
+                msgs_sent.inc();
+                round_base = fwd_sends.get();
+            }
+            Event::ReceiveMsg(_) => {
+                msgs_received.inc();
+                packets_per_message.record(fwd_sends.get() - round_base);
+                round_base = fwd_sends.get();
+            }
+            Event::SendPkt { dir, packet, copy } => {
+                if injected.contains(&(dir, copy)) {
+                    registry
+                        .counter(&format!("chan.{}.injected", lane(dir)))
+                        .inc();
+                    per_header(dir, "injected", packet.header());
+                }
+                registry.counter(&format!("chan.{}.sends", lane(dir))).inc();
+                per_header(dir, "send", packet.header());
+                if dir == Dir::Forward {
+                    header_usage.record(u64::from(packet.header().index()));
+                }
+            }
+            Event::ReceivePkt { dir, packet, .. } => {
+                registry
+                    .counter(&format!("chan.{}.delivered", lane(dir)))
+                    .inc();
+                per_header(dir, "recv", packet.header());
+            }
+            Event::DropPkt { dir, packet, .. } => {
+                registry.counter(&format!("chan.{}.drops", lane(dir))).inc();
+                per_header(dir, "drop", packet.header());
+            }
+        }
+    }
+    registry.snapshot()
+}
+
+/// The in-transit gauges against the whole log: the final reading is the
+/// copies still inside (sends − receipts − drops, preloads included), and
+/// the high-water mark lies between it and the largest such balance at
+/// any event boundary (the gauge is sampled once per scheduler step).
+fn check_gauges(snap: &MetricsSnapshot, events: &[Event], label: &str) {
+    for (dir, name) in [(Dir::Forward, "fwd"), (Dir::Backward, "bwd")] {
+        let (mut inside, mut peak) = (0i64, 0i64);
+        for event in events {
+            match *event {
+                Event::SendPkt { dir: d, .. } if d == dir => inside += 1,
+                Event::ReceivePkt { dir: d, .. } | Event::DropPkt { dir: d, .. } if d == dir => {
+                    inside -= 1
+                }
+                _ => {}
+            }
+            peak = peak.max(inside);
+        }
+        let gauge = &snap.gauges[&format!("sim.{name}.in_transit")];
+        assert_eq!(gauge.value as i64, inside, "{label}: {name} in transit");
+        assert!(
+            gauge.value <= gauge.high_water && gauge.high_water as i64 <= peak,
+            "{label}: {name} high water {} outside [{}, {peak}]",
+            gauge.high_water,
+            gauge.value
+        );
+    }
+}
+
+const PROTOCOLS: [&str; 6] = ["abp", "seqnum", "window4", "gbn4", "srej4", "outnumber5"];
+
+fn discipline(rng: &mut StdRng) -> Discipline {
+    match rng.gen_range(0..4) {
+        0 => Discipline::Fifo,
+        1 => Discipline::Probabilistic {
+            q: [0.2, 0.4][rng.gen_range(0..2)],
+        },
+        2 => Discipline::LossyFifo { loss: 0.2 },
+        _ => Discipline::BoundedReorder { bound: 4 },
+    }
+}
+
+fn chaos_plan(rng: &mut StdRng) -> Option<FaultPlan> {
+    let text = match rng.gen_range(0..4) {
+        0 => return None,
+        1 => "dup 0.2\ndrop 0.1",
+        2 => "corrupt 0.1",
+        _ => "dup 0.1\ndrop 0.05\ncorrupt 0.05",
+    };
+    Some(FaultPlan::parse(text).expect("plan"))
+}
+
+/// One seeded case: the run, its counters, its retained log from the
+/// point counting started, and the copies drained as injected.
+struct Case {
+    label: String,
+    counters: RunCounters,
+    published: MetricsSnapshot,
+    events: Vec<Event>,
+    counted_from: usize,
+    injected: HashSet<(Dir, CopyId)>,
+}
+
+fn run_case(seed: u64, rng: &mut StdRng) -> Case {
+    let corrupted = rng.gen_range(0..4) == 0;
+    let protocol = if corrupted {
+        "stabilizing-dl"
+    } else {
+        PROTOCOLS[rng.gen_range(0..PROTOCOLS.len())]
+    };
+    let discipline = discipline(rng);
+    let plan = chaos_plan(rng);
+    let run_seed = rng.next_u64() >> 40;
+    let label = format!("seed {seed}: {protocol} over {discipline}, plan {plan:?}");
+    let injected: Injected = Arc::default();
+    let wrap = |inner: BoxedChannel| -> BoxedChannel {
+        Box::new(Recording {
+            inner,
+            injected: Arc::clone(&injected),
+        })
+    };
+    let (fwd, bwd) = match &plan {
+        Some(plan) => discipline.build_pair_with_faults(run_seed, plan),
+        None => discipline.build_pair(run_seed),
+    };
+    let proto = catalog::by_name(protocol).expect("catalog protocol");
+    let mut sim = Simulation::with_channels(proto, wrap(fwd), wrap(bwd));
+    let stab_cfg = StabilizeConfig {
+        severity: CorruptionSeverity::Heavy,
+        messages: 4,
+        ..StabilizeConfig::default()
+    };
+    if corrupted {
+        // The builder's `initial_corruption`, spelled out over our channels.
+        sim.enable_convergence_monitor();
+        sim.retain_execution();
+        sim.corrupt_initial_state(&ScramblePlan::generate(stab_cfg.severity, run_seed));
+    } else {
+        sim.retain_execution();
+    }
+    // Counting starts after the preload, as the campaign runner's does.
+    let counted_from = sim.execution().expect("retained").len();
+    let registry = Arc::new(Registry::new());
+    sim.attach_telemetry(Arc::clone(&registry), None);
+    if corrupted {
+        drive_corrupted(&mut sim, run_seed, &stab_cfg);
+    } else {
+        let messages = if protocol == "outnumber5" {
+            rng.gen_range(2..7) as u64
+        } else {
+            rng.gen_range(5..60) as u64
+        };
+        let cfg = SimConfig {
+            max_steps_per_message: 5_000,
+            ..SimConfig::default()
+        };
+        // Stalls and violations are fine: the counters must match whatever
+        // the run did.
+        let _ = sim.deliver(messages, &cfg);
+    }
+    let counters = sim.counters().expect("telemetry attached").clone();
+    sim.publish_metrics();
+    let events = sim.execution().expect("retained").events().to_vec();
+    let injected = injected.lock().unwrap().clone();
+    Case {
+        label,
+        counters,
+        published: registry.snapshot(),
+        events,
+        counted_from,
+        injected,
+    }
+}
+
+#[test]
+fn run_counters_match_the_per_event_registry() {
+    let injected_cases = Mutex::new(0u64);
+    let large_headers = Mutex::new(0u64);
+    for_seeds(cases(), |seed, rng| {
+        let case = run_case(seed, rng);
+        let mut actual = case.counters.snapshot();
+        assert_eq!(
+            case.published, actual,
+            "{}: the registry fold differs from the counters' snapshot",
+            case.label
+        );
+        check_gauges(&actual, &case.events, &case.label);
+        actual.gauges.clear();
+        let expected = reference(&case.events[case.counted_from..], &case.injected);
+        let mut expected_no_gauges = expected.clone();
+        expected_no_gauges.gauges.clear();
+        assert_eq!(actual, expected_no_gauges, "{}", case.label);
+        if !case.injected.is_empty() {
+            *injected_cases.lock().unwrap() += 1;
+        }
+        if actual.counters.keys().any(|k| {
+            k.rsplit_once(".h")
+                .and_then(|(_, h)| h.parse::<u64>().ok())
+                .is_some_and(|h| h >= 1 << 30)
+        }) {
+            *large_headers.lock().unwrap() += 1;
+        }
+    });
+    // The generator must actually reach the interesting paths.
+    if cases() >= 32 {
+        assert!(*injected_cases.lock().unwrap() > 0, "no injected copies");
+        assert!(*large_headers.lock().unwrap() > 0, "no header above 2^30");
+    }
+}
+
+#[test]
+fn aggregates_of_counters_equal_the_fold_of_their_snapshots() {
+    let mut folded = MetricsSnapshot {
+        schema_version: SCHEMA_VERSION,
+        ..MetricsSnapshot::default()
+    };
+    let mut metrics = Vec::new();
+    for seed in 0..cases().min(24) {
+        let counters = run_case(seed, &mut StdRng::seed_from_u64(seed)).counters;
+        folded.merge_from(&counters.snapshot());
+        // Mixed forms — live counters beside replayed snapshots — must
+        // aggregate like the fold.
+        metrics.push(if seed % 3 == 0 {
+            RunMetrics::Snapshot(counters.snapshot())
+        } else {
+            counters.into()
+        });
+    }
+    assert_eq!(RunMetrics::aggregate(&metrics).to_json(), folded.to_json());
+}

@@ -90,6 +90,7 @@ fn chaos_run_metrics_satisfy_conservation() {
         .build();
     sim.attach_telemetry(Arc::clone(&registry), None);
     sim.deliver(40, &SimConfig::default()).expect("run");
+    sim.publish_metrics();
 
     let snap = registry.snapshot();
     for dir in ["fwd", "bwd"] {
@@ -162,6 +163,7 @@ fn telemetry_on_and_off_yield_identical_fingerprints() {
             .build();
         watched.attach_telemetry(Arc::clone(&registry), Some(Arc::clone(&trace)));
         let watched_stats = watched.deliver(25, &cfg).expect("watched run");
+        watched.publish_metrics();
 
         assert_eq!(
             plain_stats.fingerprint, watched_stats.fingerprint,
