@@ -8,22 +8,37 @@
 //! every campaign artifact. Runs are deterministic functions of their
 //! specs, which is what makes caching sound at all.
 //!
-//! The on-disk form is the workspace's hand-rolled JSON, with a schema
-//! version for forward compatibility; a missing cache file loads as an
-//! empty cache (the natural first-run experience for `--cache`).
+//! On disk the cache is an append-only NDJSON log of the
+//! [`WireMsg::Run`] lines the daemon streams, keyed by their `spec`
+//! fingerprint, so cache and wire share one codec. In a cache file a
+//! line's `index` is its position in the log. A cache remembers the file
+//! it was loaded from (a missing file loads as empty, the natural
+//! first-run experience for `--cache`), and saving back to that file
+//! appends only the runs inserted since the last load or save, so a
+//! campaign costs O(its fresh runs), not O(the whole cache).
+//!
+//! A process killed mid-append leaves at worst a final segment with no
+//! newline. `load` drops it (that run is simply recomputed), and the
+//! next save rewrites the file without it. Any other malformed line is an
+//! error naming its line. A save to any other path, or the first save
+//! after a load that dropped a torn tail or met a key twice, streams a
+//! compacted copy to `<path>.tmp` and renames it into place. There is no
+//! migration from older formats: the cache is a memo, so deleting the
+//! file is always safe.
 
 use crate::runner::{RunOutcome, RunRecord};
 use crate::spec::RunSpec;
+use crate::wire::{run_line, WireMsg};
 use nonfifo_core::{NonFifoError, RunCounters};
-use nonfifo_telemetry::{Json, MetricsSnapshot, SCHEMA_VERSION};
+use nonfifo_telemetry::{MetricsSnapshot, SCHEMA_VERSION};
 use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::fs::{File, OpenOptions};
+use std::io::{BufWriter, Write};
 use std::sync::{Arc, RwLock};
-
-/// Version stamp of the cache file schema.
-pub const CACHE_SCHEMA_VERSION: u64 = 1;
 
 /// A run's metrics: the counters of a run this process executed, or the
 /// snapshot a cache file or wire line carried. Counters get their metric
@@ -91,7 +106,9 @@ impl From<RunCounters> for RunMetrics {
 }
 
 /// The cached portion of a run record: everything except the spec (which
-/// the lookup key already proves) and the `cached` marker.
+/// the lookup key already proves) and the `cached` marker. It travels as
+/// the `run` object of a [`WireMsg::Run`] line, on the wire and in the
+/// cache file alike.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedRun {
     /// How the run ended.
@@ -108,84 +125,52 @@ pub struct CachedRun {
     pub metrics: RunMetrics,
 }
 
-impl CachedRun {
-    /// The run as a [`Json`] object. This is the one serialization of a
-    /// completed run in the workspace: the cache file embeds it per entry
-    /// and the service wire protocol ships it per `run` message, so the
-    /// two layers cannot drift apart.
-    pub fn to_json_value(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "outcome".to_string(),
-                Json::Str(self.outcome.as_str().to_string()),
-            ),
-            ("fingerprint".to_string(), Json::Uint(self.fingerprint)),
-            ("steps".to_string(), Json::Uint(self.steps)),
-            ("fwd_sends".to_string(), Json::Uint(self.fwd_sends)),
-            ("delivered".to_string(), Json::Uint(self.delivered)),
-            (
-                "metrics".to_string(),
-                self.metrics.snapshot().to_json_value(),
-            ),
-        ])
-    }
+/// Why a cache file was rejected: the line at fault and what was wrong.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CacheError {
+    /// 1-based line number in the cache file.
+    pub line: usize,
+    /// What was wrong with the line.
+    pub message: String,
+}
 
-    /// Parses a value written by [`to_json_value`](CachedRun::to_json_value).
-    ///
-    /// # Errors
-    ///
-    /// Rejects objects with missing or mistyped fields.
-    pub fn from_json_value(entry: &Json) -> Result<CachedRun, CacheError> {
-        let field = |name: &str| {
-            entry
-                .get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| CacheError(format!("entry missing field {name:?}")))
-        };
-        let outcome = entry
-            .get("outcome")
-            .and_then(Json::as_str)
-            .and_then(RunOutcome::from_str_opt)
-            .ok_or_else(|| CacheError("entry has no valid outcome".to_string()))?;
-        let metrics = entry
-            .get("metrics")
-            .ok_or_else(|| CacheError("entry missing field \"metrics\"".to_string()))
-            .and_then(|m| {
-                MetricsSnapshot::from_json_value(m).map_err(|e| CacheError(e.to_string()))
-            })?;
-        Ok(CachedRun {
-            outcome,
-            fingerprint: field("fingerprint")?,
-            steps: field("steps")?,
-            fwd_sends: field("fwd_sends")?,
-            delivered: field("delivered")?,
-            metrics: metrics.into(),
-        })
+impl CacheError {
+    fn at(line: usize, message: impl Into<String>) -> Self {
+        CacheError {
+            line,
+            message: message.into(),
+        }
     }
 }
 
-/// Why a cache document was rejected.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CacheError(pub String);
-
 impl fmt::Display for CacheError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "campaign cache: {}", self.0)
+        write!(f, "campaign cache line {}: {}", self.line, self.message)
     }
 }
 
 impl Error for CacheError {}
 
-impl From<CacheError> for NonFifoError {
-    fn from(e: CacheError) -> Self {
-        NonFifoError::Usage(e.to_string())
-    }
-}
-
-/// A fingerprint-keyed store of completed campaign runs.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A fingerprint-keyed store of completed campaign runs, and the log file
+/// it persists to.
+#[derive(Debug, Clone, Default)]
 pub struct CampaignCache {
     entries: BTreeMap<u64, CachedRun>,
+    /// The file this cache was loaded from; saves to it append.
+    file: Option<String>,
+    /// Keys inserted since the last load or save, in insertion order.
+    pending: Vec<u64>,
+    /// The file holds lines the log must not keep (a torn tail, a
+    /// repeated key, a failed append), so the next save to it rewrites it.
+    rewrite: bool,
+}
+
+/// Equal when the entries are: where a cache came from and what it has
+/// yet to write do not matter.
+impl PartialEq for CampaignCache {
+    fn eq(&self, other: &CampaignCache) -> bool {
+        self.entries == other.entries
+    }
 }
 
 impl CampaignCache {
@@ -221,104 +206,146 @@ impl CampaignCache {
     }
 
     /// Stores `record` under `spec`'s key. The entry keeps the metrics
-    /// as a snapshot, so later saves do not rename them.
+    /// as a snapshot, so later saves do not rename them. A key already
+    /// present keeps its entry: runs are deterministic, so the two agree,
+    /// and the log holds each key once.
     pub fn insert(&mut self, spec: &RunSpec, record: &RunRecord) {
-        let run = CachedRun {
-            outcome: record.outcome,
-            fingerprint: record.fingerprint,
-            steps: record.steps,
-            fwd_sends: record.fwd_sends,
-            delivered: record.delivered,
-            metrics: RunMetrics::Snapshot(record.metrics.snapshot().into_owned()),
-        };
-        self.entries.insert(spec.fingerprint(), run);
+        let key = spec.fingerprint();
+        if let Entry::Vacant(slot) = self.entries.entry(key) {
+            slot.insert(CachedRun {
+                outcome: record.outcome,
+                fingerprint: record.fingerprint,
+                steps: record.steps,
+                fwd_sends: record.fwd_sends,
+                delivered: record.delivered,
+                metrics: RunMetrics::Snapshot(record.metrics.snapshot().into_owned()),
+            });
+            self.pending.push(key);
+        }
     }
 
-    /// Serializes the cache as a compact JSON document.
-    pub fn to_json(&self) -> String {
-        let entries: Vec<Json> = self
-            .entries
-            .iter()
-            .map(|(&key, run)| {
-                let mut fields = vec![("key".to_string(), Json::Uint(key))];
-                match run.to_json_value() {
-                    Json::Obj(rest) => fields.extend(rest),
-                    _ => unreachable!("CachedRun serializes as an object"),
-                }
-                Json::Obj(fields)
-            })
-            .collect();
-        Json::Obj(vec![
-            (
-                "schema_version".to_string(),
-                Json::Uint(CACHE_SCHEMA_VERSION),
-            ),
-            ("entries".to_string(), Json::Arr(entries)),
-        ])
-        .to_string()
-    }
-
-    /// Parses a document produced by [`to_json`](CampaignCache::to_json).
+    /// Loads a cache file and remembers it as this cache's file; a
+    /// missing file is an empty cache.
     ///
     /// # Errors
     ///
-    /// Rejects invalid JSON, unknown schema versions, and entries with
-    /// missing or mistyped fields.
-    pub fn from_json(text: &str) -> Result<CampaignCache, CacheError> {
-        let doc = Json::parse(text).map_err(|e| CacheError(e.to_string()))?;
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| CacheError("missing schema_version".to_string()))?;
-        if version != CACHE_SCHEMA_VERSION {
-            return Err(CacheError(format!(
-                "unsupported schema_version {version} (expected {CACHE_SCHEMA_VERSION})"
-            )));
+    /// Fails on unreadable files and on any malformed line but a torn
+    /// last one, with a [`CacheError`] naming the line.
+    pub fn load(path: &str) -> Result<CampaignCache, NonFifoError> {
+        let mut cache = match std::fs::read(path) {
+            Ok(bytes) => CampaignCache::parse_log(&bytes)
+                .map_err(|e| NonFifoError::Usage(format!("{path}: {e}")))?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => CampaignCache::new(),
+            Err(e) => return Err(NonFifoError::io(path, &e)),
+        };
+        cache.file = Some(path.to_string());
+        Ok(cache)
+    }
+
+    /// Parses a cache log. A final segment with no newline is a torn
+    /// append: it is dropped, and so is nothing else.
+    fn parse_log(bytes: &[u8]) -> Result<CampaignCache, CacheError> {
+        if let Some(rest) = bytes.strip_prefix(b"{\"schema_version\":") {
+            let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+            let version = String::from_utf8_lossy(&rest[..digits]);
+            return Err(CacheError::at(
+                1,
+                format!(
+                    "a schema_version {version} whole-document cache; this build reads \
+                     run-line logs only (delete the file: it holds deterministic runs, \
+                     which the next campaign recomputes)"
+                ),
+            ));
         }
-        let entries = doc
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| CacheError("missing entries array".to_string()))?;
         let mut cache = CampaignCache::new();
-        for entry in entries {
-            let key = entry
-                .get("key")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| CacheError("entry missing field \"key\"".to_string()))?;
-            cache
-                .entries
-                .insert(key, CachedRun::from_json_value(entry)?);
+        for (i, line) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
+            let Some(line) = line.strip_suffix(b"\n") else {
+                cache.rewrite = true;
+                break;
+            };
+            let n = i + 1;
+            let text =
+                std::str::from_utf8(line).map_err(|_| CacheError::at(n, "line is not UTF-8"))?;
+            match WireMsg::parse_line(text) {
+                Ok(WireMsg::Run {
+                    spec_fingerprint,
+                    run,
+                    ..
+                }) => match cache.entries.entry(spec_fingerprint) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(run);
+                    }
+                    Entry::Occupied(_) => cache.rewrite = true,
+                },
+                Ok(other) => {
+                    return Err(CacheError::at(
+                        n,
+                        format!("expected a run line, found a {:?} line", other.kind()),
+                    ))
+                }
+                Err(e) => return Err(CacheError::at(n, e.message)),
+            }
         }
         Ok(cache)
     }
 
-    /// Loads a cache file; a missing file is an empty cache.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unreadable files and on files that exist but do not parse.
-    pub fn load(path: &str) -> Result<CampaignCache, NonFifoError> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => Ok(CampaignCache::from_json(&text)?),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(CampaignCache::new()),
-            Err(e) => Err(NonFifoError::io(path, &e)),
-        }
-    }
-
-    /// Writes the cache file.
+    /// Persists the cache to `path`. Saving to the file the cache was
+    /// loaded from appends the runs inserted since the last load or save
+    /// with one write, and leaves the file untouched if there are none.
+    /// Any other path, or a file that needs rewriting, gets a compacted
+    /// copy written to `<path>.tmp` and renamed into place.
     ///
     /// # Errors
     ///
     /// Fails if the file cannot be written.
-    pub fn save(&self, path: &str) -> Result<(), NonFifoError> {
-        std::fs::write(path, self.to_json()).map_err(|e| NonFifoError::io(path, &e))
+    pub fn save(&mut self, path: &str) -> Result<(), NonFifoError> {
+        let own = self.file.as_deref() == Some(path);
+        if !own || self.rewrite {
+            self.write_compacted(path)
+                .map_err(|e| NonFifoError::io(path, &e))?;
+        } else if !self.pending.is_empty() {
+            // The log already holds every entry that is not pending.
+            let first = (self.entries.len() - self.pending.len()) as u64;
+            let mut lines = String::new();
+            for (index, key) in (first..).zip(&self.pending) {
+                lines.push_str(&run_line(index, *key, &self.entries[key]));
+            }
+            let appended = OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+                .and_then(|mut file| file.write_all(lines.as_bytes()));
+            if let Err(e) = appended {
+                // Part of the batch may have landed; rewrite next time.
+                self.rewrite = true;
+                return Err(NonFifoError::io(path, &e));
+            }
+        }
+        if own {
+            self.pending.clear();
+            self.rewrite = false;
+        }
+        Ok(())
+    }
+
+    /// Streams every entry, in key order, to `<path>.tmp`, then renames
+    /// it over `path`.
+    fn write_compacted(&self, path: &str) -> std::io::Result<()> {
+        let tmp = format!("{path}.tmp");
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        for (index, (key, run)) in self.entries.iter().enumerate() {
+            out.write_all(run_line(index as u64, *key, run).as_bytes())?;
+        }
+        out.flush()?;
+        drop(out);
+        std::fs::rename(&tmp, path)
     }
 }
 
 /// A [`CampaignCache`] behind a reader–writer lock: the campaign service's
 /// shared persistent store. Many in-flight campaigns consult the cache
 /// concurrently (lookups take the read lock); completed runs and file
-/// persistence take the write lock. Cloning shares the store.
+/// appends take the write lock. Cloning shares the store.
 #[derive(Debug, Clone, Default)]
 pub struct SharedCache {
     inner: Arc<RwLock<CampaignCache>>,
@@ -361,22 +388,32 @@ impl SharedCache {
         self.len() == 0
     }
 
-    /// Stores a batch of fresh records under one write-lock acquisition.
-    pub fn insert_all<'a>(&self, records: impl IntoIterator<Item = (&'a RunSpec, &'a RunRecord)>) {
+    /// Stores a batch of fresh records and, given `save_to`, saves the
+    /// cache there, all under one write-lock acquisition: concurrent
+    /// campaigns append whole batches in turn, never interleaved lines.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the file cannot be written; the records stay inserted.
+    pub fn insert_all<'a>(
+        &self,
+        records: impl IntoIterator<Item = (&'a RunSpec, &'a RunRecord)>,
+        save_to: Option<&str>,
+    ) -> Result<(), NonFifoError> {
         let mut cache = self.inner.write().expect("cache lock poisoned");
         for (spec, record) in records {
             cache.insert(spec, record);
         }
+        save_to.map_or(Ok(()), |path| cache.save(path))
     }
 
-    /// Writes the cache file (read lock only — serialization does not
-    /// mutate the store).
+    /// Saves the cache file (see [`CampaignCache::save`]).
     ///
     /// # Errors
     ///
     /// Fails if the file cannot be written.
     pub fn save(&self, path: &str) -> Result<(), NonFifoError> {
-        self.inner.read().expect("cache lock poisoned").save(path)
+        self.inner.write().expect("cache lock poisoned").save(path)
     }
 }
 
@@ -386,14 +423,19 @@ mod tests {
     use crate::runner::CampaignRunner;
     use crate::spec::ScenarioSpec;
     use nonfifo_channel::Discipline;
+    use std::collections::BTreeSet;
 
-    fn populated() -> (Vec<RunSpec>, CampaignCache) {
-        let runs = ScenarioSpec::new("t")
+    fn abp(seeds: std::ops::Range<u64>) -> Vec<RunSpec> {
+        ScenarioSpec::new("t")
             .protocol("abp")
             .discipline(Discipline::Probabilistic { q: 0.3 })
-            .message_counts(&[5, 10])
-            .seeds(0..2)
-            .expand();
+            .message_counts(&[2])
+            .seeds(seeds)
+            .expand()
+    }
+
+    fn populated() -> (Vec<RunSpec>, CampaignCache) {
+        let runs = abp(0..4);
         let mut cache = CampaignCache::new();
         CampaignRunner::new(1)
             .run_with_cache(&runs, &mut cache)
@@ -401,11 +443,56 @@ mod tests {
         (runs, cache)
     }
 
+    /// A fresh path under the temp dir for one test's cache file.
+    fn temp_path(name: &str) -> String {
+        let path = std::env::temp_dir()
+            .join(format!(
+                "nonfifo-cache-{name}-{}.ndjson",
+                std::process::id()
+            ))
+            .to_string_lossy()
+            .into_owned();
+        std::fs::remove_file(&path).ok();
+        path
+    }
+
+    /// Loads `path`, runs `runs` against it, saves back, and returns the
+    /// cache and how many runs executed fresh.
+    fn campaign(path: &str, runs: &[RunSpec]) -> (CampaignCache, usize) {
+        let mut cache = CampaignCache::load(path).unwrap();
+        let report = CampaignRunner::new(1)
+            .run_with_cache(runs, &mut cache)
+            .unwrap();
+        cache.save(path).unwrap();
+        (cache, runs.len() - report.cache_hits)
+    }
+
+    /// Every line parses as a run line and no key repeats; returns the
+    /// keys in file order.
+    fn log_keys(bytes: &[u8]) -> Vec<u64> {
+        let text = std::str::from_utf8(bytes).unwrap();
+        assert!(text.is_empty() || text.ends_with('\n'), "torn log");
+        let keys: Vec<u64> = text
+            .lines()
+            .map(|line| match WireMsg::parse_line(line).unwrap() {
+                WireMsg::Run {
+                    spec_fingerprint, ..
+                } => spec_fingerprint,
+                other => panic!("a {} line in the log", other.kind()),
+            })
+            .collect();
+        let unique: BTreeSet<u64> = keys.iter().copied().collect();
+        assert_eq!(unique.len(), keys.len(), "a key appears twice");
+        keys
+    }
+
     #[test]
     fn json_round_trips_exactly() {
-        let (runs, cache) = populated();
-        let text = cache.to_json();
-        let reloaded = CampaignCache::from_json(&text).unwrap();
+        let (runs, mut cache) = populated();
+        let path = temp_path("round-trip");
+        cache.save(&path).unwrap();
+        let reloaded = CampaignCache::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         assert_eq!(cache, reloaded);
         for spec in &runs {
             let a = cache.lookup(spec).unwrap();
@@ -416,29 +503,33 @@ mod tests {
     }
 
     #[test]
-    fn bad_documents_are_rejected_with_reasons() {
-        for (text, needle) in [
-            ("{", "json"),
-            ("{}", "schema_version"),
-            ("{\"schema_version\":99,\"entries\":[]}", "unsupported"),
-            ("{\"schema_version\":1}", "entries"),
-            (
-                "{\"schema_version\":1,\"entries\":[{\"key\":1}]}",
-                "outcome",
-            ),
-        ] {
-            let err = CampaignCache::from_json(text).unwrap_err();
-            assert!(
-                err.to_string().to_lowercase().contains(needle),
-                "{text}: {err}"
-            );
+    fn bad_lines_are_rejected_with_their_line_number() {
+        let (_, cache) = populated();
+        let mut log = Vec::new();
+        for (index, (key, run)) in cache.entries.iter().enumerate() {
+            log.push(run_line(index as u64, *key, run));
         }
-    }
-
-    #[test]
-    fn missing_file_loads_empty() {
-        let cache = CampaignCache::load("/nonexistent/campaign.cache.json").unwrap();
-        assert!(cache.is_empty());
+        let report = WireMsg::Error {
+            message: "x".to_string(),
+        }
+        .to_line();
+        let garbage_middle = format!("{}{{\"v\":1,garbage\n{}", log[0], log[1]);
+        let other_type = format!("{}{}{report}", log[0], log[1]);
+        for (text, line, needle) in [
+            (
+                "{\"schema_version\":1,\"entries\":[]}",
+                1,
+                "schema_version 1 whole-document",
+            ),
+            (garbage_middle.as_str(), 2, "json error"),
+            (other_type.as_str(), 3, "found a \"error\" line"),
+            ("{\"v\":2,\"type\":\"run\"}\n", 1, "schema_version 2"),
+        ] {
+            let err = CampaignCache::parse_log(text.as_bytes()).unwrap_err();
+            assert_eq!(err.line, line, "{text}: {err}");
+            assert!(err.message.contains(needle), "{text}: {err}");
+            assert!(err.to_string().contains(&format!("line {line}")), "{err}");
+        }
     }
 
     #[test]
@@ -450,6 +541,109 @@ mod tests {
             let back = CachedRun::from_json_value(&run.to_json_value()).unwrap();
             assert_eq!(back, run);
         }
+    }
+
+    #[test]
+    fn missing_file_loads_empty() {
+        let cache = CampaignCache::load("/nonexistent/campaign.cache.json").unwrap();
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn saves_append_new_runs_and_leave_a_warm_file_untouched() {
+        let path = temp_path("append");
+        let (_, fresh) = campaign(&path, &abp(0..2));
+        assert_eq!(fresh, 2);
+        let first = std::fs::read(&path).unwrap();
+        let (_, fresh) = campaign(&path, &abp(0..5));
+        assert_eq!(fresh, 3);
+        let second = std::fs::read(&path).unwrap();
+        assert!(
+            second.starts_with(&first),
+            "the first campaign's bytes stay put"
+        );
+        assert_eq!(log_keys(&second).len(), log_keys(&first).len() + 3);
+        let (warm, fresh) = campaign(&path, &abp(0..5));
+        assert_eq!(fresh, 0);
+        assert_eq!(std::fs::read(&path).unwrap(), second, "warm replay wrote");
+        assert_eq!(CampaignCache::load(&path).unwrap(), warm);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn saves_elsewhere_write_a_compacted_copy_and_keep_the_own_file() {
+        let path = temp_path("own");
+        let copy = temp_path("copy");
+        let (mut cache, _) = campaign(&path, &abp(0..2));
+        CampaignRunner::new(1)
+            .run_with_cache(&abp(0..3), &mut cache)
+            .unwrap();
+        cache.save(&copy).unwrap();
+        assert_eq!(CampaignCache::load(&copy).unwrap(), cache);
+        assert!(!std::path::Path::new(&format!("{copy}.tmp")).exists());
+        // The copy did not count as persisting the pending run.
+        cache.save(&path).unwrap();
+        assert_eq!(CampaignCache::load(&path).unwrap(), cache);
+        assert_eq!(log_keys(&std::fs::read(&path).unwrap()).len(), 3);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&copy).ok();
+    }
+
+    #[test]
+    fn duplicate_keys_load_once_and_the_next_save_compacts() {
+        let path = temp_path("dup");
+        campaign(&path, &abp(0..2));
+        let once = std::fs::read(&path).unwrap();
+        let mut twice = once.clone();
+        twice.extend_from_slice(&once);
+        std::fs::write(&path, &twice).unwrap();
+        let (cache, fresh) = campaign(&path, &abp(0..2));
+        assert_eq!((cache.len(), fresh), (2, 0));
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            once,
+            "compacted to one line a key"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A cache written by two campaigns, cut at every byte offset: each
+    /// load returns exactly the runs whose lines end before the cut and
+    /// never panics, and a campaign on the cut file leaves a log whose
+    /// every line parses — an append never glues onto a fragment.
+    #[test]
+    fn a_cut_at_every_byte_offset_loads_the_complete_line_prefix() {
+        let path = temp_path("torn");
+        let runs = abp(0..2);
+        campaign(&path, &runs[..1]);
+        let (full, _) = campaign(&path, &runs);
+        let bytes = std::fs::read(&path).unwrap();
+        let keys = log_keys(&bytes);
+        assert_eq!(keys.len(), 2);
+        let ends: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] == b'\n').collect();
+        for cut in 0..=bytes.len() {
+            let complete = ends.iter().filter(|&&end| end < cut).count();
+            let loaded = CampaignCache::parse_log(&bytes[..cut]).unwrap();
+            let got: Vec<u64> = loaded.entries.keys().copied().collect();
+            let mut want = keys[..complete].to_vec();
+            want.sort_unstable();
+            assert_eq!(got, want, "cut at {cut}");
+            for key in &want {
+                assert_eq!(loaded.entries[key], full.entries[key], "cut at {cut}");
+            }
+        }
+        for cut in 0..=bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let (cache, fresh) = campaign(&path, &runs);
+            let complete = ends.iter().filter(|&&end| end < cut).count();
+            assert_eq!(fresh, 2 - complete, "cut at {cut}");
+            let after = std::fs::read(&path).unwrap();
+            assert_eq!(log_keys(&after).len(), 2, "cut at {cut}");
+            let reloaded = CampaignCache::load(&path).unwrap();
+            assert_eq!(reloaded, cache, "cut at {cut}");
+            assert_eq!(reloaded, full, "cut at {cut}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -472,7 +666,7 @@ mod tests {
             .message_counts(&[3])
             .expand();
         let record = CampaignRunner::new(1).run(&extra).unwrap().records[0].clone();
-        shared.insert_all([(&extra[0], &record)]);
+        shared.insert_all([(&extra[0], &record)], None).unwrap();
         assert!(clone.lookup(&extra[0]).is_some());
         assert_eq!(clone.len(), runs.len() + 1);
     }

@@ -66,9 +66,7 @@ mod shard;
 mod spec;
 mod wire;
 
-pub use cache::{
-    CacheError, CachedRun, CampaignCache, RunMetrics, SharedCache, CACHE_SCHEMA_VERSION,
-};
+pub use cache::{CacheError, CachedRun, CampaignCache, RunMetrics, SharedCache};
 pub use plan::{CampaignPlan, CampaignPlanError, PLAN_SCHEMA_VERSION};
 pub use runner::{CampaignReport, CampaignRunner, RunOutcome, RunRecord};
 pub use service::{run_worker, CampaignService, ServiceConfig};

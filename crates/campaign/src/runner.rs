@@ -563,8 +563,13 @@ mod tests {
         let cold = CampaignRunner::new(1)
             .run_with_cache(&runs, &mut cache)
             .unwrap();
-        let reloaded = CampaignCache::from_json(&cache.to_json()).unwrap();
-        let mut warm_cache = reloaded;
+        let path = std::env::temp_dir()
+            .join(format!("nonfifo-runner-stab-{}.ndjson", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        cache.save(&path).unwrap();
+        let mut warm_cache = CampaignCache::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         let warm = CampaignRunner::new(8)
             .run_with_cache(&runs, &mut warm_cache)
             .unwrap();

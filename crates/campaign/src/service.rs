@@ -30,9 +30,9 @@
 //!
 //! One [`SharedCache`] (an `RwLock`ed [`CampaignCache`]) serves every
 //! connection: concurrent campaigns replay hits under the read lock, and
-//! each campaign's fresh records land under one write-lock acquisition.
-//! A warm replay differs from the cold run only in the
-//! `campaign.cache_hits` counter.
+//! each campaign's fresh records land, and are appended to the cache
+//! file, under one write-lock acquisition. A warm replay differs from the
+//! cold run only in the `campaign.cache_hits` counter.
 
 use crate::cache::{RunMetrics, SharedCache};
 use crate::plan::CampaignPlan;
@@ -73,8 +73,8 @@ pub struct ServiceConfig {
     /// no processes; used by tests and by `--in-process` deployments.
     pub worker_command: Vec<String>,
     /// Cache file shared by every campaign; loaded at startup (missing
-    /// file = empty cache) and rewritten after each campaign that ran
-    /// fresh runs.
+    /// file = empty cache), and each campaign appends its fresh runs to
+    /// it before returning its report.
     pub cache_path: Option<String>,
 }
 
@@ -154,8 +154,8 @@ impl CampaignService {
     /// order) and a [`WireMsg::Metrics`] delta per finished shard to
     /// `sink`, then returns the final [`WireMsg::Report`] — byte-identical
     /// to batch output for the same plan. Fresh results are published to
-    /// the shared cache (and the cache file, if configured) before the
-    /// report is returned.
+    /// the shared cache (and appended to the cache file, if configured)
+    /// before the report is returned.
     ///
     /// # Errors
     ///
@@ -260,12 +260,8 @@ impl CampaignService {
                 .iter()
                 .filter(|r| !r.cached)
                 .map(|r| (&r.spec, r)),
-        );
-        if let Some(path) = &self.cfg.cache_path {
-            if fresh > 0 {
-                self.cache.save(path)?;
-            }
-        }
+            self.cfg.cache_path.as_deref(),
+        )?;
 
         self.registry.counter("service.campaigns_total").inc();
         self.registry
@@ -614,6 +610,7 @@ pub fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CampaignCache;
     use crate::runner::CampaignRunner;
     use nonfifo_telemetry::{MetricsSnapshot, SCHEMA_VERSION};
 
@@ -739,6 +736,84 @@ seeds 0..3
         assert_eq!(gauge.value, 0, "idle after the campaign");
         assert_eq!(gauge.high_water, 4, "peak = shard count");
         assert!(snap.values["campaign.runs_per_sec"] > 0.0);
+    }
+
+    /// Two campaigns with overlapping misses, run at once on one service:
+    /// the cache file ends up one whole line per key, equal to the cache
+    /// in memory, and a warm replay leaves it byte-identical.
+    #[test]
+    fn concurrent_campaigns_append_each_key_once() {
+        let path = std::env::temp_dir()
+            .join(format!(
+                "nonfifo-service-append-{}.ndjson",
+                std::process::id()
+            ))
+            .to_string_lossy()
+            .into_owned();
+        std::fs::remove_file(&path).ok();
+        let service = CampaignService::new(ServiceConfig {
+            cache_path: Some(path.clone()),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let later = PLAN.replace("seeds 0..3", "seeds 1..5");
+        // Each campaign streams its first run only after both have looked
+        // up their misses and before either inserts: seeds 1..3 run twice.
+        let looked_up = std::sync::Barrier::new(2);
+        let streamed = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for plan in [PLAN, later.as_str()] {
+                let (service, looked_up, streamed) = (&service, &looked_up, &streamed);
+                scope.spawn(move || {
+                    let mut first = true;
+                    let mut sink = |msg: &WireMsg| {
+                        if std::mem::take(&mut first) {
+                            looked_up.wait();
+                        }
+                        if matches!(msg, WireMsg::Run { .. }) {
+                            streamed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    };
+                    service.run_campaign(plan, 2, &mut sink).unwrap();
+                });
+            }
+        });
+        assert_eq!(
+            streamed.into_inner(),
+            12 + 16,
+            "both campaigns ran the overlap"
+        );
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut keys: Vec<u64> = text
+            .lines()
+            .map(|line| match WireMsg::parse_line(line).unwrap() {
+                WireMsg::Run {
+                    spec_fingerprint, ..
+                } => spec_fingerprint,
+                other => panic!("a {} line in the cache", other.kind()),
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), text.lines().count(), "a key appears twice");
+        let union = CampaignPlan::parse(&PLAN.replace("seeds 0..3", "seeds 0..5"))
+            .unwrap()
+            .expand();
+        assert_eq!(keys.len(), union.len());
+        let reloaded = CampaignCache::load(&path).unwrap();
+        assert_eq!(reloaded.len(), service.cache().len());
+        for spec in &union {
+            assert_eq!(reloaded.lookup(spec), service.cache().lookup(spec));
+        }
+
+        let (_, report) = collect(&service, 4);
+        assert!(matches!(report, WireMsg::Report { cache_hits: 12, .. }));
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            text,
+            "warm replay wrote"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

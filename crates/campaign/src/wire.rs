@@ -1,14 +1,13 @@
 //! The campaign service wire protocol: one line-framed JSON schema shared
-//! by the worker stdin/stdout pipe and the HTTP front end.
+//! by the worker stdin/stdout pipe, the HTTP front end, and the cache file.
 //!
 //! Every message is a single JSON object on one line (newline-delimited
 //! JSON), built with the hand-rolled [`Json`] value from
 //! `nonfifo-telemetry` — insertion-ordered objects, exact integer
 //! variants — so encodings are byte-stable and diffable like every other
 //! artifact in this repo. Every message carries a `"v"` schema field with
-//! the same forward-compat contract as the cache file and
-//! [`MetricsSnapshot`]: a reader rejects versions newer than it knows
-//! rather than guessing.
+//! the same forward-compat contract as [`MetricsSnapshot`]: a reader
+//! rejects versions newer than it knows rather than guessing.
 //!
 //! The conversation shapes:
 //!
@@ -18,12 +17,15 @@
 //! - daemon → worker: one [`WireMsg::Shard`] on stdin; worker → daemon:
 //!   one [`WireMsg::Run`] per completed run on stdout, in index order.
 //!
-//! A run travels as its [`CachedRun`] — the same serialization the cache
-//! file uses — addressed by expansion index and spec fingerprint so the
-//! receiver can merge it with [`merge_reports`](crate::merge_reports)'
-//! fingerprint check.
+//! A run travels as its [`CachedRun`], addressed by expansion index and
+//! spec fingerprint so the receiver can merge it with
+//! [`merge_reports`](crate::merge_reports)' fingerprint check. The same
+//! `run` line is the cache file's record: a
+//! [`CampaignCache`](crate::CampaignCache) file is an NDJSON log of them,
+//! keyed by `spec`, so the cache has no serialization of its own.
 
 use crate::cache::CachedRun;
+use crate::runner::RunOutcome;
 use crate::shard::{ShardRecord, ShardSpec};
 use nonfifo_telemetry::{Json, MetricsSnapshot};
 use std::fmt;
@@ -84,7 +86,7 @@ pub enum WireMsg {
         /// [`RunSpec::fingerprint`](crate::RunSpec::fingerprint) of the
         /// spec this record answers — checked at merge.
         spec_fingerprint: u64,
-        /// The run result, in the cache file's serialization.
+        /// The run result.
         run: CachedRun,
     },
     /// A per-shard metrics delta: the merged snapshots of one shard's
@@ -129,10 +131,7 @@ impl WireMsg {
 
     /// Encodes the message as a [`Json`] object (versioned, type-tagged).
     pub fn to_json_value(&self) -> Json {
-        let mut fields = vec![
-            ("v".to_string(), Json::Uint(WIRE_SCHEMA_VERSION)),
-            ("type".to_string(), Json::Str(self.kind().to_string())),
-        ];
+        let mut fields = tagged(self.kind());
         match self {
             WireMsg::Submit { plan, workers } => {
                 fields.push(("plan".to_string(), Json::Str(plan.clone())));
@@ -156,11 +155,7 @@ impl WireMsg {
                 index,
                 spec_fingerprint,
                 run,
-            } => {
-                fields.push(("index".to_string(), Json::Uint(*index)));
-                fields.push(("spec".to_string(), Json::Uint(*spec_fingerprint)));
-                fields.push(("run".to_string(), run.to_json_value()));
-            }
+            } => push_run(&mut fields, *index, *spec_fingerprint, run),
             WireMsg::Metrics { shard, snapshot } => {
                 fields.push(("shard".to_string(), Json::Uint(*shard)));
                 fields.push(("snapshot".to_string(), snapshot.to_json_value()));
@@ -238,7 +233,7 @@ impl WireMsg {
                     index: need_u64(doc, "index")?,
                     spec_fingerprint: need_u64(doc, "spec")?,
                     run: CachedRun::from_json_value(run)
-                        .map_err(|e| wire_err(format!("run: {e}")))?,
+                        .map_err(|e| wire_err(format!("run: {}", e.message)))?,
                 })
             }
             "metrics" => {
@@ -316,6 +311,76 @@ impl WireMsg {
             }),
             _ => None,
         }
+    }
+}
+
+/// The one `run` line for `run` at `index`, encoded from a borrow — how
+/// the cache writes its log without cloning each run into a [`WireMsg`].
+/// Byte-identical to the [`WireMsg::Run`] line with the same fields.
+pub(crate) fn run_line(index: u64, spec_fingerprint: u64, run: &CachedRun) -> String {
+    let mut fields = tagged("run");
+    push_run(&mut fields, index, spec_fingerprint, run);
+    format!("{}\n", Json::Obj(fields))
+}
+
+/// The `v` and `type` fields every message starts with.
+fn tagged(kind: &str) -> Vec<(String, Json)> {
+    vec![
+        ("v".to_string(), Json::Uint(WIRE_SCHEMA_VERSION)),
+        ("type".to_string(), Json::Str(kind.to_string())),
+    ]
+}
+
+fn push_run(fields: &mut Vec<(String, Json)>, index: u64, spec_fingerprint: u64, run: &CachedRun) {
+    fields.push(("index".to_string(), Json::Uint(index)));
+    fields.push(("spec".to_string(), Json::Uint(spec_fingerprint)));
+    fields.push(("run".to_string(), run.to_json_value()));
+}
+
+impl CachedRun {
+    /// The run as the [`Json`] object a `run` line carries.
+    pub fn to_json_value(&self) -> Json {
+        Json::Obj(vec![
+            (
+                "outcome".to_string(),
+                Json::Str(self.outcome.as_str().to_string()),
+            ),
+            ("fingerprint".to_string(), Json::Uint(self.fingerprint)),
+            ("steps".to_string(), Json::Uint(self.steps)),
+            ("fwd_sends".to_string(), Json::Uint(self.fwd_sends)),
+            ("delivered".to_string(), Json::Uint(self.delivered)),
+            (
+                "metrics".to_string(),
+                self.metrics.snapshot().to_json_value(),
+            ),
+        ])
+    }
+
+    /// Parses a value written by [`to_json_value`](CachedRun::to_json_value).
+    ///
+    /// # Errors
+    ///
+    /// Rejects objects with missing or mistyped fields.
+    pub fn from_json_value(entry: &Json) -> Result<CachedRun, WireError> {
+        let outcome = entry
+            .get("outcome")
+            .and_then(Json::as_str)
+            .and_then(RunOutcome::from_str_opt)
+            .ok_or_else(|| wire_err("no valid outcome"))?;
+        let metrics = entry
+            .get("metrics")
+            .ok_or_else(|| wire_err("missing field \"metrics\""))
+            .and_then(|m| {
+                MetricsSnapshot::from_json_value(m).map_err(|e| wire_err(e.to_string()))
+            })?;
+        Ok(CachedRun {
+            outcome,
+            fingerprint: need_u64(entry, "fingerprint")?,
+            steps: need_u64(entry, "steps")?,
+            fwd_sends: need_u64(entry, "fwd_sends")?,
+            delivered: need_u64(entry, "delivered")?,
+            metrics: metrics.into(),
+        })
     }
 }
 
@@ -401,6 +466,17 @@ mod tests {
             // Re-encoding is byte-stable.
             assert_eq!(back.to_line(), line, "{} re-encode", msg.kind());
         }
+    }
+
+    #[test]
+    fn borrowed_run_lines_match_the_run_message() {
+        let run = sample_run();
+        let msg = WireMsg::Run {
+            index: 3,
+            spec_fingerprint: 99,
+            run: run.clone(),
+        };
+        assert_eq!(run_line(3, 99, &run), msg.to_line());
     }
 
     #[test]

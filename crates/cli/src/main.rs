@@ -799,7 +799,7 @@ fn cmd_campaign(args: &Args) -> Result<(), NonFifoError> {
             runs.len() as f64 / elapsed
         );
     }
-    if let (Some(path), Some(cache)) = (args.option("cache"), &cache) {
+    if let (Some(path), Some(cache)) = (args.option("cache"), &mut cache) {
         cache.save(path)?;
         println!("cache written to {path} ({} entries)", cache.len());
     }

@@ -1,0 +1,104 @@
+//! `nonfifo campaign --cache`: the cache file is an append-only log. A
+//! second campaign only appends its fresh runs, a warm replay leaves the
+//! file byte-identical, and a file in an older format is a clean usage
+//! error.
+
+use nonfifo_campaign::WireMsg;
+use std::process::{Command, Output};
+
+const BIN: &str = env!("CARGO_BIN_EXE_nonfifo");
+
+fn plan(seeds: &str) -> String {
+    format!(
+        "scenario cli-cache\nprotocols abp seqnum\ndisciplines fifo prob:0.3\nmessages 6\nseeds {seeds}\n"
+    )
+}
+
+fn temp(name: &str) -> String {
+    let path = std::env::temp_dir()
+        .join(format!("nonfifo-cli-{name}-{}", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    std::fs::remove_file(&path).ok();
+    path
+}
+
+fn campaign(plan_path: &str, cache: &str) -> Output {
+    Command::new(BIN)
+        .args(["campaign", plan_path, "--cache", cache])
+        .output()
+        .unwrap()
+}
+
+/// The `cache  :` line's hit count.
+fn hits(out: &Output) -> usize {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("cache  :"))
+        .expect("a cache line");
+    line["cache  :".len()..]
+        .split_whitespace()
+        .next()
+        .unwrap()
+        .parse()
+        .unwrap()
+}
+
+#[test]
+fn a_second_campaign_appends_and_a_warm_replay_writes_nothing() {
+    let plan_path = temp("append.campaign");
+    let cache = temp("append.ndjson");
+    std::fs::write(&plan_path, plan("0..2")).unwrap();
+    assert!(campaign(&plan_path, &cache).status.success());
+    let first = std::fs::read(&cache).unwrap();
+    assert_eq!(first.iter().filter(|&&b| b == b'\n').count(), 8);
+
+    std::fs::write(&plan_path, plan("0..3")).unwrap();
+    let out = campaign(&plan_path, &cache);
+    assert!(out.status.success());
+    assert_eq!(hits(&out), 8);
+    let second = std::fs::read(&cache).unwrap();
+    assert!(
+        second.starts_with(&first),
+        "the first campaign's bytes stay put"
+    );
+    let text = String::from_utf8(second.clone()).unwrap();
+    assert_eq!(text.lines().count(), 12, "one line per fresh run");
+    for line in text.lines() {
+        assert!(matches!(
+            WireMsg::parse_line(line).unwrap(),
+            WireMsg::Run { .. }
+        ));
+    }
+
+    let out = campaign(&plan_path, &cache);
+    assert!(out.status.success());
+    assert_eq!(hits(&out), 12);
+    assert_eq!(std::fs::read(&cache).unwrap(), second, "warm replay wrote");
+    std::fs::remove_file(&plan_path).ok();
+    std::fs::remove_file(&cache).ok();
+}
+
+#[test]
+fn an_old_whole_document_cache_exits_1_with_its_version_and_line() {
+    let plan_path = temp("v1.campaign");
+    let cache = temp("v1.json");
+    std::fs::write(&plan_path, plan("0..2")).unwrap();
+    let old = "{\"schema_version\":1,\"entries\":[]}";
+    std::fs::write(&cache, old).unwrap();
+    let out = campaign(&plan_path, &cache);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let first = stderr.lines().next().unwrap_or("");
+    assert!(first.contains("line 1"), "{first}");
+    assert!(first.contains("schema_version 1"), "{first}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(
+        std::fs::read_to_string(&cache).unwrap(),
+        old,
+        "left as found"
+    );
+    std::fs::remove_file(&plan_path).ok();
+    std::fs::remove_file(&cache).ok();
+}

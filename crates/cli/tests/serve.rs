@@ -202,11 +202,12 @@ fn http(addr: &str, method: &str, path: &str, body: &str) -> (String, String) {
     (head.to_string(), body.to_string())
 }
 
-/// Starts `nonfifo serve` on an ephemeral port; returns the daemon and the
-/// bound address scraped from its banner line.
-fn spawn_daemon() -> (Child, String) {
+/// Starts `nonfifo serve` on an ephemeral port with `extra` arguments;
+/// returns the daemon and the bound address scraped from its banner line.
+fn spawn_daemon(extra: &[&str]) -> (Child, String) {
     let mut daemon = Command::new(BIN)
         .args(["serve", "--addr", "127.0.0.1:0"])
+        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -248,7 +249,7 @@ fn shut_down(mut daemon: Child, addr: &str) {
 #[test]
 fn http_daemon_serves_campaigns_byte_identical_to_batch() {
     let (render, aggregate) = batch_baseline();
-    let (daemon, addr) = spawn_daemon();
+    let (daemon, addr) = spawn_daemon(&[]);
 
     let (head, body) = http(&addr, "GET", "/healthz", "");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -339,7 +340,7 @@ fn http_daemon_serves_campaigns_byte_identical_to_batch() {
 
 #[test]
 fn oversized_bodies_get_a_413_and_the_daemon_keeps_serving() {
-    let (daemon, addr) = spawn_daemon();
+    let (daemon, addr) = spawn_daemon(&[]);
     // A 1 TiB claim with no body behind it: the daemon must refuse it
     // from the header alone instead of allocating the claimed size.
     let mut stream = TcpStream::connect(&addr).unwrap();
@@ -366,7 +367,7 @@ fn oversized_bodies_get_a_413_and_the_daemon_keeps_serving() {
 
 #[test]
 fn oversized_worker_counts_get_a_400_and_the_daemon_keeps_serving() {
-    let (daemon, addr) = spawn_daemon();
+    let (daemon, addr) = spawn_daemon(&[]);
     let submit = |workers| {
         WireMsg::Submit {
             plan: PLAN.to_string(),
@@ -392,4 +393,103 @@ fn oversized_worker_counts_get_a_400_and_the_daemon_keeps_serving() {
     };
     assert_eq!(render, batch_baseline().0, "served == batch");
     shut_down(daemon, &addr);
+}
+
+/// The run messages and the final report of one campaign stream.
+fn stream(body: &str) -> (usize, WireMsg) {
+    let msgs: Vec<WireMsg> = body
+        .lines()
+        .map(|l| WireMsg::parse_line(l).unwrap())
+        .collect();
+    let runs = msgs
+        .iter()
+        .filter(|m| matches!(m, WireMsg::Run { .. }))
+        .count();
+    (runs, msgs.last().expect("a non-empty stream").clone())
+}
+
+fn temp_cache(name: &str) -> String {
+    let path = std::env::temp_dir()
+        .join(format!(
+            "nonfifo-serve-{name}-{}.ndjson",
+            std::process::id()
+        ))
+        .to_string_lossy()
+        .into_owned();
+    std::fs::remove_file(&path).ok();
+    path
+}
+
+/// A daemon killed mid-append leaves a half-written last line. A new
+/// daemon on that file starts, replays every complete line, re-runs only
+/// the cut run, and streams the batch report.
+#[test]
+fn a_daemon_restarts_on_a_torn_cache_and_reruns_only_the_cut_run() {
+    let (render, aggregate) = batch_baseline();
+    let path = temp_cache("torn");
+    let (daemon, addr) = spawn_daemon(&["--cache", &path]);
+    let (head, body) = http(&addr, "POST", "/campaign", PLAN);
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert_eq!(stream(&body).0, total_runs());
+    shut_down(daemon, &addr);
+
+    let bytes = std::fs::read(&path).unwrap();
+    let body_end = bytes.len() - 1;
+    let last_start = bytes[..body_end]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |i| i + 1);
+    std::fs::write(&path, &bytes[..(last_start + body_end) / 2]).unwrap();
+
+    let (daemon, addr) = spawn_daemon(&["--cache", &path]);
+    let (head, body) = http(&addr, "GET", "/healthz", "");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert_eq!(body, "ok\n");
+    let (head, body) = http(&addr, "POST", "/campaign", PLAN);
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let (runs, report) = stream(&body);
+    assert_eq!(runs, 1, "only the cut run executes");
+    let WireMsg::Report {
+        render: r,
+        cache_hits,
+        aggregate: mut a,
+    } = report
+    else {
+        panic!("stream ends with the report: {body}");
+    };
+    assert_eq!(r, render, "served after recovery == batch");
+    assert_eq!(cache_hits as usize, total_runs() - 1);
+    a.counters.insert("campaign.cache_hits".to_string(), 0);
+    assert_eq!(a.to_json(), aggregate, "aggregates differ only in hits");
+    shut_down(daemon, &addr);
+
+    let repaired = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(repaired.lines().count(), total_runs());
+    for line in repaired.lines() {
+        assert!(matches!(
+            WireMsg::parse_line(line).unwrap(),
+            WireMsg::Run { .. }
+        ));
+    }
+}
+
+/// A whole-document cache from an older build stops the daemon before it
+/// binds, with the version and line in the message, not a panic.
+#[test]
+fn serve_refuses_an_old_whole_document_cache() {
+    let path = temp_cache("v1");
+    std::fs::write(&path, "{\"schema_version\":1,\"entries\":[]}").unwrap();
+    let out = Command::new(BIN)
+        .args(["serve", "--addr", "127.0.0.1:0", "--cache", &path])
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let first = stderr.lines().next().unwrap_or("");
+    assert!(first.contains("line 1"), "{first}");
+    assert!(first.contains("schema_version 1"), "{first}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("serving on"));
 }

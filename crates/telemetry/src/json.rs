@@ -6,7 +6,7 @@
 //! (`u64`/`i64` variants) rather than coerced through `f64`, so counter
 //! values survive a round-trip bit-for-bit.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 ///
@@ -117,8 +117,13 @@ fn write_json(out: &mut String, v: &Json) {
     match v {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Uint(n) => out.push_str(&n.to_string()),
-        Json::Int(n) => out.push_str(&n.to_string()),
+        // Formatting straight into `out` allocates nothing per number.
+        Json::Uint(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Json::Int(n) => {
+            let _ = write!(out, "{n}");
+        }
         Json::Float(x) => {
             if x.is_finite() {
                 // Rust's shortest-roundtrip formatting; force a decimal
@@ -160,19 +165,28 @@ fn write_json(out: &mut String, v: &Json) {
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut plain = 0;
+    for (i, c) in s.char_indices() {
+        let escape = match c {
+            '"' => Some("\\\""),
+            '\\' => Some("\\\\"),
+            '\n' => Some("\\n"),
+            '\r' => Some("\\r"),
+            '\t' => Some("\\t"),
+            c if (c as u32) < 0x20 => None,
+            _ => continue,
+        };
+        // Copy the run of characters that need no escaping in one go.
+        out.push_str(&s[plain..i]);
+        plain = i + c.len_utf8();
+        match escape {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
@@ -445,7 +459,8 @@ mod tests {
 
     #[test]
     fn string_escapes_round_trip() {
-        let original = Json::Str("a\"b\\c\nd\te\u{1}π".to_string());
+        let original = Json::Str("a\"b\\c\nd\te\u{1}π\r".to_string());
+        assert_eq!(original.to_string(), r#""a\"b\\c\nd\te\u0001π\r""#);
         let parsed = Json::parse(&original.to_string()).unwrap();
         assert_eq!(parsed, original);
     }

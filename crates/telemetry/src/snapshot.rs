@@ -101,7 +101,7 @@ impl MetricsSnapshot {
     }
 
     /// The snapshot as a [`Json`] value — for callers that embed snapshots
-    /// inside a larger document (the campaign result cache) rather than
+    /// inside a larger document (a campaign wire line) rather than
     /// writing a standalone file.
     pub fn to_json_value(&self) -> Json {
         let counters = Json::Obj(
@@ -197,13 +197,17 @@ impl MetricsSnapshot {
             schema_version: version,
             ..MetricsSnapshot::default()
         };
+        // Counters are most of a run's metrics: collecting bulk-builds the
+        // map from the document's sorted keys instead of searching the
+        // tree once per key.
         if let Some(fields) = doc.get("counters").and_then(Json::as_obj) {
-            for (k, v) in fields {
-                match v.as_u64() {
-                    Some(n) => snap.counters.insert(k.clone(), n),
-                    None => return schema_err(format!("counter '{k}' is not a u64")),
-                };
-            }
+            snap.counters = fields
+                .iter()
+                .map(|(k, v)| match v.as_u64() {
+                    Some(n) => Ok((k.clone(), n)),
+                    None => schema_err(format!("counter '{k}' is not a u64")),
+                })
+                .collect::<Result<_, _>>()?;
         }
         if let Some(fields) = doc.get("gauges").and_then(Json::as_obj) {
             for (k, v) in fields {
