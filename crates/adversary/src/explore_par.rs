@@ -77,9 +77,10 @@
 //!   (the conclusive answer beats the resource excuse); the sequential
 //!   oracle may report `Truncated` on such knife-edge scopes.
 //!
-//! Frontier states are held with counters-only executions
-//! ([`System::disable_event_log`]) so cloning a node is O(protocol state),
-//! not O(history); the winning counterexample is re-materialised by
+//! Frontier states are counts-only systems ([`System::disable_event_log`]):
+//! no event log, and a monitor that keeps only the copies in transit, so a
+//! node holds and copies O(protocol state + pool), not O(history); the
+//! winning counterexample is re-materialised by
 //! replaying its schedule through the strict scheduler (`materialize`,
 //! shared with the oracle) — which doubles as an end-to-end validation of
 //! every reported attack.

@@ -49,10 +49,6 @@ pub struct System {
     /// How many packets the policy may pump from the transmitter per step.
     pub burst: usize,
     peak_space: usize,
-    /// Distinct forward packet values sent so far, kept sorted (a flat vec:
-    /// the alphabet is tiny and binary-search insert beats a tree's pointer
-    /// chasing and per-node allocations).
-    sent_values: Vec<Packet>,
     partitioned: bool,
     /// Whether the protocol consumes [`GhostInfo`]; honest protocols don't,
     /// and [`step`](System::step) skips the ghost sweep entirely for them.
@@ -74,7 +70,6 @@ impl Clone for System {
             round_watermark: self.round_watermark,
             burst: self.burst,
             peak_space: self.peak_space,
-            sent_values: self.sent_values.clone(),
             partitioned: self.partitioned,
             uses_ghosts: self.uses_ghosts,
             ghost_scratch: GhostInfo::default(),
@@ -101,7 +96,6 @@ impl System {
             round_watermark: CopyId::from_raw(0),
             burst: 64,
             peak_space: 0,
-            sent_values: Vec::new(),
             partitioned: false,
             uses_ghosts: proto.uses_ghosts(),
             ghost_scratch: GhostInfo::default(),
@@ -131,7 +125,6 @@ impl System {
         self.round_watermark = source.round_watermark;
         self.burst = source.burst;
         self.peak_space = source.peak_space;
-        self.sent_values.clone_from(&source.sent_values);
         self.partitioned = source.partitioned;
         self.uses_ghosts = source.uses_ghosts;
         // ghost_scratch is per-step scratch, not logical state: keep ours.
@@ -142,13 +135,19 @@ impl System {
         &self.exec
     }
 
-    /// Replaces the event log with a counters-only recorder
-    /// ([`Execution::counts_only`]): the online monitor still observes every
-    /// event and [`counts`](System::counts) stays exact, but
-    /// [`execution`](System::execution) no longer accumulates history, so
-    /// cloning the system is O(state) instead of O(history). Both explorer
+    /// Makes this a counts-only system, which holds O(in flight) state, not
+    /// O(history). The event log becomes a counters-only recorder
+    /// ([`Execution::counts_only`]): [`counts`](System::counts) stays exact,
+    /// but [`execution`](System::execution) no longer accumulates events.
+    /// The monitor switches to
+    /// [`live_copies_only`](SpecMonitor::live_copies_only): it still sees
+    /// every event and latches every violation at the same event, but keeps
+    /// entries only for the copies in transit. Copying the system then
+    /// costs O(protocol state + pool) however long the run. Both explorer
     /// engines copy systems on every expanded edge and re-materialise a
-    /// found execution by replaying its schedule.
+    /// found execution by replaying its schedule on a logged system.
+    /// [`distinct_forward_packets`](System::distinct_forward_packets) needs
+    /// the log and panics on a counts-only system.
     ///
     /// # Panics
     ///
@@ -160,6 +159,7 @@ impl System {
             "disable_event_log after events were recorded"
         );
         self.exec = Execution::counts_only();
+        self.monitor = SpecMonitor::new().live_copies_only();
     }
 
     /// The Definition 2 counters of the recorded execution.
@@ -183,9 +183,34 @@ impl System {
     }
 
     /// Number of distinct forward packet values sent so far — the paper's
-    /// header count `|P|` for this execution.
+    /// header count `|P|` for this execution — read off the event log.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a counts-only system ([`disable_event_log`]), which
+    /// keeps no record of the values it sent.
+    ///
+    /// [`disable_event_log`]: System::disable_event_log
     pub fn distinct_forward_packets(&self) -> u64 {
-        self.sent_values.len() as u64
+        assert!(
+            !self.exec.is_counts_only(),
+            "distinct_forward_packets on a system without an event log"
+        );
+        let mut values: Vec<Packet> = self
+            .exec
+            .iter()
+            .filter_map(|event| match *event {
+                Event::SendPkt {
+                    dir: Dir::Forward,
+                    packet,
+                    ..
+                } => Some(packet),
+                _ => None,
+            })
+            .collect();
+        values.sort_unstable();
+        values.dedup();
+        values.len() as u64
     }
 
     /// The watermark separating stale from current-round forward copies.
@@ -218,16 +243,17 @@ impl System {
     }
 
     /// Approximate resident bytes of this system: the struct itself plus
-    /// the automata's live state and the channels' reserved buffers. Feeds
-    /// the explorer's `explore.peak_frontier_bytes` gauge; an estimate, not
-    /// an accounting guarantee.
+    /// the automata's live state, the channels' reserved buffers and the
+    /// monitor's copy tables. Feeds the explorer's
+    /// `explore.peak_frontier_bytes` gauge; an estimate, not an accounting
+    /// guarantee.
     pub fn heap_bytes_estimate(&self) -> usize {
         std::mem::size_of::<System>()
             + self.tx.space_bytes()
             + self.rx.space_bytes()
             + self.fwd.heap_bytes()
             + self.bwd.heap_bytes()
-            + self.sent_values.capacity() * std::mem::size_of::<Packet>()
+            + self.monitor.heap_bytes()
     }
 
     /// True when the transmitter can accept the next message.
@@ -279,12 +305,6 @@ impl System {
         }
     }
 
-    fn note_sent_value(&mut self, pkt: Packet) {
-        if let Err(i) = self.sent_values.binary_search(&pkt) {
-            self.sent_values.insert(i, pkt);
-        }
-    }
-
     /// Runs one scheduler step:
     ///
     /// 1. push ghost summaries and tick both automata;
@@ -317,7 +337,6 @@ impl System {
             let Some(pkt) = self.tx.poll_send() else {
                 break;
             };
-            self.note_sent_value(pkt);
             let copy = self.fwd.send(pkt);
             self.record(Event::SendPkt {
                 dir: Dir::Forward,
@@ -369,7 +388,6 @@ impl System {
         let Some(pkt) = self.oldest_forward_of_header(h) else {
             return false;
         };
-        self.note_sent_value(pkt);
         let copy = self.fwd.send(pkt);
         self.record(Event::SendPkt {
             dir: Dir::Forward,
@@ -386,7 +404,6 @@ impl System {
     /// the copy is announced to the monitor, so its later delivery or loss
     /// stays PL1-sound.
     pub fn preload_forward(&mut self, pkt: Packet) -> CopyId {
-        self.note_sent_value(pkt);
         let copy = self.fwd.send(pkt);
         self.record(Event::SendPkt {
             dir: Dir::Forward,
@@ -408,7 +425,6 @@ impl System {
         let dropped = self.fwd.drop_oldest_of_packet(pkt).is_some();
         debug_assert!(dropped, "oldest copy just observed must be droppable");
         let twisted = corrupt_packet(pkt);
-        self.note_sent_value(twisted);
         let copy = self.fwd.send(twisted);
         self.record(Event::SendPkt {
             dir: Dir::Forward,
@@ -615,6 +631,70 @@ mod tests {
         assert!(fork.run_to_quiescence(32));
         assert_eq!(sys.counts().rm, 0);
         assert_eq!(fork.counts().rm, 1);
+    }
+
+    #[test]
+    fn counts_only_monitor_holds_exactly_the_copies_in_transit() {
+        use crate::explore::{apply, enabled_actions_into, Discipline, ExploreConfig};
+        use nonfifo_protocols::GoBackN;
+        use nonfifo_rng::StdRng;
+        for seed in 0..48 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let proto: Box<dyn DataLink> = match seed % 3 {
+                0 => Box::new(SequenceNumber::new()),
+                1 => Box::new(AlternatingBit::new()),
+                _ => Box::new(GoBackN::new(4)),
+            };
+            let cfg = ExploreConfig {
+                discipline: [Discipline::NonFifo, Discipline::LossyFifo][seed as usize % 2],
+                max_messages: 8,
+                max_pool: 8,
+                ..ExploreConfig::default()
+            };
+            let mut sys = System::new(proto.as_ref());
+            sys.disable_event_log();
+            let (mut oldest, mut actions) = (Vec::new(), Vec::new());
+            for step in 0..80 {
+                assert_eq!(
+                    sys.monitor.tracked_copies(Dir::Forward),
+                    sys.fwd.in_transit_len(),
+                    "seed {seed}, step {step}"
+                );
+                assert_eq!(
+                    sys.monitor.tracked_copies(Dir::Backward),
+                    0,
+                    "seed {seed}, step {step}"
+                );
+                // Mostly the explorer's own actions; now and then a
+                // duplicated or corrupted copy, which mint and drop copies
+                // outside the explorer's alphabet of moves.
+                let header = sys
+                    .fwd
+                    .parked_multiset()
+                    .iter()
+                    .next()
+                    .map(|(p, _)| p.header());
+                match (rng.gen_range(0..10), header) {
+                    (0, Some(h)) => assert!(sys.duplicate_oldest(h)),
+                    (1, Some(h)) => assert!(sys.corrupt_oldest(h)),
+                    _ => {
+                        enabled_actions_into(&sys, &cfg, &mut oldest, &mut actions);
+                        if actions.is_empty() {
+                            break;
+                        }
+                        apply(&mut sys, actions[rng.gen_range(0..actions.len())]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "without an event log")]
+    fn counts_only_systems_cannot_count_headers() {
+        let mut sys = System::new(&SequenceNumber::new());
+        sys.disable_event_log();
+        sys.distinct_forward_packets();
     }
 
     #[test]

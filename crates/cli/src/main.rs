@@ -32,6 +32,9 @@
 //! exhaustive certificate, 2 = counterexample or specification violation,
 //! 3 = stall or exhausted state budget (inconclusive), 4 = differential
 //! mismatch between engines, 1 = operational error (bad usage, I/O, parse).
+//! A reader that closes stdout early (`nonfifo explore ... | head -1`) only
+//! silences the rest of the output: the command still finishes, writes its
+//! files and exits with its usual code.
 //!
 //! Telemetry flags are shared by `simulate`, `chaos`, and `explore`:
 //! `--metrics` prints a human summary, `--metrics-out FILE` writes the
@@ -49,7 +52,45 @@ use nonfifo_adversary::{
 use nonfifo_core::{CrashEvent, CrashMode, NonFifoError, SimConfig, SimError, Station};
 use nonfifo_telemetry::{Registry, TraceSink};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// `print!` for this binary: std's, except through [`write_stdout`], so a
+/// closed stdout silences output instead of panicking.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for this binary; see [`print!`].
+macro_rules! println {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Set once stdout's reader has gone away; later output is dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stdout like std's `print!`, but treats a broken pipe as the
+/// reader's wish to stop reading rather than as a bug: the rest of the
+/// output is dropped and the command carries on to its exit code.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {e}");
+        }
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+    }
+}
 
 const USAGE: &str = "\
 nonfifo — executable reproduction of Mansour & Schieber (PODC 1989)

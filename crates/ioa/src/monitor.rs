@@ -4,10 +4,22 @@
 //! the fact; this monitor checks PL1 and the identical-message form of
 //! DL1/DL2 *online*, without retaining the trace. PL1 needs the fate of
 //! every copy ever sent (a receipt after a delivery or a drop is a
-//! violation), so the monitor keeps one entry per sent copy: space is
-//! O(copies sent), not O(in transit). The entries live in flat per-direction
-//! tables ordered by copy id, which makes the common insert a `push`, a
-//! lookup a binary search, and copying a monitor a `memcpy`.
+//! violation), so by default the monitor keeps one entry per sent copy:
+//! space is O(copies sent), not O(in transit). The entries live in flat
+//! per-direction tables ordered by copy id, which makes the common insert a
+//! `push`, a lookup a binary search, and copying a monitor a `memcpy`.
+//!
+//! A monitor switched to [`live_copies_only`](SpecMonitor::live_copies_only)
+//! forgets a copy once it is delivered or dropped, so its tables hold
+//! exactly the copies in transit: space is O(in transit). Its verdict is the
+//! same — a receipt of any copy not in transit is still a PL1 violation,
+//! latched at the same event — but it no longer knows *why* the copy is
+//! missing, so it reports [`UnsentDelivery`](SpecViolation::UnsentDelivery)
+//! where the full monitor says
+//! [`DuplicateDelivery`](SpecViolation::DuplicateDelivery) or
+//! [`DeliveredAfterDrop`](SpecViolation::DeliveredAfterDrop). The state-space
+//! explorer's counts-only systems run this mode; every counterexample it
+//! reports is replayed on a fully logged system under the full monitor.
 
 use crate::event::Event;
 use crate::packet::{CopyId, Dir, Packet};
@@ -40,16 +52,23 @@ impl CopyTable {
         }
     }
 
-    fn get_mut(&mut self, copy: CopyId) -> Option<&mut CopyState> {
-        self.find(copy).ok().map(|i| &mut self.0[i].1)
-    }
-
     /// Records `state` for `copy`, replacing any earlier entry.
     fn set(&mut self, copy: CopyId, state: CopyState) {
         match self.find(copy) {
             Ok(i) => self.0[i].1 = state,
             Err(i) => self.0.insert(i, (copy, state)),
         }
+    }
+
+    /// Forgets `copy`, if present.
+    fn remove(&mut self, copy: CopyId) {
+        if let Ok(i) = self.find(copy) {
+            self.0.remove(i);
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.0.capacity() * std::mem::size_of::<(CopyId, CopyState)>()
     }
 }
 
@@ -78,6 +97,7 @@ pub struct SpecMonitor {
     convergence_mode: bool,
     overdeliveries: u64,
     last_overdelivery_index: Option<usize>,
+    live_copies_only: bool,
 }
 
 impl Clone for SpecMonitor {
@@ -92,6 +112,7 @@ impl Clone for SpecMonitor {
             convergence_mode: self.convergence_mode,
             overdeliveries: self.overdeliveries,
             last_overdelivery_index: self.last_overdelivery_index,
+            live_copies_only: self.live_copies_only,
         }
     }
 
@@ -109,6 +130,7 @@ impl Clone for SpecMonitor {
         self.convergence_mode = source.convergence_mode;
         self.overdeliveries = source.overdeliveries;
         self.last_overdelivery_index = source.last_overdelivery_index;
+        self.live_copies_only = source.live_copies_only;
     }
 }
 
@@ -138,6 +160,40 @@ impl SpecMonitor {
             convergence_mode: true,
             ..SpecMonitor::default()
         }
+    }
+
+    /// Switches to *live-copies* mode: a delivered or dropped copy's entry
+    /// is removed rather than kept, so the tables hold only the copies in
+    /// transit. Violations are latched at the same events as in full mode;
+    /// only the PL1 variant can differ, `UnsentDelivery` standing in for
+    /// `DuplicateDelivery` and `DeliveredAfterDrop`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any event has already been observed — forgetting copies
+    /// mid-run would leave settled entries behind.
+    pub fn live_copies_only(mut self) -> Self {
+        assert_eq!(
+            self.events_seen, 0,
+            "live_copies_only after events were observed"
+        );
+        self.live_copies_only = true;
+        self
+    }
+
+    /// Copies this monitor currently holds an entry for in direction `dir`:
+    /// every copy ever sent there in full mode, only the copies in transit
+    /// in [live-copies](Self::live_copies_only) mode.
+    pub fn tracked_copies(&self, dir: Dir) -> usize {
+        match dir {
+            Dir::Forward => self.copies_fwd.0.len(),
+            Dir::Backward => self.copies_bwd.0.len(),
+        }
+    }
+
+    /// Heap bytes reserved by the copy tables.
+    pub fn heap_bytes(&self) -> usize {
+        self.copies_fwd.heap_bytes() + self.copies_bwd.heap_bytes()
     }
 
     /// True if this monitor tracks rather than latches DL overdeliveries.
@@ -233,23 +289,33 @@ impl SpecMonitor {
                 Ok(())
             }
             Event::ReceivePkt { dir, packet, copy } => {
-                let Some(state) = self.copies(dir).get_mut(copy) else {
+                let live_only = self.live_copies_only;
+                let table = self.copies(dir);
+                let Ok(i) = table.find(copy) else {
                     return Err(SpecViolation::UnsentDelivery { dir, copy });
                 };
-                match *state {
+                match table.0[i].1 {
                     CopyState::Delivered => Err(SpecViolation::DuplicateDelivery { dir, copy }),
                     CopyState::Dropped => Err(SpecViolation::DeliveredAfterDrop { dir, copy }),
                     CopyState::Sent(sent) if sent != packet => {
                         Err(SpecViolation::CorruptedDelivery { dir, copy })
                     }
+                    CopyState::Sent(_) if live_only => {
+                        table.0.remove(i);
+                        Ok(())
+                    }
                     CopyState::Sent(_) => {
-                        *state = CopyState::Delivered;
+                        table.0[i].1 = CopyState::Delivered;
                         Ok(())
                     }
                 }
             }
             Event::DropPkt { dir, copy, .. } => {
-                self.copies(dir).set(copy, CopyState::Dropped);
+                if self.live_copies_only {
+                    self.copies(dir).remove(copy);
+                } else {
+                    self.copies(dir).set(copy, CopyState::Dropped);
+                }
                 Ok(())
             }
         }

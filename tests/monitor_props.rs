@@ -7,9 +7,13 @@
 //! latched and convergence-mode state at the end. The streams interleave
 //! ascending channel ids with chaos-range ids (the one out-of-order case)
 //! and mix in duplicate receipts, receipts after a drop, receipts of
-//! copies never sent and corrupted receipts. `clone_from` into warmed
-//! monitors is held to a fresh `clone`. Every case is addressable by seed;
-//! `PROPTEST_CASES` scales the case count.
+//! copies never sent, corrupted receipts, drops of copies never sent and
+//! re-sent ids. `clone_from` into warmed monitors is held to a fresh
+//! `clone`. A live-copies monitor (the explorer's counts-only mode, which
+//! forgets settled copies) is held to the full monitor event by event: the
+//! same verdicts latched at the same events, up to the two documented
+//! variant remaps. Every case is addressable by seed; `PROPTEST_CASES`
+//! scales the case count.
 
 use nonfifo::channel::CHAOS_COPY_BASE;
 use nonfifo::ioa::{CopyId, Dir, Event, Header, Message, Packet, SpecMonitor, SpecViolation};
@@ -114,10 +118,11 @@ fn pkt(h: u32) -> Packet {
 
 /// A seeded event stream over both directions. Copy ids come from a
 /// per-direction ascending counter, or (one send in five) from the chaos
-/// range, so the two interleave. Receipts and drops pick a sent copy at
-/// random, whatever its fate, which yields duplicate receipts and receipts
-/// after a drop; some receipts name a copy never sent or carry a corrupted
-/// packet.
+/// range, so the two interleave; one send in ten re-uses an id already
+/// sent. Receipts and drops pick a sent copy at random, whatever its fate,
+/// which yields duplicate receipts and receipts after a drop; some receipts
+/// name a copy never sent or carry a corrupted packet, and some drops name
+/// a copy never sent.
 fn random_stream(rng: &mut StdRng, len: usize) -> Vec<Event> {
     let mut next_inner = [0u64; 2];
     let mut next_chaos = [CHAOS_COPY_BASE; 2];
@@ -134,7 +139,9 @@ fn random_stream(rng: &mut StdRng, len: usize) -> Vec<Event> {
             }
             1 => Event::ReceiveMsg(Message::identical(msg)),
             2..=4 => {
-                let raw = if rng.gen_bool(0.2) {
+                let raw = if !sent[d].is_empty() && rng.gen_bool(0.1) {
+                    sent[d][rng.gen_range(0..sent[d].len())].0.raw()
+                } else if rng.gen_bool(0.2) {
                     next_chaos[d] += 1 + rng.gen_range(0..3) as u64;
                     next_chaos[d]
                 } else {
@@ -153,7 +160,11 @@ fn random_stream(rng: &mut StdRng, len: usize) -> Vec<Event> {
                 Event::ReceivePkt { dir, packet, copy }
             }
             8 if !sent[d].is_empty() => {
-                let (copy, packet) = sent[d][rng.gen_range(0..sent[d].len())];
+                let (copy, packet) = if rng.gen_bool(0.2) {
+                    (CopyId::from_raw(next_inner[d] + 1), pkt(0))
+                } else {
+                    sent[d][rng.gen_range(0..sent[d].len())]
+                };
                 Event::DropPkt { dir, packet, copy }
             }
             _ => {
@@ -284,5 +295,75 @@ fn clone_from_into_warmed_monitors_equals_a_fresh_clone() {
             assert_eq!(target.first_violation(), fresh.first_violation());
             assert_eq!(target.events_seen(), fresh.events_seen());
         }
+    });
+}
+
+/// The live-copies monitor cannot tell a copy already settled from one
+/// never sent; these are the only variants it may report differently.
+fn remap(v: SpecViolation) -> SpecViolation {
+    match v {
+        SpecViolation::DuplicateDelivery { dir, copy }
+        | SpecViolation::DeliveredAfterDrop { dir, copy } => {
+            SpecViolation::UnsentDelivery { dir, copy }
+        }
+        other => other,
+    }
+}
+
+#[test]
+fn live_copies_monitor_agrees_with_the_full_monitor() {
+    for_seeds(cases(), |seed, rng| {
+        let convergence = rng.gen_bool(0.5);
+        let (mut full, mut reference) = if convergence {
+            (
+                SpecMonitor::convergence(),
+                Reference {
+                    convergence_mode: true,
+                    ..Reference::default()
+                },
+            )
+        } else {
+            (SpecMonitor::new(), Reference::default())
+        };
+        let mut live = full.clone().live_copies_only();
+        let (mut full_latched, mut live_latched) = (None, None);
+        let len = 50 + rng.gen_range(0..400);
+        for (i, event) in random_stream(rng, len).iter().enumerate() {
+            let at = format!("seed {seed}, event {i}: {event:?}");
+            let (f, l) = (full.observe(event), live.observe(event));
+            let _ = reference.observe(event);
+            assert_eq!(f.map_err(remap), l, "{at}");
+            if full.first_violation().is_some() {
+                full_latched.get_or_insert(i);
+            }
+            if live.first_violation().is_some() {
+                live_latched.get_or_insert(i);
+            }
+            assert_eq!(full_latched, live_latched, "{at}");
+            assert_eq!(
+                full.first_violation().map(remap),
+                live.first_violation(),
+                "{at}"
+            );
+            assert_eq!(full.messages_sent(), live.messages_sent(), "{at}");
+            assert_eq!(full.messages_delivered(), live.messages_delivered(), "{at}");
+            assert_eq!(full.events_seen(), live.events_seen(), "{at}");
+            assert_eq!(full.overdeliveries(), live.overdeliveries(), "{at}");
+            assert_eq!(
+                full.last_overdelivery_index(),
+                live.last_overdelivery_index(),
+                "{at}"
+            );
+            // The live tables hold exactly the copies in transit.
+            for dir in [Dir::Forward, Dir::Backward] {
+                let in_transit = reference
+                    .copies
+                    .iter()
+                    .filter(|&(&(d, _), fate)| d == dir && matches!(fate, Fate::Sent(_)))
+                    .count();
+                assert_eq!(live.tracked_copies(dir), in_transit, "{at}, {dir:?}");
+            }
+        }
+        assert_eq!(live.is_convergence_mode(), convergence);
     });
 }
