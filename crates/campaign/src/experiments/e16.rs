@@ -160,7 +160,8 @@ pub fn e16_convergence_campaign_at(seeds: u64) -> E16Report {
                 match record.outcome {
                     RunOutcome::Delivered => row.converged += 1,
                     RunOutcome::Diverged | RunOutcome::Violation => row.diverged += 1,
-                    RunOutcome::Stalled => row.stalled += 1,
+                    // A panicked run reached no verdict, like a stall.
+                    RunOutcome::Stalled | RunOutcome::Panicked => row.stalled += 1,
                 }
             }
             row

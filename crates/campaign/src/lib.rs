@@ -27,13 +27,15 @@
 //!   campaigns, ported off their hand-rolled loops.
 //!
 //! Under the runner sits an explicit expand → execute → merge pipeline
-//! ([`PlanExpansion`], [`ShardSpec`], [`merge_reports`]) whose merge is
-//! keyed on expansion index + spec fingerprint, so *any* partition of a
-//! campaign, executed anywhere, reassembles byte-identically. That is
-//! what lets the same engine run as a long-lived HTTP daemon
-//! ([`CampaignService`], `nonfifo serve`) sharding plans across worker
-//! *processes* that speak the NDJSON wire protocol ([`WireMsg`]) over
-//! their pipes — see `docs/campaign_service.md`.
+//! ([`PlanExpansion`], [`CampaignRunner::execute`], [`merge_reports`])
+//! whose merge is keyed on expansion index + spec fingerprint, so *any*
+//! partition of a campaign reassembles byte-identically. The same engine
+//! runs as a long-lived HTTP daemon ([`CampaignService`], `nonfifo
+//! serve`) that executes each plan's cache misses on the runner's execute
+//! body and streams every finished run to its client in the NDJSON wire
+//! protocol ([`WireMsg`]) — see `docs/campaign_service.md`. A run that
+//! panics becomes a [`RunOutcome::Panicked`] record, in batch and served
+//! campaigns alike.
 //!
 //! # Example
 //!
@@ -69,7 +71,7 @@ mod wire;
 pub use cache::{CacheError, CachedRun, CampaignCache, RunMetrics, SharedCache};
 pub use plan::{CampaignPlan, CampaignPlanError, PLAN_SCHEMA_VERSION};
 pub use runner::{CampaignReport, CampaignRunner, RunOutcome, RunRecord};
-pub use service::{run_worker, CampaignService, ServiceConfig};
-pub use shard::{cost_weight, merge_reports, PlanExpansion, ShardRecord, ShardReport, ShardSpec};
+pub use service::{CampaignService, ServiceConfig};
+pub use shard::{merge_reports, PlanExpansion, ShardRecord, ShardReport};
 pub use spec::{RunSpec, ScenarioSpec};
 pub use wire::{WireError, WireMsg, WIRE_SCHEMA_VERSION};

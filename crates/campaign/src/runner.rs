@@ -17,21 +17,27 @@
 //! records are indistinguishable from fresh ones in every report artifact.
 //! A run's counters are named only where a snapshot is read: the
 //! aggregate, a cache insert, a wire line.
+//!
+//! A run that panics does not take its worker down: the panic is caught
+//! around that one run and recorded as [`RunOutcome::Panicked`], a failure
+//! that the cache never stores.
 
 use crate::cache::{CachedRun, CampaignCache, RunMetrics};
-use crate::shard::{merge_reports, PlanExpansion, ShardReport};
+use crate::shard::{merge_reports, PlanExpansion, ShardRecord, ShardReport};
 use crate::spec::RunSpec;
 use nonfifo_adversary::ChunkCursor;
 use nonfifo_channel::CorruptionSeverity;
 use nonfifo_core::experiments::table::{f3, markdown};
 use nonfifo_core::{
-    corrupted_simulation, drive_corrupted, NonFifoError, SeedVerdict, SimConfig, SimError,
-    Simulation, StabilizeConfig,
+    corrupted_simulation, drive_corrupted, NonFifoError, RunCounters, SeedVerdict, SimConfig,
+    SimError, Simulation, StabilizeConfig,
 };
 use nonfifo_ioa::Dir;
 use nonfifo_protocols::{catalog, DataLink};
 use nonfifo_telemetry::MetricsSnapshot;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
 /// How one campaign run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +51,10 @@ pub enum RunOutcome {
     /// A corrupted-start run never acquired a legal suffix: the scramble's
     /// damage persisted past the convergence bound.
     Diverged,
+    /// The run panicked: a defect in the engine or a protocol, not a
+    /// verdict. It counts as a failure and is never cached, so the next
+    /// campaign runs it again.
+    Panicked,
 }
 
 impl RunOutcome {
@@ -55,6 +65,7 @@ impl RunOutcome {
             RunOutcome::Stalled => "stalled",
             RunOutcome::Violation => "violation",
             RunOutcome::Diverged => "diverged",
+            RunOutcome::Panicked => "panicked",
         }
     }
 
@@ -65,6 +76,7 @@ impl RunOutcome {
             "stalled" => Some(RunOutcome::Stalled),
             "violation" => Some(RunOutcome::Violation),
             "diverged" => Some(RunOutcome::Diverged),
+            "panicked" => Some(RunOutcome::Panicked),
             _ => None,
         }
     }
@@ -184,45 +196,84 @@ impl CampaignRunner {
     ///
     /// Panics if an index is out of range for `expansion`.
     pub fn execute(&self, expansion: &PlanExpansion, indices: &[usize]) -> ShardReport {
+        self.execute_streaming(expansion, indices, &|_| {}).0
+    }
+
+    /// The one execute body behind [`execute`](CampaignRunner::execute)
+    /// and the campaign service. Workers claim runs from a shared
+    /// [`ChunkCursor`] and call `on_record` on each finished record, on
+    /// the worker's thread, before keeping it; the service streams it to
+    /// its client there. Also returns each worker's busy time, from its
+    /// start to its last finished run.
+    pub(crate) fn execute_streaming(
+        &self,
+        expansion: &PlanExpansion,
+        indices: &[usize],
+        on_record: &(dyn Fn(&mut ShardRecord) + Sync),
+    ) -> (ShardReport, Vec<Duration>) {
         let runs = expansion.runs();
         let workers = self.threads.min(indices.len()).max(1);
-        let mut fresh: Vec<(usize, RunRecord)> = if indices.is_empty() {
-            Vec::new()
-        } else if workers == 1 {
-            indices
-                .iter()
-                .map(|&i| (i, execute_one(&runs[i])))
-                .collect()
+        let cursor = ChunkCursor::new(indices.len(), 1);
+        let work = || {
+            let started = Instant::now();
+            let mut mine = Vec::new();
+            while let Some(range) = cursor.claim() {
+                for slot in range {
+                    let index = indices[slot];
+                    let mut record = ShardRecord {
+                        index,
+                        spec_fingerprint: runs[index].fingerprint(),
+                        run: execute_caught(&runs[index]),
+                    };
+                    on_record(&mut record);
+                    mine.push(record);
+                }
+            }
+            (mine, started.elapsed())
+        };
+        let parts: Vec<(Vec<ShardRecord>, Duration)> = if workers == 1 {
+            vec![work()]
         } else {
-            let cursor = ChunkCursor::new(indices.len(), 1);
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut mine = Vec::new();
-                            while let Some(range) = cursor.claim() {
-                                for slot in range {
-                                    let i = indices[slot];
-                                    mine.push((i, execute_one(&runs[i])));
-                                }
-                            }
-                            mine
-                        })
-                    })
-                    .collect();
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
                 handles
                     .into_iter()
-                    .flat_map(|h| h.join().expect("campaign worker panicked"))
+                    .map(|h| h.join().expect("campaign worker panicked"))
                     .collect()
             })
         };
-        fresh.sort_unstable_by_key(|(i, _)| *i);
-        ShardReport::from_records(0, fresh)
+        let (parts, busy): (Vec<Vec<ShardRecord>>, Vec<Duration>) = parts.into_iter().unzip();
+        let mut records: Vec<ShardRecord> = parts.into_iter().flatten().collect();
+        records.sort_unstable_by_key(|r| r.index);
+        (ShardReport { shard: 0, records }, busy)
     }
 }
 
+/// A spec whose run panics, in this crate's unit tests only: the seam
+/// that pins how a panicking run is recorded, served and never cached.
+#[cfg(test)]
+pub(crate) const PANIC_SEED: u64 = 0xdead_beef;
+
+/// Executes one spec, turning a panic into a [`RunOutcome::Panicked`]
+/// record with zero counts: the run is recorded, and the worker and the
+/// campaign go on.
+fn execute_caught(spec: &RunSpec) -> CachedRun {
+    catch_unwind(AssertUnwindSafe(|| execute_one(spec))).unwrap_or_else(|_| CachedRun {
+        outcome: RunOutcome::Panicked,
+        fingerprint: 0,
+        steps: 0,
+        fwd_sends: 0,
+        delivered: 0,
+        metrics: RunCounters::new().into(),
+    })
+}
+
 /// Executes one validated spec on the calling thread.
-pub(crate) fn execute_one(spec: &RunSpec) -> RunRecord {
+fn execute_one(spec: &RunSpec) -> CachedRun {
+    #[cfg(test)]
+    if spec.seed == PANIC_SEED {
+        panic!("seed {PANIC_SEED:#x} panics by design");
+    }
     let proto = catalog::by_name(&spec.protocol).expect("specs are validated before dispatch");
     if let Some(severity) = spec.corruption {
         return execute_corrupted(spec, proto, severity);
@@ -265,15 +316,13 @@ pub(crate) fn execute_one(spec: &RunSpec) -> RunRecord {
             counters.messages_received(),
         ),
     };
-    RunRecord {
-        spec: spec.clone(),
+    CachedRun {
         outcome,
         fingerprint,
         steps,
         fwd_sends,
         delivered,
         metrics: counters.into(),
-        cached: false,
     }
 }
 
@@ -288,7 +337,7 @@ fn execute_corrupted(
     spec: &RunSpec,
     proto: Box<dyn DataLink>,
     severity: CorruptionSeverity,
-) -> RunRecord {
+) -> CachedRun {
     let stab_cfg = StabilizeConfig {
         severity,
         discipline: spec.discipline.clone(),
@@ -308,8 +357,7 @@ fn execute_corrupted(
         .filter(|m| sim.delivered_payloads().contains(m))
         .count() as u64;
     let counters = sim.counters().expect("events are counted").clone();
-    RunRecord {
-        spec: spec.clone(),
+    CachedRun {
         outcome: match outcome.verdict {
             SeedVerdict::Converged { .. } => RunOutcome::Delivered,
             SeedVerdict::Diverged { .. } => RunOutcome::Diverged,
@@ -320,20 +368,6 @@ fn execute_corrupted(
         fwd_sends: counters.sends(Dir::Forward),
         delivered,
         metrics: counters.into(),
-        cached: false,
-    }
-}
-
-impl From<RunRecord> for CachedRun {
-    fn from(r: RunRecord) -> Self {
-        CachedRun {
-            outcome: r.outcome,
-            fingerprint: r.fingerprint,
-            steps: r.steps,
-            fwd_sends: r.fwd_sends,
-            delivered: r.delivered,
-            metrics: r.metrics,
-        }
     }
 }
 
@@ -397,6 +431,8 @@ impl CampaignReport {
     /// Merges every run's metrics snapshot, in input order, into one
     /// campaign-wide aggregate, plus the `campaign.runs_total`,
     /// `campaign.cache_hits`, and per-outcome `campaign.runs.*` counters.
+    /// `campaign.runs.panicked` appears only when a run panicked, so the
+    /// aggregate of a campaign where none did keeps its bytes.
     /// Deterministic: the merge order is the input-spec order, not the
     /// completion order.
     pub fn aggregate_metrics(&self) -> MetricsSnapshot {
@@ -410,10 +446,13 @@ impl CampaignReport {
             RunOutcome::Stalled,
             RunOutcome::Violation,
             RunOutcome::Diverged,
+            RunOutcome::Panicked,
         ] {
             let count = self.count(outcome) as u64;
-            agg.counters
-                .insert(format!("campaign.runs.{outcome}"), count);
+            if count > 0 || outcome != RunOutcome::Panicked {
+                agg.counters
+                    .insert(format!("campaign.runs.{outcome}"), count);
+            }
         }
         agg
     }
@@ -424,17 +463,22 @@ impl CampaignReport {
     }
 
     /// The campaign-level error for the exit-code contract, if any run
-    /// failed: violations dominate stalls. A corrupted-start run that
-    /// diverged counts as a violation — failing to recover is a spec
-    /// failure, not a liveness one.
+    /// failed: violations dominate stalls and panics. A corrupted-start
+    /// run that diverged counts as a violation — failing to recover is a
+    /// spec failure, not a liveness one.
     pub fn worst(&self) -> Option<NonFifoError> {
         let violations =
             (self.count(RunOutcome::Violation) + self.count(RunOutcome::Diverged)) as u64;
         let stalls = self.count(RunOutcome::Stalled) as u64;
-        if violations == 0 && stalls == 0 {
+        let panicked = self.count(RunOutcome::Panicked) as u64;
+        if violations == 0 && stalls == 0 && panicked == 0 {
             None
         } else {
-            Some(NonFifoError::CampaignFailed { violations, stalls })
+            Some(NonFifoError::CampaignFailed {
+                violations,
+                stalls,
+                panicked,
+            })
         }
     }
 }
@@ -507,7 +551,9 @@ mod tests {
         let failed = report.count(RunOutcome::Violation) + report.count(RunOutcome::Stalled);
         assert!(failed > 0, "expected at least one failing seed");
         match report.worst() {
-            Some(NonFifoError::CampaignFailed { violations, stalls }) => {
+            Some(NonFifoError::CampaignFailed {
+                violations, stalls, ..
+            }) => {
                 assert_eq!(violations + stalls, failed as u64);
             }
             other => panic!("expected CampaignFailed, got {other:?}"),
@@ -538,7 +584,9 @@ mod tests {
         let failed = report.count(RunOutcome::Diverged) + report.count(RunOutcome::Stalled);
         assert!(failed > 0, "cycle3 must not survive corrupted starts");
         match report.worst() {
-            Some(NonFifoError::CampaignFailed { violations, stalls }) => {
+            Some(NonFifoError::CampaignFailed {
+                violations, stalls, ..
+            }) => {
                 assert_eq!(
                     violations + stalls,
                     failed as u64,
@@ -600,5 +648,49 @@ mod tests {
         );
         // Per-run channel counters accumulated across the whole matrix.
         assert!(agg.counters["chan.fwd.sends"] > 0);
+        assert!(
+            !agg.counters.contains_key("campaign.runs.panicked"),
+            "named only when a run panicked"
+        );
+    }
+
+    /// A run that panics is a recorded `panicked` failure at any thread
+    /// count: the other runs are untouched, the campaign fails, and the
+    /// cache never stores the run, so a warm campaign runs it again.
+    #[test]
+    fn a_panicking_run_is_a_recorded_failure_that_is_never_cached() {
+        let clean = CampaignRunner::new(1).run(&matrix()).unwrap();
+        let mut runs = matrix();
+        runs[5].seed = PANIC_SEED;
+        for threads in [1, 2] {
+            let mut cache = CampaignCache::new();
+            let cold = CampaignRunner::new(threads)
+                .run_with_cache(&runs, &mut cache)
+                .unwrap();
+            assert_eq!(cold.records[5].outcome, RunOutcome::Panicked);
+            for (i, (got, want)) in cold.records.iter().zip(&clean.records).enumerate() {
+                assert!(i == 5 || got == want, "{threads} threads: run {i} changed");
+            }
+            match cold.worst() {
+                Some(NonFifoError::CampaignFailed { panicked: 1, .. }) => {}
+                other => panic!("expected one panicked run, got {other:?}"),
+            }
+            assert_eq!(
+                cold.aggregate_metrics().counters["campaign.runs.panicked"],
+                1
+            );
+            assert_eq!(
+                cache.len(),
+                runs.len() - 1,
+                "the panicked run is not cached"
+            );
+
+            let warm = CampaignRunner::new(threads)
+                .run_with_cache(&runs, &mut cache)
+                .unwrap();
+            assert_eq!(warm.cache_hits, runs.len() - 1);
+            assert!(!warm.records[5].cached, "the panicked run executes again");
+            assert_eq!(warm.render(), cold.render());
+        }
     }
 }

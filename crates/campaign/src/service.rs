@@ -1,5 +1,5 @@
 //! The campaign service: a long-running daemon that accepts plan
-//! documents, shards each plan's expansion across worker *processes*, and
+//! documents, runs each plan's cache misses on its own threads, and
 //! streams results as they land — the `nonfifo serve` back end.
 //!
 //! ## Architecture
@@ -7,15 +7,13 @@
 //! The daemon is a thread-per-connection HTTP/1.1 server hand-rolled on
 //! [`std::net`] (this workspace links no external crates). A submitted
 //! campaign drives the same three public stages as the batch CLI:
-//! [`PlanExpansion`] expands and validates the plan, each
-//! [`ShardSpec`] executes its round-robin slice — in a spawned
-//! `nonfifo worker` process fed one [`WireMsg::Shard`] line on stdin and
-//! answering one [`WireMsg::Run`] line per completed run on stdout — and
+//! [`PlanExpansion`] expands and validates the plan, the cache misses run
+//! on [`CampaignRunner`]'s work-stealing execute body — the one batch
+//! uses — which streams one [`WireMsg::Run`] line per finished run, and
 //! [`merge_reports`] reassembles the records fingerprint-keyed in input
-//! order. Workers that die mid-shard leave detectable gaps
-//! ([`ShardReport::missing_from`]), which the daemon re-executes
-//! in-process before merging, so a killed worker costs wall-clock time
-//! but never changes a byte of the final report.
+//! order. A run that panics is caught around that run and recorded as
+//! `panicked`, so the stream still ends in its report and the daemon
+//! keeps serving.
 //!
 //! ## Determinism
 //!
@@ -28,22 +26,21 @@
 //!
 //! ## Shared cache
 //!
-//! One [`SharedCache`] (an `RwLock`ed [`CampaignCache`]) serves every
-//! connection: concurrent campaigns replay hits under the read lock, and
-//! each campaign's fresh records land, and are appended to the cache
-//! file, under one write-lock acquisition. A warm replay differs from the
-//! cold run only in the `campaign.cache_hits` counter.
+//! One [`SharedCache`] (an `RwLock`ed [`CampaignCache`](crate::CampaignCache))
+//! serves every connection: concurrent campaigns replay hits under the
+//! read lock, and each campaign's fresh records land, and are appended to
+//! the cache file, under one write-lock acquisition. A warm replay differs
+//! from the cold run only in the `campaign.cache_hits` counter.
 
 use crate::cache::{RunMetrics, SharedCache};
 use crate::plan::CampaignPlan;
-use crate::runner::RunRecord;
-use crate::shard::{merge_reports, PlanExpansion, ShardRecord, ShardReport, ShardSpec};
+use crate::runner::{CampaignRunner, RunRecord};
+use crate::shard::{merge_reports, PlanExpansion, ShardRecord};
 use crate::wire::WireMsg;
 use nonfifo_core::NonFifoError;
 use nonfifo_telemetry::Registry;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -55,23 +52,17 @@ use std::time::{Duration, Instant};
 const MAX_BODY_BYTES: usize = 16 << 20;
 
 /// The most workers one `submit` may request: 64, well above any core
-/// count the daemon runs on. A campaign spawns one worker process per
-/// shard and shards are bounded only by the plan's cache misses, so
-/// without a cap one request could make the daemon spawn a process per
-/// run.
+/// count the daemon runs on. A campaign spawns one thread per worker,
+/// bounded only by the plan's cache misses, so without a cap one request
+/// could make the daemon spawn a thread per run.
 const MAX_WORKERS: u64 = 64;
 
 /// How a [`CampaignService`] runs campaigns.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceConfig {
-    /// Default worker count for submissions that don't request one
-    /// (`Submit { workers: 0 }`); `0` means one per available core.
+    /// Default worker-thread count for submissions that don't request
+    /// one (`Submit { workers: 0 }`); `0` means one per available core.
     pub workers: usize,
-    /// Command line (program plus arguments) spawned per shard, fed a
-    /// `Shard` line on stdin and read for `Run` lines on stdout. Empty
-    /// means execute shards on in-process threads instead — same staging,
-    /// no processes; used by tests and by `--in-process` deployments.
-    pub worker_command: Vec<String>,
     /// Cache file shared by every campaign; loaded at startup (missing
     /// file = empty cache), and each campaign appends its fresh runs to
     /// it before returning its report.
@@ -81,7 +72,7 @@ pub struct ServiceConfig {
 type Sink<'a> = Mutex<&'a mut (dyn FnMut(&WireMsg) + Send)>;
 
 fn emit(sink: &Sink<'_>, msg: &WireMsg) {
-    (*sink.lock().expect("delta sink poisoned"))(msg);
+    (*sink.lock().expect("stream sink poisoned"))(msg);
 }
 
 /// The long-running campaign daemon: shared cache, service telemetry, and
@@ -136,26 +127,15 @@ impl CampaignService {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    fn effective_workers(&self, requested: usize) -> usize {
-        let configured = if requested > 0 {
-            requested
-        } else {
-            self.cfg.workers
-        };
-        if configured > 0 {
-            configured
-        } else {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        }
-    }
-
-    /// Runs one submitted campaign: expand, shard across workers, merge.
-    /// Streams a [`WireMsg::Run`] per completed run (as it lands, any
-    /// order) and a [`WireMsg::Metrics`] delta per finished shard to
-    /// `sink`, then returns the final [`WireMsg::Report`] — byte-identical
-    /// to batch output for the same plan. Fresh results are published to
-    /// the shared cache (and appended to the cache file, if configured)
-    /// before the report is returned.
+    /// Runs one submitted campaign: expand, execute the cache misses on
+    /// `requested_workers` threads (`0` = the configured default), merge.
+    /// Streams a [`WireMsg::Run`] per executed run (as it lands, any
+    /// order) and then one [`WireMsg::Metrics`] delta of the executed runs
+    /// to `sink`, and returns the final [`WireMsg::Report`] —
+    /// byte-identical to batch output for the same plan. Fresh results
+    /// are published to the shared cache (and appended to the cache file,
+    /// if configured) before the report is returned; panicked runs are
+    /// not.
     ///
     /// # Errors
     ///
@@ -180,80 +160,37 @@ impl CampaignService {
             }
         }
 
-        let workers = self.effective_workers(requested_workers);
-        // Weight-balanced sharding: a plan mixing an exponential-cost cell
-        // (outnumber/afek at high traffic) with cheap seeds would leave
-        // round-robin workers idle behind one hot shard. Placement never
-        // reaches the report — the merge is fingerprint-keyed and
-        // index-addressed — so any partition is byte-identical.
-        let shards = expansion.shards_weighted(&misses, workers);
+        let runner = CampaignRunner::new(if requested_workers > 0 {
+            requested_workers
+        } else {
+            self.cfg.workers
+        });
         self.registry
             .gauge("service.active_workers")
-            .set(shards.len() as u64);
+            .set(runner.threads().min(misses.len()) as u64);
+        let sink: Sink<'_> = Mutex::new(sink);
+        let (part, busy) =
+            runner.execute_streaming(&expansion, &misses, &|record: &mut ShardRecord| {
+                // A streamed run is a wire line, so its counters are named
+                // once, here; the metrics delta and the cache reuse the names.
+                record.run.metrics =
+                    RunMetrics::Snapshot(record.run.metrics.snapshot().into_owned());
+                emit(&sink, &WireMsg::run_delta(record));
+            });
         self.registry
             .gauge("service.shard_imbalance")
-            .set(expansion.shard_imbalance_pct(&shards));
-
-        let sink: Sink<'_> = Mutex::new(sink);
-        let raw_parts: Vec<(ShardSpec, Vec<ShardRecord>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|shard| {
-                    let expansion = &expansion;
-                    let sink = &sink;
-                    scope.spawn(move || {
-                        let records = if self.cfg.worker_command.is_empty() {
-                            shard
-                                .execute(expansion, |r| emit(sink, &WireMsg::run_delta(r)))
-                                .records
-                        } else {
-                            self.drive_worker(plan_text, shard, sink)
-                        };
-                        (shard.clone(), records)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard driver panicked"))
-                .collect()
-        });
-
-        // Fill any gaps a dead or drifting worker left, then emit each
-        // shard's metrics delta (per-run snapshots merged in index order).
-        let mut parts = Vec::with_capacity(raw_parts.len());
-        let mut retried = 0usize;
-        for (shard, records) in raw_parts {
-            let mut part = ShardReport {
-                shard: shard.shard,
-                records,
-            };
-            let missing = part.missing_from(&shard.indices);
-            if !missing.is_empty() {
-                retried += missing.len();
-                let refill = ShardSpec {
-                    shard: shard.shard,
-                    of: shard.of,
-                    indices: missing,
-                }
-                .execute(&expansion, |r| emit(&sink, &WireMsg::run_delta(r)));
-                part.records.extend(refill.records);
-                part.records.sort_unstable_by_key(|r| r.index);
-            }
-            let delta = RunMetrics::aggregate(part.records.iter().map(|r| &r.run.metrics));
-            emit(
-                &sink,
-                &WireMsg::Metrics {
-                    shard: shard.shard as u64,
-                    snapshot: delta,
-                },
-            );
-            parts.push(part);
-        }
+            .set(imbalance_pct(&busy));
+        emit(
+            &sink,
+            &WireMsg::Metrics {
+                shard: 0,
+                snapshot: RunMetrics::aggregate(part.records.iter().map(|r| &r.run.metrics)),
+            },
+        );
 
         let cache_hits = cached.len();
         let fresh = expansion.len() - cache_hits;
-        let report = merge_reports(&expansion, cached, parts)?;
+        let report = merge_reports(&expansion, cached, vec![part])?;
         self.cache.insert_all(
             report
                 .records
@@ -270,9 +207,6 @@ impl CampaignService {
         self.registry
             .counter("service.cache_hits")
             .add(cache_hits as u64);
-        self.registry
-            .counter("service.retried_runs")
-            .add(retried as u64);
         let secs = started.elapsed().as_secs_f64();
         if fresh > 0 && secs > 0.0 {
             self.registry
@@ -285,52 +219,6 @@ impl CampaignService {
             cache_hits: cache_hits as u64,
             aggregate: report.aggregate_metrics(),
         })
-    }
-
-    /// Spawns one worker process, hands it its shard, and collects the
-    /// `Run` lines it streams back (forwarding each to `sink`). Every
-    /// failure mode — spawn error, worker death, garbage on the pipe —
-    /// degrades to returned records stopping early; the caller detects
-    /// the gap and re-executes the missing runs in-process.
-    fn drive_worker(&self, plan: &str, shard: &ShardSpec, sink: &Sink<'_>) -> Vec<ShardRecord> {
-        let cmd = &self.cfg.worker_command;
-        let mut child: Child = match Command::new(&cmd[0])
-            .args(&cmd[1..])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-        {
-            Ok(child) => child,
-            Err(_) => return Vec::new(),
-        };
-        if let Some(mut stdin) = child.stdin.take() {
-            // Dropping stdin closes the pipe: the worker sees exactly one
-            // assignment line then EOF.
-            let _ = stdin.write_all(WireMsg::shard_assignment(plan, shard).to_line().as_bytes());
-        }
-        let mut records = Vec::new();
-        if let Some(stdout) = child.stdout.take() {
-            for line in BufReader::new(stdout).lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let Ok(msg) = WireMsg::parse_line(&line) else {
-                    break;
-                };
-                if let Some(record) = msg.clone().into_shard_record() {
-                    emit(sink, &msg);
-                    records.push(record);
-                } else {
-                    // An Error (or any non-Run) line means the worker gave
-                    // up on the rest of its shard.
-                    break;
-                }
-            }
-        }
-        let _ = child.wait();
-        records
     }
 
     /// Serves HTTP on `listener` until [`request_shutdown`](Self::request_shutdown) (or a
@@ -527,91 +415,23 @@ fn respond(writer: &mut BufWriter<TcpStream>, status: &str, content_type: &str, 
     let _ = writer.flush();
 }
 
-/// The `nonfifo worker` loop: reads one [`WireMsg::Shard`] assignment from
-/// `input`, re-expands the plan locally, executes the assigned indices in
-/// order, and writes one flushed [`WireMsg::Run`] line per completed run
-/// to `output` — so a parent reading the pipe sees results the moment
-/// they land, and a worker killed mid-shard leaves a clean line boundary.
-///
-/// `die_after: Some(n)` makes the process exit with a failure status
-/// after emitting `n` records — the deterministic crash hook the
-/// worker-killed-mid-shard tests use.
-///
-/// # Errors
-///
-/// Fails (after writing a [`WireMsg::Error`] line, so the parent sees why)
-/// on a missing or malformed assignment, an unparsable plan, or
-/// out-of-range indices.
-pub fn run_worker(
-    input: &mut dyn BufRead,
-    output: &mut dyn Write,
-    die_after: Option<u64>,
-) -> Result<(), NonFifoError> {
-    let fail = |output: &mut dyn Write, message: String| -> NonFifoError {
-        let _ = output.write_all(
-            WireMsg::Error {
-                message: message.clone(),
-            }
-            .to_line()
-            .as_bytes(),
-        );
-        let _ = output.flush();
-        NonFifoError::Usage(format!("worker: {message}"))
-    };
-
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match input.read_line(&mut line) {
-            Ok(0) => return Err(fail(output, "no shard assignment on stdin".to_string())),
-            Ok(_) if line.trim().is_empty() => continue,
-            Ok(_) => break,
-            Err(e) => return Err(fail(output, format!("stdin: {e}"))),
-        }
+/// The busiest worker's busy time over the mean busy time, ×100: 100 is
+/// a perfect balance, and 200 means the slowest worker ran twice the
+/// average. The `service.shard_imbalance` gauge reports it.
+fn imbalance_pct(busy: &[Duration]) -> u64 {
+    let total: f64 = busy.iter().map(Duration::as_secs_f64).sum();
+    let max = busy.iter().map(Duration::as_secs_f64).fold(0.0, f64::max);
+    if total == 0.0 {
+        return 100;
     }
-    let msg = WireMsg::parse_line(&line).map_err(|e| fail(output, e.to_string()))?;
-    let WireMsg::Shard {
-        plan,
-        shard,
-        of,
-        indices,
-    } = msg
-    else {
-        return Err(fail(output, "expected a shard assignment".to_string()));
-    };
-    let plan = CampaignPlan::parse(&plan).map_err(|e| fail(output, e.to_string()))?;
-    let expansion = PlanExpansion::of_plan(&plan).map_err(|e| fail(output, e.to_string()))?;
-    let indices: Vec<usize> = indices.iter().map(|&i| i as usize).collect();
-    if let Some(&bad) = indices.iter().find(|&&i| i >= expansion.len()) {
-        return Err(fail(
-            output,
-            format!("index {bad} out of range for {} runs", expansion.len()),
-        ));
-    }
-    let spec = ShardSpec {
-        shard: shard as usize,
-        of: of as usize,
-        indices,
-    };
-    let mut emitted = 0u64;
-    spec.execute(&expansion, |record| {
-        output
-            .write_all(WireMsg::run_delta(record).to_line().as_bytes())
-            .expect("worker stdout closed");
-        output.flush().expect("worker stdout closed");
-        emitted += 1;
-        if die_after == Some(emitted) {
-            std::process::exit(9);
-        }
-    });
-    Ok(())
+    (max * busy.len() as f64 / total * 100.0).round() as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::CampaignCache;
-    use crate::runner::CampaignRunner;
+    use crate::runner::{RunOutcome, PANIC_SEED};
     use nonfifo_telemetry::{MetricsSnapshot, SCHEMA_VERSION};
 
     const PLAN: &str = "\
@@ -651,11 +471,7 @@ seeds 0..3
                 .iter()
                 .filter(|m| matches!(m, WireMsg::Metrics { .. }))
                 .count();
-            assert_eq!(
-                metrics,
-                workers.min(12),
-                "{workers} workers: one delta per shard"
-            );
+            assert_eq!(metrics, 1, "{workers} workers: one delta per campaign");
             match report {
                 WireMsg::Report {
                     render: r,
@@ -709,11 +525,14 @@ seeds 0..3
             schema_version: SCHEMA_VERSION,
             ..MetricsSnapshot::default()
         };
+        let mut count = 0;
         for delta in &deltas {
             if let WireMsg::Metrics { snapshot, .. } = delta {
                 merged.merge_from(snapshot);
+                count += 1;
             }
         }
+        assert_eq!(count, 1, "one delta per campaign");
         let WireMsg::Report { aggregate, .. } = report else {
             panic!("expected report");
         };
@@ -731,10 +550,13 @@ seeds 0..3
         let snap = service.registry().snapshot();
         assert_eq!(snap.counters["service.campaigns_total"], 1);
         assert_eq!(snap.counters["service.runs_total"], 12);
-        assert_eq!(snap.counters["service.retried_runs"], 0);
         let gauge = &snap.gauges["service.active_workers"];
         assert_eq!(gauge.value, 0, "idle after the campaign");
-        assert_eq!(gauge.high_water, 4, "peak = shard count");
+        assert_eq!(gauge.high_water, 4, "peak = threads used");
+        assert!(
+            snap.gauges["service.shard_imbalance"].value >= 100,
+            "the busiest worker is at least the mean"
+        );
         assert!(snap.values["campaign.runs_per_sec"] > 0.0);
     }
 
@@ -827,39 +649,112 @@ seeds 0..3
     }
 
     #[test]
-    fn worker_loop_round_trips_a_shard_over_buffers() {
-        let plan = CampaignPlan::parse(PLAN).unwrap();
-        let expansion = PlanExpansion::of_plan(&plan).unwrap();
-        let shard = &expansion.shard_all(3)[1];
-        let assignment = WireMsg::shard_assignment(PLAN, shard).to_line();
-        let mut output = Vec::new();
-        run_worker(&mut assignment.as_bytes(), &mut output, None).unwrap();
-        let records: Vec<ShardRecord> = String::from_utf8(output)
-            .unwrap()
-            .lines()
-            .map(|l| WireMsg::parse_line(l).unwrap().into_shard_record().unwrap())
-            .collect();
-        assert_eq!(records, shard.execute(&expansion, |_| {}).records);
+    fn imbalance_is_the_busiest_worker_over_the_mean() {
+        let ms = Duration::from_millis;
+        assert_eq!(imbalance_pct(&[ms(7)]), 100, "one worker is balanced");
+        assert_eq!(imbalance_pct(&[ms(5), ms(5)]), 100);
+        assert_eq!(imbalance_pct(&[ms(30), ms(10)]), 150);
+        assert_eq!(imbalance_pct(&[ms(4), ms(0), ms(0), ms(0)]), 400);
+        assert_eq!(imbalance_pct(&[ms(0), ms(0)]), 100, "no work is balanced");
     }
 
+    /// One HTTP/1.1 exchange with the daemon at `addr`; returns the body.
+    fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write!(
+            stream,
+            "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        let (_, body) = response.split_once("\r\n\r\n").expect("a header block");
+        body.to_string()
+    }
+
+    /// A run that panics, served over a real socket: the stream ends in
+    /// its report, which shows the run as `panicked`; the daemon keeps
+    /// serving; and the run is never cached, so a warm replay runs it
+    /// again and the cache file has no line for it.
     #[test]
-    fn worker_loop_rejects_bad_assignments_with_an_error_line() {
-        for (input, needle) in [
-            ("", "no shard assignment"),
-            ("not json\n", "wire:"),
-            (
-                "{\"v\":1,\"type\":\"submit\",\"plan\":\"x\",\"workers\":1}\n",
-                "expected a shard assignment",
-            ),
-        ] {
-            let mut output = Vec::new();
-            let err = run_worker(&mut input.as_bytes(), &mut output, None).unwrap_err();
-            assert!(err.to_string().contains(needle), "{input:?}: {err}");
-            let line = String::from_utf8(output).unwrap();
-            assert!(
-                matches!(WireMsg::parse_line(&line).unwrap(), WireMsg::Error { .. }),
-                "{input:?}: parent-visible error line"
+    fn a_panicking_run_is_served_as_a_failure_and_never_cached() {
+        let path = std::env::temp_dir()
+            .join(format!(
+                "nonfifo-service-panic-{}.ndjson",
+                std::process::id()
+            ))
+            .to_string_lossy()
+            .into_owned();
+        std::fs::remove_file(&path).ok();
+        let service = CampaignService::new(ServiceConfig {
+            workers: 2,
+            cache_path: Some(path.clone()),
+        })
+        .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let daemon = {
+            let service = service.clone();
+            std::thread::spawn(move || service.serve(listener))
+        };
+        let plan =
+            format!("{PLAN}\nscenario boom\nprotocols abp\ndisciplines fifo\nmessages 6\nseeds {PANIC_SEED}\n");
+        let panicking = CampaignPlan::parse(&plan).unwrap().expand().pop().unwrap();
+        assert_eq!(panicking.seed, PANIC_SEED);
+
+        // Cold, all 13 runs execute; warm, only the panicked one does.
+        for executed in [13, 1] {
+            let body = http(addr, "POST", "/campaign", &plan);
+            let msgs: Vec<WireMsg> = body
+                .lines()
+                .map(|l| WireMsg::parse_line(l).unwrap())
+                .collect();
+            let outcomes: Vec<RunOutcome> = msgs
+                .iter()
+                .filter_map(|m| match m {
+                    WireMsg::Run { run, .. } => Some(run.outcome),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(outcomes.len(), executed, "{body}");
+            assert_eq!(
+                outcomes
+                    .iter()
+                    .filter(|&&o| o == RunOutcome::Panicked)
+                    .count(),
+                1
             );
+            let Some(WireMsg::Report {
+                render,
+                cache_hits,
+                aggregate,
+            }) = msgs.last()
+            else {
+                panic!("the stream ends in its report: {body}");
+            };
+            assert_eq!(*cache_hits as usize, 13 - executed);
+            assert_eq!(render.lines().filter(|l| l.contains("panicked")).count(), 1);
+            assert_eq!(aggregate.counters["campaign.runs.panicked"], 1);
+        }
+        assert_eq!(http(addr, "GET", "/healthz", ""), "ok\n", "still serving");
+        http(addr, "POST", "/shutdown", "");
+        daemon.join().unwrap().unwrap();
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(text.lines().count(), 12, "every run but the panicked one");
+        for line in text.lines() {
+            let WireMsg::Run {
+                spec_fingerprint,
+                run,
+                ..
+            } = WireMsg::parse_line(line).unwrap()
+            else {
+                panic!("a cache line that is not a run: {line}");
+            };
+            assert_ne!(spec_fingerprint, panicking.fingerprint());
+            assert_ne!(run.outcome, RunOutcome::Panicked);
         }
     }
 }

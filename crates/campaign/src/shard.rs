@@ -1,23 +1,21 @@
-//! The campaign pipeline as three explicit, separately drivable stages:
-//! **expand** ([`PlanExpansion`]) → **execute** ([`ShardSpec::execute`]) →
+//! The campaign pipeline as three explicit stages: **expand**
+//! ([`PlanExpansion`]) → **execute**
+//! ([`CampaignRunner::execute`](crate::CampaignRunner::execute)) →
 //! **merge** ([`merge_reports`]).
 //!
-//! The batch runner, the `nonfifo serve` daemon, and the `nonfifo worker`
-//! subprocess all drive these same stages; they differ only in *where*
-//! each stage runs. A worker process receives the plan text plus a list of
-//! run indices, re-expands the plan locally (expansion is deterministic,
-//! so shipping indices is enough), executes its slice, and streams one
-//! record per run. The merge stage reassembles records **in input order,
-//! keyed by spec fingerprint**: every record must name the fingerprint of
-//! the spec at its index, so a worker that drifted (stale binary, edited
-//! plan, corrupted pipe) is caught at merge time instead of silently
-//! corrupting the report. Because every run is a deterministic function of
-//! its spec, the merged report is byte-identical to a single-process batch
-//! run at any worker count — the property the daemon's CI smoke diffs.
+//! The batch runner and the `nonfifo serve` daemon drive these same
+//! stages on the same work-stealing execute body. The merge stage
+//! reassembles records **in input order, keyed by spec fingerprint**:
+//! every record must name the fingerprint of the spec at its index, so an
+//! executor that ran a different plan is caught at merge time instead of
+//! silently corrupting the report. Because every run is a deterministic
+//! function of its spec, the merged report is byte-identical to a
+//! single-threaded batch run for any partition of the run list — the
+//! property the daemon's CI smoke diffs.
 
-use crate::cache::{CachedRun, CampaignCache, RunMetrics};
+use crate::cache::{CachedRun, CampaignCache};
 use crate::plan::CampaignPlan;
-use crate::runner::{execute_one, CampaignReport, RunRecord};
+use crate::runner::{CampaignReport, RunRecord};
 use crate::spec::RunSpec;
 use nonfifo_core::NonFifoError;
 use nonfifo_protocols::catalog;
@@ -26,7 +24,7 @@ use nonfifo_protocols::catalog;
 ///
 /// Construction validates every spec (protocol names against the catalog,
 /// discipline parameters) so the execute stage can assume well-formed
-/// input — a worker never discovers a typo three shards into a campaign.
+/// input — a worker never discovers a typo halfway through a campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanExpansion {
     runs: Vec<RunSpec>,
@@ -86,164 +84,6 @@ impl PlanExpansion {
         }
         (cached, misses)
     }
-
-    /// Partitions `indices` round-robin into `n` shards. Round-robin (not
-    /// contiguous blocks) because adjacent runs share a scenario and
-    /// therefore a cost profile — interleaving balances the expensive
-    /// scenario across every worker instead of handing it to one.
-    ///
-    /// Shards with no work are dropped, so the result may be shorter than
-    /// `n`; it is empty only if `indices` is.
-    pub fn shards(&self, indices: &[usize], n: usize) -> Vec<ShardSpec> {
-        let n = n.max(1).min(indices.len().max(1));
-        let mut shards: Vec<ShardSpec> = (0..n)
-            .map(|shard| ShardSpec {
-                shard,
-                of: n,
-                indices: Vec::new(),
-            })
-            .collect();
-        for (slot, &index) in indices.iter().enumerate() {
-            shards[slot % n].indices.push(index);
-        }
-        shards.retain(|s| !s.indices.is_empty());
-        shards
-    }
-
-    /// [`shards`](PlanExpansion::shards) over every run in the expansion.
-    pub fn shard_all(&self, n: usize) -> Vec<ShardSpec> {
-        let all: Vec<usize> = (0..self.runs.len()).collect();
-        self.shards(&all, n)
-    }
-
-    /// Partitions `indices` into `n` shards balanced by **expected run
-    /// cost** ([`cost_weight`]) instead of run count: longest-processing-
-    /// time greedy — heaviest run first, each to the lightest-loaded shard.
-    /// Round-robin balances counts, but a plan mixing an `outnumber` cell
-    /// with cheap `abp` seeds ships one worker a shard that runs orders of
-    /// magnitude longer than the rest; weighting by cost keeps wall time
-    /// balanced instead.
-    ///
-    /// The partition is a pure function of the expansion (weight ties
-    /// resolve in input order, load ties to the lowest shard id), and the
-    /// merged report is byte-identical to any other partition's — the
-    /// merge is fingerprint-keyed and index-addressed, so *placement*
-    /// can never leak into the report.
-    ///
-    /// Shards with no work are dropped, exactly as in
-    /// [`shards`](PlanExpansion::shards).
-    pub fn shards_weighted(&self, indices: &[usize], n: usize) -> Vec<ShardSpec> {
-        let n = n.max(1).min(indices.len().max(1));
-        let mut order: Vec<usize> = indices.to_vec();
-        // Stable sort: equal weights keep input order.
-        order.sort_by_key(|&i| std::cmp::Reverse(cost_weight(&self.runs[i])));
-        let mut shards: Vec<ShardSpec> = (0..n)
-            .map(|shard| ShardSpec {
-                shard,
-                of: n,
-                indices: Vec::new(),
-            })
-            .collect();
-        let mut loads = vec![0u64; n];
-        for &index in &order {
-            let slot = loads
-                .iter()
-                .enumerate()
-                .min_by_key(|&(s, &load)| (load, s))
-                .map(|(s, _)| s)
-                .expect("n >= 1 shard slots");
-            loads[slot] = loads[slot].saturating_add(cost_weight(&self.runs[index]));
-            shards[slot].indices.push(index);
-        }
-        for shard in &mut shards {
-            // Execution and the wire protocol expect ascending indices.
-            shard.indices.sort_unstable();
-        }
-        shards.retain(|s| !s.indices.is_empty());
-        shards
-    }
-
-    /// Percent imbalance of a partition under [`cost_weight`]: the
-    /// heaviest shard's load over the ideal per-shard average, ×100 — so
-    /// 100 is a perfect balance and 300 means the slowest worker carries
-    /// three averages. The `service.shard_imbalance` gauge reports this.
-    pub fn shard_imbalance_pct(&self, shards: &[ShardSpec]) -> u64 {
-        let loads: Vec<u64> = shards
-            .iter()
-            .map(|s| s.indices.iter().map(|&i| cost_weight(&self.runs[i])).sum())
-            .collect();
-        let total: u64 = loads.iter().sum();
-        let max = loads.iter().copied().max().unwrap_or(0);
-        if total == 0 {
-            return 100;
-        }
-        let avg = total as f64 / loads.len() as f64;
-        ((max as f64 / avg) * 100.0).round() as u64
-    }
-}
-
-/// Expected relative cost of one run — the weight
-/// [`PlanExpansion::shards_weighted`] balances. Linear in the message
-/// count for ordinary protocols; the catalog's `outnumber<L>` and
-/// `afek<k>` families drive state spaces that grow exponentially with
-/// traffic, so their weight doubles every few messages (capped well below
-/// overflow so a single cell cannot swamp the load sums).
-pub fn cost_weight(spec: &RunSpec) -> u64 {
-    let base = spec.messages.max(1);
-    let exponential = spec.protocol.starts_with("outnumber") || spec.protocol.starts_with("afek");
-    if exponential {
-        base.saturating_mul(1u64 << (spec.messages / 4).min(20))
-    } else {
-        base
-    }
-}
-
-/// Stage 2's unit of assignment: one worker's slice of the expansion.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// This shard's position in the partition.
-    pub shard: usize,
-    /// Total number of shards in the partition.
-    pub of: usize,
-    /// Indices into the expansion's run list, ascending.
-    pub indices: Vec<usize>,
-}
-
-impl ShardSpec {
-    /// Executes the shard's runs in index order on the calling thread,
-    /// invoking `sink` after each — the streaming hook the worker process
-    /// uses to emit a wire record per completed run. Returns the complete
-    /// shard report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range for `expansion` (the daemon and
-    /// worker validate indices when they accept a shard).
-    pub fn execute(
-        &self,
-        expansion: &PlanExpansion,
-        mut sink: impl FnMut(&ShardRecord),
-    ) -> ShardReport {
-        let mut records = Vec::with_capacity(self.indices.len());
-        for &index in &self.indices {
-            let spec = &expansion.runs()[index];
-            let mut run = CachedRun::from(execute_one(spec));
-            // Every record this stage produces is streamed as a wire line,
-            // so its counters are named once, here.
-            run.metrics = RunMetrics::Snapshot(run.metrics.snapshot().into_owned());
-            let shard_record = ShardRecord {
-                index,
-                spec_fingerprint: spec.fingerprint(),
-                run,
-            };
-            sink(&shard_record);
-            records.push(shard_record);
-        }
-        ShardReport {
-            shard: self.shard,
-            records,
-        }
-    }
 }
 
 /// One completed run, addressed for the merge stage: the index says where
@@ -259,50 +99,23 @@ pub struct ShardRecord {
     pub run: CachedRun,
 }
 
-/// Stage 2's output: every record a shard produced.
+/// Stage 2's output: the records one execute call produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardReport {
-    /// Which shard produced these records.
+    /// Which part of the run list these records answer; named in merge
+    /// errors.
     pub shard: usize,
-    /// Completed runs, in shard-index order.
+    /// Completed runs, in index order.
     pub records: Vec<ShardRecord>,
 }
 
-impl ShardReport {
-    /// Wraps already-executed records (the batch runner's thread pool
-    /// produces `RunRecord`s directly) as a shard report, moving them.
-    pub fn from_records(shard: usize, records: Vec<(usize, RunRecord)>) -> ShardReport {
-        ShardReport {
-            shard,
-            records: records
-                .into_iter()
-                .map(|(index, record)| ShardRecord {
-                    index,
-                    spec_fingerprint: record.spec.fingerprint(),
-                    run: CachedRun::from(record),
-                })
-                .collect(),
-        }
-    }
-
-    /// The indices this report covers that `assigned` expected but did not
-    /// get — what the daemon re-dispatches when a worker dies mid-shard.
-    pub fn missing_from(&self, assigned: &[usize]) -> Vec<usize> {
-        assigned
-            .iter()
-            .copied()
-            .filter(|i| !self.records.iter().any(|r| r.index == *i))
-            .collect()
-    }
-}
-
-/// Stage 3: reassembles cache replays and shard records into one
+/// Stage 3: reassembles cache replays and executed records into one
 /// [`CampaignReport`], in input order.
 ///
-/// The merge is *fingerprint-keyed*: a shard record only fills slot `i` if
-/// its `spec_fingerprint` equals the fingerprint of the spec at `i`. With
-/// that check, the merged report is a pure function of the expansion —
-/// byte-identical whatever the shard count, completion order, or mix of
+/// The merge is *fingerprint-keyed*: a record only fills slot `i` if its
+/// `spec_fingerprint` equals the fingerprint of the spec at `i`. With that
+/// check, the merged report is a pure function of the expansion —
+/// byte-identical whatever the partition, completion order, or mix of
 /// cached and fresh records.
 ///
 /// # Errors
@@ -339,7 +152,7 @@ pub fn merge_reports(
             if record.spec_fingerprint != spec.fingerprint() {
                 return Err(merge_err(format!(
                     "shard {} record for run {index} answers spec {:016x}, expected {:016x} \
-                     (worker ran a different plan?)",
+                     (executor ran a different plan?)",
                     part.shard,
                     record.spec_fingerprint,
                     spec.fingerprint()
@@ -400,6 +213,18 @@ mod tests {
         .unwrap()
     }
 
+    /// Executes `n` round-robin parts of the expansion, one call each.
+    fn execute_parts(exp: &PlanExpansion, n: usize) -> Vec<ShardReport> {
+        (0..n)
+            .map(|part| {
+                let indices: Vec<usize> = (part..exp.len()).step_by(n).collect();
+                let mut report = CampaignRunner::new(1).execute(exp, &indices);
+                report.shard = part;
+                report
+            })
+            .collect()
+    }
+
     #[test]
     fn validation_rejects_unknown_protocols() {
         let mut runs = expansion().runs().to_vec();
@@ -409,37 +234,16 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_shards_cover_exactly_the_input() {
-        let exp = expansion();
-        for n in [1, 2, 3, 4, 7, exp.len(), exp.len() + 5] {
-            let shards = exp.shard_all(n);
-            assert!(shards.len() <= n.min(exp.len()));
-            let mut seen: Vec<usize> = shards.iter().flat_map(|s| s.indices.clone()).collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..exp.len()).collect::<Vec<_>>(), "n={n}");
-            // Balanced: sizes differ by at most one.
-            let sizes: Vec<usize> = shards.iter().map(|s| s.indices.len()).collect();
-            let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(hi - lo <= 1, "n={n}: unbalanced {sizes:?}");
-        }
-    }
-
-    #[test]
     fn sharded_execution_merges_byte_identically_at_any_worker_count() {
         let exp = expansion();
         let baseline = CampaignRunner::new(1).run(exp.runs()).unwrap();
         for n in [1, 2, 4] {
-            let parts: Vec<ShardReport> = exp
-                .shard_all(n)
-                .iter()
-                .map(|shard| shard.execute(&exp, |_| {}))
-                .collect();
-            let merged = merge_reports(&exp, Vec::new(), parts).unwrap();
-            assert_eq!(merged.render(), baseline.render(), "{n} shards");
+            let merged = merge_reports(&exp, Vec::new(), execute_parts(&exp, n)).unwrap();
+            assert_eq!(merged.render(), baseline.render(), "{n} parts");
             assert_eq!(
                 merged.aggregate_metrics().to_json(),
                 baseline.aggregate_metrics().to_json(),
-                "{n} shards"
+                "{n} parts"
             );
         }
     }
@@ -447,11 +251,7 @@ mod tests {
     #[test]
     fn merge_rejects_fingerprint_mismatches_and_gaps() {
         let exp = expansion();
-        let mut parts: Vec<ShardReport> = exp
-            .shard_all(2)
-            .iter()
-            .map(|shard| shard.execute(&exp, |_| {}))
-            .collect();
+        let mut parts = execute_parts(&exp, 2);
 
         // A record answering the wrong spec is refused by name.
         let mut forged = parts.clone();
@@ -460,21 +260,12 @@ mod tests {
         assert!(err.to_string().contains("different plan"), "{err}");
 
         // A dropped record is a counted gap, not a silent hole.
-        parts[1].records.pop();
+        let lost = parts[1].records.pop().unwrap().index;
         let err = merge_reports(&exp, Vec::new(), parts.clone()).unwrap_err();
         assert!(err.to_string().contains("1 of 12 runs"), "{err}");
 
-        // Refilling the gap via the retry path heals the merge.
-        let assigned = exp.shard_all(2)[1].indices.clone();
-        let missing = parts[1].missing_from(&assigned);
-        assert_eq!(missing.len(), 1);
-        let retry = ShardSpec {
-            shard: 2,
-            of: 3,
-            indices: missing,
-        }
-        .execute(&exp, |_| {});
-        parts.push(retry);
+        // Executing exactly the missing index fills the gap.
+        parts.push(CampaignRunner::new(1).execute(&exp, &[lost]));
         let healed = merge_reports(&exp, Vec::new(), parts).unwrap();
         assert_eq!(
             healed.render(),
@@ -485,129 +276,34 @@ mod tests {
     #[test]
     fn duplicate_records_are_rejected() {
         let exp = expansion();
-        let part = exp.shard_all(1)[0].execute(&exp, |_| {});
+        let part = execute_parts(&exp, 1).remove(0);
         let err = merge_reports(&exp, Vec::new(), vec![part.clone(), part]).unwrap_err();
         assert!(err.to_string().contains("two records"), "{err}");
-    }
-
-    /// One exponential `outnumber5` cell next to a pile of cheap `abp`
-    /// seeds — the shape round-robin splits badly.
-    fn skewed_expansion() -> PlanExpansion {
-        let mut runs = ScenarioSpec::new("hot")
-            .protocol("outnumber5")
-            .discipline(Discipline::Fifo)
-            .message_counts(&[12])
-            .seeds(0..1)
-            .expand();
-        runs.extend(
-            ScenarioSpec::new("cold")
-                .protocol("abp")
-                .discipline(Discipline::Fifo)
-                .message_counts(&[5])
-                .seeds(0..7)
-                .expand(),
-        );
-        PlanExpansion::new(runs).unwrap()
-    }
-
-    fn max_load(exp: &PlanExpansion, shards: &[ShardSpec]) -> u64 {
-        shards
-            .iter()
-            .map(|s| s.indices.iter().map(|&i| cost_weight(&exp.runs()[i])).sum())
-            .max()
-            .unwrap_or(0)
-    }
-
-    #[test]
-    fn cost_weight_is_linear_except_for_exponential_families() {
-        let mut spec = expansion().runs()[0].clone();
-        spec.protocol = "seqnum".into();
-        spec.messages = 12;
-        assert_eq!(cost_weight(&spec), 12);
-        spec.protocol = "outnumber5".into();
-        assert_eq!(cost_weight(&spec), 12 << 3);
-        spec.messages = 0;
-        assert_eq!(cost_weight(&spec), 1, "zero-message runs still cost one");
-    }
-
-    #[test]
-    fn weighted_shards_cover_exactly_the_input() {
-        let exp = skewed_expansion();
-        let all: Vec<usize> = (0..exp.len()).collect();
-        for n in [1, 2, 3, exp.len(), exp.len() + 5] {
-            let shards = exp.shards_weighted(&all, n);
-            assert!(shards.len() <= n.min(exp.len()));
-            let mut seen: Vec<usize> = shards.iter().flat_map(|s| s.indices.clone()).collect();
-            seen.sort_unstable();
-            assert_eq!(seen, all, "n={n}");
-            for shard in &shards {
-                assert!(
-                    shard.indices.windows(2).all(|w| w[0] < w[1]),
-                    "n={n}: indices must stay ascending for the wire protocol"
-                );
-            }
-            // Pure function of the expansion: re-partitioning is identical.
-            assert_eq!(shards, exp.shards_weighted(&all, n), "n={n}");
-        }
-    }
-
-    #[test]
-    fn weighted_shards_beat_round_robin_on_a_skewed_plan() {
-        let exp = skewed_expansion();
-        let all: Vec<usize> = (0..exp.len()).collect();
-        let round_robin = exp.shards(&all, 2);
-        let weighted = exp.shards_weighted(&all, 2);
-        assert!(
-            max_load(&exp, &weighted) < max_load(&exp, &round_robin),
-            "LPT must shrink the critical path: weighted {} vs round-robin {}",
-            max_load(&exp, &weighted),
-            max_load(&exp, &round_robin),
-        );
-        assert!(
-            exp.shard_imbalance_pct(&weighted) <= exp.shard_imbalance_pct(&round_robin),
-            "imbalance gauge must not worsen under weighting"
-        );
-        // The helper's scale: 100 = perfect, and a uniform plan hits it.
-        let uniform = expansion();
-        let all: Vec<usize> = (0..uniform.len()).collect();
-        assert_eq!(
-            uniform.shard_imbalance_pct(&uniform.shards_weighted(&all, 3)),
-            100,
-            "12 equal-cost runs across 3 shards is a perfect balance"
-        );
-    }
-
-    #[test]
-    fn weighted_sharded_execution_merges_byte_identically() {
-        // Placement must never leak into the report: the weighted partition
-        // merges to the same bytes as the single-worker baseline.
-        let exp = expansion();
-        let baseline = CampaignRunner::new(1).run(exp.runs()).unwrap();
-        let all: Vec<usize> = (0..exp.len()).collect();
-        for n in [1, 2, 4] {
-            let parts: Vec<ShardReport> = exp
-                .shards_weighted(&all, n)
-                .iter()
-                .map(|shard| shard.execute(&exp, |_| {}))
-                .collect();
-            let merged = merge_reports(&exp, Vec::new(), parts).unwrap();
-            assert_eq!(merged.render(), baseline.render(), "{n} weighted shards");
-            assert_eq!(
-                merged.aggregate_metrics().to_json(),
-                baseline.aggregate_metrics().to_json(),
-                "{n} weighted shards"
-            );
-        }
     }
 
     #[test]
     fn execute_streams_every_record_in_index_order() {
         let exp = expansion();
-        let shard = &exp.shard_all(3)[1];
-        let mut streamed = Vec::new();
-        let report = shard.execute(&exp, |r| streamed.push(r.index));
-        assert_eq!(streamed, shard.indices);
-        assert_eq!(report.records.len(), shard.indices.len());
-        assert!(report.missing_from(&shard.indices).is_empty());
+        let indices = [1, 4, 7, 10];
+        for threads in [1, 3] {
+            let streamed = std::sync::Mutex::new(Vec::new());
+            let (report, busy) = CampaignRunner::new(threads).execute_streaming(
+                &exp,
+                &indices,
+                &|r: &mut ShardRecord| streamed.lock().unwrap().push(r.index),
+            );
+            let mut streamed = streamed.into_inner().unwrap();
+            streamed.sort_unstable();
+            assert_eq!(
+                streamed, indices,
+                "{threads} threads: each run streamed once"
+            );
+            let order: Vec<usize> = report.records.iter().map(|r| r.index).collect();
+            assert_eq!(
+                order, indices,
+                "{threads} threads: the report is in index order"
+            );
+            assert_eq!(busy.len(), threads, "one busy time per worker");
+        }
     }
 }

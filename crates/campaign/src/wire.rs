@@ -1,5 +1,5 @@
 //! The campaign service wire protocol: one line-framed JSON schema shared
-//! by the worker stdin/stdout pipe, the HTTP front end, and the cache file.
+//! by the HTTP front end and the cache file.
 //!
 //! Every message is a single JSON object on one line (newline-delimited
 //! JSON), built with the hand-rolled [`Json`] value from
@@ -9,13 +9,10 @@
 //! the same forward-compat contract as [`MetricsSnapshot`]: a reader
 //! rejects versions newer than it knows rather than guessing.
 //!
-//! The conversation shapes:
-//!
-//! - client → daemon: [`WireMsg::Submit`] (a plan document plus a worker
-//!   count), answered by a stream of `Run`/`Metrics` deltas and one final
-//!   [`WireMsg::Report`] (or [`WireMsg::Error`]).
-//! - daemon → worker: one [`WireMsg::Shard`] on stdin; worker → daemon:
-//!   one [`WireMsg::Run`] per completed run on stdout, in index order.
+//! The conversation: the client sends [`WireMsg::Submit`] (a plan
+//! document plus a worker count), and the daemon answers with one
+//! [`WireMsg::Run`] per executed run as it lands, one [`WireMsg::Metrics`]
+//! delta, and a final [`WireMsg::Report`] (or [`WireMsg::Error`]).
 //!
 //! A run travels as its [`CachedRun`], addressed by expansion index and
 //! spec fingerprint so the receiver can merge it with
@@ -26,7 +23,7 @@
 
 use crate::cache::CachedRun;
 use crate::runner::RunOutcome;
-use crate::shard::{ShardRecord, ShardSpec};
+use crate::shard::ShardRecord;
 use nonfifo_telemetry::{Json, MetricsSnapshot};
 use std::fmt;
 
@@ -57,27 +54,15 @@ fn wire_err(message: impl Into<String>) -> WireError {
 /// One message of the campaign service protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireMsg {
-    /// Client → daemon: run this plan, sharded across `workers` worker
-    /// processes (`0` = the daemon's configured default).
+    /// Client → daemon: run this plan on `workers` threads (`0` = the
+    /// daemon's configured default).
     Submit {
         /// The campaign plan document, verbatim.
         plan: String,
-        /// Requested worker-process count (`0` = the daemon's default).
+        /// Requested worker-thread count (`0` = the daemon's default).
         /// The daemon answers counts above 64 with a `400` and an
         /// [`WireMsg::Error`] line.
         workers: u64,
-    },
-    /// Daemon → worker: your slice of the plan. The worker re-expands the
-    /// plan text locally (expansion is deterministic) and runs `indices`.
-    Shard {
-        /// The campaign plan document, verbatim.
-        plan: String,
-        /// This shard's position in the partition.
-        shard: u64,
-        /// Total shards in the partition.
-        of: u64,
-        /// Expansion indices assigned to this shard, ascending.
-        indices: Vec<u64>,
     },
     /// One completed run, streamed as it lands.
     Run {
@@ -89,15 +74,16 @@ pub enum WireMsg {
         /// The run result.
         run: CachedRun,
     },
-    /// A per-shard metrics delta: the merged snapshots of one shard's
-    /// completed runs. Shard deltas are disjoint slices of the campaign,
-    /// and [`MetricsSnapshot::merge_from`] accumulates counters and
-    /// histograms, so merging every delta reproduces the per-run metrics
-    /// portion of the final aggregate whatever order deltas arrive in.
+    /// The metrics delta of a campaign's executed runs: their snapshots
+    /// merged in index order. [`MetricsSnapshot::merge_from`] accumulates
+    /// counters and histograms, so merging the delta with the cache hits'
+    /// snapshots reproduces the per-run metrics portion of the final
+    /// aggregate.
     Metrics {
-        /// Which shard this delta summarizes.
+        /// Which part of the campaign this delta summarizes; the daemon
+        /// sends one delta per campaign, as shard 0.
         shard: u64,
-        /// Merged snapshot of the shard's runs, in index order.
+        /// Merged snapshot of the executed runs, in index order.
         snapshot: MetricsSnapshot,
     },
     /// Daemon → client: the campaign's final merged result.
@@ -121,7 +107,6 @@ impl WireMsg {
     pub fn kind(&self) -> &'static str {
         match self {
             WireMsg::Submit { .. } => "submit",
-            WireMsg::Shard { .. } => "shard",
             WireMsg::Run { .. } => "run",
             WireMsg::Metrics { .. } => "metrics",
             WireMsg::Report { .. } => "report",
@@ -136,20 +121,6 @@ impl WireMsg {
             WireMsg::Submit { plan, workers } => {
                 fields.push(("plan".to_string(), Json::Str(plan.clone())));
                 fields.push(("workers".to_string(), Json::Uint(*workers)));
-            }
-            WireMsg::Shard {
-                plan,
-                shard,
-                of,
-                indices,
-            } => {
-                fields.push(("plan".to_string(), Json::Str(plan.clone())));
-                fields.push(("shard".to_string(), Json::Uint(*shard)));
-                fields.push(("of".to_string(), Json::Uint(*of)));
-                fields.push((
-                    "indices".to_string(),
-                    Json::Arr(indices.iter().map(|&i| Json::Uint(i)).collect()),
-                ));
             }
             WireMsg::Run {
                 index,
@@ -207,24 +178,6 @@ impl WireMsg {
                 plan: need_str(doc, "plan")?.to_string(),
                 workers: need_u64(doc, "workers")?,
             }),
-            "shard" => {
-                let indices = doc
-                    .get("indices")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| wire_err("shard: missing indices array"))?
-                    .iter()
-                    .map(|j| {
-                        j.as_u64()
-                            .ok_or_else(|| wire_err("shard: non-integer index"))
-                    })
-                    .collect::<Result<Vec<u64>, WireError>>()?;
-                Ok(WireMsg::Shard {
-                    plan: need_str(doc, "plan")?.to_string(),
-                    shard: need_u64(doc, "shard")?,
-                    of: need_u64(doc, "of")?,
-                    indices,
-                })
-            }
             "run" => {
                 let run = doc
                     .get("run")
@@ -275,41 +228,12 @@ impl WireMsg {
         WireMsg::from_json_value(&doc)
     }
 
-    /// The `Shard` message assigning `spec`'s indices for `plan`.
-    pub fn shard_assignment(plan: &str, spec: &ShardSpec) -> WireMsg {
-        WireMsg::Shard {
-            plan: plan.to_string(),
-            shard: spec.shard as u64,
-            of: spec.of as u64,
-            indices: spec.indices.iter().map(|&i| i as u64).collect(),
-        }
-    }
-
     /// The `Run` message carrying `record`.
     pub fn run_delta(record: &ShardRecord) -> WireMsg {
         WireMsg::Run {
             index: record.index as u64,
             spec_fingerprint: record.spec_fingerprint,
             run: record.run.clone(),
-        }
-    }
-}
-
-impl WireMsg {
-    /// Converts a received `Run` message back into a [`ShardRecord`] for
-    /// the merge stage; `None` for other message kinds.
-    pub fn into_shard_record(self) -> Option<ShardRecord> {
-        match self {
-            WireMsg::Run {
-                index,
-                spec_fingerprint,
-                run,
-            } => Some(ShardRecord {
-                index: index as usize,
-                spec_fingerprint,
-                run,
-            }),
-            _ => None,
         }
     }
 }
@@ -424,16 +348,18 @@ mod tests {
                 plan: "scenario demo\nprotocols abp\nmessages 5\n".to_string(),
                 workers: 4,
             },
-            WireMsg::Shard {
-                plan: "scenario demo\nprotocols abp\nmessages 5\n".to_string(),
-                shard: 1,
-                of: 3,
-                indices: vec![1, 4, 7],
-            },
             WireMsg::Run {
                 index: 4,
                 spec_fingerprint: 0x0123_4567_89ab_cdef,
                 run: sample_run(),
+            },
+            WireMsg::Run {
+                index: 5,
+                spec_fingerprint: 1,
+                run: CachedRun {
+                    outcome: RunOutcome::Panicked,
+                    ..sample_run()
+                },
             },
             WireMsg::Metrics {
                 shard: 2,
@@ -519,7 +445,7 @@ mod tests {
             ("{\"v\":1,\"type\":\"submit\",\"plan\":\"x\"}", "workers"),
             (
                 "{\"v\":1,\"type\":\"shard\",\"plan\":\"x\",\"shard\":0,\"of\":1}",
-                "indices",
+                "unknown message type",
             ),
         ] {
             let err = WireMsg::parse_line(line).unwrap_err();
@@ -528,36 +454,22 @@ mod tests {
     }
 
     #[test]
-    fn shard_assignment_and_run_delta_mirror_the_shard_types() {
-        let spec = ShardSpec {
-            shard: 1,
-            of: 4,
-            indices: vec![1, 5, 9],
-        };
-        match WireMsg::shard_assignment("plan text", &spec) {
-            WireMsg::Shard {
-                plan,
-                shard,
-                of,
-                indices,
-            } => {
-                assert_eq!(plan, "plan text");
-                assert_eq!((shard, of), (1, 4));
-                assert_eq!(indices, vec![1, 5, 9]);
-            }
-            other => panic!("wrong kind: {}", other.kind()),
-        }
-
+    fn run_delta_round_trips_a_shard_record() {
         let record = ShardRecord {
             index: 5,
             spec_fingerprint: 77,
             run: sample_run(),
         };
-        let msg = WireMsg::run_delta(&record);
-        let back = WireMsg::parse_line(&msg.to_line())
-            .unwrap()
-            .into_shard_record()
-            .unwrap();
-        assert_eq!(back, record);
+        match WireMsg::parse_line(&WireMsg::run_delta(&record).to_line()).unwrap() {
+            WireMsg::Run {
+                index,
+                spec_fingerprint,
+                run,
+            } => {
+                assert_eq!((index, spec_fingerprint), (5, 77));
+                assert_eq!(run, record.run);
+            }
+            other => panic!("wrong kind: {}", other.kind()),
+        }
     }
 }

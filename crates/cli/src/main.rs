@@ -18,8 +18,6 @@
 //! nonfifo campaign <plan-file> [--threads N] [--cache FILE]
 //!                  [--metrics-out FILE]
 //! nonfifo serve    [--addr HOST:PORT] [--workers N] [--cache FILE]
-//!                  [--in-process]
-//! nonfifo worker   [--die-after N]
 //! nonfifo schedule <protocol> <attack-file> [--diagram]
 //! nonfifo recheck  <trace-file> [--diagram]
 //! nonfifo report   [--exp eN]
@@ -30,8 +28,9 @@
 //! share one exit-code contract, applied in exactly one place
 //! ([`exit_code`]) over the workspace-wide [`NonFifoError`]: 0 = clean run /
 //! exhaustive certificate, 2 = counterexample or specification violation,
-//! 3 = stall or exhausted state budget (inconclusive), 4 = differential
-//! mismatch between engines, 1 = operational error (bad usage, I/O, parse).
+//! 3 = stall, exhausted state budget or panicked campaign run
+//! (inconclusive), 4 = differential mismatch between engines,
+//! 1 = operational error (bad usage, I/O, parse).
 //! A reader that closes stdout early (`nonfifo explore ... | head -1`) only
 //! silences the rest of the output: the command still finishes, writes its
 //! files and exits with its usual code.
@@ -114,8 +113,6 @@ usage:
   nonfifo campaign <plan-file> [--threads N] [--cache FILE]
                    [--metrics-out FILE]
   nonfifo serve    [--addr HOST:PORT] [--workers N] [--cache FILE]
-                   [--in-process]
-  nonfifo worker   [--die-after N]
   nonfifo stabilize --protocol P [--seeds N] [--severity light|medium|heavy]
                    [--discipline D] [--messages M] [--budget B] [--plan FILE]
   nonfifo schedule <protocol> <attack-file> [--diagram]
@@ -149,13 +146,15 @@ telemetry: --metrics prints a summary table; --metrics-out writes the
 schema-versioned metrics JSON; --trace-out writes a Chrome trace_events
 JSON (load in chrome://tracing or Perfetto).
 
+campaign exit codes: 0 every run delivered, 2 some run violated its
+spec or diverged, 3 otherwise: some run stalled, or a run panics (the
+panic is caught, recorded as that run's outcome, and never cached).
+
 serve runs the campaign daemon: POST a plan (or a submit wire message)
 to /campaign and read the NDJSON result stream; GET /metrics for the
-service registry; POST /shutdown to exit. Each campaign shards across
-`nonfifo worker` processes (--in-process uses threads instead); reports
-are byte-identical to `nonfifo campaign` at any worker count. worker is
-the internal per-shard subprocess; --die-after N is a crash-testing
-hook that kills it after N streamed results.
+service registry; POST /shutdown to exit. Each campaign runs on
+--workers threads (default: one per core); reports are byte-identical
+to `nonfifo campaign` at any worker count.
 ";
 
 fn main() -> ExitCode {
@@ -190,7 +189,6 @@ fn dispatch(raw: Vec<String>) -> Result<(), NonFifoError> {
             "no-shrink",
             "por",
             "metrics",
-            "in-process",
         ],
     )?;
     match args.positional(0) {
@@ -200,7 +198,6 @@ fn dispatch(raw: Vec<String>) -> Result<(), NonFifoError> {
         Some("explore") => cmd_explore(&args),
         Some("campaign") => cmd_campaign(&args),
         Some("serve") => cmd_serve(&args),
-        Some("worker") => cmd_worker(&args),
         Some("stabilize") => cmd_stabilize(&args),
         Some("schedule") => Ok(cmd_schedule(&args)?),
         Some("recheck") => Ok(cmd_recheck(&args)?),
@@ -815,8 +812,14 @@ fn cmd_campaign(args: &Args) -> Result<(), NonFifoError> {
     };
     let elapsed = started.elapsed().as_secs_f64();
     println!("\n{}", report.render());
+    // Panics are named only when there are some, so the line keeps its
+    // bytes otherwise.
+    let panicked = match report.count(RunOutcome::Panicked) {
+        0 => String::new(),
+        n => format!(", {n} panicked"),
+    };
     println!(
-        "outcome: {} delivered, {} stalled, {} violation(s), {} diverged",
+        "outcome: {} delivered, {} stalled, {} violation(s), {} diverged{panicked}",
         report.count(RunOutcome::Delivered),
         report.count(RunOutcome::Stalled),
         report.count(RunOutcome::Violation),
@@ -864,25 +867,14 @@ fn cmd_campaign(args: &Args) -> Result<(), NonFifoError> {
 /// `nonfifo serve`: the campaign daemon. Binds `--addr` (default
 /// `127.0.0.1:7171`; port `0` asks the OS for a free one), prints the
 /// actual bound address on its own line so scripts can scrape it, and
-/// serves until `POST /shutdown`. Campaigns shard across spawned
-/// `nonfifo worker` processes (this same binary) unless `--in-process`
-/// routes execution onto daemon threads instead.
+/// serves until `POST /shutdown`. Each campaign runs its cache misses on
+/// `--workers` threads of the daemon, on the batch runner's execute body.
 fn cmd_serve(args: &Args) -> Result<(), NonFifoError> {
     use nonfifo_campaign::{CampaignService, ServiceConfig};
     let addr = args.option("addr").unwrap_or("127.0.0.1:7171");
     let workers: usize = args.option_or("workers", 0)?;
-    let worker_command = if args.flag("in-process") {
-        Vec::new()
-    } else {
-        let exe = std::env::current_exe().map_err(|e| NonFifoError::Io {
-            path: "current_exe".to_string(),
-            message: e.to_string(),
-        })?;
-        vec![exe.to_string_lossy().into_owned(), "worker".to_string()]
-    };
     let service = CampaignService::new(ServiceConfig {
         workers,
-        worker_command,
         cache_path: args.option("cache").map(str::to_string),
     })?;
     let listener = std::net::TcpListener::bind(addr).map_err(|e| NonFifoError::Io {
@@ -895,16 +887,11 @@ fn cmd_serve(args: &Args) -> Result<(), NonFifoError> {
     })?;
     println!("serving on http://{local}/");
     println!(
-        "workers: {} per campaign ({}); cache: {}",
+        "workers: {} threads per campaign; cache: {}",
         if workers == 0 {
             "per-core".to_string()
         } else {
             workers.to_string()
-        },
-        if args.flag("in-process") {
-            "in-process threads"
-        } else {
-            "worker processes"
         },
         args.option("cache").unwrap_or("none"),
     );
@@ -912,26 +899,6 @@ fn cmd_serve(args: &Args) -> Result<(), NonFifoError> {
     service.serve(listener)?;
     println!("shutdown requested; exiting");
     Ok(())
-}
-
-/// `nonfifo worker`: the per-shard subprocess the daemon spawns. Speaks
-/// only the wire protocol: one shard assignment line in on stdin, one
-/// flushed result line out per completed run. `--die-after N` exits with
-/// a failure status after N results — the deterministic crash hook the
-/// worker-retry tests drive.
-fn cmd_worker(args: &Args) -> Result<(), NonFifoError> {
-    let die_after = match args.option("die-after") {
-        Some(s) => Some(
-            s.parse::<u64>()
-                .map_err(|_| ArgsError(format!("--die-after needs a count, got {s:?}")))?,
-        ),
-        None => None,
-    };
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut input = stdin.lock();
-    let mut output = stdout.lock();
-    nonfifo_campaign::run_worker(&mut input, &mut output, die_after)
 }
 
 fn cmd_stabilize(args: &Args) -> Result<(), NonFifoError> {
@@ -1131,14 +1098,25 @@ mod tests {
         assert_eq!(
             exit_code(&NonFifoError::CampaignFailed {
                 violations: 1,
-                stalls: 5
+                stalls: 5,
+                panicked: 1
             }),
             2
         );
         assert_eq!(
             exit_code(&NonFifoError::CampaignFailed {
                 violations: 0,
-                stalls: 1
+                stalls: 1,
+                panicked: 0
+            }),
+            3
+        );
+        // A panicked run reached no verdict: inconclusive, like a stall.
+        assert_eq!(
+            exit_code(&NonFifoError::CampaignFailed {
+                violations: 0,
+                stalls: 0,
+                panicked: 2
             }),
             3
         );

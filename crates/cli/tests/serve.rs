@@ -1,19 +1,14 @@
-//! End-to-end tests of the campaign service over real processes: the
-//! daemon spawning `nonfifo worker` subprocesses per shard, the worker
-//! subcommand speaking the wire protocol over its pipes, crash-retry, and
-//! the full HTTP daemon driven exactly the way the CI serve-smoke job
-//! drives it. The invariant under test everywhere: the served report is
-//! byte-identical to single-process `nonfifo campaign` output.
+//! End-to-end tests of the campaign service over a real process: the
+//! `nonfifo serve` daemon driven over HTTP exactly the way the CI
+//! serve-smoke job drives it. The invariant under test everywhere: the
+//! served report is byte-identical to single-process `nonfifo campaign`
+//! output.
 
-use nonfifo_campaign::{
-    CampaignPlan, CampaignRunner, CampaignService, PlanExpansion, ServiceConfig, ShardRecord,
-    WireMsg,
-};
+use nonfifo_campaign::{CampaignPlan, CampaignRunner, WireMsg};
 use nonfifo_telemetry::Json;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_nonfifo");
@@ -35,152 +30,6 @@ fn batch_baseline() -> (String, String) {
 
 fn total_runs() -> usize {
     CampaignPlan::parse(PLAN).unwrap().expand().len()
-}
-
-fn worker_service(extra: &[&str]) -> CampaignService {
-    let mut worker_command = vec![BIN.to_string(), "worker".to_string()];
-    worker_command.extend(extra.iter().map(|s| s.to_string()));
-    CampaignService::new(ServiceConfig {
-        workers: 0,
-        worker_command,
-        cache_path: None,
-    })
-    .unwrap()
-}
-
-#[test]
-fn worker_processes_reproduce_batch_reports_at_1_2_4() {
-    let (render, aggregate) = batch_baseline();
-    for workers in [1usize, 2, 4] {
-        let service = worker_service(&[]);
-        let streamed = Mutex::new(0usize);
-        let mut sink = |msg: &WireMsg| {
-            if matches!(msg, WireMsg::Run { .. }) {
-                *streamed.lock().unwrap() += 1;
-            }
-        };
-        let report = service.run_campaign(PLAN, workers, &mut sink).unwrap();
-        assert_eq!(
-            streamed.into_inner().unwrap(),
-            total_runs(),
-            "{workers} workers: every run streamed"
-        );
-        let WireMsg::Report {
-            render: r,
-            aggregate: a,
-            ..
-        } = report
-        else {
-            panic!("expected report");
-        };
-        assert_eq!(r, render, "{workers} worker processes");
-        assert_eq!(a.to_json(), aggregate, "{workers} worker processes");
-        let snap = service.registry().snapshot();
-        assert_eq!(snap.counters["service.retried_runs"], 0);
-        assert_eq!(
-            snap.gauges["service.active_workers"].high_water,
-            workers.min(total_runs()) as u64
-        );
-    }
-}
-
-#[test]
-fn killed_workers_are_retried_to_a_byte_identical_report() {
-    let (render, aggregate) = batch_baseline();
-    // Every worker dies (exit 9) after streaming two results, so most of
-    // the campaign arrives through the daemon's in-process retry path.
-    let service = worker_service(&["--die-after", "2"]);
-    let mut sink = |_: &WireMsg| {};
-    let report = service.run_campaign(PLAN, 3, &mut sink).unwrap();
-    let WireMsg::Report {
-        render: r,
-        aggregate: a,
-        ..
-    } = report
-    else {
-        panic!("expected report");
-    };
-    assert_eq!(r, render, "report survives worker crashes unchanged");
-    assert_eq!(a.to_json(), aggregate);
-    let retried = service.registry().snapshot().counters["service.retried_runs"];
-    assert_eq!(
-        retried as usize,
-        total_runs() - 3 * 2,
-        "every run the three dying workers dropped was retried"
-    );
-}
-
-#[test]
-fn worker_subcommand_speaks_the_wire_protocol_over_its_pipes() {
-    let plan = CampaignPlan::parse(PLAN).unwrap();
-    let expansion = PlanExpansion::of_plan(&plan).unwrap();
-    let shard = &expansion.shard_all(2)[1];
-
-    let mut child = Command::new(BIN)
-        .arg("worker")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(WireMsg::shard_assignment(PLAN, shard).to_line().as_bytes())
-        .unwrap();
-    let mut output = String::new();
-    child
-        .stdout
-        .take()
-        .unwrap()
-        .read_to_string(&mut output)
-        .unwrap();
-    assert!(child.wait().unwrap().success());
-
-    let records: Vec<ShardRecord> = output
-        .lines()
-        .map(|l| {
-            WireMsg::parse_line(l)
-                .unwrap()
-                .into_shard_record()
-                .expect("workers emit only Run lines")
-        })
-        .collect();
-    assert_eq!(records, shard.execute(&expansion, |_| {}).records);
-}
-
-#[test]
-fn worker_subcommand_rejects_garbage_with_an_error_line_and_exit_1() {
-    let mut child = Command::new(BIN)
-        .arg("worker")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(b"this is not a wire message\n")
-        .unwrap();
-    let mut output = String::new();
-    child
-        .stdout
-        .take()
-        .unwrap()
-        .read_to_string(&mut output)
-        .unwrap();
-    let status = child.wait().unwrap();
-    assert_eq!(status.code(), Some(1), "usage errors exit 1");
-    assert!(
-        matches!(
-            WireMsg::parse_line(output.lines().next().unwrap()).unwrap(),
-            WireMsg::Error { .. }
-        ),
-        "parent-visible error line: {output:?}"
-    );
 }
 
 /// One raw HTTP/1.1 request; returns (head, body). The server closes the
@@ -243,6 +92,45 @@ fn shut_down(mut daemon: Child, addr: &str) {
         }
         assert!(Instant::now() < deadline, "daemon ignored /shutdown");
         std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+/// A fresh daemon per worker count, so every submission executes the
+/// whole plan on that many threads: every run streams once, the report
+/// and aggregate match batch, and the daemon used that many threads.
+#[test]
+fn served_campaigns_reproduce_batch_reports_at_1_2_4_workers() {
+    let (render, aggregate) = batch_baseline();
+    for workers in [1u64, 2, 4] {
+        let (daemon, addr) = spawn_daemon(&[]);
+        let submit = WireMsg::Submit {
+            plan: PLAN.to_string(),
+            workers,
+        }
+        .to_line();
+        let (head, body) = http(&addr, "POST", "/campaign", &submit);
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        let (runs, report) = stream(&body);
+        assert_eq!(runs, total_runs(), "{workers} workers: every run streamed");
+        let WireMsg::Report {
+            render: r,
+            aggregate: a,
+            ..
+        } = report
+        else {
+            panic!("stream ends with the report: {body}");
+        };
+        assert_eq!(r, render, "{workers} workers");
+        assert_eq!(a.to_json(), aggregate, "{workers} workers");
+        let (_, metrics) = http(&addr, "GET", "/metrics", "");
+        let high_water = Json::parse(metrics.trim())
+            .unwrap()
+            .get("gauges")
+            .and_then(|g| g.get("service.active_workers"))
+            .and_then(|g| g.get("high_water"))
+            .and_then(Json::as_u64);
+        assert_eq!(high_water, Some(workers), "threads used");
+        shut_down(daemon, &addr);
     }
 }
 

@@ -102,29 +102,35 @@ impl Lane {
         self.headers.merge(&other.headers);
     }
 
-    fn export(&self, name: &str, snap: &mut MetricsSnapshot) {
+    /// Appends this lane's named counters and its in-transit gauge.
+    fn export(
+        &self,
+        name: &str,
+        counters: &mut Vec<(String, u64)>,
+        gauges: &mut Vec<(String, GaugeSnapshot)>,
+    ) {
         for (metric, value) in [
             ("sends", self.sends),
             ("delivered", self.delivered),
             ("drops", self.drops),
             ("injected", self.injected),
         ] {
-            snap.counters.insert(format!("chan.{name}.{metric}"), value);
+            counters.push((format!("chan.{name}.{metric}"), value));
         }
         for (h, counts) in self.headers.iter() {
             for (verb, &n) in VERBS.iter().zip(counts) {
                 if n > 0 {
-                    snap.counters.insert(format!("chan.{name}.{verb}.h{h}"), n);
+                    counters.push((format!("chan.{name}.{verb}.h{h}"), n));
                 }
             }
         }
-        snap.gauges.insert(
+        gauges.push((
             format!("sim.{name}.in_transit"),
             GaugeSnapshot {
                 value: self.in_transit,
                 high_water: self.in_transit_high,
             },
-        );
+        ));
     }
 }
 
@@ -249,14 +255,21 @@ impl RunCounters {
 
     /// The name-keyed snapshot: every fixed counter (zero or not), the
     /// non-zero per-header counters, both in-transit gauges and both
-    /// histograms.
+    /// histograms. Each map is built by one `collect`, which packs its
+    /// B-tree nodes full; inserting names one at a time would leave them
+    /// about half full, and a campaign cache holds one snapshot per run.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot {
+        let mut counters = vec![
+            ("sim.messages.sent".to_string(), self.messages_sent),
+            ("sim.messages.received".to_string(), self.messages_received),
+        ];
+        let mut gauges = Vec::with_capacity(2);
+        self.fwd.export("fwd", &mut counters, &mut gauges);
+        self.bwd.export("bwd", &mut counters, &mut gauges);
+        MetricsSnapshot {
             schema_version: SCHEMA_VERSION,
-            counters: BTreeMap::from([
-                ("sim.messages.sent".to_string(), self.messages_sent),
-                ("sim.messages.received".to_string(), self.messages_received),
-            ]),
+            counters: counters.into_iter().collect(),
+            gauges: gauges.into_iter().collect(),
             histograms: BTreeMap::from([
                 (
                     "sim.packets_per_message".to_string(),
@@ -265,10 +278,7 @@ impl RunCounters {
                 ("sim.header_usage".to_string(), self.header_usage.snapshot()),
             ]),
             ..MetricsSnapshot::default()
-        };
-        self.fwd.export("fwd", &mut snap);
-        self.bwd.export("bwd", &mut snap);
-        snap
+        }
     }
 }
 

@@ -42,13 +42,16 @@ pub enum NonFifoError {
     },
     /// Two explorers disagreed on the same state space.
     DifferentialMismatch,
-    /// A campaign finished with failing runs. Violations dominate stalls in
-    /// the exit-code contract (2 beats 3), mirroring the single-run rules.
+    /// A campaign finished with failing runs. Violations dominate stalls
+    /// and panics in the exit-code contract (2 beats 3), mirroring the
+    /// single-run rules: a run that panicked reached no verdict.
     CampaignFailed {
         /// Runs that ended in a specification violation.
         violations: u64,
         /// Runs that stalled out of their step budget.
         stalls: u64,
+        /// Runs that panicked.
+        panicked: u64,
     },
     /// A stabilization certification failed: some corrupted starts never
     /// reached — and stayed in — legal behavior within the bounded prefix.
@@ -81,11 +84,19 @@ impl fmt::Display for NonFifoError {
             NonFifoError::DifferentialMismatch => {
                 write!(f, "differential exploration mismatch")
             }
-            NonFifoError::CampaignFailed { violations, stalls } => {
+            NonFifoError::CampaignFailed {
+                violations,
+                stalls,
+                panicked,
+            } => {
                 write!(
                     f,
                     "campaign failed: {violations} violation(s), {stalls} stall(s)"
-                )
+                )?;
+                if *panicked > 0 {
+                    write!(f, ", {panicked} panicked")?;
+                }
+                Ok(())
             }
             NonFifoError::ConvergenceFailed {
                 diverged,
@@ -165,8 +176,17 @@ mod tests {
                 NonFifoError::CampaignFailed {
                     violations: 2,
                     stalls: 1,
+                    panicked: 0,
                 },
-                "2 violation(s)",
+                "2 violation(s), 1 stall(s)",
+            ),
+            (
+                NonFifoError::CampaignFailed {
+                    violations: 0,
+                    stalls: 0,
+                    panicked: 1,
+                },
+                "0 stall(s), 1 panicked",
             ),
             (
                 NonFifoError::ConvergenceFailed {

@@ -1,16 +1,17 @@
 //! Shard-merge determinism, end-to-end through the facade: the property
 //! that makes the `nonfifo serve` daemon safe is that the expand →
 //! execute → merge pipeline is a pure function of the plan — however the
-//! expansion is partitioned, wherever the pieces run, whatever order they
-//! come back in, and whatever mix of cached and fresh records fills the
-//! slots. These tests pin that property for the in-process service (the
-//! process-spawning paths live in `crates/cli/tests/serve.rs`) plus the
-//! regressions around it: adversarial partitions, lost records healed by
-//! retry, and warm-cache replay through a restarted daemon.
+//! expansion is partitioned, whatever order the parts come back in, and
+//! whatever mix of cached and fresh records fills the slots. These tests
+//! pin that property for partitions executed with
+//! `CampaignRunner::execute` and for the service (its HTTP daemon lives
+//! in `crates/cli/tests/serve.rs`), plus the regressions around it:
+//! adversarial partitions, lost records, and warm-cache replay through a
+//! restarted daemon.
 
 use nonfifo::campaign::{
     merge_reports, CampaignPlan, CampaignRunner, CampaignService, PlanExpansion, ServiceConfig,
-    ShardSpec, WireMsg,
+    ShardReport, WireMsg,
 };
 use std::sync::Mutex;
 
@@ -40,46 +41,61 @@ fn batch_baseline() -> (String, String) {
     (report.render(), report.aggregate_metrics().to_json())
 }
 
-/// A deterministic "random" partition: assigns index `i` to shard
-/// `xorshift(seed, i) % k`, allowing empty and wildly unbalanced shards —
-/// shapes the round-robin splitter never produces.
-fn scrambled_partition(len: usize, k: usize, seed: u64) -> Vec<ShardSpec> {
-    let mut shards: Vec<ShardSpec> = (0..k)
-        .map(|shard| ShardSpec {
-            shard,
-            of: k,
-            indices: Vec::new(),
-        })
-        .collect();
+/// Round-robin parts: index `i` goes to part `i % k`.
+fn round_robin(len: usize, k: usize) -> Vec<Vec<usize>> {
+    (0..k)
+        .map(|part| (part..len).step_by(k).collect())
+        .collect()
+}
+
+/// A deterministic "random" partition: assigns index `i` to part
+/// `xorshift(seed, i) % k`, allowing empty and wildly unbalanced parts —
+/// shapes round-robin never produces.
+fn scrambled_partition(len: usize, k: usize, seed: u64) -> Vec<Vec<usize>> {
+    let mut parts = vec![Vec::new(); k];
     let mut state = seed | 1;
     for i in 0..len {
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
-        shards[(state as usize) % k].indices.push(i);
+        parts[(state as usize) % k].push(i);
     }
-    shards.retain(|s| !s.indices.is_empty());
-    shards
+    parts.retain(|p| !p.is_empty());
+    parts
+}
+
+/// Executes each part with its own `CampaignRunner::execute` call, named
+/// by its position.
+fn execute(exp: &PlanExpansion, parts: &[Vec<usize>], threads: usize) -> Vec<ShardReport> {
+    parts
+        .iter()
+        .enumerate()
+        .map(|(shard, indices)| ShardReport {
+            shard,
+            ..CampaignRunner::new(threads).execute(exp, indices)
+        })
+        .collect()
 }
 
 /// Property: ANY partition of the expansion — round-robin or scrambled,
-/// balanced or degenerate, executed and merged in any shard order —
-/// reassembles byte-identically to the single-process batch report.
+/// balanced or degenerate, executed at any thread count and merged in any
+/// part order — reassembles byte-identically to the single-process batch
+/// report.
 #[test]
 fn arbitrary_partitions_merge_byte_identically() {
     let exp = expansion();
     let (render, aggregate) = batch_baseline();
-    let cases: Vec<Vec<ShardSpec>> = vec![
-        exp.shard_all(1),
-        exp.shard_all(2),
-        exp.shard_all(4),
-        exp.shard_all(exp.len()),
+    let cases: Vec<Vec<Vec<usize>>> = vec![
+        round_robin(exp.len(), 1),
+        round_robin(exp.len(), 2),
+        round_robin(exp.len(), 4),
+        round_robin(exp.len(), exp.len()),
         scrambled_partition(exp.len(), 3, 0x9e37),
         scrambled_partition(exp.len(), 5, 0xc2b2),
         scrambled_partition(exp.len(), 2, 0x1234_5678),
     ];
-    for (case, shards) in cases.into_iter().enumerate() {
-        let mut parts: Vec<_> = shards.iter().map(|s| s.execute(&exp, |_| {})).collect();
+    for (case, partition) in cases.into_iter().enumerate() {
+        let mut parts = execute(&exp, &partition, 1 + case % 3);
         // Completion order must not matter: merge the parts reversed.
         parts.reverse();
         let merged = merge_reports(&exp, Vec::new(), parts).unwrap();
@@ -93,7 +109,8 @@ fn arbitrary_partitions_merge_byte_identically() {
 }
 
 /// Regression: the service's worker counts 1, 2, and 4 — the matrix CI
-/// pins over real processes — hold in-process too, Run deltas included.
+/// pins over HTTP — hold through the service call too, Run deltas
+/// included.
 #[test]
 fn service_reports_are_worker_count_invariant() {
     let (render, aggregate) = batch_baseline();
@@ -128,40 +145,70 @@ fn service_reports_are_worker_count_invariant() {
     }
 }
 
-/// Regression: a part that lost records (a crashed worker) merges to an
-/// error naming the gap, and refilling exactly the missing indices —
-/// whatever shard claims the refill — heals to the byte-identical report.
+/// Regression: parts that lost records merge to an error naming the gap,
+/// a forged fingerprint and a duplicate record are refused, and executing
+/// exactly the missing indices — in a part of any name — heals to the
+/// byte-identical report.
 #[test]
 fn lost_records_are_named_and_retry_heals_byte_identically() {
     let exp = expansion();
     let (render, _) = batch_baseline();
-    let shards = exp.shard_all(3);
-    let mut parts: Vec<_> = shards.iter().map(|s| s.execute(&exp, |_| {})).collect();
+    let mut parts = execute(&exp, &round_robin(exp.len(), 3), 2);
 
-    // Drop a prefix of shard 1 and a suffix of shard 2 — two different
-    // crash shapes.
-    parts[1].records.drain(..2);
-    parts[2].records.truncate(1);
+    let mut forged = parts.clone();
+    forged[2].records[0].spec_fingerprint ^= 1;
+    let err = merge_reports(&exp, Vec::new(), forged).unwrap_err();
+    assert!(err.to_string().contains("different plan"), "{err}");
+    let mut doubled = parts.clone();
+    doubled.push(parts[0].clone());
+    let err = merge_reports(&exp, Vec::new(), doubled).unwrap_err();
+    assert!(err.to_string().contains("two records"), "{err}");
+
+    // Drop a prefix of part 1 and a suffix of part 2 — two different
+    // shapes of loss.
+    let mut lost: Vec<usize> = parts[1].records.drain(..2).map(|r| r.index).collect();
+    lost.extend(parts[2].records.drain(1..).map(|r| r.index));
     let err = merge_reports(&exp, Vec::new(), parts.clone()).unwrap_err();
     assert!(
         err.to_string().contains("produced no record"),
         "gap is named: {err}"
     );
 
-    let mut healed_parts = parts;
-    for (shard, part) in [(1usize, 1usize), (2, 2)] {
-        let missing = healed_parts[part].missing_from(&shards[shard].indices);
-        assert!(!missing.is_empty());
-        let refill = ShardSpec {
-            shard: 99, // the merge keys on index + fingerprint, not shard id
-            of: 100,
-            indices: missing,
-        }
-        .execute(&exp, |_| {});
-        healed_parts.push(refill);
-    }
-    let healed = merge_reports(&exp, Vec::new(), healed_parts).unwrap();
+    // The merge keys on index + fingerprint, not on the part's name.
+    parts.push(ShardReport {
+        shard: 99,
+        ..CampaignRunner::new(2).execute(&exp, &lost)
+    });
+    let healed = merge_reports(&exp, Vec::new(), parts).unwrap();
     assert_eq!(healed.render(), render);
+}
+
+/// The shipped plans' aggregates are pinned to golden files (CI diffs
+/// the batch CLI against them too): the batch runner at 1 and 2 threads
+/// and the service at 1 and 2 workers reproduce them byte for byte.
+#[test]
+fn shipped_plans_reproduce_their_golden_aggregates_batch_and_served() {
+    for name in ["smoke", "stabilize"] {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/campaigns");
+        let plan = std::fs::read_to_string(format!("{dir}/{name}.campaign")).unwrap();
+        let golden = std::fs::read_to_string(format!("{dir}/{name}.metrics.json")).unwrap();
+        let runs = CampaignPlan::parse(&plan).unwrap().expand();
+        for threads in [1, 2] {
+            let batch = CampaignRunner::new(threads).run(&runs).unwrap();
+            assert_eq!(batch.aggregate_metrics().to_json(), golden, "{name} batch");
+            let service = CampaignService::new(ServiceConfig::default()).unwrap();
+            let mut sink = |_: &WireMsg| {};
+            match service.run_campaign(&plan, threads, &mut sink).unwrap() {
+                WireMsg::Report {
+                    render, aggregate, ..
+                } => {
+                    assert_eq!(render, batch.render(), "{name} served");
+                    assert_eq!(aggregate.to_json(), golden, "{name} served");
+                }
+                other => panic!("wrong kind: {}", other.kind()),
+            }
+        }
+    }
 }
 
 /// Warm-cache replay through the daemon: a service restarted on the cache
