@@ -6,7 +6,8 @@
 //! space. We probe this empirically: drive a protocol through a randomized
 //! (seeded) channel schedule, sample the boundness extension after every
 //! `send_msg` via the [`BoundnessOracle`], and count the distinct product
-//! control states `(fingerprint(Aᵗ), fingerprint(Aʳ))` visited. For a
+//! states `(fingerprint(Aᵗ), fingerprint(Aʳ))` visited, each fingerprint
+//! covering the automaton's whole derived state. For a
 //! finite-state protocol the maximum extension length must stay below the
 //! product-state count; for protocols with unbounded state (the naive
 //! sequence-number protocol) the product count itself grows with `n` — the

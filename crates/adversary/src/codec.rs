@@ -9,7 +9,7 @@
 //! RAM: a **fixed-width byte codec**.
 //!
 //! A bounded-protocol state is tiny by construction — that is the paper's
-//! whole premise. The automata are finite (64-bit control fingerprints),
+//! whole premise. The automata are finite (64-bit whole-state fingerprints),
 //! the `sm`/`rm` counters are bounded by the scope's message budget, and
 //! the pool is summarised by an order-independent content digest plus its
 //! length. [`StateCodec::encode`] packs exactly those fields into a
@@ -259,8 +259,12 @@ pub(crate) fn state_key(sys: &System) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{apply, build_root, enabled_actions, ExploreConfig};
-    use nonfifo_protocols::{AlternatingBit, SequenceNumber};
+    use crate::explore::{
+        apply, build_root, enabled_actions, to_step, Discipline, ExploreConfig, ExploreOutcome,
+    };
+    use crate::schedule::Schedule;
+    use nonfifo_protocols::{catalog, AlternatingBit, DataLink, SequenceNumber};
+    use std::collections::{HashSet, VecDeque};
 
     /// The legacy key derivation, verbatim, as the compatibility oracle.
     fn legacy_full_key(sys: &System) -> u64 {
@@ -366,6 +370,109 @@ mod tests {
         }
         assert!(!block_contains_key(&block, 0));
         assert!(!block_contains_key(&[], 42));
+    }
+
+    /// The audit's identity: each automaton's `Debug` text (every field,
+    /// spelled out), the message counters and the sorted pool. It is exact,
+    /// with no 64-bit shortcut anywhere.
+    type DebugTextKey = (String, String, u64, u64, Vec<nonfifo_ioa::Packet>);
+
+    fn debug_text_key(sys: &System) -> DebugTextKey {
+        let mut pool: Vec<_> = sys.fwd.parked_multiset().iter().map(|(p, _)| p).collect();
+        pool.sort_unstable();
+        let c = sys.counts();
+        (
+            format!("{:?}", sys.tx),
+            format!("{:?}", sys.rx),
+            c.sm,
+            c.rm,
+            pool,
+        )
+    }
+
+    /// The sequential oracle's search (no reduction), deduplicating on
+    /// [`debug_text_key`] instead of the shipped key. Returns the report the
+    /// oracle would print: the attack script or the state count.
+    fn explore_by_debug_text(proto: &dyn DataLink, cfg: &ExploreConfig) -> String {
+        let root = build_root(proto, cfg, false);
+        let mut visited = HashSet::from([debug_text_key(&root)]);
+        let mut frontier = VecDeque::from([(root, Schedule::new(Vec::new()))]);
+        while let Some((sys, path)) = frontier.pop_front() {
+            if path.steps().len() >= cfg.max_depth {
+                continue;
+            }
+            for action in enabled_actions(&sys, cfg) {
+                let mut next = sys.clone();
+                apply(&mut next, action);
+                let mut steps = path.steps().to_vec();
+                steps.push(to_step(action));
+                let steps = Schedule::new(steps);
+                if next.violation().is_some() {
+                    return steps.to_text();
+                }
+                if visited.insert(debug_text_key(&next)) {
+                    assert!(visited.len() < cfg.max_states, "audit scope truncated");
+                    frontier.push_back((next, steps));
+                }
+            }
+        }
+        format!("{} states", visited.len())
+    }
+
+    #[test]
+    fn shipped_identity_matches_debug_text_identity() {
+        // One instance of every catalog family. A protocol whose identity
+        // leaves out state the Debug text shows (or a hasher that merges
+        // distinct states) explores a different number of states, or
+        // certifies where the exact search finds an attack.
+        let instances = [
+            "abp",
+            "cycle3",
+            "seqnum",
+            "window2",
+            "gbn2",
+            "srej1",
+            "srej2",
+            "outnumber3",
+            "afek3",
+            "stabilizing-dl",
+        ];
+        for (family, _) in catalog::PROTOCOLS {
+            let stem = family.split(['<', '[']).next().unwrap_or(family);
+            assert!(
+                instances.iter().any(|i| i.starts_with(stem)),
+                "catalog family {family} is not audited"
+            );
+        }
+        for name in instances {
+            let proto = catalog::by_name(name).expect("catalog name");
+            for discipline in [
+                Discipline::NonFifo,
+                Discipline::LossyFifo,
+                Discipline::BoundedReorder(2),
+            ] {
+                for (max_messages, max_depth, max_pool) in [(3, 16, 3), (5, 20, 4)] {
+                    let cfg = ExploreConfig {
+                        max_messages,
+                        max_depth,
+                        max_pool,
+                        discipline,
+                        ..ExploreConfig::default()
+                    };
+                    let shipped = match crate::Explorer::new().explore(proto.as_ref(), &cfg) {
+                        ExploreOutcome::Counterexample { schedule, .. } => schedule.to_text(),
+                        ExploreOutcome::Exhausted { states } => format!("{states} states"),
+                        other => panic!("{name}: audit scope truncated: {other:?}"),
+                    };
+                    assert_eq!(
+                        shipped,
+                        explore_by_debug_text(proto.as_ref(), &cfg),
+                        "{name} {discipline} {max_messages}/{max_depth}/{max_pool}: \
+                         the shipped state identity disagrees with the exact one"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -159,9 +159,8 @@ impl DominantTracker {
             let in_transit_by_header = header_histogram(&fwd);
             let round_watermark = delayed_watermark(&fwd);
 
-            let m = Message::identical(message);
-            let _ = monitor.observe(&Event::SendMsg(m));
-            tx.on_send_msg(m);
+            let _ = monitor.observe(&Event::SendMsg(Message::identical(message)));
+            tx.on_send_msg(None);
 
             let mut sends_by_header: BTreeMap<Header, u64> = BTreeMap::new();
             let mut steps = 0u64;
@@ -203,7 +202,8 @@ impl DominantTracker {
                     rx.on_receive_pkt(pkt);
                 }
                 // Receiver outputs.
-                while let Some(dm) = rx.poll_deliver() {
+                while let Some(payload) = rx.poll_deliver() {
+                    let dm = Message::new(monitor.messages_delivered(), payload);
                     let _ = monitor.observe(&Event::ReceiveMsg(dm));
                     delivered = true;
                 }
@@ -255,9 +255,10 @@ impl DominantTracker {
                     });
                     rx.on_receive_pkt(pkt);
                 }
-                while let Some(dm) = rx.poll_deliver() {
+                while let Some(payload) = rx.poll_deliver() {
                     // A second delivery here would be a violation; let the
                     // monitor judge.
+                    let dm = Message::new(monitor.messages_delivered(), payload);
                     let _ = monitor.observe(&Event::ReceiveMsg(dm));
                 }
                 while let Some(ack) = rx.poll_send() {

@@ -31,12 +31,12 @@
 //!
 //! - **Inert deliveries commute with automaton-invisible actions.** A
 //!   `deliver h` is *inert* at a state when releasing the copy changes
-//!   neither automaton fingerprint nor the `sm`/`rm` counters: the receiver
+//!   neither automaton's state nor the `sm`/`rm` counters: the receiver
 //!   shrugs at a stale value and the echoed ack is ignored by the
 //!   transmitter. Copy identities are invisible to both the automata and
 //!   the state key (the pool digest is an order-independent value
 //!   histogram), so an inert delivery commutes with any co-enabled action
-//!   that leaves the transmitter's fingerprint unchanged — `park`, another
+//!   that leaves the transmitter's state unchanged — `park`, another
 //!   inert delivery, a drop of a different value — *provided* it is still
 //!   inert after that action (a delivery that becomes acceptable stops
 //!   commuting, and the relation says so).
@@ -183,13 +183,14 @@ impl PorCtx {
 
 /// True when the step from `parent` to `child` was invisible to both
 /// automata and to the specification counters — the channel moved, the
-/// stations did not.
+/// stations did not. The automata are compared exactly (derived `Eq`), not
+/// by fingerprint, so a hash collision can never make a step look inert.
 fn inert(parent: &System, child: &System) -> bool {
     child.violation() == parent.violation()
         && child.counts().sm == parent.counts().sm
         && child.counts().rm == parent.counts().rm
-        && child.tx.state_fingerprint() == parent.tx.state_fingerprint()
-        && child.rx.state_fingerprint() == parent.rx.state_fingerprint()
+        && child.tx.same_state(parent.tx.as_ref())
+        && child.rx.same_state(parent.rx.as_ref())
 }
 
 /// Applies `action` to a clone of `sys` and reports whether it was inert
@@ -284,7 +285,7 @@ fn action_pair_independent(sys: &System, cfg: &ExploreConfig, t: Action, other: 
         // copies never increases anyone's older-copy count.)
         Action::DropOldest(_) => true,
         // An inert delivery commutes with `other` when (a) `other` leaves
-        // the transmitter fingerprint unchanged, so the tick embedded in
+        // the transmitter's state unchanged, so the tick embedded in
         // the delivery mints the same retransmission on both sides of the
         // swap, (b) the delivery is still inert after `other`, and (c)
         // `other` is still enabled after the delivery — the delivery's
@@ -302,11 +303,11 @@ fn action_pair_independent(sys: &System, cfg: &ExploreConfig, t: Action, other: 
     }
 }
 
-/// True when applying `action` leaves the transmitter fingerprint unchanged.
+/// True when applying `action` leaves the transmitter's state unchanged.
 fn tx_preserving(sys: &System, action: Action) -> bool {
     let mut probe = sys.clone();
     crate::explore::apply(&mut probe, action);
-    probe.tx.state_fingerprint() == sys.tx.state_fingerprint()
+    probe.tx.same_state(sys.tx.as_ref())
 }
 
 /// True when `t` is still enabled and inert after `first` runs at `sys`.

@@ -104,7 +104,7 @@ impl System {
 
     /// Copies `source`'s state into `self`, reusing every buffer this
     /// system already owns: the automata are refilled in place via
-    /// [`Transmitter::assign_from`](nonfifo_protocols::Transmitter::assign_from)
+    /// [`TransmitterState::assign_from`](nonfifo_protocols::TransmitterState::assign_from)
     /// (falling back to `clone_box` on a concrete-type mismatch), and the
     /// channels, monitor, and execution reuse their allocations through
     /// `clone_from`. The state-space explorer recycles frontier systems
@@ -273,7 +273,7 @@ impl System {
         let m = Message::identical(self.next_msg);
         self.next_msg += 1;
         self.record(Event::SendMsg(m));
-        self.tx.on_send_msg(m);
+        self.tx.on_send_msg(m.payload());
     }
 
     fn record(&mut self, event: Event) {
@@ -477,7 +477,9 @@ impl System {
 
     fn drain_rx_outputs(&mut self) -> u64 {
         let mut delivered = 0;
-        while let Some(m) = self.rx.poll_deliver() {
+        while let Some(payload) = self.rx.poll_deliver() {
+            // Deliveries are named in order: the n-th is m<n>.
+            let m = Message::new(self.monitor.messages_delivered(), payload);
             self.record(Event::ReceiveMsg(m));
             delivered += 1;
         }

@@ -118,4 +118,33 @@ mod tests {
         assert!(text.contains("alternating-bit"));
         assert!(text.contains("sequence-number"));
     }
+
+    #[test]
+    fn report_seed_pins_every_row() {
+        // The seed `report` and EXPERIMENTS.md use: (tx, rx, product)
+        // state counts per protocol, so a change to any automaton's state
+        // identity that moves E1 shows up here.
+        let report = e1_boundness(20260705);
+        let rows: Vec<_> = report
+            .rows
+            .iter()
+            .map(|r| {
+                (
+                    r.protocol.as_str(),
+                    r.tx_states,
+                    r.rx_states,
+                    r.product_states,
+                )
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("alternating-bit", 4, 2, 4),
+                ("naive-cycle(k=3)", 6, 3, 6),
+                ("naive-cycle(k=5)", 10, 5, 10),
+                ("sequence-number", 46, 33, 46),
+            ]
+        );
+    }
 }

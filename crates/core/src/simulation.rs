@@ -557,11 +557,10 @@ impl Simulation {
                 waited += 1;
             }
 
-            let m = if cfg.payloads {
-                Message::with_payload(self.next_msg, Payload::new(self.next_msg))
-            } else {
-                Message::identical(self.next_msg)
-            };
+            let m = Message::new(
+                self.next_msg,
+                cfg.payloads.then(|| Payload::new(self.next_msg)),
+            );
             self.round_watermark = CopyId::from_raw(self.fwd.total_sent());
             self.round_start_step = self.steps;
             self.record(&Event::SendMsg(m));
@@ -569,7 +568,7 @@ impl Simulation {
                 .as_ref()
                 .map(|t| t.span_with_args("sim", "round", vec![("msg".to_string(), m.id().raw())]));
             self.next_msg += 1;
-            self.tx.on_send_msg(m);
+            self.tx.on_send_msg(m.payload());
             self.tx_crashed_since_send = false;
             if !self.pending_crashes.is_empty() {
                 // Stable-storage snapshot at the send_msg boundary.
@@ -595,16 +594,12 @@ impl Simulation {
                 {
                     // The in-flight message died with the transmitter's
                     // volatile state; re-submit it as a fresh monitored
-                    // send (`sm` grows, so prefix-DL1 stays honest).
+                    // send of the same message (`sm` grows, so prefix-DL1
+                    // stays honest).
                     last_retry = self.steps;
                     self.tx_crashed_since_send = false;
-                    let retry = if cfg.payloads {
-                        Message::with_payload(self.next_msg - 1, Payload::new(self.next_msg - 1))
-                    } else {
-                        Message::identical(self.next_msg - 1)
-                    };
-                    self.record(&Event::SendMsg(retry));
-                    self.tx.on_send_msg(retry);
+                    self.record(&Event::SendMsg(m));
+                    self.tx.on_send_msg(m.payload());
                 }
             }
             delivered += 1;
@@ -857,7 +852,9 @@ impl Simulation {
                 self.rx.on_receive_pkt(pkt);
             }
             let mut delivered_now = false;
-            while let Some(m) = self.rx.poll_deliver() {
+            while let Some(payload) = self.rx.poll_deliver() {
+                // Deliveries are named in order: the n-th is m<n>.
+                let m = Message::new(self.monitor.messages_delivered(), payload);
                 self.record(&Event::ReceiveMsg(m));
                 self.pending_deliveries += 1;
                 delivered_now = true;

@@ -6,14 +6,14 @@ use std::fmt;
 /// A ghost identifier for a message instance.
 ///
 /// The paper's lower bounds assume all messages are identical; protocols must
-/// not be able to tell messages apart by content. The simulation harness
-/// still needs to check the DL1/DL2 correspondence, so every `send_msg` is
-/// stamped with a `MsgId` that the *specification checkers* may inspect but
-/// that no [`Packet`](crate::Packet) can carry. Protocols receive the id as
-/// part of [`Message`] purely so they can echo it back on delivery when they
-/// legitimately transport it inside an unbounded header (e.g. the
-/// sequence-number protocol); bounded-header protocols deliver
-/// [`Message::identical`] reconstructions instead.
+/// not be able to tell messages apart by content. The harnesses still name
+/// each `send_msg` and `receive_msg` event so executions read well, so they
+/// stamp every message with a `MsgId` that no [`Packet`](crate::Packet) can
+/// carry and no protocol ever sees: automata take and yield payloads only,
+/// and the harness numbers sends and deliveries from its own counters (the
+/// `n`-th delivery is `m<n>`). Ids are therefore not part of any automaton's
+/// state, and the specification checkers match deliveries to sends by
+/// payload and order, never by id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MsgId(u64);
 
@@ -52,20 +52,22 @@ pub struct Message {
 }
 
 impl Message {
-    /// Creates the `seq`-th identical message (the paper's model: payload-less).
-    pub const fn identical(seq: u64) -> Self {
+    /// Creates the `seq`-th message with an optional payload.
+    pub const fn new(seq: u64, payload: Option<Payload>) -> Self {
         Message {
             id: MsgId::from_raw(seq),
-            payload: None,
+            payload,
         }
+    }
+
+    /// Creates the `seq`-th identical message (the paper's model: payload-less).
+    pub const fn identical(seq: u64) -> Self {
+        Message::new(seq, None)
     }
 
     /// Creates the `seq`-th message carrying an application payload.
     pub const fn with_payload(seq: u64, payload: Payload) -> Self {
-        Message {
-            id: MsgId::from_raw(seq),
-            payload: Some(payload),
-        }
+        Message::new(seq, Some(payload))
     }
 
     /// The ghost identity of this message instance.

@@ -116,6 +116,12 @@ impl Packet {
         }
     }
 
+    /// Creates a packet with an optional payload: the payload-carrying form
+    /// of [`Packet::new`] or, for `None`, [`Packet::header_only`].
+    pub const fn from_parts(header: Header, payload: Option<Payload>) -> Self {
+        Packet { header, payload }
+    }
+
     /// The packet's header.
     pub const fn header(self) -> Header {
         self.header

@@ -203,11 +203,9 @@ impl Correspondence {
 }
 
 fn matchable(send: &Message, recv: &Message) -> bool {
-    // Protocols may not inspect ghost ids, but the *checker* may: a receiver
-    // that legitimately transports the id (unbounded-header protocols) must
-    // deliver the right one, and a receiver that cannot (identical-message
-    // model) delivers reconstructed ids assigned in delivery order, which an
-    // order-preserving matching accepts. Payloads must always agree.
+    // Ghost ids are stamped by the harness (sends and deliveries each
+    // numbered in order), so they carry no evidence about which send a
+    // delivery answers: only payloads must agree.
     send.payload() == recv.payload()
 }
 

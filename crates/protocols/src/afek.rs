@@ -41,8 +41,7 @@ use crate::api::{
     Transmitter,
 };
 use crate::sequence::varint_bytes;
-use nonfifo_ioa::fingerprint::StateHash;
-use nonfifo_ioa::{Header, Message, Packet};
+use nonfifo_ioa::{Header, Packet, Payload};
 use std::collections::VecDeque;
 
 /// Factory for the flush protocol (\[Afe88\] uses three labels; the label
@@ -122,13 +121,12 @@ impl DataLink for AfekFlush {
 }
 
 /// Transmitter automaton of the flush protocol.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct AfekFlushTx {
     labels: u64,
     /// Index of the current (or next) message, 0-based.
     idx: u64,
     pending: bool,
-    total_sent: u64,
     outbox: VecDeque<Packet>,
 }
 
@@ -141,7 +139,6 @@ impl Clone for AfekFlushTx {
             labels: self.labels,
             idx: self.idx,
             pending: self.pending,
-            total_sent: self.total_sent,
             outbox: self.outbox.clone(),
         }
     }
@@ -150,7 +147,6 @@ impl Clone for AfekFlushTx {
         self.labels.clone_from(&source.labels);
         self.idx.clone_from(&source.idx);
         self.pending.clone_from(&source.pending);
-        self.total_sent.clone_from(&source.total_sent);
         self.outbox.clone_from(&source.outbox);
     }
 }
@@ -162,34 +158,24 @@ impl AfekFlushTx {
             labels: u64::from(labels),
             idx: 0,
             pending: false,
-            total_sent: 0,
             outbox: VecDeque::new(),
         }
-    }
-
-    /// Total data copies sent so far.
-    pub fn total_sent(&self) -> u64 {
-        self.total_sent
     }
 
     fn enqueue_data(&mut self) {
         let pkt = Packet::header_only(Header::new((self.idx % self.labels) as u32));
         self.outbox.push_back(pkt);
-        self.total_sent += 1;
     }
 }
 
 impl Recoverable for AfekFlushTx {
     fn crash_amnesia(&mut self) {
-        self.idx = 0;
-        self.pending = false;
-        self.total_sent = 0;
-        self.outbox.clear();
+        crate::api::amnesia_reboot(self, Self::new(self.labels as u32));
     }
 }
 
 impl Transmitter for AfekFlushTx {
-    fn on_send_msg(&mut self, _m: Message) {
+    fn on_send_msg(&mut self, _payload: Option<Payload>) {
         debug_assert!(!self.pending, "send_msg while not ready");
         self.pending = true;
         self.enqueue_data();
@@ -219,35 +205,10 @@ impl Transmitter for AfekFlushTx {
     fn space_bytes(&self) -> usize {
         varint_bytes(self.idx) + 1 + self.outbox.len() * std::mem::size_of::<Packet>()
     }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("afek-tx")
-            .field(self.idx)
-            .field(self.pending)
-            .finish()
-    }
-
-    fn clone_box(&self) -> BoxedTransmitter {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 /// Receiver automaton of the flush protocol.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct AfekFlushRx {
     labels: u64,
     /// Next undelivered message index, 0-based.
@@ -259,7 +220,7 @@ pub struct AfekFlushRx {
     /// ghost push of the round; `None` until that push arrives.
     stale_snapshot: Option<u64>,
     outbox: VecDeque<Packet>,
-    deliveries: VecDeque<Message>,
+    deliveries: VecDeque<Option<Payload>>,
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
@@ -317,11 +278,7 @@ impl AfekFlushRx {
 
 impl Recoverable for AfekFlushRx {
     fn crash_amnesia(&mut self) {
-        self.next = 0;
-        self.counted = 0;
-        self.stale_snapshot = None;
-        self.outbox.clear();
-        self.deliveries.clear();
+        crate::api::amnesia_reboot(self, Self::new(self.labels as u32));
     }
 }
 
@@ -332,7 +289,7 @@ impl Receiver for AfekFlushRx {
             if let Some(stale) = self.stale_snapshot {
                 self.counted += 1;
                 if self.counted > stale {
-                    self.deliveries.push_back(Message::identical(self.next));
+                    self.deliveries.push_back(None);
                     self.next += 1;
                     self.counted = 0;
                     self.stale_snapshot = None;
@@ -358,7 +315,7 @@ impl Receiver for AfekFlushRx {
         self.outbox.pop_front()
     }
 
-    fn poll_deliver(&mut self) -> Option<Message> {
+    fn poll_deliver(&mut self) -> Option<Option<Payload>> {
         self.deliveries.pop_front()
     }
 
@@ -367,32 +324,6 @@ impl Receiver for AfekFlushRx {
             + varint_bytes(self.counted)
             + varint_bytes(self.stale_snapshot.unwrap_or(0))
             + self.outbox.len() * std::mem::size_of::<Packet>()
-    }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("afek-rx")
-            .field(self.next)
-            .field(self.counted)
-            .field(self.stale_snapshot)
-            .finish()
-    }
-
-    fn clone_box(&self) -> BoxedReceiver {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Receiver) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
     }
 }
 
@@ -425,8 +356,7 @@ mod tests {
             assert!(rx.poll_deliver().is_none(), "fired at or below stale");
         }
         rx.on_receive_pkt(Packet::header_only(Header::new(0)));
-        let m = rx.poll_deliver().expect("stale+1 copies deliver");
-        assert_eq!(m.id().raw(), 0);
+        assert_eq!(rx.poll_deliver(), Some(None), "stale+1 copies deliver");
         // Ack carries the message index.
         assert_eq!(rx.poll_send().unwrap().header().index(), 0);
     }
@@ -451,7 +381,7 @@ mod tests {
     fn end_to_end_with_manual_ghosts() {
         let (mut tx, mut rx) = AfekFlush::new().make();
         for i in 0..6u64 {
-            tx.on_send_msg(Message::identical(i));
+            tx.on_send_msg(None);
             rx.on_ghost(&GhostInfo::default()); // no stale copies
             let mut steps = 0;
             while !tx.ready() {
@@ -465,7 +395,7 @@ mod tests {
                 steps += 1;
                 assert!(steps < 10, "clean channel should deliver fast");
             }
-            assert_eq!(rx.poll_deliver().unwrap().id().raw(), i);
+            assert_eq!(rx.poll_deliver(), Some(None), "message {i}");
         }
     }
 
@@ -473,7 +403,7 @@ mod tests {
     fn cost_is_linear_in_stale_count() {
         for stale in [0u64, 5, 20, 100] {
             let (mut tx, mut rx) = AfekFlush::new().make();
-            tx.on_send_msg(Message::identical(0));
+            tx.on_send_msg(None);
             rx.on_ghost(&ghost_with(Header::new(0), stale));
             let mut copies = 0u64;
             while !tx.ready() {

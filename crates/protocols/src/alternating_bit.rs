@@ -9,8 +9,7 @@
 use crate::api::{
     BoxedReceiver, BoxedTransmitter, DataLink, HeaderBound, Receiver, Recoverable, Transmitter,
 };
-use nonfifo_ioa::fingerprint::StateHash;
-use nonfifo_ioa::{Header, Message, Packet};
+use nonfifo_ioa::{Header, Packet, Payload};
 use std::collections::VecDeque;
 
 /// Factory for the alternating-bit protocol.
@@ -57,10 +56,11 @@ impl DataLink for AlternatingBit {
 }
 
 /// Transmitter automaton of the alternating-bit protocol.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct AlternatingBitTx {
     bit: u8,
-    pending: Option<Message>,
+    /// The unacknowledged message's payload, while one is outstanding.
+    pending: Option<Option<Payload>>,
     outbox: VecDeque<Packet>,
 }
 
@@ -98,11 +98,8 @@ impl AlternatingBitTx {
         self.bit
     }
 
-    fn data_packet(&self, m: Message) -> Packet {
-        match m.payload() {
-            Some(p) => Packet::new(Header::new(u32::from(self.bit)), p),
-            None => Packet::header_only(Header::new(u32::from(self.bit))),
-        }
+    fn data_packet(&self, payload: Option<Payload>) -> Packet {
+        Packet::from_parts(Header::new(u32::from(self.bit)), payload)
     }
 }
 
@@ -119,10 +116,10 @@ impl Recoverable for AlternatingBitTx {
 }
 
 impl Transmitter for AlternatingBitTx {
-    fn on_send_msg(&mut self, m: Message) {
+    fn on_send_msg(&mut self, payload: Option<Payload>) {
         debug_assert!(self.pending.is_none(), "send_msg while not ready");
-        self.pending = Some(m);
-        let pkt = self.data_packet(m);
+        self.pending = Some(payload);
+        let pkt = self.data_packet(payload);
         self.outbox.push_back(pkt);
     }
 
@@ -135,9 +132,9 @@ impl Transmitter for AlternatingBitTx {
 
     fn on_tick(&mut self) {
         // Retransmit once per tick while unacknowledged.
-        if let Some(m) = self.pending {
+        if let Some(payload) = self.pending {
             if self.outbox.is_empty() {
-                let pkt = self.data_packet(m);
+                let pkt = self.data_packet(payload);
                 self.outbox.push_back(pkt);
             }
         }
@@ -154,40 +151,14 @@ impl Transmitter for AlternatingBitTx {
     fn space_bytes(&self) -> usize {
         1 + 1 + self.outbox.len() * std::mem::size_of::<Packet>()
     }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("abp-tx")
-            .field(self.bit)
-            .field(self.pending.is_some())
-            .finish()
-    }
-
-    fn clone_box(&self) -> BoxedTransmitter {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 /// Receiver automaton of the alternating-bit protocol.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct AlternatingBitRx {
     expected: u8,
-    delivered: u64,
     outbox: VecDeque<Packet>,
-    inbox_deliveries: VecDeque<Message>,
+    inbox_deliveries: VecDeque<Option<Payload>>,
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
@@ -197,7 +168,6 @@ impl Clone for AlternatingBitRx {
     fn clone(&self) -> Self {
         AlternatingBitRx {
             expected: self.expected,
-            delivered: self.delivered,
             outbox: self.outbox.clone(),
             inbox_deliveries: self.inbox_deliveries.clone(),
         }
@@ -205,7 +175,6 @@ impl Clone for AlternatingBitRx {
 
     fn clone_from(&mut self, source: &Self) {
         self.expected.clone_from(&source.expected);
-        self.delivered.clone_from(&source.delivered);
         self.outbox.clone_from(&source.outbox);
         self.inbox_deliveries.clone_from(&source.inbox_deliveries);
     }
@@ -216,7 +185,6 @@ impl AlternatingBitRx {
     pub fn new() -> Self {
         AlternatingBitRx {
             expected: 0,
-            delivered: 0,
             outbox: VecDeque::new(),
             inbox_deliveries: VecDeque::new(),
         }
@@ -245,12 +213,7 @@ impl Receiver for AlternatingBitRx {
         // Always acknowledge the bit we saw.
         self.outbox.push_back(Packet::header_only(p.header()));
         if p.header().index() == u32::from(self.expected) {
-            let msg = match p.payload() {
-                Some(pl) => Message::with_payload(self.delivered, pl),
-                None => Message::identical(self.delivered),
-            };
-            self.inbox_deliveries.push_back(msg);
-            self.delivered += 1;
+            self.inbox_deliveries.push_back(p.payload());
             self.expected ^= 1;
         }
     }
@@ -259,34 +222,12 @@ impl Receiver for AlternatingBitRx {
         self.outbox.pop_front()
     }
 
-    fn poll_deliver(&mut self) -> Option<Message> {
+    fn poll_deliver(&mut self) -> Option<Option<Payload>> {
         self.inbox_deliveries.pop_front()
     }
 
     fn space_bytes(&self) -> usize {
-        1 + 8 + self.outbox.len() * std::mem::size_of::<Packet>()
-    }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("abp-rx").field(self.expected).finish()
-    }
-
-    fn clone_box(&self) -> BoxedReceiver {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Receiver) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
+        1 + self.outbox.len() * std::mem::size_of::<Packet>()
     }
 }
 
@@ -299,12 +240,11 @@ mod tests {
         let (mut tx, mut rx) = AlternatingBit::new().make();
         for i in 0..5u64 {
             assert!(tx.ready());
-            tx.on_send_msg(Message::identical(i));
+            tx.on_send_msg(Some(Payload::new(i)));
             let d = tx.poll_send().expect("data packet");
             assert_eq!(d.header().index(), (i % 2) as u32);
             rx.on_receive_pkt(d);
-            let delivered = rx.poll_deliver().expect("delivery");
-            assert_eq!(delivered.id().raw(), i);
+            assert_eq!(rx.poll_deliver(), Some(Some(Payload::new(i))));
             let ack = rx.poll_send().expect("ack");
             tx.on_receive_pkt(ack);
         }
@@ -314,7 +254,7 @@ mod tests {
     #[test]
     fn retransmits_until_acked() {
         let mut tx = AlternatingBitTx::new();
-        tx.on_send_msg(Message::identical(0));
+        tx.on_send_msg(None);
         assert!(tx.poll_send().is_some());
         assert!(tx.poll_send().is_none());
         tx.on_tick();
@@ -328,7 +268,7 @@ mod tests {
     #[test]
     fn wrong_bit_ack_is_ignored() {
         let mut tx = AlternatingBitTx::new();
-        tx.on_send_msg(Message::identical(0));
+        tx.on_send_msg(None);
         tx.on_receive_pkt(Packet::header_only(Header::new(1)));
         assert!(!tx.ready());
     }
@@ -352,7 +292,7 @@ mod tests {
         // after the receiver has cycled back to expecting bit 0.
         let (mut tx, mut rx) = AlternatingBit::new().make();
         // Message 0 (bit 0): the channel holds one copy back.
-        tx.on_send_msg(Message::identical(0));
+        tx.on_send_msg(None);
         let d0_first = tx.poll_send().unwrap();
         tx.on_tick();
         let d0_stale = tx.poll_send().unwrap(); // the copy the channel delays
@@ -360,7 +300,7 @@ mod tests {
         rx.poll_deliver().unwrap();
         tx.on_receive_pkt(rx.poll_send().unwrap());
         // Message 1 (bit 1) delivered normally.
-        tx.on_send_msg(Message::identical(1));
+        tx.on_send_msg(None);
         rx.on_receive_pkt(tx.poll_send().unwrap());
         rx.poll_deliver().unwrap();
         tx.on_receive_pkt(rx.poll_send().unwrap());
@@ -372,18 +312,19 @@ mod tests {
 
     #[test]
     fn fingerprints_reflect_control_state() {
+        use crate::api::TransmitterState;
         let mut tx = AlternatingBitTx::new();
         let f0 = tx.state_fingerprint();
-        tx.on_send_msg(Message::identical(0));
+        tx.on_send_msg(None);
         assert_ne!(tx.state_fingerprint(), f0);
+        assert_ne!(tx, AlternatingBitTx::new());
     }
 
     #[test]
     fn payload_is_carried() {
         let (mut tx, mut rx) = AlternatingBit::new().make();
-        tx.on_send_msg(Message::with_payload(0, nonfifo_ioa::Payload::new(77)));
+        tx.on_send_msg(Some(Payload::new(77)));
         rx.on_receive_pkt(tx.poll_send().unwrap());
-        let m = rx.poll_deliver().unwrap();
-        assert_eq!(m.payload().map(|p| p.word()), Some(77));
+        assert_eq!(rx.poll_deliver(), Some(Some(Payload::new(77))));
     }
 }

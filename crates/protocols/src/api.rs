@@ -1,9 +1,11 @@
 //! The protocol automaton API: [`Transmitter`], [`Receiver`], and the
 //! [`DataLink`] factory.
 
-use nonfifo_ioa::{Header, Message, Packet};
+use nonfifo_ioa::fingerprint::fnv64;
+use nonfifo_ioa::{Header, Packet, Payload};
 use std::any::Any;
 use std::fmt;
+use std::hash::Hash;
 
 /// Harness-computed channel summaries pushed to the automata every
 /// scheduler step.
@@ -84,9 +86,10 @@ impl GhostInfo {
 pub trait Recoverable {
     /// Crashes the automaton with total loss of volatile state.
     ///
-    /// After the call the automaton is observably identical to a freshly
-    /// constructed one with the same configuration: `state_fingerprint`
-    /// returns the initial fingerprint and no queued output survives.
+    /// After the call the automaton *equals* a freshly constructed one with
+    /// the same configuration under its derived `Eq` — the whole state,
+    /// queued outputs included, so no queued output survives — and
+    /// therefore has the initial state identity.
     fn crash_amnesia(&mut self);
 }
 
@@ -98,9 +101,10 @@ pub trait Recoverable {
 /// configuration (`Self::new(self.window)` and the like); the reset goes
 /// through the automaton's fieldwise `clone_from`, so queue and map
 /// allocations survive the reboot — the same reason the automata implement
-/// manual `Clone` for the explorer's pool. This replaces the per-protocol
-/// fieldwise reset lists that used to be duplicated (and had to be kept in
-/// sync with the field set by hand) across the window-family protocols.
+/// manual `Clone` for the explorer's pool. Because the whole state is
+/// copied, the rebooted automaton is `==` to `initial`, which is exactly
+/// the [`Recoverable::crash_amnesia`] contract; no per-protocol reset list
+/// has to be kept in sync with the field set by hand.
 pub fn amnesia_reboot<A: Clone>(automaton: &mut A, initial: A) {
     automaton.clone_from(&initial);
 }
@@ -116,17 +120,26 @@ pub fn amnesia_reboot<A: Clone>(automaton: &mut A, initial: A) {
 /// extensions by cloning the automaton and simulating forward, which is only
 /// sound if a clone behaves identically on identical inputs.
 ///
+/// An automaton's state identity is its whole state: implementors derive
+/// `Hash`, `PartialEq` and `Eq` (plus `Debug`) and write a `Clone`, and the
+/// blanket [`TransmitterState`] impl supplies the fingerprint, the exact
+/// comparison, boxing and in-place refill. Nothing the protocol stores can
+/// be left out of its identity by accident.
+///
 /// Automata are `Send + Sync`: the parallel state-space explorer shares
 /// frontier nodes across worker threads by reference and clones them on
 /// expansion, so a protocol state may not contain thread-bound interior
 /// mutability. Every automaton here is a plain deterministic data structure,
 /// which satisfies the bounds for free.
-pub trait Transmitter: Recoverable + fmt::Debug + Send + Sync {
-    /// `send_msg(m)`: the higher layer hands over the next message.
+pub trait Transmitter: TransmitterState + Recoverable + fmt::Debug + Send + Sync {
+    /// `send_msg(m)`: the higher layer hands over the next message, of
+    /// which the automaton sees only the payload (`None` in the paper's
+    /// identical-message model). The message's ghost id stays with the
+    /// harness: an automaton cannot tell messages apart.
     ///
     /// The harness only calls this when [`ready`](Transmitter::ready)
     /// returns true.
-    fn on_send_msg(&mut self, m: Message);
+    fn on_send_msg(&mut self, payload: Option<Payload>);
 
     /// `receive_pkt`ʳ→ᵗ`(p)`: an acknowledgement packet arrives.
     fn on_receive_pkt(&mut self, p: Packet);
@@ -167,33 +180,72 @@ pub trait Transmitter: Recoverable + fmt::Debug + Send + Sync {
 
     /// Bytes of live protocol state — the space observable of Theorem 3.1.
     fn space_bytes(&self) -> usize;
+}
 
-    /// Deterministic fingerprint of the *control* state (used for product
-    /// state counting in the Theorem 2.1 experiments).
+/// State identity and copying for a [`Transmitter`], supplied by one
+/// blanket impl for every automaton that is `Clone + Hash + Eq`.
+pub trait TransmitterState {
+    /// Deterministic fingerprint of the whole state: [`fnv64`] of the
+    /// derived `Hash`. The Theorem 2.1 experiments count distinct values
+    /// and the explorer's state key carries it, so two states share a
+    /// fingerprint only by a 64-bit hash collision.
     fn state_fingerprint(&self) -> u64;
+
+    /// True when `other` is the same concrete automaton in an equal state
+    /// (the derived `Eq`): the exact comparison behind a fingerprint.
+    fn same_state(&self, other: &dyn Transmitter) -> bool;
 
     /// Clones the automaton behind a box.
     fn clone_box(&self) -> BoxedTransmitter;
 
-    /// The automaton as [`Any`], enabling same-type downcasts for
-    /// [`assign_from`](Transmitter::assign_from).
+    /// The automaton as [`Any`], enabling same-type downcasts.
     fn as_any(&self) -> &dyn Any;
 
     /// Copies `source`'s state into `self` without allocating a new box,
-    /// reusing this automaton's storage. Returns false when `source` is a
-    /// different concrete type — callers fall back to
-    /// [`clone_box`](Transmitter::clone_box). The state-space explorer
-    /// recycles frontier systems through a pool with this, so its
+    /// reusing this automaton's storage through its `clone_from`. Returns
+    /// false when `source` is a different concrete type — callers fall back
+    /// to [`clone_box`](TransmitterState::clone_box). The state-space
+    /// explorer recycles frontier systems through a pool with this, so its
     /// steady-state expansion loop never touches the allocator.
     fn assign_from(&mut self, source: &dyn Transmitter) -> bool;
+}
+
+impl<T: Transmitter + Clone + Hash + Eq + 'static> TransmitterState for T {
+    fn state_fingerprint(&self) -> u64 {
+        fnv64(self)
+    }
+
+    fn same_state(&self, other: &dyn Transmitter) -> bool {
+        other.as_any().downcast_ref::<T>() == Some(self)
+    }
+
+    fn clone_box(&self) -> BoxedTransmitter {
+        Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
+        match source.as_any().downcast_ref::<T>() {
+            Some(src) => {
+                self.clone_from(src);
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 /// The receiving-station automaton `Aʳ`.
 ///
 /// Input actions: `receive_pkt`ᵗ→ʳ, tick, ghost. Output actions:
 /// `send_pkt`ʳ→ᵗ via [`poll_send`](Receiver::poll_send) and
-/// `receive_msg(m)` via [`poll_deliver`](Receiver::poll_deliver).
-pub trait Receiver: Recoverable + fmt::Debug + Send + Sync {
+/// `receive_msg(m)` via [`poll_deliver`](Receiver::poll_deliver). State
+/// identity comes from the blanket [`ReceiverState`] impl, as for
+/// [`Transmitter`].
+pub trait Receiver: ReceiverState + Recoverable + fmt::Debug + Send + Sync {
     /// `receive_pkt`ᵗ→ʳ`(p)`: a data packet arrives.
     fn on_receive_pkt(&mut self, p: Packet);
 
@@ -218,26 +270,65 @@ pub trait Receiver: Recoverable + fmt::Debug + Send + Sync {
     /// Drains the next enabled `send_pkt`ʳ→ᵗ output (acknowledgement).
     fn poll_send(&mut self) -> Option<Packet>;
 
-    /// Drains the next enabled `receive_msg` output.
-    fn poll_deliver(&mut self) -> Option<Message>;
+    /// Drains the next enabled `receive_msg` output: the delivered payload
+    /// (`None` inside for an identical message). The harness stamps the
+    /// message's ghost id from its own delivery count.
+    fn poll_deliver(&mut self) -> Option<Option<Payload>>;
 
     /// Bytes of live protocol state.
     fn space_bytes(&self) -> usize;
+}
 
-    /// Deterministic fingerprint of the control state.
+/// State identity and copying for a [`Receiver`], supplied by one blanket
+/// impl for every automaton that is `Clone + Hash + Eq`; see
+/// [`TransmitterState`].
+pub trait ReceiverState {
+    /// Deterministic fingerprint of the whole state: [`fnv64`] of the
+    /// derived `Hash`.
     fn state_fingerprint(&self) -> u64;
+
+    /// True when `other` is the same concrete automaton in an equal state
+    /// (the derived `Eq`).
+    fn same_state(&self, other: &dyn Receiver) -> bool;
 
     /// Clones the automaton behind a box.
     fn clone_box(&self) -> BoxedReceiver;
 
-    /// The automaton as [`Any`], enabling same-type downcasts for
-    /// [`assign_from`](Receiver::assign_from).
+    /// The automaton as [`Any`], enabling same-type downcasts.
     fn as_any(&self) -> &dyn Any;
 
     /// Copies `source`'s state into `self` without allocating a new box;
     /// false when `source` is a different concrete type (fall back to
-    /// [`clone_box`](Receiver::clone_box)).
+    /// [`clone_box`](ReceiverState::clone_box)).
     fn assign_from(&mut self, source: &dyn Receiver) -> bool;
+}
+
+impl<T: Receiver + Clone + Hash + Eq + 'static> ReceiverState for T {
+    fn state_fingerprint(&self) -> u64 {
+        fnv64(self)
+    }
+
+    fn same_state(&self, other: &dyn Receiver) -> bool {
+        other.as_any().downcast_ref::<T>() == Some(self)
+    }
+
+    fn clone_box(&self) -> BoxedReceiver {
+        Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn assign_from(&mut self, source: &dyn Receiver) -> bool {
+        match source.as_any().downcast_ref::<T>() {
+            Some(src) => {
+                self.clone_from(src);
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 /// A boxed transmitter trait object.

@@ -12,8 +12,7 @@ use crate::api::{
     BoxedReceiver, BoxedTransmitter, DataLink, HeaderBound, Receiver, Recoverable, Transmitter,
 };
 use crate::sequence::varint_bytes;
-use nonfifo_ioa::fingerprint::StateHash;
-use nonfifo_ioa::{Header, Message, Packet, Payload};
+use nonfifo_ioa::{Header, Packet, Payload};
 use std::collections::VecDeque;
 
 /// Factory for the Go-Back-N protocol.
@@ -71,7 +70,7 @@ impl DataLink for GoBackN {
 }
 
 /// Transmitter automaton of Go-Back-N.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct GoBackNTx {
     window: u64,
     modulus: u64,
@@ -126,11 +125,7 @@ impl GoBackNTx {
     }
 
     fn packet_for(&self, seq: u64, payload: Option<Payload>) -> Packet {
-        let h = Header::new((seq % self.modulus) as u32);
-        match payload {
-            Some(p) => Packet::new(h, p),
-            None => Packet::header_only(h),
-        }
+        Packet::from_parts(Header::new((seq % self.modulus) as u32), payload)
     }
 }
 
@@ -141,12 +136,12 @@ impl Recoverable for GoBackNTx {
 }
 
 impl Transmitter for GoBackNTx {
-    fn on_send_msg(&mut self, m: Message) {
+    fn on_send_msg(&mut self, payload: Option<Payload>) {
         debug_assert!(self.ready(), "send_msg while window full");
         let seq = self.next;
         self.next += 1;
-        self.unacked.push_back(m.payload());
-        let pkt = self.packet_for(seq, m.payload());
+        self.unacked.push_back(payload);
+        let pkt = self.packet_for(seq, payload);
         self.outbox.push_back(pkt);
     }
 
@@ -189,40 +184,15 @@ impl Transmitter for GoBackNTx {
             + self.unacked.len() * 9
             + self.outbox.len() * std::mem::size_of::<Packet>()
     }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("gbn-tx")
-            .field(self.base)
-            .field(self.next)
-            .finish()
-    }
-
-    fn clone_box(&self) -> BoxedTransmitter {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 /// Receiver automaton of Go-Back-N: no reorder buffer.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct GoBackNRx {
     modulus: u64,
     next_expected: u64,
     outbox: VecDeque<Packet>,
-    deliveries: VecDeque<Message>,
+    deliveries: VecDeque<Option<Payload>>,
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
@@ -274,11 +244,7 @@ impl Receiver for GoBackNRx {
     fn on_receive_pkt(&mut self, p: Packet) {
         let s = u64::from(p.header().index());
         if s == self.next_expected % self.modulus {
-            let msg = match p.payload() {
-                Some(pl) => Message::with_payload(self.next_expected, pl),
-                None => Message::identical(self.next_expected),
-            };
-            self.deliveries.push_back(msg);
+            self.deliveries.push_back(p.payload());
             self.next_expected += 1;
         }
         // Cumulative ack either way.
@@ -291,34 +257,12 @@ impl Receiver for GoBackNRx {
         self.outbox.pop_front()
     }
 
-    fn poll_deliver(&mut self) -> Option<Message> {
+    fn poll_deliver(&mut self) -> Option<Option<Payload>> {
         self.deliveries.pop_front()
     }
 
     fn space_bytes(&self) -> usize {
         varint_bytes(self.next_expected) + self.outbox.len() * std::mem::size_of::<Packet>()
-    }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("gbn-rx").field(self.next_expected).finish()
-    }
-
-    fn clone_box(&self) -> BoxedReceiver {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Receiver) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
     }
 }
 
@@ -334,14 +278,14 @@ mod tests {
         let mut sent = 0u64;
         while delivered < 20 {
             while tx.ready() && sent < 20 {
-                tx.on_send_msg(Message::identical(sent));
+                tx.on_send_msg(Some(Payload::new(sent)));
                 sent += 1;
             }
             while let Some(d) = tx.poll_send() {
                 rx.on_receive_pkt(d);
             }
             while let Some(m) = rx.poll_deliver() {
-                assert_eq!(m.id().raw(), delivered);
+                assert_eq!(m, Some(Payload::new(delivered)));
                 delivered += 1;
             }
             while let Some(a) = rx.poll_send() {
@@ -356,8 +300,8 @@ mod tests {
     fn out_of_order_is_discarded_not_buffered() {
         let mut tx = GoBackNTx::new(3);
         let mut rx = GoBackNRx::new(3);
-        tx.on_send_msg(Message::identical(0));
-        tx.on_send_msg(Message::identical(1));
+        tx.on_send_msg(None);
+        tx.on_send_msg(None);
         let d0 = tx.poll_send().unwrap();
         let d1 = tx.poll_send().unwrap();
         rx.on_receive_pkt(d1);
@@ -365,7 +309,7 @@ mod tests {
         // The cumulative ack still says "expecting 0".
         assert_eq!(rx.poll_send().unwrap().header().index(), 0);
         rx.on_receive_pkt(d0);
-        assert_eq!(rx.poll_deliver().unwrap().id().raw(), 0);
+        assert_eq!(rx.poll_deliver(), Some(None));
         // d1 was dropped; only a retransmission will deliver message 1.
         assert!(rx.poll_deliver().is_none());
         tx.on_tick();
@@ -375,9 +319,9 @@ mod tests {
     #[test]
     fn go_back_retransmits_whole_window() {
         let mut tx = GoBackNTx::new(3);
-        tx.on_send_msg(Message::identical(0));
-        tx.on_send_msg(Message::identical(1));
-        tx.on_send_msg(Message::identical(2));
+        tx.on_send_msg(None);
+        tx.on_send_msg(None);
+        tx.on_send_msg(None);
         while tx.poll_send().is_some() {}
         tx.on_tick();
         let mut resent = 0;
@@ -391,7 +335,7 @@ mod tests {
     fn loss_recovery_end_to_end() {
         let mut tx = GoBackNTx::new(2);
         let mut rx = GoBackNRx::new(2);
-        tx.on_send_msg(Message::identical(0));
+        tx.on_send_msg(None);
         let _lost = tx.poll_send();
         tx.on_tick();
         rx.on_receive_pkt(tx.poll_send().unwrap());

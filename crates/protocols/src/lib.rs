@@ -55,7 +55,7 @@ pub use afek::{AfekFlush, AfekFlushRx, AfekFlushTx};
 pub use alternating_bit::{AlternatingBit, AlternatingBitRx, AlternatingBitTx};
 pub use api::{
     amnesia_reboot, BoxedReceiver, BoxedTransmitter, DataLink, GhostInfo, HeaderBound, Receiver,
-    Recoverable, Transmitter,
+    ReceiverState, Recoverable, Transmitter, TransmitterState,
 };
 pub use go_back_n::{GoBackN, GoBackNRx, GoBackNTx};
 pub use naive_cycle::{NaiveCycle, NaiveCycleRx, NaiveCycleTx};

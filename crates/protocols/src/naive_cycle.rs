@@ -11,8 +11,7 @@
 use crate::api::{
     BoxedReceiver, BoxedTransmitter, DataLink, HeaderBound, Receiver, Recoverable, Transmitter,
 };
-use nonfifo_ioa::fingerprint::StateHash;
-use nonfifo_ioa::{Header, Message, Packet};
+use nonfifo_ioa::{Header, Packet, Payload};
 use std::collections::VecDeque;
 
 /// Factory for the `k`-label cycle protocol.
@@ -66,11 +65,13 @@ impl DataLink for NaiveCycle {
 }
 
 /// Transmitter automaton of the label-cycle protocol.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct NaiveCycleTx {
     k: u32,
-    seq: u64,
-    pending: Option<Message>,
+    /// The current message's label, `i mod k` for message `i`.
+    label: u32,
+    /// The unacknowledged message's payload, while one is outstanding.
+    pending: Option<Option<Payload>>,
     outbox: VecDeque<Packet>,
 }
 
@@ -81,7 +82,7 @@ impl Clone for NaiveCycleTx {
     fn clone(&self) -> Self {
         NaiveCycleTx {
             k: self.k,
-            seq: self.seq,
+            label: self.label,
             pending: self.pending,
             outbox: self.outbox.clone(),
         }
@@ -89,7 +90,7 @@ impl Clone for NaiveCycleTx {
 
     fn clone_from(&mut self, source: &Self) {
         self.k.clone_from(&source.k);
-        self.seq.clone_from(&source.seq);
+        self.label.clone_from(&source.label);
         self.pending.clone_from(&source.pending);
         self.outbox.clone_from(&source.outbox);
     }
@@ -100,21 +101,14 @@ impl NaiveCycleTx {
     pub fn new(k: u32) -> Self {
         NaiveCycleTx {
             k,
-            seq: 0,
+            label: 0,
             pending: None,
             outbox: VecDeque::new(),
         }
     }
 
-    fn label(&self) -> Header {
-        Header::new((self.seq % u64::from(self.k)) as u32)
-    }
-
-    fn data_packet(&self, m: Message) -> Packet {
-        match m.payload() {
-            Some(p) => Packet::new(self.label(), p),
-            None => Packet::header_only(self.label()),
-        }
+    fn data_packet(&self, payload: Option<Payload>) -> Packet {
+        Packet::from_parts(Header::new(self.label), payload)
     }
 }
 
@@ -125,24 +119,24 @@ impl Recoverable for NaiveCycleTx {
 }
 
 impl Transmitter for NaiveCycleTx {
-    fn on_send_msg(&mut self, m: Message) {
+    fn on_send_msg(&mut self, payload: Option<Payload>) {
         debug_assert!(self.pending.is_none(), "send_msg while not ready");
-        self.pending = Some(m);
-        let pkt = self.data_packet(m);
+        self.pending = Some(payload);
+        let pkt = self.data_packet(payload);
         self.outbox.push_back(pkt);
     }
 
     fn on_receive_pkt(&mut self, p: Packet) {
-        if self.pending.is_some() && p.header() == self.label() {
+        if self.pending.is_some() && p.header() == Header::new(self.label) {
             self.pending = None;
-            self.seq += 1;
+            self.label = (self.label + 1) % self.k;
         }
     }
 
     fn on_tick(&mut self) {
-        if let Some(m) = self.pending {
+        if let Some(payload) = self.pending {
             if self.outbox.is_empty() {
-                let pkt = self.data_packet(m);
+                let pkt = self.data_packet(payload);
                 self.outbox.push_back(pkt);
             }
         }
@@ -157,42 +151,18 @@ impl Transmitter for NaiveCycleTx {
     }
 
     fn space_bytes(&self) -> usize {
-        4 + 8 + self.outbox.len() * std::mem::size_of::<Packet>()
-    }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("naive-cycle-tx")
-            .field(self.seq % u64::from(self.k))
-            .field(self.pending.is_some())
-            .finish()
-    }
-
-    fn clone_box(&self) -> BoxedTransmitter {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
+        4 + 4 + self.outbox.len() * std::mem::size_of::<Packet>()
     }
 }
 
 /// Receiver automaton of the label-cycle protocol.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct NaiveCycleRx {
     k: u32,
-    delivered: u64,
+    /// The label of the next message to deliver.
+    expected: u32,
     outbox: VecDeque<Packet>,
-    deliveries: VecDeque<Message>,
+    deliveries: VecDeque<Option<Payload>>,
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
@@ -202,7 +172,7 @@ impl Clone for NaiveCycleRx {
     fn clone(&self) -> Self {
         NaiveCycleRx {
             k: self.k,
-            delivered: self.delivered,
+            expected: self.expected,
             outbox: self.outbox.clone(),
             deliveries: self.deliveries.clone(),
         }
@@ -210,7 +180,7 @@ impl Clone for NaiveCycleRx {
 
     fn clone_from(&mut self, source: &Self) {
         self.k.clone_from(&source.k);
-        self.delivered.clone_from(&source.delivered);
+        self.expected.clone_from(&source.expected);
         self.outbox.clone_from(&source.outbox);
         self.deliveries.clone_from(&source.deliveries);
     }
@@ -221,14 +191,10 @@ impl NaiveCycleRx {
     pub fn new(k: u32) -> Self {
         NaiveCycleRx {
             k,
-            delivered: 0,
+            expected: 0,
             outbox: VecDeque::new(),
             deliveries: VecDeque::new(),
         }
-    }
-
-    fn expected(&self) -> Header {
-        Header::new((self.delivered % u64::from(self.k)) as u32)
     }
 }
 
@@ -241,13 +207,9 @@ impl Recoverable for NaiveCycleRx {
 impl Receiver for NaiveCycleRx {
     fn on_receive_pkt(&mut self, p: Packet) {
         self.outbox.push_back(Packet::header_only(p.header()));
-        if p.header() == self.expected() {
-            let msg = match p.payload() {
-                Some(pl) => Message::with_payload(self.delivered, pl),
-                None => Message::identical(self.delivered),
-            };
-            self.deliveries.push_back(msg);
-            self.delivered += 1;
+        if p.header() == Header::new(self.expected) {
+            self.deliveries.push_back(p.payload());
+            self.expected = (self.expected + 1) % self.k;
         }
     }
 
@@ -255,36 +217,12 @@ impl Receiver for NaiveCycleRx {
         self.outbox.pop_front()
     }
 
-    fn poll_deliver(&mut self) -> Option<Message> {
+    fn poll_deliver(&mut self) -> Option<Option<Payload>> {
         self.deliveries.pop_front()
     }
 
     fn space_bytes(&self) -> usize {
-        4 + 8 + self.outbox.len() * std::mem::size_of::<Packet>()
-    }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("naive-cycle-rx")
-            .field(self.delivered % u64::from(self.k))
-            .finish()
-    }
-
-    fn clone_box(&self) -> BoxedReceiver {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Receiver) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
+        4 + 4 + self.outbox.len() * std::mem::size_of::<Packet>()
     }
 }
 
@@ -296,11 +234,11 @@ mod tests {
     fn delivers_in_order_over_perfect_channel() {
         let (mut tx, mut rx) = NaiveCycle::new(3).make();
         for i in 0..7u64 {
-            tx.on_send_msg(Message::identical(i));
+            tx.on_send_msg(None);
             let d = tx.poll_send().unwrap();
             assert_eq!(u64::from(d.header().index()), i % 3);
             rx.on_receive_pkt(d);
-            assert_eq!(rx.poll_deliver().unwrap().id().raw(), i);
+            assert_eq!(rx.poll_deliver(), Some(None));
             tx.on_receive_pkt(rx.poll_send().unwrap());
             assert!(tx.ready());
         }
@@ -311,7 +249,7 @@ mod tests {
         let k = 3;
         let (mut tx, mut rx) = NaiveCycle::new(k).make();
         // Round 0: keep one extra copy of label 0.
-        tx.on_send_msg(Message::identical(0));
+        tx.on_send_msg(None);
         let fresh = tx.poll_send().unwrap();
         tx.on_tick();
         let stale = tx.poll_send().unwrap();
@@ -320,8 +258,8 @@ mod tests {
         tx.on_receive_pkt(rx.poll_send().unwrap());
         let _ = rx.poll_send();
         // Rounds 1..k delivered cleanly; receiver cycles back to label 0.
-        for i in 1..u64::from(k) {
-            tx.on_send_msg(Message::identical(i));
+        for _ in 1..u64::from(k) {
+            tx.on_send_msg(None);
             rx.on_receive_pkt(tx.poll_send().unwrap());
             rx.poll_deliver().unwrap();
             tx.on_receive_pkt(rx.poll_send().unwrap());

@@ -39,8 +39,7 @@ use crate::api::{
     BoxedReceiver, BoxedTransmitter, DataLink, HeaderBound, Receiver, Recoverable, Transmitter,
 };
 use crate::sequence::varint_bytes;
-use nonfifo_ioa::fingerprint::StateHash;
-use nonfifo_ioa::{Header, Message, Packet};
+use nonfifo_ioa::{Header, Packet, Payload};
 use std::collections::VecDeque;
 
 /// Factory for the outnumber protocol.
@@ -102,7 +101,7 @@ impl DataLink for Outnumber {
 }
 
 /// Transmitter automaton of the outnumber protocol.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct OutnumberTx {
     labels: u64,
     /// Index of the current (or next) message, 0-based.
@@ -165,15 +164,12 @@ impl OutnumberTx {
 
 impl Recoverable for OutnumberTx {
     fn crash_amnesia(&mut self) {
-        self.idx = 0;
-        self.pending = false;
-        self.total_sent = 0;
-        self.outbox.clear();
+        crate::api::amnesia_reboot(self, Self::new(self.labels as u32));
     }
 }
 
 impl Transmitter for OutnumberTx {
-    fn on_send_msg(&mut self, _m: Message) {
+    fn on_send_msg(&mut self, _payload: Option<Payload>) {
         debug_assert!(!self.pending, "send_msg while not ready");
         self.pending = true;
         self.enqueue_data();
@@ -207,35 +203,10 @@ impl Transmitter for OutnumberTx {
             + 1
             + self.outbox.len() * std::mem::size_of::<Packet>()
     }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("outnumber-tx")
-            .field(self.idx)
-            .field(self.pending)
-            .finish()
-    }
-
-    fn clone_box(&self) -> BoxedTransmitter {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 /// Receiver automaton of the outnumber protocol.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct OutnumberRx {
     labels: u64,
     /// Next undelivered message index, 0-based.
@@ -248,7 +219,7 @@ pub struct OutnumberRx {
     /// threshold.
     threshold: u64,
     outbox: VecDeque<Packet>,
-    deliveries: VecDeque<Message>,
+    deliveries: VecDeque<Option<Payload>>,
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
@@ -314,12 +285,7 @@ impl OutnumberRx {
 
 impl Recoverable for OutnumberRx {
     fn crash_amnesia(&mut self) {
-        self.next = 0;
-        self.since_delivery.fill(0);
-        self.total_received = 0;
-        self.threshold = 0;
-        self.outbox.clear();
-        self.deliveries.clear();
+        crate::api::amnesia_reboot(self, Self::new(self.labels as u32));
     }
 }
 
@@ -329,7 +295,7 @@ impl Receiver for OutnumberRx {
         self.total_received += 1;
         self.since_delivery[l as usize] += 1;
         if l == self.expected_label() && self.since_delivery[l as usize] > self.threshold {
-            self.deliveries.push_back(Message::identical(self.next));
+            self.deliveries.push_back(None);
             self.next += 1;
             self.threshold = self.total_received;
             self.since_delivery.fill(0);
@@ -345,7 +311,7 @@ impl Receiver for OutnumberRx {
         self.outbox.pop_front()
     }
 
-    fn poll_deliver(&mut self) -> Option<Message> {
+    fn poll_deliver(&mut self) -> Option<Option<Payload>> {
         self.deliveries.pop_front()
     }
 
@@ -360,32 +326,6 @@ impl Receiver for OutnumberRx {
                 .sum::<usize>()
             + self.outbox.len() * std::mem::size_of::<Packet>()
     }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("outnumber-rx")
-            .field(self.next)
-            .field(self.threshold)
-            .field(&self.since_delivery)
-            .finish()
-    }
-
-    fn clone_box(&self) -> BoxedReceiver {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Receiver) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -395,7 +335,7 @@ mod tests {
     /// Pump one message end-to-end over a perfect channel, returning how
     /// many data copies it took.
     fn deliver_one(tx: &mut BoxedTransmitter, rx: &mut BoxedReceiver, i: u64, budget: u64) -> u64 {
-        tx.on_send_msg(Message::identical(i));
+        tx.on_send_msg(None);
         let mut copies = 0;
         for _ in 0..budget {
             while let Some(d) = tx.poll_send() {
@@ -406,7 +346,7 @@ mod tests {
                 tx.on_receive_pkt(a);
             }
             if tx.ready() {
-                assert_eq!(rx.poll_deliver().unwrap().id().raw(), i);
+                assert_eq!(rx.poll_deliver(), Some(None), "message {i}");
                 return copies;
             }
             tx.on_tick();
@@ -468,7 +408,7 @@ mod tests {
     #[test]
     fn transmitter_ignores_wrong_index_acks() {
         let mut tx = OutnumberTx::new(3);
-        tx.on_send_msg(Message::identical(0));
+        tx.on_send_msg(None);
         tx.on_receive_pkt(Packet::header_only(Header::new(7)));
         assert!(!tx.ready());
         tx.on_receive_pkt(Packet::header_only(Header::new(0)));

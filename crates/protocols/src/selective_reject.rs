@@ -17,8 +17,7 @@ use crate::api::{
     BoxedReceiver, BoxedTransmitter, DataLink, HeaderBound, Receiver, Recoverable, Transmitter,
 };
 use crate::sequence::varint_bytes;
-use nonfifo_ioa::fingerprint::StateHash;
-use nonfifo_ioa::{Header, Message, Packet, Payload};
+use nonfifo_ioa::{Header, Packet, Payload};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Factory for the selective-reject protocol.
@@ -71,7 +70,7 @@ impl DataLink for SelectiveReject {
 }
 
 /// Transmitter automaton of selective reject.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct SelectiveRejectTx {
     window: u64,
     modulus: u64,
@@ -140,11 +139,7 @@ impl SelectiveRejectTx {
     }
 
     fn packet_for(&self, seq: u64, payload: Option<Payload>) -> Packet {
-        let h = Header::new((seq % self.modulus) as u32);
-        match payload {
-            Some(p) => Packet::new(h, p),
-            None => Packet::header_only(h),
-        }
+        Packet::from_parts(Header::new((seq % self.modulus) as u32), payload)
     }
 
     /// Maps a modular number from an ack/NAK back into the outstanding
@@ -163,12 +158,12 @@ impl Recoverable for SelectiveRejectTx {
 }
 
 impl Transmitter for SelectiveRejectTx {
-    fn on_send_msg(&mut self, m: Message) {
+    fn on_send_msg(&mut self, payload: Option<Payload>) {
         debug_assert!(self.ready(), "send_msg while window full");
         let seq = self.next;
         self.next += 1;
-        self.unacked.insert(seq, m.payload());
-        let pkt = self.packet_for(seq, m.payload());
+        self.unacked.insert(seq, payload);
+        let pkt = self.packet_for(seq, payload);
         self.outbox.push_back(pkt);
     }
 
@@ -229,36 +224,10 @@ impl Transmitter for SelectiveRejectTx {
             + self.nak_queue.len() * 8
             + self.outbox.len() * std::mem::size_of::<Packet>()
     }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("srej-tx")
-            .field(self.base)
-            .field(self.next)
-            .field(self.nak_queue.len() as u64)
-            .finish()
-    }
-
-    fn clone_box(&self) -> BoxedTransmitter {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 /// Receiver automaton of selective reject.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct SelectiveRejectRx {
     window: u64,
     modulus: u64,
@@ -268,7 +237,7 @@ pub struct SelectiveRejectRx {
     /// observation arrives).
     naked: BTreeSet<u64>,
     outbox: VecDeque<Packet>,
-    deliveries: VecDeque<Message>,
+    deliveries: VecDeque<Option<Payload>>,
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
@@ -353,11 +322,7 @@ impl Receiver for SelectiveRejectRx {
                 self.nak(g);
             }
             while let Some(payload) = self.buffered.remove(&self.next_expected) {
-                let msg = match payload {
-                    Some(pl) => Message::with_payload(self.next_expected, pl),
-                    None => Message::identical(self.next_expected),
-                };
-                self.deliveries.push_back(msg);
+                self.deliveries.push_back(payload);
                 self.naked.remove(&self.next_expected);
                 self.next_expected += 1;
             }
@@ -369,7 +334,7 @@ impl Receiver for SelectiveRejectRx {
         self.outbox.pop_front()
     }
 
-    fn poll_deliver(&mut self) -> Option<Message> {
+    fn poll_deliver(&mut self) -> Option<Option<Payload>> {
         self.deliveries.pop_front()
     }
 
@@ -378,31 +343,6 @@ impl Receiver for SelectiveRejectRx {
             + self.buffered.len() * 9
             + self.naked.len() * 8
             + self.outbox.len() * std::mem::size_of::<Packet>()
-    }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("srej-rx")
-            .field(self.next_expected)
-            .field(self.buffered.keys().copied().collect::<Vec<_>>())
-            .finish()
-    }
-
-    fn clone_box(&self) -> BoxedReceiver {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Receiver) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
     }
 }
 
@@ -427,12 +367,12 @@ mod tests {
         let mut sent = 0u64;
         while delivered < 25 {
             while tx.ready() && sent < 25 {
-                tx.on_send_msg(Message::identical(sent));
+                tx.on_send_msg(Some(Payload::new(sent)));
                 sent += 1;
             }
             pump(&mut tx, &mut rx);
             while let Some(m) = rx.poll_deliver() {
-                assert_eq!(m.id().raw(), delivered);
+                assert_eq!(m, Some(Payload::new(delivered)));
                 delivered += 1;
             }
             tx.on_tick();
@@ -444,9 +384,9 @@ mod tests {
     fn gap_triggers_exactly_one_nak_and_one_retransmission() {
         let mut tx = SelectiveRejectTx::new(4);
         let mut rx = SelectiveRejectRx::new(4);
-        tx.on_send_msg(Message::identical(0));
-        tx.on_send_msg(Message::identical(1));
-        tx.on_send_msg(Message::identical(2));
+        for i in 0..3 {
+            tx.on_send_msg(Some(Payload::new(i)));
+        }
         let d0 = tx.poll_send().unwrap();
         let _lost_d1 = tx.poll_send().unwrap();
         let d2 = tx.poll_send().unwrap();
@@ -468,7 +408,7 @@ mod tests {
         assert_eq!(re.header().index(), 1);
         rx.on_receive_pkt(re);
         let ids: Vec<u64> =
-            std::iter::from_fn(|| rx.poll_deliver().map(|m| m.id().raw())).collect();
+            std::iter::from_fn(|| rx.poll_deliver().flatten().map(|p| p.word())).collect();
         assert_eq!(ids, vec![0, 1, 2]);
     }
 
@@ -489,13 +429,13 @@ mod tests {
         // the stall timer must resend.
         let mut tx = SelectiveRejectTx::new(2);
         let mut rx = SelectiveRejectRx::new(2);
-        tx.on_send_msg(Message::identical(0));
+        tx.on_send_msg(None);
         let _lost = tx.poll_send().unwrap();
         for _ in 0..STALL_RESEND {
             tx.on_tick();
         }
         pump(&mut tx, &mut rx);
-        assert_eq!(rx.poll_deliver().unwrap().id().raw(), 0);
+        assert_eq!(rx.poll_deliver(), Some(None));
     }
 
     #[test]
@@ -507,8 +447,8 @@ mod tests {
             let mut tx = SelectiveRejectTx::new(4);
             let mut rx = SelectiveRejectRx::new(4);
             let mut sent_packets = 0u64;
-            for i in 0..4u64 {
-                tx.on_send_msg(Message::identical(i));
+            for _ in 0..4u64 {
+                tx.on_send_msg(None);
             }
             let mut first = true;
             while let Some(d) = tx.poll_send() {
@@ -540,8 +480,8 @@ mod tests {
             let mut tx = GoBackNTx::new(4);
             let mut rx = GoBackNRx::new(4);
             let mut sent_packets = 0u64;
-            for i in 0..4u64 {
-                tx.on_send_msg(Message::identical(i));
+            for _ in 0..4u64 {
+                tx.on_send_msg(None);
             }
             let mut first = true;
             while let Some(d) = tx.poll_send() {

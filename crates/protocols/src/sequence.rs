@@ -12,8 +12,7 @@
 use crate::api::{
     BoxedReceiver, BoxedTransmitter, DataLink, HeaderBound, Receiver, Recoverable, Transmitter,
 };
-use nonfifo_ioa::fingerprint::StateHash;
-use nonfifo_ioa::{Header, Message, Packet};
+use nonfifo_ioa::{Header, Packet, Payload};
 use std::collections::VecDeque;
 
 /// Number of bytes to store `x` in a variable-length encoding — the honest
@@ -65,10 +64,11 @@ impl DataLink for SequenceNumber {
 }
 
 /// Transmitter automaton of the sequence-number protocol.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct SequenceNumberTx {
     seq: u64,
-    pending: Option<Message>,
+    /// The unacknowledged message's payload, while one is outstanding.
+    pending: Option<Option<Payload>>,
     outbox: VecDeque<Packet>,
 }
 
@@ -106,12 +106,8 @@ impl SequenceNumberTx {
         self.seq
     }
 
-    fn data_packet(&self, m: Message) -> Packet {
-        let h = Header::new(self.seq as u32);
-        match m.payload() {
-            Some(p) => Packet::new(h, p),
-            None => Packet::header_only(h),
-        }
+    fn data_packet(&self, payload: Option<Payload>) -> Packet {
+        Packet::from_parts(Header::new(self.seq as u32), payload)
     }
 }
 
@@ -128,10 +124,10 @@ impl Recoverable for SequenceNumberTx {
 }
 
 impl Transmitter for SequenceNumberTx {
-    fn on_send_msg(&mut self, m: Message) {
+    fn on_send_msg(&mut self, payload: Option<Payload>) {
         debug_assert!(self.pending.is_none(), "send_msg while not ready");
-        self.pending = Some(m);
-        let pkt = self.data_packet(m);
+        self.pending = Some(payload);
+        let pkt = self.data_packet(payload);
         self.outbox.push_back(pkt);
     }
 
@@ -143,9 +139,9 @@ impl Transmitter for SequenceNumberTx {
     }
 
     fn on_tick(&mut self) {
-        if let Some(m) = self.pending {
+        if let Some(payload) = self.pending {
             if self.outbox.is_empty() {
-                let pkt = self.data_packet(m);
+                let pkt = self.data_packet(payload);
                 self.outbox.push_back(pkt);
             }
         }
@@ -168,39 +164,14 @@ impl Transmitter for SequenceNumberTx {
     fn space_bytes(&self) -> usize {
         varint_bytes(self.seq) + 1 + self.outbox.len() * std::mem::size_of::<Packet>()
     }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("seqnum-tx")
-            .field(self.seq)
-            .field(self.pending.is_some())
-            .finish()
-    }
-
-    fn clone_box(&self) -> BoxedTransmitter {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 /// Receiver automaton of the sequence-number protocol.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct SequenceNumberRx {
     next_expected: u64,
     outbox: VecDeque<Packet>,
-    deliveries: VecDeque<Message>,
+    deliveries: VecDeque<Option<Payload>>,
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
@@ -257,11 +228,7 @@ impl Receiver for SequenceNumberRx {
         // current number).
         self.outbox.push_back(Packet::header_only(p.header()));
         if u64::from(p.header().index()) == self.next_expected {
-            let msg = match p.payload() {
-                Some(pl) => Message::with_payload(self.next_expected, pl),
-                None => Message::identical(self.next_expected),
-            };
-            self.deliveries.push_back(msg);
+            self.deliveries.push_back(p.payload());
             self.next_expected += 1;
         }
     }
@@ -277,54 +244,28 @@ impl Receiver for SequenceNumberRx {
         self.outbox.pop_front()
     }
 
-    fn poll_deliver(&mut self) -> Option<Message> {
+    fn poll_deliver(&mut self) -> Option<Option<Payload>> {
         self.deliveries.pop_front()
     }
 
     fn space_bytes(&self) -> usize {
         varint_bytes(self.next_expected) + self.outbox.len() * std::mem::size_of::<Packet>()
     }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("seqnum-rx")
-            .field(self.next_expected)
-            .finish()
-    }
-
-    fn clone_box(&self) -> BoxedReceiver {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Receiver) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nonfifo_ioa::Payload;
 
     #[test]
     fn delivers_over_perfect_channel() {
         let (mut tx, mut rx) = SequenceNumber::new().make();
         for i in 0..10u64 {
-            tx.on_send_msg(Message::with_payload(i, Payload::new(i * 10)));
+            tx.on_send_msg(Some(Payload::new(i * 10)));
             let d = tx.poll_send().unwrap();
             assert_eq!(u64::from(d.header().index()), i);
             rx.on_receive_pkt(d);
-            let m = rx.poll_deliver().unwrap();
-            assert_eq!(m.payload().map(|p| p.word()), Some(i * 10));
+            assert_eq!(rx.poll_deliver(), Some(Some(Payload::new(i * 10))));
             tx.on_receive_pkt(rx.poll_send().unwrap());
         }
     }
@@ -335,8 +276,8 @@ mod tests {
         let mut rx = SequenceNumberRx::new();
         // Deliver messages 0 and 1, keeping a stale copy of each.
         let mut stale = Vec::new();
-        for i in 0..2u64 {
-            tx.on_send_msg(Message::identical(i));
+        for _ in 0..2u64 {
+            tx.on_send_msg(None);
             let fresh = tx.poll_send().unwrap();
             tx.on_tick();
             stale.push(tx.poll_send().unwrap());
@@ -356,11 +297,11 @@ mod tests {
     #[test]
     fn stale_acks_are_harmless() {
         let mut tx = SequenceNumberTx::new();
-        tx.on_send_msg(Message::identical(0));
+        tx.on_send_msg(None);
         let _ = tx.poll_send();
         tx.on_receive_pkt(Packet::header_only(Header::new(0)));
         assert!(tx.ready());
-        tx.on_send_msg(Message::identical(1));
+        tx.on_send_msg(None);
         // A replayed ack for 0 must not complete message 1.
         tx.on_receive_pkt(Packet::header_only(Header::new(0)));
         assert!(!tx.ready());
@@ -382,7 +323,7 @@ mod tests {
     #[test]
     fn retransmission_pacing() {
         let mut tx = SequenceNumberTx::new();
-        tx.on_send_msg(Message::identical(0));
+        tx.on_send_msg(None);
         assert!(tx.poll_send().is_some());
         assert!(tx.poll_send().is_none());
         tx.on_tick();

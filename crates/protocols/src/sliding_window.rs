@@ -13,8 +13,7 @@ use crate::api::{
     BoxedReceiver, BoxedTransmitter, DataLink, HeaderBound, Receiver, Recoverable, Transmitter,
 };
 use crate::sequence::varint_bytes;
-use nonfifo_ioa::fingerprint::StateHash;
-use nonfifo_ioa::{Header, Message, Packet, Payload};
+use nonfifo_ioa::{Header, Packet, Payload};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -73,7 +72,7 @@ impl DataLink for SlidingWindow {
 }
 
 /// Transmitter automaton of the sliding-window protocol.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct SlidingWindowTx {
     window: u64,
     modulus: u64,
@@ -130,11 +129,7 @@ impl SlidingWindowTx {
     }
 
     fn packet_for(&self, seq: u64, payload: Option<Payload>) -> Packet {
-        let h = Header::new((seq % self.modulus) as u32);
-        match payload {
-            Some(p) => Packet::new(h, p),
-            None => Packet::header_only(h),
-        }
+        Packet::from_parts(Header::new((seq % self.modulus) as u32), payload)
     }
 }
 
@@ -145,12 +140,12 @@ impl Recoverable for SlidingWindowTx {
 }
 
 impl Transmitter for SlidingWindowTx {
-    fn on_send_msg(&mut self, m: Message) {
+    fn on_send_msg(&mut self, payload: Option<Payload>) {
         debug_assert!(self.ready(), "send_msg while window full");
         let seq = self.next;
         self.next += 1;
-        self.unacked.insert(seq, m.payload());
-        let pkt = self.packet_for(seq, m.payload());
+        self.unacked.insert(seq, payload);
+        let pkt = self.packet_for(seq, payload);
         self.outbox.push_back(pkt);
     }
 
@@ -191,35 +186,10 @@ impl Transmitter for SlidingWindowTx {
             + self.unacked.len() * 9
             + self.outbox.len() * std::mem::size_of::<Packet>()
     }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("sliding-window-tx")
-            .field(self.base)
-            .field(self.next)
-            .finish()
-    }
-
-    fn clone_box(&self) -> BoxedTransmitter {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 /// Receiver automaton of the sliding-window protocol.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct SlidingWindowRx {
     window: u64,
     modulus: u64,
@@ -227,7 +197,7 @@ pub struct SlidingWindowRx {
     next_expected: u64,
     buffered: BTreeMap<u64, Option<Payload>>,
     outbox: VecDeque<Packet>,
-    deliveries: VecDeque<Message>,
+    deliveries: VecDeque<Option<Payload>>,
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
@@ -290,11 +260,7 @@ impl Receiver for SlidingWindowRx {
             let full = self.next_expected + delta;
             self.buffered.insert(full, p.payload());
             while let Some(payload) = self.buffered.remove(&self.next_expected) {
-                let msg = match payload {
-                    Some(pl) => Message::with_payload(self.next_expected, pl),
-                    None => Message::identical(self.next_expected),
-                };
-                self.deliveries.push_back(msg);
+                self.deliveries.push_back(payload);
                 self.next_expected += 1;
             }
         }
@@ -308,7 +274,7 @@ impl Receiver for SlidingWindowRx {
         self.outbox.pop_front()
     }
 
-    fn poll_deliver(&mut self) -> Option<Message> {
+    fn poll_deliver(&mut self) -> Option<Option<Payload>> {
         self.deliveries.pop_front()
     }
 
@@ -316,31 +282,6 @@ impl Receiver for SlidingWindowRx {
         varint_bytes(self.next_expected)
             + self.buffered.len() * 9
             + self.outbox.len() * std::mem::size_of::<Packet>()
-    }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("sliding-window-rx")
-            .field(self.next_expected)
-            .field(self.buffered.keys().copied().collect::<Vec<_>>())
-            .finish()
-    }
-
-    fn clone_box(&self) -> BoxedReceiver {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Receiver) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
     }
 }
 
@@ -356,14 +297,14 @@ mod tests {
         let mut sent = 0u64;
         while delivered < 20 {
             while tx.ready() && sent < 20 {
-                tx.on_send_msg(Message::identical(sent));
+                tx.on_send_msg(Some(Payload::new(sent)));
                 sent += 1;
             }
             while let Some(d) = tx.poll_send() {
                 rx.on_receive_pkt(d);
             }
             while let Some(m) = rx.poll_deliver() {
-                assert_eq!(m.id().raw(), delivered);
+                assert_eq!(m, Some(Payload::new(delivered)));
                 delivered += 1;
             }
             while let Some(a) = rx.poll_send() {
@@ -377,9 +318,9 @@ mod tests {
     #[test]
     fn out_of_order_within_window_is_buffered() {
         let (mut tx, mut rx) = SlidingWindow::new(3).make();
-        tx.on_send_msg(Message::identical(0));
-        tx.on_send_msg(Message::identical(1));
-        tx.on_send_msg(Message::identical(2));
+        for i in 0..3 {
+            tx.on_send_msg(Some(Payload::new(i)));
+        }
         let d0 = tx.poll_send().unwrap();
         let d1 = tx.poll_send().unwrap();
         let d2 = tx.poll_send().unwrap();
@@ -388,7 +329,7 @@ mod tests {
         rx.on_receive_pkt(d0);
         rx.on_receive_pkt(d1);
         let ids: Vec<u64> =
-            std::iter::from_fn(|| rx.poll_deliver().map(|m| m.id().raw())).collect();
+            std::iter::from_fn(|| rx.poll_deliver().flatten().map(|p| p.word())).collect();
         assert_eq!(ids, vec![0, 1, 2]);
     }
 
@@ -396,12 +337,12 @@ mod tests {
     fn loss_recovered_by_retransmission() {
         let mut tx = SlidingWindowTx::new(2);
         let mut rx = SlidingWindowRx::new(2);
-        tx.on_send_msg(Message::identical(0));
+        tx.on_send_msg(None);
         let _lost = tx.poll_send().unwrap();
         tx.on_tick(); // retransmit round
         let d0 = tx.poll_send().unwrap();
         rx.on_receive_pkt(d0);
-        assert_eq!(rx.poll_deliver().unwrap().id().raw(), 0);
+        assert_eq!(rx.poll_deliver(), Some(None));
         tx.on_receive_pkt(rx.poll_send().unwrap());
         assert_eq!(tx.base(), 1);
     }
@@ -413,8 +354,8 @@ mod tests {
         let mut rx = SlidingWindowRx::new(w);
         // Deliver 0 and 1, keeping stale copies.
         let mut stale = Vec::new();
-        for i in 0..2u64 {
-            tx.on_send_msg(Message::identical(i));
+        for _ in 0..2u64 {
+            tx.on_send_msg(None);
             let fresh = tx.poll_send().unwrap();
             tx.on_tick();
             stale.push(tx.poll_send().unwrap());
@@ -440,7 +381,7 @@ mod tests {
         let (mut tx, mut rx) = SlidingWindow::new(w).make();
         let mut stale0 = None;
         for i in 0..modulus {
-            tx.on_send_msg(Message::identical(i));
+            tx.on_send_msg(None);
             let fresh = tx.poll_send().unwrap();
             if i == 0 {
                 tx.on_tick();
@@ -462,8 +403,8 @@ mod tests {
     fn window_gates_readiness() {
         let mut tx = SlidingWindowTx::new(2);
         assert!(tx.ready());
-        tx.on_send_msg(Message::identical(0));
-        tx.on_send_msg(Message::identical(1));
+        tx.on_send_msg(None);
+        tx.on_send_msg(None);
         assert!(!tx.ready());
         // Cumulative ack for one message reopens the window.
         tx.on_receive_pkt(Packet::header_only(Header::new(1)));

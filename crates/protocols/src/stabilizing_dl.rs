@@ -24,8 +24,7 @@
 use crate::api::{
     BoxedReceiver, BoxedTransmitter, DataLink, HeaderBound, Receiver, Recoverable, Transmitter,
 };
-use nonfifo_ioa::fingerprint::StateHash;
-use nonfifo_ioa::{Header, Message, Packet};
+use nonfifo_ioa::{Header, Packet, Payload};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Default counting capacity: delivery needs 5 identical sightings, so
@@ -104,11 +103,12 @@ impl DataLink for StabilizingDl {
 }
 
 /// Transmitter automaton of the stabilizing data-link protocol.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct StabilizingDlTx {
     capacity: u32,
     seq: u32,
-    pending: Option<Message>,
+    /// The unacknowledged message's payload, while one is outstanding.
+    pending: Option<Option<Payload>>,
     copies_sent: u32,
     outbox: VecDeque<Packet>,
 }
@@ -154,16 +154,9 @@ impl StabilizingDlTx {
         self.seq
     }
 
-    fn data_packet(&self, m: Message) -> Packet {
-        match m.payload() {
-            Some(p) => Packet::new(Header::new(self.seq), p),
-            None => Packet::header_only(Header::new(self.seq)),
-        }
-    }
-
-    fn emit_copy(&mut self, m: Message) {
-        let pkt = self.data_packet(m);
-        self.outbox.push_back(pkt);
+    fn emit_copy(&mut self, payload: Option<Payload>) {
+        self.outbox
+            .push_back(Packet::from_parts(Header::new(self.seq), payload));
         self.copies_sent = self.copies_sent.saturating_add(1);
     }
 }
@@ -175,12 +168,12 @@ impl Recoverable for StabilizingDlTx {
 }
 
 impl Transmitter for StabilizingDlTx {
-    fn on_send_msg(&mut self, m: Message) {
+    fn on_send_msg(&mut self, payload: Option<Payload>) {
         debug_assert!(self.pending.is_none(), "send_msg while not ready");
         self.seq += 1;
-        self.pending = Some(m);
+        self.pending = Some(payload);
         self.copies_sent = 0;
-        self.emit_copy(m);
+        self.emit_copy(payload);
     }
 
     /// Acknowledgements carry the receiver's last-delivered counter `a`.
@@ -211,8 +204,8 @@ impl Transmitter for StabilizingDlTx {
                 self.seq = a.min(COUNTER_CLAMP) + 1;
                 self.copies_sent = 0;
                 self.outbox.clear();
-                if let Some(m) = self.pending {
-                    self.emit_copy(m);
+                if let Some(payload) = self.pending {
+                    self.emit_copy(payload);
                 }
             }
         } else if a > self.seq {
@@ -225,9 +218,9 @@ impl Transmitter for StabilizingDlTx {
     fn on_tick(&mut self) {
         // Retransmit one copy per tick while unacknowledged; the receiver
         // needs capacity + 1 sightings before it delivers.
-        if let Some(m) = self.pending {
+        if let Some(payload) = self.pending {
             if self.outbox.is_empty() {
-                self.emit_copy(m);
+                self.emit_copy(payload);
             }
         }
     }
@@ -245,36 +238,10 @@ impl Transmitter for StabilizingDlTx {
         // the Θ(log n) space the impossibility results charge for.
         4 + 4 + 1 + self.outbox.len() * std::mem::size_of::<Packet>()
     }
-
-    fn state_fingerprint(&self) -> u64 {
-        StateHash::new("stab-dl-tx")
-            .field(self.seq)
-            .field(self.pending.is_some())
-            .field(self.copies_sent)
-            .finish()
-    }
-
-    fn clone_box(&self) -> BoxedTransmitter {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 /// Receiver automaton of the stabilizing data-link protocol.
-#[derive(Debug)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 pub struct StabilizingDlRx {
     capacity: u32,
     /// Last delivered counter; only counters above it are live.
@@ -282,9 +249,8 @@ pub struct StabilizingDlRx {
     /// Sighting counts per full packet value, in a `BTreeMap` so iteration
     /// (pruning, fingerprinting) is deterministic.
     counts: BTreeMap<Packet, u32>,
-    delivered: u64,
     outbox: VecDeque<Packet>,
-    deliveries: VecDeque<Message>,
+    deliveries: VecDeque<Option<Payload>>,
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
@@ -296,7 +262,6 @@ impl Clone for StabilizingDlRx {
             capacity: self.capacity,
             highest: self.highest,
             counts: self.counts.clone(),
-            delivered: self.delivered,
             outbox: self.outbox.clone(),
             deliveries: self.deliveries.clone(),
         }
@@ -306,7 +271,6 @@ impl Clone for StabilizingDlRx {
         self.capacity.clone_from(&source.capacity);
         self.highest.clone_from(&source.highest);
         self.counts.clone_from(&source.counts);
-        self.delivered.clone_from(&source.delivered);
         self.outbox.clone_from(&source.outbox);
         self.deliveries.clone_from(&source.deliveries);
     }
@@ -320,7 +284,6 @@ impl StabilizingDlRx {
             capacity,
             highest: 0,
             counts: BTreeMap::new(),
-            delivered: 0,
             outbox: VecDeque::new(),
             deliveries: VecDeque::new(),
         }
@@ -347,12 +310,7 @@ impl Receiver for StabilizingDlRx {
             // The DDPT threshold: strictly more copies than the channel
             // capacity can hold means at least one is a fresh send.
             if *n > self.capacity {
-                let msg = match p.payload() {
-                    Some(pl) => Message::with_payload(self.delivered, pl),
-                    None => Message::identical(self.delivered),
-                };
-                self.deliveries.push_back(msg);
-                self.delivered += 1;
+                self.deliveries.push_back(p.payload());
                 self.highest = c;
                 // Counters at or below the new watermark are dead; dropping
                 // their counts keeps state proportional to live junk.
@@ -370,41 +328,14 @@ impl Receiver for StabilizingDlRx {
         self.outbox.pop_front()
     }
 
-    fn poll_deliver(&mut self) -> Option<Message> {
+    fn poll_deliver(&mut self) -> Option<Option<Payload>> {
         self.deliveries.pop_front()
     }
 
     fn space_bytes(&self) -> usize {
         4 + 4
-            + 8
             + self.counts.len() * (std::mem::size_of::<Packet>() + 4)
             + self.outbox.len() * std::mem::size_of::<Packet>()
-    }
-
-    fn state_fingerprint(&self) -> u64 {
-        let mut h = StateHash::new("stab-dl-rx").field(self.highest);
-        for (pkt, n) in &self.counts {
-            h = h.field(pkt).field(*n);
-        }
-        h.finish()
-    }
-
-    fn clone_box(&self) -> BoxedReceiver {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn assign_from(&mut self, source: &dyn Receiver) -> bool {
-        match source.as_any().downcast_ref::<Self>() {
-            Some(src) => {
-                self.clone_from(src);
-                true
-            }
-            None => false,
-        }
     }
 }
 
@@ -413,7 +344,7 @@ mod tests {
     use super::*;
 
     fn run_round(tx: &mut BoxedTransmitter, rx: &mut BoxedReceiver, i: u64) {
-        tx.on_send_msg(Message::identical(i));
+        tx.on_send_msg(Some(Payload::new(i)));
         loop {
             if let Some(d) = tx.poll_send() {
                 rx.on_receive_pkt(d);
@@ -422,7 +353,7 @@ mod tests {
                 tx.on_receive_pkt(ack);
             }
             if let Some(m) = rx.poll_deliver() {
-                assert_eq!(m.id().raw(), i);
+                assert_eq!(m, Some(Payload::new(i)));
                 assert!(tx.ready(), "ack should complete the round");
                 return;
             }
@@ -466,7 +397,7 @@ mod tests {
     #[test]
     fn stale_ack_is_ignored_and_junk_ack_adopted_safely() {
         let mut tx = StabilizingDlTx::new(2);
-        tx.on_send_msg(Message::identical(0)); // seq = 1
+        tx.on_send_msg(None); // seq = 1
         assert_eq!(tx.poll_send().unwrap().header(), Header::new(1));
         // Stale ack (a < seq): ignored.
         tx.on_receive_pkt(Packet::header_only(Header::new(0)));
@@ -485,7 +416,7 @@ mod tests {
     fn adoption_refused_once_old_key_may_be_deliverable() {
         let capacity = 2;
         let mut tx = StabilizingDlTx::new(capacity);
-        tx.on_send_msg(Message::identical(0));
+        tx.on_send_msg(None);
         // Drain capacity + 1 copies: the old key is now deliverable.
         for _ in 0..capacity {
             assert!(tx.poll_send().is_some());
@@ -504,7 +435,7 @@ mod tests {
         // Junk ack while idle: counter jumps so the next round is above it.
         tx.on_receive_pkt(Packet::header_only(Header::new(500)));
         assert_eq!(tx.seq(), 500);
-        tx.on_send_msg(Message::identical(0));
+        tx.on_send_msg(None);
         assert_eq!(tx.poll_send().unwrap().header(), Header::new(501));
     }
 
@@ -513,7 +444,7 @@ mod tests {
         let mut tx = StabilizingDlTx::new(DEFAULT_CAPACITY);
         tx.on_receive_pkt(Packet::header_only(Header::new(u32::MAX - 1)));
         assert_eq!(tx.seq(), COUNTER_CLAMP);
-        tx.on_send_msg(Message::identical(0));
+        tx.on_send_msg(None);
         tx.on_receive_pkt(Packet::header_only(Header::new(u32::MAX)));
         assert_eq!(tx.seq(), COUNTER_CLAMP + 1); // no wrap
     }
@@ -539,19 +470,18 @@ mod tests {
         let fresh = StabilizingDl::new().make();
         tx.crash_amnesia();
         rx.crash_amnesia();
-        assert_eq!(tx.state_fingerprint(), fresh.0.state_fingerprint());
-        assert_eq!(rx.state_fingerprint(), fresh.1.state_fingerprint());
+        assert!(tx.same_state(fresh.0.as_ref()));
+        assert!(rx.same_state(fresh.1.as_ref()));
     }
 
     #[test]
     fn payload_is_carried() {
         let (mut tx, mut rx) = StabilizingDl::with_capacity(1).make();
-        tx.on_send_msg(Message::with_payload(0, nonfifo_ioa::Payload::new(42)));
+        tx.on_send_msg(Some(Payload::new(42)));
         rx.on_receive_pkt(tx.poll_send().unwrap());
         tx.on_tick();
         rx.on_receive_pkt(tx.poll_send().unwrap());
-        let m = rx.poll_deliver().unwrap();
-        assert_eq!(m.payload().map(|p| p.word()), Some(42));
+        assert_eq!(rx.poll_deliver(), Some(Some(Payload::new(42))));
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! The chaos experiments crash stations mid-execution; these tests pin the
 //! contract of `Recoverable::crash_amnesia` (volatile state resets, ROM
-//! configuration survives) and of snapshot/restore via `clone_box`.
+//! configuration survives) and of snapshot/restore via `clone_box`. States
+//! are compared exactly, with each automaton's derived `Eq`.
 
-use nonfifo_ioa::Message;
 use nonfifo_protocols::{
     AfekFlush, AlternatingBit, DataLink, GhostInfo, GoBackN, NaiveCycle, Outnumber,
-    SelectiveReject, SequenceNumber, SlidingWindow,
+    SelectiveReject, SequenceNumber, SlidingWindow, StabilizingDl,
 };
 
 fn all_protocols() -> Vec<Box<dyn DataLink>> {
@@ -20,6 +20,7 @@ fn all_protocols() -> Vec<Box<dyn DataLink>> {
         Box::new(SelectiveReject::new(4)),
         Box::new(Outnumber::new(5)),
         Box::new(AfekFlush::new()),
+        Box::new(StabilizingDl::new()),
     ]
 }
 
@@ -29,11 +30,11 @@ fn perturb(
     tx: &mut nonfifo_protocols::BoxedTransmitter,
     rx: &mut nonfifo_protocols::BoxedReceiver,
 ) {
-    for i in 0..3u64 {
+    for _ in 0..3u64 {
         if !tx.ready() {
             break;
         }
-        tx.on_send_msg(Message::identical(i));
+        tx.on_send_msg(None);
         rx.on_ghost(&GhostInfo::default());
         while let Some(d) = tx.poll_send() {
             rx.on_receive_pkt(d);
@@ -47,7 +48,7 @@ fn perturb(
     }
     // Leave one message pending so the crash hits a non-quiescent station.
     if tx.ready() {
-        tx.on_send_msg(Message::identical(99));
+        tx.on_send_msg(None);
     }
 }
 
@@ -57,24 +58,21 @@ fn amnesia_resets_to_the_initial_fingerprint() {
         let (fresh_tx, fresh_rx) = proto.make();
         let (mut tx, mut rx) = proto.make();
         perturb(&mut tx, &mut rx);
-        assert_ne!(
-            tx.state_fingerprint(),
-            fresh_tx.state_fingerprint(),
+        assert!(
+            !tx.same_state(fresh_tx.as_ref()),
             "{}: perturbation should move the transmitter",
             proto.name()
         );
         tx.crash_amnesia();
         rx.crash_amnesia();
-        assert_eq!(
-            tx.state_fingerprint(),
-            fresh_tx.state_fingerprint(),
-            "{}: tx amnesia must reach the initial state",
+        assert!(
+            tx.same_state(fresh_tx.as_ref()),
+            "{}: tx amnesia must reach the initial state, got {tx:?}",
             proto.name()
         );
-        assert_eq!(
-            rx.state_fingerprint(),
-            fresh_rx.state_fingerprint(),
-            "{}: rx amnesia must reach the initial state",
+        assert!(
+            rx.same_state(fresh_rx.as_ref()),
+            "{}: rx amnesia must reach the initial state, got {rx:?}",
             proto.name()
         );
         assert!(
@@ -105,11 +103,11 @@ fn amnesia_preserves_rom_configuration() {
     // A rebooted k=3 cycle transmitter still labels mod 3, not mod 2.
     let mut tx = nonfifo_protocols::NaiveCycleTx::new(3);
     use nonfifo_protocols::{Recoverable, Transmitter};
-    tx.on_send_msg(Message::identical(0));
+    tx.on_send_msg(None);
     let _ = tx.poll_send();
     tx.crash_amnesia();
     for i in 0..4u64 {
-        tx.on_send_msg(Message::identical(i));
+        tx.on_send_msg(None);
         let d = tx.poll_send().expect("data packet");
         assert_eq!(
             u64::from(d.header().index()),
@@ -133,15 +131,13 @@ fn snapshot_and_restore_round_trips() {
         perturb(&mut tx, &mut rx);
         tx = snap_tx.clone_box();
         rx = snap_rx.clone_box();
-        assert_eq!(
-            tx.state_fingerprint(),
-            snap_tx.state_fingerprint(),
+        assert!(
+            tx.same_state(snap_tx.as_ref()),
             "{}: restore reproduces the checkpointed tx state",
             proto.name()
         );
-        assert_eq!(
-            rx.state_fingerprint(),
-            snap_rx.state_fingerprint(),
+        assert!(
+            rx.same_state(snap_rx.as_ref()),
             "{}: restore reproduces the checkpointed rx state",
             proto.name()
         );
@@ -158,7 +154,7 @@ fn amnesiac_pair_still_makes_progress_together() {
         tx.crash_amnesia();
         rx.crash_amnesia();
         let mut delivered = 0u64;
-        tx.on_send_msg(Message::identical(0));
+        tx.on_send_msg(None);
         rx.on_ghost(&GhostInfo::default());
         for _ in 0..64 {
             while let Some(d) = tx.poll_send() {

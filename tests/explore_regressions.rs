@@ -10,7 +10,8 @@ use nonfifo::adversary::{
     shrink, Discipline, ExploreConfig, ExploreOutcome, Explorer, VisitedSpec,
 };
 use nonfifo::protocols::{
-    AlternatingBit, DataLink, GoBackN, NaiveCycle, Outnumber, SequenceNumber, SlidingWindow,
+    AfekFlush, AlternatingBit, DataLink, GoBackN, NaiveCycle, Outnumber, SelectiveReject,
+    SequenceNumber, SlidingWindow, StabilizingDl,
 };
 
 fn small() -> ExploreConfig {
@@ -63,6 +64,48 @@ fn go_back_n_w1_falls_in_exactly_six_actions() {
 #[test]
 fn naive_cycle3_falls_in_exactly_eight_actions() {
     pinned_depth(&NaiveCycle::new(3), &cycle_scope(), 8);
+}
+
+#[test]
+fn selective_reject_w1_falls_in_exactly_eight_actions() {
+    // A transmitter fingerprint that left out the stall timer, the NAK
+    // queue and the outbox made every `park` look like a self-loop, so the
+    // explorer never reached the stall retransmission and certified this
+    // scope in 7 states. With identity derived from the whole state the
+    // stale retransmitted copy of h0 is found, on every engine, thread
+    // count and with the reduction on.
+    let proto = SelectiveReject::new(1);
+    let cfg = ExploreConfig {
+        max_messages: 3,
+        max_depth: 16,
+        max_pool: 3,
+        ..ExploreConfig::default()
+    };
+    let attack = "send\npark\npark\npark\ndeliver h0\nsend\ndeliver h1\ndeliver h0\n";
+    for (engine, outcome) in [
+        ("sequential", Explorer::new().explore(&proto, &cfg)),
+        (
+            "sequential por",
+            Explorer::new().explore(&proto, &with_por(&cfg)),
+        ),
+        (
+            "2 threads",
+            Explorer::new().parallel(2).explore(&proto, &cfg),
+        ),
+        (
+            "8 threads",
+            Explorer::new().parallel(8).explore(&proto, &cfg),
+        ),
+    ] {
+        let ExploreOutcome::Counterexample {
+            depth, schedule, ..
+        } = outcome
+        else {
+            panic!("{engine}: expected the srej1 counterexample, got {outcome:?}");
+        };
+        assert_eq!(depth, 8, "{engine}: counterexample depth moved");
+        assert_eq!(schedule.to_text(), attack, "{engine}: attack moved");
+    }
 }
 
 #[test]
@@ -170,6 +213,10 @@ fn por_agrees_with_full_explorer_across_catalog() {
         Box::new(GoBackN::new(2)),
         Box::new(SlidingWindow::new(2)),
         Box::new(Outnumber::new(3)),
+        Box::new(SelectiveReject::new(1)),
+        Box::new(SelectiveReject::new(2)),
+        Box::new(AfekFlush::new()),
+        Box::new(StabilizingDl::new()),
     ];
     for proto in &catalog {
         let cfg = small();

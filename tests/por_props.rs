@@ -24,7 +24,8 @@ use nonfifo::adversary::{
     ExploreOutcome, Explorer, ScheduleStep, System,
 };
 use nonfifo::protocols::{
-    AlternatingBit, DataLink, GoBackN, Outnumber, SequenceNumber, SlidingWindow,
+    AfekFlush, AlternatingBit, DataLink, GoBackN, Outnumber, SelectiveReject, SequenceNumber,
+    SlidingWindow, StabilizingDl,
 };
 use nonfifo_rng::StdRng;
 
@@ -51,7 +52,7 @@ fn for_seeds(cases: u64, case: impl Fn(u64, &mut StdRng)) {
 }
 
 fn random_protocol(rng: &mut StdRng) -> Box<dyn DataLink> {
-    match rng.gen_range(0..6) {
+    match rng.gen_range(0..9) {
         // Weighted toward the retiring protocol: the quotient and the
         // retirement properties only bite where `header_retired` is
         // implemented, but the defaulted protocols must keep the identity
@@ -60,6 +61,9 @@ fn random_protocol(rng: &mut StdRng) -> Box<dyn DataLink> {
         2 => Box::new(AlternatingBit::new()),
         3 => Box::new(GoBackN::new(1 + rng.gen_range(0..2) as u32)),
         4 => Box::new(SlidingWindow::new(1 + rng.gen_range(0..2) as u32)),
+        5 => Box::new(SelectiveReject::new(1 + rng.gen_range(0..2) as u32)),
+        6 => Box::new(AfekFlush::new()),
+        7 => Box::new(StabilizingDl::new()),
         _ => Box::new(Outnumber::new(3 + rng.gen_range(0..2) as u32)),
     }
 }
@@ -205,15 +209,13 @@ fn retired_packets_are_dead_and_stay_retired() {
                 let mut probe = sys.clone();
                 probe.fwd.release_oldest_of_packet(p);
                 probe.drain_released();
-                assert_eq!(
-                    probe.tx.state_fingerprint(),
-                    sys.tx.state_fingerprint(),
+                assert!(
+                    probe.tx.same_state(sys.tx.as_ref()),
                     "seed {seed}: retired delivery moved the {} transmitter",
                     proto.name(),
                 );
-                assert_eq!(
-                    probe.rx.state_fingerprint(),
-                    sys.rx.state_fingerprint(),
+                assert!(
+                    probe.rx.same_state(sys.rx.as_ref()),
                     "seed {seed}: retired delivery moved the {} receiver",
                     proto.name(),
                 );

@@ -14,7 +14,8 @@ use nonfifo::adversary::{
     scope_root, state_digest, Discipline, ExploreConfig, Explorer, StateCodec, VisitedSpec,
 };
 use nonfifo::protocols::{
-    AlternatingBit, DataLink, GoBackN, Outnumber, SequenceNumber, SlidingWindow,
+    AfekFlush, AlternatingBit, DataLink, GoBackN, Outnumber, SelectiveReject, SequenceNumber,
+    SlidingWindow, StabilizingDl,
 };
 use nonfifo_rng::StdRng;
 
@@ -41,11 +42,14 @@ fn for_seeds(cases: u64, case: impl Fn(u64, &mut StdRng)) {
 }
 
 fn random_protocol(rng: &mut StdRng) -> Box<dyn DataLink> {
-    match rng.gen_range(0..5) {
+    match rng.gen_range(0..8) {
         0 => Box::new(SequenceNumber::new()),
         1 => Box::new(AlternatingBit::new()),
         2 => Box::new(GoBackN::new(1 + rng.gen_range(0..2) as u32)),
         3 => Box::new(SlidingWindow::new(1 + rng.gen_range(0..2) as u32)),
+        4 => Box::new(SelectiveReject::new(1 + rng.gen_range(0..2) as u32)),
+        5 => Box::new(AfekFlush::new()),
+        6 => Box::new(StabilizingDl::new()),
         _ => Box::new(Outnumber::new(3 + rng.gen_range(0..2) as u32)),
     }
 }
