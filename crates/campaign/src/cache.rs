@@ -3,9 +3,9 @@
 //! Every [`RunSpec`](crate::RunSpec) has a canonical spelling whose FNV-64
 //! hash keys its result. The cache stores everything a
 //! [`RunRecord`](crate::RunRecord) renders or aggregates — outcome,
-//! execution fingerprint, engine statistics, and the full per-run metrics
-//! snapshot — so a cache replay is indistinguishable from a fresh run in
-//! every campaign artifact. Runs are deterministic functions of their
+//! execution fingerprint, engine statistics, and the run's
+//! [`RunCounters`] — so a cache replay is indistinguishable from a fresh
+//! run in every campaign artifact. Runs are deterministic functions of their
 //! specs, which is what makes caching sound at all.
 //!
 //! On disk the cache is an append-only NDJSON log of the
@@ -23,15 +23,15 @@
 //! error naming its line. A save to any other path, or the first save
 //! after a load that dropped a torn tail or met a key twice, streams a
 //! compacted copy to `<path>.tmp` and renames it into place. There is no
-//! migration from older formats: the cache is a memo, so deleting the
-//! file is always safe.
+//! migration from older formats — whole-document caches and logs of
+//! older wire versions fail at line 1, asking for the file to be deleted:
+//! the cache is a memo, so deleting the file is always safe.
 
 use crate::runner::{RunOutcome, RunRecord};
 use crate::spec::RunSpec;
-use crate::wire::{run_line, WireMsg};
+use crate::wire::{run_line, WireMsg, WIRE_SCHEMA_VERSION};
 use nonfifo_core::{NonFifoError, RunCounters};
-use nonfifo_telemetry::{MetricsSnapshot, SCHEMA_VERSION};
-use std::borrow::Cow;
+use nonfifo_telemetry::Json;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -39,71 +39,6 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::sync::{Arc, RwLock};
-
-/// A run's metrics: the counters of a run this process executed, or the
-/// snapshot a cache file or wire line carried. Counters get their metric
-/// names only when a snapshot is read — a cache insert, a wire line, an
-/// aggregate — so a run nobody exports never formats a name.
-#[derive(Debug, Clone)]
-pub enum RunMetrics {
-    /// The counters of a run executed in this process.
-    Counters(Box<RunCounters>),
-    /// A snapshot parsed from a cache file or a wire line.
-    Snapshot(MetricsSnapshot),
-}
-
-impl RunMetrics {
-    /// The metrics as a name-keyed snapshot (borrowed if already one).
-    pub fn snapshot(&self) -> Cow<'_, MetricsSnapshot> {
-        match self {
-            RunMetrics::Counters(c) => Cow::Owned(c.snapshot()),
-            RunMetrics::Snapshot(s) => Cow::Borrowed(s),
-        }
-    }
-
-    /// Merges runs' metrics into one campaign-wide snapshot. Equal to
-    /// folding each run's snapshot in with
-    /// [`MetricsSnapshot::merge_from`] (its rules are order-free for
-    /// everything a run records), but counters are summed as counters
-    /// and named once, not once per run.
-    pub fn aggregate<'a>(runs: impl IntoIterator<Item = &'a RunMetrics>) -> MetricsSnapshot {
-        let mut agg = MetricsSnapshot {
-            schema_version: SCHEMA_VERSION,
-            ..MetricsSnapshot::default()
-        };
-        let mut counters: Option<RunCounters> = None;
-        for run in runs {
-            match run {
-                RunMetrics::Counters(c) => counters.get_or_insert_with(RunCounters::new).merge(c),
-                RunMetrics::Snapshot(s) => agg.merge_from(s),
-            }
-        }
-        if let Some(counters) = counters {
-            agg.merge_from(&counters.snapshot());
-        }
-        agg
-    }
-}
-
-/// Equal when the snapshots are: a run compares equal to its own cache
-/// or wire replay.
-impl PartialEq for RunMetrics {
-    fn eq(&self, other: &RunMetrics) -> bool {
-        self.snapshot() == other.snapshot()
-    }
-}
-
-impl From<MetricsSnapshot> for RunMetrics {
-    fn from(snapshot: MetricsSnapshot) -> Self {
-        RunMetrics::Snapshot(snapshot)
-    }
-}
-
-impl From<RunCounters> for RunMetrics {
-    fn from(counters: RunCounters) -> Self {
-        RunMetrics::Counters(Box::new(counters))
-    }
-}
 
 /// The cached portion of a run record: everything except the spec (which
 /// the lookup key already proves) and the `cached` marker. It travels as
@@ -122,7 +57,7 @@ pub struct CachedRun {
     /// Messages delivered.
     pub delivered: u64,
     /// The run's metrics.
-    pub metrics: RunMetrics,
+    pub metrics: Box<RunCounters>,
 }
 
 /// Why a cache file was rejected: the line at fault and what was wrong.
@@ -205,8 +140,7 @@ impl CampaignCache {
         })
     }
 
-    /// Stores `record` under `spec`'s key. The entry keeps the metrics
-    /// as a snapshot, so later saves do not rename them. A key already
+    /// Stores `record` under `spec`'s key. A key already
     /// present keeps its entry: runs are deterministic, so the two agree,
     /// and the log holds each key once. A panicked run is not stored, so
     /// the next campaign runs it again.
@@ -222,7 +156,7 @@ impl CampaignCache {
                 steps: record.steps,
                 fwd_sends: record.fwd_sends,
                 delivered: record.delivered,
-                metrics: RunMetrics::Snapshot(record.metrics.snapshot().into_owned()),
+                metrics: record.metrics.clone(),
             });
             self.pending.push(key);
         }
@@ -249,6 +183,8 @@ impl CampaignCache {
     /// Parses a cache log. A final segment with no newline is a torn
     /// append: it is dropped, and so is nothing else.
     fn parse_log(bytes: &[u8]) -> Result<CampaignCache, CacheError> {
+        const DELETE: &str = "(delete the file: it holds deterministic runs, which the next \
+                              campaign recomputes)";
         if let Some(rest) = bytes.strip_prefix(b"{\"schema_version\":") {
             let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
             let version = String::from_utf8_lossy(&rest[..digits]);
@@ -256,8 +192,7 @@ impl CampaignCache {
                 1,
                 format!(
                     "a schema_version {version} whole-document cache; this build reads \
-                     run-line logs only (delete the file: it holds deterministic runs, \
-                     which the next campaign recomputes)"
+                     run-line logs only {DELETE}"
                 ),
             ));
         }
@@ -270,7 +205,19 @@ impl CampaignCache {
             let n = i + 1;
             let text =
                 std::str::from_utf8(line).map_err(|_| CacheError::at(n, "line is not UTF-8"))?;
-            match WireMsg::parse_line(text) {
+            let doc = Json::parse(text).map_err(|e| CacheError::at(n, e.to_string()))?;
+            if let Some(v) = doc.get("v").and_then(Json::as_u64) {
+                if v < WIRE_SCHEMA_VERSION {
+                    return Err(CacheError::at(
+                        n,
+                        format!(
+                            "a wire schema_version {v} run line; this build reads version \
+                             {WIRE_SCHEMA_VERSION} {DELETE}"
+                        ),
+                    ));
+                }
+            }
+            match WireMsg::from_json_value(&doc) {
                 Ok(WireMsg::Run {
                     spec_fingerprint,
                     run,
@@ -519,6 +466,11 @@ mod tests {
         .to_line();
         let garbage_middle = format!("{}{{\"v\":1,garbage\n{}", log[0], log[1]);
         let other_type = format!("{}{}{report}", log[0], log[1]);
+        // A line as the version-1 codec wrote it: the snapshot, by name.
+        let old_line = "{\"v\":1,\"type\":\"run\",\"index\":0,\"spec\":7,\"run\":{\"outcome\":\
+                        \"delivered\",\"fingerprint\":1,\"steps\":2,\"fwd_sends\":3,\
+                        \"delivered\":1,\"metrics\":{\"schema_version\":1,\"counters\":{}}}}\n";
+        let old_second = format!("{}{old_line}", log[0]);
         for (text, line, needle) in [
             (
                 "{\"schema_version\":1,\"entries\":[]}",
@@ -527,7 +479,9 @@ mod tests {
             ),
             (garbage_middle.as_str(), 2, "json error"),
             (other_type.as_str(), 3, "found a \"error\" line"),
-            ("{\"v\":2,\"type\":\"run\"}\n", 1, "schema_version 2"),
+            ("{\"v\":3,\"type\":\"run\"}\n", 1, "schema_version 3"),
+            (old_line, 1, "wire schema_version 1 run line"),
+            (old_second.as_str(), 2, "delete the file"),
         ] {
             let err = CampaignCache::parse_log(text.as_bytes()).unwrap_err();
             assert_eq!(err.line, line, "{text}: {err}");

@@ -68,8 +68,8 @@ mod shard;
 mod spec;
 mod wire;
 
-pub use cache::{CacheError, CachedRun, CampaignCache, RunMetrics, SharedCache};
-pub use plan::{CampaignPlan, CampaignPlanError, PLAN_SCHEMA_VERSION};
+pub use cache::{CacheError, CachedRun, CampaignCache, SharedCache};
+pub use plan::{CampaignPlan, CampaignPlanError, MAX_PLAN_RUNS, PLAN_SCHEMA_VERSION};
 pub use runner::{CampaignReport, CampaignRunner, RunOutcome, RunRecord};
 pub use service::{CampaignService, ServiceConfig};
 pub use shard::{merge_reports, PlanExpansion, ShardRecord, ShardReport};

@@ -40,6 +40,12 @@ use std::fmt;
 /// keeps accepting every older version.
 pub const PLAN_SCHEMA_VERSION: u64 = 1;
 
+/// The most runs one plan may expand to: 2^20, far above any shipped or
+/// benchmarked plan (the largest holds a few thousand). Plans are counted
+/// from their axis lengths before anything is expanded, so a `seeds`
+/// range of billions is a line-numbered error, not an allocation.
+pub const MAX_PLAN_RUNS: u64 = 1 << 20;
+
 /// A parsed campaign plan: an ordered list of scenarios.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignPlan {
@@ -90,7 +96,9 @@ struct Draft {
 }
 
 impl Draft {
-    fn finish(self) -> Result<ScenarioSpec, CampaignPlanError> {
+    /// Checks the scenario and adds its runs to `planned`, the runs of
+    /// the scenarios before it.
+    fn finish(self, planned: &mut u64) -> Result<ScenarioSpec, CampaignPlanError> {
         let mut spec = self.spec;
         for (axis, empty) in [
             ("protocols", spec.protocols.is_empty()),
@@ -104,6 +112,19 @@ impl Draft {
                 ));
             }
         }
+        *planned = spec
+            .run_count()
+            .and_then(|runs| planned.checked_add(runs))
+            .filter(|&runs| runs <= MAX_PLAN_RUNS)
+            .ok_or_else(|| {
+                err(
+                    self.opened_at,
+                    format!(
+                        "scenario {:?} takes the plan past {MAX_PLAN_RUNS} runs",
+                        spec.name
+                    ),
+                )
+            })?;
         if !self.fault_lines.is_empty() {
             let text: Vec<&str> = self.fault_lines.iter().map(|(_, t)| t.as_str()).collect();
             let plan = FaultPlan::parse(&text.join("\n")).map_err(|e| {
@@ -125,12 +146,13 @@ impl CampaignPlan {
     /// Returns a [`CampaignPlanError`] naming the offending line: unknown
     /// directives, directives before any `scenario` line, unknown protocol
     /// or discipline spellings, malformed numbers or seed ranges, duplicate
-    /// scenario names, scenarios with an empty axis, and plans with no
-    /// scenario at all.
+    /// scenario names, scenarios with an empty axis, plans with no
+    /// scenario at all, and plans of more than [`MAX_PLAN_RUNS`] runs.
     pub fn parse(text: &str) -> Result<CampaignPlan, CampaignPlanError> {
         let mut scenarios: Vec<ScenarioSpec> = Vec::new();
         let mut draft: Option<Draft> = None;
         let mut schema_version: Option<u64> = None;
+        let mut planned = 0u64;
         for (idx, raw) in text.lines().enumerate() {
             let line = idx + 1;
             let content = raw.split('#').next().unwrap_or("").trim();
@@ -180,7 +202,7 @@ impl CampaignPlan {
                     return Err(err(line, format!("duplicate scenario name {name:?}")));
                 }
                 if let Some(done) = draft.take() {
-                    scenarios.push(done.finish()?);
+                    scenarios.push(done.finish(&mut planned)?);
                 }
                 draft = Some(Draft {
                     opened_at: line,
@@ -282,7 +304,7 @@ impl CampaignPlan {
             }
         }
         if let Some(done) = draft.take() {
-            scenarios.push(done.finish()?);
+            scenarios.push(done.finish(&mut planned)?);
         }
         if scenarios.is_empty() {
             return Err(err(1, "plan declares no scenario"));
@@ -318,7 +340,13 @@ fn parse_seeds(line: usize, text: &str) -> Result<std::ops::Range<u64>, Campaign
         let seed: u64 = text
             .parse()
             .map_err(|_| err(line, format!("seeds: cannot parse {text:?}")))?;
-        Ok(seed..seed + 1)
+        let end = seed.checked_add(1).ok_or_else(|| {
+            err(
+                line,
+                format!("seeds: {seed} is past the largest seed, {}", u64::MAX - 1),
+            )
+        })?;
+        Ok(seed..end)
     }
 }
 
@@ -404,6 +432,55 @@ fault drop 0.05
             assert_eq!(e.line, *line, "{text:?}: {e}");
             assert!(e.to_string().contains(needle), "{text:?}: {e}");
         }
+    }
+
+    #[test]
+    fn the_largest_single_seed_is_an_error_not_an_overflow() {
+        let scenario = "scenario a\nprotocols abp\ndisciplines fifo\nmessages 5\n";
+        let e = CampaignPlan::parse(&format!("{scenario}seeds 18446744073709551615")).unwrap_err();
+        assert_eq!(e.line, 5, "{e}");
+        assert!(e.to_string().contains("past the largest seed"), "{e}");
+        let plan = CampaignPlan::parse(&format!("{scenario}seeds 18446744073709551614")).unwrap();
+        assert_eq!(plan.expand()[0].seed, u64::MAX - 1);
+    }
+
+    #[test]
+    fn plans_past_the_run_cap_fail_before_expanding() {
+        let scenario = |name: &str, seeds: &str| {
+            format!("scenario {name}\nprotocols abp seqnum\ndisciplines fifo\nmessages 5\nseeds {seeds}\n")
+        };
+        // Half the cap per scenario: two fit, a third does not.
+        let half = format!("0..{}", MAX_PLAN_RUNS / 4);
+        let two = format!("{}{}", scenario("a", &half), scenario("b", &half));
+        let plan = CampaignPlan::parse(&two).unwrap();
+        let runs: u64 = plan.scenarios.iter().map(|s| s.run_count().unwrap()).sum();
+        assert_eq!(runs, MAX_PLAN_RUNS);
+        for (text, line) in [
+            (format!("{two}{}", scenario("c", "0..1")), 11),
+            (scenario("big", "0..99999999999"), 1),
+            (scenario("huge", "0..18446744073709551615"), 1),
+        ] {
+            let e = CampaignPlan::parse(&text).unwrap_err();
+            assert_eq!(e.line, line, "{e}");
+            assert!(e.to_string().contains("past 1048576 runs"), "{e}");
+        }
+    }
+
+    #[test]
+    fn every_shipped_plan_parses() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../campaigns");
+        let mut plans = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "campaign") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let plan = CampaignPlan::parse(&text)
+                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                assert!(!plan.expand().is_empty(), "{}", path.display());
+                plans += 1;
+            }
+        }
+        assert!(plans > 0, "no plans under {dir}");
     }
 
     #[test]

@@ -15,14 +15,14 @@
 //! from its spec, so runs are independent and a result can be cached: the
 //! [`CampaignCache`] is consulted before the pool spins up, and cached
 //! records are indistinguishable from fresh ones in every report artifact.
-//! A run's counters are named only where a snapshot is read: the
-//! aggregate, a cache insert, a wire line.
+//! A run's counters stay [`RunCounters`](nonfifo_core::RunCounters) in
+//! the cache and on the wire; they are named only in the aggregate.
 //!
 //! A run that panics does not take its worker down: the panic is caught
 //! around that one run and recorded as [`RunOutcome::Panicked`], a failure
 //! that the cache never stores.
 
-use crate::cache::{CachedRun, CampaignCache, RunMetrics};
+use crate::cache::{CachedRun, CampaignCache};
 use crate::shard::{merge_reports, PlanExpansion, ShardRecord, ShardReport};
 use crate::spec::RunSpec;
 use nonfifo_adversary::ChunkCursor;
@@ -104,8 +104,8 @@ pub struct RunRecord {
     pub fwd_sends: u64,
     /// Messages delivered.
     pub delivered: u64,
-    /// The run's metrics: its own counters, or a cached snapshot.
-    pub metrics: RunMetrics,
+    /// The run's metrics.
+    pub metrics: Box<RunCounters>,
     /// True if this record was replayed from the cache rather than run.
     pub cached: bool,
 }
@@ -209,7 +209,7 @@ impl CampaignRunner {
         &self,
         expansion: &PlanExpansion,
         indices: &[usize],
-        on_record: &(dyn Fn(&mut ShardRecord) + Sync),
+        on_record: &(dyn Fn(&ShardRecord) + Sync),
     ) -> (ShardReport, Vec<Duration>) {
         let runs = expansion.runs();
         let workers = self.threads.min(indices.len()).max(1);
@@ -220,12 +220,12 @@ impl CampaignRunner {
             while let Some(range) = cursor.claim() {
                 for slot in range {
                     let index = indices[slot];
-                    let mut record = ShardRecord {
+                    let record = ShardRecord {
                         index,
                         spec_fingerprint: runs[index].fingerprint(),
                         run: execute_caught(&runs[index]),
                     };
-                    on_record(&mut record);
+                    on_record(&record);
                     mine.push(record);
                 }
             }
@@ -436,7 +436,7 @@ impl CampaignReport {
     /// Deterministic: the merge order is the input-spec order, not the
     /// completion order.
     pub fn aggregate_metrics(&self) -> MetricsSnapshot {
-        let mut agg = RunMetrics::aggregate(self.records.iter().map(|r| &r.metrics));
+        let mut agg = RunCounters::aggregate(self.records.iter().map(|r| &*r.metrics));
         agg.counters
             .insert("campaign.runs_total".to_string(), self.records.len() as u64);
         agg.counters

@@ -32,12 +32,12 @@
 //! the cache file, under one write-lock acquisition. A warm replay differs
 //! from the cold run only in the `campaign.cache_hits` counter.
 
-use crate::cache::{RunMetrics, SharedCache};
+use crate::cache::SharedCache;
 use crate::plan::CampaignPlan;
 use crate::runner::{CampaignRunner, RunRecord};
 use crate::shard::{merge_reports, PlanExpansion, ShardRecord};
 use crate::wire::WireMsg;
-use nonfifo_core::NonFifoError;
+use nonfifo_core::{NonFifoError, RunCounters};
 use nonfifo_telemetry::Registry;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -170,11 +170,7 @@ impl CampaignService {
             .set(runner.threads().min(misses.len()) as u64);
         let sink: Sink<'_> = Mutex::new(sink);
         let (part, busy) =
-            runner.execute_streaming(&expansion, &misses, &|record: &mut ShardRecord| {
-                // A streamed run is a wire line, so its counters are named
-                // once, here; the metrics delta and the cache reuse the names.
-                record.run.metrics =
-                    RunMetrics::Snapshot(record.run.metrics.snapshot().into_owned());
+            runner.execute_streaming(&expansion, &misses, &|record: &ShardRecord| {
                 emit(&sink, &WireMsg::run_delta(record));
             });
         self.registry
@@ -184,7 +180,7 @@ impl CampaignService {
             &sink,
             &WireMsg::Metrics {
                 shard: 0,
-                snapshot: RunMetrics::aggregate(part.records.iter().map(|r| &r.run.metrics)),
+                snapshot: RunCounters::aggregate(part.records.iter().map(|r| &*r.run.metrics)),
             },
         );
 

@@ -290,7 +290,7 @@ mod tests {
             let (report, busy) = CampaignRunner::new(threads).execute_streaming(
                 &exp,
                 &indices,
-                &|r: &mut ShardRecord| streamed.lock().unwrap().push(r.index),
+                &|r: &ShardRecord| streamed.lock().unwrap().push(r.index),
             );
             let mut streamed = streamed.into_inner().unwrap();
             streamed.sort_unstable();

@@ -130,6 +130,19 @@ impl ScenarioSpec {
         self
     }
 
+    /// How many runs [`expand`](Self::expand) yields, counted from the
+    /// axis lengths without expanding; `None` if that overflows a `u64`.
+    pub fn run_count(&self) -> Option<u64> {
+        let axes = [
+            self.protocols.len(),
+            self.disciplines.len(),
+            self.message_counts.len(),
+        ];
+        let seeds = self.seeds.end.saturating_sub(self.seeds.start);
+        axes.into_iter()
+            .try_fold(seeds, |runs, axis| runs.checked_mul(axis as u64))
+    }
+
     /// Expands the cross product in declaration order: protocol, then
     /// discipline, then message count, then seed.
     pub fn expand(&self) -> Vec<RunSpec> {

@@ -5,9 +5,9 @@
 //! JSON), built with the hand-rolled [`Json`] value from
 //! `nonfifo-telemetry` — insertion-ordered objects, exact integer
 //! variants — so encodings are byte-stable and diffable like every other
-//! artifact in this repo. Every message carries a `"v"` schema field with
-//! the same forward-compat contract as [`MetricsSnapshot`]: a reader
-//! rejects versions newer than it knows rather than guessing.
+//! artifact in this repo. Every message carries a `"v"` schema field
+//! ([`WIRE_SCHEMA_VERSION`]), and a reader rejects any version but its own
+//! rather than guessing.
 //!
 //! The conversation: the client sends [`WireMsg::Submit`] (a plan
 //! document plus a worker count), and the daemon answers with one
@@ -16,7 +16,10 @@
 //!
 //! A run travels as its [`CachedRun`], addressed by expansion index and
 //! spec fingerprint so the receiver can merge it with
-//! [`merge_reports`](crate::merge_reports)' fingerprint check. The same
+//! [`merge_reports`](crate::merge_reports)' fingerprint check. Its metrics
+//! travel as the compact [`RunCounters`] object — per-header counts are
+//! dense arrays, not one named counter each — and get their names only in
+//! the `metrics` delta and the `report` aggregate. The same
 //! `run` line is the cache file's record: a
 //! [`CampaignCache`](crate::CampaignCache) file is an NDJSON log of them,
 //! keyed by `spec`, so the cache has no serialization of its own.
@@ -24,11 +27,14 @@
 use crate::cache::CachedRun;
 use crate::runner::RunOutcome;
 use crate::shard::ShardRecord;
+use nonfifo_core::RunCounters;
 use nonfifo_telemetry::{Json, MetricsSnapshot};
 use std::fmt;
 
 /// Version of the wire encoding this build speaks.
-pub const WIRE_SCHEMA_VERSION: u64 = 1;
+/// Version 2 carries a run's metrics as its [`RunCounters`] object;
+/// version 1 carried their name-keyed snapshot.
+pub const WIRE_SCHEMA_VERSION: u64 = 2;
 
 /// A malformed, unsupported, or out-of-protocol wire line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -273,10 +279,7 @@ impl CachedRun {
             ("steps".to_string(), Json::Uint(self.steps)),
             ("fwd_sends".to_string(), Json::Uint(self.fwd_sends)),
             ("delivered".to_string(), Json::Uint(self.delivered)),
-            (
-                "metrics".to_string(),
-                self.metrics.snapshot().to_json_value(),
-            ),
+            ("counters".to_string(), self.metrics.to_json_value()),
         ])
     }
 
@@ -284,7 +287,8 @@ impl CachedRun {
     ///
     /// # Errors
     ///
-    /// Rejects objects with missing or mistyped fields.
+    /// Rejects objects with missing or mistyped fields, and counters
+    /// [`RunCounters::from_json_value`] rejects.
     pub fn from_json_value(entry: &Json) -> Result<CachedRun, WireError> {
         let outcome = entry
             .get("outcome")
@@ -292,18 +296,16 @@ impl CachedRun {
             .and_then(RunOutcome::from_str_opt)
             .ok_or_else(|| wire_err("no valid outcome"))?;
         let metrics = entry
-            .get("metrics")
-            .ok_or_else(|| wire_err("missing field \"metrics\""))
-            .and_then(|m| {
-                MetricsSnapshot::from_json_value(m).map_err(|e| wire_err(e.to_string()))
-            })?;
+            .get("counters")
+            .ok_or_else(|| wire_err("missing field \"counters\""))
+            .and_then(|c| RunCounters::from_json_value(c).map_err(|e| wire_err(e.to_string())))?;
         Ok(CachedRun {
             outcome,
             fingerprint: need_u64(entry, "fingerprint")?,
             steps: need_u64(entry, "steps")?,
             fwd_sends: need_u64(entry, "fwd_sends")?,
             delivered: need_u64(entry, "delivered")?,
-            metrics: metrics.into(),
+            metrics: Box::new(metrics),
         })
     }
 }
@@ -323,19 +325,25 @@ fn need_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RunOutcome;
+    use crate::runner::{CampaignRunner, RunOutcome};
+    use crate::spec::ScenarioSpec;
+    use nonfifo_channel::Discipline;
     use nonfifo_telemetry::Registry;
 
     fn sample_run() -> CachedRun {
-        let registry = Registry::new();
-        registry.counter("chan.fwd.sends").add(7);
+        let runs = ScenarioSpec::new("t")
+            .protocol("seqnum")
+            .discipline(Discipline::Probabilistic { q: 0.3 })
+            .message_counts(&[5])
+            .expand();
+        let record = CampaignRunner::new(1).run(&runs).unwrap().records.remove(0);
         CachedRun {
             outcome: RunOutcome::Delivered,
             fingerprint: 0xdead_beef_cafe_f00d,
             steps: 42,
             fwd_sends: 7,
             delivered: 5,
-            metrics: registry.snapshot().into(),
+            metrics: record.metrics,
         }
     }
 
@@ -422,17 +430,19 @@ mod tests {
 
     #[test]
     fn newer_schema_versions_are_rejected_by_name() {
-        let mut line = WireMsg::Error {
+        let line = WireMsg::Error {
             message: "x".to_string(),
         }
         .to_line();
-        line = line.replacen("\"v\":1", "\"v\":2", 1);
-        let err = WireMsg::parse_line(&line).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("unsupported wire schema_version 2"),
-            "{err}"
-        );
+        for v in ["1", "3"] {
+            let line = line.replacen("\"v\":2", &format!("\"v\":{v}"), 1);
+            let err = WireMsg::parse_line(&line).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported wire schema_version {v}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -440,11 +450,11 @@ mod tests {
         for (line, needle) in [
             ("{", "wire:"),
             ("[1,2]", "not a JSON object"),
-            ("{\"v\":1}", "type"),
-            ("{\"v\":1,\"type\":\"warble\"}", "unknown message type"),
-            ("{\"v\":1,\"type\":\"submit\",\"plan\":\"x\"}", "workers"),
+            ("{\"v\":2}", "type"),
+            ("{\"v\":2,\"type\":\"warble\"}", "unknown message type"),
+            ("{\"v\":2,\"type\":\"submit\",\"plan\":\"x\"}", "workers"),
             (
-                "{\"v\":1,\"type\":\"shard\",\"plan\":\"x\",\"shard\":0,\"of\":1}",
+                "{\"v\":2,\"type\":\"shard\",\"plan\":\"x\",\"shard\":0,\"of\":1}",
                 "unknown message type",
             ),
         ] {

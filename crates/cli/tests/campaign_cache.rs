@@ -102,3 +102,56 @@ fn an_old_whole_document_cache_exits_1_with_its_version_and_line() {
     std::fs::remove_file(&plan_path).ok();
     std::fs::remove_file(&cache).ok();
 }
+
+#[test]
+fn a_cache_of_older_run_lines_exits_1_naming_the_line() {
+    let plan_path = temp("wire1.campaign");
+    let cache = temp("wire1.json");
+    std::fs::write(&plan_path, plan("0..2")).unwrap();
+    // A run line as the version-1 codec wrote it, metrics by name.
+    let old = "{\"v\":1,\"type\":\"run\",\"index\":0,\"spec\":7,\"run\":{\"outcome\":\
+               \"delivered\",\"fingerprint\":1,\"steps\":2,\"fwd_sends\":3,\"delivered\":1,\
+               \"metrics\":{\"schema_version\":1,\"counters\":{\"chan.fwd.sends\":3}}}}\n";
+    std::fs::write(&cache, old).unwrap();
+    let out = campaign(&plan_path, &cache);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let first = stderr.lines().next().unwrap_or("");
+    assert!(first.contains("line 1"), "{first}");
+    assert!(first.contains("wire schema_version 1"), "{first}");
+    assert!(first.contains("delete the file"), "{first}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(
+        std::fs::read_to_string(&cache).unwrap(),
+        old,
+        "left as found"
+    );
+    std::fs::remove_file(&plan_path).ok();
+    std::fs::remove_file(&cache).ok();
+}
+
+#[test]
+fn oversized_and_overflowing_seed_plans_are_usage_errors() {
+    let plan_path = temp("huge.campaign");
+    for (seeds, needle) in [
+        (
+            "0..99999999999",
+            "plan line 1: scenario \"cli-cache\" takes the plan past 1048576 runs",
+        ),
+        (
+            "18446744073709551615",
+            "plan line 5: seeds: 18446744073709551615 is past the largest seed",
+        ),
+    ] {
+        std::fs::write(&plan_path, plan(seeds)).unwrap();
+        let out = Command::new(BIN)
+            .args(["campaign", &plan_path])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(first.contains(needle), "{first}");
+    }
+    std::fs::remove_file(&plan_path).ok();
+}

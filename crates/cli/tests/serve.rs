@@ -283,6 +283,37 @@ fn oversized_worker_counts_get_a_400_and_the_daemon_keeps_serving() {
     shut_down(daemon, &addr);
 }
 
+/// Bodies that once killed the daemon — a stack-deep JSON nest, a plan
+/// of 10^11 runs, a seed with no successor — each get a `400` naming what
+/// is wrong, and the daemon goes on answering.
+#[test]
+fn hostile_bodies_get_a_400_and_the_daemon_keeps_serving() {
+    let (daemon, addr) = spawn_daemon(&[]);
+    let scenario = "scenario s\nprotocols abp\ndisciplines fifo\nmessages 5\n";
+    let nested = format!("{{\"v\":{}", "[".repeat(200_000));
+    for (body, needle) in [
+        (nested, "nesting deeper than"),
+        (format!("{scenario}seeds 0..99999999999\n"), "plan line 1"),
+        (
+            format!("{scenario}seeds 18446744073709551615\n"),
+            "plan line 5",
+        ),
+    ] {
+        let started = Instant::now();
+        let (head, reply) = http(&addr, "POST", "/campaign", &body);
+        assert!(head.starts_with("HTTP/1.1 400"), "{needle}: {head}");
+        let WireMsg::Error { message } = WireMsg::parse_line(reply.trim()).unwrap() else {
+            panic!("400 body is an error message: {reply}");
+        };
+        assert!(message.contains(needle), "{message}");
+        assert!(started.elapsed() < Duration::from_secs(5), "{needle}: slow");
+        let (head, reply) = http(&addr, "GET", "/healthz", "");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert_eq!(reply, "ok\n");
+    }
+    shut_down(daemon, &addr);
+}
+
 /// The run messages and the final report of one campaign stream.
 fn stream(body: &str) -> (usize, WireMsg) {
     let msgs: Vec<WireMsg> = body

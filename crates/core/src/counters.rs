@@ -5,10 +5,15 @@
 //! integers, two [`LocalHistogram`]s and a per-header table per
 //! direction. Names exist only in [`RunCounters::snapshot`], built where a
 //! snapshot is actually read (a `--metrics-out` file, a campaign
-//! aggregate, a cache entry, a wire line).
+//! aggregate). A campaign's cache entries and wire lines carry the slots
+//! themselves, through [`RunCounters::to_json_value`] and
+//! [`RunCounters::from_json_value`].
 
 use nonfifo_ioa::{Dir, Event, Header};
-use nonfifo_telemetry::{GaugeSnapshot, LocalHistogram, MetricsSnapshot, SCHEMA_VERSION};
+use nonfifo_telemetry::{
+    GaugeSnapshot, HistogramSnapshot, Json, LocalHistogram, MetricsSnapshot, SnapshotError,
+    SCHEMA_VERSION,
+};
 use std::collections::BTreeMap;
 
 /// Per-header verbs, in slot order; each names a counter
@@ -29,7 +34,7 @@ const DENSE_HEADERS: u32 = 1 << 12;
 type VerbCounts = [u64; VERBS.len()];
 
 /// Per-header counts for one direction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct HeaderTable {
     dense: Vec<VerbCounts>,
     /// Sorted by header index, all `>= DENSE_HEADERS`.
@@ -77,10 +82,91 @@ impl HeaderTable {
             .zip(&self.dense)
             .chain(self.sparse.iter().map(|(h, c)| (*h, c)))
     }
+
+    /// One dense array per verb, indexed by header and cut after its last
+    /// non-zero count, then the sparse slots as `[header, [counts]]`.
+    fn to_json_value(&self) -> Json {
+        let mut fields: Vec<(String, Json)> = VERBS
+            .iter()
+            .enumerate()
+            .map(|(verb, name)| {
+                let len = self
+                    .dense
+                    .iter()
+                    .rposition(|counts| counts[verb] > 0)
+                    .map_or(0, |i| i + 1);
+                let counts = self.dense[..len].iter().map(|c| Json::Uint(c[verb]));
+                (name.to_string(), Json::Arr(counts.collect()))
+            })
+            .collect();
+        let sparse = self.sparse.iter().map(|(h, counts)| {
+            let counts = counts.iter().map(|&n| Json::Uint(n)).collect();
+            Json::Arr(vec![Json::Uint(u64::from(*h)), Json::Arr(counts)])
+        });
+        fields.push(("sparse".to_string(), Json::Arr(sparse.collect())));
+        Json::Obj(fields)
+    }
+
+    fn from_json_value(doc: &Json) -> Result<HeaderTable, String> {
+        let mut table = HeaderTable::default();
+        for (verb, name) in VERBS.iter().enumerate() {
+            let counts = arr(doc, name)?;
+            if counts.len() > DENSE_HEADERS as usize {
+                return Err(format!(
+                    "{name}: {} dense headers; headers from {DENSE_HEADERS} on are sparse",
+                    counts.len()
+                ));
+            }
+            if counts.len() > table.dense.len() {
+                table.dense.resize(counts.len(), [0; VERBS.len()]);
+            }
+            for (slot, n) in table.dense.iter_mut().zip(counts) {
+                slot[verb] = n
+                    .as_u64()
+                    .ok_or_else(|| format!("{name}: {n} is not a u64"))?;
+            }
+        }
+        // A slot exists because something was counted in it.
+        while table
+            .dense
+            .last()
+            .is_some_and(|c| c.iter().all(|&n| n == 0))
+        {
+            table.dense.pop();
+        }
+        for pair in arr(doc, "sparse")? {
+            let slot = match pair.as_arr() {
+                Some([h, counts]) => h.as_u64().zip(counts.as_arr()),
+                _ => None,
+            };
+            let Some((h, counts)) = slot else {
+                return Err(format!("sparse: {pair} is not a [header, counts] pair"));
+            };
+            let in_order = |h: &u32| {
+                *h >= DENSE_HEADERS && table.sparse.last().is_none_or(|&(last, _)| *h > last)
+            };
+            let h = u32::try_from(h).ok().filter(in_order).ok_or_else(|| {
+                format!("sparse: header {h} is below {DENSE_HEADERS} or out of order")
+            })?;
+            let counts: Vec<u64> = counts.iter().filter_map(Json::as_u64).collect();
+            let counts: VerbCounts = counts
+                .try_into()
+                .ok()
+                .filter(|c: &VerbCounts| c.iter().any(|&n| n > 0))
+                .ok_or_else(|| {
+                    format!(
+                        "sparse: header {h} needs {} counts, not all zero",
+                        VERBS.len()
+                    )
+                })?;
+            table.sparse.push((h, counts));
+        }
+        Ok(table)
+    }
 }
 
 /// One direction's channel counters.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Lane {
     sends: u64,
     delivered: u64,
@@ -109,13 +195,8 @@ impl Lane {
         counters: &mut Vec<(String, u64)>,
         gauges: &mut Vec<(String, GaugeSnapshot)>,
     ) {
-        for (metric, value) in [
-            ("sends", self.sends),
-            ("delivered", self.delivered),
-            ("drops", self.drops),
-            ("injected", self.injected),
-        ] {
-            counters.push((format!("chan.{name}.{metric}"), value));
+        for (metric, value) in &self.scalars()[..4] {
+            counters.push((format!("chan.{name}.{metric}"), *value));
         }
         for (h, counts) in self.headers.iter() {
             for (verb, &n) in VERBS.iter().zip(counts) {
@@ -132,6 +213,65 @@ impl Lane {
             },
         ));
     }
+
+    fn to_json_value(&self) -> Json {
+        let mut fields: Vec<(String, Json)> = self
+            .scalars()
+            .iter()
+            .map(|&(name, n)| (name.to_string(), Json::Uint(n)))
+            .collect();
+        fields.push(("headers".to_string(), self.headers.to_json_value()));
+        Json::Obj(fields)
+    }
+
+    /// The scalar slots with their field names, in encoding order: the
+    /// four counters, then the in-transit gauge's value and high water.
+    fn scalars(&self) -> [(&'static str, u64); 6] {
+        [
+            ("sends", self.sends),
+            ("delivered", self.delivered),
+            ("drops", self.drops),
+            ("injected", self.injected),
+            ("in_transit", self.in_transit),
+            ("in_transit_high", self.in_transit_high),
+        ]
+    }
+
+    fn from_json_value(doc: &Json) -> Result<Lane, String> {
+        Ok(Lane {
+            sends: uint(doc, "sends")?,
+            delivered: uint(doc, "delivered")?,
+            drops: uint(doc, "drops")?,
+            injected: uint(doc, "injected")?,
+            in_transit: uint(doc, "in_transit")?,
+            in_transit_high: uint(doc, "in_transit_high")?,
+            headers: HeaderTable::from_json_value(field(doc, "headers")?)
+                .map_err(|e| format!("headers.{e}"))?,
+        })
+    }
+}
+
+fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
+    doc.get(key).ok_or_else(|| format!("missing field {key:?}"))
+}
+
+fn uint(doc: &Json, key: &str) -> Result<u64, String> {
+    field(doc, key)?
+        .as_u64()
+        .ok_or_else(|| format!("{key} is not a u64"))
+}
+
+fn arr<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    field(doc, key)?
+        .as_arr()
+        .ok_or_else(|| format!("{key} is not an array"))
+}
+
+fn histogram(doc: &Json, key: &str) -> Result<LocalHistogram, String> {
+    let snap =
+        HistogramSnapshot::from_json_value(key, field(doc, key)?).map_err(|e| e.to_string())?;
+    LocalHistogram::from_snapshot(&snap)
+        .ok_or_else(|| format!("{key} is not a histogram's snapshot"))
 }
 
 /// A simulation run's telemetry: every counter, gauge and histogram the
@@ -142,6 +282,9 @@ impl Lane {
 /// [`merge`](RunCounters::merge) sums runs with
 /// [`MetricsSnapshot::merge_from`]'s rules, so the snapshot of merged
 /// counters equals the merge of their snapshots.
+///
+/// Two counters are equal when every slot is; the forward sends of a
+/// round still open are recording state, not a metric, and do not count.
 #[derive(Debug, Clone, Default)]
 pub struct RunCounters {
     messages_sent: u64,
@@ -253,11 +396,81 @@ impl RunCounters {
         self.header_usage.merge(&other.header_usage);
     }
 
+    /// Merges runs into one campaign-wide snapshot: the counters are
+    /// summed as counters and named once, not once per run. The result
+    /// equals folding each run's snapshot in with
+    /// [`MetricsSnapshot::merge_from`]; no runs give an empty snapshot.
+    pub fn aggregate<'a>(runs: impl IntoIterator<Item = &'a RunCounters>) -> MetricsSnapshot {
+        let mut runs = runs.into_iter();
+        let Some(first) = runs.next() else {
+            return MetricsSnapshot {
+                schema_version: SCHEMA_VERSION,
+                ..MetricsSnapshot::default()
+            };
+        };
+        let mut total = first.clone();
+        for run in runs {
+            total.merge(run);
+        }
+        total.snapshot()
+    }
+
+    /// The counters as the compact object a campaign `run` line carries:
+    /// each scalar slot named once, per direction one dense array per
+    /// verb indexed by header (headers below 2^12) and the sparse headers
+    /// as ascending `[header, [send, recv, drop, injected]]` pairs, and
+    /// both histograms in their snapshot form.
+    pub fn to_json_value(&self) -> Json {
+        Json::Obj(vec![
+            ("messages_sent".to_string(), Json::Uint(self.messages_sent)),
+            (
+                "messages_received".to_string(),
+                Json::Uint(self.messages_received),
+            ),
+            ("fwd".to_string(), self.fwd.to_json_value()),
+            ("bwd".to_string(), self.bwd.to_json_value()),
+            (
+                "packets_per_message".to_string(),
+                self.packets_per_message.snapshot().to_json_value(),
+            ),
+            (
+                "header_usage".to_string(),
+                self.header_usage.snapshot().to_json_value(),
+            ),
+        ])
+    }
+
+    /// Parses a [`to_json_value`](Self::to_json_value) object back into
+    /// the counters it was written from.
+    ///
+    /// # Errors
+    ///
+    /// A [`SnapshotError::Schema`] naming the field at fault: a missing
+    /// field, a count that is not a `u64`, a dense array longer than 2^12,
+    /// a sparse header below 2^12, out of order or with no count, or a
+    /// histogram no [`LocalHistogram`] exports.
+    pub fn from_json_value(doc: &Json) -> Result<RunCounters, SnapshotError> {
+        let lane =
+            |key: &str| Lane::from_json_value(field(doc, key)?).map_err(|e| format!("{key}.{e}"));
+        let decode = || -> Result<RunCounters, String> {
+            Ok(RunCounters {
+                messages_sent: uint(doc, "messages_sent")?,
+                messages_received: uint(doc, "messages_received")?,
+                fwd: lane("fwd")?,
+                bwd: lane("bwd")?,
+                packets_per_message: histogram(doc, "packets_per_message")?,
+                header_usage: histogram(doc, "header_usage")?,
+                round_sends: 0,
+            })
+        };
+        decode().map_err(|e| SnapshotError::Schema(format!("run counters: {e}")))
+    }
+
     /// The name-keyed snapshot: every fixed counter (zero or not), the
     /// non-zero per-header counters, both in-transit gauges and both
     /// histograms. Each map is built by one `collect`, which packs its
     /// B-tree nodes full; inserting names one at a time would leave them
-    /// about half full, and a campaign cache holds one snapshot per run.
+    /// about half full.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters = vec![
             ("sim.messages.sent".to_string(), self.messages_sent),
@@ -279,6 +492,17 @@ impl RunCounters {
             ]),
             ..MetricsSnapshot::default()
         }
+    }
+}
+
+impl PartialEq for RunCounters {
+    fn eq(&self, other: &RunCounters) -> bool {
+        self.messages_sent == other.messages_sent
+            && self.messages_received == other.messages_received
+            && self.fwd == other.fwd
+            && self.bwd == other.bwd
+            && self.packets_per_message == other.packets_per_message
+            && self.header_usage == other.header_usage
     }
 }
 

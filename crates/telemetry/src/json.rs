@@ -8,6 +8,11 @@
 
 use std::fmt::{self, Write as _};
 
+/// The deepest array/object nesting [`Json::parse`] accepts. Every
+/// document this workspace writes nests at most about five levels; the
+/// cap keeps the recursive parser's stack bounded on hostile input.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 ///
 /// Objects preserve insertion order (they are association lists, not maps)
@@ -87,12 +92,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] with a byte offset on malformed input or
-    /// trailing garbage.
+    /// Returns a [`JsonError`] with a byte offset on malformed input,
+    /// arrays and objects nested more than 128 deep, or trailing garbage.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -210,6 +216,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -254,11 +262,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object, at most [`MAX_DEPTH`] levels deep.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -463,6 +485,17 @@ mod tests {
         assert_eq!(original.to_string(), r#""a\"b\\c\nd\te\u0001π\r""#);
         let parsed = Json::parse(&original.to_string()).unwrap();
         assert_eq!(parsed, original);
+    }
+
+    #[test]
+    fn nesting_is_capped_with_the_offset_of_the_first_bracket_too_deep() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        // `{"v":` then far more brackets than any stack holds frames for.
+        let hostile = format!("{{\"v\":{}", "[".repeat(200_000));
+        let err = Json::parse(&hostile).unwrap_err();
+        assert_eq!(err.at, 5 + MAX_DEPTH - 1, "{err}");
+        assert!(err.message.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

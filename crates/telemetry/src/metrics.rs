@@ -207,6 +207,39 @@ impl LocalHistogram {
         }
     }
 
+    /// The histogram whose [`snapshot`](Self::snapshot) is `snap`, or
+    /// `None` if no histogram has that snapshot: a bucket bound that is
+    /// not a bucket's upper bound, buckets out of order or empty, bucket
+    /// counts that do not add up to `count`, or a `min`/`max` outside the
+    /// first/last bucket.
+    pub fn from_snapshot(snap: &HistogramSnapshot) -> Option<LocalHistogram> {
+        let mut h = LocalHistogram {
+            count: snap.count,
+            sum: snap.sum,
+            min: if snap.count == 0 { u64::MAX } else { snap.min },
+            max: snap.max,
+            buckets: [0; HISTOGRAM_BUCKETS],
+        };
+        let mut total = 0u64;
+        let mut next = 0;
+        for &(le, n) in &snap.buckets {
+            let i = bucket_of(le);
+            if i < next || bucket_upper(i) != le || n == 0 {
+                return None;
+            }
+            h.buckets[i] = n;
+            total = total.checked_add(n)?;
+            next = i + 1;
+        }
+        let ends = match (snap.buckets.first(), snap.buckets.last()) {
+            (Some(&(lo, _)), Some(&(hi, _))) => {
+                bucket_of(lo) == bucket_of(snap.min) && bucket_of(hi) == bucket_of(snap.max)
+            }
+            _ => snap.min == 0 && snap.max == 0,
+        };
+        (total == snap.count && ends && snap.min <= snap.max).then_some(h)
+    }
+
     /// The exported form: min reads 0 when empty, and only non-empty
     /// buckets are listed.
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -407,6 +440,32 @@ mod tests {
         assert_eq!(doubled.snapshot(), merged.histograms["h"]);
         doubled.merge(&LocalHistogram::new());
         assert_eq!(doubled.snapshot(), merged.histograms["h"]);
+    }
+
+    #[test]
+    fn local_histograms_rebuild_exactly_from_their_snapshots() {
+        let mut h = LocalHistogram::new();
+        for values in [&[][..], &[0], &[3, 3, 900], &[1, 5, 9, 1000, u64::MAX]] {
+            for &v in values {
+                h.record(v);
+            }
+            assert_eq!(
+                LocalHistogram::from_snapshot(&h.snapshot()),
+                Some(h.clone())
+            );
+        }
+        let good = h.snapshot();
+        let bad = |edit: fn(&mut HistogramSnapshot)| {
+            let mut snap = good.clone();
+            edit(&mut snap);
+            LocalHistogram::from_snapshot(&snap)
+        };
+        assert!(bad(|s| s.buckets[1].0 = 6).is_none(), "not a bucket bound");
+        assert!(bad(|s| s.buckets.swap(1, 2)).is_none(), "out of order");
+        assert!(bad(|s| s.buckets[1].1 += 1).is_none(), "counts disagree");
+        assert!(bad(|s| s.buckets[0].1 = 0).is_none(), "empty bucket listed");
+        assert!(bad(|s| s.min = 2).is_none(), "min outside the first bucket");
+        assert!(bad(|s| s.max = 7).is_none(), "max outside the last bucket");
     }
 
     #[test]

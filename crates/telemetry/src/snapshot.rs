@@ -38,6 +38,60 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// The histogram as the JSON object a snapshot document holds:
+    /// `count`, `sum`, `min`, `max` and `buckets` as `[le, n]` pairs.
+    pub fn to_json_value(&self) -> Json {
+        Json::Obj(vec![
+            ("count".into(), Json::Uint(self.count)),
+            ("sum".into(), Json::Uint(self.sum)),
+            ("min".into(), Json::Uint(self.min)),
+            ("max".into(), Json::Uint(self.max)),
+            (
+                "buckets".into(),
+                Json::Arr(
+                    self.buckets
+                        .iter()
+                        .map(|&(le, n)| Json::Arr(vec![Json::Uint(le), Json::Uint(n)]))
+                        .collect(),
+                ),
+            ),
+        ])
+    }
+
+    /// Parses a [`to_json_value`](Self::to_json_value) object; `name`
+    /// labels the errors.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a missing or non-`u64` field and a bucket that is not a
+    /// `[le, n]` pair of `u64`s.
+    pub fn from_json_value(name: &str, v: &Json) -> Result<HistogramSnapshot, SnapshotError> {
+        let field = |key: &str| {
+            v.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| SnapshotError::Schema(format!("histogram '{name}' missing {key}")))
+        };
+        let mut buckets = Vec::new();
+        if let Some(items) = v.get("buckets").and_then(Json::as_arr) {
+            for item in items {
+                match item.as_arr() {
+                    Some([le, n]) => match (le.as_u64(), n.as_u64()) {
+                        (Some(le), Some(n)) => buckets.push((le, n)),
+                        _ => return schema_err(format!("histogram '{name}' has a bad bucket")),
+                    },
+                    _ => return schema_err(format!("histogram '{name}' has a bad bucket")),
+                }
+            }
+        }
+        Ok(HistogramSnapshot {
+            count: field("count")?,
+            sum: field("sum")?,
+            min: field("min")?,
+            max: field("max")?,
+            buckets,
+        })
+    }
+
     /// The mean observation, or 0 for an empty histogram.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -127,28 +181,7 @@ impl MetricsSnapshot {
         let histograms = Json::Obj(
             self.histograms
                 .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        Json::Obj(vec![
-                            ("count".into(), Json::Uint(h.count)),
-                            ("sum".into(), Json::Uint(h.sum)),
-                            ("min".into(), Json::Uint(h.min)),
-                            ("max".into(), Json::Uint(h.max)),
-                            (
-                                "buckets".into(),
-                                Json::Arr(
-                                    h.buckets
-                                        .iter()
-                                        .map(|&(le, n)| {
-                                            Json::Arr(vec![Json::Uint(le), Json::Uint(n)])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ]),
-                    )
-                })
+                .map(|(k, h)| (k.clone(), h.to_json_value()))
                 .collect(),
         );
         let values = Json::Obj(
@@ -224,7 +257,8 @@ impl MetricsSnapshot {
         }
         if let Some(fields) = doc.get("histograms").and_then(Json::as_obj) {
             for (k, v) in fields {
-                snap.histograms.insert(k.clone(), parse_histogram(k, v)?);
+                snap.histograms
+                    .insert(k.clone(), HistogramSnapshot::from_json_value(k, v)?);
             }
         }
         if let Some(fields) = doc.get("values").and_then(Json::as_obj) {
@@ -331,33 +365,6 @@ impl MetricsSnapshot {
             self.values.insert(k.clone(), v);
         }
     }
-}
-
-fn parse_histogram(name: &str, v: &Json) -> Result<HistogramSnapshot, SnapshotError> {
-    let field = |key: &str| {
-        v.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| SnapshotError::Schema(format!("histogram '{name}' missing {key}")))
-    };
-    let mut buckets = Vec::new();
-    if let Some(items) = v.get("buckets").and_then(Json::as_arr) {
-        for item in items {
-            match item.as_arr() {
-                Some([le, n]) => match (le.as_u64(), n.as_u64()) {
-                    (Some(le), Some(n)) => buckets.push((le, n)),
-                    _ => return schema_err(format!("histogram '{name}' has a bad bucket")),
-                },
-                _ => return schema_err(format!("histogram '{name}' has a bad bucket")),
-            }
-        }
-    }
-    Ok(HistogramSnapshot {
-        count: field("count")?,
-        sum: field("sum")?,
-        min: field("min")?,
-        max: field("max")?,
-        buckets,
-    })
 }
 
 #[cfg(test)]

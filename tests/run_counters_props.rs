@@ -12,8 +12,16 @@
 //! plans with `dup`/`drop`/`corrupt`, and heavy corrupted `stabilizing-dl`
 //! starts. Every case is addressable by seed; `PROPTEST_CASES` scales the
 //! case count.
+//!
+//! Campaign cache entries and wire lines carry the counters themselves, so
+//! the file also pins their codec: the `run`-line object decodes to
+//! counters with the same snapshot and the same aggregates, across every
+//! catalog protocol, chaos `corrupt` runs and heavy corrupted starts, and
+//! a malformed object fails as a wire or cache error, never a panic.
 
-use nonfifo::campaign::RunMetrics;
+use nonfifo::campaign::{
+    CachedRun, CampaignCache, CampaignPlan, CampaignRunner, RunRecord, WireMsg,
+};
 use nonfifo::channel::{
     BoxedChannel, Channel, ChannelIntrospect, CorruptionSeverity, Discipline, FaultObserver,
     FaultPlan, FaultRecord, ScramblePlan,
@@ -21,7 +29,7 @@ use nonfifo::channel::{
 use nonfifo::core::{drive_corrupted, RunCounters, SimConfig, Simulation, StabilizeConfig};
 use nonfifo::ioa::{CopyId, Dir, Event, Header, Packet};
 use nonfifo::protocols::catalog;
-use nonfifo::telemetry::{MetricsSnapshot, Registry, SCHEMA_VERSION};
+use nonfifo::telemetry::{Json, MetricsSnapshot, Registry, SCHEMA_VERSION};
 use nonfifo_rng::StdRng;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -361,13 +369,248 @@ fn aggregates_of_counters_equal_the_fold_of_their_snapshots() {
     for seed in 0..cases().min(24) {
         let counters = run_case(seed, &mut StdRng::seed_from_u64(seed)).counters;
         folded.merge_from(&counters.snapshot());
-        // Mixed forms — live counters beside replayed snapshots — must
-        // aggregate like the fold.
+        // Live counters beside counters replayed from their run-line
+        // object must aggregate like the fold.
         metrics.push(if seed % 3 == 0 {
-            RunMetrics::Snapshot(counters.snapshot())
+            decode(&counters.to_json_value().to_string())
         } else {
-            counters.into()
+            counters
         });
     }
-    assert_eq!(RunMetrics::aggregate(&metrics).to_json(), folded.to_json());
+    assert_eq!(RunCounters::aggregate(&metrics).to_json(), folded.to_json());
+}
+
+fn decode(text: &str) -> RunCounters {
+    RunCounters::from_json_value(&Json::parse(text).unwrap()).unwrap()
+}
+
+/// Seeded campaign runs of every catalog protocol over four channels,
+/// chaos `corrupt` runs (which flip header bit 31) and heavy corrupted
+/// `stabilizing-dl` starts (labels at 2^30 + k, junk up to 2^31).
+fn codec_corpus() -> Vec<RunRecord> {
+    let plan = CampaignPlan::parse(
+        "scenario catalog
+         protocols abp cycle3 seqnum window4 gbn4 srej4 outnumber5 afek3 stabilizing-dl
+         disciplines fifo prob:0.3 lossy:0.2 reorder:4
+         messages 6
+         seeds 0..2
+         budget 2000
+
+         scenario corrupt
+         protocols abp seqnum gbn4
+         disciplines prob:0.2
+         messages 12
+         seeds 0..3
+         budget 1000
+         fault corrupt 0.2
+
+         scenario stabilize
+         protocols stabilizing-dl
+         disciplines prob:0.2
+         messages 4
+         seeds 0..4
+         corruption heavy",
+    )
+    .unwrap();
+    CampaignRunner::new(2).run(&plan.expand()).unwrap().records
+}
+
+/// Per-header counter names at or above `from`.
+fn headers_from(snap: &MetricsSnapshot, from: u64) -> usize {
+    snap.counters
+        .keys()
+        .filter_map(|k| k.rsplit_once(".h")?.1.parse::<u64>().ok())
+        .filter(|&h| h >= from)
+        .count()
+}
+
+fn wire_line(record: &RunRecord, index: u64) -> String {
+    WireMsg::Run {
+        index,
+        spec_fingerprint: record.spec.fingerprint(),
+        run: CachedRun {
+            outcome: record.outcome,
+            fingerprint: record.fingerprint,
+            steps: record.steps,
+            fwd_sends: record.fwd_sends,
+            delivered: record.delivered,
+            metrics: record.metrics.clone(),
+        },
+    }
+    .to_line()
+}
+
+#[test]
+fn run_lines_carry_counters_exactly() {
+    let records = codec_corpus();
+    let mut decoded = Vec::new();
+    let (mut at_2_31, mut at_2_30) = (0, 0);
+    for (i, record) in records.iter().enumerate() {
+        let label = format!(
+            "{} {} {} seed {}",
+            record.spec.scenario, record.spec.protocol, record.spec.discipline, record.spec.seed
+        );
+        let snap = record.metrics.snapshot();
+        let text = record.metrics.to_json_value().to_string();
+        let back = decode(&text);
+        assert_eq!(back.snapshot().to_json(), snap.to_json(), "{label}");
+        assert_eq!(&back, &*record.metrics, "{label}");
+        assert_eq!(back.to_json_value().to_string(), text, "{label}: re-encode");
+        // The whole wire line round-trips too.
+        let line = wire_line(record, i as u64);
+        match WireMsg::parse_line(&line).unwrap() {
+            WireMsg::Run { run, .. } => assert_eq!(run.metrics, record.metrics, "{label}"),
+            other => panic!("{label}: a {} line", other.kind()),
+        }
+        at_2_31 += headers_from(&snap, 1 << 31);
+        at_2_30 += headers_from(&snap, 1 << 30) - headers_from(&snap, 1 << 31);
+        decoded.push(back);
+    }
+    assert!(at_2_31 > 0, "no chaos-corrupted header at 2^31");
+    assert!(at_2_30 > 0, "no stabilizing-dl label at 2^30 + k");
+    assert_eq!(
+        RunCounters::aggregate(&decoded).to_json(),
+        RunCounters::aggregate(records.iter().map(|r| &*r.metrics)).to_json()
+    );
+}
+
+/// Replaces the field at `path` of a JSON line with the raw text `raw`
+/// (raw, so it can hold numbers no `Json` value spells).
+fn with_field(line: &str, path: &[&str], raw: &str) -> String {
+    fn slot<'a>(doc: &'a mut Json, path: &[&str]) -> &'a mut Json {
+        let Json::Obj(fields) = doc else {
+            panic!("{} is not an object", path[0])
+        };
+        let (_, value) = fields
+            .iter_mut()
+            .find(|(k, _)| k == path[0])
+            .unwrap_or_else(|| panic!("no field {}", path[0]));
+        if path.len() == 1 {
+            value
+        } else {
+            slot(value, &path[1..])
+        }
+    }
+    let mut doc = Json::parse(line.trim()).unwrap();
+    *slot(&mut doc, path) = Json::Str("@raw@".to_string());
+    format!("{}\n", doc.to_string().replace("\"@raw@\"", raw))
+}
+
+#[test]
+fn malformed_run_lines_fail_as_wire_and_cache_errors() {
+    let records = codec_corpus();
+    let sparse = records
+        .iter()
+        .find(|r| headers_from(&r.metrics.snapshot(), 1 << 12) > 0)
+        .expect("a run with sparse headers");
+    let good = wire_line(sparse, 0);
+    let fwd = ["run", "counters", "fwd"];
+    let at = |tail: &[&'static str]| -> Vec<&str> { fwd.iter().chain(tail).copied().collect() };
+    let too_long = format!("[{}1]", "0,".repeat(1 << 12));
+    let cases: Vec<(&str, String)> = vec![
+        (
+            "truncated line",
+            good[..good.find("\"recv\":[").unwrap() + 9].to_string() + "\n",
+        ),
+        (
+            "truncated array",
+            with_field(&good, &at(&["headers", "send"]), "[1,2"),
+        ),
+        (
+            "non-integer count",
+            with_field(&good, &at(&["headers", "send"]), "[1,2.5]"),
+        ),
+        ("string count", with_field(&good, &at(&["sends"]), "\"7\"")),
+        (
+            "negative count",
+            with_field(&good, &at(&["headers", "drop"]), "[-1]"),
+        ),
+        (
+            "count above u64",
+            with_field(&good, &at(&["headers", "recv"]), "[18446744073709551616]"),
+        ),
+        (
+            "dense array past 2^12",
+            with_field(&good, &at(&["headers", "send"]), &too_long),
+        ),
+        (
+            "sparse pair below 2^12",
+            with_field(&good, &at(&["headers", "sparse"]), "[[4095,[1,0,0,0]]]"),
+        ),
+        (
+            "sparse pairs out of order",
+            with_field(
+                &good,
+                &at(&["headers", "sparse"]),
+                "[[5000,[1,0,0,0]],[4096,[1,0,0,0]]]",
+            ),
+        ),
+        (
+            "sparse pair repeated",
+            with_field(
+                &good,
+                &at(&["headers", "sparse"]),
+                "[[5000,[1,0,0,0]],[5000,[1,0,0,0]]]",
+            ),
+        ),
+        (
+            "sparse header above u32",
+            with_field(
+                &good,
+                &at(&["headers", "sparse"]),
+                "[[4294967296,[1,0,0,0]]]",
+            ),
+        ),
+        (
+            "sparse pair of zeros",
+            with_field(&good, &at(&["headers", "sparse"]), "[[5000,[0,0,0,0]]]"),
+        ),
+        (
+            "short sparse counts",
+            with_field(&good, &at(&["headers", "sparse"]), "[[5000,[1,0,0]]]"),
+        ),
+        (
+            "sparse pair truncated",
+            with_field(&good, &at(&["headers", "sparse"]), "[[5000]]"),
+        ),
+        (
+            "missing lane field",
+            good.replacen("\"in_transit_high\"", "\"in_transit_hi\"", 1),
+        ),
+        (
+            "missing counters",
+            good.replacen("\"counters\"", "\"metrics\"", 1),
+        ),
+        (
+            "histogram bucket bound",
+            with_field(
+                &good,
+                &["run", "counters", "header_usage", "buckets"],
+                "[[6,1]]",
+            ),
+        ),
+        (
+            "histogram count",
+            with_field(
+                &good,
+                &["run", "counters", "packets_per_message", "count"],
+                "99999",
+            ),
+        ),
+    ];
+    let path = std::env::temp_dir()
+        .join(format!("nonfifo-codec-{}.ndjson", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    for (what, bad) in &cases {
+        assert_ne!(bad, &good, "{what}: the mutation did nothing");
+        let err = WireMsg::parse_line(bad).expect_err(what);
+        assert!(err.to_string().starts_with("wire: "), "{what}: {err}");
+        std::fs::write(&path, format!("{good}{bad}")).unwrap();
+        let err = CampaignCache::load(&path).expect_err(what).to_string();
+        assert!(err.contains("campaign cache line 2: "), "{what}: {err}");
+    }
+    std::fs::write(&path, &good).unwrap();
+    assert_eq!(CampaignCache::load(&path).unwrap().len(), 1);
+    std::fs::remove_file(&path).ok();
 }
