@@ -31,9 +31,19 @@
 //! The encoded form is the unit the byte-budget accounting of the visited
 //! tiers is denominated in: [`EncodedState::BYTES`] is exported as the
 //! `explore.codec_bytes_per_state` telemetry gauge and guarded in CI.
+//!
+//! A key identifies a state; a **frontier record** *is* one. [`save`] and
+//! [`load`] turn a [`System`] at rest into a few dozen `u64` words and back
+//! (layout at [`save`]), naming the two automata by id into a
+//! per-run [`StationTable`]. The parallel engine stores its frontier levels
+//! as flat slabs of these records.
 
-use crate::system::System;
-use nonfifo_ioa::fingerprint::{fnv64, mix64, StateHash};
+use crate::system::{RestScalars, System};
+use nonfifo_ioa::fingerprint::{fnv64, mix64, Fnv64, StateHash};
+use nonfifo_ioa::{CopyId, Counts, Header, Packet, Payload};
+use nonfifo_protocols::{Receiver, Transmitter};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Which dedup key the codec derives — the plain state key or the
 /// partial-order-reduction retired-copy quotient.
@@ -218,6 +228,369 @@ impl StateCodec {
     /// Encode-and-key in one call — the hot-path entry both engines use.
     pub fn key(&self, sys: &System) -> u64 {
         self.key_of(&self.encode(sys))
+    }
+}
+
+/// Words of a frontier record before its parked copies.
+const RECORD_HEAD: usize = 7;
+
+/// Bit 31 of a copy word: a payload word follows the copy word.
+const HAS_PAYLOAD: u64 = 1 << 31;
+
+/// Packs two 32-bit record fields into one word, `lo` in bits 0..32.
+fn pack(lo: u64, hi: u64) -> u64 {
+    let narrow =
+        |v: u64| u64::from(u32::try_from(v).expect("scope outgrew the 32-bit record fields"));
+    narrow(lo) | narrow(hi) << 32
+}
+
+/// The two 32-bit fields of a packed word.
+fn unpack(word: u64) -> (u64, u64) {
+    (word & 0xffff_ffff, word >> 32)
+}
+
+/// Appends `sys`'s frontier record to `out` under the station ids `tx`
+/// and `rx` — [`save`] with the ids already resolved.
+pub(crate) fn write_record(sys: &System, tx: u32, rx: u32, out: &mut Vec<u64>) {
+    let s = sys.rest_scalars();
+    let c = s.counts;
+    out.extend_from_slice(&[
+        pack(u64::from(tx), u64::from(rx)),
+        pack(c.sm, c.rm),
+        pack(c.sp_fwd, c.rp_fwd),
+        pack(c.dropped_fwd, c.sp_bwd),
+        pack(c.rp_bwd, c.dropped_bwd),
+        pack(s.round_watermark, s.peak_space as u64),
+        s.pool_digest,
+    ]);
+    for (packet, copy) in sys.fwd.parked_multiset().iter() {
+        assert!(copy.raw() < HAS_PAYLOAD, "copy id outgrew its record field");
+        let header = u64::from(packet.header().index()) << 32;
+        match packet.payload() {
+            None => out.push(copy.raw() | header),
+            Some(payload) => {
+                out.extend_from_slice(&[copy.raw() | HAS_PAYLOAD | header, payload.word()])
+            }
+        }
+    }
+}
+
+/// The station ids a record names, `(transmitter, receiver)`.
+pub(crate) fn record_stations(record: &[u64]) -> (u32, u32) {
+    let (tx, rx) = unpack(record[0]);
+    (tx as u32, rx as u32)
+}
+
+/// Renames the station ids a record names.
+pub(crate) fn set_record_stations(record: &mut [u64], tx: u32, rx: u32) {
+    record[0] = pack(u64::from(tx), u64::from(rx));
+}
+
+/// Appends `sys`'s **frontier record** to `out`, interning its two automata
+/// in `stations` and naming them by station id. The record is the whole
+/// state of a system at rest, so [`load`] rebuilds an equal system from it.
+/// Layout, in little-endian `u64` words (`lo | hi` is bits 0..32 | 32..64):
+///
+/// | word | content |
+/// |-----:|---------|
+/// |    0 | transmitter station id \| receiver station id |
+/// |    1 | `sm` \| `rm` |
+/// |    2 | packets sent t→r \| received t→r |
+/// |    3 | packets dropped t→r \| sent r→t |
+/// |    4 | packets received r→t \| dropped r→t |
+/// |    5 | stale-copy watermark \| peak automaton space |
+/// |    6 | parked-pool content digest |
+/// |   7… | one word per parked copy, in mint order: copy id (bits 0..31), payload flag (bit 31) \| header; a flagged copy is followed by its payload word |
+///
+/// Nothing else is stored. The copy watermarks, the channels' counters,
+/// the monitor's counters and the message counter equal or sum the
+/// counts of words 1–4; the monitor's live forward table equals the
+/// parked pool; at rest the backward channel, the delivery queues and the
+/// drop buffers are empty and no violation is latched
+/// (saving asserts all of it). A header-only copy costs
+/// 8 bytes, so a record is 56 bytes plus 8 per parked copy.
+///
+/// # Panics
+///
+/// Panics if `sys` is not at rest — a counts-only system whose last step
+/// has settled, which every explorer action ensures — or if a counter or
+/// copy id outgrew its field.
+pub fn save(sys: &System, stations: &mut StationTable, out: &mut Vec<u64>) {
+    let (tx, rx) = stations.intern(sys);
+    write_record(sys, tx, rx, out);
+}
+
+/// Loads the frontier record `record`, saved against `stations`, into
+/// `into`, which must be a counts-only system of the same run (its burst,
+/// partition and ghost settings are kept). Every buffer and automaton box
+/// of `into` is reused, so loading into a warm system does not allocate.
+pub fn load(record: &[u64], stations: &StationTable, into: &mut System) {
+    let (tx, rx) = record_stations(record);
+    let (sm, rm) = unpack(record[1]);
+    let (sp_fwd, rp_fwd) = unpack(record[2]);
+    let (dropped_fwd, sp_bwd) = unpack(record[3]);
+    let (rp_bwd, dropped_bwd) = unpack(record[4]);
+    let (round_watermark, peak_space) = unpack(record[5]);
+    let scalars = RestScalars {
+        counts: Counts {
+            sm,
+            rm,
+            sp_fwd,
+            rp_fwd,
+            sp_bwd,
+            rp_bwd,
+            dropped_fwd,
+            dropped_bwd,
+        },
+        round_watermark,
+        peak_space: peak_space as usize,
+        pool_digest: record[6],
+    };
+    let mut words = record[RECORD_HEAD..].iter();
+    let pool = std::iter::from_fn(|| {
+        let &word = words.next()?;
+        let header = Header::new((word >> 32) as u32);
+        let packet = if word & HAS_PAYLOAD == 0 {
+            Packet::header_only(header)
+        } else {
+            let &payload = words.next().expect("a flagged copy has a payload word");
+            Packet::new(header, Payload::new(payload))
+        };
+        Some((packet, CopyId::from_raw(word & (HAS_PAYLOAD - 1))))
+    });
+    into.restore(stations.tx.get(tx), stations.rx.get(rx), &scalars, pool);
+}
+
+/// The automaton operations a [`StationTable`] interns through, for both
+/// station roles.
+trait Station {
+    fn same(&self, other: &Self) -> bool;
+    fn boxed(&self) -> Box<Self>;
+    fn refill(&mut self, from: &Self) -> bool;
+    fn space(&self) -> usize;
+}
+
+impl Station for dyn Transmitter {
+    fn same(&self, other: &Self) -> bool {
+        self.same_state(other)
+    }
+    fn boxed(&self) -> Box<Self> {
+        self.clone_box()
+    }
+    fn refill(&mut self, from: &Self) -> bool {
+        self.assign_from(from)
+    }
+    fn space(&self) -> usize {
+        self.space_bytes()
+    }
+}
+
+impl Station for dyn Receiver {
+    fn same(&self, other: &Self) -> bool {
+        self.same_state(other)
+    }
+    fn boxed(&self) -> Box<Self> {
+        self.clone_box()
+    }
+    fn refill(&mut self, from: &Self) -> bool {
+        self.assign_from(from)
+    }
+    fn space(&self) -> usize {
+        self.space_bytes()
+    }
+}
+
+/// End of a fingerprint collision chain.
+const NO_ID: u32 = u32::MAX;
+
+/// Interned states of one station role. Ids count up from 0 in intern
+/// order. States are found by fingerprint and confirmed with `same_state`,
+/// so two distinct states never share an id, even on a fingerprint
+/// collision (the colliding ids form a chain through `next`).
+#[derive(Debug)]
+struct Interner<S: ?Sized> {
+    /// `states[..len()]` are the interned states; boxes past that are
+    /// kept from earlier runs and refilled in place.
+    states: Vec<Box<S>>,
+    /// Per id: the state's fingerprint.
+    fps: Vec<u64>,
+    /// Per id: the next-older id with the same fingerprint, or [`NO_ID`].
+    next: Vec<u32>,
+    /// Newest id per fingerprint.
+    heads: HashMap<u64, u32, BuildHasherDefault<Fnv64>>,
+}
+
+impl<S: ?Sized> Default for Interner<S> {
+    fn default() -> Self {
+        Interner {
+            states: Vec::new(),
+            fps: Vec::new(),
+            next: Vec::new(),
+            heads: HashMap::default(),
+        }
+    }
+}
+
+impl<S: ?Sized + Station> Interner<S> {
+    fn len(&self) -> usize {
+        self.fps.len()
+    }
+
+    fn get(&self, id: u32) -> &S {
+        assert!(
+            (id as usize) < self.len(),
+            "station id {id} is not interned"
+        );
+        &self.states[id as usize]
+    }
+
+    fn find(&self, fp: u64, state: &S) -> Option<u32> {
+        let mut id = *self.heads.get(&fp)?;
+        while id != NO_ID {
+            if self.states[id as usize].same(state) {
+                return Some(id);
+            }
+            id = self.next[id as usize];
+        }
+        None
+    }
+
+    fn intern(&mut self, fp: u64, state: &S) -> u32 {
+        if let Some(id) = self.find(fp, state) {
+            return id;
+        }
+        let id = self.len();
+        assert!(id < PROVISIONAL as usize, "station table outgrew its ids");
+        match self.states.get_mut(id) {
+            Some(slot) => {
+                if !slot.refill(state) {
+                    *slot = state.boxed();
+                }
+            }
+            None => self.states.push(state.boxed()),
+        }
+        self.fps.push(fp);
+        self.next
+            .push(self.heads.insert(fp, id as u32).unwrap_or(NO_ID));
+        id as u32
+    }
+
+    /// Forgets every state but keeps the boxes for the next run.
+    fn clear(&mut self) {
+        self.fps.clear();
+        self.next.clear();
+        self.heads.clear();
+    }
+
+    /// Deterministic footprint: per state its box pointer, fingerprint,
+    /// chain link and index entry, plus the automaton's own space.
+    fn bytes(&self) -> usize {
+        let per_id = std::mem::size_of::<Box<S>>()
+            + std::mem::size_of::<u64>()
+            + std::mem::size_of::<u32>()
+            + std::mem::size_of::<(u64, u32)>();
+        self.states[..self.len()]
+            .iter()
+            .map(|s| per_id + s.space())
+            .sum()
+    }
+}
+
+/// Bit 31 of a station id marks a *provisional* id: an index into a
+/// worker-local table of states the frozen run table did not hold yet,
+/// renamed by [`StationTable::absorb`]'s mapping.
+pub(crate) const PROVISIONAL: u32 = 1 << 31;
+
+/// Every distinct transmitter and receiver state the frontier records of
+/// one run name, each stored once. A bounded protocol has few station
+/// states (the explore-wide scope reaches 19 transmitter and 10 receiver
+/// states over 160,445 global states), so a record names its two automata
+/// by 32-bit id instead of carrying them — SPIN's collapse compression.
+///
+/// Interning is exact: a state is found by its `state_fingerprint` and
+/// confirmed with `same_state` (the automaton's derived `Eq`), never by the
+/// hash alone. Ids depend on intern order, which may depend on the thread
+/// count, so they never enter a key, a rank or a report. The explorer
+/// clears its table between runs but keeps the automaton boxes, which the
+/// next run refills in place.
+#[derive(Debug, Default)]
+pub struct StationTable {
+    tx: Interner<dyn Transmitter>,
+    rx: Interner<dyn Receiver>,
+}
+
+impl StationTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        StationTable::default()
+    }
+
+    /// Distinct transmitter states interned.
+    pub(crate) fn transmitters(&self) -> usize {
+        self.tx.len()
+    }
+
+    /// Distinct receiver states interned.
+    pub(crate) fn receivers(&self) -> usize {
+        self.rx.len()
+    }
+
+    /// The ids of `sys`'s two automata, interning whichever is new.
+    pub(crate) fn intern(&mut self, sys: &System) -> (u32, u32) {
+        (
+            self.tx.intern(sys.tx.state_fingerprint(), sys.tx.as_ref()),
+            self.rx.intern(sys.rx.state_fingerprint(), sys.rx.as_ref()),
+        )
+    }
+
+    /// The ids of `sys`'s two automata, read-only: an automaton this table
+    /// lacks is interned in `misses` instead and named by its
+    /// [`PROVISIONAL`] id there. Parallel workers resolve through a frozen
+    /// run table this way, and [`absorb`](StationTable::absorb) settles
+    /// their misses afterwards.
+    pub(crate) fn resolve(&self, misses: &mut StationTable, sys: &System) -> (u32, u32) {
+        let fp = sys.tx.state_fingerprint();
+        let tx = self
+            .tx
+            .find(fp, sys.tx.as_ref())
+            .unwrap_or_else(|| PROVISIONAL | misses.tx.intern(fp, sys.tx.as_ref()));
+        let fp = sys.rx.state_fingerprint();
+        let rx = self
+            .rx
+            .find(fp, sys.rx.as_ref())
+            .unwrap_or_else(|| PROVISIONAL | misses.rx.intern(fp, sys.rx.as_ref()));
+        (tx, rx)
+    }
+
+    /// Interns every state of `misses` in its id order and fills `tx_ids`
+    /// and `rx_ids` with the id each provisional id becomes.
+    pub(crate) fn absorb(
+        &mut self,
+        misses: &StationTable,
+        tx_ids: &mut Vec<u32>,
+        rx_ids: &mut Vec<u32>,
+    ) {
+        tx_ids.clear();
+        for (&fp, state) in misses.tx.fps.iter().zip(&misses.tx.states) {
+            tx_ids.push(self.tx.intern(fp, state.as_ref()));
+        }
+        rx_ids.clear();
+        for (&fp, state) in misses.rx.fps.iter().zip(&misses.rx.states) {
+            rx_ids.push(self.rx.intern(fp, state.as_ref()));
+        }
+    }
+
+    /// Forgets every state, keeping the automaton boxes for reuse.
+    pub(crate) fn clear(&mut self) {
+        self.tx.clear();
+        self.rx.clear();
+    }
+
+    /// Bytes the interned states take: a fixed index cost per state plus
+    /// each automaton's reported space. A function of the set of states
+    /// alone, so the same at any intern order.
+    pub(crate) fn bytes(&self) -> usize {
+        self.tx.bytes() + self.rx.bytes()
     }
 }
 

@@ -119,9 +119,10 @@ pub struct ExploreConfig {
     /// Maximum copies in the forward pool (branches beyond are pruned —
     /// the certificate is relative to this bound).
     pub max_pool: usize,
-    /// Safety valve on visited states. Reaching it makes the outcome
-    /// [`ExploreOutcome::Truncated`] — **not** a certificate; callers must
-    /// treat it as inconclusive.
+    /// Safety valve on visited states, the root included. Reaching it makes
+    /// the outcome [`ExploreOutcome::Truncated`] — **not** a certificate;
+    /// callers must treat it as inconclusive. A truncation never names more
+    /// states than this budget; a budget of 0 admits not even the root.
     pub max_states: usize,
     /// The channel discipline the adversary plays under.
     pub discipline: Discipline,
@@ -415,6 +416,12 @@ pub(crate) fn run_sequential(
     let por = crate::por::PorCtx::new(&root, cfg);
     let mut pruned = 0u64;
     visited.insert(por.key(&root));
+    if visited.len() >= cfg.max_states {
+        let outcome = ExploreOutcome::Truncated {
+            states: visited.len(),
+        };
+        return (outcome, pruned);
+    }
     // Path records: the state admitted `n`-th (the root is 0th) was reached
     // by taking `paths[n - 1].1` from the state admitted `paths[n - 1].0`-th.
     let mut paths: Vec<(usize, ScheduleStep)> = Vec::new();

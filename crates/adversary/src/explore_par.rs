@@ -18,16 +18,21 @@
 //!   node to a per-level arena, and full paths are reconstructed by walking
 //!   the parent chain — only on a violation or never. Expanding a node
 //!   copies two words instead of cloning an O(depth) vector.
-//! - **Key-only candidates.** Each worker tries every enabled action on one
-//!   reused trial [`System`], refilled in place from the parent
+//! - **Record frontier.** A frontier level is a flat slab of `u64` frontier
+//!   records ([`crate::codec`]), one per node: about 56 bytes plus 8 per
+//!   parked copy, with the two automata named by id into the run's
+//!   [`StationTable`], where each distinct station state is stored once.
+//!   A worker loads a node into its warm [`System`], tries every enabled
+//!   action on one reused trial refilled in place from it
 //!   ([`System::assign_from`]), and records a discovered successor as its
 //!   state key plus its path record — no system. Most successors lose the
 //!   merge (same-level duplicates, and under a disk-spilling tier every
 //!   successor whose key lives only on disk), so only the winners are
-//!   rebuilt after the merge by replaying their one step from the parent;
-//!   each parent is recycled as soon as its children exist. The engine
-//!   holds at most two levels of systems, and a warm run performs no heap
-//!   allocation (pinned by the allocation regression test in
+//!   rebuilt after the merge, by replaying their one step from the loaded
+//!   parent and writing the result's record. The engine holds two levels
+//!   of records, a level frees with two deallocations per worker segment
+//!   however wide it is, and a warm run performs no heap allocation
+//!   (pinned by the allocation regression tests in
 //!   `tests/explore_alloc.rs`).
 //! - **Tiered dedup.** The visited set behind the engine is a
 //!   [`VisitedSet`] tier chosen by [`VisitedSpec`] (see [`crate::visited`]):
@@ -62,9 +67,10 @@
 //!   per shard with a sorted key batch
 //!   ([`VisitedSet::probe_spilled_sorted`]), so a 4 KiB run block is read
 //!   once per level instead of once per candidate.
-//! - The winners' systems are rebuilt in rank order, each from its parent
+//! - The winners' records are rebuilt in rank order, each from its parent
 //!   and its recorded step alone, so which thread rebuilt a node cannot
-//!   change it.
+//!   change it. Station ids may differ with the thread count; they never
+//!   enter a key, a rank or a report.
 //! - Violations found within a level are collected, and the
 //!   lexicographically smallest schedule wins — not the first one a thread
 //!   happened to stumble on. (The sequential oracle instead returns the
@@ -79,12 +85,15 @@
 //!
 //! Frontier states are counts-only systems ([`System::disable_event_log`]):
 //! no event log, and a monitor that keeps only the copies in transit, so a
-//! node holds and copies O(protocol state + pool), not O(history); the
+//! node's record is O(pool), not O(history); the
 //! winning counterexample is re-materialised by
 //! replaying its schedule through the strict scheduler (`materialize`,
 //! shared with the oracle) — which doubles as an end-to-end validation of
 //! every reported attack.
 
+use crate::codec::{
+    load, record_stations, set_record_stations, write_record, StationTable, PROVISIONAL,
+};
 use crate::explore::{
     apply, build_root, enabled_actions_into, from_step, materialize, to_step, Action,
     ExploreConfig, ExploreOutcome,
@@ -129,30 +138,115 @@ struct Candidate {
     rec: PathRec,
 }
 
-/// Per-worker scratch: action/oldest-copy buffers and the trial system for
-/// the expansion core, the candidate/violation out-buffers, and the
-/// recycled systems and output of the rebuild phase. Candidates are binned
-/// by visited-shard index at discovery time ([`shard_of`]), so the
-/// post-level merge starts from 64 disjoint key spaces per worker.
-/// Everything is reused level to level and run to run. Systems are boxed
-/// for the reason given at [`ExploreArena`]'s frontier.
-#[allow(clippy::vec_box)]
+/// Per-worker scratch: action/oldest-copy buffers, the loaded node and the
+/// trial system for the expansion core, the candidate/violation
+/// out-buffers, and the rebuild phase's output. Candidates are binned by
+/// visited-shard index at discovery time ([`shard_of`]), so the post-level
+/// merge starts from 64 disjoint key spaces per worker. Everything is
+/// reused level to level and run to run.
 #[derive(Debug, Default)]
 struct WorkerScratch {
     actions: Vec<Action>,
     oldest: Vec<(Packet, CopyId)>,
+    /// The frontier node being expanded (or rebuilt from), loaded from its
+    /// record; primed from the root at the start of every run.
+    node: Option<System>,
     /// The one system every enabled action is tried on, refilled from the
-    /// parent before each try.
+    /// node before each try.
     trial: Option<System>,
     candidates: Vec<Vec<Candidate>>,
     violations: Vec<PathRec>,
-    /// The contiguous run of frontier nodes whose children this worker
-    /// rebuilds, moved out of the frontier for the rebuild phase.
-    parents: Vec<Box<System>>,
-    /// Recycled systems for the rebuild phase.
-    pool: Vec<Box<System>>,
-    /// This worker's contiguous share of the next frontier, in rank order.
-    rebuilt: Vec<Box<System>>,
+    /// This worker's contiguous share of the next level's records, in rank
+    /// order.
+    out: Slab,
+    /// Station states the frozen run table lacked, by provisional id.
+    misses: StationTable,
+    /// Indices in `out` of the records that name a provisional id.
+    patches: Vec<u32>,
+    /// What each provisional id became, per station role.
+    tx_ids: Vec<u32>,
+    rx_ids: Vec<u32>,
+}
+
+/// A run of frontier records: record `i` is
+/// `words[starts[i]..starts[i + 1]]`, the last one ending at `words.len()`.
+/// A level is a handful of these (one per rebuilding worker), so it frees
+/// with a handful of deallocations however wide it is.
+#[derive(Debug, Default)]
+struct Slab {
+    words: Vec<u64>,
+    starts: Vec<u32>,
+}
+
+impl Slab {
+    fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Where record `i` sits in `words`.
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
+        let end = self
+            .starts
+            .get(i + 1)
+            .map_or(self.words.len(), |&e| e as usize);
+        self.starts[i] as usize..end
+    }
+
+    fn record(&self, i: usize) -> &[u64] {
+        &self.words[self.span(i)]
+    }
+
+    fn record_mut(&mut self, i: usize) -> &mut [u64] {
+        let span = self.span(i);
+        &mut self.words[span]
+    }
+
+    /// Appends `sys`'s record under the station ids `(tx, rx)`.
+    fn push(&mut self, sys: &System, (tx, rx): (u32, u32)) {
+        let start = u32::try_from(self.words.len()).expect("slab outgrew 32-bit offsets");
+        self.starts.push(start);
+        write_record(sys, tx, rx, &mut self.words);
+    }
+
+    fn clear(&mut self) {
+        self.words.clear();
+        self.starts.clear();
+    }
+
+    /// The bytes the records take: their words and offsets, by length, not
+    /// capacity, so the figure is the same at any thread count.
+    fn bytes(&self) -> usize {
+        self.words.len() * std::mem::size_of::<u64>()
+            + self.starts.len() * std::mem::size_of::<u32>()
+    }
+}
+
+/// The record of the node ranked `rank` in a level stored as `segments`.
+fn node_record(segments: &[Slab], mut rank: usize) -> &[u64] {
+    for seg in segments {
+        if rank < seg.len() {
+            return seg.record(rank);
+        }
+        rank -= seg.len();
+    }
+    panic!("frontier rank out of range")
+}
+
+fn level_len(segments: &[Slab]) -> usize {
+    segments.iter().map(Slab::len).sum()
+}
+
+fn level_bytes(segments: &[Slab]) -> usize {
+    segments.iter().map(Slab::bytes).sum()
+}
+
+/// Refills `slot` from the run's root, so a warm system carries this run's
+/// constants (automaton types, ghost use) before records are loaded into it.
+fn prime(slot: &mut Option<System>, root: &System) {
+    match slot {
+        Some(sys) => sys.assign_from(root),
+        None => *slot = Some(root.clone()),
+    }
 }
 
 /// Per-shard merge state, retained in the arena: the shard's combined
@@ -173,33 +267,33 @@ struct ShardMerge {
 /// attached.
 #[derive(Debug, Default, Clone, Copy)]
 struct Peaks {
-    /// The largest frontier, by [`System::heap_bytes_estimate`].
+    /// The most record bytes two adjacent levels held at once, plus the
+    /// station table at that point ([`Slab::bytes`], [`StationTable::bytes`]).
     frontier_bytes: usize,
     /// The most candidates one level produced, times their record size.
     candidate_bytes: usize,
 }
 
 /// The reusable workspace an [`Explorer`](crate::Explorer) owns: the
-/// visited set (any [`VisitedSpec`] tier), the system pool, per-worker
-/// scratches, the path arena, and the merge buffers. Running repeated
-/// explorations through one arena keeps the steady-state expansion loop
-/// entirely off the allocator — the allocation regression test in
-/// `tests/explore_alloc.rs` pins this.
-#[allow(clippy::vec_box)] // see `frontier`
+/// visited set (any [`VisitedSpec`] tier), the frontier slabs and the
+/// station table, per-worker scratches, the path arena, and the merge
+/// buffers. Running repeated explorations through one arena keeps the
+/// steady-state expansion loop entirely off the allocator — the allocation
+/// regression test in `tests/explore_alloc.rs` pins this.
 #[derive(Debug)]
 pub(crate) struct ExploreArena {
     visited: Box<dyn VisitedSet>,
     spec: VisitedSpec,
-    pool: Vec<Box<System>>,
     workers: Vec<WorkerScratch>,
     /// `levels[d]` holds one [`PathRec`] per frontier node at depth `d`
     /// (`levels[0]` stays empty: the root has no incoming step).
     levels: Vec<Vec<PathRec>>,
-    /// Systems are boxed so that the vectors a level passes through (the
-    /// frontier, the pool, each rebuilding worker's parents and output)
-    /// move pointers: a `System` is several hundred bytes inline, and every
-    /// one of those buffers holds a whole level at its peak.
-    frontier: Vec<Box<System>>,
+    /// The level being expanded, as one segment per worker: concatenated
+    /// in worker order they are its records in rank order. After each
+    /// rebuild the segments trade places with the workers' outputs.
+    frontier: Vec<Slab>,
+    /// The run's station states, which every frontier record names by id.
+    stations: StationTable,
     /// Shard-major transpose buffer: `bins_in[s * stride + w]` is worker
     /// `w`'s candidate bin for shard `s`, swapped in header-only so the
     /// merge can hand disjoint shard groups to threads.
@@ -215,10 +309,10 @@ impl Default for ExploreArena {
         ExploreArena {
             visited: VisitedSpec::Ram.build(),
             spec: VisitedSpec::Ram,
-            pool: Vec::new(),
             workers: Vec::new(),
             levels: Vec::new(),
             frontier: Vec::new(),
+            stations: StationTable::new(),
             bins_in: Vec::new(),
             merges: (0..SHARDS).map(|_| ShardMerge::default()).collect(),
             heap: Vec::with_capacity(SHARDS),
@@ -248,15 +342,18 @@ impl ExploreArena {
     }
 
     /// Clears logical state while keeping every allocation: the visited
-    /// set retains capacity, the frontier returns to the pool, level/merge
-    /// buffers reset to length zero.
+    /// set, the slabs and the merge buffers keep their capacity, and the
+    /// station table its automaton boxes.
     fn reset(&mut self, threads: usize) {
         self.visited.clear();
+        self.stations.clear();
         while self.workers.len() < threads {
             self.workers.push(WorkerScratch::default());
         }
+        while self.frontier.len() < self.workers.len() {
+            self.frontier.push(Slab::default());
+        }
         let ExploreArena {
-            pool,
             workers,
             levels,
             frontier,
@@ -264,7 +361,9 @@ impl ExploreArena {
             merges,
             ..
         } = self;
-        pool.append(frontier);
+        for seg in frontier.iter_mut() {
+            seg.clear();
+        }
         for bin in bins_in.iter_mut() {
             bin.clear();
         }
@@ -279,6 +378,9 @@ impl ExploreArena {
                 bin.clear();
             }
             w.violations.clear();
+            w.out.clear();
+            w.misses.clear();
+            w.patches.clear();
         }
         for level in levels.iter_mut() {
             level.clear();
@@ -365,8 +467,15 @@ impl ExploreTelemetry {
     /// End-of-run metrics: the ones both engines export
     /// ([`record_run_end`]), plus this engine's visited-set shard occupancy
     /// (balance of the mixed-digest shard split, for tiers with resident
-    /// shards) and its peak resident frontier and candidate estimates.
-    fn finalize(&self, visited: &dyn VisitedSet, elapsed_secs: f64, peaks: Peaks) {
+    /// shards), its peak frontier and candidate bytes, and the distinct
+    /// station states its records named.
+    fn finalize(
+        &self,
+        visited: &dyn VisitedSet,
+        stations: &StationTable,
+        elapsed_secs: f64,
+        peaks: Peaks,
+    ) {
         let occupancy = self.registry.histogram("explore.shard_occupancy");
         let mut sizes = Vec::new();
         visited.shard_sizes(&mut sizes);
@@ -379,6 +488,12 @@ impl ExploreTelemetry {
         self.registry
             .gauge("explore.peak_candidate_bytes")
             .set(peaks.candidate_bytes as u64);
+        self.registry
+            .gauge("explore.station_states.tx")
+            .set(stations.transmitters() as u64);
+        self.registry
+            .gauge("explore.station_states.rx")
+            .set(stations.receivers() as u64);
         record_run_end(&self.registry, visited, elapsed_secs);
     }
 }
@@ -432,7 +547,8 @@ impl ParallelExplorer {
         arena.reset(self.threads);
         let (outcome, peaks) = self.run(proto, cfg, arena);
         if let Some(tel) = &self.telemetry {
-            tel.finalize(arena.visited(), started.elapsed().as_secs_f64(), peaks);
+            let elapsed = started.elapsed().as_secs_f64();
+            tel.finalize(arena.visited(), &arena.stations, elapsed, peaks);
             tel.registry
                 .gauge("explore.threads")
                 .set(self.threads as u64);
@@ -458,11 +574,20 @@ impl ParallelExplorer {
         if let Some(t) = tel {
             t.states.inc();
         }
-        arena.frontier.push(Box::new(root));
         let mut peaks = Peaks::default();
+        if states >= cfg.max_states {
+            return (ExploreOutcome::Truncated { states }, peaks);
+        }
+        for w in arena.workers.iter_mut() {
+            prime(&mut w.node, &root);
+        }
+        let ids = arena.stations.intern(&root);
+        arena.frontier[0].push(&root, ids);
+        peaks.frontier_bytes = arena.frontier[0].bytes() + arena.stations.bytes();
 
         for depth in 0..cfg.max_depth {
-            if arena.frontier.is_empty() {
+            let width = level_len(&arena.frontier);
+            if width == 0 {
                 break;
             }
             let _level_span = tel.and_then(|t| t.trace.as_deref()).map(|trace| {
@@ -471,16 +596,12 @@ impl ParallelExplorer {
                     &format!("level {depth}"),
                     vec![
                         ("depth".to_string(), depth as u64),
-                        ("frontier".to_string(), arena.frontier.len() as u64),
+                        ("frontier".to_string(), width as u64),
                     ],
                 )
             });
             if let Some(t) = tel {
-                t.frontier_width.record(arena.frontier.len() as u64);
-                // The resident estimate walks the frontier, so only pay for
-                // it when someone attached a registry to read it.
-                let bytes: usize = arena.frontier.iter().map(|s| s.heap_bytes_estimate()).sum();
-                peaks.frontier_bytes = peaks.frontier_bytes.max(bytes);
+                t.frontier_width.record(width as u64);
             }
             self.expand_level(cfg, por, arena);
 
@@ -506,10 +627,10 @@ impl ParallelExplorer {
             // when telemetry is attached).
             let ExploreArena {
                 visited,
-                pool,
                 workers,
                 levels,
                 frontier,
+                stations,
                 bins_in,
                 merges,
                 heap,
@@ -626,14 +747,29 @@ impl ParallelExplorer {
                 t.merge_serial.add(serial_ns);
             }
 
-            // Rebuild: the next frontier is the winners' systems, in rank
+            // Rebuild: the next frontier is the winners' records, in rank
             // order — unless the depth bound ends the search here, since
-            // nothing expands a last level.
+            // nothing expands a last level. The workers' output segments
+            // then trade places with the expanded level's.
             if depth + 1 < cfg.max_depth {
                 let rebuild_started = tel.map(|_| Instant::now());
-                rebuild_frontier(self.threads, &levels[depth + 1], frontier, pool, workers);
+                rebuild_frontier(
+                    self.threads,
+                    &levels[depth + 1],
+                    frontier,
+                    stations,
+                    workers,
+                );
                 if let (Some(t), Some(started)) = (tel, rebuild_started) {
                     t.rebuild.add(started.elapsed().as_nanos() as u64);
+                }
+                let next: usize = workers.iter().map(|w| w.out.bytes()).sum();
+                peaks.frontier_bytes = peaks
+                    .frontier_bytes
+                    .max(level_bytes(frontier) + next + stations.bytes());
+                for (seg, w) in frontier.iter_mut().zip(workers.iter_mut()) {
+                    std::mem::swap(seg, &mut w.out);
+                    w.out.clear();
                 }
             }
         }
@@ -645,34 +781,39 @@ impl ParallelExplorer {
     /// an atomic cursor; a frontier too small to fill one chunk per worker
     /// runs on the calling thread without spawning a scope.
     fn expand_level(&self, cfg: &ExploreConfig, por: PorCtx, arena: &mut ExploreArena) {
-        let tel = self.telemetry.as_ref();
         let ExploreArena {
             visited,
             workers,
             frontier,
+            stations,
             ..
         } = arena;
-        let nworkers = self.threads.min(frontier.len().div_ceil(CHUNK)).max(1);
+        // Frozen for the level: workers only probe membership, so a shared
+        // borrow of the tier is all they get (the trait requires `Sync`).
+        let level = Level {
+            frontier,
+            stations,
+            visited: &**visited,
+            cfg,
+            por,
+            tel: self.telemetry.as_ref(),
+        };
+        let width = level_len(frontier);
+        let nworkers = self.threads.min(width.div_ceil(CHUNK)).max(1);
         if nworkers == 1 {
-            let scratch = &mut workers[0];
-            for (rank, sys) in frontier.iter().enumerate() {
-                expand_node(sys, rank as u32, &**visited, cfg, por, tel, scratch);
+            for rank in 0..width {
+                expand_node(level, rank, &mut workers[0]);
             }
             return;
         }
-        let cursor = ChunkCursor::new(frontier.len(), CHUNK);
-        let frontier = &*frontier;
-        // Frozen for the level: workers only probe membership, so a shared
-        // borrow of the tier is all they get (the trait requires `Sync`).
-        let visited: &dyn VisitedSet = &**visited;
+        let cursor = ChunkCursor::new(width, CHUNK);
         std::thread::scope(|scope| {
             for scratch in workers[..nworkers].iter_mut() {
                 let cursor = &cursor;
                 scope.spawn(move || {
                     while let Some(range) = cursor.claim() {
-                        let start = range.start;
-                        for (i, sys) in frontier[range].iter().enumerate() {
-                            expand_node(sys, (start + i) as u32, visited, cfg, por, tel, scratch);
+                        for rank in range {
+                            expand_node(level, rank, scratch);
                         }
                     }
                 });
@@ -681,18 +822,34 @@ impl ParallelExplorer {
     }
 }
 
-fn expand_node(
-    sys: &System,
-    rank: u32,
-    visited: &dyn VisitedSet,
-    cfg: &ExploreConfig,
+/// What every expansion of one level reads, shared by the workers.
+#[derive(Clone, Copy)]
+struct Level<'a> {
+    frontier: &'a [Slab],
+    stations: &'a StationTable,
+    visited: &'a dyn VisitedSet,
+    cfg: &'a ExploreConfig,
     por: PorCtx,
-    tel: Option<&ExploreTelemetry>,
-    scratch: &mut WorkerScratch,
-) {
+    tel: Option<&'a ExploreTelemetry>,
+}
+
+/// Loads the node ranked `rank` into the worker's warm system and tries
+/// every enabled action on the reused trial.
+fn expand_node(level: Level<'_>, rank: usize, scratch: &mut WorkerScratch) {
+    let Level {
+        visited,
+        cfg,
+        por,
+        tel,
+        ..
+    } = level;
     if let Some(t) = tel {
         t.expansions.inc();
     }
+    let sys = scratch.node.as_mut().expect("primed at run start");
+    load(node_record(level.frontier, rank), level.stations, sys);
+    let sys = &*sys;
+    let rank = rank as u32;
     enabled_actions_into(sys, cfg, &mut scratch.oldest, &mut scratch.actions);
     let next = scratch.trial.get_or_insert_with(|| sys.clone());
     for &action in &scratch.actions {
@@ -737,98 +894,85 @@ fn expand_node(
     }
 }
 
-/// The rebuild phase: materialises the next frontier from the level's
+/// The rebuild phase: writes the next level's records from the level's
 /// winner records (`recs`, in rank order) by replaying each record's step
-/// on its parent in `frontier`. A rebuild depends only on its parent and
-/// step, so the records are cut at parent boundaries into contiguous
-/// slices, one per worker thread, and each worker takes ownership of the
-/// parents of its slice; concatenating the slices in worker order keeps
-/// rank order. Small levels stay inline, with the merge's threshold: a
-/// scope spawn costs more than a thousand rebuilds.
-#[allow(clippy::vec_box)] // see `ExploreArena::frontier`
+/// on its parent, loaded from `frontier`. A rebuild depends only on its
+/// parent and step, so the records are cut into contiguous slices, one per
+/// worker thread, and worker `w` writes its slice to `workers[w].out`;
+/// concatenated in worker order the outputs are the next level in rank
+/// order. Small levels stay inline, with the merge's threshold: a scope
+/// spawn costs more than a thousand rebuilds.
+///
+/// Workers resolve station ids against the frozen `stations` and intern
+/// the states it lacks in their own scratch under provisional ids. A
+/// serial pass in worker order then interns those misses in `stations`
+/// and patches the provisional ids, so the table's contents are a function
+/// of the level's records alone.
 fn rebuild_frontier(
     threads: usize,
     recs: &[PathRec],
-    frontier: &mut Vec<Box<System>>,
-    pool: &mut Vec<Box<System>>,
+    frontier: &[Slab],
+    stations: &mut StationTable,
     workers: &mut [WorkerScratch],
 ) {
     let nworkers = threads.min(recs.len().div_ceil(CHUNK * SHARDS)).max(1);
-    let per = recs.len().div_ceil(nworkers);
-    // Worker w rebuilds `recs[cut(w)..cut(w + 1)]` and owns the parents
-    // ranked `first(w)..first(w + 1)`: every child of its parents, and
-    // the childless parents between them.
-    let cut = |w: usize| {
-        let mut b = (w * per).min(recs.len());
-        while b > 0 && b < recs.len() && recs[b].parent == recs[b - 1].parent {
-            b += 1;
-        }
-        b
-    };
-    let width = frontier.len();
-    let first = |w: usize| match w {
-        0 => 0,
-        _ => recs.get(cut(w)).map_or(width, |rec| rec.parent as usize),
-    };
-    for (w, scratch) in workers[..nworkers].iter_mut().enumerate().rev() {
-        scratch.parents.extend(frontier.drain(first(w)..));
-        let take = (cut(w + 1) - cut(w)).min(pool.len());
-        scratch.pool.extend(pool.drain(pool.len() - take..));
-    }
+    let per = recs.len().div_ceil(nworkers).max(1);
+    let frozen = &*stations;
     if nworkers == 1 {
-        rebuild_slice(recs, 0, &mut workers[0]);
+        rebuild_slice(recs, frontier, frozen, &mut workers[0]);
     } else {
         std::thread::scope(|scope| {
-            for (w, scratch) in workers[..nworkers].iter_mut().enumerate() {
-                let (slice, first) = (&recs[cut(w)..cut(w + 1)], first(w));
-                scope.spawn(move || rebuild_slice(slice, first, scratch));
+            for (slice, scratch) in recs.chunks(per).zip(workers.iter_mut()) {
+                scope.spawn(move || rebuild_slice(slice, frontier, frozen, scratch));
             }
         });
     }
     for scratch in workers[..nworkers].iter_mut() {
-        frontier.append(&mut scratch.rebuilt);
-        pool.append(&mut scratch.pool);
+        if scratch.patches.is_empty() {
+            continue;
+        }
+        stations.absorb(&scratch.misses, &mut scratch.tx_ids, &mut scratch.rx_ids);
+        let settle = |id: u32, ids: &[u32]| match id & PROVISIONAL {
+            0 => id,
+            _ => ids[(id & !PROVISIONAL) as usize],
+        };
+        for &i in &scratch.patches {
+            let record = scratch.out.record_mut(i as usize);
+            let (tx, rx) = record_stations(record);
+            let (tx, rx) = (settle(tx, &scratch.tx_ids), settle(rx, &scratch.rx_ids));
+            set_record_stations(record, tx, rx);
+        }
+        scratch.patches.clear();
+        scratch.misses.clear();
     }
 }
 
-/// Rebuilds the children of `scratch.parents` (frontier ranks `first..`)
-/// from their records `recs`, last parent first, so each parent is
-/// recycled as soon as its children exist: its siblings copy it, the first
-/// child takes the parent itself, and a childless parent goes straight to
-/// the pool. A level therefore needs about as many systems as the wider of
-/// its two generations, not their sum.
-fn rebuild_slice(recs: &[PathRec], first: usize, scratch: &mut WorkerScratch) {
-    let mut end = recs.len();
-    while let Some(parent) = scratch.parents.pop() {
-        let rank = (first + scratch.parents.len()) as u32;
-        let mut start = end;
-        while start > 0 && recs[start - 1].parent == rank {
-            start -= 1;
+/// Rebuilds the children `recs` (in rank order, so siblings are adjacent):
+/// each parent is loaded once into the worker's warm node, and each child
+/// is the trial refilled from it with the record's step applied, appended
+/// to `scratch.out` as a record.
+fn rebuild_slice(
+    recs: &[PathRec],
+    frontier: &[Slab],
+    stations: &StationTable,
+    scratch: &mut WorkerScratch,
+) {
+    let node = scratch.node.as_mut().expect("primed at run start");
+    let mut loaded = None;
+    for rec in recs {
+        if loaded != Some(rec.parent) {
+            load(node_record(frontier, rec.parent as usize), stations, node);
+            loaded = Some(rec.parent);
         }
-        if start == end {
-            scratch.pool.push(parent);
-            continue;
+        let trial = scratch.trial.get_or_insert_with(|| node.clone());
+        trial.assign_from(node);
+        apply(trial, from_step(rec.step));
+        let ids = stations.resolve(&mut scratch.misses, trial);
+        if (ids.0 | ids.1) & PROVISIONAL != 0 {
+            scratch.patches.push(scratch.out.len() as u32);
         }
-        for rec in recs[start + 1..end].iter().rev() {
-            let mut sys = match scratch.pool.pop() {
-                Some(mut recycled) => {
-                    recycled.assign_from(&parent);
-                    recycled
-                }
-                None => parent.clone(),
-            };
-            apply(&mut sys, from_step(rec.step));
-            scratch.rebuilt.push(sys);
-        }
-        let mut sys = parent;
-        apply(&mut sys, from_step(recs[start].step));
-        scratch.rebuilt.push(sys);
-        end = start;
+        scratch.out.push(trial, ids);
     }
-    // A record left over would mean a child rebuilt from the wrong parent:
-    // a silently wrong frontier, so this is checked in release builds too.
-    assert_eq!(end, 0, "every record's parent belongs to this slice");
-    scratch.rebuilt.reverse();
 }
 
 /// Phase A of the sharded merge, one shard at a time: combine the workers'
@@ -1109,7 +1253,8 @@ mod tests {
     fn arena_reuse_preserves_reports() {
         // Back-to-back explorations through one arena — including a switch
         // of protocol, which exercises the assign_from type-mismatch
-        // fallback on pooled systems — match fresh-arena runs exactly.
+        // fallback on the warm systems and the station table's kept boxes —
+        // match fresh-arena runs exactly.
         let explorer = ParallelExplorer::new(2);
         let cfg = ExploreConfig::default();
         let mut arena = ExploreArena::default();
@@ -1239,13 +1384,14 @@ mod tests {
 
     #[test]
     fn rebuild_replays_every_record_at_every_thread_count() {
-        // A synthetic level wide enough for the threaded rebuild: parent p
-        // has p % 4 children, so slice cuts fall beside childless parents
-        // and inside runs of siblings. Each rebuilt node must equal its
-        // parent with the record's step applied, in rank order.
+        // A synthetic level wide enough for the threaded rebuild, stored as
+        // three uneven segments: parent p has p % 4 children, so slice cuts
+        // fall beside childless parents and inside runs of siblings. Each
+        // rebuilt record must load as its parent with the record's step
+        // applied, in rank order, and name only settled station ids.
         let cfg = ExploreConfig::default();
         let root = build_root(&SequenceNumber::new(), &cfg, false);
-        let mut walk = vec![root];
+        let mut walk = vec![root.clone()];
         let mut i = 0;
         while walk.len() < 64 {
             let sys = walk[i].clone();
@@ -1256,9 +1402,7 @@ mod tests {
             }
             i += 1;
         }
-        let parents: Vec<Box<System>> = (0..4000)
-            .map(|p| Box::new(walk[p % walk.len()].clone()))
-            .collect();
+        let parents: Vec<&System> = (0..4000).map(|p| &walk[p % walk.len()]).collect();
         let mut recs = Vec::new();
         let mut expected = Vec::new();
         for (p, parent) in parents.iter().enumerate() {
@@ -1270,52 +1414,70 @@ mod tests {
                     parent: p as u32,
                     step: to_step(action),
                 });
-                let mut child = parent.clone();
+                let mut child = (*parent).clone();
                 apply(&mut child, action);
                 expected.push(state_key(&child));
             }
         }
         assert!(recs.len() > 2 * CHUNK * SHARDS, "three workers get a slice");
         for threads in [1, 2, 3] {
+            // The run table starts with the parents' stations only, so the
+            // children's new station states go through the provisional ids.
+            let mut stations = StationTable::new();
+            let mut frontier: Vec<Slab> = (0..3).map(|_| Slab::default()).collect();
+            for (p, parent) in parents.iter().enumerate() {
+                let ids = stations.intern(parent);
+                frontier[[0, 0, 1, 2][p * 4 / parents.len()]].push(parent, ids);
+            }
+            let before = (stations.transmitters(), stations.receivers());
             let mut workers: Vec<WorkerScratch> =
                 (0..threads).map(|_| WorkerScratch::default()).collect();
-            let mut frontier = parents.clone();
-            let mut pool = vec![parents[0].clone(); 100];
-            rebuild_frontier(threads, &recs, &mut frontier, &mut pool, &mut workers);
-            let keys: Vec<u64> = frontier.iter().map(|s| state_key(s)).collect();
+            for w in workers.iter_mut() {
+                prime(&mut w.node, &root);
+            }
+            rebuild_frontier(threads, &recs, &frontier, &mut stations, &mut workers);
+            let mut sys = root.clone();
+            let mut keys = Vec::new();
+            for w in &workers {
+                for i in 0..w.out.len() {
+                    let (tx, rx) = record_stations(w.out.record(i));
+                    assert!((tx | rx) & PROVISIONAL == 0, "{threads} threads");
+                    load(w.out.record(i), &stations, &mut sys);
+                    keys.push(state_key(&sys));
+                }
+                assert!(w.patches.is_empty() && w.misses.transmitters() == 0);
+            }
             assert_eq!(keys, expected, "{threads} threads");
-            // No system is lost: parents and the pool became the new
-            // frontier, the pool, or fresh clones on top.
-            assert!(frontier.len() + pool.len() >= parents.len() + 100);
-            assert!(workers
-                .iter()
-                .all(|w| w.parents.is_empty() && w.pool.is_empty() && w.rebuilt.is_empty()));
+            assert!(
+                (stations.transmitters(), stations.receivers()) > before,
+                "the children reached station states their parents lack"
+            );
         }
     }
 
-    /// Every `System` the arena holds: pooled, frontier, and per worker.
+    /// Every `System` the arena holds: each worker's node and trial.
     fn systems_held(arena: &ExploreArena) -> usize {
-        arena.pool.len()
-            + arena.frontier.len()
-            + arena
-                .workers
-                .iter()
-                .map(|w| {
-                    w.parents.len()
-                        + w.pool.len()
-                        + w.rebuilt.len()
-                        + usize::from(w.trial.is_some())
-                })
-                .sum::<usize>()
+        arena
+            .workers
+            .iter()
+            .map(|w| usize::from(w.node.is_some()) + usize::from(w.trial.is_some()))
+            .sum()
+    }
+
+    /// Every frontier record the arena holds: the level segments and the
+    /// workers' rebuild outputs.
+    fn records_held(arena: &ExploreArena) -> usize {
+        level_len(&arena.frontier) + arena.workers.iter().map(|w| w.out.len()).sum::<usize>()
     }
 
     #[test]
-    fn spilling_runs_hold_systems_for_two_levels_only() {
+    fn spilling_runs_hold_records_for_two_levels_only() {
         // Under a 4 KiB budget most of each level's successors are disk
         // duplicates that only the merge's spilled probe can reject. The
-        // engine still holds no more systems than two adjacent levels plus
-        // one trial system per worker, far fewer than one level's
-        // candidates, and the report is the in-RAM tier's.
+        // engine holds two systems per worker whatever the scope, no more
+        // records than two adjacent levels, and far fewer than one level's
+        // candidates; the report is the in-RAM tier's, and the frontier
+        // gauge is the same at every thread count.
         let cfg = ExploreConfig {
             max_messages: 4,
             max_depth: 16,
@@ -1324,30 +1486,44 @@ mod tests {
             ..ExploreConfig::default()
         };
         let proto = SequenceNumber::new();
-        let threads = 2;
-        let registry = Arc::new(Registry::new());
-        let explorer = ParallelExplorer::new(threads).with_telemetry(Arc::clone(&registry), None);
-        let mut arena = ExploreArena::default();
-        arena.install_visited(VisitedSpec::tiered(4 * 1024));
-        let report = explorer.explore_in(&proto, &cfg, &mut arena).report();
-        assert_eq!(report, par(&proto, &cfg, threads).report());
-        assert!(arena.visited().spills() > 0, "the 4 KiB budget must spill");
+        let mut gauges = Vec::new();
+        for threads in [1, 2, 3] {
+            let registry = Arc::new(Registry::new());
+            let explorer =
+                ParallelExplorer::new(threads).with_telemetry(Arc::clone(&registry), None);
+            let mut arena = ExploreArena::default();
+            arena.install_visited(VisitedSpec::tiered(4 * 1024));
+            let report = explorer.explore_in(&proto, &cfg, &mut arena).report();
+            assert_eq!(report, par(&proto, &cfg, threads).report());
+            assert!(arena.visited().spills() > 0, "the 4 KiB budget must spill");
 
-        let mut widths: Vec<usize> = arena.levels.iter().map(Vec::len).collect();
-        widths[0] = 1; // the root
-        let two_levels = widths.windows(2).map(|w| w[0] + w[1]).max().unwrap();
-        let held = systems_held(&arena);
-        assert!(
-            held <= two_levels + threads,
-            "{held} systems held; two adjacent levels need at most {two_levels}"
-        );
-        let peak_candidates = registry.snapshot().gauges["explore.peak_candidate_bytes"].value
-            as usize
-            / std::mem::size_of::<Candidate>();
-        assert!(
-            held < peak_candidates,
-            "{held} systems held, but the largest level had only {peak_candidates} candidates"
-        );
+            let held = systems_held(&arena);
+            assert!(
+                held <= 2 * threads,
+                "{held} systems held by {threads} workers"
+            );
+            let mut widths: Vec<usize> = arena.levels.iter().map(Vec::len).collect();
+            widths[0] = 1; // the root
+            let two_levels = widths.windows(2).map(|w| w[0] + w[1]).max().unwrap();
+            let records = records_held(&arena);
+            assert!(
+                records <= two_levels,
+                "{records} records held; two adjacent levels need at most {two_levels}"
+            );
+            let snap = registry.snapshot();
+            let peak_candidates = snap.gauges["explore.peak_candidate_bytes"].value as usize
+                / std::mem::size_of::<Candidate>();
+            assert!(
+                records < peak_candidates,
+                "{records} records held, but the largest level had only {peak_candidates} candidates"
+            );
+            gauges.push((
+                snap.gauges["explore.peak_frontier_bytes"].value,
+                snap.gauges["explore.station_states.tx"].value,
+                snap.gauges["explore.station_states.rx"].value,
+            ));
+        }
+        assert!(gauges.windows(2).all(|g| g[0] == g[1]), "{gauges:?}");
     }
 
     #[test]
@@ -1385,7 +1561,12 @@ mod tests {
         assert!(snap.values.contains_key("explore.states_per_sec"));
         assert!(
             snap.gauges["explore.peak_frontier_bytes"].value > 0,
-            "resident frontier estimate was recorded"
+            "frontier record bytes were recorded"
+        );
+        assert!(
+            snap.gauges["explore.station_states.tx"].value > 0
+                && snap.gauges["explore.station_states.rx"].value > 0,
+            "station states were counted"
         );
         assert_eq!(
             snap.gauges["explore.peak_candidate_bytes"].value

@@ -109,6 +109,12 @@ impl Explorer {
     /// whatever the engine, thread count, or tier.
     pub fn explore(&mut self, proto: &dyn DataLink, cfg: &ExploreConfig) -> ExploreOutcome {
         self.arena.install_visited(self.spec);
+        if cfg.max_states == 0 {
+            // Both engines admit the root before checking the budget, so an
+            // empty budget is settled here for either.
+            self.arena.visited_mut().clear();
+            return ExploreOutcome::Truncated { states: 0 };
+        }
         if let Some(threads) = self.threads {
             let mut engine = ParallelExplorer::new(threads);
             if let Some(registry) = &self.registry {

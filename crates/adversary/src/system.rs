@@ -5,7 +5,9 @@ use nonfifo_channel::{
 };
 use nonfifo_ioa::{CopyId, Dir, Event, Execution, Header, Message, Packet, SpecViolation};
 use nonfifo_ioa::{Counts, SpecMonitor};
-use nonfifo_protocols::{BoxedReceiver, BoxedTransmitter, DataLink, GhostInfo};
+use nonfifo_protocols::{
+    BoxedReceiver, BoxedTransmitter, DataLink, GhostInfo, Receiver, Transmitter,
+};
 
 /// What the adversary does with a freshly sent forward packet during a
 /// [`System::step`].
@@ -15,6 +17,27 @@ pub enum Disposition {
     Park,
     /// Deliver the copy this step.
     Deliver,
+}
+
+/// The scalars of a [`System`] at rest: everything but its two automata
+/// and its parked forward pool (see [`System::rest_scalars`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RestScalars {
+    /// The Definition 2 counters; the channel and monitor counters follow
+    /// from them.
+    pub(crate) counts: Counts,
+    /// The raw stale-copy watermark.
+    pub(crate) round_watermark: u64,
+    /// Peak automaton space so far.
+    pub(crate) peak_space: usize,
+    /// The parked pool's content digest.
+    pub(crate) pool_digest: u64,
+}
+
+/// Every event a system records is one of the eight counted kinds, so the
+/// monitor's event count is their sum.
+fn events_of(c: &Counts) -> u64 {
+    c.sm + c.rm + c.sp_fwd + c.rp_fwd + c.sp_bwd + c.rp_bwd + c.dropped_fwd + c.dropped_bwd
 }
 
 /// The closed system of the paper's Figure 1 with both physical channels
@@ -107,9 +130,8 @@ impl System {
     /// [`TransmitterState::assign_from`](nonfifo_protocols::TransmitterState::assign_from)
     /// (falling back to `clone_box` on a concrete-type mismatch), and the
     /// channels, monitor, and execution reuse their allocations through
-    /// `clone_from`. The state-space explorer recycles frontier systems
-    /// through a pool with this, which is what keeps its steady-state
-    /// expansion loop off the allocator.
+    /// `clone_from`. Both explorers refill their reused trial systems with
+    /// this, which is what keeps their expansion loops off the allocator.
     pub fn assign_from(&mut self, source: &System) {
         if !self.tx.assign_from(source.tx.as_ref()) {
             self.tx = source.tx.clone_box();
@@ -128,6 +150,82 @@ impl System {
         self.partitioned = source.partitioned;
         self.uses_ghosts = source.uses_ghosts;
         // ghost_scratch is per-step scratch, not logical state: keep ours.
+    }
+
+    /// The run-varying scalars of this system, which must be *at rest*: a
+    /// counts-only system ([`disable_event_log`](System::disable_event_log))
+    /// with both channels' delivery queues and drop buffers empty, nothing
+    /// parked on the backward channel and no violation latched. Every
+    /// explorer action ends in such a state. The channel counters, the
+    /// monitor's counters and the message counter are then functions of
+    /// the [`Counts`], which this checks; together with the two automata
+    /// and the parked pool, the scalars are the whole state
+    /// ([`restore`](System::restore) takes them back).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the system is not at rest or its counters disagree.
+    pub(crate) fn rest_scalars(&self) -> RestScalars {
+        let c = self.exec.counts();
+        let channel_agrees = |ch: &AdversarialChannel, sent: u64, received: u64, dropped: u64| {
+            ch.is_at_rest()
+                && ch.watermark() == CopyId::from_raw(sent)
+                && ch.total_sent() == sent
+                && ch.total_delivered() == received
+                && ch.total_dropped() == dropped
+        };
+        assert!(
+            self.exec.is_counts_only()
+                && self.monitor.is_at_rest()
+                && channel_agrees(&self.fwd, c.sp_fwd, c.rp_fwd, c.dropped_fwd)
+                && channel_agrees(&self.bwd, c.sp_bwd, c.rp_bwd, c.dropped_bwd)
+                && self.bwd.in_transit_len() == 0
+                && self.monitor.tracked_copies(Dir::Forward) == self.fwd.in_transit_len()
+                && self.monitor.messages_sent() == c.sm
+                && self.monitor.messages_delivered() == c.rm
+                && self.monitor.events_seen() == events_of(&c)
+                && self.next_msg == c.sm,
+            "only a counts-only system at rest has a record"
+        );
+        RestScalars {
+            counts: c,
+            round_watermark: self.round_watermark.raw(),
+            peak_space: self.peak_space,
+            pool_digest: self.fwd.parked_multiset().content_hash(),
+        }
+    }
+
+    /// Puts this system into the at-rest state made of the automata `tx`
+    /// and `rx`, the scalars `s` ([`rest_scalars`](System::rest_scalars))
+    /// and the parked forward `pool` in mint order. The live monitor's
+    /// forward table is rebuilt from the pool it must equal. Run constants
+    /// (burst, partition, ghost use, channel and monitor modes) are kept,
+    /// so `self` must be a counts-only system of the same run. Every buffer
+    /// and automaton box is reused: a warm restore does not allocate.
+    pub(crate) fn restore(
+        &mut self,
+        tx: &dyn Transmitter,
+        rx: &dyn Receiver,
+        s: &RestScalars,
+        pool: impl IntoIterator<Item = (Packet, CopyId)>,
+    ) {
+        if !self.tx.assign_from(tx) {
+            self.tx = tx.clone_box();
+        }
+        if !self.rx.assign_from(rx) {
+            self.rx = rx.clone_box();
+        }
+        let c = s.counts;
+        self.fwd
+            .restore_at_rest(c.sp_fwd, c.rp_fwd, c.dropped_fwd, pool, s.pool_digest);
+        self.bwd
+            .restore_at_rest(c.sp_bwd, c.rp_bwd, c.dropped_bwd, [], 0);
+        self.exec.restore_counts(c);
+        self.monitor
+            .restore_at_rest(c.sm, c.rm, events_of(&c), self.fwd.parked_multiset().iter());
+        self.next_msg = c.sm;
+        self.round_watermark = CopyId::from_raw(s.round_watermark);
+        self.peak_space = s.peak_space;
     }
 
     /// The recorded execution so far.
@@ -242,11 +340,13 @@ impl System {
         self.rx.header_retired(p.header()) && self.tx.header_retired(p.header())
     }
 
-    /// Approximate resident bytes of this system: the struct itself plus
-    /// the automata's live state, the channels' reserved buffers and the
-    /// monitor's copy tables. Feeds the explorer's
-    /// `explore.peak_frontier_bytes` gauge; an estimate, not an accounting
-    /// guarantee.
+    /// Approximate resident bytes of this system as a live value: the
+    /// struct itself plus the automata's live state, the channels' reserved
+    /// buffers and the monitor's copy tables. It is what one system costs
+    /// while it is being worked on (a trial, an oracle queue entry); a
+    /// parallel-engine frontier node at rest costs only its record (see
+    /// [`crate::codec`]), which the `explore.peak_frontier_bytes` gauge
+    /// counts instead. An estimate, not an accounting guarantee.
     pub fn heap_bytes_estimate(&self) -> usize {
         std::mem::size_of::<System>()
             + self.tx.space_bytes()

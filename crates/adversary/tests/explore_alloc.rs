@@ -1,27 +1,37 @@
 //! Allocation regression pins for the exploration hot paths.
 //!
-//! The parallel engine promises that steady-state expansion — refill the
-//! worker's trial [`System`] with `assign_from`, apply an action, hash it,
-//! merge its key, rebuild the winners from recycled systems — performs no
-//! heap allocation once the arena's buffers have warmed up. This pin makes
+//! The parallel engine promises that steady-state expansion — load a node
+//! record into the worker's warm [`System`], refill the trial from it with
+//! `assign_from`, apply an action, hash it, merge its key, rebuild the
+//! winners' records into reused slabs — performs no heap allocation once
+//! the arena's buffers have warmed up. This pin makes
 //! that promise falsifiable: a counting global allocator measures a warm
 //! exploration end to end, and the budget is a small constant (the per-run
 //! root-system setup), not a function of the hundreds of expansions the
 //! scope performs. A regression that puts even one allocation back into
 //! the per-expansion loop blows the budget by an order of magnitude.
 //!
+//! Frontier levels are flat record slabs over a table of station states,
+//! so even a cold run allocates per level and per station state, never per
+//! state, and dropping a warmed explorer frees a handful of buffers per
+//! level instead of a boxed system per frontier node.
+//!
 //! The sequential oracle keeps its plain one-queue BFS and clones a system
 //! per admitted state, so its pin is linear in the state count: attempted
 //! successors that are slept or deduplicated must allocate nothing.
+//!
+//! [`System`]: nonfifo_adversary::System
 
 use nonfifo_adversary::{ExploreConfig, ExploreOutcome, Explorer};
 use nonfifo_protocols::SequenceNumber;
+use nonfifo_telemetry::Registry;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static TRACE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 static TRACED: AtomicU64 = AtomicU64::new(0);
 
@@ -54,6 +64,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         unsafe { SystemAlloc.dealloc(ptr, layout) }
     }
 
@@ -69,6 +80,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+fn deallocations() -> u64 {
+    DEALLOCATIONS.load(Ordering::Relaxed)
 }
 
 /// The allocation counter is process-wide, so the pins run one at a time.
@@ -154,14 +169,111 @@ fn warm_sequential_exploration_allocates_per_admitted_state_only() {
     );
 }
 
+/// The scope of the cold and teardown pins: 12,869 states over 22 levels,
+/// reaching 15 transmitter and 8 receiver states.
+fn wide_scope() -> ExploreConfig {
+    ExploreConfig {
+        max_messages: 7,
+        max_depth: 22,
+        max_pool: 8,
+        max_states: 1_000_000,
+        ..ExploreConfig::default()
+    }
+}
+
+/// Levels, station states and states of the run `registry` recorded.
+fn run_shape(registry: &Registry) -> (u64, u64, u64) {
+    let snap = registry.snapshot();
+    let levels = snap.histograms["explore.frontier_width"].count;
+    let stations = snap.gauges["explore.station_states.tx"].value
+        + snap.gauges["explore.station_states.rx"].value;
+    (levels, stations, snap.counters["explore.states"])
+}
+
+/// Allocations a cold parallel run may spend per level: the level's path
+/// records, the scoped worker threads of its expansion, merge and rebuild,
+/// and the doubling growth of the slabs, bins and shards it fills first.
+const PER_LEVEL: u64 = 64;
+
+/// Allocations per distinct station state: its box in the run table and
+/// in the worker-local miss table it passed through.
+const PER_STATION: u64 = 8;
+
+/// Allocations of a cold run's fixed set of buffers, most of them one per
+/// visited shard (the shard's set, each worker's candidate bin, the merge
+/// bin, keys and hits), each grown by doubling.
+const COLD_FIXED: u64 = 2048;
+
+#[test]
+fn cold_parallel_exploration_allocates_per_level_not_per_state() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // A fresh explorer grows every buffer from empty. Buffers grow by
+    // doubling, so that costs a logarithm per buffer; what must not appear
+    // is a term in the state count, such as a boxed system per frontier
+    // node, which would cost several allocations for each of the 6,005.
+    let registry = std::sync::Arc::new(Registry::new());
+    let mut explorer = Explorer::new()
+        .parallel(2)
+        .with_telemetry(std::sync::Arc::clone(&registry), None);
+    let before = allocations();
+    let outcome = explorer.explore(&SequenceNumber::new(), &wide_scope());
+    let spent = allocations() - before;
+    assert!(outcome.is_certificate(), "got {outcome:?}");
+
+    let (levels, stations, states) = run_shape(&registry);
+    let budget = PER_LEVEL * levels + PER_STATION * stations + COLD_FIXED;
+    assert!(
+        budget < states / 2,
+        "the pin must tell per-level from per-state costs: budget {budget}, {states} states"
+    );
+    assert!(
+        spent <= budget,
+        "a cold run allocated {spent} times over {levels} levels and {stations} \
+         station states (budget {budget}); something allocates per state"
+    );
+}
+
+#[test]
+fn dropping_a_warm_explorer_frees_per_level_not_per_state() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Teardown frees the explorer's buffers: per level its path records,
+    // per station state its automaton boxes, and a fixed set of slabs,
+    // shards and scratches. Anything held per frontier node, such as a
+    // boxed system with its ten or so buffers, multiplies the count by the
+    // width of the last two levels.
+    let registry = std::sync::Arc::new(Registry::new());
+    Explorer::new()
+        .parallel(2)
+        .with_telemetry(std::sync::Arc::clone(&registry), None)
+        .explore(&SequenceNumber::new(), &wide_scope());
+    let (levels, stations, states) = run_shape(&registry);
+    let mut explorer = Explorer::new().parallel(2);
+    for _ in 0..2 {
+        explorer.explore(&SequenceNumber::new(), &wide_scope());
+    }
+    let before = deallocations();
+    drop(explorer);
+    let freed = deallocations() - before;
+    let budget = 4 * levels + 4 * stations + 1024;
+    assert!(budget < states / 2, "budget {budget}, {states} states");
+    assert!(
+        freed <= budget,
+        "dropping the explorer freed {freed} buffers over {levels} levels \
+         (budget {budget}); something is held per state"
+    );
+}
+
 #[test]
 #[ignore]
 fn diagnose_allocation_sources() {
-    let mut explorer = Explorer::new().parallel(1);
-    let cfg = ExploreConfig::default();
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut explorer = Explorer::new().parallel(2);
     for run in 0..6 {
         let before = allocations();
-        explorer.explore(&SequenceNumber::new(), &cfg);
+        explorer.explore(&SequenceNumber::new(), &wide_scope());
         println!("run {run}: {} allocations", allocations() - before);
     }
+    let before = deallocations();
+    drop(explorer);
+    println!("teardown: {} deallocations", deallocations() - before);
 }

@@ -82,8 +82,8 @@ impl Clone for AdversarialChannel {
         }
     }
 
-    /// Fieldwise `clone_from` so the explorer's system pool can refill a
-    /// recycled channel without reallocating its buffers.
+    /// Fieldwise `clone_from` so the explorers can refill a warm trial
+    /// system's channel without reallocating its buffers.
     fn clone_from(&mut self, source: &Self) {
         self.dir = source.dir;
         self.mode = source.mode;
@@ -234,6 +234,40 @@ impl AdversarialChannel {
     /// by mode, not yet polled).
     pub fn queued_len(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Copies dropped so far.
+    pub fn total_dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// True when nothing is in motion: no copy waits in the delivery queue
+    /// and no drop is waiting to be drained. The only state such a channel
+    /// holds beyond its counters is the delayed pool.
+    pub fn is_at_rest(&self) -> bool {
+        self.queue.is_empty() && self.drops.is_empty()
+    }
+
+    /// Puts the channel at rest with the given counters and delayed pool
+    /// (see [`PacketMultiset::restore`] for `copies` and `digest`). Every
+    /// copy is minted by [`send`](Channel::send), so the next copy id is
+    /// `sent`. Direction and delivery mode are kept, and so are the
+    /// buffers: refilling a warm channel does not allocate.
+    pub fn restore_at_rest(
+        &mut self,
+        sent: u64,
+        delivered: u64,
+        dropped: u64,
+        copies: impl IntoIterator<Item = (Packet, CopyId)>,
+        digest: u64,
+    ) {
+        self.parked.restore(copies, digest);
+        self.queue.clear();
+        self.drops.clear();
+        self.next_copy = sent;
+        self.sent = sent;
+        self.delivered = delivered;
+        self.dropped = dropped;
     }
 
     /// Heap bytes currently reserved by this channel's buffers (capacities,

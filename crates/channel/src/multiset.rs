@@ -56,9 +56,8 @@ impl Clone for PacketMultiset {
         }
     }
 
-    /// Capacity-reusing clone: the explorer's system pool assigns states
-    /// into recycled allocations, so the steady-state expansion loop never
-    /// touches the heap.
+    /// Capacity-reusing clone: the explorers assign states into warm trial
+    /// systems, so the steady-state expansion loop never touches the heap.
     fn clone_from(&mut self, source: &Self) {
         self.entries.clone_from(&source.entries);
         self.acc = source.acc;
@@ -233,6 +232,34 @@ impl PacketMultiset {
             *counts.entry(p).or_insert(0) += 1;
         }
         counts.into_iter().collect()
+    }
+
+    /// Replaces the contents with `copies`, which must come in ascending
+    /// copy-id order (as [`iter`](PacketMultiset::iter) yields them), and
+    /// takes `digest` as the [`content_hash`](PacketMultiset::content_hash)
+    /// of the result instead of rehashing every value. The buffer is
+    /// reused, so refilling a warm multiset does not allocate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the copy ids are not strictly ascending. A digest that
+    /// does not match the values is caught in debug builds.
+    pub fn restore(&mut self, copies: impl IntoIterator<Item = (Packet, CopyId)>, digest: u64) {
+        self.entries.clear();
+        for (packet, copy) in copies {
+            if let Some(&(last, _)) = self.entries.last() {
+                assert!(last < copy, "restored copies out of mint order");
+            }
+            self.entries.push((copy, packet));
+        }
+        self.acc = digest;
+        debug_assert_eq!(
+            self.entries
+                .iter()
+                .fold(0u64, |acc, (_, p)| acc.wrapping_add(mix64(fnv64(p)))),
+            digest,
+            "restored digest does not match the values"
+        );
     }
 
     /// Removes every copy, returning them in mint order.

@@ -610,6 +610,9 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
         corrupt_start,
         por: args.flag("por"),
     };
+    if cfg.max_states == 0 {
+        return Err(ArgsError("--max-states must admit at least the root state".into()).into());
+    }
     let (spec, budget_defaulted) = {
         let mut spec: VisitedSpec = match args.option("visited") {
             None => VisitedSpec::Ram,

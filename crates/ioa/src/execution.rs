@@ -184,6 +184,19 @@ impl Execution {
         self.counts
     }
 
+    /// Sets the counters of a [counts-only](Execution::counts_only)
+    /// execution, as if events with those tallies had been pushed. The
+    /// explorer restores its frontier systems from stored records with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an execution that keeps its events: its log and its
+    /// counters would disagree.
+    pub fn restore_counts(&mut self, counts: Counts) {
+        assert!(self.counts_only, "restore_counts on a logged execution");
+        self.counts = counts;
+    }
+
     /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.events.len()

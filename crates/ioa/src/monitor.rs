@@ -191,6 +191,55 @@ impl SpecMonitor {
         }
     }
 
+    /// True for a [live-copies](Self::live_copies_only) monitor, outside
+    /// convergence mode, with no violation latched and no backward copy in
+    /// transit: its whole state is then the `sm`/`rm`/event counters and
+    /// the forward copies in transit, which is what
+    /// [`restore_at_rest`](Self::restore_at_rest) takes back.
+    pub fn is_at_rest(&self) -> bool {
+        self.live_copies_only
+            && !self.convergence_mode
+            && self.first_violation.is_none()
+            && self.copies_bwd.0.is_empty()
+    }
+
+    /// Puts a live-copies monitor into the [at-rest](Self::is_at_rest)
+    /// state with the given counters and forward copies in transit, which
+    /// must come in ascending copy-id order. The tables keep their
+    /// buffers, so refilling a warm monitor does not allocate.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a monitor that keeps settled copies, or in convergence
+    /// mode: neither state is made of these parts alone.
+    pub fn restore_at_rest(
+        &mut self,
+        sm: u64,
+        rm: u64,
+        events_seen: u64,
+        forward: impl IntoIterator<Item = (Packet, CopyId)>,
+    ) {
+        assert!(
+            self.live_copies_only && !self.convergence_mode,
+            "restore_at_rest needs a live-copies monitor"
+        );
+        self.copies_fwd.0.clear();
+        self.copies_fwd.0.extend(
+            forward
+                .into_iter()
+                .map(|(packet, copy)| (copy, CopyState::Sent(packet))),
+        );
+        debug_assert!(
+            self.copies_fwd.0.windows(2).all(|w| w[0].0 < w[1].0),
+            "forward copies out of mint order"
+        );
+        self.copies_bwd.0.clear();
+        self.sm = sm;
+        self.rm = rm;
+        self.events_seen = events_seen;
+        self.first_violation = None;
+    }
+
     /// Heap bytes reserved by the copy tables.
     pub fn heap_bytes(&self) -> usize {
         self.copies_fwd.heap_bytes() + self.copies_bwd.heap_bytes()

@@ -131,7 +131,7 @@ pub struct AfekFlushTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for AfekFlushTx {
     fn clone(&self) -> Self {
@@ -224,7 +224,7 @@ pub struct AfekFlushRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for AfekFlushRx {
     fn clone(&self) -> Self {

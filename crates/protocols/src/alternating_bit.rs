@@ -65,7 +65,7 @@ pub struct AlternatingBitTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for AlternatingBitTx {
     fn clone(&self) -> Self {
@@ -162,7 +162,7 @@ pub struct AlternatingBitRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for AlternatingBitRx {
     fn clone(&self) -> Self {

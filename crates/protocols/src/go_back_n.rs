@@ -81,7 +81,7 @@ pub struct GoBackNTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for GoBackNTx {
     fn clone(&self) -> Self {
@@ -196,7 +196,7 @@ pub struct GoBackNRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for GoBackNRx {
     fn clone(&self) -> Self {

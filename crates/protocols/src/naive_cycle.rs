@@ -76,7 +76,7 @@ pub struct NaiveCycleTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for NaiveCycleTx {
     fn clone(&self) -> Self {
@@ -166,7 +166,7 @@ pub struct NaiveCycleRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for NaiveCycleRx {
     fn clone(&self) -> Self {

@@ -112,7 +112,7 @@ pub struct OutnumberTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for OutnumberTx {
     fn clone(&self) -> Self {
@@ -223,7 +223,7 @@ pub struct OutnumberRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for OutnumberRx {
     fn clone(&self) -> Self {

@@ -87,7 +87,7 @@ pub struct SelectiveRejectTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for SelectiveRejectTx {
     fn clone(&self) -> Self {
@@ -241,7 +241,7 @@ pub struct SelectiveRejectRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for SelectiveRejectRx {
     fn clone(&self) -> Self {

@@ -73,7 +73,7 @@ pub struct SequenceNumberTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for SequenceNumberTx {
     fn clone(&self) -> Self {
@@ -175,7 +175,7 @@ pub struct SequenceNumberRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for SequenceNumberRx {
     fn clone(&self) -> Self {

@@ -85,7 +85,7 @@ pub struct SlidingWindowTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for SlidingWindowTx {
     fn clone(&self) -> Self {
@@ -201,7 +201,7 @@ pub struct SlidingWindowRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for SlidingWindowRx {
     fn clone(&self) -> Self {

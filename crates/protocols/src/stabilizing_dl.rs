@@ -114,7 +114,7 @@ pub struct StabilizingDlTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for StabilizingDlTx {
     fn clone(&self) -> Self {
@@ -254,7 +254,7 @@ pub struct StabilizingDlRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorers refill their warm automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for StabilizingDlRx {
     fn clone(&self) -> Self {

@@ -8,12 +8,15 @@
 //! `PROPTEST_CASES` scales the case count (CI pins it for reproducible
 //! runtime).
 
+use nonfifo::adversary::codec::{load, save, StationTable};
 use nonfifo::adversary::{
-    scope_root, Discipline, ExploreConfig, ExploreOutcome, Explorer, Schedule,
+    apply_step, scope_root, Discipline, ExploreConfig, ExploreOutcome, Explorer, Schedule,
+    ScheduleStep, StateCodec, System,
 };
+use nonfifo::ioa::{Header, Packet, Payload};
 use nonfifo::protocols::{
-    AfekFlush, AlternatingBit, DataLink, GoBackN, Outnumber, SelectiveReject, SequenceNumber,
-    SlidingWindow, StabilizingDl,
+    catalog, AfekFlush, AlternatingBit, DataLink, GoBackN, Outnumber, SelectiveReject,
+    SequenceNumber, SlidingWindow, StabilizingDl,
 };
 use nonfifo_rng::StdRng;
 
@@ -150,7 +153,8 @@ fn parallel_reports_are_byte_identical_across_thread_counts() {
 #[test]
 fn arena_reuse_is_invisible() {
     // The engine's zero-copy machinery — parent-pointer path records,
-    // pooled systems refilled with `assign_from`, reused worker scratch —
+    // record slabs, the station table's kept automaton boxes, warm systems
+    // refilled with `assign_from`, reused worker scratch —
     // lives in the arena an `Explorer` owns. Running a random sequence of
     // scopes and protocols through ONE explorer (so every run inherits the
     // previous run's recycled buffers, including across protocol switches)
@@ -198,6 +202,144 @@ fn counterexamples_replay_and_certificates_quiesce() {
                 proto.name(),
                 cfg.discipline,
             );
+        }
+    });
+}
+
+/// One instance of every catalog family.
+const CATALOG_INSTANCES: [&str; 10] = [
+    "abp",
+    "cycle3",
+    "seqnum",
+    "window2",
+    "gbn2",
+    "srej1",
+    "srej2",
+    "outnumber3",
+    "afek3",
+    "stabilizing-dl",
+];
+
+/// The steps worth trying at `sys`: the two automaton-driving steps and a
+/// deliver and a drop per distinct parked header. `apply_step` refuses the
+/// ones the scope's discipline does not enable.
+fn candidate_steps(sys: &System) -> Vec<ScheduleStep> {
+    let mut steps = vec![ScheduleStep::Send, ScheduleStep::Park];
+    for (p, _) in sys.fwd.parked_multiset().iter() {
+        let h = p.header();
+        if !steps.contains(&ScheduleStep::Deliver(h)) {
+            steps.extend([ScheduleStep::Deliver(h), ScheduleStep::Drop(h)]);
+        }
+    }
+    steps
+}
+
+/// `load(save(sys))` must be `sys`: the same keys, the same automata, the
+/// same counters, verdict and pool, and a successor with an equal key and
+/// verdict for every step.
+fn assert_round_trip(sys: &System, cfg: &ExploreConfig, target: &mut System, what: &str) {
+    let mut stations = StationTable::new();
+    let mut record = Vec::new();
+    save(sys, &mut stations, &mut record);
+    load(&record, &stations, target);
+    for codec in [StateCodec::full(), StateCodec::retired_quotient()] {
+        assert_eq!(
+            codec.key(sys),
+            codec.key(target),
+            "{what}: {:?} key",
+            codec.mode()
+        );
+    }
+    assert!(sys.tx.same_state(target.tx.as_ref()), "{what}: transmitter");
+    assert!(sys.rx.same_state(target.rx.as_ref()), "{what}: receiver");
+    assert_eq!(sys.counts(), target.counts(), "{what}: counts");
+    assert_eq!(sys.violation(), target.violation(), "{what}: violation");
+    assert_eq!(
+        sys.fwd.parked_multiset(),
+        target.fwd.parked_multiset(),
+        "{what}: pool"
+    );
+    let successor = |s: System| (StateCodec::full().key(&s), s.violation());
+    for step in candidate_steps(sys) {
+        let next = apply_step(sys, cfg, step).map(successor);
+        let loaded = apply_step(target, cfg, step).map(successor);
+        assert_eq!(next, loaded, "{what}: successor under {step}");
+    }
+}
+
+#[test]
+fn frontier_records_round_trip_on_random_walks() {
+    // Seeded walks over every catalog protocol, discipline and start kind,
+    // with duplicated and corrupted copies mixed in (moves outside the
+    // explorer's alphabet, which mint and drop copies of their own). A
+    // corrupted start parks junk of both packet shapes, payload-carrying
+    // included. One target system absorbs every load of a walk, so a load
+    // must overwrite whatever the previous one left.
+    for name in catalog::PROTOCOLS.iter().map(|(family, _)| family) {
+        let stem = name.split(['<', '[']).next().unwrap_or(name);
+        assert!(
+            CATALOG_INSTANCES.iter().any(|i| i.starts_with(stem)),
+            "catalog family {name} has no instance in the walk"
+        );
+    }
+    for_seeds(cases().div_ceil(4), |seed, rng| {
+        for name in CATALOG_INSTANCES {
+            let proto = catalog::by_name(name).expect("catalog name");
+            for discipline in [
+                Discipline::NonFifo,
+                Discipline::BoundedReorder(2),
+                Discipline::LossyFifo,
+            ] {
+                let cfg = ExploreConfig {
+                    max_messages: 4,
+                    max_pool: 6,
+                    discipline,
+                    ..ExploreConfig::default()
+                };
+                for corrupted in [false, true] {
+                    let mut sys = System::new(proto.as_ref());
+                    sys.disable_event_log();
+                    if corrupted {
+                        for _ in 0..1 + rng.gen_range(0..3) {
+                            let header = Header::new(rng.gen_range(0..8) as u32);
+                            sys.preload_forward(match rng.gen_range(0..2) {
+                                0 => Packet::header_only(header),
+                                _ => Packet::new(header, Payload::new(rng.next_u64())),
+                            });
+                        }
+                    }
+                    let mut target = sys.clone();
+                    for depth in 0..30 {
+                        if sys.violation().is_some() {
+                            break;
+                        }
+                        let what = format!(
+                            "seed {seed} {name} {discipline} corrupted={corrupted} depth {depth}"
+                        );
+                        assert_round_trip(&sys, &cfg, &mut target, &what);
+                        let header = sys
+                            .fwd
+                            .parked_multiset()
+                            .iter()
+                            .next()
+                            .map(|(p, _)| p.header());
+                        match (rng.gen_range(0..10), header) {
+                            (0, Some(h)) => assert!(sys.duplicate_oldest(h)),
+                            (1, Some(h)) => assert!(sys.corrupt_oldest(h)),
+                            _ => {
+                                let enabled: Vec<System> = candidate_steps(&sys)
+                                    .into_iter()
+                                    .filter_map(|step| apply_step(&sys, &cfg, step))
+                                    .collect();
+                                if enabled.is_empty() {
+                                    break;
+                                }
+                                sys = enabled[rng.gen_range(0..enabled.len())].clone();
+                            }
+                        }
+                    }
+                }
+            }
         }
     });
 }

@@ -351,3 +351,35 @@ fn por_certifies_the_large_scope_in_tier_one() {
         assert_eq!(states, 834, "large-scope quotient coverage moved");
     }
 }
+
+#[test]
+fn truncations_never_name_more_states_than_the_budget() {
+    // The budget counts the root, so it is checked right after the root is
+    // admitted as well as after each successor: a truncation names exactly
+    // the budget (0 admits not even the root) on every engine, with and
+    // without the reduction.
+    for max_states in [0, 1, 2] {
+        for por in [false, true] {
+            let cfg = ExploreConfig {
+                max_messages: 3,
+                max_depth: 8,
+                max_pool: 3,
+                max_states,
+                por,
+                ..ExploreConfig::default()
+            };
+            for (engine, mut explorer) in [
+                ("sequential", Explorer::new()),
+                ("1 thread", Explorer::new().parallel(1)),
+                ("2 threads", Explorer::new().parallel(2)),
+            ] {
+                let outcome = explorer.explore(&SequenceNumber::new(), &cfg);
+                assert_eq!(
+                    outcome.report(),
+                    format!("inconclusive: state budget exhausted after {max_states} states\n"),
+                    "{engine}, budget {max_states}, por {por}"
+                );
+            }
+        }
+    }
+}
