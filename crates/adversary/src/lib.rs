@@ -95,9 +95,7 @@ pub use por::{apply_step, state_digest, steps_independent_at};
 pub use schedule::{Schedule, ScheduleError, ScheduleStep};
 pub use shrink::{shrink, ShrinkError, ShrinkOutcome};
 pub use system::{Disposition, System};
-pub use visited::{
-    RamVisited, TieredVisited, VisitedSet, VisitedSpec, DEFAULT_COMPACT_RUNS, DEFAULT_MEMORY_BUDGET,
-};
+pub use visited::{RamVisited, TieredVisited, VisitedSet, VisitedSpec, DEFAULT_MEMORY_BUDGET};
 pub use workpool::ChunkCursor;
 
 use nonfifo_ioa::{Execution, SpecViolation};

@@ -8,32 +8,23 @@
 //! - [`TieredVisited`] — an exact tier that **spills to disk** when a byte
 //!   budget is exceeded: a RAM delta absorbs inserts and, when it outgrows
 //!   the budget, is written as one new sorted on-disk run in O(delta) I/O.
-//!   The set holds up to `compact_runs` such runs (each with its own
-//!   in-RAM fence pointers); once the threshold is reached, the runs
-//!   are merge-compacted into one by a bounded-memory k-way streaming
-//!   merge on a background thread — LSM-style, never by reading a whole
-//!   run back into RAM. Reports stay byte-identical to [`RamVisited`] —
-//!   membership answers are exact — while resident memory stays under the
-//!   budget.
+//!   Each run keeps its own in-RAM fence pointers. When a spill brings the
+//!   live runs to a fixed fan-in of 8, the same spill merge-compacts them
+//!   into one with a bounded-memory k-way streaming merge — LSM-style,
+//!   never by reading a whole run back into RAM, and in the foreground,
+//!   so the merge's buffers share the budget with nothing else. Reports
+//!   stay byte-identical to [`RamVisited`] — membership answers are exact —
+//!   while resident memory stays under the budget.
 //!
-//! **Determinism contract.** Both engines call [`VisitedSet::insert`] /
-//! [`VisitedSet::insert_new`] in a deterministic order (sequential BFS
-//! order, or the parallel engine's shard-major per-level merge) and only
-//! ever *read* the set concurrently while it is frozen during a level
-//! ([`VisitedSet::contains`], [`VisitedSet::contains_resident`] and
-//! [`VisitedSet::probe_spilled_sorted`] take `&self`; the trait requires
-//! `Sync`). The tiers therefore produce identical admit/reject decisions
-//! — and hence byte-identical reports — at any thread count and for any
-//! tier choice. Every quantity the tiers report (spill count, run count,
-//! disk bytes, resident/peak estimates, compaction I/O) is computed from
-//! deterministic schedule-time accounting, never from the wall-clock state
-//! of the background compactor, so telemetry and CLI summaries are also
-//! byte-identical across thread counts.
+//! **Determinism contract.** Both engines insert in a deterministic order
+//! and only read the set while it is frozen during a level (the probes
+//! take `&self`; the trait requires `Sync`), so reports are identical at
+//! any thread count and for either tier, and so is every quantity a tier
+//! reports at any thread count.
 //!
 //! Tier selection is data ([`VisitedSpec`]), parsed from the CLI's
-//! `--visited <ram|tiered>` / `--memory-budget <bytes>` /
-//! `--compact-runs <n>` flags and owned by the
-//! [`Explorer`](crate::Explorer) facade.
+//! `--visited <ram|tiered>` / `--memory-budget <bytes>` flags and owned by
+//! the [`Explorer`](crate::Explorer) facade.
 
 use crate::codec::{block_contains_key, key_at};
 use nonfifo_ioa::fingerprint::{mix64, Fnv64};
@@ -43,7 +34,6 @@ use std::hash::BuildHasherDefault;
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Visited-state set on the fixed-key FNV-64 hasher: state keys are already
 /// well-mixed 64-bit fingerprints, so the cheap hash is safe and saves the
@@ -163,17 +153,13 @@ pub trait VisitedSet: Send + Sync + std::fmt::Debug {
         0
     }
 
-    /// Sorted on-disk runs currently live (0 for pure-RAM tiers). Counted
-    /// logically — a compaction is accounted at the moment it is
-    /// scheduled, not when the background thread happens to finish — so the
-    /// number is deterministic.
+    /// Sorted on-disk runs currently live (0 for pure-RAM tiers).
     fn disk_runs(&self) -> u64 {
         0
     }
 
     /// Total spill I/O in bytes over the set's lifetime: run writes plus
-    /// compaction reads and rewrites (0 for pure-RAM tiers). Accounted at
-    /// schedule time, so the number is deterministic.
+    /// compaction reads and rewrites (0 for pure-RAM tiers).
     fn compaction_bytes(&self) -> u64 {
         0
     }
@@ -288,9 +274,10 @@ impl Drop for DiskRun {
 }
 
 impl DiskRun {
-    /// Writes `sorted` (strictly increasing, unique) to a fresh spill file.
-    fn write(sorted: &[u64]) -> std::io::Result<DiskRun> {
-        let mut writer = RunWriter::new()?;
+    /// Writes `sorted` (strictly increasing, unique) to a fresh spill file
+    /// through a `buffer_bytes` write buffer.
+    fn write(sorted: &[u64], buffer_bytes: usize) -> std::io::Result<DiskRun> {
+        let mut writer = RunWriter::new(buffer_bytes)?;
         for &key in sorted {
             writer.push(key)?;
         }
@@ -392,9 +379,9 @@ impl DiskRun {
 }
 
 /// Streaming writer for a [`DiskRun`]: keys are pushed in ascending order
-/// and buffered through a [`BufWriter`], so building a run never needs the
-/// whole key set in RAM — the spill path hands it a sorted slice, the
-/// compactor a k-way merge stream.
+/// and buffered through a [`BufWriter`] of a caller-chosen size, so
+/// building a run never needs the whole key set in RAM — the spill path
+/// hands it a sorted slice, the merge a k-way stream.
 struct RunWriter {
     writer: BufWriter<File>,
     path: PathBuf,
@@ -403,7 +390,7 @@ struct RunWriter {
 }
 
 impl RunWriter {
-    fn new() -> std::io::Result<RunWriter> {
+    fn new(buffer_bytes: usize) -> std::io::Result<RunWriter> {
         let path = spill_path();
         // `File::create` would hand back a write-only descriptor; the run
         // is probed (read) for the rest of its life, so open read+write.
@@ -414,7 +401,7 @@ impl RunWriter {
             .truncate(true)
             .open(&path)?;
         Ok(RunWriter {
-            writer: BufWriter::new(file),
+            writer: BufWriter::with_capacity(buffer_bytes, file),
             path,
             fences: Vec::new(),
             keys: 0,
@@ -446,12 +433,11 @@ impl RunWriter {
     }
 }
 
-/// Bounded-memory cursor over one source run of a streaming compaction:
-/// reads the run block by block through positioned reads, holding exactly
-/// one 4 KiB block resident.
-struct RunCursor {
-    run: Arc<DiskRun>,
-    buf: Box<[u8; BLOCK_KEYS * 8]>,
+/// Bounded-memory cursor over one source run of a merge: reads the run
+/// through positioned reads into one buffer of a caller-chosen size.
+struct RunCursor<'a> {
+    run: &'a DiskRun,
+    buf: Vec<u8>,
     /// Next key index of the run to load into the buffer.
     next: u64,
     /// Keys resident in the buffer.
@@ -460,11 +446,11 @@ struct RunCursor {
     pos: usize,
 }
 
-impl RunCursor {
-    fn new(run: Arc<DiskRun>) -> RunCursor {
+impl<'a> RunCursor<'a> {
+    fn new(run: &'a DiskRun, buffer_bytes: usize) -> RunCursor<'a> {
         RunCursor {
             run,
-            buf: Box::new([0u8; BLOCK_KEYS * 8]),
+            buf: vec![0u8; buffer_bytes],
             next: 0,
             in_buf: 0,
             pos: 0,
@@ -477,7 +463,7 @@ impl RunCursor {
         if self.next >= self.run.keys {
             return Ok(());
         }
-        let n = ((self.run.keys - self.next) as usize).min(BLOCK_KEYS);
+        let n = ((self.run.keys - self.next) as usize).min(self.buf.len() / 8);
         self.run
             .read_block_at(self.next * 8, &mut self.buf[..n * 8])?;
         self.in_buf = n;
@@ -486,7 +472,7 @@ impl RunCursor {
     }
 
     fn peek(&self) -> Option<u64> {
-        (self.pos < self.in_buf).then(|| key_at(&self.buf[..], self.pos))
+        (self.pos < self.in_buf).then(|| key_at(&self.buf, self.pos))
     }
 
     fn advance(&mut self) -> std::io::Result<()> {
@@ -498,22 +484,22 @@ impl RunCursor {
     }
 }
 
-/// Merge-compacts `sources` (sorted runs over pairwise-disjoint key sets)
-/// into one fresh sorted run with a bounded-memory k-way streaming merge:
-/// one block buffer per source plus the output's write buffer, never a
-/// whole run in RAM. Runs on the compaction thread.
-fn compact_runs_streaming(sources: &[Arc<DiskRun>]) -> std::io::Result<DiskRun> {
-    let mut writer = RunWriter::new()?;
+/// Merges `sources` (sorted runs over pairwise-disjoint key sets) into one
+/// fresh sorted run with a bounded-memory k-way streaming merge: one
+/// `buffer_bytes` buffer per source plus one for the output, never a whole
+/// run in RAM.
+fn merge_runs(sources: &[DiskRun], buffer_bytes: usize) -> std::io::Result<DiskRun> {
+    let mut writer = RunWriter::new(buffer_bytes)?;
     let mut cursors: Vec<RunCursor> = sources
         .iter()
-        .map(|r| RunCursor::new(Arc::clone(r)))
+        .map(|r| RunCursor::new(r, buffer_bytes))
         .collect();
     for cursor in &mut cursors {
         cursor.refill()?;
     }
     loop {
-        // k is the compaction threshold (single digits), so a linear scan
-        // over the heads beats maintaining a heap.
+        // k is the fan-in (single digits), so a linear scan over the heads
+        // beats maintaining a heap.
         let mut best: Option<(u64, usize)> = None;
         for (i, cursor) in cursors.iter().enumerate() {
             if let Some(key) = cursor.peek() {
@@ -530,71 +516,43 @@ fn compact_runs_streaming(sources: &[Arc<DiskRun>]) -> std::io::Result<DiskRun> 
     }
 }
 
-/// An in-flight background compaction: the first `covers` entries of the
-/// owning set's run list are being merged into one fresh run.
-#[derive(Debug)]
-struct CompactionJob {
-    covers: usize,
-    handle: std::thread::JoinHandle<std::io::Result<DiskRun>>,
-}
-
-/// Default run-count threshold that triggers a compaction when
-/// `--compact-runs` is not given: spills accumulate as independent sorted
-/// runs until this many are live, then the background compactor folds them
-/// into one.
-pub const DEFAULT_COMPACT_RUNS: usize = 8;
+/// Live on-disk runs that trigger a merge: the spill that brings the run
+/// count to this fan-in merges every run into one before it returns.
+const FAN_IN: usize = 8;
 
 /// The exact disk-spilling tier: a [`RamVisited`] delta under a byte
 /// budget, written out as a new sorted on-disk run (O(delta) I/O) whenever
-/// the resident estimate crosses the budget. Up to `compact_runs` runs
-/// accumulate; then a bounded-memory streaming merge on a background
-/// thread compacts them into one. Membership is exact — delta OR any run
-/// (the key sets are pairwise disjoint by construction) — so reports are
-/// byte-identical to the in-RAM tier at any budget and any threshold.
+/// the resident estimate crosses the budget. When a spill brings the live
+/// runs to a fixed fan-in of 8, a bounded-memory streaming merge folds them
+/// into one right away, while the delta is empty. Membership is exact — delta OR any
+/// run (the key sets are pairwise disjoint by construction) — so reports
+/// are byte-identical to the in-RAM tier at any budget.
 #[derive(Debug)]
 pub struct TieredVisited {
     delta: RamVisited,
-    runs: Vec<Arc<DiskRun>>,
+    runs: Vec<DiskRun>,
     budget: usize,
-    compact_runs: usize,
     spills: u64,
     peak: usize,
-    /// Spill scratch, retained across compactions and runs.
+    /// Spill sort scratch: empty between spills, capacity retained.
     merge: Vec<u64>,
-    pending: Option<CompactionJob>,
-    /// Total spill I/O accounted at schedule time (see
-    /// [`VisitedSet::compaction_bytes`]).
+    /// Total spill I/O (see [`VisitedSet::compaction_bytes`]).
     compaction_bytes: u64,
-    /// Resident bytes of the in-flight compactor's block buffers, charged
-    /// from one schedule point to the next (deterministic, unlike the
-    /// thread's actual lifetime).
-    compactor_bytes: usize,
 }
 
 impl TieredVisited {
     /// A tiered set that spills once its resident estimate exceeds
-    /// `memory_budget` bytes, compacting at [`DEFAULT_COMPACT_RUNS`] runs.
-    /// Any budget is legal — a tiny one just spills often; correctness
-    /// never depends on it.
+    /// `memory_budget` bytes. Any budget is legal — a tiny one just spills
+    /// often; correctness never depends on it.
     pub fn new(memory_budget: usize) -> Self {
-        TieredVisited::with_compact_runs(memory_budget, DEFAULT_COMPACT_RUNS)
-    }
-
-    /// A tiered set compacting once `compact_runs` on-disk runs are live
-    /// (clamped up to 1; a threshold of 1 compacts as soon as a second run
-    /// exists, reproducing the old single-run behaviour at streaming cost).
-    pub fn with_compact_runs(memory_budget: usize, compact_runs: usize) -> Self {
         TieredVisited {
             delta: RamVisited::new(),
             runs: Vec::new(),
             budget: memory_budget,
-            compact_runs: compact_runs.max(1),
             spills: 0,
             peak: 0,
             merge: Vec::new(),
-            pending: None,
             compaction_bytes: 0,
-            compactor_bytes: 0,
         }
     }
 
@@ -603,17 +561,11 @@ impl TieredVisited {
         self.budget
     }
 
-    /// The configured compaction threshold.
-    pub fn compact_runs(&self) -> usize {
-        self.compact_runs
-    }
-
-    /// Deterministic estimate of the fence-pointer bytes: one 8-byte fence
-    /// per 4 KiB block *of the total spilled key count*, as if the
-    /// compactor had already folded every run into one. The physical fence
-    /// count depends on when the background thread finishes (partial last
-    /// blocks per run), so the estimate — like [`RAM_ENTRY_BYTES`] — is
-    /// the consistent currency budgets are denominated in.
+    /// Fence-pointer bytes, estimated as one 8-byte fence per 4 KiB block
+    /// of the total spilled key count — exactly the fences of the merged
+    /// run, and within one partial block per live run of the physical
+    /// count. Like [`RAM_ENTRY_BYTES`], it is the currency budgets are
+    /// denominated in.
     fn fence_bytes(&self) -> usize {
         (self.disk_keys() as usize).div_ceil(BLOCK_KEYS) * 8
     }
@@ -622,47 +574,19 @@ impl TieredVisited {
         self.runs.iter().map(|r| r.keys).sum()
     }
 
-    /// Run count with an in-flight compaction accounted as already applied
-    /// — the deterministic number [`VisitedSet::disk_runs`] reports.
-    fn logical_runs(&self) -> usize {
-        match &self.pending {
-            Some(job) => self.runs.len() + 1 - job.covers,
-            None => self.runs.len(),
-        }
-    }
-
-    /// Folds a finished background compaction into the run list. With
-    /// `block`, waits for an unfinished one (schedule points and teardown
-    /// do; insert-time adoption is opportunistic). Adoption only changes
-    /// the physical run layout — every logical quantity (membership, key
-    /// counts, accounting) is invariant under it, which is what keeps
-    /// reports independent of compactor timing.
-    fn adopt_compaction(&mut self, block: bool) {
-        let finished = match &self.pending {
-            Some(job) => block || job.handle.is_finished(),
-            None => return,
-        };
-        if !finished {
-            return;
-        }
-        let job = self.pending.take().expect("pending compaction checked");
-        let compacted = job
-            .handle
-            .join()
-            .expect("visited compaction thread panicked")
-            .expect("compact the visited spill runs");
-        self.runs
-            .splice(0..job.covers, std::iter::once(Arc::new(compacted)));
+    /// I/O buffer bytes for each of `streams` run streams open at once: one
+    /// 4 KiB block each, shrunk in whole keys (down to one) when that many
+    /// blocks would not fit what the budget leaves above `resident`.
+    fn stream_buffer_bytes(&self, resident: usize, streams: usize) -> usize {
+        let share = self.budget.saturating_sub(resident) / streams;
+        (share / 8 * 8).clamp(8, BLOCK_KEYS * 8)
     }
 
     /// Writes the delta out as one new sorted run in O(delta) I/O, then
-    /// schedules a background compaction if the run count reached the
-    /// threshold. The delta is drained shard by shard into the sort
-    /// scratch, so the transient peak tracks one delta's worth of keys —
-    /// never the full spilled history (the old scheme's `read_all_into`
-    /// readback is gone).
+    /// merges the runs if their count reached [`FAN_IN`]. The delta is
+    /// drained shard by shard into the sort scratch, so the transient peak
+    /// tracks one delta's worth of keys — never the full spilled history.
     fn spill(&mut self) {
-        self.merge.clear();
         let fences = self.fence_bytes();
         for i in 0..SHARDS {
             let shard = &mut self.delta.shards[i];
@@ -670,56 +594,38 @@ impl TieredVisited {
             self.merge.extend(shard.iter().copied());
             shard.clear();
             self.delta.len -= drained;
-            let transient =
-                self.delta.memory_bytes() + self.merge.len() * 8 + fences + self.compactor_bytes;
+            let transient = self.delta.memory_bytes() + self.merge.len() * 8 + fences;
             self.peak = self.peak.max(transient);
         }
         self.merge.sort_unstable();
-        let run = DiskRun::write(&self.merge).expect("write the visited spill run");
+        let resident = self.merge.len() * 8 + fences;
+        let buffer = self.stream_buffer_bytes(resident, 1);
+        self.peak = self.peak.max(resident + buffer);
+        let run = DiskRun::write(&self.merge, buffer).expect("write the visited spill run");
+        self.merge.clear();
         self.compaction_bytes += run.keys * 8;
-        self.runs.push(Arc::new(run));
+        self.runs.push(run);
         self.spills += 1;
-        if self.logical_runs() >= self.compact_runs.max(2) {
-            self.schedule_compaction();
+        if self.runs.len() >= FAN_IN {
+            self.compact();
         }
     }
 
-    /// Starts a background streaming merge of every live run. At most one
-    /// compaction is in flight: an unfinished predecessor is joined first,
-    /// so schedule points are deterministic synchronisation points and the
-    /// accounting below never races the thread.
-    fn schedule_compaction(&mut self) {
-        self.adopt_compaction(true);
-        if self.runs.len() < 2 {
-            return;
-        }
-        let sources = self.runs.clone();
-        let covers = sources.len();
+    /// Merges every live run into one. Called only from
+    /// [`spill`](Self::spill), so the delta is empty: what is resident is
+    /// the sources' fences, the output's (as many again) and one stream
+    /// buffer per source plus the output's, sized to fit the budget.
+    fn compact(&mut self) {
+        let resident = 2 * self.fence_bytes();
+        let streams = self.runs.len() + 1;
+        let buffer = self.stream_buffer_bytes(resident, streams);
+        self.peak = self.peak.max(resident + streams * buffer);
+        let merged = merge_runs(&self.runs, buffer).expect("compact the visited spill runs");
         // The merge reads and rewrites every spilled byte exactly once.
-        let bytes = self.disk_keys() * 8;
-        self.compaction_bytes += 2 * bytes;
-        // One block buffer per source, plus the output's write buffer.
-        self.compactor_bytes = (covers + 1) * BLOCK_KEYS * 8;
-        self.peak = self.peak.max(self.memory_bytes() + self.compactor_bytes);
-        let handle = std::thread::Builder::new()
-            .name("nonfifo-visited-compact".into())
-            .spawn(move || compact_runs_streaming(&sources))
-            .expect("spawn the visited compaction thread");
-        self.pending = Some(CompactionJob { covers, handle });
-    }
-
-    fn join_pending(&mut self) {
-        if let Some(job) = self.pending.take() {
-            // The compacted output (if any) is dropped here, deleting its
-            // file; the sources are deleted when their last Arc goes.
-            let _ = job.handle.join();
-        }
-    }
-}
-
-impl Drop for TieredVisited {
-    fn drop(&mut self) {
-        self.join_pending();
+        self.compaction_bytes += 2 * merged.keys * 8;
+        // Dropping the sources deletes their files.
+        self.runs.clear();
+        self.runs.push(merged);
     }
 }
 
@@ -746,7 +652,6 @@ impl VisitedSet for TieredVisited {
     }
 
     fn insert_new(&mut self, key: u64) -> bool {
-        self.adopt_compaction(false);
         self.delta.insert(key);
         let resident = self.memory_bytes();
         self.peak = self.peak.max(resident);
@@ -761,13 +666,11 @@ impl VisitedSet for TieredVisited {
     }
 
     fn clear(&mut self) {
-        self.join_pending();
         self.delta.clear();
         self.runs.clear();
         self.spills = 0;
         self.peak = 0;
         self.compaction_bytes = 0;
-        self.compactor_bytes = 0;
     }
 
     fn memory_bytes(&self) -> usize {
@@ -791,7 +694,7 @@ impl VisitedSet for TieredVisited {
     }
 
     fn disk_runs(&self) -> u64 {
-        self.logical_runs() as u64
+        self.runs.len() as u64
     }
 
     fn compaction_bytes(&self) -> u64 {
@@ -804,8 +707,8 @@ impl VisitedSet for TieredVisited {
 }
 
 /// Tier selection as data: which [`VisitedSet`] an exploration should
-/// deduplicate through. Parsed from `--visited` / `--memory-budget` /
-/// `--compact-runs` and owned by the [`Explorer`](crate::Explorer) facade.
+/// deduplicate through. Parsed from `--visited` / `--memory-budget` and
+/// owned by the [`Explorer`](crate::Explorer) facade.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum VisitedSpec {
     /// All in RAM ([`RamVisited`]) — the default.
@@ -815,8 +718,6 @@ pub enum VisitedSpec {
     Tiered {
         /// Resident-byte budget before the delta spills to a new run.
         memory_budget: usize,
-        /// Live-run threshold that triggers a background compaction.
-        compact_runs: usize,
     },
 }
 
@@ -825,26 +726,16 @@ pub enum VisitedSpec {
 pub const DEFAULT_MEMORY_BUDGET: usize = 1 << 30;
 
 impl VisitedSpec {
-    /// The disk-spilling tier with the default compaction threshold — the
-    /// spelling every call site that only cares about the budget uses.
+    /// The disk-spilling tier at `memory_budget` bytes.
     pub fn tiered(memory_budget: usize) -> Self {
-        VisitedSpec::Tiered {
-            memory_budget,
-            compact_runs: DEFAULT_COMPACT_RUNS,
-        }
+        VisitedSpec::Tiered { memory_budget }
     }
 
     /// Constructs the tier this spec names.
     pub fn build(&self) -> Box<dyn VisitedSet> {
         match *self {
             VisitedSpec::Ram => Box::new(RamVisited::new()),
-            VisitedSpec::Tiered {
-                memory_budget,
-                compact_runs,
-            } => Box::new(TieredVisited::with_compact_runs(
-                memory_budget,
-                compact_runs,
-            )),
+            VisitedSpec::Tiered { memory_budget } => Box::new(TieredVisited::new(memory_budget)),
         }
     }
 
@@ -853,22 +744,7 @@ impl VisitedSpec {
     pub fn with_budget(self, memory_budget: usize) -> Self {
         match self {
             VisitedSpec::Ram => VisitedSpec::Ram,
-            VisitedSpec::Tiered { compact_runs, .. } => VisitedSpec::Tiered {
-                memory_budget,
-                compact_runs,
-            },
-        }
-    }
-
-    /// Applies a `--compact-runs` value to the spec (no-op for tiers
-    /// without on-disk runs).
-    pub fn with_compact_runs(self, compact_runs: usize) -> Self {
-        match self {
-            VisitedSpec::Tiered { memory_budget, .. } => VisitedSpec::Tiered {
-                memory_budget,
-                compact_runs,
-            },
-            other => other,
+            VisitedSpec::Tiered { .. } => VisitedSpec::Tiered { memory_budget },
         }
     }
 }
@@ -877,15 +753,7 @@ impl std::fmt::Display for VisitedSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             VisitedSpec::Ram => write!(f, "ram"),
-            VisitedSpec::Tiered {
-                memory_budget,
-                compact_runs,
-            } => {
-                write!(
-                    f,
-                    "tiered (budget {memory_budget} B, compact at {compact_runs} runs)"
-                )
-            }
+            VisitedSpec::Tiered { memory_budget } => write!(f, "tiered (budget {memory_budget} B)"),
         }
     }
 }
@@ -893,9 +761,8 @@ impl std::fmt::Display for VisitedSpec {
 impl std::str::FromStr for VisitedSpec {
     type Err = String;
 
-    /// Parses `ram` or `tiered`; budgets and thresholds
-    /// ride separately on [`VisitedSpec::with_budget`] and
-    /// [`VisitedSpec::with_compact_runs`].
+    /// Parses `ram` or `tiered`; the budget rides separately on
+    /// [`VisitedSpec::with_budget`].
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "ram" => Ok(VisitedSpec::Ram),
@@ -925,41 +792,38 @@ mod tests {
 
     #[test]
     fn ram_and_tiered_agree_on_every_answer() {
-        for compact_runs in [1, 2, 8] {
-            let mut ram = RamVisited::new();
-            // 1 KiB budget over ~10k keys: dozens of spill compactions.
-            let mut tiered = TieredVisited::with_compact_runs(1024, compact_runs);
-            for key in key_stream(10_000) {
-                assert_eq!(ram.contains(key), tiered.contains(key), "pre-probe {key}");
-                assert_eq!(ram.insert(key), tiered.insert(key), "insert {key}");
-                assert!(tiered.contains(key), "post-probe {key}");
-            }
-            assert_eq!(ram.len(), tiered.len());
-            assert!(tiered.spills() > 0, "the tiny budget must have spilled");
-            assert!(tiered.disk_bytes() > 0);
-            assert!(tiered.disk_runs() >= 1);
-            assert!(
-                tiered.disk_runs() <= compact_runs.max(2) as u64,
-                "compaction must keep the live-run count at the threshold, \
-                 got {} with compact_runs={compact_runs}",
-                tiered.disk_runs()
-            );
-            assert!(
-                tiered.memory_bytes() <= 1024 + SHARDS * RAM_ENTRY_BYTES,
-                "resident estimate near the budget after compactions: {}",
-                tiered.memory_bytes()
-            );
-            // Every admitted key answers true from the spilled runs.
-            for key in key_stream(10_000) {
-                assert!(tiered.contains(key));
-            }
-            assert!(!tiered.contains(mix64(0xdead_beef)));
+        let mut ram = RamVisited::new();
+        // 1 KiB budget over ~10k keys: dozens of spills and compactions.
+        let mut tiered = TieredVisited::new(1024);
+        for key in key_stream(10_000) {
+            assert_eq!(ram.contains(key), tiered.contains(key), "pre-probe {key}");
+            assert_eq!(ram.insert(key), tiered.insert(key), "insert {key}");
+            assert!(tiered.contains(key), "post-probe {key}");
         }
+        assert_eq!(ram.len(), tiered.len());
+        assert!(tiered.spills() > 0, "the tiny budget must have spilled");
+        assert!(tiered.disk_bytes() > 0);
+        assert!(tiered.disk_runs() >= 1);
+        assert!(
+            tiered.disk_runs() < FAN_IN as u64,
+            "compaction must keep the live-run count below the fan-in, got {}",
+            tiered.disk_runs()
+        );
+        assert!(
+            tiered.memory_bytes() <= 1024 + SHARDS * RAM_ENTRY_BYTES,
+            "resident estimate near the budget after compactions: {}",
+            tiered.memory_bytes()
+        );
+        // Every admitted key answers true from the spilled runs.
+        for key in key_stream(10_000) {
+            assert!(tiered.contains(key));
+        }
+        assert!(!tiered.contains(mix64(0xdead_beef)));
     }
 
     #[test]
     fn batched_sorted_probe_matches_per_key_probes() {
-        let mut tiered = TieredVisited::with_compact_runs(512, 4);
+        let mut tiered = TieredVisited::new(512);
         for key in key_stream(4_000) {
             tiered.insert(key);
         }
@@ -983,40 +847,17 @@ mod tests {
     }
 
     #[test]
-    fn accounting_is_independent_of_compactor_timing() {
-        // Two identical insert sequences, one of which stalls between
-        // inserts so the background compactor finishes at different
-        // moments: every reported number must still match exactly.
-        let run = |stall: bool| {
-            let mut tiered = TieredVisited::with_compact_runs(768, 2);
-            for (i, key) in key_stream(6_000).into_iter().enumerate() {
-                tiered.insert(key);
-                if stall && i % 1024 == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
-            }
-            (
-                tiered.len(),
-                tiered.spills(),
-                tiered.disk_runs(),
-                tiered.disk_bytes(),
-                tiered.compaction_bytes(),
-                tiered.peak_memory_bytes(),
-            )
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn spill_transient_stays_within_twice_the_budget() {
-        // The budget-violation regression this PR fixes: the old scheme
-        // read the entire prior run back into RAM on every spill, so the
-        // transient was unbounded by the budget. The streaming scheme's
-        // peak — delta plus sort scratch plus fences plus the compactor's
-        // block buffers, all folded into peak_memory_bytes — must stay
-        // under 2× budget however many spills and compactions a run forces.
-        for budget in [64 * 1024, 256 * 1024] {
-            let mut tiered = TieredVisited::with_compact_runs(budget, 4);
+        // A rewrite-all scheme reads the entire prior run back into RAM on
+        // every spill, so its transient is unbounded by the budget. The
+        // streaming scheme's peak — delta plus sort scratch plus fences
+        // plus the merge's stream buffers, all folded into
+        // peak_memory_bytes — must stay under 2× budget however many
+        // spills and compactions a run forces. With the merge in the
+        // foreground and its buffers sized from the budget, it stays
+        // within one RAM entry of the budget itself.
+        for budget in [32 * 1024, 64 * 1024, 256 * 1024] {
+            let mut tiered = TieredVisited::new(budget);
             // ~12 B/key resident: enough keys for dozens of spills at the
             // smaller budget and several compaction cycles.
             let keys = 40 * budget / RAM_ENTRY_BYTES;
@@ -1024,12 +865,17 @@ mod tests {
                 tiered.insert(key);
             }
             assert!(
-                tiered.spills() >= 4,
-                "budget {budget}: must spill repeatedly"
+                tiered.spills() >= FAN_IN as u64,
+                "budget {budget}: must spill past the fan-in"
             );
             assert!(
                 tiered.peak_memory_bytes() < 2 * budget,
                 "budget {budget}: transient peak {} breaches 2x the budget",
+                tiered.peak_memory_bytes()
+            );
+            assert!(
+                tiered.peak_memory_bytes() <= budget + RAM_ENTRY_BYTES,
+                "budget {budget}: transient peak {} overshoots the budget",
                 tiered.peak_memory_bytes()
             );
         }
@@ -1040,9 +886,9 @@ mod tests {
         // With the rewrite-all scheme, every spill rewrote the whole
         // history: total I/O grew quadratically in the spill count. The
         // multi-run scheme writes each spill once and compacts at the
-        // threshold, so total I/O stays within a small multiple of the
-        // data volume.
-        let mut tiered = TieredVisited::with_compact_runs(1024, 8);
+        // fan-in, so total I/O stays within a small multiple of the data
+        // volume.
+        let mut tiered = TieredVisited::new(1024);
         for key in key_stream(30_000) {
             tiered.insert(key);
         }
@@ -1086,7 +932,7 @@ mod tests {
     fn spill_files_are_deleted_on_drop() {
         let paths;
         {
-            let mut tiered = TieredVisited::with_compact_runs(64, 8);
+            let mut tiered = TieredVisited::new(64);
             for key in key_stream(500) {
                 tiered.insert(key);
             }
@@ -1110,7 +956,7 @@ mod tests {
         // block, plus absent neighbours of every present key.
         for n in [BLOCK_KEYS - 1, BLOCK_KEYS, BLOCK_KEYS + 1, 3 * BLOCK_KEYS] {
             let keys: Vec<u64> = (0..n as u64).map(|i| i * 3 + 1).collect();
-            let run = DiskRun::write(&keys).unwrap();
+            let run = DiskRun::write(&keys, BLOCK_KEYS * 8).unwrap();
             for &k in &keys {
                 assert!(run.contains(k), "{n} keys: present {k}");
                 assert!(!run.contains(k + 1), "{n} keys: absent {}", k + 1);
@@ -1136,17 +982,20 @@ mod tests {
         let a: Vec<u64> = (0..700u64).map(|i| i * 3).collect();
         let b: Vec<u64> = (0..700u64).map(|i| i * 3 + 1).collect();
         let c: Vec<u64> = (0..100u64).map(|i| i * 3 + 2).collect();
-        let runs = vec![
-            Arc::new(DiskRun::write(&a).unwrap()),
-            Arc::new(DiskRun::write(&b).unwrap()),
-            Arc::new(DiskRun::write(&c).unwrap()),
-        ];
-        let merged = compact_runs_streaming(&runs).unwrap();
-        assert_eq!(merged.keys as usize, a.len() + b.len() + c.len());
-        for &k in a.iter().chain(&b).chain(&c) {
-            assert!(merged.contains(k), "merged run lost {k}");
+        // At a full block per stream and at the three-key buffers a tiny
+        // budget shrinks them to.
+        for buffer in [BLOCK_KEYS * 8, 24] {
+            let runs: Vec<DiskRun> = [&a, &b, &c]
+                .iter()
+                .map(|keys| DiskRun::write(keys, buffer).unwrap())
+                .collect();
+            let merged = merge_runs(&runs, buffer).unwrap();
+            assert_eq!(merged.keys as usize, a.len() + b.len() + c.len());
+            for &k in a.iter().chain(&b).chain(&c) {
+                assert!(merged.contains(k), "buffer {buffer}: merged run lost {k}");
+            }
+            assert!(!merged.contains(700 * 3 + 5));
         }
-        assert!(!merged.contains(700 * 3 + 5));
     }
 
     #[test]
@@ -1172,36 +1021,25 @@ mod tests {
     #[test]
     fn spec_parses_builds_and_displays() {
         assert_eq!("ram".parse::<VisitedSpec>().unwrap(), VisitedSpec::Ram);
-        assert!(matches!(
+        assert_eq!(
             "tiered".parse::<VisitedSpec>().unwrap(),
-            VisitedSpec::Tiered {
-                compact_runs: DEFAULT_COMPACT_RUNS,
-                ..
-            }
-        ));
+            VisitedSpec::tiered(DEFAULT_MEMORY_BUDGET)
+        );
         assert!("mmap".parse::<VisitedSpec>().is_err());
         assert!("probabilistic".parse::<VisitedSpec>().is_err());
-        let spec = "tiered"
-            .parse::<VisitedSpec>()
-            .unwrap()
-            .with_budget(4096)
-            .with_compact_runs(3);
+        let spec = "tiered".parse::<VisitedSpec>().unwrap().with_budget(4096);
         assert_eq!(
             spec,
             VisitedSpec::Tiered {
-                memory_budget: 4096,
-                compact_runs: 3
+                memory_budget: 4096
             }
         );
-        // `--compact-runs` has no run list to bound on the RAM tier.
-        assert_eq!(VisitedSpec::Ram.with_compact_runs(5), VisitedSpec::Ram,);
+        // `--memory-budget` has nothing to bound on the RAM tier.
+        assert_eq!(VisitedSpec::Ram.with_budget(5), VisitedSpec::Ram);
         let mut set = spec.build();
         assert!(set.insert(7));
         assert!(!set.insert(7));
         assert_eq!(VisitedSpec::Ram.to_string(), "ram");
-        assert_eq!(
-            VisitedSpec::tiered(64).to_string(),
-            format!("tiered (budget 64 B, compact at {DEFAULT_COMPACT_RUNS} runs)")
-        );
+        assert_eq!(VisitedSpec::tiered(64).to_string(), "tiered (budget 64 B)");
     }
 }

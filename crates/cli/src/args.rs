@@ -81,6 +81,32 @@ impl Args {
         self.flags.iter().any(|f| f == name)
     }
 
+    /// Checks that every `--name` given is one of `options` (value-taking)
+    /// or `flags` (boolean), so a typo or a retired option fails loudly
+    /// instead of being ignored.
+    ///
+    /// # Errors
+    ///
+    /// Fails naming every option given that is in neither list.
+    pub fn only(&self, options: &[&str], flags: &[&str]) -> Result<(), ArgsError> {
+        let unknown: Vec<String> = self
+            .options
+            .keys()
+            .filter(|name| !options.contains(&name.as_str()))
+            .chain(
+                self.flags
+                    .iter()
+                    .filter(|name| !flags.contains(&name.as_str())),
+            )
+            .map(|name| format!("--{name}"))
+            .collect();
+        if unknown.is_empty() {
+            Ok(())
+        } else {
+            Err(ArgsError(format!("unknown option {}", unknown.join(", "))))
+        }
+    }
+
     /// The value of `--name` parsed as `T`, or `default`.
     ///
     /// # Errors

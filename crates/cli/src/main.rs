@@ -12,7 +12,7 @@
 //!                  [--max-states M] [--discipline nonfifo|reorder<b>|lossy]
 //!                  [--parallel] [--threads N] [--por] [--differential]
 //!                  [--visited ram|tiered]
-//!                  [--memory-budget BYTES] [--compact-runs N]
+//!                  [--memory-budget BYTES]
 //!                  [--no-shrink] [--metrics]
 //!                  [--metrics-out FILE] [--trace-out FILE]
 //! nonfifo campaign <plan-file> [--threads N] [--cache FILE]
@@ -107,7 +107,7 @@ usage:
                    [--max-states M] [--discipline nonfifo|reorder<b>|lossy]
                    [--parallel] [--threads N] [--por] [--differential]
                    [--visited ram|tiered]
-                   [--memory-budget BYTES] [--compact-runs N]
+                   [--memory-budget BYTES]
                    [--no-shrink] [--metrics]
                    [--metrics-out FILE] [--trace-out FILE]
   nonfifo campaign <plan-file> [--threads N] [--cache FILE]
@@ -136,11 +136,7 @@ default) or tiered (spills sorted disk runs when the resident estimate
 exceeds --memory-budget bytes). Both are exact: reports are
 byte-identical at any budget. --memory-budget defaults to
 1 GiB (2^30 bytes) and requires --visited tiered; the effective budget —
-default or not — is always printed in the scope banner. --compact-runs
-(tiered only, default 8) sets how many spilled runs may accumulate
-before a background streaming merge compacts them into one: lower
-values probe fewer runs per level, higher values compact less often.
-Reports are byte-identical at any setting.
+default or not — is always printed in the scope banner.
 
 telemetry: --metrics prints a summary table; --metrics-out writes the
 schema-versioned metrics JSON; --trace-out writes a Chrome trace_events
@@ -583,7 +579,27 @@ fn outcome_kind(outcome: &ExploreOutcome) -> &'static str {
     }
 }
 
+/// Every option `explore` reads; any other is a usage error.
+const EXPLORE_OPTIONS: &[&str] = &[
+    "messages",
+    "depth",
+    "pool",
+    "max-states",
+    "states",
+    "discipline",
+    "corrupt-start",
+    "threads",
+    "visited",
+    "memory-budget",
+    "metrics-out",
+    "trace-out",
+];
+
+/// Every boolean flag `explore` reads.
+const EXPLORE_FLAGS: &[&str] = &["parallel", "por", "differential", "no-shrink", "metrics"];
+
 fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
+    args.only(EXPLORE_OPTIONS, EXPLORE_FLAGS)?;
     let proto_name = args
         .positional(1)
         .ok_or_else(|| ArgsError("explore needs a protocol".into()))?;
@@ -628,17 +644,6 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
             }
             spec = spec.with_budget(bytes);
             budget_defaulted = false;
-        }
-        if let Some(text) = args.option("compact-runs") {
-            let runs: usize = text.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                ArgsError(format!(
-                    "--compact-runs needs a positive run count, got {text:?}"
-                ))
-            })?;
-            if !matches!(spec, VisitedSpec::Tiered { .. }) {
-                return Err(ArgsError("--compact-runs requires --visited tiered".into()).into());
-            }
-            spec = spec.with_compact_runs(runs);
         }
         (spec, budget_defaulted)
     };

@@ -119,9 +119,8 @@ fn exact_tiers_are_byte_identical_across_the_matrix() {
 fn multi_run_invariance_across_budget_compaction_and_threads() {
     // The streaming multi-run tier's whole contract in one matrix: for a
     // scope big enough to spill repeatedly, the report is byte-identical
-    // across every (budget, compact-runs, engine, thread-count)
-    // combination — spill boundaries, run counts, and compaction timing
-    // are invisible to the search.
+    // across every (budget, engine, thread-count) combination — spill
+    // boundaries, run counts, and compactions are invisible to the search.
     let cfg = ExploreConfig {
         max_messages: 8,
         max_depth: 18,
@@ -133,39 +132,36 @@ fn multi_run_invariance_across_budget_compaction_and_threads() {
     };
     let proto = SequenceNumber::new();
     let reference = Explorer::new().explore(&proto, &cfg).report();
-    // 4 KiB forces a spill every ~340 admitted states (many compaction
-    // cycles at every threshold); 64 KiB spills a few times; usize::MAX
-    // never spills and must degenerate to the pure-RAM answer.
-    for budget in [4 * 1024, 64 * 1024, usize::MAX] {
-        for compact_runs in [1, 2, 8] {
-            let spec = VisitedSpec::tiered(budget).with_compact_runs(compact_runs);
-            let seq = Explorer::new().visited(spec).explore(&proto, &cfg).report();
+    // 4 KiB spills 19 times (two compactions at the fan-in of 8); 8 KiB
+    // spills 9 times, so exactly one compaction runs and a run follows it;
+    // 64 KiB spills once; usize::MAX never spills and must degenerate to
+    // the pure-RAM answer.
+    for budget in [4 * 1024, 8 * 1024, 64 * 1024, usize::MAX] {
+        let spec = VisitedSpec::tiered(budget);
+        let seq = Explorer::new().visited(spec).explore(&proto, &cfg).report();
+        assert_eq!(
+            reference, seq,
+            "sequential report diverges at budget {budget}"
+        );
+        for threads in [1, 2, 8] {
+            let par = Explorer::new()
+                .parallel(threads)
+                .visited(spec)
+                .explore(&proto, &cfg)
+                .report();
             assert_eq!(
-                reference, seq,
-                "sequential report diverges at budget {budget}, \
-                 compact-runs {compact_runs}"
+                reference, par,
+                "{threads}-thread report diverges at budget {budget}"
             );
-            for threads in [1, 2, 8] {
-                let par = Explorer::new()
-                    .parallel(threads)
-                    .visited(spec)
-                    .explore(&proto, &cfg)
-                    .report();
-                assert_eq!(
-                    reference, par,
-                    "{threads}-thread report diverges at budget {budget}, \
-                     compact-runs {compact_runs}"
-                );
-            }
         }
     }
 }
 
 #[test]
 fn dropped_arena_deletes_every_spill_file() {
-    // Crash safety: however many runs are live (including sources of an
-    // in-flight compaction), dropping the explorer — and the arena and
-    // tier inside it — must delete every spill file it ever created.
+    // Crash safety: however many runs are live, dropping the explorer —
+    // and the arena and tier inside it — must delete every spill file it
+    // ever created.
     let cfg = ExploreConfig {
         max_messages: 8,
         max_depth: 18,
@@ -175,10 +171,11 @@ fn dropped_arena_deletes_every_spill_file() {
         corrupt_start: None,
         por: false,
     };
-    // A compaction threshold above the spill count keeps every run live.
+    // 4 KiB spills 19 times: compactions at the 8th and 15th spill leave
+    // five live runs.
     let mut facade = Explorer::new()
         .parallel(2)
-        .visited(VisitedSpec::tiered(4 * 1024).with_compact_runs(64));
+        .visited(VisitedSpec::tiered(4 * 1024));
     facade.explore(&SequenceNumber::new(), &cfg);
     let paths = facade.visited_set().spill_paths();
     assert!(
@@ -214,23 +211,23 @@ fn forced_spills_leave_no_trace_in_the_report() {
     };
     let proto = SequenceNumber::new();
     let reference = Explorer::new().explore(&proto, &cfg).report();
-    let mut tiered = Explorer::new().visited(VisitedSpec::tiered(512).with_compact_runs(2));
+    let mut tiered = Explorer::new().visited(VisitedSpec::tiered(512));
     assert_eq!(tiered.explore(&proto, &cfg).report(), reference);
     let visited = tiered.visited_set();
     assert!(visited.spills() > 0, "512-byte budget must spill");
     assert!(visited.disk_bytes() > 0, "spills must land on disk");
-    // The peak folds in the background compactor's block buffers — one
-    // 4 KiB block per source run plus the output's write buffer, 12 KiB at
-    // this threshold — which dominate a budget this tiny. The point stands:
-    // the peak tracks budget + a small constant, never the spilled volume
-    // (the old rewrite-all scheme read all of disk_bytes back into RAM).
+    // The peak folds in the fences and the merge's stream buffers, which
+    // outgrow a budget this tiny (the buffers shrink to one key each but
+    // the fences cannot). The point stands: the peak tracks budget + a
+    // small constant, never the spilled volume (a rewrite-all scheme reads
+    // all of disk_bytes back into RAM).
     // (The "peak < 2× budget under heavy spilling" regression itself is
     // pinned by `spill_transient_stays_within_twice_the_budget` in
     // `crates/adversary/src/visited.rs`, at budgets that dwarf the buffer
     // constant.)
     assert!(
         visited.peak_memory_bytes() < 16 * 1024,
-        "resident stays near budget + compactor buffers, got {}",
+        "resident stays near budget + fences and merge buffers, got {}",
         visited.peak_memory_bytes()
     );
 }
