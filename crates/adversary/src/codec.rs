@@ -723,7 +723,7 @@ mod tests {
 
     #[test]
     fn codec_stays_under_the_byte_budget() {
-        // The acceptance criterion pinned in BENCH_baseline.json.
+        // The 64 B/state target named in the module docs.
         const {
             assert!(EncodedState::BYTES <= 64);
         }

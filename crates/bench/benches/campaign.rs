@@ -7,16 +7,10 @@
 //! the thread sweep measures invariance overhead, not speedup — the
 //! determinism contract (byte-identical reports at any worker count) is
 //! what the integration tests assert; here we only watch the rate.
-//!
-//! With `--out <path>` the single-thread rate is exported as the
-//! `campaign.runs_per_sec` value of a metrics snapshot, the series
-//! `bench_guard --metric campaign.runs_per_sec` compares against
-//! `BENCH_baseline.json`.
 
 use nonfifo_bench::harness::Group;
 use nonfifo_campaign::{CampaignCache, CampaignRunner, ScenarioSpec};
 use nonfifo_channel::Discipline;
-use nonfifo_telemetry::Registry;
 use std::time::Instant;
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -58,13 +52,6 @@ fn median_rate(runs: &[nonfifo_campaign::RunSpec], threads: usize) -> f64 {
 }
 
 fn main() {
-    let out = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-
     let runs = matrix();
     assert!(runs.len() >= 500, "workload shrank below a meaningful size");
 
@@ -85,19 +72,8 @@ fn main() {
     });
 
     println!("\n== runs_per_sec (median of 3, {} runs)", runs.len());
-    let mut single = 0.0;
     for threads in THREADS {
         let rate = median_rate(&runs, threads);
-        if threads == 1 {
-            single = rate;
-        }
         println!("threads={threads:<2} : {rate:>10.0} runs/sec");
-    }
-
-    if let Some(path) = out {
-        let registry = Registry::new();
-        registry.set_value("campaign.runs_per_sec", single);
-        std::fs::write(&path, registry.snapshot().to_json()).expect("write --out snapshot");
-        println!("wrote campaign.runs_per_sec to {path}");
     }
 }

@@ -9,10 +9,7 @@
 //! The partial-order-reduction section runs the same scope with `--por`
 //! semantics on and off and reports the certified-states ratio. The ratio
 //! is structural — a pure function of the protocol and the scope, not of
-//! the machine — so with `--out <path>` it is exported as the
-//! `explore.reduction_ratio` value of a metrics snapshot for
-//! `bench_guard --metric explore.reduction_ratio` to hold against
-//! `BENCH_baseline.json`.
+//! the machine.
 
 use nonfifo_adversary::{ExploreConfig, ExploreOutcome, Explorer};
 use nonfifo_bench::harness::Group;
@@ -43,13 +40,6 @@ fn median_rate(mut f: impl FnMut() -> ExploreOutcome) -> f64 {
 }
 
 fn main() {
-    let out = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-
     // Large enough that every BFS level carries a wide frontier (87k+
     // states total), so the parallel engine has real work to distribute.
     let cfg = ExploreConfig {
@@ -118,11 +108,4 @@ fn main() {
         por_states as f64 / por_elapsed
     );
     println!("reduction     : {ratio:>10.2}x");
-
-    if let Some(path) = out {
-        let registry = Registry::new();
-        registry.set_value("explore.reduction_ratio", ratio);
-        std::fs::write(&path, registry.snapshot().to_json()).expect("write --out snapshot");
-        println!("wrote explore.reduction_ratio to {path}");
-    }
 }

@@ -8,17 +8,11 @@
 //! embarrassingly parallel in principle, but the harness is single-threaded
 //! by design — determinism is the product), so `runs/sec` here is the rate
 //! a user sees per core.
-//!
-//! With `--out <path>` the default-severity rate is exported as the
-//! `stabilize.runs_per_sec` value of a metrics snapshot, the series
-//! `bench_guard --metric stabilize.runs_per_sec` compares against
-//! `BENCH_baseline.json`.
 
 use nonfifo_bench::harness::Group;
 use nonfifo_channel::CorruptionSeverity;
 use nonfifo_core::{certify, StabilizeConfig};
 use nonfifo_protocols::StabilizingDl;
-use nonfifo_telemetry::Registry;
 use std::time::Instant;
 
 const SEEDS: u64 = 256;
@@ -44,13 +38,6 @@ fn median_rate(cfg: &StabilizeConfig) -> f64 {
 }
 
 fn main() {
-    let out = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-
     let group = Group::new("stabilize_certify").samples(3);
     for severity in CorruptionSeverity::ALL {
         group.bench(&format!("certify_{severity}"), || {
@@ -59,19 +46,8 @@ fn main() {
     }
 
     println!("\n== runs_per_sec (median of 3, {SEEDS} corrupted starts)");
-    let mut default_rate = 0.0;
     for severity in CorruptionSeverity::ALL {
         let rate = median_rate(&cfg_for(severity));
-        if severity == StabilizeConfig::default().severity {
-            default_rate = rate;
-        }
         println!("{severity:<7}: {rate:>10.0} runs/sec");
-    }
-
-    if let Some(path) = out {
-        let registry = Registry::new();
-        registry.set_value("stabilize.runs_per_sec", default_rate);
-        std::fs::write(&path, registry.snapshot().to_json()).expect("write --out snapshot");
-        println!("wrote stabilize.runs_per_sec to {path}");
     }
 }

@@ -10,8 +10,9 @@
 //!   probabilistic growth runs (`probabilistic`), boundness probing
 //!   (`boundness`), raw channel throughput (`channels`), the
 //!   window-vs-reorder ablation (`ablation_window`), exploration
-//!   throughput, sequential vs parallel (`explore_par`), and the campaign
-//!   matrix runner with its fingerprint cache (`campaign`).
+//!   throughput, sequential vs parallel (`explore_par`), the campaign
+//!   matrix runner with its fingerprint cache (`campaign`), and the
+//!   stabilization harness across corruption severities (`stabilize`).
 //!
 //! The benches run on the self-contained [`harness`] (median-of-samples
 //! wall-clock timing) so the workspace needs no external benchmarking

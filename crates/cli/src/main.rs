@@ -793,8 +793,12 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
     }
 }
 
+/// Every option `campaign` reads; it takes no boolean flag.
+const CAMPAIGN_OPTIONS: &[&str] = &["threads", "cache", "metrics-out"];
+
 fn cmd_campaign(args: &Args) -> Result<(), NonFifoError> {
     use nonfifo_campaign::{CampaignCache, CampaignPlan, CampaignRunner, RunOutcome};
+    args.only(CAMPAIGN_OPTIONS, &[])?;
     let plan_path = args
         .positional(1)
         .ok_or_else(|| ArgsError("campaign needs a plan file".into()))?;
@@ -872,6 +876,9 @@ fn cmd_campaign(args: &Args) -> Result<(), NonFifoError> {
     }
 }
 
+/// Every option `serve` reads; it takes no boolean flag.
+const SERVE_OPTIONS: &[&str] = &["addr", "workers", "cache"];
+
 /// `nonfifo serve`: the campaign daemon. Binds `--addr` (default
 /// `127.0.0.1:7171`; port `0` asks the OS for a free one), prints the
 /// actual bound address on its own line so scripts can scrape it, and
@@ -879,6 +886,7 @@ fn cmd_campaign(args: &Args) -> Result<(), NonFifoError> {
 /// `--workers` threads of the daemon, on the batch runner's execute body.
 fn cmd_serve(args: &Args) -> Result<(), NonFifoError> {
     use nonfifo_campaign::{CampaignService, ServiceConfig};
+    args.only(SERVE_OPTIONS, &[])?;
     let addr = args.option("addr").unwrap_or("127.0.0.1:7171");
     let workers: usize = args.option_or("workers", 0)?;
     let service = CampaignService::new(ServiceConfig {
@@ -909,9 +917,21 @@ fn cmd_serve(args: &Args) -> Result<(), NonFifoError> {
     Ok(())
 }
 
+/// Every option `stabilize` reads; it takes no boolean flag.
+const STABILIZE_OPTIONS: &[&str] = &[
+    "protocol",
+    "seeds",
+    "severity",
+    "discipline",
+    "messages",
+    "budget",
+    "plan",
+];
+
 fn cmd_stabilize(args: &Args) -> Result<(), NonFifoError> {
     use nonfifo_channel::{CorruptionSeverity, DisciplineError, FaultPlan};
     use nonfifo_core::{certify, StabilizeConfig};
+    args.only(STABILIZE_OPTIONS, &[])?;
     let proto_name = args
         .option("protocol")
         .ok_or_else(|| ArgsError("stabilize needs --protocol NAME".into()))?;

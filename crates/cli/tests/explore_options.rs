@@ -1,5 +1,6 @@
-//! `explore` accepts only the options it reads: a typo or a retired
-//! option is a usage error naming it, never silently ignored.
+//! `explore`, `campaign`, `serve` and `stabilize` accept only the options
+//! they read: a typo or a retired option is a usage error naming it, never
+//! silently ignored.
 
 use std::process::Command;
 
@@ -16,46 +17,87 @@ const SCOPE: [&str; 8] = [
     "2",
 ];
 
-fn explore(extra: &[&str]) -> (Option<i32>, String) {
-    let out = Command::new(BIN).args(SCOPE).args(extra).output().unwrap();
+const SMOKE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../campaigns/smoke.campaign"
+);
+
+fn nonfifo(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(BIN).args(args).output().unwrap();
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
 }
 
+fn explore<'a>(extra: &[&'a str]) -> Vec<&'a str> {
+    [&SCOPE[..], extra].concat()
+}
+
+fn temp_path(tag: &str) -> String {
+    std::env::temp_dir()
+        .join(format!("nonfifo-opts-{tag}-{}.json", std::process::id()))
+        .to_string_lossy()
+        .into_owned()
+}
+
 #[test]
 fn unread_options_are_usage_errors_that_name_them() {
-    for (extra, named) in [
-        (&["--bogus", "1"][..], &["--bogus"][..]),
+    for (args, named) in [
+        (explore(&["--bogus", "1"]), &["--bogus"][..]),
         (
-            &["--visited", "tiered", "--memory-budjet", "4096"],
+            explore(&["--visited", "tiered", "--memory-budjet", "4096"]),
             &["--memory-budjet"],
         ),
         (
-            &["--bogus", "1", "--threadz", "2", "--visited", "tiered"],
+            explore(&["--bogus", "1", "--threadz", "2", "--visited", "tiered"]),
             &["--bogus", "--threadz"],
         ),
-        (&["--seed", "3"], &["--seed"]),
-        (&["--diagram"], &["--diagram"]),
+        (explore(&["--seed", "3"]), &["--seed"]),
+        (explore(&["--diagram"]), &["--diagram"]),
+        (
+            vec![
+                "stabilize",
+                "--protocol",
+                "stabilizing-dl",
+                "--sevrity",
+                "heavy",
+            ],
+            &["--sevrity"],
+        ),
+        (
+            vec!["stabilize", "--protocol", "stabilizing-dl", "--por"],
+            &["--por"],
+        ),
+        (
+            vec!["campaign", SMOKE, "--thread", "1", "--cahce", "c.json"],
+            &["--thread", "--cahce"],
+        ),
+        (vec!["campaign", SMOKE, "--metrics"], &["--metrics"]),
+        // A port out of range, so a regression fails to bind here
+        // instead of serving forever.
+        (
+            vec!["serve", "--addr", "127.0.0.1:99999", "--worker", "2"],
+            &["--worker"],
+        ),
     ] {
-        let (code, stderr) = explore(extra);
-        assert_eq!(code, Some(1), "{extra:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
+        let (code, stderr) = nonfifo(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         let first = stderr.lines().next().unwrap_or_default();
         assert!(
             first.starts_with("error: unknown option"),
-            "{extra:?}: {first}"
+            "{args:?}: {first}"
         );
         for name in named {
-            assert!(first.contains(name), "{extra:?} must name {name}: {first}");
+            assert!(first.contains(name), "{args:?} must name {name}: {first}");
         }
     }
-    // Every option the rest of the toolchain passes to `explore` parses.
-    let metrics =
-        std::env::temp_dir().join(format!("nonfifo-explore-opts-{}.json", std::process::id()));
-    let metrics = metrics.to_string_lossy().into_owned();
-    let (code, stderr) = explore(&[
+
+    // Every option the rest of the toolchain passes to these subcommands
+    // parses.
+    let metrics = temp_path("explore");
+    let (code, stderr) = nonfifo(&explore(&[
         "--max-states",
         "100000",
         "--threads",
@@ -69,7 +111,60 @@ fn unread_options_are_usage_errors_that_name_them() {
         "4096",
         "--metrics-out",
         &metrics,
-    ]);
+    ]));
     std::fs::remove_file(&metrics).ok();
     assert_eq!(code, Some(0), "{stderr}");
+
+    let cache = temp_path("campaign-cache");
+    let metrics = temp_path("campaign-metrics");
+    let (code, stderr) = nonfifo(&[
+        "campaign",
+        SMOKE,
+        "--threads",
+        "1",
+        "--cache",
+        &cache,
+        "--metrics-out",
+        &metrics,
+    ]);
+    std::fs::remove_file(&cache).ok();
+    std::fs::remove_file(&metrics).ok();
+    assert_eq!(code, Some(0), "{stderr}");
+
+    let plan = concat!(env!("CARGO_MANIFEST_DIR"), "/../../attacks/mild.chaos");
+    let (code, stderr) = nonfifo(&[
+        "stabilize",
+        "--protocol",
+        "stabilizing-dl",
+        "--seeds",
+        "4",
+        "--severity",
+        "heavy",
+        "--discipline",
+        "fifo",
+        "--messages",
+        "3",
+        "--budget",
+        "500",
+        "--plan",
+        plan,
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+
+    // A cache from an older build stops the daemon before it binds, so
+    // this error shows all three options parsed without serving.
+    let old = temp_path("serve-cache");
+    std::fs::write(&old, "{\"schema_version\":1,\"entries\":[]}").unwrap();
+    let (code, stderr) = nonfifo(&[
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--workers",
+        "2",
+        "--cache",
+        &old,
+    ]);
+    std::fs::remove_file(&old).ok();
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("schema_version 1"), "{stderr}");
 }

@@ -1,8 +1,9 @@
 //! Point-in-time metric snapshots with a stable JSON schema.
 //!
-//! The schema is versioned and pinned ([`SCHEMA_VERSION`]): CI artifacts
-//! and `BENCH_baseline.json` are compared across commits, so any change to
-//! the document shape must bump the version and keep
+//! The schema is versioned and pinned ([`SCHEMA_VERSION`]): CI pins exact
+//! values in these documents and the golden aggregates under `campaigns/`
+//! are compared byte for byte, so any change to the document shape must
+//! bump the version and keep
 //! [`MetricsSnapshot::from_json`] accepting what it wrote before.
 
 use crate::json::{Json, JsonError};

@@ -34,6 +34,18 @@ fn cycle_scope() -> ExploreConfig {
     }
 }
 
+/// The bench scope that the `explore_par` bench and CI's exploration
+/// pins run: 87,515 states unreduced.
+fn bench_scope() -> ExploreConfig {
+    ExploreConfig {
+        max_messages: 8,
+        max_depth: 26,
+        max_pool: 10,
+        max_states: 20_000_000,
+        ..ExploreConfig::default()
+    }
+}
+
 fn pinned_depth(proto: &dyn DataLink, cfg: &ExploreConfig, expected: usize) {
     for (engine, outcome) in [
         ("sequential", Explorer::new().explore(proto, cfg)),
@@ -182,9 +194,10 @@ fn por_reduction_pins_its_state_counts() {
     // quotient key. Fewer states means the quotient got coarser (soundness
     // risk — the differential pins below would trip), more means the
     // reduction got weaker. The full-engine counts for the same scopes are
-    // 111 and 419, so these pins also lock the reduction ratios (~2.2x and
-    // ~4.5x) the E13 experiment reports.
-    for (cfg, expected) in [(small(), 51), (cycle_scope(), 94)] {
+    // 111, 419 and 87,515 (the last pinned by CI), so these pins also lock
+    // the reduction ratios (~2.2x, ~4.5x and ~183.9x) the E13 experiment
+    // and the explore_par bench report.
+    for (cfg, expected) in [(small(), 51), (cycle_scope(), 94), (bench_scope(), 476)] {
         for outcome in [
             Explorer::new().explore(&SequenceNumber::new(), &with_por(&cfg)),
             Explorer::new()
