@@ -18,9 +18,8 @@
 //!   replayed extension is an invalid execution.
 //! - [`PfFalsifier`] — the Theorem 4.1 induction: park one copy of a
 //!   *dominant* packet per message, forcing per-message cost ≥ in-transit/k.
-//! - [`GreedyReplayAdversary`] — the cheap heuristic used by experiment E8
-//!   and the bench ablation: capture one retransmission per message, then
-//!   replay them in order.
+//! - [`GreedyReplayAdversary`] — the cheap heuristic used by experiment E8:
+//!   capture one retransmission per message, then replay them in order.
 //! - [`DominantTracker`] — the Theorem 5.1 instrumentation: per-extension
 //!   dominant packets and the `m_{i,j}` growth trajectory over a
 //!   probabilistic channel.

@@ -18,14 +18,17 @@
 //! campaign costs O(its fresh runs), not O(the whole cache).
 //!
 //! A process killed mid-append leaves at worst a final segment with no
-//! newline. `load` drops it (that run is simply recomputed), and the
-//! next save rewrites the file without it. Any other malformed line is an
-//! error naming its line. A save to any other path, or the first save
-//! after a load that dropped a torn tail or met a key twice, streams a
-//! compacted copy to `<path>.tmp` and renames it into place. There is no
-//! migration from older formats — whole-document caches and logs of
-//! older wire versions fail at line 1, asking for the file to be deleted:
-//! the cache is a memo, so deleting the file is always safe.
+//! newline. `load` drops it (that run is simply recomputed) and remembers
+//! the length of the complete lines before it; the next save writes from
+//! that length and truncates the file at its new end, so the repair costs
+//! O(the torn tail), not O(the cache). A failed append is repaired the
+//! same way, from the length before it. Any other malformed line is an
+//! error naming its line. Only a save to any other path, or the first
+//! save after a load that met a key twice, streams a compacted copy to
+//! `<path>.tmp` and renames it into place. There is no migration from
+//! older formats — whole-document caches and logs of older wire versions
+//! fail at line 1, asking for the file to be deleted: the cache is a
+//! memo, so deleting the file is always safe.
 
 use crate::runner::{RunOutcome, RunRecord};
 use crate::spec::RunSpec;
@@ -37,7 +40,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::sync::{Arc, RwLock};
 
 /// The cached portion of a run record: everything except the spec (which
@@ -93,11 +96,15 @@ pub struct CampaignCache {
     entries: BTreeMap<u64, CachedRun>,
     /// The file this cache was loaded from; saves to it append.
     file: Option<String>,
+    /// Bytes of `file` that are whole lines of the log.
+    logged: u64,
+    /// `file` may hold bytes past `logged` (a torn tail or a failed
+    /// append), which the next save to it writes over and truncates.
+    torn: bool,
     /// Keys inserted since the last load or save, in insertion order.
     pending: Vec<u64>,
-    /// The file holds lines the log must not keep (a torn tail, a
-    /// repeated key, a failed append), so the next save to it rewrites it.
-    rewrite: bool,
+    /// `file` holds a key twice, so the next save to it rewrites it.
+    compact: bool,
 }
 
 /// Equal when the entries are: where a cache came from and what it has
@@ -198,13 +205,13 @@ impl CampaignCache {
         }
         let mut cache = CampaignCache::new();
         for (i, line) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
-            let Some(line) = line.strip_suffix(b"\n") else {
-                cache.rewrite = true;
+            let Some(text) = line.strip_suffix(b"\n") else {
+                cache.torn = true;
                 break;
             };
             let n = i + 1;
             let text =
-                std::str::from_utf8(line).map_err(|_| CacheError::at(n, "line is not UTF-8"))?;
+                std::str::from_utf8(text).map_err(|_| CacheError::at(n, "line is not UTF-8"))?;
             let doc = Json::parse(text).map_err(|e| CacheError::at(n, e.to_string()))?;
             if let Some(v) = doc.get("v").and_then(Json::as_u64) {
                 if v < WIRE_SCHEMA_VERSION {
@@ -226,7 +233,7 @@ impl CampaignCache {
                     Entry::Vacant(slot) => {
                         slot.insert(run);
                     }
-                    Entry::Occupied(_) => cache.rewrite = true,
+                    Entry::Occupied(_) => cache.compact = true,
                 },
                 Ok(other) => {
                     return Err(CacheError::at(
@@ -236,14 +243,16 @@ impl CampaignCache {
                 }
                 Err(e) => return Err(CacheError::at(n, e.message)),
             }
+            cache.logged += line.len() as u64;
         }
         Ok(cache)
     }
 
     /// Persists the cache to `path`. Saving to the file the cache was
-    /// loaded from appends the runs inserted since the last load or save
-    /// with one write, and leaves the file untouched if there are none.
-    /// Any other path, or a file that needs rewriting, gets a compacted
+    /// loaded from writes the runs inserted since the last load or save
+    /// with one write, over any torn tail, and cuts the file at their end;
+    /// with neither new runs nor a torn tail, the file is left untouched.
+    /// Any other path, or a file that holds a key twice, gets a compacted
     /// copy written to `<path>.tmp` and renamed into place.
     ///
     /// # Errors
@@ -251,45 +260,62 @@ impl CampaignCache {
     /// Fails if the file cannot be written.
     pub fn save(&mut self, path: &str) -> Result<(), NonFifoError> {
         let own = self.file.as_deref() == Some(path);
-        if !own || self.rewrite {
-            self.write_compacted(path)
+        if !own || self.compact {
+            let written = self
+                .write_compacted(path)
                 .map_err(|e| NonFifoError::io(path, &e))?;
-        } else if !self.pending.is_empty() {
+            if own {
+                self.logged = written;
+            }
+        } else if self.torn || !self.pending.is_empty() {
             // The log already holds every entry that is not pending.
             let first = (self.entries.len() - self.pending.len()) as u64;
             let mut lines = String::new();
             for (index, key) in (first..).zip(&self.pending) {
                 lines.push_str(&run_line(index, *key, &self.entries[key]));
             }
-            let appended = OpenOptions::new()
+            // Write over any torn tail, then cut the file at the new end:
+            // cutting first could empty the file, and ext4 flushes a file
+            // emptied by truncation when it is closed. Until this
+            // succeeds, the next save writes from `logged` again.
+            self.torn = true;
+            let end = self.logged + lines.len() as u64;
+            OpenOptions::new()
                 .create(true)
-                .append(true)
+                .write(true)
+                .truncate(false)
                 .open(path)
-                .and_then(|mut file| file.write_all(lines.as_bytes()));
-            if let Err(e) = appended {
-                // Part of the batch may have landed; rewrite next time.
-                self.rewrite = true;
-                return Err(NonFifoError::io(path, &e));
-            }
+                .and_then(|mut file| {
+                    file.seek(SeekFrom::Start(self.logged))?;
+                    file.write_all(lines.as_bytes())?;
+                    file.set_len(end)
+                })
+                .map_err(|e| NonFifoError::io(path, &e))?;
+            self.logged = end;
         }
         if own {
             self.pending.clear();
-            self.rewrite = false;
+            self.torn = false;
+            self.compact = false;
         }
         Ok(())
     }
 
     /// Streams every entry, in key order, to `<path>.tmp`, then renames
-    /// it over `path`.
-    fn write_compacted(&self, path: &str) -> std::io::Result<()> {
+    /// it over `path`. Returns the bytes written.
+    fn write_compacted(&self, path: &str) -> std::io::Result<u64> {
         let tmp = format!("{path}.tmp");
         let mut out = BufWriter::new(File::create(&tmp)?);
+        let mut written = 0;
         for (index, (key, run)) in self.entries.iter().enumerate() {
-            out.write_all(run_line(index as u64, *key, run).as_bytes())?;
+            let line = run_line(index as u64, *key, run);
+            out.write_all(line.as_bytes())?;
+            written += line.len() as u64;
         }
         out.flush()?;
         drop(out);
-        std::fs::rename(&tmp, path)
+        std::fs::rename(&tmp, path)?;
+        Ok(written)
     }
 }
 
@@ -471,6 +497,8 @@ mod tests {
                         \"delivered\",\"fingerprint\":1,\"steps\":2,\"fwd_sends\":3,\
                         \"delivered\":1,\"metrics\":{\"schema_version\":1,\"counters\":{}}}}\n";
         let old_second = format!("{}{old_line}", log[0]);
+        // A line as the version-2 codec wrote it: the same run object.
+        let v2_line = log[1].replacen("{\"v\":3,", "{\"v\":2,", 1);
         for (text, line, needle) in [
             (
                 "{\"schema_version\":1,\"entries\":[]}",
@@ -479,9 +507,11 @@ mod tests {
             ),
             (garbage_middle.as_str(), 2, "json error"),
             (other_type.as_str(), 3, "found a \"error\" line"),
-            ("{\"v\":3,\"type\":\"run\"}\n", 1, "schema_version 3"),
+            ("{\"v\":4,\"type\":\"run\"}\n", 1, "schema_version 4"),
             (old_line, 1, "wire schema_version 1 run line"),
             (old_second.as_str(), 2, "delete the file"),
+            (v2_line.as_str(), 1, "wire schema_version 2 run line"),
+            (v2_line.as_str(), 1, "delete the file"),
         ] {
             let err = CampaignCache::parse_log(text.as_bytes()).unwrap_err();
             assert_eq!(err.line, line, "{text}: {err}");
@@ -565,8 +595,9 @@ mod tests {
 
     /// A cache written by two campaigns, cut at every byte offset: each
     /// load returns exactly the runs whose lines end before the cut and
-    /// never panics, and a campaign on the cut file leaves a log whose
-    /// every line parses — an append never glues onto a fragment.
+    /// never panics, and a campaign on the cut file keeps the cut's
+    /// complete lines byte for byte and leaves a log whose every line
+    /// parses — an append never glues onto a fragment.
     #[test]
     fn a_cut_at_every_byte_offset_loads_the_complete_line_prefix() {
         let path = temp_path("torn");
@@ -589,11 +620,16 @@ mod tests {
             }
         }
         for cut in 0..=bytes.len() {
+            // A fresh file each time: overwriting one in place costs far
+            // more on some file systems than creating it.
+            std::fs::remove_file(&path).ok();
             std::fs::write(&path, &bytes[..cut]).unwrap();
             let (cache, fresh) = campaign(&path, &runs);
             let complete = ends.iter().filter(|&&end| end < cut).count();
             assert_eq!(fresh, 2 - complete, "cut at {cut}");
             let after = std::fs::read(&path).unwrap();
+            let prefix = complete.checked_sub(1).map_or(0, |last| ends[last] + 1);
+            assert!(after.starts_with(&bytes[..prefix]), "cut at {cut}");
             assert_eq!(log_keys(&after).len(), 2, "cut at {cut}");
             let reloaded = CampaignCache::load(&path).unwrap();
             assert_eq!(reloaded, cache, "cut at {cut}");

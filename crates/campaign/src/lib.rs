@@ -64,14 +64,14 @@ pub mod experiments;
 mod plan;
 mod runner;
 mod service;
-mod shard;
 mod spec;
 mod wire;
 
 pub use cache::{CacheError, CachedRun, CampaignCache, SharedCache};
 pub use plan::{CampaignPlan, CampaignPlanError, MAX_PLAN_RUNS, PLAN_SCHEMA_VERSION};
-pub use runner::{CampaignReport, CampaignRunner, RunOutcome, RunRecord};
+pub use runner::{
+    merge_reports, CampaignReport, CampaignRunner, IndexedRun, PlanExpansion, RunOutcome, RunRecord,
+};
 pub use service::{CampaignService, ServiceConfig};
-pub use shard::{merge_reports, PlanExpansion, ShardRecord, ShardReport};
 pub use spec::{RunSpec, ScenarioSpec};
 pub use wire::{WireError, WireMsg, WIRE_SCHEMA_VERSION};

@@ -34,8 +34,7 @@
 
 use crate::cache::SharedCache;
 use crate::plan::CampaignPlan;
-use crate::runner::{CampaignRunner, RunRecord};
-use crate::shard::{merge_reports, PlanExpansion, ShardRecord};
+use crate::runner::{merge_reports, CampaignRunner, IndexedRun, PlanExpansion};
 use crate::wire::WireMsg;
 use nonfifo_core::{NonFifoError, RunCounters};
 use nonfifo_telemetry::Registry;
@@ -151,14 +150,7 @@ impl CampaignService {
         let plan = CampaignPlan::parse(plan_text)?;
         let expansion = PlanExpansion::of_plan(&plan)?;
 
-        let mut cached: Vec<(usize, RunRecord)> = Vec::new();
-        let mut misses: Vec<usize> = Vec::new();
-        for (i, spec) in expansion.runs().iter().enumerate() {
-            match self.cache.lookup(spec) {
-                Some(hit) => cached.push((i, hit)),
-                None => misses.push(i),
-            }
-        }
+        let (cached, misses) = expansion.partition_cached(|spec| self.cache.lookup(spec));
 
         let runner = CampaignRunner::new(if requested_workers > 0 {
             requested_workers
@@ -169,18 +161,16 @@ impl CampaignService {
             .gauge("service.active_workers")
             .set(runner.threads().min(misses.len()) as u64);
         let sink: Sink<'_> = Mutex::new(sink);
-        let (part, busy) =
-            runner.execute_streaming(&expansion, &misses, &|record: &ShardRecord| {
-                emit(&sink, &WireMsg::run_delta(record));
-            });
+        let (part, busy) = runner.execute_streaming(&expansion, &misses, &|record: &IndexedRun| {
+            emit(&sink, &WireMsg::run_delta(record));
+        });
         self.registry
             .gauge("service.shard_imbalance")
             .set(imbalance_pct(&busy));
         emit(
             &sink,
             &WireMsg::Metrics {
-                shard: 0,
-                snapshot: RunCounters::aggregate(part.records.iter().map(|r| &*r.run.metrics)),
+                snapshot: RunCounters::aggregate(part.iter().map(|r| &*r.run.metrics)),
             },
         );
 
@@ -413,7 +403,9 @@ fn respond(writer: &mut BufWriter<TcpStream>, status: &str, content_type: &str, 
 
 /// The busiest worker's busy time over the mean busy time, ×100: 100 is
 /// a perfect balance, and 200 means the slowest worker ran twice the
-/// average. The `service.shard_imbalance` gauge reports it.
+/// average. Each worker is busy from its start to its last finished run.
+/// The `service.shard_imbalance` gauge reports it; the name predates the
+/// one shared run queue, and the benchmark reads it.
 fn imbalance_pct(busy: &[Duration]) -> u64 {
     let total: f64 = busy.iter().map(Duration::as_secs_f64).sum();
     let max = busy.iter().map(Duration::as_secs_f64).fold(0.0, f64::max);

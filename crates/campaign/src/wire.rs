@@ -25,16 +25,16 @@
 //! keyed by `spec`, so the cache has no serialization of its own.
 
 use crate::cache::CachedRun;
-use crate::runner::RunOutcome;
-use crate::shard::ShardRecord;
+use crate::runner::{IndexedRun, RunOutcome};
 use nonfifo_core::RunCounters;
 use nonfifo_telemetry::{Json, MetricsSnapshot};
 use std::fmt;
 
 /// Version of the wire encoding this build speaks.
+/// Version 3 drops the `metrics` line's `shard` field, which was always 0.
 /// Version 2 carries a run's metrics as its [`RunCounters`] object;
 /// version 1 carried their name-keyed snapshot.
-pub const WIRE_SCHEMA_VERSION: u64 = 2;
+pub const WIRE_SCHEMA_VERSION: u64 = 3;
 
 /// A malformed, unsupported, or out-of-protocol wire line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,15 +80,12 @@ pub enum WireMsg {
         /// The run result.
         run: CachedRun,
     },
-    /// The metrics delta of a campaign's executed runs: their snapshots
-    /// merged in index order. [`MetricsSnapshot::merge_from`] accumulates
-    /// counters and histograms, so merging the delta with the cache hits'
-    /// snapshots reproduces the per-run metrics portion of the final
-    /// aggregate.
+    /// The metrics delta of a campaign's executed runs, one per campaign:
+    /// their snapshots merged in index order.
+    /// [`MetricsSnapshot::merge_from`] accumulates counters and
+    /// histograms, so merging the delta with the cache hits' snapshots
+    /// reproduces the per-run metrics portion of the final aggregate.
     Metrics {
-        /// Which part of the campaign this delta summarizes; the daemon
-        /// sends one delta per campaign, as shard 0.
-        shard: u64,
         /// Merged snapshot of the executed runs, in index order.
         snapshot: MetricsSnapshot,
     },
@@ -133,8 +130,7 @@ impl WireMsg {
                 spec_fingerprint,
                 run,
             } => push_run(&mut fields, *index, *spec_fingerprint, run),
-            WireMsg::Metrics { shard, snapshot } => {
-                fields.push(("shard".to_string(), Json::Uint(*shard)));
+            WireMsg::Metrics { snapshot } => {
                 fields.push(("snapshot".to_string(), snapshot.to_json_value()));
             }
             WireMsg::Report {
@@ -200,7 +196,6 @@ impl WireMsg {
                     .get("snapshot")
                     .ok_or_else(|| wire_err("metrics: missing snapshot"))?;
                 Ok(WireMsg::Metrics {
-                    shard: need_u64(doc, "shard")?,
                     snapshot: MetricsSnapshot::from_json_value(snapshot)
                         .map_err(|e| wire_err(format!("metrics: {e}")))?,
                 })
@@ -235,7 +230,7 @@ impl WireMsg {
     }
 
     /// The `Run` message carrying `record`.
-    pub fn run_delta(record: &ShardRecord) -> WireMsg {
+    pub fn run_delta(record: &IndexedRun) -> WireMsg {
         WireMsg::Run {
             index: record.index as u64,
             spec_fingerprint: record.spec_fingerprint,
@@ -370,7 +365,6 @@ mod tests {
                 },
             },
             WireMsg::Metrics {
-                shard: 2,
                 snapshot: registry.snapshot(),
             },
             WireMsg::Report {
@@ -399,6 +393,9 @@ mod tests {
             assert_eq!(back, msg, "{} round trip", msg.kind());
             // Re-encoding is byte-stable.
             assert_eq!(back.to_line(), line, "{} re-encode", msg.kind());
+            // Version 3 dropped the metrics line's always-zero `shard`.
+            let doc = Json::parse(line.trim()).unwrap();
+            assert!(doc.get("shard").is_none(), "{line}");
         }
     }
 
@@ -434,8 +431,8 @@ mod tests {
             message: "x".to_string(),
         }
         .to_line();
-        for v in ["1", "3"] {
-            let line = line.replacen("\"v\":2", &format!("\"v\":{v}"), 1);
+        for v in ["1", "2", "4"] {
+            let line = line.replacen("\"v\":3", &format!("\"v\":{v}"), 1);
             let err = WireMsg::parse_line(&line).unwrap_err();
             assert!(
                 err.to_string()
@@ -450,11 +447,12 @@ mod tests {
         for (line, needle) in [
             ("{", "wire:"),
             ("[1,2]", "not a JSON object"),
-            ("{\"v\":2}", "type"),
-            ("{\"v\":2,\"type\":\"warble\"}", "unknown message type"),
-            ("{\"v\":2,\"type\":\"submit\",\"plan\":\"x\"}", "workers"),
+            ("{\"v\":3}", "type"),
+            ("{\"v\":3,\"type\":\"warble\"}", "unknown message type"),
+            ("{\"v\":3,\"type\":\"submit\",\"plan\":\"x\"}", "workers"),
+            ("{\"v\":3,\"type\":\"metrics\"}", "missing snapshot"),
             (
-                "{\"v\":2,\"type\":\"shard\",\"plan\":\"x\",\"shard\":0,\"of\":1}",
+                "{\"v\":3,\"type\":\"shard\",\"plan\":\"x\",\"shard\":0,\"of\":1}",
                 "unknown message type",
             ),
         ] {
@@ -465,7 +463,7 @@ mod tests {
 
     #[test]
     fn run_delta_round_trips_a_shard_record() {
-        let record = ShardRecord {
+        let record = IndexedRun {
             index: 5,
             spec_fingerprint: 77,
             run: sample_run(),

@@ -8,8 +8,8 @@
 //! makes the parallel report byte-identical to the sequential one, so the
 //! `agrees` column is a differential test run as an experiment.
 //!
-//! Throughput (states/sec vs. threads) is measured by the
-//! `explore_par` bench, not here — experiment output must be
+//! Throughput is measured by the benchmark's explore workloads
+//! (`BENCHMARK.json`), not here — experiment output must be
 //! deterministic.
 
 use super::table::markdown;
