@@ -33,10 +33,11 @@
 //! `explore.codec_bytes_per_state` telemetry gauge and guarded in CI.
 //!
 //! A key identifies a state; a **frontier record** *is* one. [`save`] and
-//! [`load`] turn a [`System`] at rest into a few dozen `u64` words and back
-//! (layout at [`save`]), naming the two automata by id into a
-//! per-run [`StationTable`]. The parallel engine stores its frontier levels
-//! as flat slabs of these records.
+//! [`load`] turn a [`System`] at rest into a few dozen bytes and back
+//! (layout at [`save`]): a fixed head of the two automata, named by id into
+//! a per-run [`StationTable`], and the pool digest, then varints for the
+//! counters and the delta-coded parked copies. The parallel engine stores
+//! its frontier levels as flat byte slabs of these records.
 
 use crate::system::{RestScalars, System};
 use nonfifo_ioa::fingerprint::{fnv64, mix64, Fnv64, StateHash};
@@ -231,91 +232,198 @@ impl StateCodec {
     }
 }
 
-/// Words of a frontier record before its parked copies.
-const RECORD_HEAD: usize = 7;
+/// Bytes of a frontier record before its varint fields: the two station
+/// ids and the pool digest.
+const RECORD_HEAD: usize = 16;
 
-/// Bit 31 of a copy word: a payload word follows the copy word.
-const HAS_PAYLOAD: u64 = 1 << 31;
-
-/// Packs two 32-bit record fields into one word, `lo` in bits 0..32.
-fn pack(lo: u64, hi: u64) -> u64 {
-    let narrow =
-        |v: u64| u64::from(u32::try_from(v).expect("scope outgrew the 32-bit record fields"));
-    narrow(lo) | narrow(hi) << 32
+/// Appends `v` to `out` as an unsigned LEB128 varint: seven bits a byte,
+/// low bits first, the high bit set on every byte but the last.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
 }
 
-/// The two 32-bit fields of a packed word.
-fn unpack(word: u64) -> (u64, u64) {
-    (word & 0xffff_ffff, word >> 32)
+/// Reads the LEB128 varint at the front of `bytes` and advances past it.
+#[inline]
+fn take_varint(bytes: &mut &[u8]) -> u64 {
+    let mut v = 0u64;
+    let mut shift = 0;
+    loop {
+        let (&b, rest) = bytes.split_first().expect("a record ends mid-varint");
+        *bytes = rest;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
 }
 
-/// Appends `sys`'s frontier record to `out` under the station ids `tx`
-/// and `rx` — [`save`] with the ids already resolved.
-pub(crate) fn write_record(sys: &System, tx: u32, rx: u32, out: &mut Vec<u64>) {
-    let s = sys.rest_scalars();
+/// Reads the little-endian `u64` at the front of `bytes` and advances past
+/// it.
+fn take_u64(bytes: &mut &[u8]) -> u64 {
+    let (word, rest) = bytes.split_at(8);
+    *bytes = rest;
+    u64::from_le_bytes(word.try_into().expect("8 bytes"))
+}
+
+/// Appends the record of a system at rest with the station ids `tx` and
+/// `rx`, the scalars `s` and the parked copies `pool` (in mint order) to
+/// `out`.
+fn put_record(
+    tx: u32,
+    rx: u32,
+    s: &RestScalars,
+    pool: impl IntoIterator<Item = (Packet, CopyId)>,
+    out: &mut Vec<u8>,
+) {
     let c = s.counts;
-    out.extend_from_slice(&[
-        pack(u64::from(tx), u64::from(rx)),
-        pack(c.sm, c.rm),
-        pack(c.sp_fwd, c.rp_fwd),
-        pack(c.dropped_fwd, c.sp_bwd),
-        pack(c.rp_bwd, c.dropped_bwd),
-        pack(s.round_watermark, s.peak_space as u64),
-        s.pool_digest,
-    ]);
-    for (packet, copy) in sys.fwd.parked_multiset().iter() {
-        assert!(copy.raw() < HAS_PAYLOAD, "copy id outgrew its record field");
-        let header = u64::from(packet.header().index()) << 32;
+    out.extend_from_slice(&tx.to_le_bytes());
+    out.extend_from_slice(&rx.to_le_bytes());
+    out.extend_from_slice(&s.pool_digest.to_le_bytes());
+    for v in [
+        c.sm,
+        c.rm,
+        c.sp_fwd,
+        c.rp_fwd,
+        c.dropped_fwd,
+        c.sp_bwd,
+        c.rp_bwd,
+        c.dropped_bwd,
+        s.round_watermark,
+        s.peak_space as u64,
+    ] {
+        put_varint(out, v);
+    }
+    let mut last = 0;
+    for (packet, copy) in pool {
+        let gap = copy
+            .raw()
+            .checked_sub(last)
+            .expect("parked copies come in mint order");
+        last = copy.raw();
+        put_varint(out, gap);
+        let header = u64::from(packet.header().index()) << 1;
         match packet.payload() {
-            None => out.push(copy.raw() | header),
+            None => put_varint(out, header),
             Some(payload) => {
-                out.extend_from_slice(&[copy.raw() | HAS_PAYLOAD | header, payload.word()])
+                put_varint(out, header | 1);
+                out.extend_from_slice(&payload.word().to_le_bytes());
             }
         }
     }
 }
 
-/// The station ids a record names, `(transmitter, receiver)`.
-pub(crate) fn record_stations(record: &[u64]) -> (u32, u32) {
-    let (tx, rx) = unpack(record[0]);
-    (tx as u32, rx as u32)
+/// The scalars of a record and, lazily, its parked copies.
+fn read_record(record: &[u8]) -> (RestScalars, Copies<'_>) {
+    let pool_digest = u64::from_le_bytes(record[8..RECORD_HEAD].try_into().expect("8 bytes"));
+    let mut bytes = &record[RECORD_HEAD..];
+    let mut next = || take_varint(&mut bytes);
+    let counts = Counts {
+        sm: next(),
+        rm: next(),
+        sp_fwd: next(),
+        rp_fwd: next(),
+        dropped_fwd: next(),
+        sp_bwd: next(),
+        rp_bwd: next(),
+        dropped_bwd: next(),
+    };
+    let scalars = RestScalars {
+        counts,
+        round_watermark: next(),
+        peak_space: next() as usize,
+        pool_digest,
+    };
+    (scalars, Copies { bytes, last: 0 })
 }
 
-/// Renames the station ids a record names.
-pub(crate) fn set_record_stations(record: &mut [u64], tx: u32, rx: u32) {
-    record[0] = pack(u64::from(tx), u64::from(rx));
+/// The parked copies of a record, decoded one at a time in mint order.
+struct Copies<'a> {
+    bytes: &'a [u8],
+    /// The previous copy's id, which the next copy's gap is taken from.
+    last: u64,
+}
+
+impl Iterator for Copies<'_> {
+    type Item = (Packet, CopyId);
+
+    // Inlined into `System::restore`'s copy loop, which `load` runs once
+    // per frontier node.
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.bytes.is_empty() {
+            return None;
+        }
+        self.last += take_varint(&mut self.bytes);
+        let tagged = take_varint(&mut self.bytes);
+        let header = Header::new(u32::try_from(tagged >> 1).expect("a header index"));
+        let packet = match tagged & 1 {
+            0 => Packet::header_only(header),
+            _ => Packet::new(header, Payload::new(take_u64(&mut self.bytes))),
+        };
+        Some((packet, CopyId::from_raw(self.last)))
+    }
+}
+
+/// Appends `sys`'s frontier record to `out` under the station ids `tx`
+/// and `rx` — [`save`] with the ids already resolved.
+pub(crate) fn write_record(sys: &System, tx: u32, rx: u32, out: &mut Vec<u8>) {
+    put_record(
+        tx,
+        rx,
+        &sys.rest_scalars(),
+        sys.fwd.parked_multiset().iter(),
+        out,
+    );
+}
+
+/// The station ids a record names, `(transmitter, receiver)`.
+pub(crate) fn record_stations(record: &[u8]) -> (u32, u32) {
+    let id = |at: usize| u32::from_le_bytes(record[at..at + 4].try_into().expect("4 bytes"));
+    (id(0), id(4))
+}
+
+/// Renames the station ids a record names, in place: they are a fixed
+/// prefix, so the rest of the record does not move.
+pub(crate) fn set_record_stations(record: &mut [u8], tx: u32, rx: u32) {
+    record[0..4].copy_from_slice(&tx.to_le_bytes());
+    record[4..8].copy_from_slice(&rx.to_le_bytes());
 }
 
 /// Appends `sys`'s **frontier record** to `out`, interning its two automata
 /// in `stations` and naming them by station id. The record is the whole
 /// state of a system at rest, so [`load`] rebuilds an equal system from it.
-/// Layout, in little-endian `u64` words (`lo | hi` is bits 0..32 | 32..64):
+/// Layout, in bytes; a fixed 16-byte head, then unsigned LEB128 varints
+/// (seven bits a byte, low bits first):
 ///
-/// | word | content |
-/// |-----:|---------|
-/// |    0 | transmitter station id \| receiver station id |
-/// |    1 | `sm` \| `rm` |
-/// |    2 | packets sent t→r \| received t→r |
-/// |    3 | packets dropped t→r \| sent r→t |
-/// |    4 | packets received r→t \| dropped r→t |
-/// |    5 | stale-copy watermark \| peak automaton space |
-/// |    6 | parked-pool content digest |
-/// |   7… | one word per parked copy, in mint order: copy id (bits 0..31), payload flag (bit 31) \| header; a flagged copy is followed by its payload word |
+/// | bytes | content |
+/// |------:|---------|
+/// |  0..4 | transmitter station id, `u32` little-endian |
+/// |  4..8 | receiver station id, `u32` little-endian |
+/// | 8..16 | parked-pool content digest, `u64` little-endian |
+/// |   16… | ten varints: `sm`, `rm`; packets sent, received and dropped t→r; sent, received and dropped r→t; stale-copy watermark; peak automaton space |
+/// |     … | per parked copy, in mint order: a varint of its copy id minus the previous copy's (the first copy's minus 0), a varint of `header << 1 \| has_payload`, and the payload's 8 little-endian bytes if the flag is set |
 ///
 /// Nothing else is stored. The copy watermarks, the channels' counters,
 /// the monitor's counters and the message counter equal or sum the
-/// counts of words 1–4; the monitor's live forward table equals the
-/// parked pool; at rest the backward channel, the delivery queues and the
-/// drop buffers are empty and no violation is latched
-/// (saving asserts all of it). A header-only copy costs
-/// 8 bytes, so a record is 56 bytes plus 8 per parked copy.
+/// stored counts; the monitor's live forward table equals the parked
+/// pool; at rest the backward channel, the delivery queues and the drop
+/// buffers are empty and no violation is latched (saving asserts all of
+/// it). A bounded scope keeps every scalar small, so a varint is mostly
+/// one byte: at seqnum 9/26/10 each counter takes one byte, a header-only
+/// copy two, and a record averages 43 bytes (16 of head, 10 of counters
+/// and 8.6 copies). The station ids are a fixed prefix so that the
+/// parallel rebuild can rename a provisional id in place.
 ///
 /// # Panics
 ///
 /// Panics if `sys` is not at rest — a counts-only system whose last step
-/// has settled, which every explorer action ensures — or if a counter or
-/// copy id outgrew its field.
-pub fn save(sys: &System, stations: &mut StationTable, out: &mut Vec<u64>) {
+/// has settled, which every explorer action ensures.
+pub fn save(sys: &System, stations: &mut StationTable, out: &mut Vec<u8>) {
     let (tx, rx) = stations.intern(sys);
     write_record(sys, tx, rx, out);
 }
@@ -324,40 +432,9 @@ pub fn save(sys: &System, stations: &mut StationTable, out: &mut Vec<u64>) {
 /// `into`, which must be a counts-only system of the same run (its burst,
 /// partition and ghost settings are kept). Every buffer and automaton box
 /// of `into` is reused, so loading into a warm system does not allocate.
-pub fn load(record: &[u64], stations: &StationTable, into: &mut System) {
+pub fn load(record: &[u8], stations: &StationTable, into: &mut System) {
     let (tx, rx) = record_stations(record);
-    let (sm, rm) = unpack(record[1]);
-    let (sp_fwd, rp_fwd) = unpack(record[2]);
-    let (dropped_fwd, sp_bwd) = unpack(record[3]);
-    let (rp_bwd, dropped_bwd) = unpack(record[4]);
-    let (round_watermark, peak_space) = unpack(record[5]);
-    let scalars = RestScalars {
-        counts: Counts {
-            sm,
-            rm,
-            sp_fwd,
-            rp_fwd,
-            sp_bwd,
-            rp_bwd,
-            dropped_fwd,
-            dropped_bwd,
-        },
-        round_watermark,
-        peak_space: peak_space as usize,
-        pool_digest: record[6],
-    };
-    let mut words = record[RECORD_HEAD..].iter();
-    let pool = std::iter::from_fn(|| {
-        let &word = words.next()?;
-        let header = Header::new((word >> 32) as u32);
-        let packet = if word & HAS_PAYLOAD == 0 {
-            Packet::header_only(header)
-        } else {
-            let &payload = words.next().expect("a flagged copy has a payload word");
-            Packet::new(header, Payload::new(payload))
-        };
-        Some((packet, CopyId::from_raw(word & (HAS_PAYLOAD - 1))))
-    });
+    let (scalars, pool) = read_record(record);
     into.restore(stations.tx.get(tx), stations.rx.get(rx), &scalars, pool);
 }
 
@@ -846,6 +923,152 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Writes the record `(tx, rx, s, pool)`, checks that it reads back
+    /// whole, and returns its bytes.
+    fn round_trip(tx: u32, rx: u32, s: &RestScalars, pool: &[(Packet, CopyId)]) -> Vec<u8> {
+        let mut record = Vec::new();
+        put_record(tx, rx, s, pool.iter().copied(), &mut record);
+        assert_eq!(record_stations(&record), (tx, rx));
+        let (scalars, copies) = read_record(&record);
+        assert_eq!(&scalars, s);
+        assert_eq!(copies.collect::<Vec<_>>(), pool);
+        record
+    }
+
+    /// Scalars with every field `v`.
+    fn scalars_of(v: u64) -> RestScalars {
+        RestScalars {
+            counts: Counts {
+                sm: v,
+                rm: v,
+                sp_fwd: v,
+                rp_fwd: v,
+                sp_bwd: v,
+                rp_bwd: v,
+                dropped_fwd: v,
+                dropped_bwd: v,
+            },
+            round_watermark: v,
+            peak_space: v as usize,
+            pool_digest: v.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        }
+    }
+
+    fn header_only(h: u32, copy: u64) -> (Packet, CopyId) {
+        (Packet::header_only(Header::new(h)), CopyId::from_raw(copy))
+    }
+
+    #[test]
+    fn record_scalars_round_trip_at_the_varint_edges() {
+        // A varint spends one byte per started 7 bits of its value.
+        for (v, width) in [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            (16383, 2),
+            (16384, 3),
+            (u64::from(u32::MAX), 5),
+        ] {
+            let record = round_trip(0, 0, &scalars_of(v), &[]);
+            assert_eq!(record.len(), RECORD_HEAD + 10 * width, "every field {v}");
+        }
+        // Distinct values per field, so two swapped fields cannot read back.
+        let mut s = scalars_of(0);
+        s.counts = Counts {
+            sm: 1,
+            rm: 2,
+            sp_fwd: 3,
+            rp_fwd: 4,
+            sp_bwd: 5,
+            rp_bwd: 6,
+            dropped_fwd: 7,
+            dropped_bwd: 8,
+        };
+        s.round_watermark = 9;
+        s.peak_space = 10;
+        round_trip(0, 0, &s, &[]);
+    }
+
+    #[test]
+    fn an_empty_pool_ends_the_record_at_its_counters() {
+        let record = round_trip(3, 4, &scalars_of(5), &[]);
+        assert_eq!(record.len(), RECORD_HEAD + 10);
+        assert_eq!(read_record(&record).1.next(), None);
+    }
+
+    #[test]
+    fn copy_gaps_round_trip_across_the_varint_boundaries() {
+        for (gap, width) in [
+            (1, 1),
+            (127, 1),
+            (128, 2),
+            (129, 2),
+            (16383, 2),
+            (16384, 3),
+            (16385, 3),
+        ] {
+            // The first copy's id is its gap from 0; headers stay one byte.
+            let pool: Vec<_> = (1..=4).map(|i| header_only(i as u32, i * gap)).collect();
+            let record = round_trip(0, 0, &scalars_of(1), &pool);
+            assert_eq!(
+                record.len(),
+                RECORD_HEAD + 10 + 4 * (width + 1),
+                "gap {gap}"
+            );
+        }
+        // A gap of 0 (the first copy minted), ids near the top of the
+        // range, and a header at the top of its range.
+        let pool = [
+            header_only(0, 0),
+            header_only(u32::MAX, u64::MAX - 1),
+            header_only(1, u64::MAX),
+        ];
+        round_trip(0, 0, &scalars_of(1), &pool);
+    }
+
+    #[test]
+    fn payload_copies_carry_their_whole_word() {
+        let with = |h: u32, word: u64, copy: u64| {
+            (
+                Packet::new(Header::new(h), Payload::new(word)),
+                CopyId::from_raw(copy),
+            )
+        };
+        let pool = [
+            with(2, u64::MAX, 1),
+            header_only(2, 2),
+            with(0, 0, 3),
+            with(7, u64::MAX, 200),
+        ];
+        let record = round_trip(0, 0, &scalars_of(1), &pool);
+        // Gaps 1, 1, 1 and 197; headers 2, 2, 0 and 7; three payloads.
+        assert_eq!(record.len(), RECORD_HEAD + 10 + (3 + 2) + 4 + 3 * 8);
+    }
+
+    #[test]
+    fn provisional_station_ids_patch_in_place() {
+        let pool = [header_only(1, 1), header_only(2, 130)];
+        let s = scalars_of(300);
+        let mut record = round_trip(PROVISIONAL | 5, PROVISIONAL, &s, &pool);
+        let len = record.len();
+        set_record_stations(&mut record, 7, PROVISIONAL - 1);
+        assert_eq!(record.len(), len);
+        assert_eq!(record_stations(&record), (7, PROVISIONAL - 1));
+        let (scalars, copies) = read_record(&record);
+        assert_eq!(scalars, s);
+        assert_eq!(copies.collect::<Vec<_>>(), pool);
+    }
+
+    #[test]
+    fn the_seqnum_root_record_is_exactly_26_bytes() {
+        // The 16-byte head and ten one-byte counters over an empty pool; a
+        // change of layout moves this.
+        let root = build_root(&SequenceNumber::new(), &ExploreConfig::default(), false);
+        let mut record = Vec::new();
+        save(&root, &mut StationTable::new(), &mut record);
+        assert_eq!(record.len(), 26);
     }
 
     #[test]

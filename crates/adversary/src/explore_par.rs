@@ -18,10 +18,12 @@
 //!   node to a per-level arena, and full paths are reconstructed by walking
 //!   the parent chain — only on a violation or never. Expanding a node
 //!   copies two words instead of cloning an O(depth) vector.
-//! - **Record frontier.** A frontier level is a flat slab of `u64` frontier
-//!   records ([`crate::codec`]), one per node: about 56 bytes plus 8 per
-//!   parked copy, with the two automata named by id into the run's
-//!   [`StationTable`], where each distinct station state is stored once.
+//! - **Record frontier.** A frontier level is a flat byte slab of frontier
+//!   records ([`crate::codec`]), one per node: a 16-byte head, then
+//!   varints for the counters and about 2 bytes per header-only parked
+//!   copy (43 bytes a record on average at seqnum 9/26/10), with the two
+//!   automata named by id into the run's [`StationTable`], where each
+//!   distinct station state is stored once.
 //!   A worker loads a node into its warm [`System`], tries every enabled
 //!   action on one reused trial refilled in place from it
 //!   ([`System::assign_from`]), and records a discovered successor as its
@@ -169,12 +171,14 @@ struct WorkerScratch {
 }
 
 /// A run of frontier records: record `i` is
-/// `words[starts[i]..starts[i + 1]]`, the last one ending at `words.len()`.
+/// `bytes[starts[i]..starts[i + 1]]`, the last one ending at `bytes.len()`.
 /// A level is a handful of these (one per rebuilding worker), so it frees
-/// with a handful of deallocations however wide it is.
+/// with a handful of deallocations however wide it is. The offsets are
+/// 32-bit byte offsets, so one worker's segment of a level holds at most
+/// 4 GiB of records; [`Slab::push`] panics past that.
 #[derive(Debug, Default)]
 struct Slab {
-    words: Vec<u64>,
+    bytes: Vec<u8>,
     starts: Vec<u32>,
 }
 
@@ -183,46 +187,45 @@ impl Slab {
         self.starts.len()
     }
 
-    /// Where record `i` sits in `words`.
+    /// Where record `i` sits in `bytes`.
     fn span(&self, i: usize) -> std::ops::Range<usize> {
         let end = self
             .starts
             .get(i + 1)
-            .map_or(self.words.len(), |&e| e as usize);
+            .map_or(self.bytes.len(), |&e| e as usize);
         self.starts[i] as usize..end
     }
 
-    fn record(&self, i: usize) -> &[u64] {
-        &self.words[self.span(i)]
+    fn record(&self, i: usize) -> &[u8] {
+        &self.bytes[self.span(i)]
     }
 
-    fn record_mut(&mut self, i: usize) -> &mut [u64] {
+    fn record_mut(&mut self, i: usize) -> &mut [u8] {
         let span = self.span(i);
-        &mut self.words[span]
+        &mut self.bytes[span]
     }
 
     /// Appends `sys`'s record under the station ids `(tx, rx)`.
     fn push(&mut self, sys: &System, (tx, rx): (u32, u32)) {
-        let start = u32::try_from(self.words.len()).expect("slab outgrew 32-bit offsets");
+        let start = u32::try_from(self.bytes.len()).expect("slab outgrew 32-bit offsets");
         self.starts.push(start);
-        write_record(sys, tx, rx, &mut self.words);
+        write_record(sys, tx, rx, &mut self.bytes);
     }
 
     fn clear(&mut self) {
-        self.words.clear();
+        self.bytes.clear();
         self.starts.clear();
     }
 
-    /// The bytes the records take: their words and offsets, by length, not
+    /// The bytes the records take: their bytes and offsets, by length, not
     /// capacity, so the figure is the same at any thread count.
     fn bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>()
-            + self.starts.len() * std::mem::size_of::<u32>()
+        self.bytes.len() + self.starts.len() * std::mem::size_of::<u32>()
     }
 }
 
 /// The record of the node ranked `rank` in a level stored as `segments`.
-fn node_record(segments: &[Slab], mut rank: usize) -> &[u64] {
+fn node_record(segments: &[Slab], mut rank: usize) -> &[u8] {
     for seg in segments {
         if rank < seg.len() {
             return seg.record(rank);
@@ -441,6 +444,10 @@ struct ExploreTelemetry {
     /// runs on worker threads and is excluded). This over wall time is the
     /// engine's Amdahl serial fraction; CI guards its share.
     merge_serial: Counter,
+    /// Nanoseconds of wall time spent expanding the frontier levels:
+    /// loading each node's record and trying its actions (on worker
+    /// threads), timed once per level.
+    expand: Counter,
     /// Nanoseconds spent rebuilding the merge winners' systems from their
     /// parents (the phase after the merge; mostly on worker threads).
     rebuild: Counter,
@@ -457,6 +464,7 @@ impl ExploreTelemetry {
             states: registry.counter("explore.states"),
             pruned: registry.counter("explore.pruned_states"),
             merge_serial: registry.counter("explore.merge_serial_ns"),
+            expand: registry.counter("explore.phase_ns.expand"),
             rebuild: registry.counter("explore.phase_ns.rebuild"),
             frontier_width: registry.histogram("explore.frontier_width"),
             registry,
@@ -603,7 +611,11 @@ impl ParallelExplorer {
             if let Some(t) = tel {
                 t.frontier_width.record(width as u64);
             }
+            let expand_started = tel.map(|_| Instant::now());
             self.expand_level(cfg, por, arena);
+            if let (Some(t), Some(started)) = (tel, expand_started) {
+                t.expand.add(started.elapsed().as_nanos() as u64);
+            }
 
             // Violations: the lexicographically smallest path wins; within
             // one level that is the minimal (parent rank, step) pair.
@@ -1581,6 +1593,10 @@ mod tests {
         assert!(
             snap.counters.contains_key("explore.phase_ns.rebuild"),
             "the rebuild phase is timed"
+        );
+        assert!(
+            snap.counters.get("explore.phase_ns.expand") > Some(&0),
+            "the expand phase is timed"
         );
         assert!(!trace.is_empty(), "per-level spans were recorded");
     }
