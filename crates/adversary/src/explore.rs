@@ -25,8 +25,9 @@
 //!
 //! This sequential explorer is the **oracle**: the level-synchronized
 //! parallel engine behind [`Explorer::parallel`](crate::Explorer::parallel)
-//! shares the expansion core below (`enabled_actions` / `apply` /
-//! `state_key`) and is differentially tested against this one.
+//! shares the expansion core below (`enabled_actions` / `apply`) and the
+//! dedup key ([`StateCodec::key`](crate::StateCodec::key)), and is
+//! differentially tested against this one.
 //!
 //! The oracle is one plain BFS queue, but it copies no history. Its
 //! systems keep counters only (no event log); each attempted successor is
@@ -60,10 +61,6 @@ use nonfifo_protocols::DataLink;
 use nonfifo_rng::StdRng;
 use std::collections::VecDeque;
 use std::fmt;
-
-// The state-identity plumbing lives in one shared module now
-// ([`crate::codec`] / [`crate::visited`]); these re-exports keep the
-// historical in-crate paths valid.
 
 /// What the forward channel is allowed to do with delayed copies — the
 /// channel axis of the exploration matrix.
@@ -507,7 +504,7 @@ pub(crate) fn materialize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::state_key;
+    use crate::codec::StateCodec;
     use nonfifo_ioa::spec::{check_dl1, check_pl1, Validity};
     use nonfifo_ioa::Dir;
     use nonfifo_protocols::{AlternatingBit, GoBackN, NaiveCycle, SequenceNumber, StabilizingDl};
@@ -646,7 +643,7 @@ mod tests {
         };
         let a = build_root(&SequenceNumber::new(), &cfg, true);
         let b = build_root(&SequenceNumber::new(), &cfg, true);
-        assert_eq!(state_key(&a), state_key(&b));
+        assert_eq!(StateCodec::full().key(&a), StateCodec::full().key(&b));
         assert!(
             a.fwd.in_transit_len() > 0,
             "a corrupted root preloads at least one junk copy"

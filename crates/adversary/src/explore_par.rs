@@ -109,6 +109,8 @@ use crate::workpool::ChunkCursor;
 use nonfifo_ioa::{CopyId, Packet};
 use nonfifo_protocols::DataLink;
 use nonfifo_telemetry::{Counter, Histogram, Registry, TraceSink};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -304,7 +306,9 @@ pub(crate) struct ExploreArena {
     /// One [`ShardMerge`] per visited shard.
     merges: Vec<ShardMerge>,
     /// Rank-assignment scratch: a 64-way min-heap over shard bin tails.
-    heap: Vec<(PathRec, usize)>,
+    /// Path records within a level are unique (a `(parent, step)` pair is
+    /// one edge), so the order is total and deterministic.
+    heap: BinaryHeap<Reverse<(PathRec, usize)>>,
 }
 
 impl Default for ExploreArena {
@@ -318,7 +322,7 @@ impl Default for ExploreArena {
             stations: StationTable::new(),
             bins_in: Vec::new(),
             merges: (0..SHARDS).map(|_| ShardMerge::default()).collect(),
-            heap: Vec::with_capacity(SHARDS),
+            heap: BinaryHeap::with_capacity(SHARDS),
         }
     }
 }
@@ -743,15 +747,15 @@ impl ParallelExplorer {
             heap.clear();
             for (s, m) in merges.iter().enumerate() {
                 if m.bin.len() > m.start {
-                    heap_push(heap, (m.bin[m.bin.len() - 1].rec, s));
+                    heap.push(Reverse((m.bin[m.bin.len() - 1].rec, s)));
                 }
             }
-            while let Some((_, s)) = heap_pop(heap) {
+            while let Some(Reverse((_, s))) = heap.pop() {
                 let m = &mut merges[s];
                 let c = m.bin.pop().expect("heap tracks non-empty tails");
                 level.push(c.rec);
                 if m.bin.len() > m.start {
-                    heap_push(heap, (m.bin[m.bin.len() - 1].rec, s));
+                    heap.push(Reverse((m.bin[m.bin.len() - 1].rec, s)));
                 }
             }
             if let (Some(t), Some(resumed)) = (tel, serial_resumed) {
@@ -1034,58 +1038,13 @@ fn compact_winners(m: &mut ShardMerge) {
         }
     }
     m.start = w;
-    m.bin[w..].sort_unstable_by_key(|b| std::cmp::Reverse(b.rec));
-}
-
-/// Sift-up push into the arena-retained min-heap over shard bin tails.
-/// Path records within a level are unique (a `(parent, step)` pair is one
-/// edge), so ordering by record alone is total and deterministic.
-fn heap_push(heap: &mut Vec<(PathRec, usize)>, item: (PathRec, usize)) {
-    heap.push(item);
-    let mut i = heap.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if heap[parent].0 <= heap[i].0 {
-            break;
-        }
-        heap.swap(i, parent);
-        i = parent;
-    }
-}
-
-/// Pop the minimum record off the tail heap (sift-down).
-fn heap_pop(heap: &mut Vec<(PathRec, usize)>) -> Option<(PathRec, usize)> {
-    let n = heap.len();
-    if n == 0 {
-        return None;
-    }
-    heap.swap(0, n - 1);
-    let top = heap.pop();
-    let n = heap.len();
-    let mut i = 0;
-    loop {
-        let left = 2 * i + 1;
-        if left >= n {
-            break;
-        }
-        let child = if left + 1 < n && heap[left + 1].0 < heap[left].0 {
-            left + 1
-        } else {
-            left
-        };
-        if heap[i].0 <= heap[child].0 {
-            break;
-        }
-        heap.swap(i, child);
-        i = child;
-    }
-    top
+    m.bin[w..].sort_unstable_by_key(|b| Reverse(b.rec));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::state_key;
+    use crate::codec::StateCodec;
     use crate::explore::Discipline;
     use crate::visited::FnvSet;
     use crate::visited::SHARDS;
@@ -1294,7 +1253,7 @@ mod tests {
         let mut root = System::new(proto);
         root.disable_event_log();
         let mut visited = FnvSet::default();
-        visited.insert(state_key(&root));
+        visited.insert(StateCodec::full().key(&root));
         let mut states = 1usize;
         let mut frontier = vec![Node {
             sys: root,
@@ -1316,7 +1275,7 @@ mod tests {
                         violations.push(path);
                         continue;
                     }
-                    let key = state_key(&next);
+                    let key = StateCodec::full().key(&next);
                     if !visited.contains(&key) {
                         candidates.push((key, path, next));
                     }
@@ -1428,7 +1387,7 @@ mod tests {
                 });
                 let mut child = (*parent).clone();
                 apply(&mut child, action);
-                expected.push(state_key(&child));
+                expected.push(StateCodec::full().key(&child));
             }
         }
         assert!(recs.len() > 2 * CHUNK * SHARDS, "three workers get a slice");
@@ -1455,7 +1414,7 @@ mod tests {
                     let (tx, rx) = record_stations(w.out.record(i));
                     assert!((tx | rx) & PROVISIONAL == 0, "{threads} threads");
                     load(w.out.record(i), &stations, &mut sys);
-                    keys.push(state_key(&sys));
+                    keys.push(StateCodec::full().key(&sys));
                 }
                 assert!(w.patches.is_empty() && w.misses.transmitters() == 0);
             }

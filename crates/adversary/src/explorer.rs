@@ -24,7 +24,6 @@
 //! );
 //! ```
 
-use crate::codec::EncodedState;
 use crate::explore::{run_sequential, ExploreConfig, ExploreOutcome};
 use crate::explore_par::{ExploreArena, ParallelExplorer};
 use crate::visited::{VisitedSet, VisitedSpec};
@@ -160,9 +159,6 @@ pub(crate) fn record_run_end(registry: &Registry, visited: &dyn VisitedSet, elap
     registry
         .gauge("explore.visited_bytes")
         .set(visited.peak_memory_bytes() as u64);
-    registry
-        .gauge("explore.codec_bytes_per_state")
-        .set(EncodedState::BYTES as u64);
     if visited.spills() > 0 {
         registry
             .counter("explore.visited_spills")

@@ -33,10 +33,11 @@
 //!   sequential oracle or, with [`Explorer::parallel`], the same search
 //!   level-synchronized across worker threads with a sharded visited set —
 //!   deterministic outcomes independent of thread count.
-//! - [`StateCodec`] / [`VisitedSet`] — the state-identity layer: states
-//!   bit-packed to [`EncodedState::BYTES`] fixed bytes, deduplicated
-//!   through an exact in-RAM tier or an exact disk-spilling tier bounded
-//!   by a memory budget ([`VisitedSpec`]).
+//! - [`StateCodec`] / [`VisitedSet`] — the state-identity layer: each state
+//!   is hashed to an 8-byte key, deduplicated through an exact in-RAM tier
+//!   or an exact disk-spilling tier bounded by a memory budget
+//!   ([`VisitedSpec`]); the parallel engine's frontier holds states as
+//!   varint records ([`codec::save`]).
 //! - [`shrink()`] — greedy counterexample shrinking: deletes runs of
 //!   adversary actions while the schedule still replays to a violation, so
 //!   machine-found attacks come back minimal and human-readable.
@@ -82,7 +83,7 @@ mod system;
 pub mod visited;
 mod workpool;
 
-pub use codec::{CodecMode, EncodedState, StateCodec};
+pub use codec::StateCodec;
 pub use dominant::{DominantReport, DominantTracker, ProbRunConfig};
 pub use explore::{scope_root, Discipline, ExploreConfig, ExploreOutcome};
 pub use explorer::Explorer;
@@ -90,7 +91,7 @@ pub use greedy::GreedyReplayAdversary;
 pub use mf::{MfConfig, MfFalsifier, MfGrowthStage};
 pub use oracle::{BoundnessOracle, Extension};
 pub use pf::{PfConfig, PfFalsifier, PfMessageCost};
-pub use por::{apply_step, state_digest, steps_independent_at};
+pub use por::{apply_step, steps_independent_at};
 pub use schedule::{Schedule, ScheduleError, ScheduleStep};
 pub use shrink::{shrink, ShrinkError, ShrinkOutcome};
 pub use system::{Disposition, System};

@@ -104,7 +104,7 @@
 //! reused header comes back into expectation) get the identity quotient and
 //! behave exactly as without `--por`.
 
-use crate::codec::{state_key, CodecMode, StateCodec};
+use crate::codec::StateCodec;
 use crate::explore::{enabled_actions, Action, Discipline, ExploreConfig};
 use crate::schedule::ScheduleStep;
 use crate::system::System;
@@ -139,7 +139,7 @@ impl PorCtx {
 
     /// True when the sleep-set rule (and the quotient key) is live.
     fn active(&self) -> bool {
-        self.codec.mode() == CodecMode::RetiredQuotient
+        self.codec == StateCodec::retired_quotient()
     }
 
     /// True when `action`, taken from `parent` and producing `child`, goes
@@ -164,7 +164,7 @@ impl PorCtx {
         inert(parent, child)
     }
 
-    /// The dedup key the reduced engines use: [`state_key`] with every
+    /// The dedup key the reduced engines use: the full state key with every
     /// *retired* delayed copy ([`System::packet_retired`]) replaced by an
     /// anonymous garbage token. Two states that differ only in **which**
     /// retired values occupy their pool slots — `{old₀×2, old₁×1}` versus
@@ -173,9 +173,7 @@ impl PorCtx {
     /// both stations, so delivering one retired copy mirrors delivering
     /// any other), and this collapse, not edge pruning, is where the
     /// reduction's state savings come from. Inactive contexts return the
-    /// full [`state_key`] unchanged. The derivation itself lives in the
-    /// shared [`StateCodec`] ([`CodecMode::RetiredQuotient`]), bit-for-bit
-    /// the historical chain.
+    /// full key unchanged. Both derivations are [`StateCodec::key`].
     pub(crate) fn key(&self, sys: &System) -> u64 {
         self.codec.key(sys)
     }
@@ -338,12 +336,6 @@ pub fn apply_step(sys: &System, cfg: &ExploreConfig, step: ScheduleStep) -> Opti
     let mut next = sys.clone();
     crate::explore::apply(&mut next, action);
     Some(next)
-}
-
-/// The state key of `sys` — re-exported for the property harness, which
-/// compares swap results by the same digest the engines deduplicate on.
-pub fn state_digest(sys: &System) -> u64 {
-    state_key(sys)
 }
 
 #[cfg(test)]

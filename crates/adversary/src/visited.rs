@@ -26,7 +26,6 @@
 //! `--visited <ram|tiered>` / `--memory-budget <bytes>` flags and owned by
 //! the [`Explorer`](crate::Explorer) facade.
 
-use crate::codec::{block_contains_key, key_at};
 use nonfifo_ioa::fingerprint::{mix64, Fnv64};
 use std::collections::HashSet;
 use std::fs::File;
@@ -54,6 +53,31 @@ const RAM_ENTRY_BYTES: usize = 12;
 /// Keys per on-disk block: 512 × 8 B = one 4 KiB page per positioned read,
 /// with one in-RAM fence pointer (the block's first key) each.
 const BLOCK_KEYS: usize = 512;
+
+/// Reads the `i`-th key of a little-endian-packed sorted key block, the
+/// on-disk unit of a spill run.
+fn key_at(block: &[u8], i: usize) -> u64 {
+    let at = i * 8;
+    u64::from_le_bytes(block[at..at + 8].try_into().expect("block layout"))
+}
+
+/// Binary-searches a little-endian-packed sorted key block for `key`.
+/// `block.len()` must be a multiple of 8. The positioned and the batched
+/// disk probes both settle on this, so a single-key probe and a batched
+/// sequential probe can never disagree.
+fn block_contains_key(block: &[u8], key: u64) -> bool {
+    let mut lo = 0usize;
+    let mut hi = block.len() / 8;
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        match key_at(block, mid).cmp(&key) {
+            std::cmp::Ordering::Equal => return true,
+            std::cmp::Ordering::Less => lo = mid + 1,
+            std::cmp::Ordering::Greater => hi = mid,
+        }
+    }
+    false
+}
 
 /// The shard a key lands in — derived from the *mixed* digest, not the raw
 /// key. State keys are FNV chains, which are nearly linear over inputs
@@ -556,11 +580,6 @@ impl TieredVisited {
         }
     }
 
-    /// The configured byte budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
     /// Fence-pointer bytes, estimated as one 8-byte fence per 4 KiB block
     /// of the total spilled key count — exactly the fences of the merged
     /// run, and within one partial block per live run of the physical
@@ -788,6 +807,22 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    #[test]
+    fn key_blocks_round_trip_and_probe_exactly() {
+        let keys: Vec<u64> = (0..321u64).map(|i| i * 7 + 3).collect();
+        let mut block = Vec::new();
+        for &k in &keys {
+            block.extend_from_slice(&k.to_le_bytes());
+        }
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(key_at(&block, i), k);
+            assert!(block_contains_key(&block, k));
+            assert!(!block_contains_key(&block, k + 1));
+        }
+        assert!(!block_contains_key(&block, 0));
+        assert!(!block_contains_key(&[], 42));
     }
 
     #[test]

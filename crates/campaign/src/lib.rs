@@ -72,6 +72,6 @@ pub use plan::{CampaignPlan, CampaignPlanError, MAX_PLAN_RUNS, PLAN_SCHEMA_VERSI
 pub use runner::{
     merge_reports, CampaignReport, CampaignRunner, IndexedRun, PlanExpansion, RunOutcome, RunRecord,
 };
-pub use service::{CampaignService, ServiceConfig};
+pub use service::{CampaignService, ServiceConfig, MAX_WORKERS};
 pub use spec::{RunSpec, ScenarioSpec};
 pub use wire::{WireError, WireMsg, WIRE_SCHEMA_VERSION};

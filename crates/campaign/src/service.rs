@@ -50,11 +50,14 @@ use std::time::{Duration, Instant};
 /// make the daemon allocate whatever a client claims.
 const MAX_BODY_BYTES: usize = 16 << 20;
 
-/// The most workers one `submit` may request: 64, well above any core
-/// count the daemon runs on. A campaign spawns one thread per worker,
-/// bounded only by the plan's cache misses, so without a cap one request
-/// could make the daemon spawn a thread per run.
-const MAX_WORKERS: u64 = 64;
+/// The most worker threads one campaign or exploration may ask for: 64,
+/// well above any core count this runs on. A campaign spawns one thread
+/// per worker, bounded only by the plan's runs, and a parallel exploration
+/// sizes per-worker scratch by it, so without a cap one `submit` or one
+/// `--threads`/`--workers` value could exhaust the machine. The daemon
+/// answers a larger `submit` with a `400`; the CLI rejects a larger option
+/// as a usage error.
+pub const MAX_WORKERS: usize = 64;
 
 /// How a [`CampaignService`] runs campaigns.
 #[derive(Debug, Clone, Default)]
@@ -324,7 +327,7 @@ impl CampaignService {
     fn handle_campaign(&self, writer: &mut BufWriter<TcpStream>, body: &str) {
         let (plan_text, workers) = if body.trim_start().starts_with('{') {
             match WireMsg::parse_line(body) {
-                Ok(WireMsg::Submit { workers, .. }) if workers > MAX_WORKERS => {
+                Ok(WireMsg::Submit { workers, .. }) if workers > MAX_WORKERS as u64 => {
                     let line = WireMsg::Error {
                         message: format!(
                             "submit requests {workers} workers; the limit is {MAX_WORKERS}"

@@ -120,6 +120,22 @@ impl Args {
                 .map_err(|_| ArgsError(format!("--{name}: cannot parse {v:?}"))),
         }
     }
+
+    /// The thread count `--name`, or `0` (one per core) when absent.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the value is unparsable or above
+    /// [`MAX_WORKERS`](nonfifo_campaign::MAX_WORKERS), before any thread or
+    /// per-thread buffer exists.
+    pub fn threads(&self, name: &str) -> Result<usize, ArgsError> {
+        let n: usize = self.option_or(name, 0)?;
+        let max = nonfifo_campaign::MAX_WORKERS;
+        if n > max {
+            return Err(ArgsError(format!("--{name} {n}: the limit is {max}")));
+        }
+        Ok(n)
+    }
 }
 
 /// Options shared by every run-producing subcommand (`simulate`, `chaos`,

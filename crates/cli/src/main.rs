@@ -138,6 +138,9 @@ byte-identical at any budget. --memory-budget defaults to
 1 GiB (2^30 bytes) and requires --visited tiered; the effective budget —
 default or not — is always printed in the scope banner.
 
+explore --threads, campaign --threads and serve --workers take at most
+64 threads; 0, the default, means one per core.
+
 telemetry: --metrics prints a summary table; --metrics-out writes the
 schema-versioned metrics JSON; --trace-out writes a Chrome trace_events
 JSON (load in chrome://tracing or Perfetto).
@@ -652,7 +655,7 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
     let parallel = args.flag("parallel") || args.option("threads").is_some();
     let mut explorer = Explorer::new().visited(spec);
     if parallel {
-        explorer = explorer.parallel(args.option_or("threads", 0)?);
+        explorer = explorer.parallel(args.threads("threads")?);
     }
     if let Some(registry) = &metrics {
         explorer = explorer.with_telemetry(Arc::clone(registry), trace.clone());
@@ -805,7 +808,7 @@ fn cmd_campaign(args: &Args) -> Result<(), NonFifoError> {
     if args.positional_count() > 2 {
         return Err(ArgsError("campaign takes exactly one positional".into()).into());
     }
-    let threads: usize = args.option_or("threads", 0)?;
+    let threads = args.threads("threads")?;
     let text = std::fs::read_to_string(plan_path).map_err(|e| NonFifoError::io(plan_path, &e))?;
     let plan = CampaignPlan::parse(&text)?;
     let runs = plan.expand();
@@ -888,7 +891,7 @@ fn cmd_serve(args: &Args) -> Result<(), NonFifoError> {
     use nonfifo_campaign::{CampaignService, ServiceConfig};
     args.only(SERVE_OPTIONS, &[])?;
     let addr = args.option("addr").unwrap_or("127.0.0.1:7171");
-    let workers: usize = args.option_or("workers", 0)?;
+    let workers = args.threads("workers")?;
     let service = CampaignService::new(ServiceConfig {
         workers,
         cache_path: args.option("cache").map(str::to_string),
@@ -1188,6 +1191,20 @@ mod tests {
     }
 
     #[test]
+    fn thread_counts_stop_at_the_worker_limit() {
+        let max = nonfifo_campaign::MAX_WORKERS;
+        assert!(USAGE.contains(&format!("\n{max} threads; 0, the default")));
+        let threads = |n: &str| Args::parse(["campaign", "--threads", n], &[]).unwrap();
+        assert_eq!(threads(&max.to_string()).threads("threads"), Ok(max));
+        assert_eq!(threads("0").threads("threads"), Ok(0));
+        let err = threads(&(max + 1).to_string())
+            .threads("threads")
+            .unwrap_err();
+        assert_eq!(err.0, format!("--threads {}: the limit is {max}", max + 1));
+        assert!(threads("-1").threads("threads").is_err());
+    }
+
+    #[test]
     fn explore_flags_parse() {
         let args = Args::parse(
             [
@@ -1208,7 +1225,7 @@ mod tests {
         assert!(args.flag("parallel"));
         assert!(args.flag("differential"));
         assert!(!args.flag("no-shrink"));
-        assert_eq!(args.option_or("threads", 0usize).unwrap(), 8);
+        assert_eq!(args.threads("threads").unwrap(), 8);
         assert_eq!(args.option_or("max-states", 0usize).unwrap(), 1000);
         assert_eq!(
             args.option("discipline").unwrap().parse::<Discipline>(),

@@ -168,3 +168,31 @@ fn unread_options_are_usage_errors_that_name_them() {
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("schema_version 1"), "{stderr}");
 }
+
+/// A thread count above the worker limit is a usage error naming the
+/// limit, raised while the arguments are read: no banner is printed, so no
+/// worker thread, per-worker scratch or listening socket was made.
+#[test]
+fn thread_counts_above_the_limit_are_usage_errors() {
+    for (args, option) in [
+        (explore(&["--threads", "65"]), "--threads 65"),
+        (vec!["campaign", SMOKE, "--threads", "65"], "--threads 65"),
+        // A port out of range, so a regression fails to bind instead of
+        // serving forever.
+        (
+            vec!["serve", "--addr", "127.0.0.1:99999", "--workers", "65"],
+            "--workers 65",
+        ),
+    ] {
+        let out = Command::new(BIN).args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} started work");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert_eq!(
+            first,
+            format!("error: {option}: the limit is 64"),
+            "{args:?}"
+        );
+    }
+}

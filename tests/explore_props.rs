@@ -243,12 +243,7 @@ fn assert_round_trip(sys: &System, cfg: &ExploreConfig, target: &mut System, wha
     save(sys, &mut stations, &mut record);
     load(&record, &stations, target);
     for codec in [StateCodec::full(), StateCodec::retired_quotient()] {
-        assert_eq!(
-            codec.key(sys),
-            codec.key(target),
-            "{what}: {:?} key",
-            codec.mode()
-        );
+        assert_eq!(codec.key(sys), codec.key(target), "{what}: {codec:?} key");
     }
     assert!(sys.tx.same_state(target.tx.as_ref()), "{what}: transmitter");
     assert!(sys.rx.same_state(target.rx.as_ref()), "{what}: receiver");

@@ -20,8 +20,8 @@
 //! `PROPTEST_CASES` scales the case count.
 
 use nonfifo::adversary::{
-    apply_step, scope_root, state_digest, steps_independent_at, Discipline, ExploreConfig,
-    ExploreOutcome, Explorer, ScheduleStep, System,
+    apply_step, scope_root, steps_independent_at, Discipline, ExploreConfig, ExploreOutcome,
+    Explorer, ScheduleStep, StateCodec, System,
 };
 use nonfifo::protocols::{
     AfekFlush, AlternatingBit, DataLink, GoBackN, Outnumber, SelectiveReject, SequenceNumber,
@@ -153,8 +153,8 @@ fn claimed_independent_adjacent_pairs_commute() {
                     panic!("seed {seed}: independent pair {a:?};{b:?} failed to run swapped")
                 });
             assert_eq!(
-                state_digest(&ab),
-                state_digest(&ba),
+                StateCodec::full().key(&ab),
+                StateCodec::full().key(&ba),
                 "seed {seed}: swapping {a:?};{b:?} changes the state key for {}",
                 proto.name(),
             );

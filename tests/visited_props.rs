@@ -11,8 +11,9 @@
 //! runtime).
 
 use nonfifo::adversary::{
-    scope_root, state_digest, Discipline, ExploreConfig, Explorer, StateCodec, VisitedSpec,
+    scope_root, Discipline, ExploreConfig, Explorer, StateCodec, System, VisitedSpec,
 };
+use nonfifo::ioa::fingerprint::{fnv64, mix64, StateHash};
 use nonfifo::protocols::{
     AfekFlush, AlternatingBit, DataLink, GoBackN, Outnumber, SelectiveReject, SequenceNumber,
     SlidingWindow, StabilizingDl,
@@ -232,25 +233,59 @@ fn forced_spills_leave_no_trace_in_the_report() {
     );
 }
 
+/// The legacy plain state key, spelled out here so the codec is checked
+/// against a derivation it does not share code with.
+fn legacy_full_key(sys: &System) -> u64 {
+    let ms = sys.fwd.parked_multiset();
+    StateHash::new("explore-state")
+        .field(sys.tx.state_fingerprint())
+        .field(sys.rx.state_fingerprint())
+        .field(sys.counts().sm)
+        .field(sys.counts().rm)
+        .field(ms.content_hash())
+        .field(ms.len() as u64)
+        .finish()
+}
+
+/// The legacy POR quotient key: retired copies leave the pool digest and
+/// are counted instead.
+fn legacy_quotient_key(sys: &System) -> u64 {
+    let ms = sys.fwd.parked_multiset();
+    let mut live = ms.content_hash();
+    let mut retired = 0u64;
+    for (p, _) in ms.iter() {
+        if sys.packet_retired(p) {
+            live = live.wrapping_sub(mix64(fnv64(&p)));
+            retired += 1;
+        }
+    }
+    StateHash::new("explore-state-por")
+        .field(sys.tx.state_fingerprint())
+        .field(sys.rx.state_fingerprint())
+        .field(sys.counts().sm)
+        .field(sys.counts().rm)
+        .field(live)
+        .field(retired)
+        .field(ms.len() as u64)
+        .finish()
+}
+
 #[test]
 fn codec_reproduces_the_legacy_digest_on_scope_roots() {
-    let codec = StateCodec::full();
     for_seeds(cases(), |seed, rng| {
         let proto = random_protocol(rng);
         let cfg = random_scope(rng);
         let root = scope_root(proto.as_ref(), &cfg);
-        let encoded = codec.encode(&root);
-        assert_eq!(
-            codec.key_of(&encoded),
-            state_digest(&root),
-            "seed {seed}: codec key diverges from the legacy digest for {} under {}",
-            proto.name(),
-            cfg.discipline,
-        );
-        const {
-            assert!(
-                nonfifo::adversary::EncodedState::BYTES <= 64,
-                "codec blew the 64-byte budget"
+        for (codec, legacy) in [
+            (StateCodec::full(), legacy_full_key(&root)),
+            (StateCodec::retired_quotient(), legacy_quotient_key(&root)),
+        ] {
+            assert_eq!(
+                codec.key(&root),
+                legacy,
+                "seed {seed}: {codec:?} key diverges from the legacy digest for {} under {}",
+                proto.name(),
+                cfg.discipline,
             );
         }
     });
