@@ -73,15 +73,15 @@ impl StateCodec {
     pub fn key(&self, sys: &System) -> u64 {
         let ms = sys.fwd.parked_multiset();
         let counts = sys.counts();
-        let chain = |tag| {
-            StateHash::new(tag)
+        let chain = |start: StateHash| {
+            start
                 .field(sys.tx.state_fingerprint())
                 .field(sys.rx.state_fingerprint())
                 .field(scope_count(counts.sm))
                 .field(scope_count(counts.rm))
         };
         if !self.quotient {
-            return chain("explore-state")
+            return chain(const { StateHash::new("explore-state") })
                 .field(ms.content_hash())
                 .field(scope_count(ms.len() as u64))
                 .finish();
@@ -97,7 +97,7 @@ impl StateCodec {
                 retired += 1;
             }
         }
-        chain("explore-state-por")
+        chain(const { StateHash::new("explore-state-por") })
             .field(live)
             .field(scope_count(retired))
             .field(scope_count(ms.len() as u64))

@@ -14,10 +14,11 @@
 //! expansion loop off the allocator (see `docs/explorer_internals.md`):
 //!
 //! - **Parent-pointer paths.** A frontier node does not own its schedule.
-//!   Each level appends one `(parent index, last step)` record per admitted
-//!   node to a per-level arena, and full paths are reconstructed by walking
-//!   the parent chain — only on a violation or never. Expanding a node
-//!   copies two words instead of cloning an O(depth) vector.
+//!   Each level appends one `(parent index, last step)` record, packed in
+//!   one word, per admitted node to a per-level arena, and full paths are
+//!   reconstructed by walking the parent chain — only on a violation or
+//!   never. Expanding a node copies one word instead of cloning an
+//!   O(depth) vector.
 //! - **Record frontier.** A frontier level is a flat byte slab of frontier
 //!   records ([`crate::codec`]), one per node: a 16-byte head, then
 //!   varints for the counters and about 2 bytes per header-only parked
@@ -27,7 +28,7 @@
 //!   A worker loads a node into its warm [`System`], tries every enabled
 //!   action on one reused trial refilled in place from it
 //!   ([`System::assign_from`]), and records a discovered successor as its
-//!   state key plus its path record — no system. Most successors lose the
+//!   state key plus its path record, 16 bytes — no system. Most successors lose the
 //!   merge (same-level duplicates, and under a disk-spilling tier every
 //!   successor whose key lives only on disk), so only the winners are
 //!   rebuilt after the merge, by replaying their one step from the loaded
@@ -60,15 +61,15 @@
 //! - The merge itself is **sharded and parallel**: candidates are binned
 //!   by the 64-way mixed-digest shard index ([`shard_of`]) as workers
 //!   discover them, and each shard is sorted, deduplicated, and probed
-//!   against the visited tier's spilled runs independently — shards are
-//!   disjoint key spaces, so per-shard winners concatenated shard-major
-//!   and then emitted in global path-rank order are exactly the winners
-//!   the old single-threaded full-sort merge produced, whatever thread
-//!   ran which shard (the determinism argument is spelled out in
-//!   `docs/explorer_internals.md` §7). Disk-backed tiers are probed once
-//!   per shard with a sorted key batch
-//!   ([`VisitedSet::probe_spilled_sorted`]), so a 4 KiB run block is read
-//!   once per level instead of once per candidate.
+//!   against the visited tier's spilled runs independently, in place in
+//!   the workers' own bins (the merge keeps no copy of its own) — shards
+//!   are disjoint key spaces, so the winners emitted in global path-rank
+//!   order are exactly the winners the old single-threaded full-sort
+//!   merge produced, whatever thread ran which shard (the determinism
+//!   argument is spelled out in `docs/explorer_internals.md` §7). While
+//!   the tier has runs on disk they are probed once per shard with a
+//!   sorted key batch ([`VisitedSet::probe_spilled_sorted`]), so a 4 KiB
+//!   run block is read once per level instead of once per candidate.
 //! - The winners' records are rebuilt in rank order, each from its parent
 //!   and its recorded step alone, so which thread rebuilt a node cannot
 //!   change it. Station ids may differ with the thread count; they never
@@ -106,10 +107,11 @@ use crate::schedule::ScheduleStep;
 use crate::system::System;
 use crate::visited::{shard_of, VisitedSet, VisitedSpec, SHARDS};
 use crate::workpool::ChunkCursor;
-use nonfifo_ioa::{CopyId, Packet};
+use nonfifo_ioa::{CopyId, Header, Packet};
 use nonfifo_protocols::DataLink;
 use nonfifo_telemetry::{Counter, Histogram, Registry, TraceSink};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -119,35 +121,88 @@ use std::time::Instant;
 const CHUNK: usize = 16;
 
 /// One parent-pointer path record: the frontier node at this level reached
-/// its state by taking `step` from the previous level's node at index
-/// `parent`. Full schedules are reconstructed by walking the chain — two
-/// words per node instead of an owned `Vec<ScheduleStep>` per node.
+/// its state by taking a step from the previous level's node at index
+/// `parent`. Full schedules are reconstructed by walking the chain — one
+/// word per node instead of an owned `Vec<ScheduleStep>` per node.
+///
+/// The word is `parent << 32 | step code`, where the step code is the
+/// [`ScheduleStep`] variant's declaration index in bits 29–31 (Send 0,
+/// Park 1, Deliver 3, Drop 4) over its header in bits 0–28. So the packed
+/// order is the derived `(parent, ScheduleStep)` order, and because the
+/// frontier is kept sorted by path order, comparing two records of one BFS
+/// level is exactly comparing their full equal-length paths
+/// lexicographically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct PathRec {
-    /// Index of the parent node in the previous level's frontier. The
-    /// frontier is kept sorted by path order, so for the equal-length paths
-    /// of one BFS level, comparing `(parent, step)` is exactly comparing
-    /// full paths lexicographically.
-    parent: u32,
+struct PathRec(u64);
+
+/// Header bits of a packed step code; the variant index sits above them.
+const HEADER_BITS: u32 = 29;
+
+impl PathRec {
+    /// Packs `step` taken from the node ranked `parent`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step` is not an explorer step, or names a header at
+    /// 2²⁹ or above, which no scope the explorer can finish does.
+    fn new(parent: u32, step: ScheduleStep) -> Self {
+        let (variant, header) = match step {
+            ScheduleStep::Send => (0, 0),
+            ScheduleStep::Park => (1, 0),
+            ScheduleStep::Deliver(h) => (3, h.index()),
+            ScheduleStep::Drop(h) => (4, h.index()),
+            other => unreachable!("`{other}` is not an explorer step"),
+        };
+        assert!(
+            header < 1 << HEADER_BITS,
+            "header {header} does not fit a path record's {HEADER_BITS} bits"
+        );
+        PathRec(u64::from(parent) << 32 | u64::from(variant << HEADER_BITS | header))
+    }
+
+    /// Index of the parent node in the previous level's frontier.
+    fn parent(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+
     /// The action taken from the parent.
-    step: ScheduleStep,
+    fn step(self) -> ScheduleStep {
+        let code = self.0 as u32;
+        let header = Header::new(code & ((1 << HEADER_BITS) - 1));
+        match code >> HEADER_BITS {
+            0 => ScheduleStep::Send,
+            1 => ScheduleStep::Park,
+            3 => ScheduleStep::Deliver(header),
+            4 => ScheduleStep::Drop(header),
+            variant => unreachable!("step variant {variant} is not an explorer step"),
+        }
+    }
 }
 
 /// A successor discovered during a level, pending the deterministic merge:
-/// its state key and the edge that reached it, and no [`System`]. Winners
-/// are rebuilt from their parents after the merge ([`rebuild_frontier`]).
+/// its state key and the edge that reached it, and no [`System`] — 16
+/// bytes. Winners are rebuilt from their parents after the merge
+/// ([`rebuild_frontier`]).
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     key: u64,
     rec: PathRec,
 }
 
+impl Candidate {
+    /// The merge order: by key, then by path.
+    fn order(&self) -> (u64, PathRec) {
+        (self.key, self.rec)
+    }
+}
+
 /// Per-worker scratch: action/oldest-copy buffers, the loaded node and the
 /// trial system for the expansion core, the candidate/violation
 /// out-buffers, and the rebuild phase's output. Candidates are binned by
 /// visited-shard index at discovery time ([`shard_of`]), so the post-level
-/// merge starts from 64 disjoint key spaces per worker. Everything is
-/// reused level to level and run to run.
+/// merge starts from 64 disjoint key spaces per worker; it merges them in
+/// place and hands the emptied bins back. Everything is reused level to
+/// level and run to run.
 #[derive(Debug, Default)]
 struct WorkerScratch {
     actions: Vec<Action>,
@@ -254,28 +309,35 @@ fn prime(slot: &mut Option<System>, root: &System) {
     }
 }
 
-/// Per-shard merge state, retained in the arena: the shard's combined
-/// candidate bin, the sorted unique key batch handed to
-/// [`VisitedSet::probe_spilled_sorted`], and the partition point left by
-/// the in-place winner compaction (`bin[..start]` are rejected duplicates,
-/// `bin[start..]` the shard's winners in descending path-record order so
-/// rank assignment can pop them off the tail).
+/// Per-shard merge state, retained in the arena: the sorted unique key
+/// batch handed to [`VisitedSet::probe_spilled_sorted`] and its hits, both
+/// left empty while nothing is on disk; a read and a write position per
+/// worker bin and a min-heap over the bins' heads for the k-way walks;
+/// and how many of the shard's candidates lost. The candidates
+/// themselves, winners included, stay in the workers' bins.
 #[derive(Debug, Default)]
 struct ShardMerge {
-    bin: Vec<Candidate>,
     keys: Vec<u64>,
     hits: Vec<bool>,
-    start: usize,
+    cursors: Vec<(usize, usize)>,
+    heads: BinaryHeap<Reverse<(u64, PathRec, usize)>>,
+    rejected: usize,
 }
 
 /// Resident-memory peaks of one run, exported as gauges when telemetry is
-/// attached.
+/// attached. The path arena needs no peak: it only grows within a run.
 #[derive(Debug, Default, Clone, Copy)]
 struct Peaks {
     /// The most record bytes two adjacent levels held at once, plus the
     /// station table at that point ([`Slab::bytes`], [`StationTable::bytes`]).
     frontier_bytes: usize,
-    /// The most candidates one level produced, times their record size.
+    /// The most candidates one level produced, times their 16-byte size:
+    /// what the workers' bins hold at the widest level. On one worker it
+    /// is also the candidate capacity a warm arena retains, less the bins'
+    /// growth slack. With more workers each bin keeps the most its own
+    /// worker found in one level, however the scheduler spread the levels,
+    /// so the retained capacity can exceed it (2.75x at seqnum 8/26/10 at
+    /// 8 threads on 2 cores).
     candidate_bytes: usize,
 }
 
@@ -301,13 +363,15 @@ pub(crate) struct ExploreArena {
     stations: StationTable,
     /// Shard-major transpose buffer: `bins_in[s * stride + w]` is worker
     /// `w`'s candidate bin for shard `s`, swapped in header-only so the
-    /// merge can hand disjoint shard groups to threads.
+    /// merge can hand disjoint shard groups to threads, and swapped back
+    /// after the level; between levels it holds only empty headers.
     bins_in: Vec<Vec<Candidate>>,
     /// One [`ShardMerge`] per visited shard.
     merges: Vec<ShardMerge>,
-    /// Rank-assignment scratch: a 64-way min-heap over shard bin tails.
-    /// Path records within a level are unique (a `(parent, step)` pair is
-    /// one edge), so the order is total and deterministic.
+    /// Rank-assignment scratch: a min-heap over the tails of the bins in
+    /// `bins_in`. Path records within a level are unique (a
+    /// `(parent, step)` pair is one edge), so the order is total and
+    /// deterministic.
     heap: BinaryHeap<Reverse<(PathRec, usize)>>,
 }
 
@@ -322,7 +386,7 @@ impl Default for ExploreArena {
             stations: StationTable::new(),
             bins_in: Vec::new(),
             merges: (0..SHARDS).map(|_| ShardMerge::default()).collect(),
-            heap: BinaryHeap::with_capacity(SHARDS),
+            heap: BinaryHeap::new(),
         }
     }
 }
@@ -365,7 +429,6 @@ impl ExploreArena {
             levels,
             frontier,
             bins_in,
-            merges,
             ..
         } = self;
         for seg in frontier.iter_mut() {
@@ -373,9 +436,6 @@ impl ExploreArena {
         }
         for bin in bins_in.iter_mut() {
             bin.clear();
-        }
-        for m in merges.iter_mut() {
-            m.bin.clear();
         }
         for w in workers.iter_mut() {
             while w.candidates.len() < SHARDS {
@@ -397,8 +457,8 @@ impl ExploreArena {
     /// Reconstructs the full schedule ending in `last`, a record whose
     /// parent sits at depth `depth` (so the path has `depth + 1` steps).
     fn reconstruct(&self, depth: usize, last: PathRec) -> Vec<ScheduleStep> {
-        let mut steps = vec![last.step];
-        let mut idx = last.parent as usize;
+        let mut steps = vec![last.step()];
+        let mut idx = last.parent() as usize;
         // A depth-0 violation has no interior path to walk — and on a fresh
         // arena `levels` is still empty, so even the degenerate `[1..=0]`
         // slice would be out of bounds. Reachable only from a corrupted
@@ -406,8 +466,8 @@ impl ExploreArena {
         if depth > 0 {
             for level in self.levels[1..=depth].iter().rev() {
                 let rec = level[idx];
-                steps.push(rec.step);
-                idx = rec.parent as usize;
+                steps.push(rec.step());
+                idx = rec.parent() as usize;
             }
         }
         steps.reverse();
@@ -444,8 +504,8 @@ struct ExploreTelemetry {
     /// (worker-side; stays 0 with `--por` off or inapplicable).
     pruned: Counter,
     /// Nanoseconds spent in the *serial* part of the per-level merge
-    /// (transpose, admit, rank assignment — the per-shard sort/probe work
-    /// runs on worker threads and is excluded). This over wall time is the
+    /// (transpose, admit and rank, hand-back — the per-shard sort/probe
+    /// work runs on worker threads and is excluded). This over wall time is the
     /// engine's Amdahl serial fraction; CI guards its share.
     merge_serial: Counter,
     /// Nanoseconds of wall time spent expanding the frontier levels:
@@ -479,7 +539,8 @@ impl ExploreTelemetry {
     /// End-of-run metrics: the ones both engines export
     /// ([`record_run_end`]), plus this engine's visited-set shard occupancy
     /// (balance of the mixed-digest shard split, for tiers with resident
-    /// shards), its peak frontier and candidate bytes, and the distinct
+    /// shards), its peak frontier and candidate bytes, the bytes of its
+    /// path records (one per admitted non-root state), and the distinct
     /// station states its records named.
     fn finalize(
         &self,
@@ -487,6 +548,7 @@ impl ExploreTelemetry {
         stations: &StationTable,
         elapsed_secs: f64,
         peaks: Peaks,
+        path_bytes: usize,
     ) {
         let occupancy = self.registry.histogram("explore.shard_occupancy");
         let mut sizes = Vec::new();
@@ -500,6 +562,9 @@ impl ExploreTelemetry {
         self.registry
             .gauge("explore.peak_candidate_bytes")
             .set(peaks.candidate_bytes as u64);
+        self.registry
+            .gauge("explore.path_bytes")
+            .set(path_bytes as u64);
         self.registry
             .gauge("explore.station_states.tx")
             .set(stations.transmitters() as u64);
@@ -560,7 +625,9 @@ impl ParallelExplorer {
         let (outcome, peaks) = self.run(proto, cfg, arena);
         if let Some(tel) = &self.telemetry {
             let elapsed = started.elapsed().as_secs_f64();
-            tel.finalize(arena.visited(), &arena.stations, elapsed, peaks);
+            let paths = arena.levels.iter().map(Vec::len).sum::<usize>();
+            let path_bytes = paths * std::mem::size_of::<PathRec>();
+            tel.finalize(arena.visited(), &arena.stations, elapsed, peaks, path_bytes);
             tel.registry
                 .gauge("explore.threads")
                 .set(self.threads as u64);
@@ -636,11 +703,10 @@ impl ParallelExplorer {
             // Deterministic sharded merge: every shard is a disjoint key
             // space, so each is sorted by (key, parent rank, step),
             // deduplicated, and disk-probed independently — on worker
-            // threads — and the shard-local decisions concatenated
-            // shard-major are exactly the decisions the old global sort
-            // made. Only the transpose, the admit pass, and rank
-            // assignment remain serial (timed as `explore.merge_serial_ns`
-            // when telemetry is attached).
+            // threads — and the shard-local decisions are exactly the
+            // decisions the old global sort made. Only the transpose, the
+            // admit-and-rank pass and the hand-back remain serial (timed
+            // as `explore.merge_serial_ns` when telemetry is attached).
             let ExploreArena {
                 visited,
                 workers,
@@ -664,10 +730,8 @@ impl ParallelExplorer {
             let mut total = 0usize;
             for (w, scratch) in workers.iter_mut().enumerate() {
                 for (s, bin) in scratch.candidates.iter_mut().enumerate() {
-                    if !bin.is_empty() {
-                        total += bin.len();
-                        std::mem::swap(&mut bins_in[s * stride + w], bin);
-                    }
+                    total += bin.len();
+                    std::mem::swap(&mut bins_in[s * stride + w], bin);
                 }
             }
             peaks.candidate_bytes = peaks
@@ -676,16 +740,14 @@ impl ParallelExplorer {
             let mut serial_ns = serial_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
             // Per-shard sort + same-level dedup + batched spilled-run
-            // probe + winner compaction (phase A), fanned out over the
-            // worker threads. Tiny levels stay inline: a scope spawn costs
-            // more than sorting a few dozen candidates.
+            // probe, in the workers' own bins, fanned out over the worker
+            // threads. Tiny levels stay inline: a scope spawn costs more
+            // than sorting a few dozen candidates.
             let frozen: &dyn VisitedSet = &**visited;
             let merge_threads = self.threads.min(SHARDS);
             if merge_threads == 1 || total < CHUNK * SHARDS {
                 for (s, m) in merges.iter_mut().enumerate() {
-                    merge_shard(m, &mut bins_in[s * stride..(s + 1) * stride]);
-                    frozen.probe_spilled_sorted(&m.keys, &mut m.hits);
-                    compact_winners(m);
+                    merge_shard(m, &mut bins_in[s * stride..(s + 1) * stride], frozen);
                 }
             } else {
                 let per = SHARDS.div_ceil(merge_threads);
@@ -696,9 +758,7 @@ impl ParallelExplorer {
                     {
                         scope.spawn(move || {
                             for (j, m) in ms.iter_mut().enumerate() {
-                                merge_shard(m, &mut bs[j * stride..(j + 1) * stride]);
-                                frozen.probe_spilled_sorted(&m.keys, &mut m.hits);
-                                compact_winners(m);
+                                merge_shard(m, &mut bs[j * stride..(j + 1) * stride], frozen);
                             }
                         });
                     }
@@ -707,56 +767,66 @@ impl ParallelExplorer {
 
             let serial_resumed = tel.map(|_| Instant::now());
 
-            // Admit pass (serial): shard-major over the compacted winners.
-            // Each winner key was proven absent by the resident probe at
-            // expansion time plus the spilled probe above, so the
-            // probe-free insert admits every one.
-            let mut level_dedup = 0u64;
-            for m in merges.iter() {
-                level_dedup += m.start as u64;
-                for c in &m.bin[m.start..] {
-                    let admitted = visited.insert_new(c.key);
-                    debug_assert!(admitted, "the merge proved every winner absent");
-                    states += 1;
-                    if let Some(t) = tel {
-                        t.states.inc();
-                    }
-                    if states >= cfg.max_states {
-                        if let Some(t) = tel {
-                            t.dedup_hits.add(level_dedup);
-                        }
-                        return (ExploreOutcome::Truncated { states }, peaks);
-                    }
-                }
-            }
+            // Admit and rank (serial): each bin's winners sit in
+            // descending (parent rank, step) order, so a min-heap over the
+            // bin tails emits the level in global path order with O(1)
+            // by-value pops — each node's index in the level's record
+            // arena, and so in the next frontier, *is* its path rank, the
+            // invariant that lets the merge compare one-word records
+            // instead of whole paths. Each winner key was proven absent by
+            // the resident probe at expansion time plus the spilled probe
+            // above, so the probe-free insert admits every one.
+            let level_dedup: usize = merges.iter().map(|m| m.rejected).sum();
             if let Some(t) = tel {
-                t.dedup_hits.add(level_dedup);
+                t.dedup_hits.add(level_dedup as u64);
             }
-
-            // Rank assignment (serial): each shard's winners sit at its
-            // bin tail in descending (parent rank, step) order, so a
-            // 64-way min-heap over the tails emits the level in global
-            // path order with O(1) by-value pops — each node's index in
-            // the level's record arena, and so in the next frontier, *is*
-            // its path rank, the invariant that lets the merge compare
-            // two-word records instead of whole paths.
             while levels.len() <= depth + 1 {
                 levels.push(Vec::new());
             }
             let level = &mut levels[depth + 1];
+            let bins = &mut bins_in[..SHARDS * stride];
             heap.clear();
-            for (s, m) in merges.iter().enumerate() {
-                if m.bin.len() > m.start {
-                    heap.push(Reverse((m.bin[m.bin.len() - 1].rec, s)));
+            for (i, bin) in bins.iter().enumerate() {
+                if let Some(c) = bin.last() {
+                    heap.push(Reverse((c.rec, i)));
                 }
             }
-            while let Some(Reverse((_, s))) = heap.pop() {
-                let m = &mut merges[s];
-                let c = m.bin.pop().expect("heap tracks non-empty tails");
-                level.push(c.rec);
-                if m.bin.len() > m.start {
-                    heap.push(Reverse((m.bin[m.bin.len() - 1].rec, s)));
+            let mut truncated = false;
+            while let Some(mut top) = heap.peek_mut() {
+                let Reverse((_, i)) = *top;
+                let c = bins[i].pop().expect("heap tracks non-empty tails");
+                let admitted = visited.insert_new(c.key);
+                debug_assert!(admitted, "the merge proved every winner absent");
+                states += 1;
+                if let Some(t) = tel {
+                    t.states.inc();
                 }
+                level.push(c.rec);
+                if states >= cfg.max_states {
+                    truncated = true;
+                    break;
+                }
+                // Replacing the top sifts it down once, instead of a pop
+                // and a push.
+                match bins[i].last() {
+                    Some(next) => *top = Reverse((next.rec, i)),
+                    None => {
+                        PeekMut::pop(top);
+                    }
+                }
+            }
+
+            // Hand every bin back to its worker header-only, so each
+            // candidate's capacity is retained once, in the worker that
+            // fills it.
+            for (w, scratch) in workers.iter_mut().enumerate() {
+                for (s, bin) in scratch.candidates.iter_mut().enumerate() {
+                    std::mem::swap(&mut bins[s * stride + w], bin);
+                    bin.clear();
+                }
+            }
+            if truncated {
+                return (ExploreOutcome::Truncated { states }, peaks);
             }
             if let (Some(t), Some(resumed)) = (tel, serial_resumed) {
                 serial_ns += resumed.elapsed().as_nanos() as u64;
@@ -871,12 +941,9 @@ fn expand_node(level: Level<'_>, rank: usize, scratch: &mut WorkerScratch) {
     for &action in &scratch.actions {
         next.assign_from(sys);
         apply(next, action);
-        let rec = PathRec {
-            parent: rank,
-            step: to_step(action),
-        };
+        let rec = PathRec::new(rank, to_step(action));
         debug_assert_eq!(
-            from_step(rec.step),
+            from_step(rec.step()),
             action,
             "the rebuild replays the record"
         );
@@ -976,13 +1043,14 @@ fn rebuild_slice(
     let node = scratch.node.as_mut().expect("primed at run start");
     let mut loaded = None;
     for rec in recs {
-        if loaded != Some(rec.parent) {
-            load(node_record(frontier, rec.parent as usize), stations, node);
-            loaded = Some(rec.parent);
+        let parent = rec.parent();
+        if loaded != Some(parent) {
+            load(node_record(frontier, parent as usize), stations, node);
+            loaded = Some(parent);
         }
         let trial = scratch.trial.get_or_insert_with(|| node.clone());
         trial.assign_from(node);
-        apply(trial, from_step(rec.step));
+        apply(trial, from_step(rec.step()));
         let ids = stations.resolve(&mut scratch.misses, trial);
         if (ids.0 | ids.1) & PROVISIONAL != 0 {
             scratch.patches.push(scratch.out.len() as u32);
@@ -991,54 +1059,88 @@ fn rebuild_slice(
     }
 }
 
-/// Phase A of the sharded merge, one shard at a time: combine the workers'
-/// bins for this shard, sort by `(key, parent rank, step)`, and build the
-/// sorted unique key batch for the spilled-run probe. Runs concurrently
-/// across shards — every buffer it touches is shard-local.
-fn merge_shard(m: &mut ShardMerge, bins: &mut [Vec<Candidate>]) {
-    m.bin.clear();
+/// The sharded merge, one shard at a time, in the workers' own bins for
+/// the shard: sort each bin by `(key, parent rank, step)`, then walk them
+/// k-way to keep each key's first candidate only, and to collect the
+/// sorted unique key batch for the spilled-run probe while something is
+/// on disk. A second walk then drops the candidates the probe found.
+/// Each bin is left holding its winners in *descending* path-record order,
+/// so rank assignment can pop the minimum off its tail in O(1). Runs
+/// concurrently across shards — every buffer it touches is shard-local.
+fn merge_shard(m: &mut ShardMerge, bins: &mut [Vec<Candidate>], frozen: &dyn VisitedSet) {
+    let mut total = 0;
+    for bin in bins.iter_mut() {
+        bin.sort_unstable_by_key(Candidate::order);
+        total += bin.len();
+    }
     m.keys.clear();
-    m.start = 0;
-    for bin in bins {
-        m.bin.append(bin);
-    }
-    if m.bin.is_empty() {
-        m.hits.clear();
-        return;
-    }
-    m.bin.sort_unstable_by_key(|c| (c.key, c.rec));
-    for c in &m.bin {
-        if m.keys.last() != Some(&c.key) {
-            m.keys.push(c.key);
-        }
-    }
     m.hits.clear();
-    m.hits.resize(m.keys.len(), false);
+    if frozen.disk_runs() == 0 {
+        keep_firsts(bins, &mut m.cursors, &mut m.heads, |_| true);
+    } else {
+        keep_firsts(bins, &mut m.cursors, &mut m.heads, |c| {
+            m.keys.push(c.key);
+            true
+        });
+        m.hits.resize(m.keys.len(), false);
+        frozen.probe_spilled_sorted(&m.keys, &mut m.hits);
+        let mut hits = m.hits.iter();
+        keep_firsts(bins, &mut m.cursors, &mut m.heads, |_| {
+            !hits.next().expect("one hit per key")
+        });
+    }
+    let mut winners = 0;
+    for bin in bins.iter_mut() {
+        bin.sort_unstable_by_key(|c| Reverse(c.rec));
+        winners += bin.len();
+    }
+    m.rejected = total - winners;
 }
 
-/// Tail of phase A, after the spilled-run probe filled `m.hits`: compact
-/// the shard's winners — the first occurrence of each key that is not
-/// already on disk — to the tail of the bin in place, losers to the front,
-/// then order the winners by *descending* path record so rank assignment
-/// can pop the shard's minimum off the tail in O(1).
-fn compact_winners(m: &mut ShardMerge) {
-    let mut w = m.bin.len();
-    let mut key_idx = m.keys.len();
-    for i in (0..m.bin.len()).rev() {
-        let key = m.bin[i].key;
-        if key_idx == m.keys.len() || m.keys[key_idx] != key {
-            key_idx -= 1;
-        }
-        let first = i == 0 || m.bin[i - 1].key != key;
-        if first && !m.hits[key_idx] {
-            // The swap target is always in the already-scanned suffix, so
-            // the backward scan never revisits a displaced element.
-            w -= 1;
-            m.bin.swap(i, w);
+/// Walks `bins`, each sorted by [`Candidate::order`], k-way in ascending
+/// order through the min-heap `heads` over the bins' next candidates, and
+/// offers `keep` the first candidate of every distinct key. Each bin is
+/// cut, in place and in order, to the candidates `keep` accepted;
+/// `cursors` holds each bin's read and write positions.
+fn keep_firsts(
+    bins: &mut [Vec<Candidate>],
+    cursors: &mut Vec<(usize, usize)>,
+    heads: &mut BinaryHeap<Reverse<(u64, PathRec, usize)>>,
+    mut keep: impl FnMut(&Candidate) -> bool,
+) {
+    cursors.clear();
+    cursors.resize(bins.len(), (0, 0));
+    heads.clear();
+    for (b, bin) in bins.iter().enumerate() {
+        if let Some(c) = bin.first() {
+            heads.push(Reverse((c.key, c.rec, b)));
         }
     }
-    m.start = w;
-    m.bin[w..].sort_unstable_by_key(|b| Reverse(b.rec));
+    let mut last = None;
+    while let Some(mut top) = heads.peek_mut() {
+        let Reverse((key, rec, b)) = *top;
+        let (read, write) = &mut cursors[b];
+        if last != Some(key) {
+            last = Some(key);
+            let first = Candidate { key, rec };
+            if keep(&first) {
+                // The write position trails the read position, so this
+                // only overwrites a candidate the walk has passed.
+                bins[b][*write] = first;
+                *write += 1;
+            }
+        }
+        *read += 1;
+        match bins[b].get(*read) {
+            Some(c) => *top = Reverse((c.key, c.rec, b)),
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+    }
+    for (bin, &(_, write)) in bins.iter_mut().zip(cursors.iter()) {
+        bin.truncate(write);
+    }
 }
 
 #[cfg(test)]
@@ -1243,7 +1345,7 @@ mod tests {
 
     /// The pre-optimization engine, kept as a reference: every frontier
     /// node owns its full `Vec<ScheduleStep>` path, and the merge compares
-    /// whole paths. The production engine's two-word `(parent rank, step)`
+    /// whole paths. The production engine's one-word `(parent rank, step)`
     /// records must reproduce its reports byte for byte.
     fn cloned_path_reference(proto: &dyn DataLink, cfg: &ExploreConfig) -> ExploreOutcome {
         struct Node {
@@ -1344,13 +1446,39 @@ mod tests {
 
     #[test]
     fn candidates_carry_no_system() {
-        // A key and a two-word path record: re-attaching a `System` (or any
-        // heap handle) to a candidate blows this bound.
-        assert!(
-            std::mem::size_of::<Candidate>() <= 24,
-            "candidate grew to {} bytes",
-            std::mem::size_of::<Candidate>()
-        );
+        // A key and a one-word path record: re-attaching a `System` (or any
+        // heap handle) to a candidate, or unpacking its record, blows this.
+        assert_eq!(std::mem::size_of::<Candidate>(), 16);
+        assert_eq!(std::mem::size_of::<PathRec>(), 8);
+    }
+
+    #[test]
+    fn packed_path_records_keep_the_path_order() {
+        let top = (1 << HEADER_BITS) - 1;
+        let mut steps = vec![ScheduleStep::Send, ScheduleStep::Park];
+        for h in [0, 1, top].map(Header::new) {
+            steps.extend([ScheduleStep::Deliver(h), ScheduleStep::Drop(h)]);
+        }
+        let mut pairs = Vec::new();
+        for parent in [0, 1, u32::MAX] {
+            for &step in &steps {
+                let rec = PathRec::new(parent, step);
+                assert_eq!((rec.parent(), rec.step()), (parent, step));
+                assert_eq!(from_step(rec.step()), from_step(step));
+                pairs.push(((parent, step), rec));
+            }
+        }
+        for (a, ra) in &pairs {
+            for (b, rb) in &pairs {
+                assert_eq!(a.cmp(b), ra.cmp(rb), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a path record's 29 bits")]
+    fn path_records_reject_headers_past_29_bits() {
+        PathRec::new(0, ScheduleStep::Deliver(Header::new(1 << HEADER_BITS)));
     }
 
     #[test]
@@ -1381,10 +1509,7 @@ mod tests {
                 .into_iter()
                 .take(p % 4)
             {
-                recs.push(PathRec {
-                    parent: p as u32,
-                    step: to_step(action),
-                });
+                recs.push(PathRec::new(p as u32, to_step(action)));
                 let mut child = (*parent).clone();
                 apply(&mut child, action);
                 expected.push(StateCodec::full().key(&child));
@@ -1495,6 +1620,70 @@ mod tests {
             ));
         }
         assert!(gauges.windows(2).all(|g| g[0] == g[1]), "{gauges:?}");
+    }
+
+    /// The bytes of candidate buffer the arena retains: the workers' bins,
+    /// the transpose buffer, and each shard's key batch.
+    fn candidate_capacity(arena: &ExploreArena) -> usize {
+        let bins = arena
+            .workers
+            .iter()
+            .flat_map(|w| &w.candidates)
+            .chain(&arena.bins_in)
+            .map(Vec::capacity)
+            .sum::<usize>();
+        let batches = arena
+            .merges
+            .iter()
+            .map(|m| m.keys.capacity() * std::mem::size_of::<u64>() + m.hits.capacity())
+            .sum::<usize>();
+        bins * std::mem::size_of::<Candidate>() + batches
+    }
+
+    #[test]
+    fn the_merge_retains_candidate_buffers_once() {
+        // The merge sorts and deduplicates each shard in the workers' own
+        // bins and hands them back, so the transpose side keeps no
+        // capacity and a warm arena holds the candidates' once, plus the
+        // key batches. On one worker, whose bins see every candidate, that
+        // is at most twice the largest level's candidate bytes; combining
+        // the bins into a per-shard buffer, or keeping a second set of
+        // bins on the transpose side, reads about 5x. With more workers
+        // each bin is sized by the most its own worker found in one level,
+        // which the scheduler decides, so only the hand-back is checked.
+        let cfg = ExploreConfig {
+            max_messages: 8,
+            max_depth: 26,
+            max_pool: 10,
+            max_states: 20_000_000,
+            ..ExploreConfig::default()
+        };
+        for spec in [VisitedSpec::Ram, VisitedSpec::tiered(32 * 1024)] {
+            for threads in [1, 2, 8] {
+                let registry = Arc::new(Registry::new());
+                let explorer =
+                    ParallelExplorer::new(threads).with_telemetry(Arc::clone(&registry), None);
+                let mut arena = ExploreArena::default();
+                arena.install_visited(spec);
+                for _ in 0..2 {
+                    let outcome = explorer.explore_in(&SequenceNumber::new(), &cfg, &mut arena);
+                    assert!(outcome.is_certificate(), "{outcome:?}");
+                }
+                assert!(
+                    arena.bins_in.iter().all(|bin| bin.capacity() == 0),
+                    "{spec:?} at {threads} threads: a bin was not handed back"
+                );
+                if threads == 1 {
+                    let snap = registry.snapshot();
+                    let peak = snap.gauges["explore.peak_candidate_bytes"].value as usize;
+                    let held = candidate_capacity(&arena);
+                    assert!(
+                        held <= 2 * peak,
+                        "{spec:?}: {held} B retained for a {peak} B peak"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -104,11 +104,25 @@ pub struct StateHash {
 }
 
 impl StateHash {
-    /// Starts a fingerprint, domain-separated by a protocol tag.
-    pub fn new(tag: &str) -> Self {
-        let mut hasher = Fnv64::new();
-        tag.hash(&mut hasher);
-        StateHash { hasher }
+    /// Starts a fingerprint, domain-separated by a protocol tag: FNV-1a
+    /// over the tag's bytes and the `0xff` terminator, exactly as
+    /// `str::hash` feeds them. In a `const` block a fixed tag's hashed
+    /// prefix is computed at compile time, so a hot fingerprint starts
+    /// from a constant instead of rehashing its tag on every call.
+    pub const fn new(tag: &str) -> Self {
+        let bytes = tag.as_bytes();
+        let mut state = FNV_OFFSET;
+        let mut i = 0;
+        while i < bytes.len() {
+            state ^= bytes[i] as u64;
+            state = state.wrapping_mul(FNV_PRIME);
+            i += 1;
+        }
+        state ^= 0xff;
+        state = state.wrapping_mul(FNV_PRIME);
+        StateHash {
+            hasher: Fnv64 { state },
+        }
     }
 
     /// Mixes one state field into the fingerprint.
@@ -132,6 +146,25 @@ mod tests {
     fn known_vector() {
         // FNV-1a of the empty input is the offset basis.
         assert_eq!(Fnv64::new().finish(), FNV_OFFSET);
+    }
+
+    #[test]
+    fn new_starts_where_str_hash_does() {
+        const EXPLORE: StateHash = StateHash::new("explore-state");
+        for tag in ["", "a", "explore-state", "explore-state-por", "ünïcode"] {
+            let mut reference = Fnv64::new();
+            tag.hash(&mut reference);
+            assert_eq!(StateHash::new(tag).finish(), reference.finish(), "{tag:?}");
+            reference.write_u64(7);
+            assert_eq!(
+                StateHash::new(tag).field(7u64).finish(),
+                reference.finish(),
+                "{tag:?}"
+            );
+        }
+        let mut reference = Fnv64::new();
+        "explore-state".hash(&mut reference);
+        assert_eq!(EXPLORE.finish(), reference.finish());
     }
 
     #[test]
