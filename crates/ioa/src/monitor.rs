@@ -4,14 +4,17 @@
 //! the fact; this monitor checks PL1 and the identical-message form of
 //! DL1/DL2 *online*, without retaining the trace. PL1 needs the fate of
 //! every copy ever sent (a receipt after a delivery or a drop is a
-//! violation), so by default the monitor keeps one entry per sent copy:
-//! space is O(copies sent), not O(in transit). The entries live in flat
-//! per-direction tables ordered by copy id, which makes the common insert a
-//! `push`, a lookup a binary search, and copying a monitor a `memcpy`.
+//! violation), but only a copy in transit needs its packet. So each
+//! direction keeps two flat tables: the copies in transit with their
+//! packets, ordered by copy id, and a *settled record* of two bits per
+//! delivered or dropped copy, packed into 64-id words. Space is O(in
+//! transit) plus two bits per settled copy. Channels mint ids in ascending
+//! order, so the common insert into either table is a `push`, a lookup a
+//! binary search, and copying a monitor a `memcpy`.
 //!
 //! A monitor switched to [`live_copies_only`](SpecMonitor::live_copies_only)
-//! forgets a copy once it is delivered or dropped, so its tables hold
-//! exactly the copies in transit: space is O(in transit). Its verdict is the
+//! keeps no settled records (the one box that would hold them is absent),
+//! so its tables hold exactly the copies in transit. Its verdict is the
 //! same — a receipt of any copy not in transit is still a PL1 violation,
 //! latched at the same event — but it no longer knows *why* the copy is
 //! missing, so it reports [`UnsentDelivery`](SpecViolation::UnsentDelivery)
@@ -25,24 +28,17 @@ use crate::event::Event;
 use crate::packet::{CopyId, Dir, Packet};
 use crate::spec::SpecViolation;
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum CopyState {
-    Sent(Packet),
-    Delivered,
-    Dropped,
-}
-
-/// The fate of every copy seen in one direction, kept sorted by copy id.
+/// One direction's copies in transit with their packets, sorted by copy id.
 ///
 /// Channels mint copy ids in ascending order, so a new copy almost always
-/// lands past the last entry, found without a search, and
-/// [`set`](CopyTable::set) appends it; only ids from a separate range (the
-/// chaos layer's twins, minted from `CHAOS_COPY_BASE`) arrive out of order
-/// and take the binary-search insert. A flat vector of `Copy` pairs also makes `clone_from` a plain
+/// lands past the last entry, found without a search, and is appended; only
+/// ids from a separate range (the chaos layer's twins, minted from
+/// `CHAOS_COPY_BASE`) arrive out of order and take the binary-search
+/// insert. A flat vector of `Copy` pairs also makes `clone_from` a plain
 /// copy into the target's buffer: no rehash, and no allocation once the
 /// target has held a table this large.
 #[derive(Debug, Clone, Default)]
-struct CopyTable(Vec<(CopyId, CopyState)>);
+struct CopyTable(Vec<(CopyId, Packet)>);
 
 impl CopyTable {
     fn find(&self, copy: CopyId) -> Result<usize, usize> {
@@ -52,15 +48,16 @@ impl CopyTable {
         }
     }
 
-    /// Records `state` for `copy`, replacing any earlier entry.
-    fn set(&mut self, copy: CopyId, state: CopyState) {
+    /// Puts `copy` in transit carrying `packet`, replacing any earlier
+    /// packet.
+    fn put(&mut self, copy: CopyId, packet: Packet) {
         match self.find(copy) {
-            Ok(i) => self.0[i].1 = state,
-            Err(i) => self.0.insert(i, (copy, state)),
+            Ok(i) => self.0[i].1 = packet,
+            Err(i) => self.0.insert(i, (copy, packet)),
         }
     }
 
-    /// Forgets `copy`, if present.
+    /// Takes `copy` out of transit, if it is there.
     fn remove(&mut self, copy: CopyId) {
         if let Ok(i) = self.find(copy) {
             self.0.remove(i);
@@ -68,8 +65,118 @@ impl CopyTable {
     }
 
     fn heap_bytes(&self) -> usize {
-        self.0.capacity() * std::mem::size_of::<(CopyId, CopyState)>()
+        self.0.capacity() * std::mem::size_of::<(CopyId, Packet)>()
     }
+}
+
+/// How a settled copy left the channel.
+#[derive(Debug, Clone, Copy)]
+enum Fate {
+    Delivered,
+    Dropped,
+}
+
+/// The settled copies among the 64 ids `64 * word ..= 64 * word + 63`: bit
+/// `id % 64` of `delivered` or of `dropped` is set for a copy settled that
+/// way, and at most one of the two is set for an id.
+#[derive(Debug, Clone, Copy)]
+struct SettledWord {
+    word: u64,
+    delivered: u64,
+    dropped: u64,
+}
+
+/// One direction's settled copies, two bits each, in words sorted by
+/// `word`. A copy is settled or in transit, never both. Sends and
+/// settlements both run in mint order, so they almost always touch the
+/// last word or append one; the chaos range's ids get their own words at
+/// the tail.
+#[derive(Debug, Clone, Default)]
+struct SettledRecord(Vec<SettledWord>);
+
+/// The word and the bit of `copy` in a settled record.
+fn word_and_bit(copy: CopyId) -> (u64, u64) {
+    (copy.raw() >> 6, 1 << (copy.raw() & 63))
+}
+
+impl SettledRecord {
+    /// Position of `word`, or where it would go. The last word is checked
+    /// first: every fresh id and most settling ones fall in or past it.
+    fn find(&self, word: u64) -> Result<usize, usize> {
+        match self.0.last() {
+            Some(last) if last.word < word => Err(self.0.len()),
+            Some(last) if last.word == word => Ok(self.0.len() - 1),
+            _ => self.0.binary_search_by_key(&word, |w| w.word),
+        }
+    }
+
+    /// Forgets any fate of `copy`: it has been sent again.
+    fn unsettle(&mut self, copy: CopyId) {
+        let (word, bit) = word_and_bit(copy);
+        if let Ok(i) = self.find(word) {
+            self.0[i].delivered &= !bit;
+            self.0[i].dropped &= !bit;
+        }
+    }
+
+    /// Records `fate` for `copy`, replacing any earlier fate.
+    fn settle(&mut self, copy: CopyId, fate: Fate) {
+        let (word, bit) = word_and_bit(copy);
+        let i = self.find(word).unwrap_or_else(|i| {
+            let empty = SettledWord {
+                word,
+                delivered: 0,
+                dropped: 0,
+            };
+            self.0.insert(i, empty);
+            i
+        });
+        let w = &mut self.0[i];
+        let (set, clear) = match fate {
+            Fate::Delivered => (&mut w.delivered, &mut w.dropped),
+            Fate::Dropped => (&mut w.dropped, &mut w.delivered),
+        };
+        *set |= bit;
+        *clear &= !bit;
+    }
+
+    /// The fate of `copy`; `None` if it was never settled, or sent since.
+    fn fate(&self, copy: CopyId) -> Option<Fate> {
+        let (word, bit) = word_and_bit(copy);
+        let w = self.0[self.find(word).ok()?];
+        if w.delivered & bit != 0 {
+            Some(Fate::Delivered)
+        } else if w.dropped & bit != 0 {
+            Some(Fate::Dropped)
+        } else {
+            None
+        }
+    }
+
+    /// Number of settled copies.
+    fn len(&self) -> usize {
+        self.0
+            .iter()
+            .map(|w| (w.delivered | w.dropped).count_ones() as usize)
+            .sum()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.0.capacity() * std::mem::size_of::<SettledWord>()
+    }
+}
+
+/// The forward and the backward settled record, in one box, so that a
+/// live-copies monitor, which keeps none, pays one null pointer for them.
+type SettledRecords = Box<[SettledRecord; 2]>;
+
+/// Convergence mode's tally of the deliveries made while `rm > sm`. One
+/// option in place of a mode flag and two fields: with it, the box above
+/// leaves the monitor, which every explorer `System` embeds, at its size.
+#[derive(Debug, Clone, Copy, Default)]
+struct Overdeliveries {
+    count: u64,
+    last_index: Option<usize>,
 }
 
 /// Online checker for PL1 (both directions) and the prefix-count form of
@@ -86,18 +193,34 @@ impl CopyTable {
 /// // A second delivery with no matching send violates DL1.
 /// assert!(mon.observe(&Event::ReceiveMsg(Message::identical(1))).is_err());
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SpecMonitor {
     copies_fwd: CopyTable,
     copies_bwd: CopyTable,
+    /// The settled records, indexed by `Dir as usize`; `None` in
+    /// live-copies mode.
+    settled: Option<SettledRecords>,
     sm: u64,
     rm: u64,
     events_seen: u64,
     first_violation: Option<SpecViolation>,
-    convergence_mode: bool,
-    overdeliveries: u64,
-    last_overdelivery_index: Option<usize>,
-    live_copies_only: bool,
+    /// `Some` in convergence mode.
+    convergence: Option<Overdeliveries>,
+}
+
+impl Default for SpecMonitor {
+    fn default() -> Self {
+        SpecMonitor {
+            copies_fwd: CopyTable::default(),
+            copies_bwd: CopyTable::default(),
+            settled: Some(SettledRecords::default()),
+            sm: 0,
+            rm: 0,
+            events_seen: 0,
+            first_violation: None,
+            convergence: None,
+        }
+    }
 }
 
 impl Clone for SpecMonitor {
@@ -105,32 +228,35 @@ impl Clone for SpecMonitor {
         SpecMonitor {
             copies_fwd: self.copies_fwd.clone(),
             copies_bwd: self.copies_bwd.clone(),
+            settled: self.settled.clone(),
             sm: self.sm,
             rm: self.rm,
             events_seen: self.events_seen,
             first_violation: self.first_violation,
-            convergence_mode: self.convergence_mode,
-            overdeliveries: self.overdeliveries,
-            last_overdelivery_index: self.last_overdelivery_index,
-            live_copies_only: self.live_copies_only,
+            convergence: self.convergence,
         }
     }
 
     /// Fieldwise `clone_from` so monitor clones in the explorer's pooled
     /// systems copy the tables into the buffers they already own. It goes
-    /// through the inner vectors: `CopyTable`'s derived `clone_from` would
-    /// allocate a fresh one.
+    /// through the inner vectors: the tables' derived `clone_from` would
+    /// allocate fresh ones.
     fn clone_from(&mut self, source: &Self) {
         self.copies_fwd.0.clone_from(&source.copies_fwd.0);
         self.copies_bwd.0.clone_from(&source.copies_bwd.0);
+        match (&mut self.settled, &source.settled) {
+            (Some(to), Some(from)) => {
+                for (to, from) in to.iter_mut().zip(from.iter()) {
+                    to.0.clone_from(&from.0);
+                }
+            }
+            (to, from) => *to = from.clone(),
+        }
         self.sm = source.sm;
         self.rm = source.rm;
         self.events_seen = source.events_seen;
         self.first_violation = source.first_violation;
-        self.convergence_mode = source.convergence_mode;
-        self.overdeliveries = source.overdeliveries;
-        self.last_overdelivery_index = source.last_overdelivery_index;
-        self.live_copies_only = source.live_copies_only;
+        self.convergence = source.convergence;
     }
 }
 
@@ -157,16 +283,16 @@ impl SpecMonitor {
     /// online diagnostics.
     pub fn convergence() -> Self {
         SpecMonitor {
-            convergence_mode: true,
+            convergence: Some(Overdeliveries::default()),
             ..SpecMonitor::default()
         }
     }
 
-    /// Switches to *live-copies* mode: a delivered or dropped copy's entry
-    /// is removed rather than kept, so the tables hold only the copies in
-    /// transit. Violations are latched at the same events as in full mode;
-    /// only the PL1 variant can differ, `UnsentDelivery` standing in for
-    /// `DuplicateDelivery` and `DeliveredAfterDrop`.
+    /// Switches to *live-copies* mode: the monitor keeps no settled
+    /// records, so its tables hold only the copies in transit. Violations
+    /// are latched at the same events as in full mode; only the PL1 variant
+    /// can differ, `UnsentDelivery` standing in for `DuplicateDelivery` and
+    /// `DeliveredAfterDrop`.
     ///
     /// # Panics
     ///
@@ -177,18 +303,21 @@ impl SpecMonitor {
             self.events_seen, 0,
             "live_copies_only after events were observed"
         );
-        self.live_copies_only = true;
+        self.settled = None;
         self
     }
 
     /// Copies this monitor currently holds an entry for in direction `dir`:
-    /// every copy ever sent there in full mode, only the copies in transit
-    /// in [live-copies](Self::live_copies_only) mode.
+    /// in full mode every copy ever sent or dropped there, those in transit
+    /// at a packet's cost and the settled ones at two bits each; only the
+    /// copies in transit in [live-copies](Self::live_copies_only) mode. In
+    /// full mode this counts the settled record's bits, a walk over it.
     pub fn tracked_copies(&self, dir: Dir) -> usize {
-        match dir {
+        let in_transit = match dir {
             Dir::Forward => self.copies_fwd.0.len(),
             Dir::Backward => self.copies_bwd.0.len(),
-        }
+        };
+        in_transit + self.settled.as_ref().map_or(0, |s| s[dir as usize].len())
     }
 
     /// True for a [live-copies](Self::live_copies_only) monitor, outside
@@ -197,8 +326,8 @@ impl SpecMonitor {
     /// the forward copies in transit, which is what
     /// [`restore_at_rest`](Self::restore_at_rest) takes back.
     pub fn is_at_rest(&self) -> bool {
-        self.live_copies_only
-            && !self.convergence_mode
+        self.settled.is_none()
+            && self.convergence.is_none()
             && self.first_violation.is_none()
             && self.copies_bwd.0.is_empty()
     }
@@ -220,15 +349,13 @@ impl SpecMonitor {
         forward: impl IntoIterator<Item = (Packet, CopyId)>,
     ) {
         assert!(
-            self.live_copies_only && !self.convergence_mode,
+            self.settled.is_none() && self.convergence.is_none(),
             "restore_at_rest needs a live-copies monitor"
         );
         self.copies_fwd.0.clear();
-        self.copies_fwd.0.extend(
-            forward
-                .into_iter()
-                .map(|(packet, copy)| (copy, CopyState::Sent(packet))),
-        );
+        self.copies_fwd
+            .0
+            .extend(forward.into_iter().map(|(packet, copy)| (copy, packet)));
         debug_assert!(
             self.copies_fwd.0.windows(2).all(|w| w[0].0 < w[1].0),
             "forward copies out of mint order"
@@ -240,26 +367,29 @@ impl SpecMonitor {
         self.first_violation = None;
     }
 
-    /// Heap bytes reserved by the copy tables.
+    /// Heap bytes reserved by the transit tables and settled records.
     pub fn heap_bytes(&self) -> usize {
-        self.copies_fwd.heap_bytes() + self.copies_bwd.heap_bytes()
+        let settled = self.settled.as_ref().map_or(0, |s| {
+            std::mem::size_of_val(&**s) + s.iter().map(SettledRecord::heap_bytes).sum::<usize>()
+        });
+        self.copies_fwd.heap_bytes() + self.copies_bwd.heap_bytes() + settled
     }
 
     /// True if this monitor tracks rather than latches DL overdeliveries.
     pub fn is_convergence_mode(&self) -> bool {
-        self.convergence_mode
+        self.convergence.is_some()
     }
 
     /// Convergence mode only: number of `receive_msg` events observed while
     /// `rm > sm` (phantom deliveries drained from the corrupted state).
     pub fn overdeliveries(&self) -> u64 {
-        self.overdeliveries
+        self.convergence.map_or(0, |o| o.count)
     }
 
     /// Convergence mode only: event index of the most recent overdelivery —
     /// a lower bound on where a legal suffix can start.
     pub fn last_overdelivery_index(&self) -> Option<usize> {
-        self.last_overdelivery_index
+        self.convergence.and_then(|o| o.last_index)
     }
 
     /// Number of events observed so far.
@@ -322,9 +452,9 @@ impl SpecMonitor {
                 self.rm += 1;
                 if self.rm > self.sm {
                     let event_index = (self.events_seen - 1) as usize;
-                    if self.convergence_mode {
-                        self.overdeliveries += 1;
-                        self.last_overdelivery_index = Some(event_index);
+                    if let Some(o) = &mut self.convergence {
+                        o.count += 1;
+                        o.last_index = Some(event_index);
                         Ok(())
                     } else {
                         Err(SpecViolation::MessageInvented { event_index })
@@ -334,36 +464,39 @@ impl SpecMonitor {
                 }
             }
             Event::SendPkt { dir, packet, copy } => {
-                self.copies(dir).set(copy, CopyState::Sent(packet));
+                self.copies(dir).put(copy, packet);
+                if let Some(settled) = &mut self.settled {
+                    settled[dir as usize].unsettle(copy);
+                }
                 Ok(())
             }
             Event::ReceivePkt { dir, packet, copy } => {
-                let live_only = self.live_copies_only;
                 let table = self.copies(dir);
-                let Ok(i) = table.find(copy) else {
-                    return Err(SpecViolation::UnsentDelivery { dir, copy });
-                };
-                match table.0[i].1 {
-                    CopyState::Delivered => Err(SpecViolation::DuplicateDelivery { dir, copy }),
-                    CopyState::Dropped => Err(SpecViolation::DeliveredAfterDrop { dir, copy }),
-                    CopyState::Sent(sent) if sent != packet => {
+                match table.find(copy) {
+                    Ok(i) if table.0[i].1 != packet => {
                         Err(SpecViolation::CorruptedDelivery { dir, copy })
                     }
-                    CopyState::Sent(_) if live_only => {
+                    Ok(i) => {
                         table.0.remove(i);
+                        if let Some(settled) = &mut self.settled {
+                            settled[dir as usize].settle(copy, Fate::Delivered);
+                        }
                         Ok(())
                     }
-                    CopyState::Sent(_) => {
-                        table.0[i].1 = CopyState::Delivered;
-                        Ok(())
+                    Err(_) => {
+                        let settled = self.settled.as_ref();
+                        Err(match settled.and_then(|s| s[dir as usize].fate(copy)) {
+                            Some(Fate::Delivered) => SpecViolation::DuplicateDelivery { dir, copy },
+                            Some(Fate::Dropped) => SpecViolation::DeliveredAfterDrop { dir, copy },
+                            None => SpecViolation::UnsentDelivery { dir, copy },
+                        })
                     }
                 }
             }
             Event::DropPkt { dir, copy, .. } => {
-                if self.live_copies_only {
-                    self.copies(dir).remove(copy);
-                } else {
-                    self.copies(dir).set(copy, CopyState::Dropped);
+                self.copies(dir).remove(copy);
+                if let Some(settled) = &mut self.settled {
+                    settled[dir as usize].settle(copy, Fate::Dropped);
                 }
                 Ok(())
             }
@@ -456,6 +589,44 @@ mod tests {
             .unwrap();
         assert_eq!(mon.overdeliveries(), 2);
         assert_eq!(mon.last_overdelivery_index(), Some(2));
+    }
+
+    #[test]
+    fn settled_copies_cost_bits_not_table_entries() {
+        // The growth run's shape: one copy in two is delivered at once, the
+        // other stays in transit. A table entry per copy sent would reserve
+        // 2^18 * 32 = 8,388,608 B here; the in-transit half plus the
+        // settled bits fit in about half that.
+        let mut mon = SpecMonitor::new();
+        for c in 0..200_000 {
+            mon.observe(&sp(c)).unwrap();
+            if c % 2 == 0 {
+                mon.observe(&rp(c)).unwrap();
+            }
+        }
+        assert_eq!(mon.tracked_copies(Dir::Forward), 200_000);
+        assert!(
+            mon.heap_bytes() < 4_500_000,
+            "{} heap bytes",
+            mon.heap_bytes()
+        );
+        // Settled copies still know their fate.
+        assert!(matches!(
+            mon.observe(&rp(1_000)),
+            Err(SpecViolation::DuplicateDelivery { .. })
+        ));
+        mon.observe(&rp(1_001)).unwrap();
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn settled_records_add_nothing_to_the_monitor_itself() {
+        // Every explorer `System` embeds a live-copies monitor. The settled
+        // records sit behind one pointer, which is null in that mode, so
+        // the monitor is as large as when it had no settled records.
+        assert_eq!(std::mem::size_of::<SpecMonitor>(), 120);
+        let live = SpecMonitor::new().live_copies_only();
+        assert_eq!(live.heap_bytes(), 0);
     }
 
     #[test]
