@@ -506,7 +506,7 @@ struct ExploreTelemetry {
     /// Nanoseconds spent in the *serial* part of the per-level merge
     /// (transpose, admit and rank, hand-back — the per-shard sort/probe
     /// work runs on worker threads and is excluded). This over wall time is the
-    /// engine's Amdahl serial fraction; CI guards its share.
+    /// engine's Amdahl serial fraction; a release-only test guards its share.
     merge_serial: Counter,
     /// Nanoseconds of wall time spent expanding the frontier levels:
     /// loading each node's record and trying its actions (on worker

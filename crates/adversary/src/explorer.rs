@@ -153,8 +153,8 @@ pub(crate) fn record_run_end(registry: &Registry, visited: &dyn VisitedSet, elap
             visited.len() as f64 / elapsed_secs,
         );
     }
-    // Wall time in the values map so CI can ratio merge_serial_ns against
-    // it without parsing states_per_sec backwards.
+    // Wall time in the values map so a reader can ratio merge_serial_ns
+    // against it without parsing states_per_sec backwards.
     registry.set_value("explore.wall_ns", elapsed_secs * 1e9);
     registry
         .gauge("explore.visited_bytes")

@@ -22,7 +22,8 @@
 //! merges per-run metrics in input order — so the final
 //! [`WireMsg::Report`] is byte-identical to single-process batch output
 //! at any worker count, any completion interleaving, and any mix of
-//! cached and fresh records. CI pins this for 1, 2, and 4 workers.
+//! cached and fresh records. The `serve.rs` CLI tests pin this for 1, 2,
+//! and 4 workers.
 //!
 //! ## Shared cache
 //!

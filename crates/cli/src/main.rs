@@ -22,6 +22,7 @@
 //! nonfifo recheck  <trace-file> [--diagram]
 //! nonfifo report   [--exp eN]
 //! nonfifo list
+//! nonfifo help | --help | -h
 //! ```
 //!
 //! Outcome-bearing subcommands (`explore`, `simulate`, `chaos`, `campaign`)
@@ -119,6 +120,7 @@ usage:
   nonfifo recheck  <trace-file> [--diagram]
   nonfifo report   [--exp e1..e11,e13,e14,e15,e16]
   nonfifo list
+  nonfifo help | --help | -h
 
 explore exit codes: 0 certificate, 2 counterexample, 3 inconclusive
 (state budget), 4 differential mismatch. stabilize exits 5 when the
@@ -134,9 +136,10 @@ flag performs between the sequential and parallel engines otherwise.
 explore --visited picks the visited-set tier: ram (in-RAM — the
 default) or tiered (spills sorted disk runs when the resident estimate
 exceeds --memory-budget bytes). Both are exact: reports are
-byte-identical at any budget. --memory-budget defaults to
-1 GiB (2^30 bytes) and requires --visited tiered; the effective budget —
-default or not — is always printed in the scope banner.
+byte-identical at any budget. --memory-budget alone selects tiered;
+with --visited ram it is a usage error. A bare --visited tiered takes a
+1 GiB (2^30 bytes) budget; the effective budget — default or not — is
+always printed in the scope banner.
 
 explore --threads, campaign --threads and serve --workers take at most
 64 threads; 0, the default, means one per core.
@@ -158,6 +161,12 @@ to `nonfifo campaign` at any worker count.
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
+    // `help`, `help <cmd>`, `--help` and `-h` anywhere: the usage is the
+    // answer, not an error.
+    if raw.first().is_some_and(|a| a == "help") || raw.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     match dispatch(raw) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -632,24 +641,20 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
     if cfg.max_states == 0 {
         return Err(ArgsError("--max-states must admit at least the root state".into()).into());
     }
-    let (spec, budget_defaulted) = {
-        let mut spec: VisitedSpec = match args.option("visited") {
-            None => VisitedSpec::Ram,
-            Some(s) => s.parse().map_err(ArgsError)?,
-        };
-        let mut budget_defaulted = !matches!(spec, VisitedSpec::Ram);
-        if let Some(text) = args.option("memory-budget") {
-            let bytes: usize = text.parse().map_err(|_| {
-                ArgsError(format!("--memory-budget needs a byte count, got {text:?}"))
-            })?;
-            if matches!(spec, VisitedSpec::Ram) {
-                return Err(ArgsError("--memory-budget requires --visited tiered".into()).into());
-            }
-            spec = spec.with_budget(bytes);
-            budget_defaulted = false;
+    // A budget alone picks the tiered set; only `--visited ram` refuses one.
+    let budget = args.option("memory-budget");
+    let tier = args.option("visited").or(budget.map(|_| "tiered"));
+    let mut spec: VisitedSpec = tier.unwrap_or("ram").parse().map_err(ArgsError)?;
+    if let Some(text) = budget {
+        let bytes: usize = text
+            .parse()
+            .map_err(|_| ArgsError(format!("--memory-budget needs a byte count, got {text:?}")))?;
+        if matches!(spec, VisitedSpec::Ram) {
+            return Err(ArgsError("--memory-budget does not apply to --visited ram".into()).into());
         }
-        (spec, budget_defaulted)
-    };
+        spec = spec.with_budget(bytes);
+    }
+    let budget_defaulted = budget.is_none() && !matches!(spec, VisitedSpec::Ram);
     let opts = CommonOpts::from_args(args)?;
     let (metrics, trace) = telemetry_sinks(&opts);
     let parallel = args.flag("parallel") || args.option("threads").is_some();
@@ -771,7 +776,8 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
     let visited = explorer.visited_set();
     if visited.spills() > 0 {
         // Every figure here is deterministic schedule-time accounting, so
-        // this line is byte-identical across thread counts (CI diffs it).
+        // this line is byte-identical across thread counts (the explore_pins
+        // tests compare it).
         println!(
             "visited: {} spill(s), {} bytes on disk in {} run(s), {} bytes of \
              spill I/O, peak {} bytes resident (budget {})",
@@ -840,7 +846,7 @@ fn cmd_campaign(args: &Args) -> Result<(), NonFifoError> {
         report.count(RunOutcome::Violation),
         report.count(RunOutcome::Diverged),
     );
-    // Integer percentage, so CI smoke jobs can grep the hit rate.
+    // Integer percentage, so scripts and tests can read the hit rate.
     let percent = if runs.is_empty() {
         100
     } else {
@@ -1042,7 +1048,7 @@ fn cmd_schedule(args: &Args) -> Result<(), ArgsError> {
 }
 
 fn cmd_recheck(args: &Args) -> Result<(), ArgsError> {
-    use nonfifo_ioa::spec::{check_dl1_dl2, check_pl1, Validity};
+    use nonfifo_ioa::spec::{check_dl1, check_dl1_dl2, check_pl1, Validity};
     let path = args
         .positional(1)
         .ok_or_else(|| ArgsError("recheck needs a trace file".into()))?;
@@ -1058,6 +1064,10 @@ fn cmd_recheck(args: &Args) -> Result<(), ArgsError> {
             Err(v) => println!("PL1 [{dir}]: VIOLATED — {v}"),
         }
     }
+    match check_dl1(&exec) {
+        Ok(_) => println!("DL1: ok"),
+        Err(v) => println!("DL1: VIOLATED — {v}"),
+    }
     match check_dl1_dl2(&exec) {
         Ok(_) => println!("DL1+DL2: ok"),
         Err(v) => println!("DL1+DL2: VIOLATED — {v}"),
@@ -1069,40 +1079,90 @@ fn cmd_recheck(args: &Args) -> Result<(), ArgsError> {
     Ok(())
 }
 
-fn cmd_report(args: &Args) -> Result<(), ArgsError> {
+/// Seed of every randomized experiment in `EXPERIMENTS.md`.
+const REPORT_SEED: u64 = 20260705;
+
+/// An experiment `report` regenerates: id, `EXPERIMENTS.md` title, run.
+type Experiment = (&'static str, &'static str, fn() -> String);
+
+/// Every experiment `report` regenerates, in order.
+const EXPERIMENTS: [Experiment; 15] = {
     use nonfifo_campaign::experiments as cx;
     use nonfifo_core::experiments as ex;
-    let seed = 20260705u64;
-    let selected: Vec<String> = match args.option("exp") {
-        Some(e) => vec![e.to_string()],
-        None => (1..=11)
-            .map(|i| format!("e{i}"))
-            .chain(
-                ["e13", "e14", "e15", "e16"]
-                    .iter()
-                    .map(|s| (*s).to_string()),
-            )
-            .collect(),
+    [
+        ("e1", "Theorem 2.1: boundness ≤ kₜ·kᵣ", || {
+            ex::e1_boundness(REPORT_SEED).to_string()
+        }),
+        ("e2", "Theorem 3.1: the inductive falsifier", || {
+            ex::e2_mf_falsifier().to_string()
+        }),
+        (
+            "e3",
+            "Theorem 3.1 contrapositive: the naive n-header protocol",
+            || ex::e3_naive_protocol().to_string(),
+        ),
+        (
+            "e4",
+            "Theorem 4.1: cost ≥ in-transit/k; [Afe88] is tight",
+            || ex::e4_pf_cost(120).to_string(),
+        ),
+        ("e5", "Theorem 5.1: exponential vs linear over PL2p", || {
+            ex::e5_probabilistic_growth(REPORT_SEED).to_string()
+        }),
+        ("e6", "Lemma 5.2: seeding the dominant packet", || {
+            ex::e6_seeding_lemma(12, 0.3, 50).to_string()
+        }),
+        ("e7", "Theorem 5.4 [Hoe63]: the Hoeffding bound", || {
+            ex::e7_hoeffding(20_000, REPORT_SEED).to_string()
+        }),
+        (
+            "e8",
+            "the alternating bit: correct on lossy FIFO, falls on non-FIFO",
+            || ex::e8_classic_break(REPORT_SEED).to_string(),
+        ),
+        ("e9", "ablation: sliding window vs bounded reorder", || {
+            ex::e9_window_ablation(150, REPORT_SEED).to_string()
+        }),
+        (
+            "e10",
+            "transport protocols over non-FIFO virtual links",
+            || ex::e10_transport(100).to_string(),
+        ),
+        ("e11", "exhaustive small-scope verification", || {
+            ex::e11_exhaustive().to_string()
+        }),
+        (
+            "e13",
+            "parallel certification: growing scopes, one deterministic answer",
+            || ex::e13_parallel_certification().to_string(),
+        ),
+        ("e14", "Theorem 4.1 read off the telemetry pipeline", || {
+            cx::e14_cost_vs_in_transit().to_string()
+        }),
+        ("e15", "Theorem 5.1 as a growth matrix", || {
+            cx::e15_growth_campaign().to_string()
+        }),
+        (
+            "e16",
+            "self-stabilization: convergence from corrupted starts",
+            || cx::e16_convergence_campaign().to_string(),
+        ),
+    ]
+};
+
+fn cmd_report(args: &Args) -> Result<(), ArgsError> {
+    let selected: Vec<_> = match args.option("exp") {
+        None => EXPERIMENTS.iter().collect(),
+        Some(id) => vec![EXPERIMENTS
+            .iter()
+            .find(|(e, ..)| *e == id)
+            .ok_or_else(|| ArgsError(format!("unknown experiment {id:?}")))?],
     };
-    for exp in selected {
-        match exp.as_str() {
-            "e1" => println!("## E1\n\n{}", ex::e1_boundness(seed)),
-            "e2" => println!("## E2\n\n{}", ex::e2_mf_falsifier()),
-            "e3" => println!("## E3\n\n{}", ex::e3_naive_protocol()),
-            "e4" => println!("## E4\n\n{}", ex::e4_pf_cost(120)),
-            "e5" => println!("## E5\n\n{}", ex::e5_probabilistic_growth(seed)),
-            "e6" => println!("## E6\n\n{}", ex::e6_seeding_lemma(12, 0.3, 50)),
-            "e7" => println!("## E7\n\n{}", ex::e7_hoeffding(20_000, seed)),
-            "e8" => println!("## E8\n\n{}", ex::e8_classic_break(seed)),
-            "e9" => println!("## E9\n\n{}", ex::e9_window_ablation(150, seed)),
-            "e10" => println!("## E10\n\n{}", ex::e10_transport(100)),
-            "e11" => println!("## E11\n\n{}", ex::e11_exhaustive()),
-            "e13" => println!("## E13\n\n{}", ex::e13_parallel_certification()),
-            "e14" => println!("## E14\n\n{}", cx::e14_cost_vs_in_transit()),
-            "e15" => println!("## E15\n\n{}", cx::e15_growth_campaign()),
-            "e16" => println!("## E16\n\n{}", cx::e16_convergence_campaign()),
-            other => return Err(ArgsError(format!("unknown experiment {other:?}"))),
-        }
+    println!("# nonfifo experiment report\n");
+    println!("Reproduction of Mansour & Schieber, *The Intractability of Bounded");
+    println!("Protocols for Non-FIFO Channels*, PODC 1989. Seed {REPORT_SEED}.\n");
+    for (id, title, run) in selected {
+        println!("## {} — {title}\n\n{}", id.to_uppercase(), run());
     }
     Ok(())
 }

@@ -3,7 +3,7 @@
 //! file byte-identical, and a file in an older format is a clean usage
 //! error.
 
-use nonfifo_campaign::WireMsg;
+use nonfifo_campaign::{CampaignPlan, WireMsg};
 use std::process::{Command, Output};
 
 const BIN: &str = env!("CARGO_BIN_EXE_nonfifo");
@@ -45,6 +45,20 @@ fn hits(out: &Output) -> usize {
         .unwrap()
 }
 
+/// Stdout without the lines that name threads, cache hits, timing or the
+/// cache file: the report table and the outcome line.
+fn table(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter(|l| {
+            !["campaign:", "cache  :", "timing :", "cache written"]
+                .iter()
+                .any(|p| l.starts_with(p))
+        })
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
 #[test]
 fn a_second_campaign_appends_and_a_warm_replay_writes_nothing() {
     let plan_path = temp("append.campaign");
@@ -76,8 +90,49 @@ fn a_second_campaign_appends_and_a_warm_replay_writes_nothing() {
     assert!(out.status.success());
     assert_eq!(hits(&out), 12);
     assert_eq!(std::fs::read(&cache).unwrap(), second, "warm replay wrote");
+
+    // Cut the log mid-line, as a process killed mid-append would. The next
+    // run drops the torn tail, re-runs only that run, renders the same
+    // table and writes the line back.
+    std::fs::write(&cache, &second[..second.len() - 100]).unwrap();
+    let torn = campaign(&plan_path, &cache);
+    assert!(torn.status.success());
+    assert_eq!(hits(&torn), 11);
+    assert_eq!(table(&torn), table(&out), "recovered table");
+    let repaired = std::fs::read_to_string(&cache).unwrap();
+    assert_eq!(repaired.lines().count(), 12, "the cut run is written back");
     std::fs::remove_file(&plan_path).ok();
     std::fs::remove_file(&cache).ok();
+}
+
+/// Two contracts at once: corrupted runs resolve from the fingerprint
+/// cache, and the report table does not depend on the thread count. Only
+/// the banner, the cache ratio, the timing and the cache-written lines may
+/// differ between a cold run at one thread and a warm one at eight.
+#[test]
+fn a_warm_stabilize_campaign_at_8_threads_renders_the_cold_table() {
+    let plan = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../campaigns/stabilize.campaign"
+    );
+    let cache = temp("stabilize.ndjson");
+    let run = |threads: &str| {
+        Command::new(BIN)
+            .args(["campaign", plan, "--threads", threads, "--cache", &cache])
+            .output()
+            .unwrap()
+    };
+    let cold = run("1");
+    let warm = run("8");
+    std::fs::remove_file(&cache).ok();
+    assert!(cold.status.success() && warm.status.success());
+    assert_eq!(hits(&cold), 0);
+    let runs = CampaignPlan::parse(&std::fs::read_to_string(plan).unwrap())
+        .unwrap()
+        .expand()
+        .len();
+    assert_eq!(hits(&warm), runs, "every run replays");
+    assert_eq!(table(&warm), table(&cold));
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! `explore`, `campaign`, `serve` and `stabilize` accept only the options
 //! they read: a typo or a retired option is a usage error naming it, never
-//! silently ignored.
+//! silently ignored. `--visited` and `--memory-budget` pick the visited
+//! tier, and `--help` prints the usage.
 
 use std::process::Command;
 
@@ -194,5 +195,58 @@ fn thread_counts_above_the_limit_are_usage_errors() {
             format!("error: {option}: the limit is 64"),
             "{args:?}"
         );
+    }
+}
+
+/// `--memory-budget` alone selects the tiered set, byte for byte as with
+/// `--visited tiered`; only `--visited ram` refuses a budget. Every visited
+/// tier is exact, so asking for the retired Bloom tier fails as bad usage
+/// naming the tiers that exist, never a panic or a silent fallback.
+#[test]
+fn visited_options_pick_a_tier_or_fail_as_usage_errors() {
+    let run = |extra: &[&str]| Command::new(BIN).args(explore(extra)).output().unwrap();
+    let alone = run(&["--memory-budget", "4096"]);
+    let tiered = run(&["--visited", "tiered", "--memory-budget", "4096"]);
+    assert_eq!(alone.status.code(), Some(0));
+    assert_eq!(alone.stdout, tiered.stdout);
+    let banner = String::from_utf8_lossy(&alone.stdout);
+    assert!(
+        banner.contains("visited tiered (budget 4096 B)"),
+        "{banner}"
+    );
+
+    for (extra, first) in [
+        (
+            &["--visited", "ram", "--memory-budget", "4096"][..],
+            "error: --memory-budget does not apply to --visited ram",
+        ),
+        (
+            &["--visited", "probabilistic"],
+            "error: unknown visited tier \"probabilistic\" (ram, tiered)",
+        ),
+    ] {
+        let (code, stderr) = nonfifo(&explore(extra));
+        assert_eq!(code, Some(1), "{extra:?}: {stderr}");
+        assert_eq!(stderr.lines().next(), Some(first), "{extra:?}");
+    }
+}
+
+/// `--help` and `-h` anywhere, `help` and `help <cmd>` print the usage to
+/// stdout and exit 0.
+#[test]
+fn help_prints_the_usage_and_exits_0() {
+    for args in [
+        &["--help"][..],
+        &["-h"],
+        &["help"],
+        &["help", "explore"],
+        &["explore", "--help"],
+        &["explore", "seqnum", "-h"],
+    ] {
+        let out = Command::new(BIN).args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(out.stderr.is_empty(), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("\nusage:\n  nonfifo simulate"), "{args:?}");
     }
 }

@@ -1,8 +1,7 @@
 //! End-to-end tests of the campaign service over a real process: the
-//! `nonfifo serve` daemon driven over HTTP exactly the way the CI
-//! serve-smoke job drives it. The invariant under test everywhere: the
-//! served report is byte-identical to single-process `nonfifo campaign`
-//! output.
+//! `nonfifo serve` daemon driven over raw HTTP on an ephemeral port. The
+//! invariant under test everywhere: the served report is byte-identical to
+//! single-process `nonfifo campaign` output.
 
 use nonfifo_campaign::{CampaignPlan, CampaignRunner, WireMsg};
 use nonfifo_telemetry::Json;
@@ -115,21 +114,35 @@ fn served_campaigns_reproduce_batch_reports_at_1_2_4_workers() {
         let WireMsg::Report {
             render: r,
             aggregate: a,
-            ..
+            cache_hits,
         } = report
         else {
             panic!("stream ends with the report: {body}");
         };
         assert_eq!(r, render, "{workers} workers");
         assert_eq!(a.to_json(), aggregate, "{workers} workers");
+        assert_eq!(cache_hits, 0, "{workers} workers: a fresh daemon");
+        // The live worker gauge reads 0 between campaigns, so it is read at
+        // its high-water mark: the submission must have run on that many
+        // threads. The rate is only required to be exported; the
+        // benchmark's campaign-served workload times the daemon.
         let (_, metrics) = http(&addr, "GET", "/metrics", "");
-        let high_water = Json::parse(metrics.trim())
-            .unwrap()
-            .get("gauges")
-            .and_then(|g| g.get("service.active_workers"))
+        let snapshot = Json::parse(metrics.trim()).unwrap();
+        let read = |section: &str, name: &str| snapshot.get(section).and_then(|s| s.get(name));
+        let high_water = read("gauges", "service.active_workers")
             .and_then(|g| g.get("high_water"))
             .and_then(Json::as_u64);
         assert_eq!(high_water, Some(workers), "threads used");
+        for (name, want) in [
+            ("service.campaigns_total", 1),
+            ("service.runs_total", total_runs() as u64),
+            ("service.cache_hits", 0),
+        ] {
+            let got = read("counters", name).and_then(Json::as_u64);
+            assert_eq!(got, Some(want), "{workers} workers: {name}");
+        }
+        let rate = read("values", "campaign.runs_per_sec").and_then(Json::as_f64);
+        assert!(rate.unwrap_or(0.0) > 0.0, "{workers} workers: {rate:?}");
         shut_down(daemon, &addr);
     }
 }

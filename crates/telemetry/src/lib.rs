@@ -13,7 +13,7 @@
 //!   folds them in once with [`Registry::merge_from`].
 //! * [`MetricsSnapshot`] — a frozen registry with a pinned, versioned JSON
 //!   schema ([`SCHEMA_VERSION`]) and a human summary table. What
-//!   `--metrics-out` writes and the CI bench-smoke pins read.
+//!   `--metrics-out` writes and the CLI's `explore_pins` tests read.
 //! * [`TraceSink`] — spans (rounds, deliveries, explorer levels) and
 //!   instants, exported as a Chrome `trace_events` document for
 //!   `chrome://tracing` / Perfetto. What `--trace-out` writes.

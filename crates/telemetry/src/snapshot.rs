@@ -1,6 +1,6 @@
 //! Point-in-time metric snapshots with a stable JSON schema.
 //!
-//! The schema is versioned and pinned ([`SCHEMA_VERSION`]): CI pins exact
+//! The schema is versioned and pinned ([`SCHEMA_VERSION`]): tests pin exact
 //! values in these documents and the golden aggregates under `campaigns/`
 //! are compared byte for byte, so any change to the document shape must
 //! bump the version and keep

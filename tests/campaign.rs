@@ -77,6 +77,15 @@ fn warm_cache_replays_every_run_and_renders_identically() {
         "cache replay must be invisible in the report"
     );
     assert!(warm.records.iter().all(|r| r.cached));
+    let mut aggregate = warm.aggregate_metrics();
+    aggregate
+        .counters
+        .insert("campaign.cache_hits".to_string(), 0);
+    assert_eq!(
+        aggregate.to_json(),
+        cold.aggregate_metrics().to_json(),
+        "cold and warm aggregates differ only in the hit counter"
+    );
 }
 
 #[test]

@@ -5,8 +5,7 @@
 //! on the outcome *kind* and on the shortest-counterexample depth, and the
 //! parallel engine must produce byte-identical reports at every thread
 //! count. Cases run on the workspace PRNG so each is addressable by seed;
-//! `PROPTEST_CASES` scales the case count (CI pins it for reproducible
-//! runtime).
+//! `PROPTEST_CASES` scales the case count (default 32).
 
 use nonfifo::adversary::codec::{load, save, StationTable};
 use nonfifo::adversary::{
@@ -20,26 +19,13 @@ use nonfifo::protocols::{
 };
 use nonfifo_rng::StdRng;
 
-/// Cases per property: `PROPTEST_CASES` if set, else a small default that
-/// keeps the whole harness in tier-1 time.
-fn cases() -> u64 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16)
-}
+mod common;
 
-fn for_seeds(cases: u64, case: impl Fn(u64, &mut StdRng)) {
-    for seed in 0..cases {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            case(seed, &mut rng);
-        }));
-        if let Err(payload) = result {
-            eprintln!("property failed at seed {seed}; rerun replays it exactly");
-            std::panic::resume_unwind(payload);
-        }
-    }
+use common::for_seeds;
+
+/// Cases per property; see [`common::cases`].
+fn cases() -> u64 {
+    common::cases(32)
 }
 
 fn random_protocol(rng: &mut StdRng) -> Box<dyn DataLink> {

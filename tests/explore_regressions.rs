@@ -34,8 +34,8 @@ fn cycle_scope() -> ExploreConfig {
     }
 }
 
-/// The bench scope that the `explore_par` bench and CI's exploration
-/// pins run: 87,515 states unreduced.
+/// The E13 bench scope, which the benchmark's explore workloads and the
+/// CLI's `explore_pins` tests run: 87,515 states unreduced.
 fn bench_scope() -> ExploreConfig {
     ExploreConfig {
         max_messages: 8,
@@ -194,9 +194,9 @@ fn por_reduction_pins_its_state_counts() {
     // quotient key. Fewer states means the quotient got coarser (soundness
     // risk — the differential pins below would trip), more means the
     // reduction got weaker. The full-engine counts for the same scopes are
-    // 111, 419 and 87,515 (the last pinned by CI), so these pins also lock
-    // the reduction ratios (~2.2x, ~4.5x and ~183.9x) the E13 experiment
-    // and the explore_par bench report.
+    // 111, 419 and 87,515 (the last pinned by the CLI's `explore_pins`
+    // tests), so these pins also lock the reduction ratios (~2.2x, ~4.5x
+    // and ~183.9x) that the E13 experiment reports.
     for (cfg, expected) in [(small(), 51), (cycle_scope(), 94), (bench_scope(), 476)] {
         for outcome in [
             Explorer::new().explore(&SequenceNumber::new(), &with_por(&cfg)),

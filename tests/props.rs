@@ -14,6 +14,10 @@ use nonfifo::ioa::spec::{check_dl1_dl2, check_pl1};
 use nonfifo::ioa::{CopyId, Dir, Event, Execution, Header, Message, Packet, SpecMonitor};
 use nonfifo_rng::StdRng;
 
+mod common;
+
+use common::for_seeds;
+
 /// Operations a test driver can apply to any channel.
 #[derive(Debug, Clone)]
 enum ChanOp {
@@ -83,21 +87,6 @@ fn drive(channel: &mut dyn FaultObserver, ops: &[ChanOp]) {
         channel.total_sent(),
         accounted
     );
-}
-
-/// Runs `case` once per seed in `0..cases`; a panic names the seed so the
-/// failing input replays exactly.
-fn for_seeds(cases: u64, case: impl Fn(u64, &mut StdRng)) {
-    for seed in 0..cases {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            case(seed, &mut rng);
-        }));
-        if let Err(payload) = result {
-            eprintln!("property failed at seed {seed}; rerun replays it exactly");
-            std::panic::resume_unwind(payload);
-        }
-    }
 }
 
 #[test]

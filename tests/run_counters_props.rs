@@ -34,26 +34,13 @@ use nonfifo_rng::StdRng;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
-/// Cases per property: `PROPTEST_CASES` if set, else a small default that
-/// keeps the whole harness in tier-1 time.
-fn cases() -> u64 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-}
+mod common;
 
-fn for_seeds(cases: u64, case: impl Fn(u64, &mut StdRng)) {
-    for seed in 0..cases {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            case(seed, &mut rng);
-        }));
-        if let Err(payload) = result {
-            eprintln!("property failed at seed {seed}; rerun replays it exactly");
-            std::panic::resume_unwind(payload);
-        }
-    }
+use common::for_seeds;
+
+/// Cases per property; see [`common::cases`].
+fn cases() -> u64 {
+    common::cases(64)
 }
 
 /// Copies the harness drained as injected sends, per direction.
