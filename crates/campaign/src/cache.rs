@@ -10,7 +10,11 @@
 //!
 //! On disk the cache is an append-only NDJSON log of the
 //! [`WireMsg::Run`] lines the daemon streams, keyed by their `spec`
-//! fingerprint, so cache and wire share one codec. In a cache file a
+//! fingerprint, so cache and wire share one codec, the one beside
+//! [`WireMsg`]: lines are written straight from the borrowed entries and
+//! read field by field off a
+//! [`JsonReader`](nonfifo_telemetry::JsonReader), with no `Json` tree in
+//! between. In a cache file a
 //! line's `index` is its position in the log. A cache remembers the file
 //! it was loaded from (a missing file loads as empty, the natural
 //! first-run experience for `--cache`), and saving back to that file
@@ -32,15 +36,14 @@
 
 use crate::runner::{RunOutcome, RunRecord};
 use crate::spec::RunSpec;
-use crate::wire::{run_line, WireMsg, WIRE_SCHEMA_VERSION};
+use crate::wire::{write_run_line, LineFields, WireMsg, WIRE_SCHEMA_VERSION};
 use nonfifo_core::{NonFifoError, RunCounters};
-use nonfifo_telemetry::Json;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::sync::{Arc, RwLock};
 
 /// The cached portion of a run record: everything except the spec (which
@@ -212,8 +215,8 @@ impl CampaignCache {
             let n = i + 1;
             let text =
                 std::str::from_utf8(text).map_err(|_| CacheError::at(n, "line is not UTF-8"))?;
-            let doc = Json::parse(text).map_err(|e| CacheError::at(n, e.to_string()))?;
-            if let Some(v) = doc.get("v").and_then(Json::as_u64) {
+            let fields = LineFields::read(text).map_err(|e| CacheError::at(n, e.to_string()))?;
+            if let Some(v) = fields.version() {
                 if v < WIRE_SCHEMA_VERSION {
                     return Err(CacheError::at(
                         n,
@@ -224,7 +227,7 @@ impl CampaignCache {
                     ));
                 }
             }
-            match WireMsg::from_json_value(&doc) {
+            match fields.into_message() {
                 Ok(WireMsg::Run {
                     spec_fingerprint,
                     run,
@@ -272,7 +275,7 @@ impl CampaignCache {
             let first = (self.entries.len() - self.pending.len()) as u64;
             let mut lines = String::new();
             for (index, key) in (first..).zip(&self.pending) {
-                lines.push_str(&run_line(index, *key, &self.entries[key]));
+                write_run_line(&mut lines, index, *key, &self.entries[key]);
             }
             // Write over any torn tail, then cut the file at the new end:
             // cutting first could empty the file, and ext4 flushes a file
@@ -305,14 +308,19 @@ impl CampaignCache {
     /// it over `path`. Returns the bytes written.
     fn write_compacted(&self, path: &str) -> std::io::Result<u64> {
         let tmp = format!("{path}.tmp");
-        let mut out = BufWriter::new(File::create(&tmp)?);
+        let mut out = File::create(&tmp)?;
         let mut written = 0;
+        let mut lines = String::new();
         for (index, (key, run)) in self.entries.iter().enumerate() {
-            let line = run_line(index as u64, *key, run);
-            out.write_all(line.as_bytes())?;
-            written += line.len() as u64;
+            write_run_line(&mut lines, index as u64, *key, run);
+            if lines.len() >= 1 << 16 {
+                out.write_all(lines.as_bytes())?;
+                written += lines.len() as u64;
+                lines.clear();
+            }
         }
-        out.flush()?;
+        out.write_all(lines.as_bytes())?;
+        written += lines.len() as u64;
         drop(out);
         std::fs::rename(&tmp, path)?;
         Ok(written)
@@ -400,6 +408,7 @@ mod tests {
     use crate::runner::CampaignRunner;
     use crate::spec::ScenarioSpec;
     use nonfifo_channel::Discipline;
+    use nonfifo_telemetry::JsonReader;
     use std::collections::BTreeSet;
 
     fn abp(seeds: std::ops::Range<u64>) -> Vec<RunSpec> {
@@ -444,6 +453,18 @@ mod tests {
         (cache, runs.len() - report.cache_hits)
     }
 
+    /// The cache's entries as log lines, in key order.
+    fn log_lines(cache: &CampaignCache) -> Vec<String> {
+        (0..)
+            .zip(&cache.entries)
+            .map(|(index, (key, run))| {
+                let mut line = String::new();
+                write_run_line(&mut line, index, *key, run);
+                line
+            })
+            .collect()
+    }
+
     /// Every line parses as a run line and no key repeats; returns the
     /// keys in file order.
     fn log_keys(bytes: &[u8]) -> Vec<u64> {
@@ -482,10 +503,7 @@ mod tests {
     #[test]
     fn bad_lines_are_rejected_with_their_line_number() {
         let (_, cache) = populated();
-        let mut log = Vec::new();
-        for (index, (key, run)) in cache.entries.iter().enumerate() {
-            log.push(run_line(index as u64, *key, run));
-        }
+        let log = log_lines(&cache);
         let report = WireMsg::Error {
             message: "x".to_string(),
         }
@@ -524,9 +542,40 @@ mod tests {
     fn cached_run_value_round_trips() {
         let (_, cache) = populated();
         for run in cache.entries.values() {
-            let back = CachedRun::from_json_value(&run.to_json_value()).unwrap();
+            let mut text = String::new();
+            run.write_json(&mut text);
+            let mut reader = JsonReader::new(&text);
+            let back = CachedRun::read_json(&mut reader).unwrap().unwrap();
+            reader.finish().unwrap();
             assert_eq!(&back, run);
+            let mut again = String::new();
+            back.write_json(&mut again);
+            assert_eq!(again, text, "re-encoding is byte-stable");
         }
+    }
+
+    /// An unknown field nested 100,000 levels deep is refused at the
+    /// 128th level with the line named, and no stack frame per level.
+    #[test]
+    fn a_line_nested_past_the_cap_fails_naming_its_line() {
+        let (_, cache) = populated();
+        let log = log_lines(&cache);
+        let deep = format!(
+            "{{\"v\":3,\"x\":{}{}}}\n",
+            "[".repeat(100_000),
+            "]".repeat(100_000)
+        );
+        let text = format!("{}{deep}{}", log[0], log[1]);
+        let err = CampaignCache::parse_log(text.as_bytes()).unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
+        assert!(
+            err.message.contains("nesting deeper than 128 levels"),
+            "{err}"
+        );
+        assert!(
+            err.to_string().starts_with("campaign cache line 2: "),
+            "{err}"
+        );
     }
 
     #[test]

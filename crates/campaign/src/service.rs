@@ -36,7 +36,7 @@
 use crate::cache::SharedCache;
 use crate::plan::CampaignPlan;
 use crate::runner::{merge_reports, CampaignRunner, IndexedRun, PlanExpansion};
-use crate::wire::WireMsg;
+use crate::wire::{write_run_line, WireMsg};
 use nonfifo_core::{NonFifoError, RunCounters};
 use nonfifo_telemetry::Registry;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -72,10 +72,12 @@ pub struct ServiceConfig {
     pub cache_path: Option<String>,
 }
 
-type Sink<'a> = Mutex<&'a mut (dyn FnMut(&WireMsg) + Send)>;
+/// Where a campaign's stream goes: one NDJSON line per call.
+type Sink<'a> = Mutex<&'a mut (dyn FnMut(&str) + Send)>;
 
-fn emit(sink: &Sink<'_>, msg: &WireMsg) {
-    (*sink.lock().expect("stream sink poisoned"))(msg);
+/// Hands one rendered line to the sink; only the hand-off holds its lock.
+fn emit(sink: &Sink<'_>, line: &str) {
+    (*sink.lock().expect("stream sink poisoned"))(line);
 }
 
 /// The long-running campaign daemon: shared cache, service telemetry, and
@@ -96,15 +98,27 @@ impl CampaignService {
     /// # Errors
     ///
     /// Fails if the cache file exists but cannot be read or parsed.
+    ///
+    /// The registry records what the start cost: `service.cache_load_ms`
+    /// (a value) and `service.cache_entries` (a gauge).
     pub fn new(cfg: ServiceConfig) -> Result<CampaignService, NonFifoError> {
+        let started = Instant::now();
         let cache = match &cfg.cache_path {
             Some(path) => SharedCache::load(path)?,
             None => SharedCache::new(),
         };
+        let registry = Registry::new();
+        registry.set_value(
+            "service.cache_load_ms",
+            started.elapsed().as_secs_f64() * 1e3,
+        );
+        registry
+            .gauge("service.cache_entries")
+            .set(cache.len() as u64);
         Ok(CampaignService {
             cfg,
             cache,
-            registry: Arc::new(Registry::new()),
+            registry: Arc::new(registry),
             shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -132,13 +146,13 @@ impl CampaignService {
 
     /// Runs one submitted campaign: expand, execute the cache misses on
     /// `requested_workers` threads (`0` = the configured default), merge.
-    /// Streams a [`WireMsg::Run`] per executed run (as it lands, any
-    /// order) and then one [`WireMsg::Metrics`] delta of the executed runs
-    /// to `sink`, and returns the final [`WireMsg::Report`] —
-    /// byte-identical to batch output for the same plan. Fresh results
-    /// are published to the shared cache (and appended to the cache file,
-    /// if configured) before the report is returned; panicked runs are
-    /// not.
+    /// Streams to `sink`, one NDJSON line per call, a [`WireMsg::Run`]
+    /// line per executed run (as it lands, any order) and then one
+    /// [`WireMsg::Metrics`] delta of the executed runs, and returns the
+    /// final [`WireMsg::Report`] — byte-identical to batch output for the
+    /// same plan. Fresh results are published to the shared cache (and
+    /// appended to the cache file, if configured) before the report is
+    /// returned; panicked runs are not.
     ///
     /// # Errors
     ///
@@ -148,12 +162,22 @@ impl CampaignService {
         &self,
         plan_text: &str,
         requested_workers: usize,
-        sink: &mut (dyn FnMut(&WireMsg) + Send),
+        sink: &mut (dyn FnMut(&str) + Send),
     ) -> Result<WireMsg, NonFifoError> {
         let started = Instant::now();
-        let plan = CampaignPlan::parse(plan_text)?;
-        let expansion = PlanExpansion::of_plan(&plan)?;
+        let expansion = expand(plan_text)?;
+        self.run_expansion(&expansion, started, requested_workers, sink)
+    }
 
+    /// [`run_campaign`](Self::run_campaign) on a plan already expanded
+    /// and validated; `started` is when the submission began.
+    fn run_expansion(
+        &self,
+        expansion: &PlanExpansion,
+        started: Instant,
+        requested_workers: usize,
+        sink: &mut (dyn FnMut(&str) + Send),
+    ) -> Result<WireMsg, NonFifoError> {
         let (cached, misses) = expansion.partition_cached(|spec| self.cache.lookup(spec));
 
         let runner = CampaignRunner::new(if requested_workers > 0 {
@@ -165,22 +189,28 @@ impl CampaignService {
             .gauge("service.active_workers")
             .set(runner.threads().min(misses.len()) as u64);
         let sink: Sink<'_> = Mutex::new(sink);
-        let (part, busy) = runner.execute_streaming(&expansion, &misses, &|record: &IndexedRun| {
-            emit(&sink, &WireMsg::run_delta(record));
+        let (part, busy) = runner.execute_streaming(expansion, &misses, &|record: &IndexedRun| {
+            // Rendered from the borrow on the worker's own thread.
+            let mut line = String::new();
+            write_run_line(
+                &mut line,
+                record.index as u64,
+                record.spec_fingerprint,
+                &record.run,
+            );
+            emit(&sink, &line);
         });
         self.registry
             .gauge("service.shard_imbalance")
             .set(imbalance_pct(&busy));
-        emit(
-            &sink,
-            &WireMsg::Metrics {
-                snapshot: RunCounters::aggregate(part.iter().map(|r| &*r.run.metrics)),
-            },
-        );
+        let metrics = WireMsg::Metrics {
+            snapshot: RunCounters::aggregate(part.iter().map(|r| &*r.run.metrics)),
+        };
+        emit(&sink, &metrics.to_line());
 
         let cache_hits = cached.len();
         let fresh = expansion.len() - cache_hits;
-        let report = merge_reports(&expansion, cached, vec![part])?;
+        let report = merge_reports(expansion, cached, vec![part])?;
         self.cache.insert_all(
             report
                 .records
@@ -360,17 +390,18 @@ impl CampaignService {
             (body.to_string(), 0)
         };
 
-        let validated = CampaignPlan::parse(&plan_text)
-            .map_err(NonFifoError::from)
-            .and_then(|plan| PlanExpansion::of_plan(&plan));
-        if let Err(e) = validated {
-            let line = WireMsg::Error {
-                message: e.to_string(),
+        let started = Instant::now();
+        let expansion = match expand(&plan_text) {
+            Ok(expansion) => expansion,
+            Err(e) => {
+                let line = WireMsg::Error {
+                    message: e.to_string(),
+                }
+                .to_line();
+                respond(writer, "400 Bad Request", "application/x-ndjson", &line);
+                return;
             }
-            .to_line();
-            respond(writer, "400 Bad Request", "application/x-ndjson", &line);
-            return;
-        }
+        };
 
         let header =
             "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n";
@@ -378,11 +409,11 @@ impl CampaignService {
             return;
         }
         let result = {
-            let mut sink = |msg: &WireMsg| {
-                let _ = writer.write_all(msg.to_line().as_bytes());
+            let mut sink = |line: &str| {
+                let _ = writer.write_all(line.as_bytes());
                 let _ = writer.flush();
             };
-            self.run_campaign(&plan_text, workers, &mut sink)
+            self.run_expansion(&expansion, started, workers, &mut sink)
         };
         let final_line = match result {
             Ok(report) => report.to_line(),
@@ -394,6 +425,12 @@ impl CampaignService {
         let _ = writer.write_all(final_line.as_bytes());
         let _ = writer.flush();
     }
+}
+
+/// Parses and expands a submitted plan: the one validation a submission
+/// gets.
+fn expand(plan_text: &str) -> Result<PlanExpansion, NonFifoError> {
+    PlanExpansion::of_plan(&CampaignPlan::parse(plan_text)?)
 }
 
 fn respond(writer: &mut BufWriter<TcpStream>, status: &str, content_type: &str, body: &str) {
@@ -443,7 +480,11 @@ seeds 0..3
 
     fn collect(service: &CampaignService, workers: usize) -> (Vec<WireMsg>, WireMsg) {
         let deltas = Mutex::new(Vec::new());
-        let mut sink = |msg: &WireMsg| deltas.lock().unwrap().push(msg.clone());
+        let mut sink = |line: &str| {
+            let msg = WireMsg::parse_line(line).unwrap();
+            assert_eq!(msg.to_line(), line, "a streamed line re-encodes to itself");
+            deltas.lock().unwrap().push(msg);
+        };
         let report = service.run_campaign(PLAN, workers, &mut sink).unwrap();
         (deltas.into_inner().unwrap(), report)
     }
@@ -580,11 +621,11 @@ seeds 0..3
                 let (service, looked_up, streamed) = (&service, &looked_up, &streamed);
                 scope.spawn(move || {
                     let mut first = true;
-                    let mut sink = |msg: &WireMsg| {
+                    let mut sink = |line: &str| {
                         if std::mem::take(&mut first) {
                             looked_up.wait();
                         }
-                        if matches!(msg, WireMsg::Run { .. }) {
+                        if matches!(WireMsg::parse_line(line), Ok(WireMsg::Run { .. })) {
                             streamed.fetch_add(1, Ordering::Relaxed);
                         }
                     };
@@ -633,7 +674,7 @@ seeds 0..3
     #[test]
     fn malformed_plans_fail_with_line_numbers_before_any_execution() {
         let service = CampaignService::new(ServiceConfig::default()).unwrap();
-        let mut sink = |_: &WireMsg| panic!("no deltas for a rejected plan");
+        let mut sink = |_: &str| panic!("no deltas for a rejected plan");
         let err = service
             .run_campaign("scenario x\nwarble 3\n", 2, &mut sink)
             .unwrap_err();

@@ -2,12 +2,10 @@
 //! by the HTTP front end and the cache file.
 //!
 //! Every message is a single JSON object on one line (newline-delimited
-//! JSON), built with the hand-rolled [`Json`] value from
-//! `nonfifo-telemetry` — insertion-ordered objects, exact integer
-//! variants — so encodings are byte-stable and diffable like every other
-//! artifact in this repo. Every message carries a `"v"` schema field
-//! ([`WIRE_SCHEMA_VERSION`]), and a reader rejects any version but its own
-//! rather than guessing.
+//! JSON) with its fields in a fixed order, so encodings are byte-stable
+//! and diffable like every other artifact in this repo. Every message
+//! carries a `"v"` schema field ([`WIRE_SCHEMA_VERSION`]), and a reader
+//! rejects any version but its own rather than guessing.
 //!
 //! The conversation: the client sends [`WireMsg::Submit`] (a plan
 //! document plus a worker count), and the daemon answers with one
@@ -23,11 +21,25 @@
 //! `run` line is the cache file's record: a
 //! [`CampaignCache`](crate::CampaignCache) file is an NDJSON log of them,
 //! keyed by `spec`, so the cache has no serialization of its own.
+//!
+//! Run lines have one text codec and no `Json` tree: a line is written
+//! field by field straight into a `String` (`write_run_line`, which the
+//! cache and the daemon's stream render from a borrowed run), and read
+//! field by field off a [`JsonReader`], [`RunCounters::read_json`] taking
+//! the `counters` object. Fields may come in any order, the first of
+//! repeated keys wins, unknown fields are skipped but validated, counts
+//! must be exact `u64`s, and a syntax error anywhere in the line is
+//! reported before any schema error.
+//! The rarer `metrics` and `report` lines carry their snapshots as
+//! [`Json`] values.
 
 use crate::cache::CachedRun;
-use crate::runner::{IndexedRun, RunOutcome};
+use crate::runner::RunOutcome;
 use nonfifo_core::RunCounters;
-use nonfifo_telemetry::{Json, MetricsSnapshot};
+use nonfifo_telemetry::{
+    write_string, write_u64, Json, JsonError, JsonReader, MetricsSnapshot, SnapshotError,
+};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Version of the wire encoding this build speaks.
@@ -117,210 +129,303 @@ impl WireMsg {
         }
     }
 
-    /// Encodes the message as a [`Json`] object (versioned, type-tagged).
-    pub fn to_json_value(&self) -> Json {
-        let mut fields = tagged(self.kind());
-        match self {
-            WireMsg::Submit { plan, workers } => {
-                fields.push(("plan".to_string(), Json::Str(plan.clone())));
-                fields.push(("workers".to_string(), Json::Uint(*workers)));
-            }
+    /// Encodes the message as one newline-terminated NDJSON line: the
+    /// `v` and `type` fields, then the message's own. JSON string
+    /// escaping keeps embedded newlines (plan documents, rendered tables)
+    /// on the one line.
+    pub fn to_line(&self) -> String {
+        let mut out = String::new();
+        let (index, spec_fingerprint, run) = match self {
             WireMsg::Run {
                 index,
                 spec_fingerprint,
                 run,
-            } => push_run(&mut fields, *index, *spec_fingerprint, run),
+            } => (index, spec_fingerprint, run),
+            WireMsg::Submit { plan, workers } => {
+                write_head(&mut out, self.kind());
+                out.push_str(",\"plan\":");
+                write_string(&mut out, plan);
+                out.push_str(",\"workers\":");
+                write_u64(&mut out, *workers);
+                out.push_str("}\n");
+                return out;
+            }
             WireMsg::Metrics { snapshot } => {
-                fields.push(("snapshot".to_string(), snapshot.to_json_value()));
+                write_head(&mut out, self.kind());
+                out.push_str(",\"snapshot\":");
+                snapshot.to_json_value().write(&mut out);
+                out.push_str("}\n");
+                return out;
             }
             WireMsg::Report {
                 render,
                 cache_hits,
                 aggregate,
             } => {
-                fields.push(("render".to_string(), Json::Str(render.clone())));
-                fields.push(("cache_hits".to_string(), Json::Uint(*cache_hits)));
-                fields.push(("aggregate".to_string(), aggregate.to_json_value()));
+                write_head(&mut out, self.kind());
+                out.push_str(",\"render\":");
+                write_string(&mut out, render);
+                out.push_str(",\"cache_hits\":");
+                write_u64(&mut out, *cache_hits);
+                out.push_str(",\"aggregate\":");
+                aggregate.to_json_value().write(&mut out);
+                out.push_str("}\n");
+                return out;
             }
             WireMsg::Error { message } => {
-                fields.push(("message".to_string(), Json::Str(message.clone())));
+                write_head(&mut out, self.kind());
+                out.push_str(",\"message\":");
+                write_string(&mut out, message);
+                out.push_str("}\n");
+                return out;
             }
-        }
-        Json::Obj(fields)
-    }
-
-    /// Encodes the message as one newline-terminated NDJSON line. JSON
-    /// string escaping keeps embedded newlines (plan documents, rendered
-    /// tables) on the one line.
-    pub fn to_line(&self) -> String {
-        format!("{}\n", self.to_json_value())
-    }
-
-    /// Decodes a [`Json`] object produced by
-    /// [`to_json_value`](WireMsg::to_json_value).
-    ///
-    /// # Errors
-    ///
-    /// Fails on non-objects, missing or mistyped fields, unknown `type`
-    /// tags, and — the forward-compat contract — any `v` other than
-    /// [`WIRE_SCHEMA_VERSION`].
-    pub fn from_json_value(doc: &Json) -> Result<WireMsg, WireError> {
-        if doc.as_obj().is_none() {
-            return Err(wire_err("message is not a JSON object"));
-        }
-        let v = need_u64(doc, "v")?;
-        if v != WIRE_SCHEMA_VERSION {
-            return Err(wire_err(format!(
-                "unsupported wire schema_version {v} (this build speaks {WIRE_SCHEMA_VERSION})"
-            )));
-        }
-        let kind = need_str(doc, "type")?;
-        match kind {
-            "submit" => Ok(WireMsg::Submit {
-                plan: need_str(doc, "plan")?.to_string(),
-                workers: need_u64(doc, "workers")?,
-            }),
-            "run" => {
-                let run = doc
-                    .get("run")
-                    .ok_or_else(|| wire_err("run: missing run object"))?;
-                Ok(WireMsg::Run {
-                    index: need_u64(doc, "index")?,
-                    spec_fingerprint: need_u64(doc, "spec")?,
-                    run: CachedRun::from_json_value(run)
-                        .map_err(|e| wire_err(format!("run: {}", e.message)))?,
-                })
-            }
-            "metrics" => {
-                let snapshot = doc
-                    .get("snapshot")
-                    .ok_or_else(|| wire_err("metrics: missing snapshot"))?;
-                Ok(WireMsg::Metrics {
-                    snapshot: MetricsSnapshot::from_json_value(snapshot)
-                        .map_err(|e| wire_err(format!("metrics: {e}")))?,
-                })
-            }
-            "report" => {
-                let aggregate = doc
-                    .get("aggregate")
-                    .ok_or_else(|| wire_err("report: missing aggregate"))?;
-                Ok(WireMsg::Report {
-                    render: need_str(doc, "render")?.to_string(),
-                    cache_hits: need_u64(doc, "cache_hits")?,
-                    aggregate: MetricsSnapshot::from_json_value(aggregate)
-                        .map_err(|e| wire_err(format!("report: {e}")))?,
-                })
-            }
-            "error" => Ok(WireMsg::Error {
-                message: need_str(doc, "message")?.to_string(),
-            }),
-            other => Err(wire_err(format!("unknown message type {other:?}"))),
-        }
+        };
+        write_run_line(&mut out, *index, *spec_fingerprint, run);
+        out
     }
 
     /// Decodes one NDJSON line.
     ///
     /// # Errors
     ///
-    /// Fails on malformed JSON or any
-    /// [`from_json_value`](WireMsg::from_json_value) rejection.
+    /// Fails on malformed JSON, on non-objects, missing or mistyped
+    /// fields and unknown `type` tags, and — the forward-compat contract —
+    /// on any `v` other than [`WIRE_SCHEMA_VERSION`].
     pub fn parse_line(line: &str) -> Result<WireMsg, WireError> {
-        let doc = Json::parse(line.trim()).map_err(|e| wire_err(e.to_string()))?;
-        WireMsg::from_json_value(&doc)
+        LineFields::read(line.trim())
+            .map_err(|e| wire_err(e.to_string()))?
+            .into_message()
+    }
+}
+
+/// Appends the `run` line for `run` at `index` to `out`, encoded from a
+/// borrow: how the cache writes its log and the daemon its stream without
+/// cloning each run into a [`WireMsg`]. Byte-identical to the
+/// [`WireMsg::Run`] line with the same fields.
+pub(crate) fn write_run_line(out: &mut String, index: u64, spec_fingerprint: u64, run: &CachedRun) {
+    write_head(out, "run");
+    out.push_str(",\"index\":");
+    write_u64(out, index);
+    out.push_str(",\"spec\":");
+    write_u64(out, spec_fingerprint);
+    out.push_str(",\"run\":");
+    run.write_json(out);
+    out.push_str("}\n");
+}
+
+/// The `v` and `type` fields every message starts with.
+fn write_head(out: &mut String, kind: &str) {
+    out.push_str("{\"v\":");
+    write_u64(out, WIRE_SCHEMA_VERSION);
+    out.push_str(",\"type\":");
+    write_string(out, kind);
+}
+
+/// One line's top-level fields as read: `None` if a field is absent, and
+/// for scalars `Some(None)` if it has another type. Reading the fields is
+/// where a syntax error surfaces; judging them, in
+/// [`into_message`](Self::into_message), is where a schema error does, so
+/// a line's first syntax error is reported before any schema error.
+#[derive(Default)]
+pub(crate) struct LineFields<'a> {
+    object: bool,
+    v: Option<Option<u64>>,
+    kind: Option<Option<Cow<'a, str>>>,
+    plan: Option<Option<Cow<'a, str>>>,
+    workers: Option<Option<u64>>,
+    index: Option<Option<u64>>,
+    spec: Option<Option<u64>>,
+    run: Option<Result<CachedRun, String>>,
+    snapshot: Option<Json>,
+    render: Option<Option<Cow<'a, str>>>,
+    cache_hits: Option<Option<u64>>,
+    aggregate: Option<Json>,
+    message: Option<Option<Cow<'a, str>>>,
+}
+
+impl<'a> LineFields<'a> {
+    /// Reads one line's document.
+    ///
+    /// # Errors
+    ///
+    /// The first syntax error, exactly as [`Json::parse`] reports it.
+    pub(crate) fn read(text: &'a str) -> Result<LineFields<'a>, JsonError> {
+        let mut reader = JsonReader::new(text);
+        let mut fields = LineFields {
+            object: reader.begin_object()?,
+            ..LineFields::default()
+        };
+        if fields.object {
+            while let Some(key) = reader.next_key()? {
+                let r = &mut reader;
+                match &*key {
+                    "v" => r.read_once(&mut fields.v, JsonReader::u64)?,
+                    "type" => r.read_once(&mut fields.kind, JsonReader::str)?,
+                    "plan" => r.read_once(&mut fields.plan, JsonReader::str)?,
+                    "workers" => r.read_once(&mut fields.workers, JsonReader::u64)?,
+                    "index" => r.read_once(&mut fields.index, JsonReader::u64)?,
+                    "spec" => r.read_once(&mut fields.spec, JsonReader::u64)?,
+                    "run" => r.read_once(&mut fields.run, CachedRun::read_json)?,
+                    "snapshot" => r.read_once(&mut fields.snapshot, JsonReader::value)?,
+                    "render" => r.read_once(&mut fields.render, JsonReader::str)?,
+                    "cache_hits" => r.read_once(&mut fields.cache_hits, JsonReader::u64)?,
+                    "aggregate" => r.read_once(&mut fields.aggregate, JsonReader::value)?,
+                    "message" => r.read_once(&mut fields.message, JsonReader::str)?,
+                    _ => r.skip_value()?,
+                }
+            }
+        }
+        reader.finish()?;
+        Ok(fields)
     }
 
-    /// The `Run` message carrying `record`.
-    pub fn run_delta(record: &IndexedRun) -> WireMsg {
-        WireMsg::Run {
-            index: record.index as u64,
-            spec_fingerprint: record.spec_fingerprint,
-            run: record.run.clone(),
+    /// The line's `v`, if it has one that is a `u64`.
+    pub(crate) fn version(&self) -> Option<u64> {
+        self.v.flatten()
+    }
+
+    /// Judges the fields as a message, checking in a fixed order: an
+    /// object, its `v`, its `type`, then the type's own fields.
+    ///
+    /// # Errors
+    ///
+    /// The first check that fails.
+    pub(crate) fn into_message(self) -> Result<WireMsg, WireError> {
+        if !self.object {
+            return Err(wire_err("message is not a JSON object"));
+        }
+        let v = need_u64(self.v, "v")?;
+        if v != WIRE_SCHEMA_VERSION {
+            return Err(wire_err(format!(
+                "unsupported wire schema_version {v} (this build speaks {WIRE_SCHEMA_VERSION})"
+            )));
+        }
+        let kind = need_str(self.kind, "type")?;
+        match &*kind {
+            "submit" => Ok(WireMsg::Submit {
+                plan: need_str(self.plan, "plan")?.into_owned(),
+                workers: need_u64(self.workers, "workers")?,
+            }),
+            "run" => {
+                let run = self
+                    .run
+                    .ok_or_else(|| wire_err("run: missing run object"))?;
+                Ok(WireMsg::Run {
+                    index: need_u64(self.index, "index")?,
+                    spec_fingerprint: need_u64(self.spec, "spec")?,
+                    run: run.map_err(|e| wire_err(format!("run: {e}")))?,
+                })
+            }
+            "metrics" => {
+                let snapshot = self
+                    .snapshot
+                    .ok_or_else(|| wire_err("metrics: missing snapshot"))?;
+                Ok(WireMsg::Metrics {
+                    snapshot: MetricsSnapshot::from_json_value(&snapshot)
+                        .map_err(|e| wire_err(format!("metrics: {e}")))?,
+                })
+            }
+            "report" => {
+                let aggregate = self
+                    .aggregate
+                    .ok_or_else(|| wire_err("report: missing aggregate"))?;
+                Ok(WireMsg::Report {
+                    render: need_str(self.render, "render")?.into_owned(),
+                    cache_hits: need_u64(self.cache_hits, "cache_hits")?,
+                    aggregate: MetricsSnapshot::from_json_value(&aggregate)
+                        .map_err(|e| wire_err(format!("report: {e}")))?,
+                })
+            }
+            "error" => Ok(WireMsg::Error {
+                message: need_str(self.message, "message")?.into_owned(),
+            }),
+            other => Err(wire_err(format!("unknown message type {other:?}"))),
         }
     }
 }
 
-/// The one `run` line for `run` at `index`, encoded from a borrow — how
-/// the cache writes its log without cloning each run into a [`WireMsg`].
-/// Byte-identical to the [`WireMsg::Run`] line with the same fields.
-pub(crate) fn run_line(index: u64, spec_fingerprint: u64, run: &CachedRun) -> String {
-    let mut fields = tagged("run");
-    push_run(&mut fields, index, spec_fingerprint, run);
-    format!("{}\n", Json::Obj(fields))
-}
-
-/// The `v` and `type` fields every message starts with.
-fn tagged(kind: &str) -> Vec<(String, Json)> {
-    vec![
-        ("v".to_string(), Json::Uint(WIRE_SCHEMA_VERSION)),
-        ("type".to_string(), Json::Str(kind.to_string())),
-    ]
-}
-
-fn push_run(fields: &mut Vec<(String, Json)>, index: u64, spec_fingerprint: u64, run: &CachedRun) {
-    fields.push(("index".to_string(), Json::Uint(index)));
-    fields.push(("spec".to_string(), Json::Uint(spec_fingerprint)));
-    fields.push(("run".to_string(), run.to_json_value()));
-}
-
 impl CachedRun {
-    /// The run as the [`Json`] object a `run` line carries.
-    pub fn to_json_value(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "outcome".to_string(),
-                Json::Str(self.outcome.as_str().to_string()),
-            ),
-            ("fingerprint".to_string(), Json::Uint(self.fingerprint)),
-            ("steps".to_string(), Json::Uint(self.steps)),
-            ("fwd_sends".to_string(), Json::Uint(self.fwd_sends)),
-            ("delivered".to_string(), Json::Uint(self.delivered)),
-            ("counters".to_string(), self.metrics.to_json_value()),
-        ])
+    /// Appends the run as the object a `run` line carries.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push_str("{\"outcome\":");
+        write_string(out, self.outcome.as_str());
+        for (key, n) in [
+            (",\"fingerprint\":", self.fingerprint),
+            (",\"steps\":", self.steps),
+            (",\"fwd_sends\":", self.fwd_sends),
+            (",\"delivered\":", self.delivered),
+        ] {
+            out.push_str(key);
+            write_u64(out, n);
+        }
+        out.push_str(",\"counters\":");
+        self.metrics.write_json(out);
+        out.push('}');
     }
 
-    /// Parses a value written by [`to_json_value`](CachedRun::to_json_value).
-    ///
-    /// # Errors
-    ///
-    /// Rejects objects with missing or mistyped fields, and counters
-    /// [`RunCounters::from_json_value`] rejects.
-    pub fn from_json_value(entry: &Json) -> Result<CachedRun, WireError> {
-        let outcome = entry
-            .get("outcome")
-            .and_then(Json::as_str)
-            .and_then(RunOutcome::from_str_opt)
-            .ok_or_else(|| wire_err("no valid outcome"))?;
-        let metrics = entry
-            .get("counters")
-            .ok_or_else(|| wire_err("missing field \"counters\""))
-            .and_then(|c| RunCounters::from_json_value(c).map_err(|e| wire_err(e.to_string())))?;
-        Ok(CachedRun {
-            outcome,
-            fingerprint: need_u64(entry, "fingerprint")?,
-            steps: need_u64(entry, "steps")?,
-            fwd_sends: need_u64(entry, "fwd_sends")?,
-            delivered: need_u64(entry, "delivered")?,
-            metrics: Box::new(metrics),
-        })
+    /// Reads a [`write_json`](CachedRun::write_json) object. The outer
+    /// error is a syntax error; the inner one is the first failing check,
+    /// in the order: `outcome`, `counters` (missing, or rejected by
+    /// [`RunCounters::read_json`]), then `fingerprint`, `steps`,
+    /// `fwd_sends` and `delivered`.
+    pub(crate) fn read_json(
+        reader: &mut JsonReader,
+    ) -> Result<Result<CachedRun, String>, JsonError> {
+        const SCALARS: [&str; 4] = ["fingerprint", "steps", "fwd_sends", "delivered"];
+        let mut outcome = None;
+        let mut counters = None;
+        let mut scalars = [None; SCALARS.len()];
+        if reader.begin_object()? {
+            while let Some(key) = reader.next_key()? {
+                match SCALARS.iter().position(|name| *name == key) {
+                    Some(i) => reader.read_once(&mut scalars[i], JsonReader::u64)?,
+                    None if key == "outcome" => reader.read_once(&mut outcome, |r| {
+                        Ok(r.str()?.as_deref().and_then(RunOutcome::from_str_opt))
+                    })?,
+                    None if key == "counters" => {
+                        reader.read_once(&mut counters, |r| match RunCounters::read_json(r) {
+                            Err(SnapshotError::Json(e)) => Err(e),
+                            read => Ok(read.map_err(|e| e.to_string())),
+                        })?
+                    }
+                    None => reader.skip_value()?,
+                }
+            }
+        }
+        let verdict = || {
+            let outcome = outcome.flatten().ok_or("no valid outcome")?;
+            let metrics = counters.ok_or("missing field \"counters\"")??;
+            let [fingerprint, steps, fwd_sends, delivered] = scalars.map(|read| read.flatten());
+            let need = |read: Option<u64>, key: &str| {
+                read.ok_or_else(|| format!("missing or non-integer field {key:?}"))
+            };
+            Ok(CachedRun {
+                outcome,
+                fingerprint: need(fingerprint, SCALARS[0])?,
+                steps: need(steps, SCALARS[1])?,
+                fwd_sends: need(fwd_sends, SCALARS[2])?,
+                delivered: need(delivered, SCALARS[3])?,
+                metrics: Box::new(metrics),
+            })
+        };
+        Ok(verdict())
     }
 }
 
-fn need_u64(doc: &Json, key: &str) -> Result<u64, WireError> {
-    doc.get(key)
-        .and_then(Json::as_u64)
+fn need_u64(read: Option<Option<u64>>, key: &str) -> Result<u64, WireError> {
+    read.flatten()
         .ok_or_else(|| wire_err(format!("missing or non-integer field {key:?}")))
 }
 
-fn need_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, WireError> {
-    doc.get(key)
-        .and_then(Json::as_str)
+fn need_str<'a>(read: Option<Option<Cow<'a, str>>>, key: &str) -> Result<Cow<'a, str>, WireError> {
+    read.flatten()
         .ok_or_else(|| wire_err(format!("missing or non-string field {key:?}")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{CampaignRunner, RunOutcome};
+    use crate::runner::{CampaignRunner, IndexedRun};
     use crate::spec::ScenarioSpec;
     use nonfifo_channel::Discipline;
     use nonfifo_telemetry::Registry;
@@ -407,7 +512,40 @@ mod tests {
             spec_fingerprint: 99,
             run: run.clone(),
         };
-        assert_eq!(run_line(3, 99, &run), msg.to_line());
+        let mut line = String::new();
+        write_run_line(&mut line, 3, 99, &run);
+        assert_eq!(line, msg.to_line());
+    }
+
+    /// A `submit` body with an unknown field nested 100,000 levels deep
+    /// fails at the 128th level, naming the byte, with no stack frame per
+    /// level; the same field at a legal depth is skipped.
+    #[test]
+    fn a_deeply_nested_unknown_field_fails_at_the_cap() {
+        let submit = WireMsg::Submit {
+            plan: "scenario s\nprotocols abp\n".to_string(),
+            workers: 1,
+        };
+        let line = submit.to_line();
+        let nest = |depth: usize| {
+            line.replacen(
+                "{\"v\":3,",
+                &format!(
+                    "{{\"v\":3,\"x\":{}{},",
+                    "[".repeat(depth),
+                    "]".repeat(depth)
+                ),
+                1,
+            )
+        };
+        let err = WireMsg::parse_line(&nest(100_000)).unwrap_err();
+        let at = format!("json error at byte {}: ", 11 + 127);
+        assert!(err.to_string().starts_with(&format!("wire: {at}")), "{err}");
+        assert!(
+            err.message.contains("nesting deeper than 128 levels"),
+            "{err}"
+        );
+        assert_eq!(WireMsg::parse_line(&nest(127)).unwrap(), submit);
     }
 
     #[test]
@@ -468,7 +606,14 @@ mod tests {
             spec_fingerprint: 77,
             run: sample_run(),
         };
-        match WireMsg::parse_line(&WireMsg::run_delta(&record).to_line()).unwrap() {
+        let mut line = String::new();
+        write_run_line(
+            &mut line,
+            record.index as u64,
+            record.spec_fingerprint,
+            &record.run,
+        );
+        match WireMsg::parse_line(&line).unwrap() {
             WireMsg::Run {
                 index,
                 spec_fingerprint,

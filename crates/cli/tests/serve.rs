@@ -50,19 +50,32 @@ fn http(addr: &str, method: &str, path: &str, body: &str) -> (String, String) {
     (head.to_string(), body.to_string())
 }
 
+/// A running daemon that dies with its test: dropping the guard, as a
+/// failed assertion's unwinding does, kills and reaps the process.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Starts `nonfifo serve` on an ephemeral port with `extra` arguments;
 /// returns the daemon and the bound address scraped from its banner line.
-fn spawn_daemon(extra: &[&str]) -> (Child, String) {
-    let mut daemon = Command::new(BIN)
-        .args(["serve", "--addr", "127.0.0.1:0"])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
+fn spawn_daemon(extra: &[&str]) -> (Daemon, String) {
+    let mut daemon = Daemon(
+        Command::new(BIN)
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .args(extra)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
     // Borrowed, not taken: the daemon prints after its banner, so the pipe
     // must stay open.
-    let stdout = daemon.stdout.as_mut().unwrap();
+    let stdout = daemon.0.stdout.as_mut().unwrap();
     let mut banner = Vec::new();
     let mut byte = [0u8; 1];
     while !banner.ends_with(b"/\n") {
@@ -80,12 +93,12 @@ fn spawn_daemon(extra: &[&str]) -> (Child, String) {
 }
 
 /// `POST /shutdown`, then waits for the daemon to exit cleanly.
-fn shut_down(mut daemon: Child, addr: &str) {
+fn shut_down(mut daemon: Daemon, addr: &str) {
     let (head, _) = http(addr, "POST", "/shutdown", "");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        if let Some(status) = daemon.try_wait().unwrap() {
+        if let Some(status) = daemon.0.try_wait().unwrap() {
             assert!(status.success(), "daemon exits cleanly on /shutdown");
             break;
         }
@@ -235,8 +248,27 @@ fn http_daemon_serves_campaigns_byte_identical_to_batch() {
             .unwrap_or(0.0)
             > 0.0
     );
+    // What the start cost: no cache file, so nothing loaded.
+    let (load_ms, entries) = start_up_load(&snapshot);
+    assert!(load_ms.is_some_and(|ms| ms >= 0.0), "{load_ms:?}");
+    assert_eq!(entries, Some(0));
 
     shut_down(daemon, &addr);
+}
+
+/// `service.cache_load_ms` and `service.cache_entries` from a daemon's
+/// `GET /metrics` snapshot.
+fn start_up_load(snapshot: &Json) -> (Option<f64>, Option<u64>) {
+    let load_ms = snapshot
+        .get("values")
+        .and_then(|v| v.get("service.cache_load_ms"))
+        .and_then(Json::as_f64);
+    let entries = snapshot
+        .get("gauges")
+        .and_then(|g| g.get("service.cache_entries"))
+        .and_then(|g| g.get("value"))
+        .and_then(Json::as_u64);
+    (load_ms, entries)
 }
 
 #[test]
@@ -377,6 +409,14 @@ fn a_daemon_restarts_on_a_torn_cache_and_reruns_only_the_cut_run() {
     let (head, body) = http(&addr, "GET", "/healthz", "");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     assert_eq!(body, "ok\n");
+    let (_, metrics) = http(&addr, "GET", "/metrics", "");
+    let (load_ms, entries) = start_up_load(&Json::parse(metrics.trim()).unwrap());
+    assert!(load_ms.is_some_and(|ms| ms >= 0.0), "{load_ms:?}");
+    assert_eq!(
+        entries,
+        Some(total_runs() as u64 - 1),
+        "every whole line loaded"
+    );
     let (head, body) = http(&addr, "POST", "/campaign", PLAN);
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     let (runs, report) = stream(&body);

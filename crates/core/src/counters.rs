@@ -6,13 +6,15 @@
 //! direction. Names exist only in [`RunCounters::snapshot`], built where a
 //! snapshot is actually read (a `--metrics-out` file, a campaign
 //! aggregate). A campaign's cache entries and wire lines carry the slots
-//! themselves, through [`RunCounters::to_json_value`] and
-//! [`RunCounters::from_json_value`].
+//! themselves, in one text codec: [`RunCounters::write_json`] appends the
+//! compact object to a `String`, and [`RunCounters::read_json`] reads it
+//! back off a [`JsonReader`] field by field, with no `Json` tree in
+//! between.
 
 use nonfifo_ioa::{Dir, Event, Header};
 use nonfifo_telemetry::{
-    GaugeSnapshot, HistogramSnapshot, Json, LocalHistogram, MetricsSnapshot, SnapshotError,
-    SCHEMA_VERSION,
+    write_u64, GaugeSnapshot, HistogramSnapshot, Json, JsonError, JsonReader, LocalHistogram,
+    MetricsSnapshot, SnapshotError, SCHEMA_VERSION,
 };
 use std::collections::BTreeMap;
 
@@ -83,86 +85,239 @@ impl HeaderTable {
             .chain(self.sparse.iter().map(|(h, c)| (*h, c)))
     }
 
-    /// One dense array per verb, indexed by header and cut after its last
-    /// non-zero count, then the sparse slots as `[header, [counts]]`.
-    fn to_json_value(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = VERBS
-            .iter()
-            .enumerate()
-            .map(|(verb, name)| {
-                let len = self
-                    .dense
-                    .iter()
-                    .rposition(|counts| counts[verb] > 0)
-                    .map_or(0, |i| i + 1);
-                let counts = self.dense[..len].iter().map(|c| Json::Uint(c[verb]));
-                (name.to_string(), Json::Arr(counts.collect()))
-            })
-            .collect();
-        let sparse = self.sparse.iter().map(|(h, counts)| {
-            let counts = counts.iter().map(|&n| Json::Uint(n)).collect();
-            Json::Arr(vec![Json::Uint(u64::from(*h)), Json::Arr(counts)])
-        });
-        fields.push(("sparse".to_string(), Json::Arr(sparse.collect())));
-        Json::Obj(fields)
+    /// Appends the table's object: one dense array per verb, indexed by
+    /// header and cut after its last non-zero count, then the sparse
+    /// slots as `[header, [counts]]`.
+    fn write_json(&self, out: &mut String) {
+        for (verb, name) in VERBS.iter().enumerate() {
+            out.push_str(if verb == 0 { "{\"" } else { ",\"" });
+            out.push_str(name);
+            out.push_str("\":[");
+            let len = self
+                .dense
+                .iter()
+                .rposition(|counts| counts[verb] > 0)
+                .map_or(0, |i| i + 1);
+            write_list(out, self.dense[..len].iter().map(|counts| counts[verb]));
+            out.push(']');
+        }
+        out.push_str(",\"sparse\":[");
+        for (i, (h, counts)) in self.sparse.iter().enumerate() {
+            out.push_str(if i == 0 { "[" } else { ",[" });
+            write_u64(out, u64::from(*h));
+            out.push_str(",[");
+            write_list(out, counts.iter().copied());
+            out.push_str("]]");
+        }
+        out.push_str("]}");
     }
 
-    fn from_json_value(doc: &Json) -> Result<HeaderTable, String> {
+    /// Reads a [`write_json`](Self::write_json) object. The outer error
+    /// is a syntax error; the inner one names the field at fault, checked
+    /// in the order: each verb's array (missing, not an array, longer
+    /// than 2^12, a count that is not a `u64`), then the sparse pairs.
+    fn read_json(reader: &mut JsonReader) -> Result<Result<HeaderTable, String>, JsonError> {
         let mut table = HeaderTable::default();
-        for (verb, name) in VERBS.iter().enumerate() {
-            let counts = arr(doc, name)?;
-            if counts.len() > DENSE_HEADERS as usize {
-                return Err(format!(
-                    "{name}: {} dense headers; headers from {DENSE_HEADERS} on are sparse",
-                    counts.len()
-                ));
-            }
-            if counts.len() > table.dense.len() {
-                table.dense.resize(counts.len(), [0; VERBS.len()]);
-            }
-            for (slot, n) in table.dense.iter_mut().zip(counts) {
-                slot[verb] = n
-                    .as_u64()
-                    .ok_or_else(|| format!("{name}: {n} is not a u64"))?;
+        // Per array: `None` while unseen, then its own verdict.
+        let mut dense: [Option<Result<(), String>>; VERBS.len()] = Default::default();
+        let mut sparse = None;
+        if reader.begin_object()? {
+            while let Some(key) = reader.next_key()? {
+                match VERBS.iter().position(|name| *name == key) {
+                    Some(verb) => {
+                        reader.read_once(&mut dense[verb], |r| table.read_dense(r, verb))?;
+                    }
+                    None if key == "sparse" => {
+                        reader.read_once(&mut sparse, |r| table.read_sparse(r))?;
+                    }
+                    None => reader.skip_value()?,
+                }
             }
         }
-        // A slot exists because something was counted in it.
-        while table
-            .dense
-            .last()
-            .is_some_and(|c| c.iter().all(|&n| n == 0))
-        {
-            table.dense.pop();
-        }
-        for pair in arr(doc, "sparse")? {
-            let slot = match pair.as_arr() {
-                Some([h, counts]) => h.as_u64().zip(counts.as_arr()),
-                _ => None,
-            };
-            let Some((h, counts)) = slot else {
-                return Err(format!("sparse: {pair} is not a [header, counts] pair"));
-            };
-            let in_order = |h: &u32| {
-                *h >= DENSE_HEADERS && table.sparse.last().is_none_or(|&(last, _)| *h > last)
-            };
-            let h = u32::try_from(h).ok().filter(in_order).ok_or_else(|| {
-                format!("sparse: header {h} is below {DENSE_HEADERS} or out of order")
-            })?;
-            let counts: Vec<u64> = counts.iter().filter_map(Json::as_u64).collect();
-            let counts: VerbCounts = counts
-                .try_into()
-                .ok()
-                .filter(|c: &VerbCounts| c.iter().any(|&n| n > 0))
-                .ok_or_else(|| {
-                    format!(
-                        "sparse: header {h} needs {} counts, not all zero",
-                        VERBS.len()
-                    )
-                })?;
-            table.sparse.push((h, counts));
-        }
-        Ok(table)
+        let verdict = || {
+            for (read, name) in dense.into_iter().zip(VERBS) {
+                found(read, name)?;
+            }
+            found(sparse, "sparse")?;
+            // A slot exists because something was counted in it.
+            while table
+                .dense
+                .last()
+                .is_some_and(|c| c.iter().all(|&n| n == 0))
+            {
+                table.dense.pop();
+            }
+            table.dense.shrink_to_fit();
+            Ok(table)
+        };
+        Ok(verdict())
     }
+
+    /// Reads one verb's dense array into the table.
+    fn read_dense(
+        &mut self,
+        reader: &mut JsonReader,
+        verb: usize,
+    ) -> Result<Result<(), String>, JsonError> {
+        let name = VERBS[verb];
+        if !reader.begin_array()? {
+            return Ok(Err(format!("{name} is not an array")));
+        }
+        let mut len = 0;
+        let mut bad = None;
+        while reader.next_item()? {
+            if len < DENSE_HEADERS as usize && bad.is_none() {
+                let mark = reader.mark();
+                match reader.u64()? {
+                    Some(n) => {
+                        if len == self.dense.len() {
+                            if len == self.dense.capacity() {
+                                // As `slot` grows it: a size most alphabets
+                                // fit, then doubling; `read_json` trims.
+                                self.dense.reserve(len.max(64));
+                            }
+                            self.dense.push([0; VERBS.len()]);
+                        }
+                        self.dense[len][verb] = n;
+                    }
+                    None => {
+                        bad = Some(format!(
+                            "{name}: {} is not a u64",
+                            shown(reader.since(mark))
+                        ))
+                    }
+                }
+            } else {
+                reader.skip_value()?;
+            }
+            len += 1;
+        }
+        Ok(if len > DENSE_HEADERS as usize {
+            Err(format!(
+                "{name}: {len} dense headers; headers from {DENSE_HEADERS} on are sparse"
+            ))
+        } else {
+            bad.map_or(Ok(()), Err)
+        })
+    }
+
+    /// Reads the sparse `[header, [counts]]` pairs into the table; the
+    /// first pair at fault names the error.
+    fn read_sparse(&mut self, reader: &mut JsonReader) -> Result<Result<(), String>, JsonError> {
+        if !reader.begin_array()? {
+            return Ok(Err("sparse is not an array".to_string()));
+        }
+        let mut verdict = Ok(());
+        while reader.next_item()? {
+            let mark = reader.mark();
+            let pair = read_sparse_pair(reader)?;
+            if verdict.is_ok() {
+                verdict = self.push_sparse(pair, reader.since(mark));
+            }
+        }
+        Ok(verdict)
+    }
+
+    /// Appends one read sparse pair; `text` is the pair as written.
+    fn push_sparse(&mut self, pair: Option<(u64, SparseCounts)>, text: &str) -> Result<(), String> {
+        let Some((h, (counts, read))) = pair else {
+            return Err(format!(
+                "sparse: {} is not a [header, counts] pair",
+                shown(text)
+            ));
+        };
+        let in_order =
+            |h: &u32| *h >= DENSE_HEADERS && self.sparse.last().is_none_or(|&(last, _)| *h > last);
+        let h = u32::try_from(h).ok().filter(in_order).ok_or_else(|| {
+            format!("sparse: header {h} is below {DENSE_HEADERS} or out of order")
+        })?;
+        if read != VERBS.len() || counts.iter().all(|&n| n == 0) {
+            return Err(format!(
+                "sparse: header {h} needs {} counts, not all zero",
+                VERBS.len()
+            ));
+        }
+        self.sparse.push((h, counts));
+        Ok(())
+    }
+}
+
+/// A sparse pair's counts: the first four `u64`s of the array and how
+/// many it held. Elements that are not `u64`s are passed over: run lines
+/// have always been accepted with them.
+type SparseCounts = (VerbCounts, usize);
+
+/// One sparse slot, `[header, [counts]]`: `None` unless it is an array of
+/// exactly a `u64` and an array.
+fn read_sparse_pair(reader: &mut JsonReader) -> Result<Option<(u64, SparseCounts)>, JsonError> {
+    if !reader.begin_array()? {
+        return Ok(None);
+    }
+    let (mut h, mut counts, mut len) = (None, None, 0);
+    while reader.next_item()? {
+        match len {
+            0 => h = reader.u64()?,
+            1 => counts = read_sparse_counts(reader)?,
+            _ => reader.skip_value()?,
+        }
+        len += 1;
+    }
+    Ok(h.zip(counts).filter(|_| len == 2))
+}
+
+/// A sparse pair's counts array, `None` if the value is not an array.
+fn read_sparse_counts(reader: &mut JsonReader) -> Result<Option<SparseCounts>, JsonError> {
+    if !reader.begin_array()? {
+        return Ok(None);
+    }
+    let (mut counts, mut read) = ([0; VERBS.len()], 0);
+    while reader.next_item()? {
+        if let Some(n) = reader.u64()? {
+            if let Some(slot) = counts.get_mut(read) {
+                *slot = n;
+            }
+            read += 1;
+        }
+    }
+    Ok(Some((counts, read)))
+}
+
+/// A value of a document as an error message shows it: compact, so the
+/// message does not depend on the line's spacing.
+fn shown(text: &str) -> String {
+    Json::parse(text).map_or_else(|_| text.to_string(), |value| value.to_string())
+}
+
+/// Appends `items` to `out`, comma-separated.
+fn write_list(out: &mut String, items: impl IntoIterator<Item = u64>) {
+    for (i, n) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_u64(out, n);
+    }
+}
+
+/// A field's verdict as read: `None` if the field never came.
+fn found<T>(read: Option<Result<T, String>>, key: &str) -> Result<T, String> {
+    read.unwrap_or_else(|| Err(format!("missing field {key:?}")))
+}
+
+/// Checks scalar fields read as `Some(Some(n))`, in the order of `keys`:
+/// the first missing (`None`) or non-`u64` (`Some(None)`) field fails.
+fn check_u64s<const N: usize>(
+    keys: [&str; N],
+    read: [Option<Option<u64>>; N],
+) -> Result<[u64; N], String> {
+    let mut values = [0; N];
+    for ((value, read), key) in values.iter_mut().zip(read).zip(keys) {
+        *value = match read {
+            None => return Err(format!("missing field {key:?}")),
+            Some(None) => return Err(format!("{key} is not a u64")),
+            Some(Some(n)) => n,
+        };
+    }
+    Ok(values)
 }
 
 /// One direction's channel counters.
@@ -214,64 +369,97 @@ impl Lane {
         ));
     }
 
-    fn to_json_value(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = self
-            .scalars()
-            .iter()
-            .map(|&(name, n)| (name.to_string(), Json::Uint(n)))
-            .collect();
-        fields.push(("headers".to_string(), self.headers.to_json_value()));
-        Json::Obj(fields)
-    }
-
     /// The scalar slots with their field names, in encoding order: the
     /// four counters, then the in-transit gauge's value and high water.
     fn scalars(&self) -> [(&'static str, u64); 6] {
-        [
-            ("sends", self.sends),
-            ("delivered", self.delivered),
-            ("drops", self.drops),
-            ("injected", self.injected),
-            ("in_transit", self.in_transit),
-            ("in_transit_high", self.in_transit_high),
-        ]
+        let values = [
+            self.sends,
+            self.delivered,
+            self.drops,
+            self.injected,
+            self.in_transit,
+            self.in_transit_high,
+        ];
+        std::array::from_fn(|i| (LANE_FIELDS[i], values[i]))
     }
 
-    fn from_json_value(doc: &Json) -> Result<Lane, String> {
-        Ok(Lane {
-            sends: uint(doc, "sends")?,
-            delivered: uint(doc, "delivered")?,
-            drops: uint(doc, "drops")?,
-            injected: uint(doc, "injected")?,
-            in_transit: uint(doc, "in_transit")?,
-            in_transit_high: uint(doc, "in_transit_high")?,
-            headers: HeaderTable::from_json_value(field(doc, "headers")?)
-                .map_err(|e| format!("headers.{e}"))?,
-        })
+    /// Appends the lane's object: the scalar slots, then the per-header
+    /// table.
+    fn write_json(&self, out: &mut String) {
+        for (i, (name, n)) in self.scalars().into_iter().enumerate() {
+            out.push_str(if i == 0 { "{\"" } else { ",\"" });
+            out.push_str(name);
+            out.push_str("\":");
+            write_u64(out, n);
+        }
+        out.push_str(",\"headers\":");
+        self.headers.write_json(out);
+        out.push('}');
+    }
+
+    /// Reads a [`write_json`](Self::write_json) object; the outer error
+    /// is a syntax error, the inner one names the field at fault.
+    fn read_json(reader: &mut JsonReader) -> Result<Result<Lane, String>, JsonError> {
+        let mut scalars = [None; LANE_FIELDS.len()];
+        let mut headers = None;
+        if reader.begin_object()? {
+            while let Some(key) = reader.next_key()? {
+                match LANE_FIELDS.iter().position(|name| *name == key) {
+                    Some(i) => reader.read_once(&mut scalars[i], JsonReader::u64)?,
+                    None if key == "headers" => reader.read_once(&mut headers, |r| {
+                        Ok(HeaderTable::read_json(r)?.map_err(|e| format!("headers.{e}")))
+                    })?,
+                    None => reader.skip_value()?,
+                }
+            }
+        }
+        let verdict = || {
+            let [sends, delivered, drops, injected, in_transit, in_transit_high] =
+                check_u64s(LANE_FIELDS, scalars)?;
+            let headers = found(headers, "headers")?;
+            Ok(Lane {
+                sends,
+                delivered,
+                drops,
+                injected,
+                in_transit,
+                in_transit_high,
+                headers,
+            })
+        };
+        Ok(verdict())
     }
 }
 
-fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
-    doc.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
+/// A lane's scalar fields, in encoding order.
+const LANE_FIELDS: [&str; 6] = [
+    "sends",
+    "delivered",
+    "drops",
+    "injected",
+    "in_transit",
+    "in_transit_high",
+];
 
-fn uint(doc: &Json, key: &str) -> Result<u64, String> {
-    field(doc, key)?
-        .as_u64()
-        .ok_or_else(|| format!("{key} is not a u64"))
-}
+/// The run-level scalar fields, in encoding order.
+const RUN_FIELDS: [&str; 2] = ["messages_sent", "messages_received"];
+/// The lanes' fields, forward first.
+const LANES: [&str; 2] = ["fwd", "bwd"];
+/// The histograms' fields: packets per message, then header usage.
+const HISTOGRAMS: [&str; 2] = ["packets_per_message", "header_usage"];
 
-fn arr<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    field(doc, key)?
-        .as_arr()
-        .ok_or_else(|| format!("{key} is not an array"))
-}
-
-fn histogram(doc: &Json, key: &str) -> Result<LocalHistogram, String> {
-    let snap =
-        HistogramSnapshot::from_json_value(key, field(doc, key)?).map_err(|e| e.to_string())?;
-    LocalHistogram::from_snapshot(&snap)
-        .ok_or_else(|| format!("{key} is not a histogram's snapshot"))
+/// Reads the histogram at `key`: its snapshot object, which must be one a
+/// [`LocalHistogram`] exports.
+fn read_histogram(
+    key: &str,
+    reader: &mut JsonReader,
+) -> Result<Result<LocalHistogram, String>, JsonError> {
+    Ok(match HistogramSnapshot::read_json(key, reader) {
+        Err(SnapshotError::Json(e)) => return Err(e),
+        Err(e) => Err(e.to_string()),
+        Ok(snap) => LocalHistogram::from_snapshot(&snap)
+            .ok_or_else(|| format!("{key} is not a histogram's snapshot")),
+    })
 }
 
 /// A simulation run's telemetry: every counter, gauge and histogram the
@@ -415,55 +603,90 @@ impl RunCounters {
         total.snapshot()
     }
 
-    /// The counters as the compact object a campaign `run` line carries:
-    /// each scalar slot named once, per direction one dense array per
-    /// verb indexed by header (headers below 2^12) and the sparse headers
-    /// as ascending `[header, [send, recv, drop, injected]]` pairs, and
-    /// both histograms in their snapshot form.
-    pub fn to_json_value(&self) -> Json {
-        Json::Obj(vec![
-            ("messages_sent".to_string(), Json::Uint(self.messages_sent)),
-            (
-                "messages_received".to_string(),
-                Json::Uint(self.messages_received),
-            ),
-            ("fwd".to_string(), self.fwd.to_json_value()),
-            ("bwd".to_string(), self.bwd.to_json_value()),
-            (
-                "packets_per_message".to_string(),
-                self.packets_per_message.snapshot().to_json_value(),
-            ),
-            (
-                "header_usage".to_string(),
-                self.header_usage.snapshot().to_json_value(),
-            ),
-        ])
+    /// Appends the counters as the compact object a campaign `run` line
+    /// carries: each scalar slot named once, per direction one dense
+    /// array per verb indexed by header (headers below 2^12) and the
+    /// sparse headers as ascending `[header, [send, recv, drop,
+    /// injected]]` pairs, and both histograms in their snapshot form.
+    pub fn write_json(&self, out: &mut String) {
+        for (i, (name, n)) in RUN_FIELDS
+            .into_iter()
+            .zip([self.messages_sent, self.messages_received])
+            .enumerate()
+        {
+            out.push_str(if i == 0 { "{\"" } else { ",\"" });
+            out.push_str(name);
+            out.push_str("\":");
+            write_u64(out, n);
+        }
+        for (name, lane) in LANES.into_iter().zip([&self.fwd, &self.bwd]) {
+            out.push_str(",\"");
+            out.push_str(name);
+            out.push_str("\":");
+            lane.write_json(out);
+        }
+        for (name, histogram) in HISTOGRAMS
+            .into_iter()
+            .zip([&self.packets_per_message, &self.header_usage])
+        {
+            out.push_str(",\"");
+            out.push_str(name);
+            out.push_str("\":");
+            histogram.snapshot().write_json(out);
+        }
+        out.push('}');
     }
 
-    /// Parses a [`to_json_value`](Self::to_json_value) object back into
-    /// the counters it was written from.
+    /// Reads a [`write_json`](Self::write_json) object off `reader` back
+    /// into the counters it was written from. Fields may come in any
+    /// order, the first of repeated keys wins, and unknown fields are
+    /// skipped (still validated as JSON).
     ///
     /// # Errors
     ///
-    /// A [`SnapshotError::Schema`] naming the field at fault: a missing
-    /// field, a count that is not a `u64`, a dense array longer than 2^12,
-    /// a sparse header below 2^12, out of order or with no count, or a
-    /// histogram no [`LocalHistogram`] exports.
-    pub fn from_json_value(doc: &Json) -> Result<RunCounters, SnapshotError> {
-        let lane =
-            |key: &str| Lane::from_json_value(field(doc, key)?).map_err(|e| format!("{key}.{e}"));
-        let decode = || -> Result<RunCounters, String> {
+    /// [`SnapshotError::Json`] for a syntax error, after which the reader
+    /// is spent. Otherwise a [`SnapshotError::Schema`] naming the field at
+    /// fault, with the object passed over whole: a missing field, a count
+    /// that is not a `u64`, a dense array longer than 2^12, a sparse
+    /// header below 2^12, out of order or with no count, or a histogram no
+    /// [`LocalHistogram`] exports. When several fields are at fault, a
+    /// fixed order of checks picks the one named, wherever the fields sit
+    /// in the line.
+    pub fn read_json(reader: &mut JsonReader) -> Result<RunCounters, SnapshotError> {
+        let mut scalars = [None; RUN_FIELDS.len()];
+        let mut lanes = [None, None];
+        let mut histograms = [None, None];
+        if reader.begin_object()? {
+            while let Some(key) = reader.next_key()? {
+                let at = |names: [&str; 2]| names.iter().position(|name| *name == key);
+                if let Some(i) = at(RUN_FIELDS) {
+                    reader.read_once(&mut scalars[i], JsonReader::u64)?;
+                } else if let Some(i) = at(LANES) {
+                    reader.read_once(&mut lanes[i], |r| {
+                        Ok(Lane::read_json(r)?.map_err(|e| format!("{}.{e}", LANES[i])))
+                    })?;
+                } else if let Some(i) = at(HISTOGRAMS) {
+                    reader.read_once(&mut histograms[i], |r| read_histogram(HISTOGRAMS[i], r))?;
+                } else {
+                    reader.skip_value()?;
+                }
+            }
+        }
+        let verdict = || -> Result<RunCounters, String> {
+            let [messages_sent, messages_received] = check_u64s(RUN_FIELDS, scalars)?;
+            let [fwd, bwd] = lanes;
+            let [packets_per_message, header_usage] = histograms;
             Ok(RunCounters {
-                messages_sent: uint(doc, "messages_sent")?,
-                messages_received: uint(doc, "messages_received")?,
-                fwd: lane("fwd")?,
-                bwd: lane("bwd")?,
-                packets_per_message: histogram(doc, "packets_per_message")?,
-                header_usage: histogram(doc, "header_usage")?,
+                messages_sent,
+                messages_received,
+                fwd: found(fwd, LANES[0])?,
+                bwd: found(bwd, LANES[1])?,
+                packets_per_message: found(packets_per_message, HISTOGRAMS[0])?,
+                header_usage: found(header_usage, HISTOGRAMS[1])?,
                 round_sends: 0,
             })
         };
-        decode().map_err(|e| SnapshotError::Schema(format!("run counters: {e}")))
+        verdict().map_err(|e| SnapshotError::Schema(format!("run counters: {e}")))
     }
 
     /// The name-keyed snapshot: every fixed counter (zero or not), the

@@ -18,7 +18,9 @@
 //!   instants, exported as a Chrome `trace_events` document for
 //!   `chrome://tracing` / Perfetto. What `--trace-out` writes.
 //! * [`Json`] — the zero-dependency JSON value/parser both artifacts are
-//!   built on (the workspace has no serde by policy).
+//!   built on (the workspace has no serde by policy), and [`JsonReader`],
+//!   the pull reader under it, which decoders of hot formats (campaign
+//!   run lines) walk without building a tree.
 //!
 //! Telemetry is always optional at the call site and never feeds back into
 //! simulation state: fingerprints, explorer reports, and experiment tables
@@ -32,7 +34,7 @@ mod metrics;
 mod snapshot;
 mod trace;
 
-pub use json::{Json, JsonError};
+pub use json::{write_string, write_u64, Json, JsonError, JsonReader};
 pub use metrics::{
     bucket_of, bucket_upper, Counter, Gauge, Histogram, LocalHistogram, Registry, HISTOGRAM_BUCKETS,
 };

@@ -6,7 +6,7 @@
 //! bump the version and keep
 //! [`MetricsSnapshot::from_json`] accepting what it wrote before.
 
-use crate::json::{Json, JsonError};
+use crate::json::{write_u64, Json, JsonError, JsonReader};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -93,6 +93,73 @@ impl HistogramSnapshot {
         })
     }
 
+    /// Appends [`to_json_value`](Self::to_json_value)'s object to `out`,
+    /// written straight from the fields.
+    pub fn write_json(&self, out: &mut String) {
+        for (key, n) in [
+            ("{\"count\":", self.count),
+            (",\"sum\":", self.sum),
+            (",\"min\":", self.min),
+            (",\"max\":", self.max),
+        ] {
+            out.push_str(key);
+            write_u64(out, n);
+        }
+        out.push_str(",\"buckets\":[");
+        for (i, &(le, n)) in self.buckets.iter().enumerate() {
+            out.push_str(if i == 0 { "[" } else { ",[" });
+            write_u64(out, le);
+            out.push(',');
+            write_u64(out, n);
+            out.push(']');
+        }
+        out.push_str("]}");
+    }
+
+    /// Reads the next value of `reader` as
+    /// [`from_json_value`](Self::from_json_value) reads a tree: the same
+    /// checks in the same order, the first of repeated keys winning, and
+    /// unknown fields skipped.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Json`] for a syntax error, after which the reader
+    /// is spent; [`SnapshotError::Schema`] for a value that is not such a
+    /// histogram, which the reader has then passed over whole.
+    pub fn read_json(
+        name: &str,
+        reader: &mut JsonReader,
+    ) -> Result<HistogramSnapshot, SnapshotError> {
+        const KEYS: [&str; 4] = ["count", "sum", "min", "max"];
+        // Per field: `None` while unseen, `Some(None)` if not a u64.
+        let mut scalars = [None; KEYS.len()];
+        let mut buckets: Option<Option<Vec<(u64, u64)>>> = None;
+        if reader.begin_object()? {
+            while let Some(key) = reader.next_key()? {
+                match KEYS.iter().position(|k| *k == key) {
+                    Some(i) => reader.read_once(&mut scalars[i], JsonReader::u64)?,
+                    None if key == "buckets" => reader.read_once(&mut buckets, read_buckets)?,
+                    None => reader.skip_value()?,
+                }
+            }
+        }
+        let Some(buckets) = buckets.unwrap_or(Some(Vec::new())) else {
+            return schema_err(format!("histogram '{name}' has a bad bucket"));
+        };
+        let [count, sum, min, max] = std::array::from_fn(|i| {
+            scalars[i].flatten().ok_or_else(|| {
+                SnapshotError::Schema(format!("histogram '{name}' missing {}", KEYS[i]))
+            })
+        });
+        Ok(HistogramSnapshot {
+            count: count?,
+            sum: sum?,
+            min: min?,
+            max: max?,
+            buckets,
+        })
+    }
+
     /// The mean observation, or 0 for an empty histogram.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -101,6 +168,33 @@ impl HistogramSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
+}
+
+/// A `buckets` value: `Some` pairs if it is an array of `[le, n]` pairs
+/// of `u64`s, `None` if it is an array holding anything else, and no
+/// buckets if it is not an array (what a tree's `as_arr` skips).
+fn read_buckets(reader: &mut JsonReader) -> Result<Option<Vec<(u64, u64)>>, JsonError> {
+    let mut buckets = Some(Vec::new());
+    if reader.begin_array()? {
+        while reader.next_item()? {
+            let mut pair = [None; 2];
+            let mut len = 0;
+            if reader.begin_array()? {
+                while reader.next_item()? {
+                    match pair.get_mut(len) {
+                        Some(slot) => *slot = reader.u64()?,
+                        None => reader.skip_value()?,
+                    }
+                    len += 1;
+                }
+            }
+            match (len, pair, &mut buckets) {
+                (2, [Some(le), Some(n)], Some(buckets)) => buckets.push((le, n)),
+                _ => buckets = None,
+            }
+        }
+    }
+    Ok(buckets)
 }
 
 /// Everything a [`Registry`](crate::Registry) knows, frozen.

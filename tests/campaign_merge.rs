@@ -113,9 +113,9 @@ fn service_reports_are_worker_count_invariant() {
     for workers in [1usize, 2, 4] {
         let service = CampaignService::new(ServiceConfig::default()).unwrap();
         let streamed = Mutex::new(Vec::new());
-        let mut sink = |msg: &WireMsg| {
-            if let WireMsg::Run { index, .. } = msg {
-                streamed.lock().unwrap().push(*index as usize);
+        let mut sink = |line: &str| {
+            if let WireMsg::Run { index, .. } = WireMsg::parse_line(line).unwrap() {
+                streamed.lock().unwrap().push(index as usize);
             }
         };
         let report = service.run_campaign(PLAN, workers, &mut sink).unwrap();
@@ -194,7 +194,7 @@ fn shipped_plans_reproduce_their_golden_aggregates_batch_and_served() {
             let batch = CampaignRunner::new(threads).run(&runs).unwrap();
             assert_eq!(batch.aggregate_metrics().to_json(), golden, "{name} batch");
             let service = CampaignService::new(ServiceConfig::default()).unwrap();
-            let mut sink = |_: &WireMsg| {};
+            let mut sink = |_: &str| {};
             match service.run_campaign(&plan, threads, &mut sink).unwrap() {
                 WireMsg::Report {
                     render, aggregate, ..
@@ -225,15 +225,15 @@ fn warm_cache_replays_through_a_restarted_service() {
         ..ServiceConfig::default()
     };
     let cold_service = CampaignService::new(cfg.clone()).unwrap();
-    let mut sink = |_: &WireMsg| {};
+    let mut sink = |_: &str| {};
     let cold = cold_service.run_campaign(PLAN, 2, &mut sink).unwrap();
     assert_eq!(cold_service.cache().len(), total, "cache file populated");
 
     // A fresh service instance — only the file connects them.
     let warm_service = CampaignService::new(cfg).unwrap();
     let executed = Mutex::new(0usize);
-    let mut sink = |msg: &WireMsg| {
-        if matches!(msg, WireMsg::Run { .. }) {
+    let mut sink = |line: &str| {
+        if matches!(WireMsg::parse_line(line), Ok(WireMsg::Run { .. })) {
             *executed.lock().unwrap() += 1;
         }
     };
@@ -269,7 +269,7 @@ fn warm_cache_replays_through_a_restarted_service() {
 #[test]
 fn schema_versions_gate_the_service_pipeline() {
     let service = CampaignService::new(ServiceConfig::default()).unwrap();
-    let mut sink = |_: &WireMsg| panic!("rejected plans must not stream");
+    let mut sink = |_: &str| panic!("rejected plans must not stream");
     let future = PLAN.replace("schema_version 1", "schema_version 99");
     let err = service.run_campaign(&future, 2, &mut sink).unwrap_err();
     let msg = err.to_string();

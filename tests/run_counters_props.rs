@@ -17,10 +17,14 @@
 //! the file also pins their codec: the `run`-line object decodes to
 //! counters with the same snapshot and the same aggregates, across every
 //! catalog protocol, chaos `corrupt` runs and heavy corrupted starts, and
-//! a malformed object fails as a wire or cache error, never a panic.
+//! a malformed object fails as a wire or cache error, never a panic. The
+//! streaming codec is held to the tree decoder it replaced, kept here as
+//! [`reference`]: on seeded mutations of real run lines both accept the
+//! same lines, decode them to the same run and name the same error.
 
 use nonfifo::campaign::{
-    CachedRun, CampaignCache, CampaignPlan, CampaignRunner, RunRecord, WireMsg,
+    CachedRun, CampaignCache, CampaignPlan, CampaignRunner, RunOutcome, RunRecord, WireMsg,
+    WIRE_SCHEMA_VERSION,
 };
 use nonfifo::channel::{
     BoxedChannel, Channel, ChannelIntrospect, CorruptionSeverity, Discipline, FaultObserver,
@@ -29,7 +33,9 @@ use nonfifo::channel::{
 use nonfifo::core::{drive_corrupted, RunCounters, SimConfig, Simulation, StabilizeConfig};
 use nonfifo::ioa::{CopyId, Dir, Event, Header, Packet};
 use nonfifo::protocols::catalog;
-use nonfifo::telemetry::{Json, MetricsSnapshot, Registry, SCHEMA_VERSION};
+use nonfifo::telemetry::{
+    HistogramSnapshot, Json, JsonReader, LocalHistogram, MetricsSnapshot, Registry, SCHEMA_VERSION,
+};
 use nonfifo_rng::StdRng;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -359,7 +365,7 @@ fn aggregates_of_counters_equal_the_fold_of_their_snapshots() {
         // Live counters beside counters replayed from their run-line
         // object must aggregate like the fold.
         metrics.push(if seed % 3 == 0 {
-            decode(&counters.to_json_value().to_string())
+            decode(&encode(&counters))
         } else {
             counters
         });
@@ -367,8 +373,17 @@ fn aggregates_of_counters_equal_the_fold_of_their_snapshots() {
     assert_eq!(RunCounters::aggregate(&metrics).to_json(), folded.to_json());
 }
 
+fn encode(counters: &RunCounters) -> String {
+    let mut text = String::new();
+    counters.write_json(&mut text);
+    text
+}
+
 fn decode(text: &str) -> RunCounters {
-    RunCounters::from_json_value(&Json::parse(text).unwrap()).unwrap()
+    let mut reader = JsonReader::new(text);
+    let counters = RunCounters::read_json(&mut reader).unwrap();
+    reader.finish().unwrap();
+    counters
 }
 
 /// Seeded campaign runs of every catalog protocol over four channels,
@@ -438,11 +453,11 @@ fn run_lines_carry_counters_exactly() {
             record.spec.scenario, record.spec.protocol, record.spec.discipline, record.spec.seed
         );
         let snap = record.metrics.snapshot();
-        let text = record.metrics.to_json_value().to_string();
+        let text = encode(&record.metrics);
         let back = decode(&text);
         assert_eq!(back.snapshot().to_json(), snap.to_json(), "{label}");
         assert_eq!(&back, &*record.metrics, "{label}");
-        assert_eq!(back.to_json_value().to_string(), text, "{label}: re-encode");
+        assert_eq!(encode(&back), text, "{label}: re-encode");
         // The whole wire line round-trips too.
         let line = wire_line(record, i as u64);
         match WireMsg::parse_line(&line).unwrap() {
@@ -599,5 +614,415 @@ fn malformed_run_lines_fail_as_wire_and_cache_errors() {
     }
     std::fs::write(&path, &good).unwrap();
     assert_eq!(CampaignCache::load(&path).unwrap().len(), 1);
+    std::fs::remove_file(&path).ok();
+}
+
+/// The tree decoder the streaming run-line codec replaced, kept as the
+/// reference: a line is parsed whole with `Json::parse`, then judged field
+/// by field in a fixed order. A decoded message comes back re-encoded
+/// through a `Json` tree, which is how two decodings are compared.
+mod reference {
+    use super::*;
+
+    /// A decoded line, re-encoded: its `type` and its canonical line.
+    type Decoded = (String, String);
+
+    /// `WireMsg::parse_line`'s verdict: the canonical line, or the error
+    /// as displayed.
+    pub fn parse_line(line: &str) -> Result<String, String> {
+        let doc = Json::parse(line.trim()).map_err(|e| format!("wire: {e}"))?;
+        message(&doc)
+            .map(|(_, line)| line)
+            .map_err(|e| format!("wire: {e}"))
+    }
+
+    /// A cache file's verdict on one of its lines: the line's run, or the
+    /// error message after `campaign cache line N: `.
+    pub fn cache_line(text: &str) -> Result<String, String> {
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
+        if let Some(v) = doc.get("v").and_then(Json::as_u64) {
+            if v < WIRE_SCHEMA_VERSION {
+                return Err(format!(
+                    "a wire schema_version {v} run line; this build reads version \
+                     {WIRE_SCHEMA_VERSION} (delete the file: it holds deterministic runs, \
+                     which the next campaign recomputes)"
+                ));
+            }
+        }
+        match message(&doc)? {
+            (kind, line) if kind == "run" => Ok(line),
+            (kind, _) => Err(format!("expected a run line, found a {kind:?} line")),
+        }
+    }
+
+    fn obj(fields: Vec<(&str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    fn message(doc: &Json) -> Result<Decoded, String> {
+        if doc.as_obj().is_none() {
+            return Err("message is not a JSON object".to_string());
+        }
+        let v = need_u64(doc, "v")?;
+        if v != WIRE_SCHEMA_VERSION {
+            return Err(format!(
+                "unsupported wire schema_version {v} (this build speaks {WIRE_SCHEMA_VERSION})"
+            ));
+        }
+        let kind = need_str(doc, "type")?;
+        let mut fields = vec![("v", Json::Uint(v)), ("type", Json::Str(kind.to_string()))];
+        let snapshot = |key: &str, label: &str| {
+            let value = doc
+                .get(key)
+                .ok_or_else(|| format!("{label}: missing {key}"))?;
+            MetricsSnapshot::from_json_value(value)
+                .map(|snap| snap.to_json_value())
+                .map_err(|e| format!("{label}: {e}"))
+        };
+        match kind {
+            "submit" => {
+                fields.push(("plan", Json::Str(need_str(doc, "plan")?.to_string())));
+                fields.push(("workers", Json::Uint(need_u64(doc, "workers")?)));
+            }
+            "run" => {
+                let run = doc.get("run").ok_or("run: missing run object")?;
+                fields.push(("index", Json::Uint(need_u64(doc, "index")?)));
+                fields.push(("spec", Json::Uint(need_u64(doc, "spec")?)));
+                fields.push(("run", cached_run(run).map_err(|e| format!("run: {e}"))?));
+            }
+            "metrics" => fields.push(("snapshot", snapshot("snapshot", "metrics")?)),
+            "report" => {
+                doc.get("aggregate").ok_or("report: missing aggregate")?;
+                fields.push(("render", Json::Str(need_str(doc, "render")?.to_string())));
+                fields.push(("cache_hits", Json::Uint(need_u64(doc, "cache_hits")?)));
+                fields.push(("aggregate", snapshot("aggregate", "report")?));
+            }
+            "error" => fields.push(("message", Json::Str(need_str(doc, "message")?.to_string()))),
+            other => return Err(format!("unknown message type {other:?}")),
+        }
+        Ok((kind.to_string(), format!("{}\n", obj(fields))))
+    }
+
+    fn cached_run(entry: &Json) -> Result<Json, String> {
+        let outcome = entry
+            .get("outcome")
+            .and_then(Json::as_str)
+            .filter(|s| RunOutcome::from_str_opt(s).is_some())
+            .ok_or("no valid outcome")?;
+        let counters = entry.get("counters").ok_or("missing field \"counters\"")?;
+        let counters = run_counters(counters)
+            .map_err(|e| format!("snapshot schema error: run counters: {e}"))?;
+        Ok(obj(vec![
+            ("outcome", Json::Str(outcome.to_string())),
+            ("fingerprint", Json::Uint(need_u64(entry, "fingerprint")?)),
+            ("steps", Json::Uint(need_u64(entry, "steps")?)),
+            ("fwd_sends", Json::Uint(need_u64(entry, "fwd_sends")?)),
+            ("delivered", Json::Uint(need_u64(entry, "delivered")?)),
+            ("counters", counters),
+        ]))
+    }
+
+    fn need_u64(doc: &Json, key: &str) -> Result<u64, String> {
+        doc.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("missing or non-integer field {key:?}"))
+    }
+
+    fn need_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
+        doc.get(key)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("missing or non-string field {key:?}"))
+    }
+
+    fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
+        doc.get(key).ok_or_else(|| format!("missing field {key:?}"))
+    }
+
+    fn uint(doc: &Json, key: &str) -> Result<u64, String> {
+        field(doc, key)?
+            .as_u64()
+            .ok_or_else(|| format!("{key} is not a u64"))
+    }
+
+    fn arr<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
+        field(doc, key)?
+            .as_arr()
+            .ok_or_else(|| format!("{key} is not an array"))
+    }
+
+    const VERBS: [&str; 4] = ["send", "recv", "drop", "injected"];
+    const DENSE_HEADERS: u32 = 1 << 12;
+    const SCALARS: [&str; 6] = [
+        "sends",
+        "delivered",
+        "drops",
+        "injected",
+        "in_transit",
+        "in_transit_high",
+    ];
+
+    fn run_counters(doc: &Json) -> Result<Json, String> {
+        let lane = |key: &str| lane(field(doc, key)?).map_err(|e| format!("{key}.{e}"));
+        Ok(obj(vec![
+            ("messages_sent", Json::Uint(uint(doc, "messages_sent")?)),
+            (
+                "messages_received",
+                Json::Uint(uint(doc, "messages_received")?),
+            ),
+            ("fwd", lane("fwd")?),
+            ("bwd", lane("bwd")?),
+            (
+                "packets_per_message",
+                histogram(doc, "packets_per_message")?,
+            ),
+            ("header_usage", histogram(doc, "header_usage")?),
+        ]))
+    }
+
+    fn lane(doc: &Json) -> Result<Json, String> {
+        let mut fields = Vec::new();
+        for key in SCALARS {
+            fields.push((key, Json::Uint(uint(doc, key)?)));
+        }
+        let headers = header_table(field(doc, "headers")?).map_err(|e| format!("headers.{e}"))?;
+        fields.push(("headers", headers));
+        Ok(obj(fields))
+    }
+
+    fn histogram(doc: &Json, key: &str) -> Result<Json, String> {
+        let snap =
+            HistogramSnapshot::from_json_value(key, field(doc, key)?).map_err(|e| e.to_string())?;
+        let histogram = LocalHistogram::from_snapshot(&snap)
+            .ok_or_else(|| format!("{key} is not a histogram's snapshot"))?;
+        Ok(histogram.snapshot().to_json_value())
+    }
+
+    fn header_table(doc: &Json) -> Result<Json, String> {
+        let mut dense: Vec<[u64; 4]> = Vec::new();
+        for (verb, name) in VERBS.iter().enumerate() {
+            let counts = arr(doc, name)?;
+            if counts.len() > DENSE_HEADERS as usize {
+                return Err(format!(
+                    "{name}: {} dense headers; headers from {DENSE_HEADERS} on are sparse",
+                    counts.len()
+                ));
+            }
+            if counts.len() > dense.len() {
+                dense.resize(counts.len(), [0; 4]);
+            }
+            for (slot, n) in dense.iter_mut().zip(counts) {
+                slot[verb] = n
+                    .as_u64()
+                    .ok_or_else(|| format!("{name}: {n} is not a u64"))?;
+            }
+        }
+        while dense.last().is_some_and(|c| c.iter().all(|&n| n == 0)) {
+            dense.pop();
+        }
+        let mut sparse: Vec<(u32, [u64; 4])> = Vec::new();
+        for pair in arr(doc, "sparse")? {
+            let slot = match pair.as_arr() {
+                Some([h, counts]) => h.as_u64().zip(counts.as_arr()),
+                _ => None,
+            };
+            let Some((h, counts)) = slot else {
+                return Err(format!("sparse: {pair} is not a [header, counts] pair"));
+            };
+            let in_order =
+                |h: &u32| *h >= DENSE_HEADERS && sparse.last().is_none_or(|&(last, _)| *h > last);
+            let h = u32::try_from(h).ok().filter(in_order).ok_or_else(|| {
+                format!("sparse: header {h} is below {DENSE_HEADERS} or out of order")
+            })?;
+            let counts: Vec<u64> = counts.iter().filter_map(Json::as_u64).collect();
+            let counts: [u64; 4] = counts
+                .try_into()
+                .ok()
+                .filter(|c: &[u64; 4]| c.iter().any(|&n| n > 0))
+                .ok_or_else(|| format!("sparse: header {h} needs 4 counts, not all zero"))?;
+            sparse.push((h, counts));
+        }
+        let mut fields: Vec<(&str, Json)> = VERBS
+            .iter()
+            .enumerate()
+            .map(|(verb, name)| {
+                let len = dense.iter().rposition(|c| c[verb] > 0).map_or(0, |i| i + 1);
+                let counts = dense[..len].iter().map(|c| Json::Uint(c[verb])).collect();
+                (*name, Json::Arr(counts))
+            })
+            .collect();
+        let sparse = sparse.iter().map(|(h, counts)| {
+            let counts = counts.iter().map(|&n| Json::Uint(n)).collect();
+            Json::Arr(vec![Json::Uint(u64::from(*h)), Json::Arr(counts)])
+        });
+        fields.push(("sparse", Json::Arr(sparse.collect())));
+        Ok(obj(fields))
+    }
+}
+
+/// Bytes a flip writes: JSON's punctuation, digits and the letters of its
+/// literals and escapes.
+const FLIP_BYTES: &[u8] = b"{}[],:\"\\0123456789-+.eE tfnulx";
+
+/// Integers of 20 digits: `u64::MAX`, 2^64, all nines, and a small value
+/// behind leading zeros.
+const TWENTY_DIGITS: [&str; 4] = [
+    "18446744073709551615",
+    "18446744073709551616",
+    "99999999999999999999",
+    "00000000000000000007",
+];
+
+/// One to three stacked mutations of a corpus line (ASCII, no newline):
+/// byte flips, truncations, splices with another line, and 20-digit
+/// integers in place of a number.
+fn mutate(lines: &[String], rng: &mut StdRng) -> String {
+    let mut line = lines[rng.gen_range(0..lines.len())].trim_end().to_string();
+    for _ in 0..1 + rng.gen_range(0..3) {
+        if line.is_empty() {
+            break;
+        }
+        let at = rng.gen_range(0..line.len());
+        line = match rng.gen_range(0..4) {
+            0 => {
+                let byte = FLIP_BYTES[rng.gen_range(0..FLIP_BYTES.len())];
+                format!("{}{}{}", &line[..at], byte as char, &line[at + 1..])
+            }
+            1 => line[..at].to_string(),
+            2 => {
+                let other = lines[rng.gen_range(0..lines.len())].trim_end();
+                format!("{}{}", &line[..at], &other[rng.gen_range(0..other.len())..])
+            }
+            _ => {
+                let digits = |i: usize| line.as_bytes()[i].is_ascii_digit();
+                let Some(start) = (at..line.len()).find(|&i| digits(i)) else {
+                    continue;
+                };
+                let end = (start..line.len())
+                    .find(|&i| !digits(i))
+                    .unwrap_or(line.len());
+                let n = TWENTY_DIGITS[rng.gen_range(0..TWENTY_DIGITS.len())];
+                format!("{}{n}{}", &line[..start], &line[end..])
+            }
+        };
+    }
+    line
+}
+
+/// Mutated run lines through the streaming codec and through the tree
+/// decoder it replaced: nothing panics, the two accept exactly the same
+/// lines, every accepted line decodes to the same message (compared by
+/// re-encoding), every rejection carries the same message, and a cache
+/// file holding the line either loads or fails naming line 2.
+#[test]
+fn mutated_run_lines_decode_as_the_tree_decoder_did() {
+    let lines: Vec<String> = codec_corpus()
+        .iter()
+        .enumerate()
+        .map(|(i, record)| wire_line(record, i as u64))
+        .collect();
+    let path = std::env::temp_dir()
+        .join(format!("nonfifo-mutated-{}.ndjson", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    let (accepted, rejected) = (Mutex::new(0u64), Mutex::new(0u64));
+    for_seeds(common::cases(2000), |seed, rng| {
+        let line = mutate(&lines, rng);
+        let streamed = WireMsg::parse_line(&line)
+            .map(|msg| msg.to_line())
+            .map_err(|e| e.to_string());
+        assert_eq!(
+            streamed,
+            reference::parse_line(&line),
+            "seed {seed}: {line}"
+        );
+        *if streamed.is_ok() {
+            &accepted
+        } else {
+            &rejected
+        }
+        .lock()
+        .unwrap() += 1;
+
+        let file = format!("{}{line}\n", lines[0]);
+        std::fs::write(&path, &file).unwrap();
+        match (CampaignCache::load(&path), reference::cache_line(&line)) {
+            (Ok(cache), Ok(_)) => assert!(!cache.is_empty(), "seed {seed}"),
+            (Err(err), Err(message)) => assert_eq!(
+                err.to_string(),
+                format!("{path}: campaign cache line 2: {message}"),
+                "seed {seed}: {line}"
+            ),
+            (got, want) => panic!("seed {seed}: {line}\ncache {got:?}, reference {want:?}"),
+        }
+    });
+    std::fs::remove_file(&path).ok();
+    if common::cases(2000) >= 100 {
+        let (accepted, rejected) = (
+            accepted.into_inner().unwrap(),
+            rejected.into_inner().unwrap(),
+        );
+        assert!(
+            accepted > 0 && rejected > 0,
+            "{accepted} accepted, {rejected} rejected"
+        );
+    }
+}
+
+/// Reverses the fields of every object, then appends to each a repeat of
+/// its first original key holding junk, and an unknown field: a line the
+/// codec must read as the original (fields in any order, the first of
+/// repeated keys wins, unknown fields skipped).
+fn shuffled(doc: &Json) -> Json {
+    match doc {
+        Json::Obj(fields) => {
+            let mut out: Vec<(String, Json)> = fields
+                .iter()
+                .rev()
+                .map(|(k, v)| (k.clone(), shuffled(v)))
+                .collect();
+            if let Some((first, _)) = fields.first() {
+                out.push((first.clone(), Json::Str("junk".to_string())));
+            }
+            let unknown = Json::Arr(vec![Json::Float(2.5), Json::Int(-3), Json::Null]);
+            out.push((
+                "zz_unknown".to_string(),
+                Json::Obj(vec![("deep".to_string(), unknown)]),
+            ));
+            Json::Obj(out)
+        }
+        Json::Arr(items) => Json::Arr(items.iter().map(shuffled).collect()),
+        other => other.clone(),
+    }
+}
+
+#[test]
+fn reordered_padded_and_repeated_fields_decode_the_same_run() {
+    let records = codec_corpus();
+    let path = std::env::temp_dir()
+        .join(format!("nonfifo-shuffled-{}.ndjson", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    for (i, record) in records.iter().enumerate().step_by(7) {
+        let line = wire_line(record, i as u64);
+        let doc = Json::parse(line.trim()).unwrap();
+        // No key or string value of a run line holds these bytes.
+        let padded = shuffled(&doc)
+            .to_string()
+            .replace(',', " ,\t")
+            .replace(':', "\t: ")
+            .replace('[', "[ ");
+        assert_ne!(padded, line.trim());
+        let back = WireMsg::parse_line(&format!("\r\n {padded} \n")).unwrap();
+        assert_eq!(back.to_line(), line, "run {i}");
+        std::fs::write(&path, format!("{padded}\n")).unwrap();
+        let cache = CampaignCache::load(&path).unwrap();
+        let replayed = cache.lookup(&record.spec).expect("the run loads");
+        assert_eq!(replayed.metrics, record.metrics, "run {i}");
+    }
     std::fs::remove_file(&path).ok();
 }
