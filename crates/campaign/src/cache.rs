@@ -1,11 +1,13 @@
 //! Fingerprint-keyed campaign result cache.
 //!
 //! Every [`RunSpec`](crate::RunSpec) has a canonical spelling whose FNV-64
-//! hash keys its result. The cache stores everything a
-//! [`RunRecord`](crate::RunRecord) renders or aggregates — outcome,
-//! execution fingerprint, engine statistics, and the run's
-//! [`RunCounters`] — so a cache replay is indistinguishable from a fresh
-//! run in every campaign artifact. Runs are deterministic functions of their
+//! hash keys its result. The cache stores everything a campaign renders
+//! or aggregates of a run — outcome, execution fingerprint, engine
+//! statistics, and the run's [`RunCounters`] — so a cache replay is
+//! indistinguishable from a fresh run in every campaign artifact. A hit's
+//! counters are folded by reference where the cache holds them
+//! ([`PlanExpansion::partition_cached`](crate::PlanExpansion::partition_cached)),
+//! never copied into the report. Runs are deterministic functions of their
 //! specs, which is what makes caching sound at all.
 //!
 //! On disk the cache is an append-only NDJSON log of the
@@ -34,7 +36,7 @@
 //! fail at line 1, asking for the file to be deleted: the cache is a
 //! memo, so deleting the file is always safe.
 
-use crate::runner::{RunOutcome, RunRecord};
+use crate::runner::{PlanExpansion, RunOutcome, RunPart, RunResult};
 use crate::spec::RunSpec;
 use crate::wire::{write_run_line, LineFields, WireMsg, WIRE_SCHEMA_VERSION};
 use nonfifo_core::{NonFifoError, RunCounters};
@@ -52,16 +54,8 @@ use std::sync::{Arc, RwLock};
 /// cache file alike.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedRun {
-    /// How the run ended.
-    pub outcome: RunOutcome,
-    /// Execution fingerprint at the end of the run.
-    pub fingerprint: u64,
-    /// Scheduler steps taken.
-    pub steps: u64,
-    /// Forward packets sent.
-    pub fwd_sends: u64,
-    /// Messages delivered.
-    pub delivered: u64,
+    /// What the run ended with.
+    pub result: RunResult,
     /// The run's metrics.
     pub metrics: Box<RunCounters>,
 }
@@ -134,40 +128,27 @@ impl CampaignCache {
         self.entries.is_empty()
     }
 
-    /// Replays the cached result for `spec`, if present, as a full record
-    /// marked `cached`.
-    pub fn lookup(&self, spec: &RunSpec) -> Option<RunRecord> {
-        let hit = self.entries.get(&spec.fingerprint())?;
-        Some(RunRecord {
-            spec: spec.clone(),
-            outcome: hit.outcome,
-            fingerprint: hit.fingerprint,
-            steps: hit.steps,
-            fwd_sends: hit.fwd_sends,
-            delivered: hit.delivered,
-            metrics: hit.metrics.clone(),
-            cached: true,
-        })
+    /// The cached result for `spec`, if present.
+    pub fn get(&self, spec: &RunSpec) -> Option<&CachedRun> {
+        self.get_by_key(spec.fingerprint())
     }
 
-    /// Stores `record` under `spec`'s key. A key already
+    /// The cached result under the spec fingerprint `key`, if present.
+    pub(crate) fn get_by_key(&self, key: u64) -> Option<&CachedRun> {
+        self.entries.get(&key)
+    }
+
+    /// Stores `run` under `spec`'s key. A key already
     /// present keeps its entry: runs are deterministic, so the two agree,
     /// and the log holds each key once. A panicked run is not stored, so
     /// the next campaign runs it again.
-    pub fn insert(&mut self, spec: &RunSpec, record: &RunRecord) {
-        if record.outcome == RunOutcome::Panicked {
+    pub fn insert(&mut self, spec: &RunSpec, run: CachedRun) {
+        if run.result.outcome == RunOutcome::Panicked {
             return;
         }
         let key = spec.fingerprint();
         if let Entry::Vacant(slot) = self.entries.entry(key) {
-            slot.insert(CachedRun {
-                outcome: record.outcome,
-                fingerprint: record.fingerprint,
-                steps: record.steps,
-                fwd_sends: record.fwd_sends,
-                delivered: record.delivered,
-                metrics: record.metrics.clone(),
-            });
+            slot.insert(run);
             self.pending.push(key);
         }
     }
@@ -358,9 +339,20 @@ impl SharedCache {
         Ok(SharedCache::from_cache(CampaignCache::load(path)?))
     }
 
-    /// Replays the cached result for `spec` under the read lock.
-    pub fn lookup(&self, spec: &RunSpec) -> Option<RunRecord> {
-        self.inner.read().expect("cache lock poisoned").lookup(spec)
+    /// A copy of the cached result for `spec`, taken under the read lock.
+    pub fn get(&self, spec: &RunSpec) -> Option<CachedRun> {
+        self.inner
+            .read()
+            .expect("cache lock poisoned")
+            .get(spec)
+            .cloned()
+    }
+
+    /// [`PlanExpansion::partition_cached`] under one read-lock
+    /// acquisition: the hits' counters are folded where the cache holds
+    /// them.
+    pub fn partition_cached(&self, expansion: &PlanExpansion) -> (RunPart, Vec<usize>) {
+        expansion.partition_cached(&self.inner.read().expect("cache lock poisoned"))
     }
 
     /// Number of cached runs.
@@ -373,21 +365,21 @@ impl SharedCache {
         self.len() == 0
     }
 
-    /// Stores a batch of fresh records and, given `save_to`, saves the
+    /// Stores a batch of fresh runs and, given `save_to`, saves the
     /// cache there, all under one write-lock acquisition: concurrent
     /// campaigns append whole batches in turn, never interleaved lines.
     ///
     /// # Errors
     ///
-    /// Fails if the file cannot be written; the records stay inserted.
+    /// Fails if the file cannot be written; the runs stay inserted.
     pub fn insert_all<'a>(
         &self,
-        records: impl IntoIterator<Item = (&'a RunSpec, &'a RunRecord)>,
+        runs: impl IntoIterator<Item = (&'a RunSpec, CachedRun)>,
         save_to: Option<&str>,
     ) -> Result<(), NonFifoError> {
         let mut cache = self.inner.write().expect("cache lock poisoned");
-        for (spec, record) in records {
-            cache.insert(spec, record);
+        for (spec, run) in runs {
+            cache.insert(spec, run);
         }
         save_to.map_or(Ok(()), |path| cache.save(path))
     }
@@ -493,10 +485,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(cache, reloaded);
         for spec in &runs {
-            let a = cache.lookup(spec).unwrap();
-            let b = reloaded.lookup(spec).unwrap();
-            assert_eq!(a, b);
-            assert!(a.cached);
+            assert_eq!(cache.get(spec).unwrap(), reloaded.get(spec).unwrap());
         }
     }
 
@@ -694,7 +683,7 @@ mod tests {
         let clone = shared.clone();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
-                .map(|_| scope.spawn(|| runs.iter().all(|spec| shared.lookup(spec).is_some())))
+                .map(|_| scope.spawn(|| runs.iter().all(|spec| shared.get(spec).is_some())))
                 .collect();
             for h in handles {
                 assert!(h.join().unwrap(), "a reader missed a cached run");
@@ -706,9 +695,9 @@ mod tests {
             .discipline(Discipline::Fifo)
             .message_counts(&[3])
             .expand();
-        let record = CampaignRunner::new(1).run(&extra).unwrap().records[0].clone();
-        shared.insert_all([(&extra[0], &record)], None).unwrap();
-        assert!(clone.lookup(&extra[0]).is_some());
+        let run = CampaignRunner::run_one(&extra[0]).unwrap();
+        shared.insert_all([(&extra[0], run.clone())], None).unwrap();
+        assert_eq!(clone.get(&extra[0]), Some(run));
         assert_eq!(clone.len(), runs.len() + 1);
     }
 }

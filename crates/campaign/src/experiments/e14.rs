@@ -20,11 +20,13 @@
 //! the campaign engine was built for: every row is one cached,
 //! fingerprinted run, and the whole table parallelizes for free.
 
-use crate::runner::{CampaignRunner, RunRecord};
-use crate::spec::ScenarioSpec;
+use crate::cache::CachedRun;
+use crate::runner::{CampaignRunner, IndexedRun, PlanExpansion};
+use crate::spec::{RunSpec, ScenarioSpec};
 use nonfifo_channel::Discipline;
 use nonfifo_core::experiments::table::{f3, markdown};
 use std::fmt;
+use std::sync::Mutex;
 
 /// One protocol × message-count measurement, taken from exported metrics.
 #[derive(Debug, Clone)]
@@ -103,21 +105,21 @@ fn headers_of(protocol: &str) -> u64 {
     }
 }
 
-fn row_from(record: &RunRecord) -> E14Row {
-    let headers = headers_of(&record.spec.protocol);
-    let metrics = record.metrics.snapshot();
+fn row_from(spec: &RunSpec, run: &CachedRun) -> E14Row {
+    let headers = headers_of(&spec.protocol);
+    let metrics = run.metrics.snapshot();
     let fwd_sends = metrics.counters["chan.fwd.sends"];
     let in_transit_hw = metrics.gauges["sim.fwd.in_transit"].high_water;
     // Cross-validate the telemetry pipeline against the engine statistics
-    // carried on the record.
-    let agrees = fwd_sends == record.fwd_sends
-        && metrics.counters["sim.messages.received"] == record.delivered;
+    // carried on the run.
+    let agrees = fwd_sends == run.result.fwd_sends
+        && metrics.counters["sim.messages.received"] == run.result.delivered;
     E14Row {
-        protocol: record.spec.protocol.clone(),
+        protocol: spec.protocol.clone(),
         headers,
-        n: record.spec.messages,
+        n: spec.messages,
         fwd_sends,
-        cost_per_msg: fwd_sends as f64 / record.spec.messages as f64,
+        cost_per_msg: fwd_sends as f64 / spec.messages as f64,
         in_transit_hw,
         floor: in_transit_hw as f64 / headers as f64,
         agrees,
@@ -125,29 +127,38 @@ fn row_from(record: &RunRecord) -> E14Row {
 }
 
 /// Runs E14 over the given message-count schedule: `q = 0.3`, fixed seed,
-/// as a campaign scenario (`abp` × `afek4` × scopes).
+/// as a campaign scenario (`abp` × `afek4` × scopes), one worker per core.
+/// Each row reads its own run's counters, which a campaign report does
+/// not keep, so each run's result is taken as the worker finishes it.
 pub fn e14_cost_vs_in_transit_at(scopes: &[u64]) -> E14Report {
-    let runs = ScenarioSpec::new("e14")
-        .protocol("abp")
-        .protocol("afek4")
-        .discipline(Discipline::Probabilistic { q: 0.3 })
-        .message_counts(scopes)
-        .seeds(11..12)
-        .expand();
-    let report = CampaignRunner::new(0)
-        .run(&runs)
-        .expect("e14 scenario names only catalog protocols");
+    let expansion = PlanExpansion::new(
+        ScenarioSpec::new("e14")
+            .protocol("abp")
+            .protocol("afek4")
+            .discipline(Discipline::Probabilistic { q: 0.3 })
+            .message_counts(scopes)
+            .seeds(11..12)
+            .expand(),
+    )
+    .expect("e14 scenario names only catalog protocols");
+    let all: Vec<usize> = (0..expansion.len()).collect();
+    let finished = Mutex::new(vec![None; expansion.len()]);
+    CampaignRunner::new(0).execute_streaming(&expansion, &all, &|record: &IndexedRun| {
+        finished.lock().expect("e14 results poisoned")[record.index] = Some(record.run.clone());
+    });
+    let finished = finished.into_inner().expect("e14 results poisoned");
     // Campaign expansion is protocol-major; the published table is
     // scope-major with abp before afek at each n.
     let mut rows = Vec::new();
     for &n in scopes {
         for proto in ["abp", "afek4"] {
-            let record = report
-                .records
+            let index = expansion
+                .runs()
                 .iter()
-                .find(|r| r.spec.protocol == proto && r.spec.messages == n)
-                .expect("every matrix point ran");
-            rows.push(row_from(record));
+                .position(|r| r.protocol == proto && r.messages == n)
+                .expect("every matrix point is expanded");
+            let run = finished[index].as_ref().expect("every matrix point ran");
+            rows.push(row_from(&expansion.runs()[index], run));
         }
     }
     E14Report { rows }

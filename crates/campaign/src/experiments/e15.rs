@@ -102,7 +102,7 @@ pub fn e15_growth_campaign_at(bounded_scopes: &[u64], unbounded_scopes: &[u64]) 
             Discipline::Probabilistic { q } => q,
             ref other => unreachable!("e15 runs only PL2p channels, got {other}"),
         };
-        let cost = record.fwd_sends as f64 / record.spec.messages as f64;
+        let cost = record.result.fwd_sends as f64 / record.spec.messages as f64;
         let cost_growth = rows
             .last()
             .filter(|prev| prev.protocol == record.spec.protocol && prev.q == q)
@@ -111,7 +111,7 @@ pub fn e15_growth_campaign_at(bounded_scopes: &[u64], unbounded_scopes: &[u64]) 
             protocol: record.spec.protocol.clone(),
             q,
             n: record.spec.messages,
-            fwd_sends: record.fwd_sends,
+            fwd_sends: record.result.fwd_sends,
             cost_per_msg: cost,
             cost_growth,
         });

@@ -157,7 +157,7 @@ pub fn e16_convergence_campaign_at(seeds: u64) -> E16Report {
                 stalled: 0,
             };
             for record in mine {
-                match record.outcome {
+                match record.result.outcome {
                     RunOutcome::Delivered => row.converged += 1,
                     RunOutcome::Diverged | RunOutcome::Violation => row.diverged += 1,
                     // A panicked run reached no verdict, like a stall.

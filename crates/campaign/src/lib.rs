@@ -12,17 +12,18 @@
 //!   individually fingerprinted [`RunSpec`]s.
 //! - [`CampaignRunner`] — executes a run list on scoped worker threads,
 //!   claiming work run-at-a-time from the shared
-//!   [`ChunkCursor`](nonfifo_adversary::ChunkCursor); results merge in
-//!   input order, so reports and aggregate metrics are **byte-identical at
-//!   any thread count**.
+//!   [`ChunkCursor`](nonfifo_adversary::ChunkCursor); rows merge in input
+//!   order and counters fold order-free, so reports and aggregate metrics
+//!   are **byte-identical at any thread count**.
 //! - [`CampaignCache`] — runs are deterministic functions of their specs,
 //!   so results key by spec fingerprint and replay for free on repeated
 //!   campaigns; a cache replay is indistinguishable from a fresh run in
 //!   every artifact.
-//! - [`CampaignReport`] — the merged records, a markdown rendering, one
+//! - [`CampaignReport`] — the merged rows, a markdown rendering, one
 //!   aggregate [`MetricsSnapshot`](nonfifo_telemetry::MetricsSnapshot)
-//!   (per-run registries merged in run order), and the campaign-level
-//!   error for the CLI exit-code contract.
+//!   (every run's counters folded into one [`CountersFold`] as the run
+//!   finishes), and the campaign-level error for the CLI exit-code
+//!   contract.
 //! - [`experiments`] — E14 and E15, the paper experiments that are
 //!   campaigns, ported off their hand-rolled loops.
 //!
@@ -70,7 +71,8 @@ mod wire;
 pub use cache::{CacheError, CachedRun, CampaignCache, SharedCache};
 pub use plan::{CampaignPlan, CampaignPlanError, MAX_PLAN_RUNS, PLAN_SCHEMA_VERSION};
 pub use runner::{
-    merge_reports, CampaignReport, CampaignRunner, IndexedRun, PlanExpansion, RunOutcome, RunRecord,
+    merge_reports, CampaignReport, CampaignRunner, CountersFold, IndexedRow, IndexedRun,
+    PlanExpansion, RunOutcome, RunPart, RunRecord, RunResult,
 };
 pub use service::{CampaignService, ServiceConfig, MAX_WORKERS};
 pub use spec::{RunSpec, ScenarioSpec};

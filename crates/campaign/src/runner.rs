@@ -10,9 +10,9 @@
 //! run's index in the input list. The batch runner and the `nonfifo serve`
 //! daemon drive the same three stages on the same execute body.
 //!
-//! The merge reassembles records **in input order, keyed by spec
-//! fingerprint**: every record must name the fingerprint of the spec at
-//! its index, so an executor that ran a different plan is caught at merge
+//! The merge reassembles rows **in input order, keyed by spec
+//! fingerprint**: every row must name the fingerprint of the spec at its
+//! index, so an executor that ran a different plan is caught at merge
 //! time instead of silently corrupting the report. Because every run is a
 //! deterministic function of its spec, the rendered report and the
 //! aggregate metrics snapshot are **byte-identical at any thread count and
@@ -24,8 +24,13 @@
 //! from its spec, so runs are independent and a result can be cached: the
 //! [`CampaignCache`] is consulted before the pool spins up, and cached
 //! records are indistinguishable from fresh ones in every report artifact.
-//! A run's counters stay [`RunCounters`](nonfifo_core::RunCounters) in
-//! the cache and on the wire; they are named only in the aggregate.
+//! A run's counters live only while the run is streamed, folded or
+//! inserted into a cache. Each worker folds the counters of every run it
+//! finishes into its own total ([`CountersFold`]) and keeps only the
+//! run's row; the merge sums the workers' totals and the cache hits'.
+//! Every slot of that fold is an integer sum, maximum or minimum, so the
+//! order and grouping of the fold cannot change the aggregate, and a
+//! report keeps table rows, not counters.
 //!
 //! A run that panics does not take its worker down: the panic is caught
 //! around that one run and recorded as [`RunOutcome::Panicked`], a failure
@@ -46,6 +51,7 @@ use nonfifo_protocols::{catalog, DataLink};
 use nonfifo_telemetry::MetricsSnapshot;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How one campaign run ended.
@@ -97,11 +103,11 @@ impl fmt::Display for RunOutcome {
     }
 }
 
-/// One executed (or cache-replayed) run of a campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunRecord {
-    /// The spec this record answers.
-    pub spec: RunSpec,
+/// What one run ended with, apart from its counters: the one definition
+/// of a run's result that a report row ([`RunRecord`]), a merge row
+/// ([`IndexedRow`]) and a cache entry ([`CachedRun`]) each carry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunResult {
     /// How the run ended.
     pub outcome: RunOutcome,
     /// The execution fingerprint (event-stream hash) at the end of the run.
@@ -113,10 +119,70 @@ pub struct RunRecord {
     pub fwd_sends: u64,
     /// Messages delivered.
     pub delivered: u64,
-    /// The run's metrics.
-    pub metrics: Box<RunCounters>,
+}
+
+/// One row of a campaign report: an executed (or cache-replayed) run,
+/// without its counters, which the campaign folds as the run finishes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunRecord {
+    /// The spec this record answers.
+    pub spec: RunSpec,
+    /// What the run ended with.
+    pub result: RunResult,
     /// True if this record was replayed from the cache rather than run.
     pub cached: bool,
+}
+
+/// Per-run counters folded into one total: all a campaign keeps of its
+/// runs' telemetry. Every slot [`RunCounters::merge`] combines is an
+/// integer sum, maximum or minimum, so the order and the grouping of a
+/// fold do not change its [`snapshot`](CountersFold::snapshot). The fold
+/// also counts its runs, so [`merge_reports`] can refuse a part whose
+/// total covers runs its rows do not.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CountersFold {
+    /// `None` until a run is folded: no runs give the empty snapshot.
+    total: Option<RunCounters>,
+    /// How many runs were folded.
+    runs: usize,
+}
+
+impl CountersFold {
+    /// A fold of no runs.
+    pub fn new() -> Self {
+        CountersFold::default()
+    }
+
+    /// Folds one run's counters in.
+    pub fn add(&mut self, run: &RunCounters) {
+        match &mut self.total {
+            Some(total) => total.merge(run),
+            None => self.total = Some(run.clone()),
+        }
+        self.runs += 1;
+    }
+
+    /// Folds another fold's runs in.
+    pub fn absorb(&mut self, other: CountersFold) {
+        match (&mut self.total, other.total) {
+            (Some(total), Some(theirs)) => total.merge(&theirs),
+            (None, theirs) => self.total = theirs,
+            (Some(_), None) => {}
+        }
+        self.runs += other.runs;
+    }
+
+    /// How many runs were folded.
+    pub fn runs(&self) -> usize {
+        self.runs
+    }
+
+    /// The folded runs' name-keyed snapshot: byte-identical to
+    /// [`RunCounters::aggregate`] of the same runs in any order, and the
+    /// empty snapshot when no run was folded.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        RunCounters::aggregate(self.total.as_ref())
+    }
 }
 
 /// Stage 1: a validated, expanded run list.
@@ -136,10 +202,7 @@ impl PlanExpansion {
     ///
     /// Fails on unknown protocol names or invalid discipline parameters.
     pub fn new(runs: Vec<RunSpec>) -> Result<PlanExpansion, NonFifoError> {
-        for spec in &runs {
-            catalog::by_name(&spec.protocol).map_err(|e| NonFifoError::Usage(e.to_string()))?;
-            spec.discipline.validate()?;
-        }
+        runs.iter().try_for_each(validate)?;
         Ok(PlanExpansion { runs })
     }
 
@@ -170,82 +233,142 @@ impl PlanExpansion {
     }
 
     /// Splits the cache-consulting pre-pass out of the execute stage:
-    /// returns the records `lookup` replays (marked `cached`) and the
-    /// indices still to run, both in input order.
-    pub fn partition_cached(
-        &self,
-        lookup: impl Fn(&RunSpec) -> Option<RunRecord>,
-    ) -> (Vec<(usize, RunRecord)>, Vec<usize>) {
-        let mut cached = Vec::new();
+    /// returns the part `cache` answers (its rows, whose counters are
+    /// folded by reference) and the indices still to run, both in input
+    /// order. [`merge_reports`] marks the part's rows `cached`.
+    pub fn partition_cached(&self, cache: &CampaignCache) -> (RunPart, Vec<usize>) {
+        let mut hits = RunPart::default();
         let mut misses = Vec::new();
-        for (i, spec) in self.runs.iter().enumerate() {
-            match lookup(spec) {
-                Some(hit) => cached.push((i, hit)),
-                None => misses.push(i),
+        for (index, spec) in self.runs.iter().enumerate() {
+            let spec_fingerprint = spec.fingerprint();
+            match cache.get_by_key(spec_fingerprint) {
+                Some(run) => hits.push(index, spec_fingerprint, run),
+                None => misses.push(index),
             }
         }
-        (cached, misses)
+        (hits, misses)
     }
 }
 
-/// One completed run, addressed for the merge stage: the index says where
-/// it lands, the spec fingerprint proves the executor ran the same spec
-/// the merger holds at that index.
+/// Fails on an unknown protocol name or invalid discipline parameters.
+fn validate(spec: &RunSpec) -> Result<(), NonFifoError> {
+    catalog::by_name(&spec.protocol).map_err(|e| NonFifoError::Usage(e.to_string()))?;
+    spec.discipline.validate()?;
+    Ok(())
+}
+
+/// One completed run with its counters, addressed by its index and spec
+/// fingerprint: what the execute stage hands its `on_record` callback as
+/// each run finishes, and what the daemon streams as a `run` line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexedRun {
     /// Index into the expansion's run list.
     pub index: usize,
-    /// [`RunSpec::fingerprint`] of the spec this record answers.
+    /// [`RunSpec::fingerprint`] of the spec this run answers.
     pub spec_fingerprint: u64,
     /// The run result, in its one serializable form.
     pub run: CachedRun,
 }
 
-/// Stage 3: reassembles cache replays and the records of execute calls
-/// (`parts`, each as [`CampaignRunner::execute`] returned it) into one
-/// [`CampaignReport`], in input order.
+/// One completed run's row, addressed for the merge stage: the index says
+/// where it lands, the spec fingerprint proves the executor ran the same
+/// spec the merger holds at that index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexedRow {
+    /// Index into the expansion's run list.
+    pub index: usize,
+    /// [`RunSpec::fingerprint`] of the spec this row answers.
+    pub spec_fingerprint: u64,
+    /// What the run ended with.
+    pub result: RunResult,
+}
+
+/// One part of a campaign's runs, as an execute call or the cache
+/// pre-pass returns it: the runs' rows, sorted by index, and their
+/// counters folded into one total. The fold covers exactly the part's
+/// runs, so a part merges whole or not at all: [`merge_reports`] refuses
+/// one whose rows and fold disagree on how many runs it holds.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunPart {
+    /// The rows, sorted by index.
+    pub rows: Vec<IndexedRow>,
+    /// The rows' runs' counters, folded.
+    pub counters: CountersFold,
+}
+
+impl RunPart {
+    /// Adds one run: its row, and its counters to the fold.
+    fn push(&mut self, index: usize, spec_fingerprint: u64, run: &CachedRun) {
+        self.counters.add(&run.metrics);
+        self.rows.push(IndexedRow {
+            index,
+            spec_fingerprint,
+            result: run.result,
+        });
+    }
+}
+
+/// Stage 3: reassembles the parts the cache answered (`cached`, as
+/// [`PlanExpansion::partition_cached`] returned them) and the parts of
+/// execute calls (`parts`, as [`CampaignRunner::execute`] returned them)
+/// into one [`CampaignReport`], in input order, and sums their folded
+/// counters into its aggregate. Rows of a `cached` part are marked
+/// `cached`.
 ///
-/// The merge is *fingerprint-keyed*: a record only fills slot `i` if its
+/// The merge is *fingerprint-keyed*: a row only fills slot `i` if its
 /// `spec_fingerprint` equals the fingerprint of the spec at `i`. With that
 /// check, the merged report is a pure function of the expansion —
 /// byte-identical whatever the partition, completion order, or mix of
-/// cached and fresh records.
+/// cached and fresh rows.
 ///
 /// # Errors
 ///
 /// Fails (`NonFifoError::Usage`) on out-of-range indices, fingerprint
-/// mismatches, two records for one slot, or unfilled slots — each of which
-/// means an executor and the merger disagree about the plan. A bad record
-/// is named by its part's position in `parts`.
+/// mismatches, two rows for one slot, unfilled slots, or a part whose
+/// fold counts a different number of runs than it has rows — each of
+/// which means an executor and the merger disagree about the plan, or a
+/// part lost rows whose counters its fold still holds. A bad row or part
+/// is named by its part's position in `cached` or `parts`. A gap is
+/// reported before a short part, so a part that lost rows is first named
+/// as the gap it leaves; filling that gap with only the lost runs is
+/// refused, because their counters would be counted twice.
 pub fn merge_reports(
     expansion: &PlanExpansion,
-    cached: Vec<(usize, RunRecord)>,
-    parts: Vec<Vec<IndexedRun>>,
+    cached: Vec<RunPart>,
+    parts: Vec<RunPart>,
 ) -> Result<CampaignReport, NonFifoError> {
     let mut slots: Vec<Option<RunRecord>> = expansion.runs().iter().map(|_| None).collect();
-    let cache_hits = cached.len();
-    for (index, record) in cached {
-        let slot = slots
-            .get_mut(index)
-            .ok_or_else(|| merge_err(format!("cached index {index} out of range")))?;
-        if slot.is_some() {
-            return Err(merge_err(format!("two records for run {index}")));
+    let mut counters = CountersFold::new();
+    let mut cache_hits = 0;
+    let cached = cached
+        .into_iter()
+        .enumerate()
+        .map(|(p, part)| (true, p, part));
+    let fresh = parts
+        .into_iter()
+        .enumerate()
+        .map(|(p, part)| (false, p, part));
+    let mut short_part = None;
+    for (is_cached, p, part) in cached.chain(fresh) {
+        let kind = if is_cached { "cached part" } else { "part" };
+        if part.counters.runs() != part.rows.len() && short_part.is_none() {
+            short_part = Some(format!(
+                "{kind} {p} folds {} runs but carries {} rows; re-execute the whole part",
+                part.counters.runs(),
+                part.rows.len()
+            ));
         }
-        *slot = Some(record);
-    }
-    for (p, part) in parts.into_iter().enumerate() {
-        for record in part {
-            let index = record.index;
+        for row in part.rows {
+            let index = row.index;
             let spec = expansion
                 .runs()
                 .get(index)
-                .ok_or_else(|| merge_err(format!("part {p} index {index} out of range")))?
-                .clone();
-            if record.spec_fingerprint != spec.fingerprint() {
+                .ok_or_else(|| merge_err(format!("{kind} {p} index {index} out of range")))?;
+            if row.spec_fingerprint != spec.fingerprint() {
                 return Err(merge_err(format!(
-                    "part {p} record for run {index} answers spec {:016x}, expected {:016x} \
+                    "{kind} {p} record for run {index} answers spec {:016x}, expected {:016x} \
                      (executor ran a different plan?)",
-                    record.spec_fingerprint,
+                    row.spec_fingerprint,
                     spec.fingerprint()
                 )));
             }
@@ -253,18 +376,14 @@ pub fn merge_reports(
             if slot.is_some() {
                 return Err(merge_err(format!("two records for run {index}")));
             }
-            let run = record.run;
             *slot = Some(RunRecord {
-                spec,
-                outcome: run.outcome,
-                fingerprint: run.fingerprint,
-                steps: run.steps,
-                fwd_sends: run.fwd_sends,
-                delivered: run.delivered,
-                metrics: run.metrics,
-                cached: false,
+                spec: spec.clone(),
+                result: row.result,
+                cached: is_cached,
             });
+            cache_hits += usize::from(is_cached);
         }
+        counters.absorb(part.counters);
     }
     let missing = slots.iter().filter(|s| s.is_none()).count();
     if missing > 0 {
@@ -273,9 +392,13 @@ pub fn merge_reports(
             slots.len()
         )));
     }
+    if let Some(message) = short_part {
+        return Err(merge_err(message));
+    }
     Ok(CampaignReport {
         records: slots.into_iter().map(Option::unwrap).collect(),
         cache_hits,
+        counters,
     })
 }
 
@@ -337,9 +460,10 @@ impl CampaignRunner {
     /// Runs every spec, replaying cache hits and inserting fresh results.
     ///
     /// The cache is consulted in a pre-pass, so hits cost no thread and no
-    /// simulation; only misses are dispatched to the pool. Records are
+    /// simulation; only misses are dispatched to the pool. Rows are
     /// merged in input order whatever the interleaving, so the report is
-    /// byte-identical to a cold, single-threaded run.
+    /// byte-identical to a cold, single-threaded run, and the fresh runs
+    /// go into the cache in input order too.
     ///
     /// # Errors
     ///
@@ -351,45 +475,62 @@ impl CampaignRunner {
         cache: &mut CampaignCache,
     ) -> Result<CampaignReport, NonFifoError> {
         let expansion = PlanExpansion::new(runs.to_vec())?;
-        let (cached, to_run) = expansion.partition_cached(|spec| cache.lookup(spec));
-        let part = self.execute(&expansion, &to_run);
-        let report = merge_reports(&expansion, cached, vec![part])?;
-        for record in report.records.iter().filter(|r| !r.cached) {
-            cache.insert(&record.spec, record);
+        let (hits, to_run) = expansion.partition_cached(cache);
+        let fresh = FreshRuns::default();
+        let (part, _) = self.execute_streaming(&expansion, &to_run, &|run| fresh.keep(run));
+        let report = merge_reports(&expansion, vec![hits], vec![part])?;
+        for (index, run) in fresh.in_input_order() {
+            cache.insert(&expansion.runs()[index], run);
         }
         Ok(report)
     }
 
+    /// Executes one spec on the calling thread and returns its full
+    /// result, counters included: the entry for a caller that reads one
+    /// run's counters. A run that panics is returned as
+    /// [`RunOutcome::Panicked`] with zero counts.
+    ///
+    /// # Errors
+    ///
+    /// Fails (before simulating) on an unknown protocol name or invalid
+    /// discipline parameters.
+    pub fn run_one(spec: &RunSpec) -> Result<CachedRun, NonFifoError> {
+        validate(spec)?;
+        Ok(execute_caught(spec))
+    }
+
     /// The execute stage on this runner's thread pool: runs the given
-    /// expansion indices, one claim at a time, and returns their records
+    /// expansion indices, one claim at a time, and returns their rows
     /// sorted by index, so the result itself is deterministic, not just
-    /// its merge.
+    /// its merge, with their counters folded.
     ///
     /// # Panics
     ///
     /// Panics if an index is out of range for `expansion`.
-    pub fn execute(&self, expansion: &PlanExpansion, indices: &[usize]) -> Vec<IndexedRun> {
+    pub fn execute(&self, expansion: &PlanExpansion, indices: &[usize]) -> RunPart {
         self.execute_streaming(expansion, indices, &|_| {}).0
     }
 
     /// The one execute body behind [`execute`](CampaignRunner::execute)
     /// and the campaign service. Workers claim runs from a shared
-    /// [`ChunkCursor`] and call `on_record` on each finished record, on
-    /// the worker's thread, before keeping it; the service streams it to
-    /// its client there. Also returns each worker's busy time, from its
-    /// start to its last finished run.
+    /// [`ChunkCursor`] and call `on_record` on each finished run, on the
+    /// worker's thread; a caller that keeps a run's counters (the
+    /// service's stream, a cache) takes them there. Then the worker folds
+    /// the run's counters into its own total and keeps only its row. Also
+    /// returns each worker's busy time, from its start to its last
+    /// finished run.
     pub(crate) fn execute_streaming(
         &self,
         expansion: &PlanExpansion,
         indices: &[usize],
         on_record: &(dyn Fn(&IndexedRun) + Sync),
-    ) -> (Vec<IndexedRun>, Vec<Duration>) {
+    ) -> (RunPart, Vec<Duration>) {
         let runs = expansion.runs();
         let workers = self.threads.min(indices.len()).max(1);
         let cursor = ChunkCursor::new(indices.len(), 1);
         let work = || {
             let started = Instant::now();
-            let mut mine = Vec::new();
+            let mut mine = RunPart::default();
             while let Some(range) = cursor.claim() {
                 for slot in range {
                     let index = indices[slot];
@@ -399,12 +540,12 @@ impl CampaignRunner {
                         run: execute_caught(&runs[index]),
                     };
                     on_record(&record);
-                    mine.push(record);
+                    mine.push(index, record.spec_fingerprint, &record.run);
                 }
             }
             (mine, started.elapsed())
         };
-        let parts: Vec<(Vec<IndexedRun>, Duration)> = if workers == 1 {
+        let parts: Vec<(RunPart, Duration)> = if workers == 1 {
             vec![work()]
         } else {
             std::thread::scope(|scope| {
@@ -415,10 +556,38 @@ impl CampaignRunner {
                     .collect()
             })
         };
-        let (parts, busy): (Vec<Vec<IndexedRun>>, Vec<Duration>) = parts.into_iter().unzip();
-        let mut records: Vec<IndexedRun> = parts.into_iter().flatten().collect();
-        records.sort_unstable_by_key(|r| r.index);
-        (records, busy)
+        let mut merged = RunPart::default();
+        let mut busy = Vec::with_capacity(parts.len());
+        for (part, took) in parts {
+            merged.rows.extend(part.rows);
+            merged.counters.absorb(part.counters);
+            busy.push(took);
+        }
+        merged.rows.sort_unstable_by_key(|r| r.index);
+        (merged, busy)
+    }
+}
+
+/// The fresh runs of a campaign that inserts them into a cache, kept with
+/// their counters from the worker threads until the merge has checked
+/// them. Panicked runs are not kept: the cache never stores them.
+#[derive(Default)]
+pub(crate) struct FreshRuns(Mutex<Vec<(usize, CachedRun)>>);
+
+impl FreshRuns {
+    /// Keeps a copy of `record`'s run, unless it panicked.
+    pub(crate) fn keep(&self, record: &IndexedRun) {
+        if record.run.result.outcome != RunOutcome::Panicked {
+            let mut kept = self.0.lock().expect("fresh runs poisoned");
+            kept.push((record.index, record.run.clone()));
+        }
+    }
+
+    /// The kept runs, sorted by expansion index.
+    pub(crate) fn in_input_order(self) -> Vec<(usize, CachedRun)> {
+        let mut kept = self.0.into_inner().expect("fresh runs poisoned");
+        kept.sort_unstable_by_key(|&(index, _)| index);
+        kept
     }
 }
 
@@ -432,11 +601,13 @@ pub(crate) const PANIC_SEED: u64 = 0xdead_beef;
 /// campaign go on.
 fn execute_caught(spec: &RunSpec) -> CachedRun {
     catch_unwind(AssertUnwindSafe(|| execute_one(spec))).unwrap_or_else(|_| CachedRun {
-        outcome: RunOutcome::Panicked,
-        fingerprint: 0,
-        steps: 0,
-        fwd_sends: 0,
-        delivered: 0,
+        result: RunResult {
+            outcome: RunOutcome::Panicked,
+            fingerprint: 0,
+            steps: 0,
+            fwd_sends: 0,
+            delivered: 0,
+        },
         metrics: RunCounters::new().into(),
     })
 }
@@ -490,11 +661,13 @@ fn execute_one(spec: &RunSpec) -> CachedRun {
         ),
     };
     CachedRun {
-        outcome,
-        fingerprint,
-        steps,
-        fwd_sends,
-        delivered,
+        result: RunResult {
+            outcome,
+            fingerprint,
+            steps,
+            fwd_sends,
+            delivered,
+        },
         metrics: counters.into(),
     }
 }
@@ -531,26 +704,31 @@ fn execute_corrupted(
         .count() as u64;
     let counters = sim.counters().expect("events are counted").clone();
     CachedRun {
-        outcome: match outcome.verdict {
-            SeedVerdict::Converged { .. } => RunOutcome::Delivered,
-            SeedVerdict::Diverged { .. } => RunOutcome::Diverged,
-            SeedVerdict::Stalled => RunOutcome::Stalled,
+        result: RunResult {
+            outcome: match outcome.verdict {
+                SeedVerdict::Converged { .. } => RunOutcome::Delivered,
+                SeedVerdict::Diverged { .. } => RunOutcome::Diverged,
+                SeedVerdict::Stalled => RunOutcome::Stalled,
+            },
+            fingerprint: outcome.fingerprint,
+            steps: outcome.steps,
+            fwd_sends: counters.sends(Dir::Forward),
+            delivered,
         },
-        fingerprint: outcome.fingerprint,
-        steps: outcome.steps,
-        fwd_sends: counters.sends(Dir::Forward),
-        delivered,
         metrics: counters.into(),
     }
 }
 
-/// The merged result of a campaign, in input-spec order.
+/// The merged result of a campaign, in input-spec order: one row per run
+/// and the runs' counters folded into one total.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// One record per input spec, in input order.
     pub records: Vec<RunRecord>,
     /// How many records were replayed from the cache.
     pub cache_hits: usize,
+    /// Every run's counters, cached and fresh, folded.
+    pub counters: CountersFold,
 }
 
 impl CampaignReport {
@@ -561,16 +739,16 @@ impl CampaignReport {
         let rows: Vec<Vec<String>> = self
             .records
             .iter()
-            .map(|r| {
+            .map(|record| {
+                let (spec, r) = (&record.spec, &record.result);
                 vec![
-                    r.spec.scenario.clone(),
-                    r.spec.protocol.clone(),
-                    r.spec.discipline.to_string(),
-                    r.spec
-                        .corruption
+                    spec.scenario.clone(),
+                    spec.protocol.clone(),
+                    spec.discipline.to_string(),
+                    spec.corruption
                         .map_or_else(|| "-".to_string(), |s| s.to_string()),
-                    r.spec.messages.to_string(),
-                    r.spec.seed.to_string(),
+                    spec.messages.to_string(),
+                    spec.seed.to_string(),
                     r.outcome.to_string(),
                     r.steps.to_string(),
                     r.fwd_sends.to_string(),
@@ -601,15 +779,15 @@ impl CampaignReport {
         )
     }
 
-    /// Merges every run's metrics snapshot, in input order, into one
-    /// campaign-wide aggregate, plus the `campaign.runs_total`,
-    /// `campaign.cache_hits`, and per-outcome `campaign.runs.*` counters.
+    /// The campaign-wide aggregate: the snapshot of every run's counters,
+    /// folded, plus the `campaign.runs_total`, `campaign.cache_hits`, and
+    /// per-outcome `campaign.runs.*` counters.
     /// `campaign.runs.panicked` appears only when a run panicked, so the
     /// aggregate of a campaign where none did keeps its bytes.
-    /// Deterministic: the merge order is the input-spec order, not the
-    /// completion order.
+    /// Deterministic: the fold is order-free, so neither the completion
+    /// order nor the partition shows.
     pub fn aggregate_metrics(&self) -> MetricsSnapshot {
-        let mut agg = RunCounters::aggregate(self.records.iter().map(|r| &*r.metrics));
+        let mut agg = self.counters.snapshot();
         agg.counters
             .insert("campaign.runs_total".to_string(), self.records.len() as u64);
         agg.counters
@@ -632,7 +810,10 @@ impl CampaignReport {
 
     /// Number of runs that ended with `outcome`.
     pub fn count(&self, outcome: RunOutcome) -> usize {
-        self.records.iter().filter(|r| r.outcome == outcome).count()
+        self.records
+            .iter()
+            .filter(|r| r.result.outcome == outcome)
+            .count()
     }
 
     /// The campaign-level error for the exit-code contract, if any run
@@ -840,7 +1021,7 @@ mod tests {
             let cold = CampaignRunner::new(threads)
                 .run_with_cache(&runs, &mut cache)
                 .unwrap();
-            assert_eq!(cold.records[5].outcome, RunOutcome::Panicked);
+            assert_eq!(cold.records[5].result.outcome, RunOutcome::Panicked);
             for (i, (got, want)) in cold.records.iter().zip(&clean.records).enumerate() {
                 assert!(i == 5 || got == want, "{threads} threads: run {i} changed");
             }
@@ -882,7 +1063,7 @@ mod tests {
     }
 
     /// Executes `n` round-robin parts of the expansion, one call each.
-    fn execute_parts(exp: &PlanExpansion, n: usize) -> Vec<Vec<IndexedRun>> {
+    fn execute_parts(exp: &PlanExpansion, n: usize) -> Vec<RunPart> {
         (0..n)
             .map(|part| {
                 let indices: Vec<usize> = (part..exp.len()).step_by(n).collect();
@@ -921,21 +1102,35 @@ mod tests {
 
         // A record answering the wrong spec is refused by name.
         let mut forged = parts.clone();
-        forged[0][0].spec_fingerprint ^= 1;
+        forged[0].rows[0].spec_fingerprint ^= 1;
         let err = merge_reports(&exp, Vec::new(), forged).unwrap_err();
         assert!(err.to_string().contains("different plan"), "{err}");
 
         // A dropped record is a counted gap, not a silent hole.
-        let lost = parts[1].pop().unwrap().index;
+        let lost = parts[1].rows.pop().unwrap().index;
         let err = merge_reports(&exp, Vec::new(), parts.clone()).unwrap_err();
         assert!(err.to_string().contains("1 of 12 runs"), "{err}");
 
-        // Executing exactly the missing index fills the gap.
-        parts.push(CampaignRunner::new(1).execute(&exp, &[lost]));
+        // Executing only the missing index would count its counters twice,
+        // since part 1's fold still holds them: refused, naming the part.
+        let mut patched = parts.clone();
+        patched.push(CampaignRunner::new(1).execute(&exp, &[lost]));
+        let err = merge_reports(&exp, Vec::new(), patched).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("part 1 folds 6 runs but carries 5 rows"),
+            "{err}"
+        );
+
+        // Re-executing the whole damaged part heals, table and aggregate.
+        let odd: Vec<usize> = (1..exp.len()).step_by(2).collect();
+        parts[1] = CampaignRunner::new(1).execute(&exp, &odd);
         let healed = merge_reports(&exp, Vec::new(), parts).unwrap();
+        let baseline = CampaignRunner::new(1).run(exp.runs()).unwrap();
+        assert_eq!(healed.render(), baseline.render());
         assert_eq!(
-            healed.render(),
-            CampaignRunner::new(1).run(exp.runs()).unwrap().render()
+            healed.aggregate_metrics().to_json(),
+            baseline.aggregate_metrics().to_json()
         );
     }
 
@@ -953,7 +1148,7 @@ mod tests {
         let indices = [1, 4, 7, 10];
         for threads in [1, 3] {
             let streamed = std::sync::Mutex::new(Vec::new());
-            let (records, busy) = CampaignRunner::new(threads).execute_streaming(
+            let (part, busy) = CampaignRunner::new(threads).execute_streaming(
                 &exp,
                 &indices,
                 &|r: &IndexedRun| streamed.lock().unwrap().push(r.index),
@@ -964,7 +1159,7 @@ mod tests {
                 streamed, indices,
                 "{threads} threads: each run streamed once"
             );
-            let order: Vec<usize> = records.iter().map(|r| r.index).collect();
+            let order: Vec<usize> = part.rows.iter().map(|r| r.index).collect();
             assert_eq!(
                 order, indices,
                 "{threads} threads: the records are in index order"

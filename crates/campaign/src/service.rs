@@ -10,7 +10,7 @@
 //! [`PlanExpansion`] expands and validates the plan, the cache misses run
 //! on [`CampaignRunner`]'s work-stealing execute body — the one batch
 //! uses — which streams one [`WireMsg::Run`] line per finished run, and
-//! [`merge_reports`] reassembles the records fingerprint-keyed in input
+//! [`merge_reports`] reassembles the rows fingerprint-keyed in input
 //! order. A run that panics is caught around that run and recorded as
 //! `panicked`, so the stream still ends in its report and the daemon
 //! keeps serving.
@@ -18,26 +18,28 @@
 //! ## Determinism
 //!
 //! Every run is a deterministic function of its spec, the merge is keyed
-//! by expansion index and spec fingerprint, and the aggregate snapshot
-//! merges per-run metrics in input order — so the final
-//! [`WireMsg::Report`] is byte-identical to single-process batch output
-//! at any worker count, any completion interleaving, and any mix of
-//! cached and fresh records. The `serve.rs` CLI tests pin this for 1, 2,
-//! and 4 workers.
+//! by expansion index and spec fingerprint, and the aggregate snapshot is
+//! an order-free fold of the runs' counters (every slot a sum, maximum or
+//! minimum) — so the final [`WireMsg::Report`] is byte-identical to
+//! single-process batch output at any worker count, any completion
+//! interleaving, and any mix of cached and fresh records. A report keeps
+//! the runs' rows and that one folded total, no per-run counters. The
+//! `serve.rs` CLI tests pin this for 1, 2, and 4 workers.
 //!
 //! ## Shared cache
 //!
 //! One [`SharedCache`] (an `RwLock`ed [`CampaignCache`](crate::CampaignCache))
 //! serves every connection: concurrent campaigns replay hits under the
-//! read lock, and each campaign's fresh records land, and are appended to
-//! the cache file, under one write-lock acquisition. A warm replay differs
+//! read lock, folding the hits' counters where the cache holds them, and
+//! each campaign's fresh runs land, and are appended to the cache file in
+//! input order, under one write-lock acquisition. A warm replay differs
 //! from the cold run only in the `campaign.cache_hits` counter.
 
 use crate::cache::SharedCache;
 use crate::plan::CampaignPlan;
-use crate::runner::{merge_reports, CampaignRunner, IndexedRun, PlanExpansion};
+use crate::runner::{merge_reports, CampaignRunner, FreshRuns, IndexedRun, PlanExpansion};
 use crate::wire::{write_run_line, WireMsg};
-use nonfifo_core::{NonFifoError, RunCounters};
+use nonfifo_core::NonFifoError;
 use nonfifo_telemetry::Registry;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -178,7 +180,7 @@ impl CampaignService {
         requested_workers: usize,
         sink: &mut (dyn FnMut(&str) + Send),
     ) -> Result<WireMsg, NonFifoError> {
-        let (cached, misses) = expansion.partition_cached(|spec| self.cache.lookup(spec));
+        let (hits, misses) = self.cache.partition_cached(expansion);
 
         let runner = CampaignRunner::new(if requested_workers > 0 {
             requested_workers
@@ -189,6 +191,7 @@ impl CampaignService {
             .gauge("service.active_workers")
             .set(runner.threads().min(misses.len()) as u64);
         let sink: Sink<'_> = Mutex::new(sink);
+        let fresh = FreshRuns::default();
         let (part, busy) = runner.execute_streaming(expansion, &misses, &|record: &IndexedRun| {
             // Rendered from the borrow on the worker's own thread.
             let mut line = String::new();
@@ -199,24 +202,24 @@ impl CampaignService {
                 &record.run,
             );
             emit(&sink, &line);
+            fresh.keep(record);
         });
         self.registry
             .gauge("service.shard_imbalance")
             .set(imbalance_pct(&busy));
         let metrics = WireMsg::Metrics {
-            snapshot: RunCounters::aggregate(part.iter().map(|r| &*r.run.metrics)),
+            snapshot: part.counters.snapshot(),
         };
         emit(&sink, &metrics.to_line());
 
-        let cache_hits = cached.len();
-        let fresh = expansion.len() - cache_hits;
-        let report = merge_reports(expansion, cached, vec![part])?;
+        let cache_hits = hits.rows.len();
+        let executed = expansion.len() - cache_hits;
+        let report = merge_reports(expansion, vec![hits], vec![part])?;
         self.cache.insert_all(
-            report
-                .records
-                .iter()
-                .filter(|r| !r.cached)
-                .map(|r| (&r.spec, r)),
+            fresh
+                .in_input_order()
+                .into_iter()
+                .map(|(index, run)| (&expansion.runs()[index], run)),
             self.cfg.cache_path.as_deref(),
         )?;
 
@@ -228,9 +231,9 @@ impl CampaignService {
             .counter("service.cache_hits")
             .add(cache_hits as u64);
         let secs = started.elapsed().as_secs_f64();
-        if fresh > 0 && secs > 0.0 {
+        if executed > 0 && secs > 0.0 {
             self.registry
-                .set_value("campaign.runs_per_sec", fresh as f64 / secs);
+                .set_value("campaign.runs_per_sec", executed as f64 / secs);
         }
         self.registry.gauge("service.active_workers").set(0);
 
@@ -658,7 +661,7 @@ seeds 0..3
         let reloaded = CampaignCache::load(&path).unwrap();
         assert_eq!(reloaded.len(), service.cache().len());
         for spec in &union {
-            assert_eq!(reloaded.lookup(spec), service.cache().lookup(spec));
+            assert_eq!(reloaded.get(spec).cloned(), service.cache().get(spec));
         }
 
         let (_, report) = collect(&service, 4);
@@ -746,7 +749,7 @@ seeds 0..3
             let outcomes: Vec<RunOutcome> = msgs
                 .iter()
                 .filter_map(|m| match m {
-                    WireMsg::Run { run, .. } => Some(run.outcome),
+                    WireMsg::Run { run, .. } => Some(run.result.outcome),
                     _ => None,
                 })
                 .collect();
@@ -787,7 +790,7 @@ seeds 0..3
                 panic!("a cache line that is not a run: {line}");
             };
             assert_ne!(spec_fingerprint, panicking.fingerprint());
-            assert_ne!(run.outcome, RunOutcome::Panicked);
+            assert_ne!(run.result.outcome, RunOutcome::Panicked);
         }
     }
 }

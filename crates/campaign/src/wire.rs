@@ -30,11 +30,11 @@
 //! repeated keys wins, unknown fields are skipped but validated, counts
 //! must be exact `u64`s, and a syntax error anywhere in the line is
 //! reported before any schema error.
-//! The rarer `metrics` and `report` lines carry their snapshots as
-//! [`Json`] values.
+//! The rarer `metrics` and `report` lines write their snapshots with
+//! [`MetricsSnapshot::write_json`] and read them back as [`Json`] values.
 
 use crate::cache::CachedRun;
-use crate::runner::RunOutcome;
+use crate::runner::{RunOutcome, RunResult};
 use nonfifo_core::RunCounters;
 use nonfifo_telemetry::{
     write_string, write_u64, Json, JsonError, JsonReader, MetricsSnapshot, SnapshotError,
@@ -93,12 +93,12 @@ pub enum WireMsg {
         run: CachedRun,
     },
     /// The metrics delta of a campaign's executed runs, one per campaign:
-    /// their snapshots merged in index order.
+    /// the snapshot of their counters, folded.
     /// [`MetricsSnapshot::merge_from`] accumulates counters and
     /// histograms, so merging the delta with the cache hits' snapshots
     /// reproduces the per-run metrics portion of the final aggregate.
     Metrics {
-        /// Merged snapshot of the executed runs, in index order.
+        /// Snapshot of the executed runs' folded counters.
         snapshot: MetricsSnapshot,
     },
     /// Daemon → client: the campaign's final merged result.
@@ -153,7 +153,7 @@ impl WireMsg {
             WireMsg::Metrics { snapshot } => {
                 write_head(&mut out, self.kind());
                 out.push_str(",\"snapshot\":");
-                snapshot.to_json_value().write(&mut out);
+                snapshot.write_json(&mut out);
                 out.push_str("}\n");
                 return out;
             }
@@ -168,7 +168,7 @@ impl WireMsg {
                 out.push_str(",\"cache_hits\":");
                 write_u64(&mut out, *cache_hits);
                 out.push_str(",\"aggregate\":");
-                aggregate.to_json_value().write(&mut out);
+                aggregate.write_json(&mut out);
                 out.push_str("}\n");
                 return out;
             }
@@ -348,12 +348,13 @@ impl CachedRun {
     /// Appends the run as the object a `run` line carries.
     pub(crate) fn write_json(&self, out: &mut String) {
         out.push_str("{\"outcome\":");
-        write_string(out, self.outcome.as_str());
+        let r = &self.result;
+        write_string(out, r.outcome.as_str());
         for (key, n) in [
-            (",\"fingerprint\":", self.fingerprint),
-            (",\"steps\":", self.steps),
-            (",\"fwd_sends\":", self.fwd_sends),
-            (",\"delivered\":", self.delivered),
+            (",\"fingerprint\":", r.fingerprint),
+            (",\"steps\":", r.steps),
+            (",\"fwd_sends\":", r.fwd_sends),
+            (",\"delivered\":", r.delivered),
         ] {
             out.push_str(key);
             write_u64(out, n);
@@ -400,11 +401,13 @@ impl CachedRun {
                 read.ok_or_else(|| format!("missing or non-integer field {key:?}"))
             };
             Ok(CachedRun {
-                outcome,
-                fingerprint: need(fingerprint, SCALARS[0])?,
-                steps: need(steps, SCALARS[1])?,
-                fwd_sends: need(fwd_sends, SCALARS[2])?,
-                delivered: need(delivered, SCALARS[3])?,
+                result: RunResult {
+                    outcome,
+                    fingerprint: need(fingerprint, SCALARS[0])?,
+                    steps: need(steps, SCALARS[1])?,
+                    fwd_sends: need(fwd_sends, SCALARS[2])?,
+                    delivered: need(delivered, SCALARS[3])?,
+                },
                 metrics: Box::new(metrics),
             })
         };
@@ -436,14 +439,15 @@ mod tests {
             .discipline(Discipline::Probabilistic { q: 0.3 })
             .message_counts(&[5])
             .expand();
-        let record = CampaignRunner::new(1).run(&runs).unwrap().records.remove(0);
         CachedRun {
-            outcome: RunOutcome::Delivered,
-            fingerprint: 0xdead_beef_cafe_f00d,
-            steps: 42,
-            fwd_sends: 7,
-            delivered: 5,
-            metrics: record.metrics,
+            result: RunResult {
+                outcome: RunOutcome::Delivered,
+                fingerprint: 0xdead_beef_cafe_f00d,
+                steps: 42,
+                fwd_sends: 7,
+                delivered: 5,
+            },
+            ..CampaignRunner::run_one(&runs[0]).unwrap()
         }
     }
 
@@ -464,9 +468,10 @@ mod tests {
             WireMsg::Run {
                 index: 5,
                 spec_fingerprint: 1,
-                run: CachedRun {
-                    outcome: RunOutcome::Panicked,
-                    ..sample_run()
+                run: {
+                    let mut run = sample_run();
+                    run.result.outcome = RunOutcome::Panicked;
+                    run
                 },
             },
             WireMsg::Metrics {

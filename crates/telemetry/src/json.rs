@@ -125,19 +125,7 @@ impl Json {
                 }
                 write_u64(out, n.unsigned_abs());
             }
-            Json::Float(x) => {
-                if x.is_finite() {
-                    // Rust's shortest-roundtrip formatting; force a decimal
-                    // point so the value parses back as a float.
-                    let s = x.to_string();
-                    out.push_str(&s);
-                    if !s.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Float(x) => write_f64(out, *x),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -206,6 +194,21 @@ pub fn write_u64(out: &mut String, mut n: u64) {
         buf[at] = b'0' + n as u8;
     }
     out.extend(buf[at..].iter().map(|&digit| char::from(digit)));
+}
+
+/// Appends `x` to `out` as a JSON number: Rust's shortest round-trip
+/// formatting with a decimal point forced, so the value parses back as a
+/// float; `null` if it is not finite.
+pub(crate) fn write_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let start = out.len();
+        let _ = write!(out, "{x}");
+        if !out[start..].contains(['.', 'e', 'E']) {
+            out.push_str(".0");
+        }
+    } else {
+        out.push_str("null");
+    }
 }
 
 /// Appends `s` to `out` as a quoted JSON string, escaping quotes,

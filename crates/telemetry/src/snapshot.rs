@@ -6,7 +6,7 @@
 //! bump the version and keep
 //! [`MetricsSnapshot::from_json`] accepting what it wrote before.
 
-use crate::json::{write_u64, Json, JsonError, JsonReader};
+use crate::json::{write_f64, write_string, write_u64, Json, JsonError, JsonReader};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -246,7 +246,60 @@ fn schema_err<T>(msg: impl Into<String>) -> Result<T, SnapshotError> {
 impl MetricsSnapshot {
     /// Serializes the snapshot as a compact, key-sorted JSON document.
     pub fn to_json(&self) -> String {
-        self.to_json_value().to_string()
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`to_json`](Self::to_json)'s document to `out`, written
+    /// straight from the maps with no [`Json`] tree in between: how a
+    /// campaign wire line embeds a snapshot. Byte-identical to writing
+    /// [`to_json_value`](Self::to_json_value).
+    pub fn write_json(&self, out: &mut String) {
+        /// Opens the object `key` holds: `,"key":{`.
+        fn open(out: &mut String, key: &str) {
+            out.push(',');
+            write_string(out, key);
+            out.push_str(":{");
+        }
+        /// Writes `"name":` before an entry, with a comma after the first.
+        fn name(out: &mut String, i: usize, name: &str) {
+            if i > 0 {
+                out.push(',');
+            }
+            write_string(out, name);
+            out.push(':');
+        }
+        out.push_str("{\"schema_version\":");
+        write_u64(out, self.schema_version);
+        open(out, "counters");
+        for (i, (k, &v)) in self.counters.iter().enumerate() {
+            name(out, i, k);
+            write_u64(out, v);
+        }
+        out.push('}');
+        open(out, "gauges");
+        for (i, (k, g)) in self.gauges.iter().enumerate() {
+            name(out, i, k);
+            out.push_str("{\"value\":");
+            write_u64(out, g.value);
+            out.push_str(",\"high_water\":");
+            write_u64(out, g.high_water);
+            out.push('}');
+        }
+        out.push('}');
+        open(out, "histograms");
+        for (i, (k, h)) in self.histograms.iter().enumerate() {
+            name(out, i, k);
+            h.write_json(out);
+        }
+        out.push('}');
+        open(out, "values");
+        for (i, (k, &v)) in self.values.iter().enumerate() {
+            name(out, i, k);
+            write_f64(out, v);
+        }
+        out.push_str("}}");
     }
 
     /// The snapshot as a [`Json`] value — for callers that embed snapshots
@@ -520,6 +573,31 @@ mod tests {
         let value = snap.to_json_value();
         assert_eq!(value.to_string(), snap.to_json());
         assert_eq!(MetricsSnapshot::from_json_value(&value).unwrap(), snap);
+    }
+
+    /// The streaming writer spells every snapshot as the tree did: empty
+    /// maps, names that need escapes, whole, huge, tiny and non-finite
+    /// values.
+    #[test]
+    fn written_json_matches_the_tree_byte_for_byte() {
+        let empty = MetricsSnapshot {
+            schema_version: SCHEMA_VERSION,
+            ..MetricsSnapshot::default()
+        };
+        let mut odd = populated();
+        odd.counters
+            .insert("quote\"back\\slash\n".to_string(), u64::MAX);
+        for (i, v) in [3.0, -0.0, 1e300, 5e-324, f64::NAN, f64::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            odd.values.insert(format!("v{i}"), v);
+        }
+        for snap in [empty, populated(), odd] {
+            let mut out = String::from("prefix");
+            snap.write_json(&mut out);
+            assert_eq!(out, format!("prefix{}", snap.to_json_value()));
+        }
     }
 
     #[test]

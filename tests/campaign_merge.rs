@@ -10,7 +10,7 @@
 //! restarted daemon.
 
 use nonfifo::campaign::{
-    merge_reports, CampaignPlan, CampaignRunner, CampaignService, IndexedRun, PlanExpansion,
+    merge_reports, CampaignPlan, CampaignRunner, CampaignService, PlanExpansion, RunPart,
     ServiceConfig, WireMsg,
 };
 use std::sync::Mutex;
@@ -65,7 +65,7 @@ fn scrambled_partition(len: usize, k: usize, seed: u64) -> Vec<Vec<usize>> {
 }
 
 /// Executes each part with its own `CampaignRunner::execute` call.
-fn execute(exp: &PlanExpansion, parts: &[Vec<usize>], threads: usize) -> Vec<Vec<IndexedRun>> {
+fn execute(exp: &PlanExpansion, parts: &[Vec<usize>], threads: usize) -> Vec<RunPart> {
     parts
         .iter()
         .map(|indices| CampaignRunner::new(threads).execute(exp, indices))
@@ -141,17 +141,20 @@ fn service_reports_are_worker_count_invariant() {
 }
 
 /// Regression: parts that lost records merge to an error naming the gap,
-/// a forged fingerprint and a duplicate record are refused, and executing
-/// exactly the missing indices — in a part at any position — heals to the
-/// byte-identical report.
+/// a forged fingerprint and a duplicate record are refused, filling the
+/// gap with only the lost runs is refused (the damaged parts' folded
+/// counters still hold them), and re-executing the damaged parts whole —
+/// in parts at any position — heals to the byte-identical report and
+/// aggregate.
 #[test]
 fn lost_records_are_named_and_retry_heals_byte_identically() {
     let exp = expansion();
-    let (render, _) = batch_baseline();
-    let mut parts = execute(&exp, &round_robin(exp.len(), 3), 2);
+    let (render, aggregate) = batch_baseline();
+    let partition = round_robin(exp.len(), 3);
+    let mut parts = execute(&exp, &partition, 2);
 
     let mut forged = parts.clone();
-    forged[2][0].spec_fingerprint ^= 1;
+    forged[2].rows[0].spec_fingerprint ^= 1;
     let err = merge_reports(&exp, Vec::new(), forged).unwrap_err();
     assert!(err.to_string().contains("different plan"), "{err}");
     assert!(err.to_string().contains("part 2 record"), "{err}");
@@ -162,18 +165,34 @@ fn lost_records_are_named_and_retry_heals_byte_identically() {
 
     // Drop a prefix of part 1 and a suffix of part 2 — two different
     // shapes of loss.
-    let mut lost: Vec<usize> = parts[1].drain(..2).map(|r| r.index).collect();
-    lost.extend(parts[2].drain(1..).map(|r| r.index));
+    let mut lost: Vec<usize> = parts[1].rows.drain(..2).map(|r| r.index).collect();
+    lost.extend(parts[2].rows.drain(1..).map(|r| r.index));
     let err = merge_reports(&exp, Vec::new(), parts.clone()).unwrap_err();
     assert!(
         err.to_string().contains("produced no record"),
         "gap is named: {err}"
     );
 
-    // The merge keys on index + fingerprint, not on the part's position.
-    parts.insert(0, CampaignRunner::new(2).execute(&exp, &lost));
+    // Only the lost runs fill the gap but would count twice in the
+    // aggregate: the first damaged part is named.
+    let mut patched = parts.clone();
+    patched.insert(0, CampaignRunner::new(2).execute(&exp, &lost));
+    let err = merge_reports(&exp, Vec::new(), patched).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("part 2 folds 9 runs but carries 7 rows; re-execute the whole part"),
+        "{err}"
+    );
+
+    // The merge keys on index + fingerprint, not on the part's position:
+    // the damaged parts, re-executed whole, go first.
+    parts.truncate(1);
+    for damaged in &partition[1..] {
+        parts.insert(0, CampaignRunner::new(2).execute(&exp, damaged));
+    }
     let healed = merge_reports(&exp, Vec::new(), parts).unwrap();
     assert_eq!(healed.render(), render);
+    assert_eq!(healed.aggregate_metrics().to_json(), aggregate);
 }
 
 /// The shipped plans' aggregates are pinned to golden files: the batch

@@ -23,8 +23,8 @@
 //! same lines, decode them to the same run and name the same error.
 
 use nonfifo::campaign::{
-    CachedRun, CampaignCache, CampaignPlan, CampaignRunner, RunOutcome, RunRecord, WireMsg,
-    WIRE_SCHEMA_VERSION,
+    CachedRun, CampaignCache, CampaignPlan, CampaignRunner, CountersFold, RunOutcome, RunSpec,
+    WireMsg, WIRE_SCHEMA_VERSION,
 };
 use nonfifo::channel::{
     BoxedChannel, Channel, ChannelIntrospect, CorruptionSeverity, Discipline, FaultObserver,
@@ -389,7 +389,7 @@ fn decode(text: &str) -> RunCounters {
 /// Seeded campaign runs of every catalog protocol over four channels,
 /// chaos `corrupt` runs (which flip header bit 31) and heavy corrupted
 /// `stabilizing-dl` starts (labels at 2^30 + k, junk up to 2^31).
-fn codec_corpus() -> Vec<RunRecord> {
+fn codec_corpus() -> Vec<CorpusRun> {
     let plan = CampaignPlan::parse(
         "scenario catalog
          protocols abp cycle3 seqnum window4 gbn4 srej4 outnumber5 afek3 stabilizing-dl
@@ -414,7 +414,19 @@ fn codec_corpus() -> Vec<RunRecord> {
          corruption heavy",
     )
     .unwrap();
-    CampaignRunner::new(2).run(&plan.expand()).unwrap().records
+    plan.expand()
+        .into_iter()
+        .map(|spec| {
+            let run = CampaignRunner::run_one(&spec).unwrap();
+            CorpusRun { spec, run }
+        })
+        .collect()
+}
+
+/// One run of the codec corpus, with its counters.
+struct CorpusRun {
+    spec: RunSpec,
+    run: CachedRun,
 }
 
 /// Per-header counter names at or above `from`.
@@ -426,18 +438,11 @@ fn headers_from(snap: &MetricsSnapshot, from: u64) -> usize {
         .count()
 }
 
-fn wire_line(record: &RunRecord, index: u64) -> String {
+fn wire_line(record: &CorpusRun, index: u64) -> String {
     WireMsg::Run {
         index,
         spec_fingerprint: record.spec.fingerprint(),
-        run: CachedRun {
-            outcome: record.outcome,
-            fingerprint: record.fingerprint,
-            steps: record.steps,
-            fwd_sends: record.fwd_sends,
-            delivered: record.delivered,
-            metrics: record.metrics.clone(),
-        },
+        run: record.run.clone(),
     }
     .to_line()
 }
@@ -452,16 +457,16 @@ fn run_lines_carry_counters_exactly() {
             "{} {} {} seed {}",
             record.spec.scenario, record.spec.protocol, record.spec.discipline, record.spec.seed
         );
-        let snap = record.metrics.snapshot();
-        let text = encode(&record.metrics);
+        let snap = record.run.metrics.snapshot();
+        let text = encode(&record.run.metrics);
         let back = decode(&text);
         assert_eq!(back.snapshot().to_json(), snap.to_json(), "{label}");
-        assert_eq!(&back, &*record.metrics, "{label}");
+        assert_eq!(&back, &*record.run.metrics, "{label}");
         assert_eq!(encode(&back), text, "{label}: re-encode");
         // The whole wire line round-trips too.
         let line = wire_line(record, i as u64);
         match WireMsg::parse_line(&line).unwrap() {
-            WireMsg::Run { run, .. } => assert_eq!(run.metrics, record.metrics, "{label}"),
+            WireMsg::Run { run, .. } => assert_eq!(run.metrics, record.run.metrics, "{label}"),
             other => panic!("{label}: a {} line", other.kind()),
         }
         at_2_31 += headers_from(&snap, 1 << 31);
@@ -472,8 +477,66 @@ fn run_lines_carry_counters_exactly() {
     assert!(at_2_30 > 0, "no stabilizing-dl label at 2^30 + k");
     assert_eq!(
         RunCounters::aggregate(&decoded).to_json(),
-        RunCounters::aggregate(records.iter().map(|r| &*r.metrics)).to_json()
+        RunCounters::aggregate(records.iter().map(|r| &*r.run.metrics)).to_json()
     );
+}
+
+/// A campaign folds each run's counters into a total as the run
+/// finishes, in whatever order its workers finish them and in whatever
+/// parts its executors and cache return. The fold is order-free: over
+/// the codec corpus (headers at 2^31 and at 2^30 + k, so the sparse
+/// tables are in it), any seeded permutation, and any random partition
+/// folded part by part and then summed, give the snapshot of the
+/// input-order aggregate byte for byte. No runs give the empty snapshot,
+/// and a panicked run's zero counters leave a total unchanged.
+#[test]
+fn folding_counters_in_any_order_and_grouping_gives_the_same_snapshot() {
+    let corpus = codec_corpus();
+    let runs: Vec<&RunCounters> = corpus.iter().map(|r| &*r.run.metrics).collect();
+    let want = RunCounters::aggregate(runs.iter().copied()).to_json();
+    let fold = |order: &mut dyn Iterator<Item = &RunCounters>| {
+        let mut fold = CountersFold::new();
+        order.for_each(|run| fold.add(run));
+        fold
+    };
+    for_seeds(cases(), |seed, rng| {
+        let mut order = runs.clone();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..i + 1));
+        }
+        let folded = fold(&mut order.iter().copied());
+        assert_eq!(folded.snapshot().to_json(), want, "seed {seed}: permuted");
+
+        let k = 1 + rng.gen_range(0..6);
+        let mut parts: Vec<Vec<&RunCounters>> = vec![Vec::new(); k];
+        for &run in &order {
+            parts[rng.gen_range(0..k)].push(run);
+        }
+        let mut total = CountersFold::new();
+        for part in &parts {
+            total.absorb(fold(&mut part.iter().copied()));
+        }
+        assert_eq!(total.snapshot().to_json(), want, "seed {seed}: {k} parts");
+    });
+
+    let empty = RunCounters::aggregate([]);
+    assert_eq!(CountersFold::new().snapshot(), empty, "no runs");
+    let mut none = CountersFold::new();
+    none.absorb(CountersFold::new());
+    assert_eq!(none.snapshot(), empty, "two folds of no runs");
+
+    let panicked = RunCounters::new();
+    let mut total = fold(&mut runs.iter().copied());
+    total.add(&panicked);
+    assert_eq!(
+        total.snapshot().to_json(),
+        want,
+        "a panicked run adds nothing"
+    );
+    let mut first = CountersFold::new();
+    first.add(&panicked);
+    first.absorb(fold(&mut runs.iter().copied()));
+    assert_eq!(first.snapshot().to_json(), want, "nor when it comes first");
 }
 
 /// Replaces the field at `path` of a JSON line with the raw text `raw`
@@ -503,7 +566,7 @@ fn malformed_run_lines_fail_as_wire_and_cache_errors() {
     let records = codec_corpus();
     let sparse = records
         .iter()
-        .find(|r| headers_from(&r.metrics.snapshot(), 1 << 12) > 0)
+        .find(|r| headers_from(&r.run.metrics.snapshot(), 1 << 12) > 0)
         .expect("a run with sparse headers");
     let good = wire_line(sparse, 0);
     let fwd = ["run", "counters", "fwd"];
@@ -1021,8 +1084,8 @@ fn reordered_padded_and_repeated_fields_decode_the_same_run() {
         assert_eq!(back.to_line(), line, "run {i}");
         std::fs::write(&path, format!("{padded}\n")).unwrap();
         let cache = CampaignCache::load(&path).unwrap();
-        let replayed = cache.lookup(&record.spec).expect("the run loads");
-        assert_eq!(replayed.metrics, record.metrics, "run {i}");
+        let replayed = cache.get(&record.spec).expect("the run loads");
+        assert_eq!(replayed.metrics, record.run.metrics, "run {i}");
     }
     std::fs::remove_file(&path).ok();
 }
