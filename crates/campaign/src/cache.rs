@@ -4,16 +4,24 @@
 //! hash keys its result. The cache stores everything a campaign renders
 //! or aggregates of a run — outcome, execution fingerprint, engine
 //! statistics, and the run's [`RunCounters`] — so a cache replay is
-//! indistinguishable from a fresh run in every campaign artifact. A hit's
-//! counters are folded by reference where the cache holds them
-//! ([`PlanExpansion::partition_cached`](crate::PlanExpansion::partition_cached)),
-//! never copied into the report. Runs are deterministic functions of their
-//! specs, which is what makes caching sound at all.
+//! indistinguishable from a fresh run in every campaign artifact. Runs are
+//! deterministic functions of their specs, which is what makes caching
+//! sound at all.
+//!
+//! An entry keeps the run's [`RunResult`] and its counters as text: the
+//! canonical object [`RunCounters::write_json`] writes, which is also what
+//! the entry's log line carries, so the cache holds in memory about what
+//! its log holds on disk. A decoded `RunCounters` holds a dense table per
+//! header and two full histograms, several KB for a run of 100 messages,
+//! against about a KB of text. A hit's counters are decoded only to be
+//! folded into its campaign's total
+//! ([`PlanExpansion::partition_cached`](crate::PlanExpansion::partition_cached))
+//! or returned by [`CampaignCache::get`].
 //!
 //! On disk the cache is an append-only NDJSON log of the
 //! [`WireMsg::Run`] lines the daemon streams, keyed by their `spec`
 //! fingerprint, so cache and wire share one codec, the one beside
-//! [`WireMsg`]: lines are written straight from the borrowed entries and
+//! [`WireMsg`]: lines are written straight from the entries' text and
 //! read field by field off a
 //! [`JsonReader`](nonfifo_telemetry::JsonReader), with no `Json` tree in
 //! between. In a cache file a
@@ -38,20 +46,22 @@
 
 use crate::runner::{PlanExpansion, RunOutcome, RunPart, RunResult};
 use crate::spec::RunSpec;
-use crate::wire::{write_run_line, LineFields, WireMsg, WIRE_SCHEMA_VERSION};
+use crate::wire::{write_stored_run_line, LineFields, WireMsg, WIRE_SCHEMA_VERSION};
 use nonfifo_core::{NonFifoError, RunCounters};
+use nonfifo_telemetry::JsonReader;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::sync::{Arc, RwLock};
 
-/// The cached portion of a run record: everything except the spec (which
-/// the lookup key already proves) and the `cached` marker. It travels as
-/// the `run` object of a [`WireMsg::Run`] line, on the wire and in the
-/// cache file alike.
+/// A run record with its counters decoded: everything except the spec
+/// (which the lookup key already proves) and the `cached` marker. It
+/// travels as the `run` object of a [`WireMsg::Run`] line, on the wire and
+/// in the cache file alike, and is what [`CampaignCache::get`] returns. A
+/// cache entry keeps the same run with its counters as text.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedRun {
     /// What the run ended with.
@@ -59,6 +69,52 @@ pub struct CachedRun {
     /// The run's metrics.
     pub metrics: Box<RunCounters>,
 }
+
+/// A cache entry: a run's result, and its counters as the canonical text
+/// [`RunCounters::write_json`] writes. The encoding is injective, so two
+/// entries are equal exactly when their runs are.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct StoredRun {
+    /// What the run ended with.
+    pub(crate) result: RunResult,
+    /// The run's counters, encoded.
+    pub(crate) counters: Box<str>,
+}
+
+impl StoredRun {
+    /// `run` with its counters encoded.
+    pub(crate) fn encode(run: &CachedRun) -> StoredRun {
+        let mut counters = String::new();
+        run.metrics.write_json(&mut counters);
+        StoredRun {
+            result: run.result,
+            counters: counters.into_boxed_str(),
+        }
+    }
+
+    /// The run's counters, decoded.
+    pub(crate) fn counters(&self) -> RunCounters {
+        RunCounters::read_json(&mut JsonReader::new(&self.counters))
+            .expect("a cache entry holds counters its own encoder wrote")
+    }
+
+    /// The run with its counters decoded.
+    fn decode(&self) -> CachedRun {
+        CachedRun {
+            result: self.result,
+            metrics: Box::new(self.counters()),
+        }
+    }
+
+    /// The heap and inline bytes the entry holds under its key.
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<(u64, StoredRun)>() + self.counters.len()
+    }
+}
+
+/// What every rejection of an old cache format asks for.
+const DELETE: &str =
+    "(delete the file: it holds deterministic runs, which the next campaign recomputes)";
 
 /// Why a cache file was rejected: the line at fault and what was wrong.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,7 +146,7 @@ impl Error for CacheError {}
 /// it persists to.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignCache {
-    entries: BTreeMap<u64, CachedRun>,
+    entries: BTreeMap<u64, StoredRun>,
     /// The file this cache was loaded from; saves to it append.
     file: Option<String>,
     /// Bytes of `file` that are whole lines of the log.
@@ -104,8 +160,8 @@ pub struct CampaignCache {
     compact: bool,
 }
 
-/// Equal when the entries are: where a cache came from and what it has
-/// yet to write do not matter.
+/// Equal when the entries are, compared by their counters' text: where a
+/// cache came from and what it has yet to write do not matter.
 impl PartialEq for CampaignCache {
     fn eq(&self, other: &CampaignCache) -> bool {
         self.entries == other.entries
@@ -128,13 +184,20 @@ impl CampaignCache {
         self.entries.is_empty()
     }
 
-    /// The cached result for `spec`, if present.
-    pub fn get(&self, spec: &RunSpec) -> Option<&CachedRun> {
-        self.get_by_key(spec.fingerprint())
+    /// The bytes the entries hold: each one's key, result and counters
+    /// text. The map's spare node slots and the allocator's rounding are
+    /// not counted.
+    pub fn bytes(&self) -> usize {
+        self.entries.values().map(StoredRun::bytes).sum()
     }
 
-    /// The cached result under the spec fingerprint `key`, if present.
-    pub(crate) fn get_by_key(&self, key: u64) -> Option<&CachedRun> {
+    /// The cached result for `spec`, if present, with its counters decoded.
+    pub fn get(&self, spec: &RunSpec) -> Option<CachedRun> {
+        self.get_by_key(spec.fingerprint()).map(StoredRun::decode)
+    }
+
+    /// The entry under the spec fingerprint `key`, if present.
+    pub(crate) fn get_by_key(&self, key: u64) -> Option<&StoredRun> {
         self.entries.get(&key)
     }
 
@@ -143,6 +206,12 @@ impl CampaignCache {
     /// and the log holds each key once. A panicked run is not stored, so
     /// the next campaign runs it again.
     pub fn insert(&mut self, spec: &RunSpec, run: CachedRun) {
+        self.insert_stored(spec, StoredRun::encode(&run));
+    }
+
+    /// [`insert`](CampaignCache::insert) for a run whose counters are
+    /// already encoded.
+    pub(crate) fn insert_stored(&mut self, spec: &RunSpec, run: StoredRun) {
         if run.result.outcome == RunOutcome::Panicked {
             return;
         }
@@ -154,15 +223,17 @@ impl CampaignCache {
     }
 
     /// Loads a cache file and remembers it as this cache's file; a
-    /// missing file is an empty cache.
+    /// missing file is an empty cache. The file is read a line at a time,
+    /// so loading holds the entries and one line, not the whole file.
     ///
     /// # Errors
     ///
     /// Fails on unreadable files and on any malformed line but a torn
     /// last one, with a [`CacheError`] naming the line.
     pub fn load(path: &str) -> Result<CampaignCache, NonFifoError> {
-        let mut cache = match std::fs::read(path) {
-            Ok(bytes) => CampaignCache::parse_log(&bytes)
+        let mut cache = match File::open(path) {
+            Ok(file) => CampaignCache::parse_log(BufReader::with_capacity(1 << 16, file))
+                .map_err(|e| NonFifoError::io(path, &e))?
                 .map_err(|e| NonFifoError::Usage(format!("{path}: {e}")))?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => CampaignCache::new(),
             Err(e) => return Err(NonFifoError::io(path, &e)),
@@ -171,65 +242,87 @@ impl CampaignCache {
         Ok(cache)
     }
 
-    /// Parses a cache log. A final segment with no newline is a torn
+    /// Parses a cache log: the outer error is a failed read, the inner one
+    /// the first malformed line. A final segment with no newline is a torn
     /// append: it is dropped, and so is nothing else.
-    fn parse_log(bytes: &[u8]) -> Result<CampaignCache, CacheError> {
-        const DELETE: &str = "(delete the file: it holds deterministic runs, which the next \
-                              campaign recomputes)";
-        if let Some(rest) = bytes.strip_prefix(b"{\"schema_version\":") {
-            let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
-            let version = String::from_utf8_lossy(&rest[..digits]);
-            return Err(CacheError::at(
-                1,
-                format!(
-                    "a schema_version {version} whole-document cache; this build reads \
-                     run-line logs only {DELETE}"
-                ),
-            ));
-        }
+    fn parse_log(mut log: impl BufRead) -> std::io::Result<Result<CampaignCache, CacheError>> {
         let mut cache = CampaignCache::new();
-        for (i, line) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
+        let mut line = Vec::new();
+        let mut scratch = String::new();
+        for n in 1.. {
+            line.clear();
+            if log.read_until(b'\n', &mut line)? == 0 {
+                break;
+            }
+            if let Some(rest) = line
+                .strip_prefix(b"{\"schema_version\":")
+                .filter(|_| n == 1)
+            {
+                let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+                let version = String::from_utf8_lossy(&rest[..digits]);
+                return Ok(Err(CacheError::at(
+                    1,
+                    format!(
+                        "a schema_version {version} whole-document cache; this build reads \
+                         run-line logs only {DELETE}"
+                    ),
+                )));
+            }
             let Some(text) = line.strip_suffix(b"\n") else {
                 cache.torn = true;
                 break;
             };
-            let n = i + 1;
-            let text =
-                std::str::from_utf8(text).map_err(|_| CacheError::at(n, "line is not UTF-8"))?;
-            let fields = LineFields::read(text).map_err(|e| CacheError::at(n, e.to_string()))?;
-            if let Some(v) = fields.version() {
-                if v < WIRE_SCHEMA_VERSION {
-                    return Err(CacheError::at(
-                        n,
-                        format!(
-                            "a wire schema_version {v} run line; this build reads version \
-                             {WIRE_SCHEMA_VERSION} {DELETE}"
-                        ),
-                    ));
-                }
-            }
-            match fields.into_message() {
-                Ok(WireMsg::Run {
-                    spec_fingerprint,
-                    run,
-                    ..
-                }) => match cache.entries.entry(spec_fingerprint) {
-                    Entry::Vacant(slot) => {
-                        slot.insert(run);
-                    }
-                    Entry::Occupied(_) => cache.compact = true,
-                },
-                Ok(other) => {
-                    return Err(CacheError::at(
-                        n,
-                        format!("expected a run line, found a {:?} line", other.kind()),
-                    ))
-                }
-                Err(e) => return Err(CacheError::at(n, e.message)),
+            if let Err(e) = cache.load_line(n, text, &mut scratch) {
+                return Ok(Err(e));
             }
             cache.logged += line.len() as u64;
         }
-        Ok(cache)
+        Ok(Ok(cache))
+    }
+
+    /// Decodes and judges line `n` of a log, and stores its run unless its
+    /// key is already stored. The entry keeps the canonical encoding of
+    /// the counters the line held (written through `scratch`), so a padded
+    /// or reordered line compacts to the bytes a fresh run's line has.
+    fn load_line(&mut self, n: usize, text: &[u8], scratch: &mut String) -> Result<(), CacheError> {
+        let text = std::str::from_utf8(text).map_err(|_| CacheError::at(n, "line is not UTF-8"))?;
+        let fields = LineFields::read(text).map_err(|e| CacheError::at(n, e.to_string()))?;
+        if let Some(v) = fields.version() {
+            if v < WIRE_SCHEMA_VERSION {
+                return Err(CacheError::at(
+                    n,
+                    format!(
+                        "a wire schema_version {v} run line; this build reads version \
+                         {WIRE_SCHEMA_VERSION} {DELETE}"
+                    ),
+                ));
+            }
+        }
+        match fields.into_message() {
+            Ok(WireMsg::Run {
+                spec_fingerprint,
+                run,
+                ..
+            }) => match self.entries.entry(spec_fingerprint) {
+                Entry::Vacant(slot) => {
+                    scratch.clear();
+                    run.metrics.write_json(scratch);
+                    slot.insert(StoredRun {
+                        result: run.result,
+                        counters: scratch.as_str().into(),
+                    });
+                }
+                Entry::Occupied(_) => self.compact = true,
+            },
+            Ok(other) => {
+                return Err(CacheError::at(
+                    n,
+                    format!("expected a run line, found a {:?} line", other.kind()),
+                ))
+            }
+            Err(e) => return Err(CacheError::at(n, e.message)),
+        }
+        Ok(())
     }
 
     /// Persists the cache to `path`. Saving to the file the cache was
@@ -256,7 +349,8 @@ impl CampaignCache {
             let first = (self.entries.len() - self.pending.len()) as u64;
             let mut lines = String::new();
             for (index, key) in (first..).zip(&self.pending) {
-                write_run_line(&mut lines, index, *key, &self.entries[key]);
+                let run = &self.entries[key];
+                write_stored_run_line(&mut lines, index, *key, &run.result, &run.counters);
             }
             // Write over any torn tail, then cut the file at the new end:
             // cutting first could empty the file, and ext4 flushes a file
@@ -293,7 +387,7 @@ impl CampaignCache {
         let mut written = 0;
         let mut lines = String::new();
         for (index, (key, run)) in self.entries.iter().enumerate() {
-            write_run_line(&mut lines, index as u64, *key, run);
+            write_stored_run_line(&mut lines, index as u64, *key, &run.result, &run.counters);
             if lines.len() >= 1 << 16 {
                 out.write_all(lines.as_bytes())?;
                 written += lines.len() as u64;
@@ -339,18 +433,13 @@ impl SharedCache {
         Ok(SharedCache::from_cache(CampaignCache::load(path)?))
     }
 
-    /// A copy of the cached result for `spec`, taken under the read lock.
+    /// The cached result for `spec`, decoded under the read lock.
     pub fn get(&self, spec: &RunSpec) -> Option<CachedRun> {
-        self.inner
-            .read()
-            .expect("cache lock poisoned")
-            .get(spec)
-            .cloned()
+        self.inner.read().expect("cache lock poisoned").get(spec)
     }
 
     /// [`PlanExpansion::partition_cached`] under one read-lock
-    /// acquisition: the hits' counters are folded where the cache holds
-    /// them.
+    /// acquisition: each hit's counters are decoded and folded in turn.
     pub fn partition_cached(&self, expansion: &PlanExpansion) -> (RunPart, Vec<usize>) {
         expansion.partition_cached(&self.inner.read().expect("cache lock poisoned"))
     }
@@ -365,23 +454,30 @@ impl SharedCache {
         self.len() == 0
     }
 
+    /// The bytes the entries hold (see [`CampaignCache::bytes`]).
+    pub fn bytes(&self) -> usize {
+        self.inner.read().expect("cache lock poisoned").bytes()
+    }
+
     /// Stores a batch of fresh runs and, given `save_to`, saves the
     /// cache there, all under one write-lock acquisition: concurrent
     /// campaigns append whole batches in turn, never interleaved lines.
+    /// Returns the bytes the entries hold after the batch.
     ///
     /// # Errors
     ///
     /// Fails if the file cannot be written; the runs stay inserted.
-    pub fn insert_all<'a>(
+    pub(crate) fn insert_all<'a>(
         &self,
-        runs: impl IntoIterator<Item = (&'a RunSpec, CachedRun)>,
+        runs: impl IntoIterator<Item = (&'a RunSpec, StoredRun)>,
         save_to: Option<&str>,
-    ) -> Result<(), NonFifoError> {
+    ) -> Result<usize, NonFifoError> {
         let mut cache = self.inner.write().expect("cache lock poisoned");
         for (spec, run) in runs {
-            cache.insert(spec, run);
+            cache.insert_stored(spec, run);
         }
-        save_to.map_or(Ok(()), |path| cache.save(path))
+        save_to.map_or(Ok(()), |path| cache.save(path))?;
+        Ok(cache.bytes())
     }
 
     /// Saves the cache file (see [`CampaignCache::save`]).
@@ -399,8 +495,9 @@ mod tests {
     use super::*;
     use crate::runner::CampaignRunner;
     use crate::spec::ScenarioSpec;
+    use crate::wire::write_run_line;
     use nonfifo_channel::Discipline;
-    use nonfifo_telemetry::JsonReader;
+    use nonfifo_telemetry::Json;
     use std::collections::BTreeSet;
 
     fn abp(seeds: std::ops::Range<u64>) -> Vec<RunSpec> {
@@ -451,7 +548,7 @@ mod tests {
             .zip(&cache.entries)
             .map(|(index, (key, run))| {
                 let mut line = String::new();
-                write_run_line(&mut line, index, *key, run);
+                write_stored_run_line(&mut line, index, *key, &run.result, &run.counters);
                 line
             })
             .collect()
@@ -520,7 +617,9 @@ mod tests {
             (v2_line.as_str(), 1, "wire schema_version 2 run line"),
             (v2_line.as_str(), 1, "delete the file"),
         ] {
-            let err = CampaignCache::parse_log(text.as_bytes()).unwrap_err();
+            let err = CampaignCache::parse_log(text.as_bytes())
+                .unwrap()
+                .unwrap_err();
             assert_eq!(err.line, line, "{text}: {err}");
             assert!(err.message.contains(needle), "{text}: {err}");
             assert!(err.to_string().contains(&format!("line {line}")), "{err}");
@@ -530,17 +629,104 @@ mod tests {
     #[test]
     fn cached_run_value_round_trips() {
         let (_, cache) = populated();
-        for run in cache.entries.values() {
-            let mut text = String::new();
-            run.write_json(&mut text);
-            let mut reader = JsonReader::new(&text);
-            let back = CachedRun::read_json(&mut reader).unwrap().unwrap();
-            reader.finish().unwrap();
-            assert_eq!(&back, run);
+        for (index, (line, stored)) in log_lines(&cache)
+            .iter()
+            .zip(cache.entries.values())
+            .enumerate()
+        {
+            let WireMsg::Run {
+                spec_fingerprint,
+                run,
+                ..
+            } = WireMsg::parse_line(line).unwrap()
+            else {
+                panic!("not a run line: {line}");
+            };
+            assert_eq!(run, stored.decode());
+            assert_eq!(&StoredRun::encode(&run), stored);
             let mut again = String::new();
-            back.write_json(&mut again);
-            assert_eq!(again, text, "re-encoding is byte-stable");
+            let counters = write_run_line(&mut again, index as u64, spec_fingerprint, &run);
+            assert_eq!(&again[counters], &*stored.counters, "the line's counters");
+            assert_eq!(again, *line, "re-encoding is byte-stable");
         }
+    }
+
+    /// A JSON value with every object's fields reversed, its first key
+    /// repeated with a junk value (the first of repeated keys wins), and
+    /// an unknown nested field appended.
+    fn shuffled(doc: &Json) -> Json {
+        match doc {
+            Json::Obj(fields) => {
+                let mut out: Vec<(String, Json)> = fields
+                    .iter()
+                    .rev()
+                    .map(|(k, v)| (k.clone(), shuffled(v)))
+                    .collect();
+                if let Some((first, _)) = fields.first() {
+                    out.push((first.clone(), Json::Str("junk".to_string())));
+                }
+                let unknown = Json::Arr(vec![Json::Float(2.5), Json::Int(-3), Json::Null]);
+                out.push((
+                    "zz_unknown".to_string(),
+                    Json::Obj(vec![("deep".to_string(), unknown)]),
+                ));
+                Json::Obj(out)
+            }
+            Json::Arr(items) => Json::Arr(items.iter().map(shuffled).collect()),
+            other => other.clone(),
+        }
+    }
+
+    /// A log of padded lines with reordered and repeated fields loads the
+    /// runs a canonical log holds, and compacts to the canonical bytes.
+    #[test]
+    fn non_canonical_lines_load_and_compact_canonically() {
+        let mut runs = abp(0..2);
+        runs.extend(
+            ScenarioSpec::new("t")
+                .protocol("seqnum")
+                .protocol("window4")
+                .discipline(Discipline::BoundedReorder { bound: 4 })
+                .message_counts(&[6])
+                .seeds(0..2)
+                .expand(),
+        );
+        let fresh: BTreeMap<u64, (&RunSpec, CachedRun)> = runs
+            .iter()
+            .map(|spec| {
+                (
+                    spec.fingerprint(),
+                    (spec, CampaignRunner::run_one(spec).unwrap()),
+                )
+            })
+            .collect();
+        let mut log = String::new();
+        let mut canonical = String::new();
+        for (index, (key, (_, run))) in (0..).zip(&fresh) {
+            let mut line = String::new();
+            write_run_line(&mut line, index, *key, run);
+            canonical.push_str(&line);
+            let padded = shuffled(&Json::parse(line.trim()).unwrap())
+                .to_string()
+                .replace(',', " ,\t")
+                .replace(':', "\t: ")
+                .replace('[', "[ ");
+            assert_ne!(padded, line.trim());
+            log.push_str(&padded);
+            log.push('\n');
+        }
+        let path = temp_path("padded");
+        let copy = temp_path("padded-copy");
+        std::fs::write(&path, &log).unwrap();
+        let mut cache = CampaignCache::load(&path).unwrap();
+        for (spec, run) in fresh.values() {
+            assert_eq!(cache.get(spec).as_ref(), Some(run), "{spec:?}");
+        }
+        cache.save(&copy).unwrap();
+        let compacted = std::fs::read_to_string(&copy).unwrap();
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&copy).ok();
+        assert_eq!(compacted, canonical);
     }
 
     /// An unknown field nested 100,000 levels deep is refused at the
@@ -555,7 +741,9 @@ mod tests {
             "]".repeat(100_000)
         );
         let text = format!("{}{deep}{}", log[0], log[1]);
-        let err = CampaignCache::parse_log(text.as_bytes()).unwrap_err();
+        let err = CampaignCache::parse_log(text.as_bytes())
+            .unwrap()
+            .unwrap_err();
         assert_eq!(err.line, 2, "{err}");
         assert!(
             err.message.contains("nesting deeper than 128 levels"),
@@ -648,7 +836,7 @@ mod tests {
         let ends: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] == b'\n').collect();
         for cut in 0..=bytes.len() {
             let complete = ends.iter().filter(|&&end| end < cut).count();
-            let loaded = CampaignCache::parse_log(&bytes[..cut]).unwrap();
+            let loaded = CampaignCache::parse_log(&bytes[..cut]).unwrap().unwrap();
             let got: Vec<u64> = loaded.entries.keys().copied().collect();
             let mut want = keys[..complete].to_vec();
             want.sort_unstable();
@@ -696,8 +884,11 @@ mod tests {
             .message_counts(&[3])
             .expand();
         let run = CampaignRunner::run_one(&extra[0]).unwrap();
-        shared.insert_all([(&extra[0], run.clone())], None).unwrap();
+        let stored = StoredRun::encode(&run);
+        let bytes = shared.bytes() + stored.bytes();
+        let held = shared.insert_all([(&extra[0], stored)], None).unwrap();
         assert_eq!(clone.get(&extra[0]), Some(run));
         assert_eq!(clone.len(), runs.len() + 1);
+        assert_eq!((held, clone.bytes()), (bytes, bytes));
     }
 }

@@ -25,7 +25,8 @@
 //! [`CampaignCache`] is consulted before the pool spins up, and cached
 //! records are indistinguishable from fresh ones in every report artifact.
 //! A run's counters live only while the run is streamed, folded or
-//! inserted into a cache. Each worker folds the counters of every run it
+//! encoded for a cache, which keeps them as text; a cache hit's are
+//! decoded only to be folded. Each worker folds the counters of every run it
 //! finishes into its own total ([`CountersFold`]) and keeps only the
 //! run's row; the merge sums the workers' totals and the cache hits'.
 //! Every slot of that fold is an integer sum, maximum or minimum, so the
@@ -36,7 +37,7 @@
 //! around that one run and recorded as [`RunOutcome::Panicked`], a failure
 //! that the cache never stores.
 
-use crate::cache::{CachedRun, CampaignCache};
+use crate::cache::{CachedRun, CampaignCache, StoredRun};
 use crate::plan::CampaignPlan;
 use crate::spec::RunSpec;
 use nonfifo_adversary::ChunkCursor;
@@ -233,16 +234,17 @@ impl PlanExpansion {
     }
 
     /// Splits the cache-consulting pre-pass out of the execute stage:
-    /// returns the part `cache` answers (its rows, whose counters are
-    /// folded by reference) and the indices still to run, both in input
-    /// order. [`merge_reports`] marks the part's rows `cached`.
+    /// returns the part `cache` answers (its rows, and its counters, each
+    /// hit's decoded from the entry's text and folded in turn) and the
+    /// indices still to run, both in input order. [`merge_reports`] marks
+    /// the part's rows `cached`.
     pub fn partition_cached(&self, cache: &CampaignCache) -> (RunPart, Vec<usize>) {
         let mut hits = RunPart::default();
         let mut misses = Vec::new();
         for (index, spec) in self.runs.iter().enumerate() {
             let spec_fingerprint = spec.fingerprint();
             match cache.get_by_key(spec_fingerprint) {
-                Some(run) => hits.push(index, spec_fingerprint, run),
+                Some(run) => hits.push(index, spec_fingerprint, run.result, &run.counters()),
                 None => misses.push(index),
             }
         }
@@ -298,12 +300,18 @@ pub struct RunPart {
 
 impl RunPart {
     /// Adds one run: its row, and its counters to the fold.
-    fn push(&mut self, index: usize, spec_fingerprint: u64, run: &CachedRun) {
-        self.counters.add(&run.metrics);
+    fn push(
+        &mut self,
+        index: usize,
+        spec_fingerprint: u64,
+        result: RunResult,
+        counters: &RunCounters,
+    ) {
+        self.counters.add(counters);
         self.rows.push(IndexedRow {
             index,
             spec_fingerprint,
-            result: run.result,
+            result,
         });
     }
 }
@@ -477,10 +485,12 @@ impl CampaignRunner {
         let expansion = PlanExpansion::new(runs.to_vec())?;
         let (hits, to_run) = expansion.partition_cached(cache);
         let fresh = FreshRuns::default();
-        let (part, _) = self.execute_streaming(&expansion, &to_run, &|run| fresh.keep(run));
+        let (part, _) = self.execute_streaming(&expansion, &to_run, &|record| {
+            fresh.keep(record.index, StoredRun::encode(&record.run))
+        });
         let report = merge_reports(&expansion, vec![hits], vec![part])?;
         for (index, run) in fresh.in_input_order() {
-            cache.insert(&expansion.runs()[index], run);
+            cache.insert_stored(&expansion.runs()[index], run);
         }
         Ok(report)
     }
@@ -540,7 +550,8 @@ impl CampaignRunner {
                         run: execute_caught(&runs[index]),
                     };
                     on_record(&record);
-                    mine.push(index, record.spec_fingerprint, &record.run);
+                    let run = &record.run;
+                    mine.push(index, record.spec_fingerprint, run.result, &run.metrics);
                 }
             }
             (mine, started.elapsed())
@@ -568,23 +579,24 @@ impl CampaignRunner {
     }
 }
 
-/// The fresh runs of a campaign that inserts them into a cache, kept with
-/// their counters from the worker threads until the merge has checked
-/// them. Panicked runs are not kept: the cache never stores them.
+/// The fresh runs of a campaign that inserts them into a cache, kept as
+/// cache entries (counters as text) from the worker threads until the
+/// merge has checked them. Panicked runs are not kept: the cache never
+/// stores them.
 #[derive(Default)]
-pub(crate) struct FreshRuns(Mutex<Vec<(usize, CachedRun)>>);
+pub(crate) struct FreshRuns(Mutex<Vec<(usize, StoredRun)>>);
 
 impl FreshRuns {
-    /// Keeps a copy of `record`'s run, unless it panicked.
-    pub(crate) fn keep(&self, record: &IndexedRun) {
-        if record.run.result.outcome != RunOutcome::Panicked {
+    /// Keeps the run at expansion index `index`, unless it panicked.
+    pub(crate) fn keep(&self, index: usize, run: StoredRun) {
+        if run.result.outcome != RunOutcome::Panicked {
             let mut kept = self.0.lock().expect("fresh runs poisoned");
-            kept.push((record.index, record.run.clone()));
+            kept.push((index, run));
         }
     }
 
     /// The kept runs, sorted by expansion index.
-    pub(crate) fn in_input_order(self) -> Vec<(usize, CachedRun)> {
+    pub(crate) fn in_input_order(self) -> Vec<(usize, StoredRun)> {
         let mut kept = self.0.into_inner().expect("fresh runs poisoned");
         kept.sort_unstable_by_key(|&(index, _)| index);
         kept

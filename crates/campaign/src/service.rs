@@ -30,19 +30,21 @@
 //!
 //! One [`SharedCache`] (an `RwLock`ed [`CampaignCache`](crate::CampaignCache))
 //! serves every connection: concurrent campaigns replay hits under the
-//! read lock, folding the hits' counters where the cache holds them, and
-//! each campaign's fresh runs land, and are appended to the cache file in
-//! input order, under one write-lock acquisition. A warm replay differs
+//! read lock, decoding each hit's counters from the entry's text and
+//! folding them, and each campaign's fresh runs land, and are appended to
+//! the cache file in input order, under one write-lock acquisition. A
+//! fresh run's entry keeps the `counters` text of the line its worker
+//! streamed, so the append encodes nothing again. A warm replay differs
 //! from the cold run only in the `campaign.cache_hits` counter.
 
-use crate::cache::SharedCache;
+use crate::cache::{SharedCache, StoredRun};
 use crate::plan::CampaignPlan;
 use crate::runner::{merge_reports, CampaignRunner, FreshRuns, IndexedRun, PlanExpansion};
 use crate::wire::{write_run_line, WireMsg};
 use nonfifo_core::NonFifoError;
 use nonfifo_telemetry::Registry;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -52,6 +54,12 @@ use std::time::{Duration, Instant};
 /// from the client's `Content-Length`, so without a cap one request could
 /// make the daemon allocate whatever a client claims.
 const MAX_BODY_BYTES: usize = 16 << 20;
+
+/// The largest request head (request line and headers) the daemon reads:
+/// 16 KiB, far above what any client here sends. Lines are read until
+/// their newline, so without a cap one request with no newline would grow
+/// a line buffer by whatever a client sends.
+const MAX_HEAD_BYTES: u64 = 16 << 10;
 
 /// The most worker threads one campaign or exploration may ask for: 64,
 /// well above any core count this runs on. A campaign spawns one thread
@@ -102,7 +110,9 @@ impl CampaignService {
     /// Fails if the cache file exists but cannot be read or parsed.
     ///
     /// The registry records what the start cost: `service.cache_load_ms`
-    /// (a value) and `service.cache_entries` (a gauge).
+    /// (a value), and `service.cache_entries` and `service.cache_bytes`
+    /// (gauges; the bytes the entries hold, which each campaign's insert
+    /// updates).
     pub fn new(cfg: ServiceConfig) -> Result<CampaignService, NonFifoError> {
         let started = Instant::now();
         let cache = match &cfg.cache_path {
@@ -117,6 +127,9 @@ impl CampaignService {
         registry
             .gauge("service.cache_entries")
             .set(cache.len() as u64);
+        registry
+            .gauge("service.cache_bytes")
+            .set(cache.bytes() as u64);
         Ok(CampaignService {
             cfg,
             cache,
@@ -193,16 +206,21 @@ impl CampaignService {
         let sink: Sink<'_> = Mutex::new(sink);
         let fresh = FreshRuns::default();
         let (part, busy) = runner.execute_streaming(expansion, &misses, &|record: &IndexedRun| {
-            // Rendered from the borrow on the worker's own thread.
+            // Rendered from the borrow on the worker's own thread; the
+            // cache keeps the line's counters text, not a second encoding.
             let mut line = String::new();
-            write_run_line(
+            let counters = write_run_line(
                 &mut line,
                 record.index as u64,
                 record.spec_fingerprint,
                 &record.run,
             );
             emit(&sink, &line);
-            fresh.keep(record);
+            let run = StoredRun {
+                result: record.run.result,
+                counters: line[counters].into(),
+            };
+            fresh.keep(record.index, run);
         });
         self.registry
             .gauge("service.shard_imbalance")
@@ -215,13 +233,16 @@ impl CampaignService {
         let cache_hits = hits.rows.len();
         let executed = expansion.len() - cache_hits;
         let report = merge_reports(expansion, vec![hits], vec![part])?;
-        self.cache.insert_all(
+        let cache_bytes = self.cache.insert_all(
             fresh
                 .in_input_order()
                 .into_iter()
                 .map(|(index, run)| (&expansion.runs()[index], run)),
             self.cfg.cache_path.as_deref(),
         )?;
+        self.registry
+            .gauge("service.cache_bytes")
+            .set(cache_bytes as u64);
 
         self.registry.counter("service.campaigns_total").inc();
         self.registry
@@ -283,31 +304,58 @@ impl CampaignService {
         let mut reader = BufReader::new(read_half);
         let mut writer = BufWriter::new(stream);
 
+        let mut head = (&mut reader).take(MAX_HEAD_BYTES);
         let mut request_line = String::new();
-        if reader.read_line(&mut request_line).is_err() {
+        if head.read_line(&mut request_line).is_err() {
             return;
         }
-        let mut head = request_line.split_whitespace();
-        let method = head.next().unwrap_or("").to_string();
-        let path = head.next().unwrap_or("").to_string();
+        let mut words = request_line.split_whitespace();
+        let method = words.next().unwrap_or("").to_string();
+        let path = words.next().unwrap_or("").to_string();
         let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-            let line = line.trim();
-            if line.is_empty() {
+        // A line that ends short of its newline ends the head: at the
+        // client's EOF, or at the cap.
+        let mut whole = request_line.ends_with('\n');
+        let mut line = String::new();
+        while whole {
+            line.clear();
+            if head.read_line(&mut line).is_err() {
                 break;
             }
-            if let Some((key, value)) = line.split_once(':') {
+            whole = line.ends_with('\n');
+            let field = line.trim();
+            if field.is_empty() {
+                break;
+            }
+            if let Some((key, value)) = field.split_once(':') {
                 if key.eq_ignore_ascii_case("content-length") {
                     content_length = value.trim().parse().unwrap_or(0);
                 }
             }
         }
+        let over_cap = !whole && head.limit() == 0;
         self.registry.counter("service.requests_total").inc();
+        if over_cap {
+            respond(
+                &mut writer,
+                "431 Request Header Fields Too Large",
+                "text/plain",
+                &format!("request head exceeds the {MAX_HEAD_BYTES}-byte limit\n"),
+            );
+            // Closing with unread bytes would reset the connection, which
+            // can discard the answer before the client reads it. So read
+            // and drop what the client still sends, through a fixed
+            // buffer, up to the body cap or a second's silence.
+            let _ = writer.get_ref().shutdown(Shutdown::Write);
+            let _ = reader
+                .get_ref()
+                .set_read_timeout(Some(Duration::from_secs(1)));
+            let _ = std::io::copy(
+                &mut reader.take(MAX_BODY_BYTES as u64),
+                &mut std::io::sink(),
+            );
+            return;
+        }
 
         match (method.as_str(), path.as_str()) {
             ("GET", "/healthz") => respond(&mut writer, "200 OK", "text/plain", "ok\n"),
@@ -661,7 +709,7 @@ seeds 0..3
         let reloaded = CampaignCache::load(&path).unwrap();
         assert_eq!(reloaded.len(), service.cache().len());
         for spec in &union {
-            assert_eq!(reloaded.get(spec).cloned(), service.cache().get(spec));
+            assert_eq!(reloaded.get(spec), service.cache().get(spec));
         }
 
         let (_, report) = collect(&service, 4);

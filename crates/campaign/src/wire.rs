@@ -24,7 +24,9 @@
 //!
 //! Run lines have one text codec and no `Json` tree: a line is written
 //! field by field straight into a `String` (`write_run_line`, which the
-//! cache and the daemon's stream render from a borrowed run), and read
+//! daemon's stream renders from a borrowed run and whose `counters` text
+//! the cache keeps, and `write_stored_run_line`, which the cache's log
+//! renders from that text), and read
 //! field by field off a [`JsonReader`], [`RunCounters::read_json`] taking
 //! the `counters` object. Fields may come in any order, the first of
 //! repeated keys wins, unknown fields are skipped but validated, counts
@@ -41,6 +43,7 @@ use nonfifo_telemetry::{
 };
 use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 
 /// Version of the wire encoding this build speaks.
 /// Version 3 drops the `metrics` line's `shard` field, which was always 0.
@@ -199,18 +202,67 @@ impl WireMsg {
 }
 
 /// Appends the `run` line for `run` at `index` to `out`, encoded from a
-/// borrow: how the cache writes its log and the daemon its stream without
-/// cloning each run into a [`WireMsg`]. Byte-identical to the
-/// [`WireMsg::Run`] line with the same fields.
-pub(crate) fn write_run_line(out: &mut String, index: u64, spec_fingerprint: u64, run: &CachedRun) {
+/// borrow: how the daemon writes its stream without cloning each run into
+/// a [`WireMsg`]. Byte-identical to the [`WireMsg::Run`] line with the
+/// same fields. Returns where the line's `counters` object sits in `out`:
+/// the text a cache entry keeps.
+pub(crate) fn write_run_line(
+    out: &mut String,
+    index: u64,
+    spec_fingerprint: u64,
+    run: &CachedRun,
+) -> Range<usize> {
+    write_run_line_with(out, index, spec_fingerprint, &run.result, |out| {
+        run.metrics.write_json(out)
+    })
+}
+
+/// [`write_run_line`] for a run whose counters are already the text
+/// [`RunCounters::write_json`] writes: how the cache writes its log
+/// from its entries.
+pub(crate) fn write_stored_run_line(
+    out: &mut String,
+    index: u64,
+    spec_fingerprint: u64,
+    result: &RunResult,
+    counters: &str,
+) {
+    write_run_line_with(out, index, spec_fingerprint, result, |out| {
+        out.push_str(counters)
+    });
+}
+
+/// The one `run` line layout; `counters` appends the counters object.
+/// Returns where that object sits in `out`.
+fn write_run_line_with(
+    out: &mut String,
+    index: u64,
+    spec_fingerprint: u64,
+    r: &RunResult,
+    counters: impl FnOnce(&mut String),
+) -> Range<usize> {
     write_head(out, "run");
     out.push_str(",\"index\":");
     write_u64(out, index);
     out.push_str(",\"spec\":");
     write_u64(out, spec_fingerprint);
-    out.push_str(",\"run\":");
-    run.write_json(out);
-    out.push_str("}\n");
+    out.push_str(",\"run\":{\"outcome\":");
+    write_string(out, r.outcome.as_str());
+    for (key, n) in [
+        (",\"fingerprint\":", r.fingerprint),
+        (",\"steps\":", r.steps),
+        (",\"fwd_sends\":", r.fwd_sends),
+        (",\"delivered\":", r.delivered),
+    ] {
+        out.push_str(key);
+        write_u64(out, n);
+    }
+    out.push_str(",\"counters\":");
+    let start = out.len();
+    counters(out);
+    let end = out.len();
+    out.push_str("}}\n");
+    start..end
 }
 
 /// The `v` and `type` fields every message starts with.
@@ -345,26 +397,7 @@ impl<'a> LineFields<'a> {
 }
 
 impl CachedRun {
-    /// Appends the run as the object a `run` line carries.
-    pub(crate) fn write_json(&self, out: &mut String) {
-        out.push_str("{\"outcome\":");
-        let r = &self.result;
-        write_string(out, r.outcome.as_str());
-        for (key, n) in [
-            (",\"fingerprint\":", r.fingerprint),
-            (",\"steps\":", r.steps),
-            (",\"fwd_sends\":", r.fwd_sends),
-            (",\"delivered\":", r.delivered),
-        ] {
-            out.push_str(key);
-            write_u64(out, n);
-        }
-        out.push_str(",\"counters\":");
-        self.metrics.write_json(out);
-        out.push('}');
-    }
-
-    /// Reads a [`write_json`](CachedRun::write_json) object. The outer
+    /// Reads the object a `run` line carries as its `run`. The outer
     /// error is a syntax error; the inner one is the first failing check,
     /// in the order: `outcome`, `counters` (missing, or rejected by
     /// [`RunCounters::read_json`]), then `fingerprint`, `steps`,

@@ -263,12 +263,22 @@ fn start_up_load(snapshot: &Json) -> (Option<f64>, Option<u64>) {
         .get("values")
         .and_then(|v| v.get("service.cache_load_ms"))
         .and_then(Json::as_f64);
-    let entries = snapshot
+    (load_ms, gauge(snapshot, "service.cache_entries"))
+}
+
+/// A gauge's value from a daemon's `GET /metrics` snapshot.
+fn gauge(snapshot: &Json, name: &str) -> Option<u64> {
+    snapshot
         .get("gauges")
-        .and_then(|g| g.get("service.cache_entries"))
+        .and_then(|g| g.get(name))
         .and_then(|g| g.get("value"))
-        .and_then(Json::as_u64);
-    (load_ms, entries)
+        .and_then(Json::as_u64)
+}
+
+/// The daemon's `service.cache_bytes` gauge.
+fn cache_bytes(addr: &str) -> Option<u64> {
+    let (_, metrics) = http(addr, "GET", "/metrics", "");
+    gauge(&Json::parse(metrics.trim()).unwrap(), "service.cache_bytes")
 }
 
 #[test]
@@ -291,6 +301,29 @@ fn oversized_bodies_get_a_413_and_the_daemon_keeps_serving() {
         panic!("413 body is an error message: {body}");
     };
     assert!(message.contains("1099511627776"), "{message}");
+
+    let (head, body) = http(&addr, "GET", "/healthz", "");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert_eq!(body, "ok\n");
+    shut_down(daemon, &addr);
+}
+
+/// A request head with no newline is read only up to the 16 KiB head cap:
+/// the client gets a `431`, and the daemon goes on answering.
+#[test]
+fn oversized_request_heads_get_a_431_and_the_daemon_keeps_serving() {
+    let (daemon, addr) = spawn_daemon(&[]);
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream.write_all(&vec![b'A'; 1 << 20]).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let (head, body) = response.split_once("\r\n\r\n").expect("a header block");
+    assert!(
+        head.starts_with("HTTP/1.1 431 Request Header Fields Too Large"),
+        "{head}"
+    );
+    assert!(body.contains("16384-byte limit"), "{body}");
 
     let (head, body) = http(&addr, "GET", "/healthz", "");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -386,7 +419,8 @@ fn temp_cache(name: &str) -> String {
 
 /// A daemon killed mid-append leaves a half-written last line. A new
 /// daemon on that file starts, replays every complete line, re-runs only
-/// the cut run, and streams the batch report.
+/// the cut run, and streams the batch report. The bytes its cache holds
+/// then are what a warm restart on the repaired file loads.
 #[test]
 fn a_daemon_restarts_on_a_torn_cache_and_reruns_only_the_cut_run() {
     let (render, aggregate) = batch_baseline();
@@ -433,6 +467,12 @@ fn a_daemon_restarts_on_a_torn_cache_and_reruns_only_the_cut_run() {
     assert_eq!(cache_hits as usize, total_runs() - 1);
     a.counters.insert("campaign.cache_hits".to_string(), 0);
     assert_eq!(a.to_json(), aggregate, "aggregates differ only in hits");
+    let held = cache_bytes(&addr);
+    assert!(held.is_some_and(|bytes| bytes > 0), "{held:?}");
+    shut_down(daemon, &addr);
+
+    let (daemon, addr) = spawn_daemon(&["--cache", &path]);
+    assert_eq!(cache_bytes(&addr), held, "a warm restart holds the same");
     shut_down(daemon, &addr);
 
     let repaired = std::fs::read_to_string(&path).unwrap();
