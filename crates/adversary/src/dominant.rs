@@ -16,7 +16,8 @@
 //! `send_msg`, the per-extension send histograms, and the dominant set —
 //! the raw data behind experiments E5 and E6 (Lemmas 5.2 and 5.3).
 
-use nonfifo_channel::{Channel, ChannelIntrospect, ProbabilisticChannel};
+use crate::system::fill_ghost;
+use nonfifo_channel::{Channel, ProbabilisticChannel};
 use nonfifo_ioa::{Dir, Event, Header, Message, SpecMonitor, SpecViolation};
 use nonfifo_protocols::{DataLink, GhostInfo};
 use std::collections::BTreeMap;
@@ -153,6 +154,7 @@ impl DominantTracker {
         let mut monitor = SpecMonitor::new();
         let mut per_message = Vec::new();
         let mut completed = true;
+        let mut ghost = GhostInfo::default();
 
         'messages: for message in 0..cfg.messages {
             // m_{i,j} snapshot at the send_msg.
@@ -173,9 +175,9 @@ impl DominantTracker {
                 steps += 1;
 
                 // Ghost summaries (AfekFlush needs the stale counts; the
-                // others ignore them, so skip the O(pool) sweep).
+                // others ignore them, so skip the O(pool) count).
                 if uses_ghosts {
-                    let ghost = ghost_info(&fwd, &bwd, round_watermark);
+                    fill_ghost(&mut ghost, &fwd, round_watermark);
                     tx.on_ghost(&ghost);
                     rx.on_ghost(&ghost);
                 }
@@ -314,26 +316,6 @@ fn header_histogram(fwd: &ProbabilisticChannel) -> BTreeMap<Header, u64> {
 
 fn delayed_watermark(fwd: &ProbabilisticChannel) -> nonfifo_ioa::CopyId {
     nonfifo_ioa::CopyId::from_raw(fwd.total_sent())
-}
-
-fn ghost_info(
-    fwd: &ProbabilisticChannel,
-    bwd: &ProbabilisticChannel,
-    watermark: nonfifo_ioa::CopyId,
-) -> GhostInfo {
-    let mut ghost = GhostInfo {
-        fwd_in_transit: fwd.in_transit_len() as u64,
-        bwd_in_transit: bwd.in_transit_len() as u64,
-        stale_fwd_by_header: Vec::new(),
-    };
-    for (pkt, _) in fwd.delayed_multiset().iter() {
-        let h = pkt.header();
-        if ghost.stale_fwd_by_header.iter().any(|&(g, _)| g == h) {
-            continue;
-        }
-        ghost.push_stale(h, fwd.header_copies_older_than(h, watermark) as u64);
-    }
-    ghost
 }
 
 #[cfg(test)]

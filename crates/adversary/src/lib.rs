@@ -94,7 +94,7 @@ pub use pf::{PfConfig, PfFalsifier, PfMessageCost};
 pub use por::{apply_step, steps_independent_at};
 pub use schedule::{Schedule, ScheduleError, ScheduleStep};
 pub use shrink::{shrink, ShrinkError, ShrinkOutcome};
-pub use system::{Disposition, System};
+pub use system::{fill_ghost, Disposition, System};
 pub use visited::{RamVisited, TieredVisited, VisitedSet, VisitedSpec, DEFAULT_MEMORY_BUDGET};
 pub use workpool::ChunkCursor;
 

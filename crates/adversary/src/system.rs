@@ -9,6 +9,20 @@ use nonfifo_protocols::{
     BoxedReceiver, BoxedTransmitter, DataLink, GhostInfo, Receiver, Transmitter,
 };
 
+/// Refills `ghost` with the stale count of `fwd`: the copies it holds that
+/// were minted before `watermark`, tallied by header in one pass. This is
+/// the one ghost oracle: the simulator, [`System::step`] and
+/// [`DominantTracker`](crate::DominantTracker) call it, for ghost-reading
+/// protocols only, so every engine hands the automata the same summary.
+pub fn fill_ghost<C: ChannelIntrospect + ?Sized>(
+    ghost: &mut GhostInfo,
+    fwd: &C,
+    watermark: CopyId,
+) {
+    ghost.stale_fwd_by_header.clear();
+    fwd.count_headers_older_than(watermark, &mut ghost.stale_fwd_by_header);
+}
+
 /// What the adversary does with a freshly sent forward packet during a
 /// [`System::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,9 +88,9 @@ pub struct System {
     peak_space: usize,
     partitioned: bool,
     /// Whether the protocol consumes [`GhostInfo`]; honest protocols don't,
-    /// and [`step`](System::step) skips the ghost sweep entirely for them.
+    /// and [`step`](System::step) skips the ghost count entirely for them.
     uses_ghosts: bool,
-    /// Reusable ghost summary so the per-step sweep never allocates.
+    /// Reusable ghost summary so the per-step count never allocates.
     ghost_scratch: GhostInfo,
 }
 
@@ -382,30 +396,6 @@ impl System {
         self.exec.push(event);
     }
 
-    /// Current ghost summary (pushed to the automata at each step).
-    pub fn ghost(&self) -> GhostInfo {
-        let mut ghost = GhostInfo::default();
-        self.fill_ghost(&mut ghost);
-        ghost
-    }
-
-    /// Refills `ghost` in place (clearing it first); the hot path in
-    /// [`step`](System::step) runs this over a scratch summary so the
-    /// per-step sweep touches no heap once the scratch has warmed up.
-    fn fill_ghost(&self, ghost: &mut GhostInfo) {
-        ghost.reset();
-        ghost.fwd_in_transit = self.fwd.in_transit_len() as u64;
-        ghost.bwd_in_transit = self.bwd.in_transit_len() as u64;
-        for (packet, _copy) in self.fwd.parked_multiset().iter() {
-            let h = packet.header();
-            if ghost.stale_fwd_by_header.iter().any(|&(g, _)| g == h) {
-                continue;
-            }
-            let n = self.fwd.header_copies_older_than(h, self.round_watermark) as u64;
-            ghost.push_stale(h, n);
-        }
-    }
-
     /// Runs one scheduler step:
     ///
     /// 1. push ghost summaries and tick both automata;
@@ -422,13 +412,9 @@ impl System {
         F: FnMut(Packet, CopyId, &mut AdversarialChannel) -> Disposition,
     {
         if self.uses_ghosts {
-            // Take the scratch out so the automata can borrow it while we
-            // stay mutably borrowed; its buffer survives round trips.
-            let mut ghost = std::mem::take(&mut self.ghost_scratch);
-            self.fill_ghost(&mut ghost);
-            self.tx.on_ghost(&ghost);
-            self.rx.on_ghost(&ghost);
-            self.ghost_scratch = ghost;
+            fill_ghost(&mut self.ghost_scratch, &self.fwd, self.round_watermark);
+            self.tx.on_ghost(&self.ghost_scratch);
+            self.rx.on_ghost(&self.ghost_scratch);
         }
         self.tx.on_tick();
         self.rx.on_tick();
@@ -696,7 +682,8 @@ mod tests {
         // Complete message 0 so we can start round 1.
         assert!(sys.run_to_quiescence(16));
         sys.send_msg();
-        let ghost = sys.ghost();
+        let mut ghost = GhostInfo::default();
+        fill_ghost(&mut ghost, &sys.fwd, sys.round_watermark);
         // The parked copies of bit 0 are stale relative to round 1.
         assert!(ghost.stale_fwd(Header::new(0)) >= 5);
         assert_eq!(ghost.stale_fwd(Header::new(1)), 0);

@@ -234,7 +234,10 @@ impl CampaignCache {
         let mut cache = match File::open(path) {
             Ok(file) => CampaignCache::parse_log(BufReader::with_capacity(1 << 16, file))
                 .map_err(|e| NonFifoError::io(path, &e))?
-                .map_err(|e| NonFifoError::Usage(format!("{path}: {e}")))?,
+                .map_err(|e| NonFifoError::Io {
+                    path: path.to_string(),
+                    message: e.to_string(),
+                })?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => CampaignCache::new(),
             Err(e) => return Err(NonFifoError::io(path, &e)),
         };
@@ -462,7 +465,7 @@ impl SharedCache {
     /// Stores a batch of fresh runs and, given `save_to`, saves the
     /// cache there, all under one write-lock acquisition: concurrent
     /// campaigns append whole batches in turn, never interleaved lines.
-    /// Returns the bytes the entries hold after the batch.
+    /// Returns the entries and the bytes they hold after the batch.
     ///
     /// # Errors
     ///
@@ -471,13 +474,13 @@ impl SharedCache {
         &self,
         runs: impl IntoIterator<Item = (&'a RunSpec, StoredRun)>,
         save_to: Option<&str>,
-    ) -> Result<usize, NonFifoError> {
+    ) -> Result<(usize, usize), NonFifoError> {
         let mut cache = self.inner.write().expect("cache lock poisoned");
         for (spec, run) in runs {
             cache.insert_stored(spec, run);
         }
         save_to.map_or(Ok(()), |path| cache.save(path))?;
-        Ok(cache.bytes())
+        Ok((cache.len(), cache.bytes()))
     }
 
     /// Saves the cache file (see [`CampaignCache::save`]).
@@ -888,7 +891,7 @@ mod tests {
         let bytes = shared.bytes() + stored.bytes();
         let held = shared.insert_all([(&extra[0], stored)], None).unwrap();
         assert_eq!(clone.get(&extra[0]), Some(run));
-        assert_eq!(clone.len(), runs.len() + 1);
-        assert_eq!((held, clone.bytes()), (bytes, bytes));
+        assert_eq!(held, (runs.len() + 1, bytes));
+        assert_eq!((clone.len(), clone.bytes()), held);
     }
 }

@@ -111,8 +111,8 @@ impl CampaignService {
     ///
     /// The registry records what the start cost: `service.cache_load_ms`
     /// (a value), and `service.cache_entries` and `service.cache_bytes`
-    /// (gauges; the bytes the entries hold, which each campaign's insert
-    /// updates).
+    /// (gauges: the entries and the bytes they hold, which each campaign's
+    /// insert updates).
     pub fn new(cfg: ServiceConfig) -> Result<CampaignService, NonFifoError> {
         let started = Instant::now();
         let cache = match &cfg.cache_path {
@@ -233,13 +233,16 @@ impl CampaignService {
         let cache_hits = hits.rows.len();
         let executed = expansion.len() - cache_hits;
         let report = merge_reports(expansion, vec![hits], vec![part])?;
-        let cache_bytes = self.cache.insert_all(
+        let (cache_entries, cache_bytes) = self.cache.insert_all(
             fresh
                 .in_input_order()
                 .into_iter()
                 .map(|(index, run)| (&expansion.runs()[index], run)),
             self.cfg.cache_path.as_deref(),
         )?;
+        self.registry
+            .gauge("service.cache_entries")
+            .set(cache_entries as u64);
         self.registry
             .gauge("service.cache_bytes")
             .set(cache_bytes as u64);

@@ -331,8 +331,8 @@ impl ChannelIntrospect for AdversarialChannel {
         self.parked.packet_copies(p)
     }
 
-    fn header_copies_older_than(&self, h: Header, watermark: CopyId) -> usize {
-        self.parked.header_copies_older_than(h, watermark)
+    fn count_headers_older_than(&self, watermark: CopyId, counts: &mut Vec<(Header, u64)>) {
+        self.parked.count_headers_older_than(watermark, counts);
     }
 
     fn transit_census(&self) -> Vec<(Packet, usize)> {

@@ -7,7 +7,7 @@
 //! the reorder bound is small enough relative to their header space —
 //! experiment E9 maps that crossover.
 
-use crate::channel::{census_from_iter, Channel, ChannelIntrospect, FaultObserver};
+use crate::channel::{census_from_iter, tally_headers, Channel, ChannelIntrospect, FaultObserver};
 use nonfifo_ioa::{CopyId, Dir, Header, Packet};
 use nonfifo_rng::StdRng;
 use std::collections::VecDeque;
@@ -163,16 +163,11 @@ impl ChannelIntrospect for BoundedReorderChannel {
             + self.held.iter().filter(|(_, _, q, _)| *q == p).count()
     }
 
-    fn header_copies_older_than(&self, h: Header, watermark: CopyId) -> usize {
-        self.queue
-            .iter()
-            .filter(|(p, c)| p.header() == h && *c < watermark)
-            .count()
-            + self
-                .held
-                .iter()
-                .filter(|(_, _, p, c)| p.header() == h && *c < watermark)
-                .count()
+    fn count_headers_older_than(&self, watermark: CopyId, counts: &mut Vec<(Header, u64)>) {
+        let queued = self.queue.iter().copied();
+        let held = self.held.iter().map(|&(_, _, p, c)| (p, c));
+        let stale = queued.chain(held).filter(|&(_, c)| c < watermark);
+        tally_headers(stale.map(|(p, _)| p), counts);
     }
 
     fn transit_census(&self) -> Vec<(Packet, usize)> {

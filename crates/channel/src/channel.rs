@@ -69,11 +69,12 @@ pub trait ChannelIntrospect: Channel {
     /// Copies in transit of the exact packet value `p`.
     fn packet_copies(&self, p: Packet) -> usize;
 
-    /// Copies in transit with header `h` that were minted before `watermark`
-    /// — the "stale population" relative to a round boundary. Used by the
-    /// simulation harness to compute ghost staleness bounds for
-    /// oracle-assisted protocol reconstructions.
-    fn header_copies_older_than(&self, h: Header, watermark: CopyId) -> usize;
+    /// Adds each copy in transit minted before `watermark` to `counts`
+    /// under its header, in one pass over the channel's copies (see
+    /// [`tally_headers`]). Those copies are the "stale population" relative
+    /// to a round boundary: the harnesses hand their per-header counts to
+    /// oracle-assisted protocol reconstructions as ghost information.
+    fn count_headers_older_than(&self, watermark: CopyId, counts: &mut Vec<(Header, u64)>);
 
     /// Per-packet-value counts of copies currently inside the channel
     /// (delayed *or* queued for delivery), for stall diagnostics. Unlike
@@ -147,6 +148,34 @@ pub(crate) fn census_from_iter(packets: impl Iterator<Item = Packet>) -> Vec<(Pa
         *counts.entry(p).or_insert(0usize) += 1;
     }
     counts.into_iter().collect()
+}
+
+/// Adds one count per packet to `counts` under the packet's header,
+/// keeping `counts` sorted by header with each header once. The tally
+/// behind every [`ChannelIntrospect::count_headers_older_than`]: a sparse
+/// list rather than a per-header array, because corrupted headers reach
+/// 2³¹.
+pub fn tally_headers(packets: impl IntoIterator<Item = Packet>, counts: &mut Vec<(Header, u64)>) {
+    let mut add = |(h, n): (Header, u64)| match counts.binary_search_by_key(&h, |&(g, _)| g) {
+        Ok(i) => counts[i].1 += n,
+        Err(i) => counts.insert(i, (h, n)),
+    };
+    // Senders repeat a header many times in a row, so each run of one
+    // header is counted first and looked up once.
+    let mut run: Option<(Header, u64)> = None;
+    for h in packets.into_iter().map(|p| p.header()) {
+        match &mut run {
+            Some((g, n)) if *g == h => *n += 1,
+            _ => {
+                if let Some(done) = run.replace((h, 1)) {
+                    add(done);
+                }
+            }
+        }
+    }
+    if let Some(done) = run {
+        add(done);
+    }
 }
 
 /// A boxed channel trait object carrying the full (core + introspect +

@@ -601,13 +601,13 @@ impl ChannelIntrospect for ChaosChannel {
         self.inner.packet_copies(p) + self.overlay().packet_copies(p)
     }
 
-    fn header_copies_older_than(&self, h: Header, watermark: CopyId) -> usize {
+    fn count_headers_older_than(&self, watermark: CopyId, counts: &mut Vec<(Header, u64)>) {
         // Chaos ids are all ≥ CHAOS_COPY_BASE, far above any send-count
         // watermark, so injected copies count as fresh — the staleness
         // estimate can only overcount via the inner channel, which is the
         // safe direction for ghost consumers (they flush more, not less).
-        self.inner.header_copies_older_than(h, watermark)
-            + self.overlay().header_copies_older_than(h, watermark)
+        self.inner.count_headers_older_than(watermark, counts);
+        self.overlay().count_headers_older_than(watermark, counts);
     }
 
     fn transit_census(&self) -> Vec<(Packet, usize)> {

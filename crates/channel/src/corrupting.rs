@@ -6,7 +6,7 @@
 //! that the [`SpecMonitor`](nonfifo_ioa::SpecMonitor) and the offline PL1
 //! checker actually catch corruption rather than assuming it away.
 
-use crate::channel::{census_from_iter, Channel, ChannelIntrospect, FaultObserver};
+use crate::channel::{census_from_iter, tally_headers, Channel, ChannelIntrospect, FaultObserver};
 use nonfifo_ioa::{CopyId, Dir, Header, Packet};
 use nonfifo_rng::StdRng;
 use std::collections::VecDeque;
@@ -118,11 +118,9 @@ impl ChannelIntrospect for CorruptingChannel {
         self.queue.iter().filter(|(q, _)| *q == p).count()
     }
 
-    fn header_copies_older_than(&self, h: Header, watermark: CopyId) -> usize {
-        self.queue
-            .iter()
-            .filter(|(p, c)| p.header() == h && *c < watermark)
-            .count()
+    fn count_headers_older_than(&self, watermark: CopyId, counts: &mut Vec<(Header, u64)>) {
+        let stale = self.queue.iter().filter(|&&(_, c)| c < watermark);
+        tally_headers(stale.map(|&(p, _)| p), counts);
     }
 
     fn transit_census(&self) -> Vec<(Packet, usize)> {

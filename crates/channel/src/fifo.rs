@@ -1,7 +1,7 @@
 //! A reliable FIFO channel — the service the data-link layer provides,
 //! used here as a reference substrate and for latency modelling.
 
-use crate::channel::{census_from_iter, Channel, ChannelIntrospect, FaultObserver};
+use crate::channel::{census_from_iter, tally_headers, Channel, ChannelIntrospect, FaultObserver};
 use nonfifo_ioa::{CopyId, Dir, Header, Packet};
 use std::collections::VecDeque;
 
@@ -109,11 +109,9 @@ impl ChannelIntrospect for FifoChannel {
         self.queue.iter().filter(|(q, _, _)| *q == p).count()
     }
 
-    fn header_copies_older_than(&self, h: Header, watermark: CopyId) -> usize {
-        self.queue
-            .iter()
-            .filter(|(p, c, _)| p.header() == h && *c < watermark)
-            .count()
+    fn count_headers_older_than(&self, watermark: CopyId, counts: &mut Vec<(Header, u64)>) {
+        let stale = self.queue.iter().filter(|&&(_, c, _)| c < watermark);
+        tally_headers(stale.map(|&(p, _, _)| p), counts);
     }
 
     fn transit_census(&self) -> Vec<(Packet, usize)> {

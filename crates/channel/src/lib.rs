@@ -68,7 +68,9 @@ mod probabilistic;
 
 pub use adversarial::{AdversarialChannel, DeliveryMode};
 pub use bounded_reorder::BoundedReorderChannel;
-pub use channel::{BoxedChannel, Channel, ChannelIntrospect, FaultObserver, InstrumentedChannel};
+pub use channel::{
+    tally_headers, BoxedChannel, Channel, ChannelIntrospect, FaultObserver, InstrumentedChannel,
+};
 pub use chaos::{ChaosChannel, FaultKind, FaultPlan, FaultRecord, PlanError, CHAOS_COPY_BASE};
 pub use corrupting::{corrupt_packet, CorruptingChannel};
 pub use corruption::{CorruptionSeverity, ScramblePlan, SeverityError, MAX_JUNK_MULTIPLICITY};

@@ -1,5 +1,6 @@
 //! A multiset of in-transit packet copies with per-copy provenance.
 
+use crate::channel::tally_headers;
 use nonfifo_ioa::fingerprint::{fnv64, mix64};
 use nonfifo_ioa::{CopyId, Header, Packet};
 use std::collections::BTreeMap;
@@ -20,20 +21,20 @@ use std::collections::BTreeMap;
 /// [`copies_older_than`](PacketMultiset::copies_older_than)) are binary
 /// searches. The per-value queries are linear scans: the counts
 /// ([`packet_copies`](PacketMultiset::packet_copies),
-/// [`header_copies`](PacketMultiset::header_copies),
-/// [`header_copies_older_than`](PacketMultiset::header_copies_older_than)
-/// over the copies older than its watermark), the oldest-of-value lookups
-/// and takes, and the census ([`histogram`](PacketMultiset::histogram),
-/// [`census_with`](PacketMultiset::census_with)). The explorers bound their
+/// [`header_copies`](PacketMultiset::header_copies)), the oldest-of-value
+/// lookups and takes, the census
+/// ([`histogram`](PacketMultiset::histogram),
+/// [`census_with`](PacketMultiset::census_with)), and the per-header stale
+/// count ([`count_headers_older_than`](PacketMultiset::count_headers_older_than),
+/// over the copies older than its watermark). The explorers bound their
 /// pools to a few cache lines, so there the scans are cheap. A simulator
 /// pool is not bounded: at 16 messages the outnumber5 run over `prob:0.5`
 /// ends with 120,842 copies delayed. Two simulator paths scan it: the
-/// stall census, once per stalled run, and the ghost sweep of
-/// `Simulation::ghost` for ghost-reading protocols (afek), which calls
-/// `header_copies_older_than` for each of 64 headers on every step. The
-/// payoff of the flat table is on the state-space-exploration hot path:
-/// cloning the multiset is one `memcpy`, and
-/// [`content_hash`](PacketMultiset::content_hash) is an incrementally
+/// stall census, once per stalled run, and the ghost count for
+/// ghost-reading protocols (afek), one pass over the stale copies on
+/// every step. The payoff of the flat table is on the
+/// state-space-exploration hot path: cloning the multiset is one `memcpy`,
+/// and [`content_hash`](PacketMultiset::content_hash) is an incrementally
 /// maintained accumulator, so hashing a system state no longer walks the
 /// pool at all.
 ///
@@ -157,13 +158,11 @@ impl PacketMultiset {
             .map(|pos| self.entries[pos].1)
     }
 
-    /// Number of delayed copies with header `h` minted before `watermark`.
-    pub fn header_copies_older_than(&self, h: Header, watermark: CopyId) -> usize {
-        let older = self.entries.partition_point(|&(c, _)| c < watermark);
-        self.entries[..older]
-            .iter()
-            .filter(|&&(_, q)| q.header() == h)
-            .count()
+    /// Adds the delayed copies minted before `watermark` to `counts` by
+    /// header (see [`tally_headers`]): one pass over the stale prefix.
+    pub fn count_headers_older_than(&self, watermark: CopyId, counts: &mut Vec<(Header, u64)>) {
+        let older = self.copies_older_than(watermark);
+        tally_headers(self.entries[..older].iter().map(|&(_, p)| p), counts);
     }
 
     /// Number of delayed copies minted before `watermark` (any value) —
@@ -562,6 +561,8 @@ mod tests {
         assert_eq!(ms.copies_older_than(c(1)), 0);
         assert_eq!(ms.copies_older_than(c(4)), 2);
         assert_eq!(ms.copies_older_than(c(9)), 3);
-        assert_eq!(ms.header_copies_older_than(Header::new(0), c(4)), 1);
+        let mut counts = Vec::new();
+        ms.count_headers_older_than(c(4), &mut counts);
+        assert_eq!(counts, [(Header::new(0), 1), (Header::new(1), 1)]);
     }
 }

@@ -165,8 +165,8 @@ impl ChannelIntrospect for ProbabilisticChannel {
         self.delayed.packet_copies(p)
     }
 
-    fn header_copies_older_than(&self, h: Header, watermark: CopyId) -> usize {
-        self.delayed.header_copies_older_than(h, watermark)
+    fn count_headers_older_than(&self, watermark: CopyId, counts: &mut Vec<(Header, u64)>) {
+        self.delayed.count_headers_older_than(watermark, counts);
     }
 
     fn transit_census(&self) -> Vec<(Packet, usize)> {

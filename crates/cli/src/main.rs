@@ -174,7 +174,11 @@ fn main() -> ExitCode {
             if code == 1 {
                 // Operational failure: the run never happened, so explain.
                 eprintln!("error: {e}");
-                eprintln!("\n{USAGE}");
+                // Only a malformed invocation is answered with the usage;
+                // a bad file or a failed write is not fixed by reading it.
+                if matches!(e, NonFifoError::Usage(_)) {
+                    eprintln!("\n{USAGE}");
+                }
             }
             // Outcome codes (2/3/4): the subcommand already reported the
             // finding in full; the code is the machine-readable verdict.

@@ -1,7 +1,7 @@
 //! `nonfifo campaign --cache`: the cache file is an append-only log. A
 //! second campaign only appends its fresh runs, a warm replay leaves the
-//! file byte-identical, and a file in an older format is a clean usage
-//! error.
+//! file byte-identical, and a file in an older format or a garbage line is
+//! a clean error naming the file and line, with no usage text.
 
 use nonfifo_campaign::{CampaignPlan, WireMsg};
 use std::process::{Command, Output};
@@ -181,6 +181,30 @@ fn a_cache_of_older_run_lines_exits_1_naming_the_line() {
         old,
         "left as found"
     );
+    std::fs::remove_file(&plan_path).ok();
+    std::fs::remove_file(&cache).ok();
+}
+
+/// A garbage line is a bad file, not a bad invocation: `campaign` and
+/// `serve` name the file and the line, exit 1, and print no usage text.
+#[test]
+fn a_garbage_cache_line_exits_1_naming_the_file_without_usage() {
+    let plan_path = temp("garbage.campaign");
+    let cache = temp("garbage.json");
+    std::fs::write(&plan_path, plan("0..2")).unwrap();
+    std::fs::write(&cache, "garbage\n").unwrap();
+    let serve = Command::new(BIN)
+        .args(["serve", "--addr", "127.0.0.1:0", "--cache", &cache])
+        .output()
+        .unwrap();
+    for out in [campaign(&plan_path, &cache), serve] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(first.contains(&cache), "{first}");
+        assert!(first.contains("line 1"), "{first}");
+        assert!(!stderr.contains("usage:"), "{stderr}");
+    }
     std::fs::remove_file(&plan_path).ok();
     std::fs::remove_file(&cache).ok();
 }

@@ -248,10 +248,11 @@ fn http_daemon_serves_campaigns_byte_identical_to_batch() {
             .unwrap_or(0.0)
             > 0.0
     );
-    // What the start cost: no cache file, so nothing loaded.
+    // What the start cost, and what the cache holds since: no cache file,
+    // so nothing loaded, then each distinct run once.
     let (load_ms, entries) = start_up_load(&snapshot);
     assert!(load_ms.is_some_and(|ms| ms >= 0.0), "{load_ms:?}");
-    assert_eq!(entries, Some(0));
+    assert_eq!(entries, Some(total_runs() as u64));
 
     shut_down(daemon, &addr);
 }
@@ -429,6 +430,13 @@ fn a_daemon_restarts_on_a_torn_cache_and_reruns_only_the_cut_run() {
     let (head, body) = http(&addr, "POST", "/campaign", PLAN);
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     assert_eq!(stream(&body).0, total_runs());
+    let (_, metrics) = http(&addr, "GET", "/metrics", "");
+    let entries = gauge(
+        &Json::parse(metrics.trim()).unwrap(),
+        "service.cache_entries",
+    );
+    let lines = std::fs::read_to_string(&path).unwrap().lines().count();
+    assert_eq!(entries, Some(lines as u64), "the gauge follows each insert");
     shut_down(daemon, &addr);
 
     let bytes = std::fs::read(&path).unwrap();

@@ -19,7 +19,8 @@ pub enum NonFifoError {
     /// The caller asked for something malformed (bad flag, unknown name,
     /// out-of-range parameter).
     Usage(String),
-    /// A file could not be read or written.
+    /// A file could not be read or written, or what it holds is malformed
+    /// (a cache line that does not decode).
     Io {
         /// The path involved.
         path: String,

@@ -2,10 +2,11 @@
 
 use crate::builder::SimulationBuilder;
 use crate::counters::RunCounters;
+use nonfifo_adversary::fill_ghost;
 use nonfifo_channel::{BoxedChannel, ScramblePlan};
 use nonfifo_ioa::fingerprint::Fnv64;
 use nonfifo_ioa::{
-    CopyId, Dir, Event, Execution, Header, Message, Packet, Payload, SpecMonitor, SpecViolation,
+    CopyId, Dir, Event, Execution, Message, Packet, Payload, SpecMonitor, SpecViolation,
 };
 use nonfifo_protocols::{BoxedReceiver, BoxedTransmitter, DataLink, GhostInfo};
 use nonfifo_telemetry::{Registry, TraceSink};
@@ -755,29 +756,6 @@ impl Simulation {
         s
     }
 
-    fn ghost(&self) -> GhostInfo {
-        let mut ghost = GhostInfo {
-            fwd_in_transit: self.fwd.in_transit_len() as u64,
-            bwd_in_transit: self.bwd.in_transit_len() as u64,
-            stale_fwd_by_header: Vec::new(),
-        };
-        // Conservative sweep over a small header space: ghost info is only
-        // consumed by bounded-header reconstructions, whose alphabets are
-        // tiny. Headers beyond 64 are not swept (no consumer needs them).
-        // The sweep is in ascending header order, so pushing directly keeps
-        // the vec sorted.
-        for h in 0..64u32 {
-            let header = Header::new(h);
-            let n = self
-                .fwd
-                .header_copies_older_than(header, self.round_watermark);
-            if n > 0 {
-                ghost.stale_fwd_by_header.push((header, n as u64));
-            }
-        }
-        ghost
-    }
-
     /// One scheduler step: crashes, ghosts, ticks, transmitter pump,
     /// channel deliveries, receiver pump. A station that is down (crash
     /// backoff) takes no actions and receives nothing — copies addressed
@@ -795,7 +773,8 @@ impl Simulation {
         let rx_up = self.steps >= self.rx_down_until;
 
         if self.uses_ghosts {
-            let ghost = self.ghost();
+            let mut ghost = GhostInfo::default();
+            fill_ghost(&mut ghost, self.fwd.as_ref(), self.round_watermark);
             if tx_up {
                 self.tx.on_ghost(&ghost);
             }

@@ -332,9 +332,9 @@ mod tests {
     use super::*;
 
     fn ghost_with(h: Header, stale: u64) -> GhostInfo {
-        let mut g = GhostInfo::default();
-        g.push_stale(h, stale);
-        g
+        GhostInfo {
+            stale_fwd_by_header: vec![(h, stale)],
+        }
     }
 
     #[test]

@@ -7,27 +7,25 @@ use std::any::Any;
 use std::fmt;
 use std::hash::Hash;
 
-/// Harness-computed channel summaries pushed to the automata every
+/// The harness-computed stale count pushed to the automata every
 /// scheduler step.
 ///
 /// Real protocols cannot observe channel state; the two unpublished
 /// protocols the paper cites (\[AFWZ88\], \[Afe88\]) realise equivalent
 /// knowledge through mechanisms whose specifications are unavailable, so our
 /// reconstructions receive it as an explicit oracle instead (see `DESIGN.md`
-/// §2). Honest protocols simply ignore [`Transmitter::on_ghost`] /
-/// [`Receiver::on_ghost`].
+/// §2). Every harness fills it the same way, with one pass over the forward
+/// channel's copies older than the round watermark. Honest protocols simply
+/// ignore [`Transmitter::on_ghost`] / [`Receiver::on_ghost`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GhostInfo {
-    /// Copies currently delayed on the forward channel.
-    pub fwd_in_transit: u64,
-    /// Copies currently delayed on the backward channel.
-    pub bwd_in_transit: u64,
     /// Per forward header: copies delayed on the forward channel that were
     /// sent *before* the most recent `send_msg` — the stale population that
-    /// could be replayed against the current message. Sorted by header and
-    /// deduplicated; use [`push_stale`](GhostInfo::push_stale) to maintain
-    /// the invariant. A flat vec rather than a map so harnesses can rebuild
-    /// the summary every scheduler step without touching the heap.
+    /// could be replayed against the current message. Sorted by header, each
+    /// header once, and only headers with a stale copy. A sparse list rather
+    /// than a per-header array, because corrupted headers reach 2³¹; a flat
+    /// vec rather than a map, so a harness can refill it every scheduler
+    /// step without touching the heap.
     pub stale_fwd_by_header: Vec<(Header, u64)>,
 }
 
@@ -38,30 +36,6 @@ impl GhostInfo {
             .binary_search_by_key(&h, |&(header, _)| header)
             .map(|i| self.stale_fwd_by_header[i].1)
             .unwrap_or(0)
-    }
-
-    /// Total stale forward copies across all headers.
-    pub fn stale_fwd_total(&self) -> u64 {
-        self.stale_fwd_by_header.iter().map(|&(_, n)| n).sum()
-    }
-
-    /// Records `n` stale copies of header `h`, keeping the entries sorted
-    /// and unique (inserting an existing header overwrites its count).
-    pub fn push_stale(&mut self, h: Header, n: u64) {
-        match self
-            .stale_fwd_by_header
-            .binary_search_by_key(&h, |&(header, _)| header)
-        {
-            Ok(i) => self.stale_fwd_by_header[i].1 = n,
-            Err(i) => self.stale_fwd_by_header.insert(i, (h, n)),
-        }
-    }
-
-    /// Clears the summary for in-place refill, keeping the allocation.
-    pub fn reset(&mut self) {
-        self.fwd_in_transit = 0;
-        self.bwd_in_transit = 0;
-        self.stale_fwd_by_header.clear();
     }
 }
 
@@ -420,12 +394,12 @@ mod tests {
 
     #[test]
     fn ghost_accessors() {
-        let mut g = GhostInfo::default();
-        g.push_stale(Header::new(0), 3);
-        g.push_stale(Header::new(2), 4);
+        let g = GhostInfo {
+            stale_fwd_by_header: vec![(Header::new(0), 3), (Header::new(2), 4)],
+        };
         assert_eq!(g.stale_fwd(Header::new(0)), 3);
         assert_eq!(g.stale_fwd(Header::new(1)), 0);
-        assert_eq!(g.stale_fwd_total(), 7);
+        assert_eq!(g.stale_fwd(Header::new(2)), 4);
     }
 
     #[test]

@@ -30,9 +30,9 @@
 //!
 //! ## Ghost information
 //!
-//! Two reconstructions ([`AfekFlush`], and [`Outnumber`] only for its
-//! diagnostics) consume [`GhostInfo`], a harness-computed summary of channel
-//! state (exact stale-copy counts). This substitutes for unavailable
+//! One reconstruction, [`AfekFlush`], consumes [`GhostInfo`], a
+//! harness-computed summary of channel state (exact stale-copy counts per
+//! header). This substitutes for unavailable
 //! mechanisms in the cited unpublished protocols while preserving their
 //! packet-cost profiles; see `DESIGN.md` §2 for the substitution argument.
 

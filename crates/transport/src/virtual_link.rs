@@ -1,6 +1,6 @@
 //! A multipath virtual link: per-route FIFO, globally non-FIFO.
 
-use nonfifo_channel::{Channel, ChannelIntrospect, FaultObserver};
+use nonfifo_channel::{tally_headers, Channel, ChannelIntrospect, FaultObserver};
 use nonfifo_ioa::{CopyId, Dir, Header, Packet};
 use nonfifo_rng::StdRng;
 use std::collections::VecDeque;
@@ -254,12 +254,10 @@ impl ChannelIntrospect for VirtualLink {
             .count()
     }
 
-    fn header_copies_older_than(&self, h: Header, watermark: CopyId) -> usize {
-        self.routes
-            .iter()
-            .flat_map(|r| r.queue.iter())
-            .filter(|(p, c, _)| p.header() == h && *c < watermark)
-            .count()
+    fn count_headers_older_than(&self, watermark: CopyId, counts: &mut Vec<(Header, u64)>) {
+        let queued = self.routes.iter().flat_map(|r| r.queue.iter());
+        let stale = queued.filter(|&&(_, c, _)| c < watermark);
+        tally_headers(stale.map(|&(p, _, _)| p), counts);
     }
 }
 

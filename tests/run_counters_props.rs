@@ -91,8 +91,8 @@ impl ChannelIntrospect for Recording {
     fn packet_copies(&self, p: Packet) -> usize {
         self.inner.packet_copies(p)
     }
-    fn header_copies_older_than(&self, h: Header, watermark: CopyId) -> usize {
-        self.inner.header_copies_older_than(h, watermark)
+    fn count_headers_older_than(&self, watermark: CopyId, counts: &mut Vec<(Header, u64)>) {
+        self.inner.count_headers_older_than(watermark, counts);
     }
     fn transit_census(&self) -> Vec<(Packet, usize)> {
         self.inner.transit_census()
