@@ -19,7 +19,7 @@
 //!   bytes and back (layout at [`save`]): a fixed head of the two automata,
 //!   named by id, and the pool digest, then varints for the counters and
 //!   the delta-coded parked copies. The parallel engine stores its
-//!   frontier levels as flat byte slabs of these records.
+//!   frontier levels as blocks of these records (see `levels.rs`).
 //! - **The station table.** A [`StationTable`] interns every distinct
 //!   transmitter and receiver state of a run once, so a record names its
 //!   two automata by 32-bit id.

@@ -19,8 +19,9 @@
 //!   reconstructed by walking the parent chain — only on a violation or
 //!   never. Expanding a node copies one word instead of cloning an
 //!   O(depth) vector.
-//! - **Record frontier.** A frontier level is a flat byte slab of frontier
-//!   records ([`crate::codec`]), one per node: a 16-byte head, then
+//! - **Record frontier.** A frontier level is a run of fixed-size blocks
+//!   of frontier records in the level store ([`crate::levels`]), one
+//!   record per node ([`crate::codec`]): a 16-byte head, then
 //!   varints for the counters and about 2 bytes per header-only parked
 //!   copy (43 bytes a record on average at seqnum 9/26/10), with the two
 //!   automata named by id into the run's [`StationTable`], where each
@@ -33,10 +34,13 @@
 //!   successor whose key lives only on disk), so only the winners are
 //!   rebuilt after the merge, by replaying their one step from the loaded
 //!   parent and writing the result's record. The engine holds two levels
-//!   of records, a level frees with two deallocations per worker segment
+//!   of records, a level frees with a few deallocations per worker segment
 //!   however wide it is, and a warm run performs no heap allocation
 //!   (pinned by the allocation regression tests in
-//!   `tests/explore_alloc.rs`).
+//!   `tests/explore_alloc.rs`). Under a memory budget the blocks of every
+//!   rebuilt level, and every finished level's path records, stream
+//!   through spill files, so a worker holds two blocks however wide the
+//!   level, and the disk holds two levels however deep the search.
 //! - **Tiered dedup.** The visited set behind the engine is a
 //!   [`VisitedSet`] tier chosen by [`VisitedSpec`] (see [`crate::visited`]):
 //!   the RAM tier runs 64 FNV shards on the fixed-key FNV-64 hasher
@@ -94,16 +98,16 @@
 //! shared with the oracle) — which doubles as an end-to-end validation of
 //! every reported attack.
 
-use crate::codec::{
-    load, record_stations, set_record_stations, write_record, StationTable, PROVISIONAL,
-};
+use crate::codec::{load, StationTable, PROVISIONAL};
 use crate::explore::{
     apply, build_root, enabled_actions_into, from_step, materialize, to_step, Action,
     ExploreConfig, ExploreOutcome,
 };
 use crate::explorer::record_run_end;
+use crate::levels::{index_level, Fence, LevelView, RecordAt, Segment};
 use crate::por::PorCtx;
 use crate::schedule::ScheduleStep;
+use crate::spill::SpillFile;
 use crate::system::System;
 use crate::visited::{shard_of, VisitedSet, VisitedSpec, SHARDS};
 use crate::workpool::ChunkCursor;
@@ -179,6 +183,140 @@ impl PathRec {
     }
 }
 
+/// The path arena: one [`PathRec`] per admitted non-root node, by depth.
+///
+/// Without a spill file every level stays resident, `levels[d]` holding
+/// depth `d`'s records (`levels[0]` stays empty: the root has no incoming
+/// step). With one, only the level being admitted and rebuilt is resident,
+/// in `levels[1]`, and each finished level goes to the file, from which
+/// [`get`](PathStore::get) reads a record back with one positioned read.
+#[derive(Debug, Default)]
+struct PathStore {
+    levels: Vec<Vec<PathRec>>,
+    /// Per finished depth under a spill file: the file offset of its
+    /// records and their count (`spilled[0]` stands for the root's).
+    spilled: Vec<(u64, usize)>,
+    spilling: bool,
+}
+
+impl PathStore {
+    /// Forgets every record, keeping the buffers; `spilling` says whether
+    /// this run's finished levels go to a spill file.
+    fn reset(&mut self, spilling: bool) {
+        for level in &mut self.levels {
+            level.clear();
+        }
+        self.spilled.clear();
+        self.spilled.push((0, 0));
+        self.spilling = spilling;
+    }
+
+    fn slot(&self, depth: usize) -> usize {
+        if self.spilling {
+            1
+        } else {
+            depth
+        }
+    }
+
+    /// The records of the level at `depth`, while it is resident.
+    fn level(&self, depth: usize) -> &[PathRec] {
+        &self.levels[self.slot(depth)]
+    }
+
+    /// The empty buffer the level at `depth` is admitted into.
+    fn begin(&mut self, depth: usize) -> &mut Vec<PathRec> {
+        let slot = self.slot(depth);
+        while self.levels.len() <= slot {
+            self.levels.push(Vec::new());
+        }
+        &mut self.levels[slot]
+    }
+
+    /// Marks the level at `depth` finished: with a `file`, its records go
+    /// there and its buffer is emptied for the next level. Returns the
+    /// bytes written.
+    fn finish(&mut self, depth: usize, file: Option<&SpillFile>) -> u64 {
+        let Some(file) = file else {
+            return 0;
+        };
+        debug_assert_eq!(self.spilled.len(), depth, "levels finish in order");
+        let level = &mut self.levels[1];
+        let bytes = level.len() * std::mem::size_of::<PathRec>();
+        let at = file.reserve(bytes);
+        let mut chunk = [0u8; 8 * 1024];
+        let mut written = 0;
+        for recs in level.chunks(chunk.len() / 8) {
+            for (out, rec) in chunk.chunks_exact_mut(8).zip(recs) {
+                out.copy_from_slice(&rec.0.to_le_bytes());
+            }
+            file.write_at(at + written as u64, &chunk[..recs.len() * 8])
+                .expect("write the path spill file");
+            written += recs.len() * 8;
+        }
+        self.spilled.push((at, level.len()));
+        level.clear();
+        bytes as u64
+    }
+
+    /// Record `idx` of the level at `depth`.
+    fn get(&self, depth: usize, idx: usize, file: Option<&SpillFile>) -> PathRec {
+        match self.spilled.get(depth).filter(|_| self.spilling) {
+            Some(&(at, _)) => {
+                let mut word = [0u8; 8];
+                file.expect("a spilled level has a file")
+                    .read_at(at + idx as u64 * 8, &mut word)
+                    .expect("read the path spill file");
+                PathRec(u64::from_le_bytes(word))
+            }
+            None => self.level(depth)[idx],
+        }
+    }
+
+    /// Records held, resident or spilled: one per admitted non-root node.
+    fn records(&self) -> usize {
+        let spilled: usize = self.spilled.iter().map(|&(_, n)| n).sum();
+        spilled + self.levels.iter().map(Vec::len).sum::<usize>()
+    }
+}
+
+/// What a run wrote to its spill files: the blocks of every rebuilt level
+/// and the path records of every finished one. Each figure is a function
+/// of the scope alone, the same at any thread count; all stay 0 without a
+/// memory budget, and on the sequential oracle.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Streamed {
+    /// Bytes of frontier blocks written: records plus a 4-byte offset
+    /// each.
+    pub level_bytes: u64,
+    /// Bytes the two level files held at the end: the widest level of
+    /// each parity, since each level is written over the one two levels
+    /// back.
+    pub level_disk_bytes: u64,
+    /// Bytes of path records, 8 a record, all kept on disk to the end.
+    pub path_bytes: u64,
+}
+
+/// The spill files of a run under a memory budget. Rebuilt levels
+/// alternate between the two level files: the level at depth `d` goes to
+/// `levels[d % 2]`, over the level at `d - 2`, which is dead once `d - 1`
+/// is rebuilt. Finished path levels are appended to `paths` and kept,
+/// for the counterexample walk.
+#[derive(Debug)]
+struct Spill {
+    levels: [SpillFile; 2],
+    paths: SpillFile,
+}
+
+impl Spill {
+    fn create() -> std::io::Result<Spill> {
+        Ok(Spill {
+            levels: [SpillFile::create("levels")?, SpillFile::create("levels")?],
+            paths: SpillFile::create("paths")?,
+        })
+    }
+}
+
 /// A successor discovered during a level, pending the deterministic merge:
 /// its state key and the edge that reached it, and no [`System`] — 16
 /// bytes. Winners are rebuilt from their parents after the merge
@@ -217,87 +355,26 @@ struct WorkerScratch {
     violations: Vec<PathRec>,
     /// This worker's contiguous share of the next level's records, in rank
     /// order.
-    out: Slab,
+    out: Segment,
+    /// The frontier block being read, when it lives in the spill file.
+    block: Vec<u8>,
     /// Station states the frozen run table lacked, by provisional id.
     misses: StationTable,
-    /// Indices in `out` of the records that name a provisional id.
-    patches: Vec<u32>,
+    /// The records in `out` that name a provisional id, with their ids.
+    patches: Vec<(RecordAt, (u32, u32))>,
     /// What each provisional id became, per station role.
     tx_ids: Vec<u32>,
     rx_ids: Vec<u32>,
 }
 
-/// A run of frontier records: record `i` is
-/// `bytes[starts[i]..starts[i + 1]]`, the last one ending at `bytes.len()`.
-/// A level is a handful of these (one per rebuilding worker), so it frees
-/// with a handful of deallocations however wide it is. The offsets are
-/// 32-bit byte offsets, so one worker's segment of a level holds at most
-/// 4 GiB of records; [`Slab::push`] panics past that.
-#[derive(Debug, Default)]
-struct Slab {
-    bytes: Vec<u8>,
-    starts: Vec<u32>,
+/// Records in the level stored as `segments`.
+fn level_len(segments: &[Segment]) -> usize {
+    segments.iter().map(Segment::len).sum()
 }
 
-impl Slab {
-    fn len(&self) -> usize {
-        self.starts.len()
-    }
-
-    /// Where record `i` sits in `bytes`.
-    fn span(&self, i: usize) -> std::ops::Range<usize> {
-        let end = self
-            .starts
-            .get(i + 1)
-            .map_or(self.bytes.len(), |&e| e as usize);
-        self.starts[i] as usize..end
-    }
-
-    fn record(&self, i: usize) -> &[u8] {
-        &self.bytes[self.span(i)]
-    }
-
-    fn record_mut(&mut self, i: usize) -> &mut [u8] {
-        let span = self.span(i);
-        &mut self.bytes[span]
-    }
-
-    /// Appends `sys`'s record under the station ids `(tx, rx)`.
-    fn push(&mut self, sys: &System, (tx, rx): (u32, u32)) {
-        let start = u32::try_from(self.bytes.len()).expect("slab outgrew 32-bit offsets");
-        self.starts.push(start);
-        write_record(sys, tx, rx, &mut self.bytes);
-    }
-
-    fn clear(&mut self) {
-        self.bytes.clear();
-        self.starts.clear();
-    }
-
-    /// The bytes the records take: their bytes and offsets, by length, not
-    /// capacity, so the figure is the same at any thread count.
-    fn bytes(&self) -> usize {
-        self.bytes.len() + self.starts.len() * std::mem::size_of::<u32>()
-    }
-}
-
-/// The record of the node ranked `rank` in a level stored as `segments`.
-fn node_record(segments: &[Slab], mut rank: usize) -> &[u8] {
-    for seg in segments {
-        if rank < seg.len() {
-            return seg.record(rank);
-        }
-        rank -= seg.len();
-    }
-    panic!("frontier rank out of range")
-}
-
-fn level_len(segments: &[Slab]) -> usize {
-    segments.iter().map(Slab::len).sum()
-}
-
-fn level_bytes(segments: &[Slab]) -> usize {
-    segments.iter().map(Slab::bytes).sum()
+/// The bytes of the level stored as `segments` ([`Segment::bytes`]).
+fn level_bytes(segments: &[Segment]) -> usize {
+    segments.iter().map(Segment::bytes).sum()
 }
 
 /// Refills `slot` from the run's root, so a warm system carries this run's
@@ -329,8 +406,14 @@ struct ShardMerge {
 #[derive(Debug, Default, Clone, Copy)]
 struct Peaks {
     /// The most record bytes two adjacent levels held at once, plus the
-    /// station table at that point ([`Slab::bytes`], [`StationTable::bytes`]).
+    /// station table at that point ([`Segment::bytes`],
+    /// [`StationTable::bytes`]), wherever the records lived.
     frontier_bytes: usize,
+    /// The most bytes the level store held in RAM during a rebuild: the
+    /// expanded level's resident blocks, the most each worker's output
+    /// held, and the workers' read buffers. Under a budget it is two
+    /// blocks per worker.
+    resident_bytes: usize,
     /// The most candidates one level produced, times their 16-byte size:
     /// what the workers' bins hold at the widest level. On one worker it
     /// is also the candidate capacity a warm arena retains, less the bins'
@@ -342,8 +425,8 @@ struct Peaks {
 }
 
 /// The reusable workspace an [`Explorer`](crate::Explorer) owns: the
-/// visited set (any [`VisitedSpec`] tier), the frontier slabs and the
-/// station table, per-worker scratches, the path arena, and the merge
+/// visited set (any [`VisitedSpec`] tier), the frontier's level store and
+/// the station table, per-worker scratches, the path arena, and the merge
 /// buffers. Running repeated explorations through one arena keeps the
 /// steady-state expansion loop entirely off the allocator — the allocation
 /// regression test in `tests/explore_alloc.rs` pins this.
@@ -352,13 +435,13 @@ pub(crate) struct ExploreArena {
     visited: Box<dyn VisitedSet>,
     spec: VisitedSpec,
     workers: Vec<WorkerScratch>,
-    /// `levels[d]` holds one [`PathRec`] per frontier node at depth `d`
-    /// (`levels[0]` stays empty: the root has no incoming step).
-    levels: Vec<Vec<PathRec>>,
+    paths: PathStore,
     /// The level being expanded, as one segment per worker: concatenated
     /// in worker order they are its records in rank order. After each
     /// rebuild the segments trade places with the workers' outputs.
-    frontier: Vec<Slab>,
+    frontier: Vec<Segment>,
+    /// The expanded level's blocks in rank order.
+    index: Vec<Fence>,
     /// The run's station states, which every frontier record names by id.
     stations: StationTable,
     /// Shard-major transpose buffer: `bins_in[s * stride + w]` is worker
@@ -373,6 +456,12 @@ pub(crate) struct ExploreArena {
     /// `(parent, step)` pair is one edge), so the order is total and
     /// deterministic.
     heap: BinaryHeap<Reverse<(PathRec, usize)>>,
+    /// Under a memory budget, the files the run streams its rebuilt
+    /// levels and finished path levels through: opened at the first
+    /// rebuild and deleted when the run returns, however it returns.
+    spill: Option<Spill>,
+    /// What the last run wrote to its spill files.
+    streamed: Streamed,
 }
 
 impl Default for ExploreArena {
@@ -381,12 +470,15 @@ impl Default for ExploreArena {
             visited: VisitedSpec::Ram.build(),
             spec: VisitedSpec::Ram,
             workers: Vec::new(),
-            levels: Vec::new(),
+            paths: PathStore::default(),
             frontier: Vec::new(),
+            index: Vec::new(),
             stations: StationTable::new(),
             bins_in: Vec::new(),
             merges: (0..SHARDS).map(|_| ShardMerge::default()).collect(),
             heap: BinaryHeap::new(),
+            spill: None,
+            streamed: Streamed::default(),
         }
     }
 }
@@ -412,21 +504,35 @@ impl ExploreArena {
         &mut *self.visited
     }
 
+    /// What the most recent parallel run wrote to its spill files.
+    pub(crate) fn streamed(&self) -> Streamed {
+        self.streamed
+    }
+
+    /// Whether runs stream their levels through spill files: whenever a
+    /// memory budget is in force.
+    fn spilling(&self) -> bool {
+        matches!(self.spec, VisitedSpec::Tiered { .. })
+    }
+
     /// Clears logical state while keeping every allocation: the visited
-    /// set, the slabs and the merge buffers keep their capacity, and the
+    /// set, the segments and the merge buffers keep their capacity, and the
     /// station table its automaton boxes.
     fn reset(&mut self, threads: usize) {
         self.visited.clear();
         self.stations.clear();
+        self.streamed = Streamed::default();
+        self.spill = None;
+        let spilling = self.spilling();
+        self.paths.reset(spilling);
         while self.workers.len() < threads {
             self.workers.push(WorkerScratch::default());
         }
         while self.frontier.len() < self.workers.len() {
-            self.frontier.push(Slab::default());
+            self.frontier.push(Segment::default());
         }
         let ExploreArena {
             workers,
-            levels,
             frontier,
             bins_in,
             ..
@@ -449,9 +555,6 @@ impl ExploreArena {
             w.misses.clear();
             w.patches.clear();
         }
-        for level in levels.iter_mut() {
-            level.clear();
-        }
     }
 
     /// Reconstructs the full schedule ending in `last`, a record whose
@@ -459,16 +562,16 @@ impl ExploreArena {
     fn reconstruct(&self, depth: usize, last: PathRec) -> Vec<ScheduleStep> {
         let mut steps = vec![last.step()];
         let mut idx = last.parent() as usize;
-        // A depth-0 violation has no interior path to walk — and on a fresh
-        // arena `levels` is still empty, so even the degenerate `[1..=0]`
-        // slice would be out of bounds. Reachable only from a corrupted
-        // start, where the very first deliver can already be a phantom.
-        if depth > 0 {
-            for level in self.levels[1..=depth].iter().rev() {
-                let rec = level[idx];
-                steps.push(rec.step());
-                idx = rec.parent() as usize;
-            }
+        // A depth-0 violation has no interior path to walk: on a fresh
+        // arena the path store holds no level yet. Reachable only from a
+        // corrupted start, where the very first deliver can already be a
+        // phantom.
+        for d in (1..=depth).rev() {
+            let rec = self
+                .paths
+                .get(d, idx, self.spill.as_ref().map(|s| &s.paths));
+            steps.push(rec.step());
+            idx = rec.parent() as usize;
         }
         steps.reverse();
         steps
@@ -539,9 +642,10 @@ impl ExploreTelemetry {
     /// End-of-run metrics: the ones both engines export
     /// ([`record_run_end`]), plus this engine's visited-set shard occupancy
     /// (balance of the mixed-digest shard split, for tiers with resident
-    /// shards), its peak frontier and candidate bytes, the bytes of its
-    /// path records (one per admitted non-root state), and the distinct
-    /// station states its records named.
+    /// shards), its peak frontier, level-store and candidate bytes, the
+    /// bytes of its path records (one per admitted non-root state), the
+    /// bytes it streamed through its spill files, and the distinct station
+    /// states its records named.
     fn finalize(
         &self,
         visited: &dyn VisitedSet,
@@ -549,6 +653,7 @@ impl ExploreTelemetry {
         elapsed_secs: f64,
         peaks: Peaks,
         path_bytes: usize,
+        streamed: Streamed,
     ) {
         let occupancy = self.registry.histogram("explore.shard_occupancy");
         let mut sizes = Vec::new();
@@ -563,8 +668,21 @@ impl ExploreTelemetry {
             .gauge("explore.peak_candidate_bytes")
             .set(peaks.candidate_bytes as u64);
         self.registry
+            .gauge("explore.level_store_resident_bytes")
+            .set(peaks.resident_bytes as u64);
+        self.registry
             .gauge("explore.path_bytes")
             .set(path_bytes as u64);
+        if streamed.level_bytes > 0 {
+            self.registry
+                .counter("explore.level_spill_bytes")
+                .add(streamed.level_bytes);
+        }
+        if streamed.path_bytes > 0 {
+            self.registry
+                .counter("explore.path_spill_bytes")
+                .add(streamed.path_bytes);
+        }
         self.registry
             .gauge("explore.station_states.tx")
             .set(stations.transmitters() as u64);
@@ -623,11 +741,22 @@ impl ParallelExplorer {
         let started = Instant::now();
         arena.reset(self.threads);
         let (outcome, peaks) = self.run(proto, cfg, arena);
+        // Deleting the spill files frees their space, whichever way the
+        // run ended.
+        if let Some(spill) = arena.spill.take() {
+            arena.streamed.level_disk_bytes = spill.levels.iter().map(SpillFile::extent).sum();
+        }
         if let Some(tel) = &self.telemetry {
             let elapsed = started.elapsed().as_secs_f64();
-            let paths = arena.levels.iter().map(Vec::len).sum::<usize>();
-            let path_bytes = paths * std::mem::size_of::<PathRec>();
-            tel.finalize(arena.visited(), &arena.stations, elapsed, peaks, path_bytes);
+            let path_bytes = arena.paths.records() * std::mem::size_of::<PathRec>();
+            tel.finalize(
+                arena.visited(),
+                &arena.stations,
+                elapsed,
+                peaks,
+                path_bytes,
+                arena.streamed,
+            );
             tel.registry
                 .gauge("explore.threads")
                 .set(self.threads as u64);
@@ -660,9 +789,14 @@ impl ParallelExplorer {
         for w in arena.workers.iter_mut() {
             prime(&mut w.node, &root);
         }
+        // The root level is one record, and stays resident.
         let ids = arena.stations.intern(&root);
-        arena.frontier[0].push(&root, ids);
+        arena.frontier[0].push(&root, ids, None);
+        arena.frontier[0].seal(None);
+        index_level(&arena.frontier, &mut arena.index);
         peaks.frontier_bytes = arena.frontier[0].bytes() + arena.stations.bytes();
+        peaks.resident_bytes = arena.frontier[0].peak_resident();
+        let spilling = arena.spilling();
 
         for depth in 0..cfg.max_depth {
             let width = level_len(&arena.frontier);
@@ -683,7 +817,7 @@ impl ParallelExplorer {
                 t.frontier_width.record(width as u64);
             }
             let expand_started = tel.map(|_| Instant::now());
-            self.expand_level(cfg, por, arena);
+            self.expand_level(depth, cfg, por, arena);
             if let (Some(t), Some(started)) = (tel, expand_started) {
                 t.expand.add(started.elapsed().as_nanos() as u64);
             }
@@ -710,12 +844,15 @@ impl ParallelExplorer {
             let ExploreArena {
                 visited,
                 workers,
-                levels,
+                paths,
                 frontier,
+                index,
                 stations,
                 bins_in,
                 merges,
                 heap,
+                spill,
+                streamed,
                 ..
             } = &mut *arena;
 
@@ -780,10 +917,7 @@ impl ParallelExplorer {
             if let Some(t) = tel {
                 t.dedup_hits.add(level_dedup as u64);
             }
-            while levels.len() <= depth + 1 {
-                levels.push(Vec::new());
-            }
-            let level = &mut levels[depth + 1];
+            let level = paths.begin(depth + 1);
             let bins = &mut bins_in[..SHARDS * stride];
             heap.clear();
             for (i, bin) in bins.iter().enumerate() {
@@ -836,15 +970,38 @@ impl ParallelExplorer {
             // Rebuild: the next frontier is the winners' records, in rank
             // order — unless the depth bound ends the search here, since
             // nothing expands a last level. The workers' output segments
-            // then trade places with the expanded level's.
+            // then trade places with the expanded level's, and the level's
+            // path records are finished. Under a budget both go to the
+            // spill files, opened here the first time: the next level over
+            // the dead one two levels back.
             if depth + 1 < cfg.max_depth {
+                if spilling && spill.is_none() {
+                    *spill = Some(Spill::create().expect("create the level spill files"));
+                }
+                if let Some(spill) = spill.as_mut() {
+                    spill.levels[(depth + 1) % 2].rewind();
+                }
+                let (read, file, path_file) = match spill.as_ref() {
+                    Some(s) => (
+                        Some(&s.levels[depth % 2]),
+                        Some(&s.levels[(depth + 1) % 2]),
+                        Some(&s.paths),
+                    ),
+                    None => (None, None, None),
+                };
                 let rebuild_started = tel.map(|_| Instant::now());
+                let level = LevelView {
+                    segments: frontier,
+                    index,
+                    file: read,
+                };
                 rebuild_frontier(
                     self.threads,
-                    &levels[depth + 1],
-                    frontier,
+                    paths.level(depth + 1),
+                    level,
                     stations,
                     workers,
+                    file,
                 );
                 if let (Some(t), Some(started)) = (tel, rebuild_started) {
                     t.rebuild.add(started.elapsed().as_nanos() as u64);
@@ -853,54 +1010,83 @@ impl ParallelExplorer {
                 peaks.frontier_bytes = peaks
                     .frontier_bytes
                     .max(level_bytes(frontier) + next + stations.bytes());
+                let resident = frontier.iter().map(Segment::resident).sum::<usize>()
+                    + workers
+                        .iter()
+                        .map(|w| w.out.peak_resident() + w.block.capacity())
+                        .sum::<usize>();
+                peaks.resident_bytes = peaks.resident_bytes.max(resident);
+                if file.is_some() {
+                    streamed.level_bytes += next as u64;
+                }
+                streamed.path_bytes += paths.finish(depth + 1, path_file);
                 for (seg, w) in frontier.iter_mut().zip(workers.iter_mut()) {
                     std::mem::swap(seg, &mut w.out);
                     w.out.clear();
                 }
+                index_level(frontier, index);
             }
         }
         (ExploreOutcome::Exhausted { states }, peaks)
     }
 
     /// Expands every frontier node, leaving each worker's discoveries in
-    /// its scratch buffers. Work is claimed in [`CHUNK`]-sized slices from
-    /// an atomic cursor; a frontier too small to fill one chunk per worker
-    /// runs on the calling thread without spawning a scope.
-    fn expand_level(&self, cfg: &ExploreConfig, por: PorCtx, arena: &mut ExploreArena) {
+    /// its scratch buffers. Workers claim work from an atomic cursor: a
+    /// resident level in [`CHUNK`]-sized rank ranges, a level in the spill
+    /// file in whole blocks, each read once. A level of one claim runs on
+    /// the calling thread without spawning a scope.
+    fn expand_level(
+        &self,
+        depth: usize,
+        cfg: &ExploreConfig,
+        por: PorCtx,
+        arena: &mut ExploreArena,
+    ) {
         let ExploreArena {
             visited,
             workers,
             frontier,
+            index,
             stations,
+            spill,
             ..
         } = arena;
         // Frozen for the level: workers only probe membership, so a shared
         // borrow of the tier is all they get (the trait requires `Sync`).
         let level = Level {
-            frontier,
+            frontier: LevelView {
+                segments: frontier,
+                index,
+                file: spill.as_ref().map(|s| &s.levels[depth % 2]),
+            },
             stations,
             visited: &**visited,
             cfg,
             por,
             tel: self.telemetry.as_ref(),
         };
-        let width = level_len(frontier);
-        let nworkers = self.threads.min(width.div_ceil(CHUNK)).max(1);
+        let (units, chunk) = match level.frontier.file {
+            Some(_) => (level.frontier.blocks(), 1),
+            None => (level_len(frontier), CHUNK),
+        };
+        let cursor = ChunkCursor::new(units, chunk);
+        let claimed = |units: std::ops::Range<usize>| match level.frontier.file {
+            Some(_) => level.frontier.ranks(units),
+            None => units.start as u32..units.end as u32,
+        };
+        let nworkers = self.threads.min(units.div_ceil(chunk)).max(1);
         if nworkers == 1 {
-            for rank in 0..width {
-                expand_node(level, rank, &mut workers[0]);
+            while let Some(units) = cursor.claim() {
+                expand_ranks(level, claimed(units), &mut workers[0]);
             }
             return;
         }
-        let cursor = ChunkCursor::new(width, CHUNK);
         std::thread::scope(|scope| {
             for scratch in workers[..nworkers].iter_mut() {
-                let cursor = &cursor;
+                let (cursor, claimed) = (&cursor, &claimed);
                 scope.spawn(move || {
-                    while let Some(range) = cursor.claim() {
-                        for rank in range {
-                            expand_node(level, rank, scratch);
-                        }
+                    while let Some(units) = cursor.claim() {
+                        expand_ranks(level, claimed(units), scratch);
                     }
                 });
             }
@@ -911,7 +1097,7 @@ impl ParallelExplorer {
 /// What every expansion of one level reads, shared by the workers.
 #[derive(Clone, Copy)]
 struct Level<'a> {
-    frontier: &'a [Slab],
+    frontier: LevelView<'a>,
     stations: &'a StationTable,
     visited: &'a dyn VisitedSet,
     cfg: &'a ExploreConfig,
@@ -919,9 +1105,34 @@ struct Level<'a> {
     tel: Option<&'a ExploreTelemetry>,
 }
 
-/// Loads the node ranked `rank` into the worker's warm system and tries
-/// every enabled action on the reused trial.
-fn expand_node(level: Level<'_>, rank: usize, scratch: &mut WorkerScratch) {
+/// Expands the frontier nodes ranked `ranks`, reading each block they
+/// span once.
+fn expand_ranks(level: Level<'_>, ranks: std::ops::Range<u32>, scratch: &mut WorkerScratch) {
+    let mut buf = std::mem::take(&mut scratch.block);
+    let mut rank = ranks.start;
+    let mut b = level.frontier.block_of(rank);
+    while rank < ranks.end {
+        level.frontier.fetch(b, &mut buf);
+        let block = level.frontier.block(b, &buf);
+        let end = ranks.end.min(block.first() + block.len() as u32);
+        for r in rank..end {
+            expand_node(
+                level,
+                r,
+                block.record((r - block.first()) as usize),
+                scratch,
+            );
+        }
+        rank = end;
+        b += 1;
+    }
+    scratch.block = buf;
+}
+
+/// Loads the node ranked `rank`, whose record is `record`, into the
+/// worker's warm system and tries every enabled action on the reused
+/// trial.
+fn expand_node(level: Level<'_>, rank: u32, record: &[u8], scratch: &mut WorkerScratch) {
     let Level {
         visited,
         cfg,
@@ -933,9 +1144,8 @@ fn expand_node(level: Level<'_>, rank: usize, scratch: &mut WorkerScratch) {
         t.expansions.inc();
     }
     let sys = scratch.node.as_mut().expect("primed at run start");
-    load(node_record(level.frontier, rank), level.stations, sys);
+    load(record, level.stations, sys);
     let sys = &*sys;
-    let rank = rank as u32;
     enabled_actions_into(sys, cfg, &mut scratch.oldest, &mut scratch.actions);
     let next = scratch.trial.get_or_insert_with(|| sys.clone());
     for &action in &scratch.actions {
@@ -979,34 +1189,36 @@ fn expand_node(level: Level<'_>, rank: usize, scratch: &mut WorkerScratch) {
 
 /// The rebuild phase: writes the next level's records from the level's
 /// winner records (`recs`, in rank order) by replaying each record's step
-/// on its parent, loaded from `frontier`. A rebuild depends only on its
-/// parent and step, so the records are cut into contiguous slices, one per
-/// worker thread, and worker `w` writes its slice to `workers[w].out`;
-/// concatenated in worker order the outputs are the next level in rank
-/// order. Small levels stay inline, with the merge's threshold: a scope
-/// spawn costs more than a thousand rebuilds.
+/// on its parent, read from `level`. A rebuild depends only on its parent
+/// and step, so the records are cut into contiguous slices, one per
+/// worker thread, and worker `w` writes its slice to `workers[w].out`,
+/// sealing its blocks into `file` if there is one; concatenated in worker
+/// order the outputs are the next level in rank order. Small levels stay
+/// inline, with the merge's threshold: a scope spawn costs more than a
+/// thousand rebuilds.
 ///
 /// Workers resolve station ids against the frozen `stations` and intern
 /// the states it lacks in their own scratch under provisional ids. A
 /// serial pass in worker order then interns those misses in `stations`
-/// and patches the provisional ids, so the table's contents are a function
-/// of the level's records alone.
+/// and patches the provisional ids in place, so the table's contents are
+/// a function of the level's records alone.
 fn rebuild_frontier(
     threads: usize,
     recs: &[PathRec],
-    frontier: &[Slab],
+    level: LevelView<'_>,
     stations: &mut StationTable,
     workers: &mut [WorkerScratch],
+    file: Option<&SpillFile>,
 ) {
     let nworkers = threads.min(recs.len().div_ceil(CHUNK * SHARDS)).max(1);
     let per = recs.len().div_ceil(nworkers).max(1);
     let frozen = &*stations;
     if nworkers == 1 {
-        rebuild_slice(recs, frontier, frozen, &mut workers[0]);
+        rebuild_slice(recs, level, frozen, &mut workers[0], file);
     } else {
         std::thread::scope(|scope| {
             for (slice, scratch) in recs.chunks(per).zip(workers.iter_mut()) {
-                scope.spawn(move || rebuild_slice(slice, frontier, frozen, scratch));
+                scope.spawn(move || rebuild_slice(slice, level, frozen, scratch, file));
             }
         });
     }
@@ -1019,44 +1231,69 @@ fn rebuild_frontier(
             0 => id,
             _ => ids[(id & !PROVISIONAL) as usize],
         };
-        for &i in &scratch.patches {
-            let record = scratch.out.record_mut(i as usize);
-            let (tx, rx) = record_stations(record);
-            let (tx, rx) = (settle(tx, &scratch.tx_ids), settle(rx, &scratch.rx_ids));
-            set_record_stations(record, tx, rx);
+        for &(at, (tx, rx)) in &scratch.patches {
+            let ids = (settle(tx, &scratch.tx_ids), settle(rx, &scratch.rx_ids));
+            scratch.out.set_stations(at, ids, file);
         }
         scratch.patches.clear();
         scratch.misses.clear();
     }
 }
 
-/// Rebuilds the children `recs` (in rank order, so siblings are adjacent):
-/// each parent is loaded once into the worker's warm node, and each child
-/// is the trial refilled from it with the record's step applied, appended
-/// to `scratch.out` as a record.
+/// Rebuilds the children `recs` (in rank order, so siblings are adjacent
+/// and parents ascend): the parents are read a block at a time, each
+/// parent is loaded once into the worker's warm node, and each child is
+/// the trial refilled from it with the record's step applied, appended to
+/// `scratch.out` as a record.
 fn rebuild_slice(
     recs: &[PathRec],
-    frontier: &[Slab],
+    level: LevelView<'_>,
     stations: &StationTable,
     scratch: &mut WorkerScratch,
+    file: Option<&SpillFile>,
 ) {
-    let node = scratch.node.as_mut().expect("primed at run start");
+    let WorkerScratch {
+        node,
+        trial,
+        out,
+        block: buf,
+        misses,
+        patches,
+        ..
+    } = scratch;
+    let node = node.as_mut().expect("primed at run start");
+    let mut fetched = None;
     let mut loaded = None;
     for rec in recs {
         let parent = rec.parent();
         if loaded != Some(parent) {
-            load(node_record(frontier, parent as usize), stations, node);
+            let b = match fetched {
+                Some(b) if level.block(b, buf).holds(parent) => b,
+                _ => {
+                    let b = level.block_of(parent);
+                    level.fetch(b, buf);
+                    fetched = Some(b);
+                    b
+                }
+            };
+            let block = level.block(b, buf);
+            load(
+                block.record((parent - block.first()) as usize),
+                stations,
+                node,
+            );
             loaded = Some(parent);
         }
-        let trial = scratch.trial.get_or_insert_with(|| node.clone());
+        let trial = trial.get_or_insert_with(|| node.clone());
         trial.assign_from(node);
         apply(trial, from_step(rec.step()));
-        let ids = stations.resolve(&mut scratch.misses, trial);
+        let ids = stations.resolve(misses, trial);
+        let at = out.push(trial, ids, file);
         if (ids.0 | ids.1) & PROVISIONAL != 0 {
-            scratch.patches.push(scratch.out.len() as u32);
+            patches.push((at, ids));
         }
-        scratch.out.push(trial, ids);
     }
+    out.seal(file);
 }
 
 /// The sharded merge, one shard at a time, in the workers' own bins for
@@ -1146,8 +1383,9 @@ fn keep_firsts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::StateCodec;
+    use crate::codec::{record_stations, StateCodec};
     use crate::explore::Discipline;
+    use crate::levels::LEVEL_BLOCK_BYTES;
     use crate::visited::FnvSet;
     use crate::visited::SHARDS;
     use crate::Explorer;
@@ -1516,34 +1754,63 @@ mod tests {
             }
         }
         assert!(recs.len() > 2 * CHUNK * SHARDS, "three workers get a slice");
-        for threads in [1, 2, 3] {
+        for (threads, spill) in [(1, false), (2, false), (3, false), (1, true), (3, true)] {
             // The run table starts with the parents' stations only, so the
-            // children's new station states go through the provisional ids.
+            // children's new station states go through the provisional ids,
+            // patched in RAM or in the spill file.
+            let file = spill.then(|| SpillFile::create("test").unwrap());
+            let file = file.as_ref();
             let mut stations = StationTable::new();
-            let mut frontier: Vec<Slab> = (0..3).map(|_| Slab::default()).collect();
+            let mut frontier: Vec<Segment> = (0..3).map(|_| Segment::default()).collect();
             for (p, parent) in parents.iter().enumerate() {
                 let ids = stations.intern(parent);
-                frontier[[0, 0, 1, 2][p * 4 / parents.len()]].push(parent, ids);
+                frontier[[0, 0, 1, 2][p * 4 / parents.len()]].push(parent, ids, file);
             }
+            for seg in &mut frontier {
+                seg.seal(file);
+            }
+            let mut index = Vec::new();
+            index_level(&frontier, &mut index);
             let before = (stations.transmitters(), stations.receivers());
             let mut workers: Vec<WorkerScratch> =
                 (0..threads).map(|_| WorkerScratch::default()).collect();
             for w in workers.iter_mut() {
                 prime(&mut w.node, &root);
             }
-            rebuild_frontier(threads, &recs, &frontier, &mut stations, &mut workers);
+            let level = LevelView {
+                segments: &frontier,
+                index: &index,
+                file,
+            };
+            rebuild_frontier(threads, &recs, level, &mut stations, &mut workers, file);
+            let outs: Vec<Segment> = workers
+                .iter_mut()
+                .map(|w| std::mem::take(&mut w.out))
+                .collect();
+            index_level(&outs, &mut index);
+            let next = LevelView {
+                segments: &outs,
+                index: &index,
+                file,
+            };
             let mut sys = root.clone();
             let mut keys = Vec::new();
-            for w in &workers {
-                for i in 0..w.out.len() {
-                    let (tx, rx) = record_stations(w.out.record(i));
+            let mut buf = Vec::new();
+            for b in 0..next.blocks() {
+                next.fetch(b, &mut buf);
+                let block = next.block(b, &buf);
+                assert_eq!(block.first() as usize, keys.len(), "blocks in rank order");
+                for i in 0..block.len() {
+                    let (tx, rx) = record_stations(block.record(i));
                     assert!((tx | rx) & PROVISIONAL == 0, "{threads} threads");
-                    load(w.out.record(i), &stations, &mut sys);
+                    load(block.record(i), &stations, &mut sys);
                     keys.push(StateCodec::full().key(&sys));
                 }
+            }
+            for w in &workers {
                 assert!(w.patches.is_empty() && w.misses.transmitters() == 0);
             }
-            assert_eq!(keys, expected, "{threads} threads");
+            assert_eq!(keys, expected, "{threads} threads, spill {spill}");
             assert!(
                 (stations.transmitters(), stations.receivers()) > before,
                 "the children reached station states their parents lack"
@@ -1560,10 +1827,28 @@ mod tests {
             .sum()
     }
 
-    /// Every frontier record the arena holds: the level segments and the
-    /// workers' rebuild outputs.
+    /// Every frontier record the arena holds, resident or spilled: the
+    /// level segments and the workers' rebuild outputs.
     fn records_held(arena: &ExploreArena) -> usize {
         level_len(&arena.frontier) + arena.workers.iter().map(|w| w.out.len()).sum::<usize>()
+    }
+
+    /// The width of every level the last run admitted, by depth, from its
+    /// path records: the spilled levels' counts and the level in flight,
+    /// or every resident level; the root counts 1.
+    fn level_widths(arena: &ExploreArena) -> Vec<usize> {
+        let paths = &arena.paths;
+        let mut widths: Vec<usize> = match paths.spilling {
+            true => paths
+                .spilled
+                .iter()
+                .map(|&(_, n)| n)
+                .chain(paths.levels.get(1).map(Vec::len))
+                .collect(),
+            false => paths.levels.iter().map(Vec::len).collect(),
+        };
+        widths[0] = 1;
+        widths
     }
 
     #[test]
@@ -1573,11 +1858,15 @@ mod tests {
         // engine holds two systems per worker whatever the scope, no more
         // records than two adjacent levels, and far fewer than one level's
         // candidates; the report is the in-RAM tier's, and the frontier
-        // gauge is the same at every thread count.
+        // and path gauges are the same at every thread count. The records
+        // themselves stream through the spill files: what the level store
+        // holds in RAM is bounded by two blocks per worker (each sealed
+        // block may overshoot by one record), not by a level's width, and
+        // the level files hold two levels, not every level written.
         let cfg = ExploreConfig {
-            max_messages: 4,
-            max_depth: 16,
-            max_pool: 6,
+            max_messages: 7,
+            max_depth: 22,
+            max_pool: 8,
             max_states: 500_000,
             ..ExploreConfig::default()
         };
@@ -1598,8 +1887,8 @@ mod tests {
                 held <= 2 * threads,
                 "{held} systems held by {threads} workers"
             );
-            let mut widths: Vec<usize> = arena.levels.iter().map(Vec::len).collect();
-            widths[0] = 1; // the root
+            let widths = level_widths(&arena);
+            assert_eq!(widths.iter().sum::<usize>(), arena.visited().len());
             let two_levels = widths.windows(2).map(|w| w[0] + w[1]).max().unwrap();
             let records = records_held(&arena);
             assert!(
@@ -1613,13 +1902,81 @@ mod tests {
                 records < peak_candidates,
                 "{records} records held, but the largest level had only {peak_candidates} candidates"
             );
+            let logical = snap.gauges["explore.peak_frontier_bytes"].value as usize;
+            let resident = snap.gauges["explore.level_store_resident_bytes"].value as usize;
+            let blocks = 2 * threads * (LEVEL_BLOCK_BYTES + 256);
+            assert!(
+                resident <= blocks && resident < logical / 4,
+                "{resident} B of level store resident at {threads} threads, \
+                 against {blocks} B of block buffers and {logical} B of records"
+            );
+            let written = snap.counters["explore.level_spill_bytes"];
+            assert!(written > logical as u64);
+            // Each level is written over the one two levels back, so the
+            // level files hold the widest level of each parity. The widths
+            // rise and then fall, so those two are adjacent.
+            let peak = (0..widths.len()).max_by_key(|&d| widths[d]).unwrap();
+            assert!(
+                widths[..=peak].windows(2).all(|w| w[0] <= w[1]),
+                "{widths:?}"
+            );
+            assert!(
+                widths[peak..].windows(2).all(|w| w[0] >= w[1]),
+                "{widths:?}"
+            );
+            let on_disk = arena.streamed().level_disk_bytes;
+            assert!(
+                on_disk <= logical as u64 && on_disk < written / 2,
+                "the level files hold {on_disk} B of {written} B written; \
+                 two adjacent levels take {logical} B"
+            );
             gauges.push((
                 snap.gauges["explore.peak_frontier_bytes"].value,
+                snap.gauges["explore.path_bytes"].value,
                 snap.gauges["explore.station_states.tx"].value,
                 snap.gauges["explore.station_states.rx"].value,
+                arena.streamed(),
             ));
         }
         assert!(gauges.windows(2).all(|g| g[0] == g[1]), "{gauges:?}");
+    }
+
+    #[test]
+    fn runs_close_their_spill_file_however_they_end() {
+        // A certificate, a counterexample returned mid-search and a
+        // truncation all stream through the file and leave it closed, so
+        // its space goes back when the run returns, not when the explorer
+        // is dropped. Without a budget no file is opened at all.
+        let certificate = ExploreConfig {
+            max_messages: 5,
+            max_depth: 18,
+            max_pool: 6,
+            ..ExploreConfig::default()
+        };
+        let truncated = ExploreConfig {
+            max_states: 500,
+            ..certificate
+        };
+        let scopes: [(&dyn DataLink, &ExploreConfig, &str); 3] = [
+            (&SequenceNumber::new(), &certificate, "exhausted"),
+            (
+                &AlternatingBit::new(),
+                &ExploreConfig::default(),
+                "counterexample",
+            ),
+            (&SequenceNumber::new(), &truncated, "truncated"),
+        ];
+        for (proto, cfg, kind) in scopes {
+            for spec in [VisitedSpec::tiered(4096), VisitedSpec::Ram] {
+                let mut arena = ExploreArena::default();
+                arena.install_visited(spec);
+                let outcome = ParallelExplorer::new(2).explore_in(proto, cfg, &mut arena);
+                assert_eq!(outcome_kind(&outcome), kind);
+                assert!(arena.spill.is_none(), "{kind}: the run left its file open");
+                let streamed = arena.streamed().level_bytes > 0;
+                assert_eq!(streamed, spec != VisitedSpec::Ram, "{kind} {spec:?}");
+            }
+        }
     }
 
     /// The bytes of candidate buffer the arena retains: the workers' bins,

@@ -25,7 +25,7 @@
 //! ```
 
 use crate::explore::{run_sequential, ExploreConfig, ExploreOutcome};
-use crate::explore_par::{ExploreArena, ParallelExplorer};
+use crate::explore_par::{ExploreArena, ParallelExplorer, Streamed};
 use crate::visited::{VisitedSet, VisitedSpec};
 use nonfifo_protocols::DataLink;
 use nonfifo_telemetry::{Registry, TraceSink};
@@ -101,6 +101,17 @@ impl Explorer {
     /// and peak resident bytes.
     pub fn visited_set(&self) -> &dyn VisitedSet {
         self.arena.visited()
+    }
+
+    /// What the most recent run streamed through its level spill files:
+    /// the parallel engine's rebuilt levels and finished path levels under
+    /// a memory budget. Zero without a budget, and on the sequential
+    /// oracle, which keeps its queue in RAM.
+    pub fn streamed(&self) -> Streamed {
+        match self.threads {
+            Some(_) => self.arena.streamed(),
+            None => Streamed::default(),
+        }
     }
 
     /// Explores `proto` within `cfg`'s scope: the shortest counterexample,

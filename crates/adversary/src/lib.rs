@@ -73,12 +73,14 @@ pub mod explore;
 mod explore_par;
 mod explorer;
 mod greedy;
+mod levels;
 mod mf;
 mod oracle;
 mod pf;
 pub mod por;
 mod schedule;
 mod shrink;
+mod spill;
 mod system;
 pub mod visited;
 mod workpool;
@@ -86,8 +88,10 @@ mod workpool;
 pub use codec::StateCodec;
 pub use dominant::{DominantReport, DominantTracker, ProbRunConfig};
 pub use explore::{scope_root, Discipline, ExploreConfig, ExploreOutcome};
+pub use explore_par::Streamed;
 pub use explorer::Explorer;
 pub use greedy::GreedyReplayAdversary;
+pub use levels::LEVEL_BLOCK_BYTES;
 pub use mf::{MfConfig, MfFalsifier, MfGrowthStage};
 pub use oracle::{BoundnessOracle, Extension};
 pub use pf::{PfConfig, PfFalsifier, PfMessageCost};

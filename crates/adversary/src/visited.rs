@@ -26,13 +26,11 @@
 //! `--visited <ram|tiered>` / `--memory-budget <bytes>` flags and owned by
 //! the [`Explorer`](crate::Explorer) facade.
 
+use crate::spill::SpillFile;
 use nonfifo_ioa::fingerprint::{mix64, Fnv64};
 use std::collections::HashSet;
-use std::fs::File;
 use std::hash::BuildHasherDefault;
-use std::io::{BufWriter, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Visited-state set on the fixed-key FNV-64 hasher: state keys are already
 /// well-mixed 64-bit fingerprints, so the cheap hash is safe and saves the
@@ -255,46 +253,14 @@ impl VisitedSet for RamVisited {
     }
 }
 
-/// Process-unique sequence for spill-file names; combined with the PID so
-/// concurrent explorations (and concurrent test processes) never collide.
-static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn spill_path() -> PathBuf {
-    let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "nonfifo-visited-{}-{}.run",
-        std::process::id(),
-        seq
-    ))
-}
-
 /// One sorted on-disk run of unique little-endian `u64` keys, probed by
 /// binary search over in-RAM fence pointers (first key per 4 KiB block)
 /// plus a single positioned read. The file is deleted on drop.
+#[derive(Debug)]
 struct DiskRun {
-    file: File,
-    path: PathBuf,
+    file: SpillFile,
     keys: u64,
     fences: Vec<u64>,
-    /// Serialises seek+read probes on platforms without positioned reads.
-    #[cfg(not(unix))]
-    probe: std::sync::Mutex<()>,
-}
-
-impl std::fmt::Debug for DiskRun {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DiskRun")
-            .field("path", &self.path)
-            .field("keys", &self.keys)
-            .field("blocks", &self.fences.len())
-            .finish()
-    }
-}
-
-impl Drop for DiskRun {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
 }
 
 impl DiskRun {
@@ -309,21 +275,7 @@ impl DiskRun {
     }
 
     fn read_block_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            self.file.read_exact_at(buf, offset)
-        }
-        #[cfg(not(unix))]
-        {
-            use std::io::{Read, Seek, SeekFrom};
-            // `Read`/`Seek` are implemented for `&File`, so a shared probe
-            // only needs the mutex to keep seek+read atomic.
-            let _guard = self.probe.lock().expect("disk-run probe lock");
-            let mut file = &self.file;
-            file.seek(SeekFrom::Start(offset))?;
-            file.read_exact(buf)
-        }
+        self.file.read_at(offset, buf)
     }
 
     /// The block index `key` can live in, or `None` when it is below the
@@ -403,30 +355,22 @@ impl DiskRun {
 }
 
 /// Streaming writer for a [`DiskRun`]: keys are pushed in ascending order
-/// and buffered through a [`BufWriter`] of a caller-chosen size, so
-/// building a run never needs the whole key set in RAM — the spill path
-/// hands it a sorted slice, the merge a k-way stream.
+/// and appended to the file through a write buffer of a caller-chosen
+/// size (a multiple of 8 bytes), so building a run never needs the whole
+/// key set in RAM — the spill path hands it a sorted slice, the merge a
+/// k-way stream.
 struct RunWriter {
-    writer: BufWriter<File>,
-    path: PathBuf,
+    file: SpillFile,
+    buf: Vec<u8>,
     fences: Vec<u64>,
     keys: u64,
 }
 
 impl RunWriter {
     fn new(buffer_bytes: usize) -> std::io::Result<RunWriter> {
-        let path = spill_path();
-        // `File::create` would hand back a write-only descriptor; the run
-        // is probed (read) for the rest of its life, so open read+write.
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
         Ok(RunWriter {
-            writer: BufWriter::with_capacity(buffer_bytes, file),
-            path,
+            file: SpillFile::create("visited")?,
+            buf: Vec::with_capacity(buffer_bytes),
             fences: Vec::new(),
             keys: 0,
         })
@@ -437,22 +381,20 @@ impl RunWriter {
             self.fences.push(key);
         }
         self.keys += 1;
-        self.writer.write_all(&key.to_le_bytes())
+        if self.buf.len() == self.buf.capacity() {
+            self.file.append(&self.buf)?;
+            self.buf.clear();
+        }
+        self.buf.extend_from_slice(&key.to_le_bytes());
+        Ok(())
     }
 
-    fn finish(mut self) -> std::io::Result<DiskRun> {
-        self.writer.flush()?;
-        let file = self
-            .writer
-            .into_inner()
-            .map_err(std::io::IntoInnerError::into_error)?;
+    fn finish(self) -> std::io::Result<DiskRun> {
+        self.file.append(&self.buf)?;
         Ok(DiskRun {
-            file,
-            path: self.path,
+            file: self.file,
             keys: self.keys,
             fences: self.fences,
-            #[cfg(not(unix))]
-            probe: std::sync::Mutex::new(()),
         })
     }
 }
@@ -721,7 +663,10 @@ impl VisitedSet for TieredVisited {
     }
 
     fn spill_paths(&self) -> Vec<PathBuf> {
-        self.runs.iter().map(|r| r.path.clone()).collect()
+        self.runs
+            .iter()
+            .map(|r| r.file.path().to_path_buf())
+            .collect()
     }
 }
 

@@ -3,7 +3,7 @@
 //! The parallel engine promises that steady-state expansion — load a node
 //! record into the worker's warm [`System`], refill the trial from it with
 //! `assign_from`, apply an action, hash it, merge its key, rebuild the
-//! winners' records into reused slabs — performs no heap allocation once
+//! winners' records into reused blocks — performs no heap allocation once
 //! the arena's buffers have warmed up. This pin makes
 //! that promise falsifiable: a counting global allocator measures a warm
 //! exploration end to end, and the budget is a small constant (the per-run
@@ -11,7 +11,7 @@
 //! scope performs. A regression that puts even one allocation back into
 //! the per-expansion loop blows the budget by an order of magnitude.
 //!
-//! Frontier levels are flat record slabs over a table of station states,
+//! Frontier levels are blocks of records over a table of station states,
 //! so even a cold run allocates per level and per station state, never per
 //! state, and dropping a warmed explorer frees a handful of buffers per
 //! level instead of a boxed system per frontier node.
@@ -22,7 +22,7 @@
 //!
 //! [`System`]: nonfifo_adversary::System
 
-use nonfifo_adversary::{ExploreConfig, ExploreOutcome, Explorer};
+use nonfifo_adversary::{ExploreConfig, ExploreOutcome, Explorer, VisitedSpec};
 use nonfifo_protocols::SequenceNumber;
 use nonfifo_telemetry::Registry;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
@@ -192,7 +192,7 @@ fn run_shape(registry: &Registry) -> (u64, u64, u64) {
 
 /// Allocations a cold parallel run may spend per level: the level's path
 /// records, the scoped worker threads of its expansion, merge and rebuild,
-/// and the doubling growth of the slabs, bins and shards it fills first.
+/// and the doubling growth of the segments, bins and shards it fills first.
 const PER_LEVEL: u64 = 64;
 
 /// Allocations per distinct station state: its box in the run table and
@@ -234,10 +234,51 @@ fn cold_parallel_exploration_allocates_per_level_not_per_state() {
 }
 
 #[test]
+fn warm_budgeted_exploration_allocates_per_level_not_per_state() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Under a memory budget every rebuilt level streams through the level
+    // spill files: blocks are written from and read into the workers'
+    // reused buffers, and path levels go out through a stack chunk, so a
+    // warm run allocates per run (the files, the root) and per visited
+    // spill (a run file and its buffers), never per state. The budget
+    // spills the visited keys a few times at this scope.
+    let mut explorer = Explorer::new()
+        .parallel(2)
+        .visited(VisitedSpec::tiered(64 * 1024));
+    let cold = explorer.explore(&SequenceNumber::new(), &wide_scope());
+    explorer.explore(&SequenceNumber::new(), &wide_scope());
+    let registry = std::sync::Arc::new(Registry::new());
+    explorer = explorer.with_telemetry(std::sync::Arc::clone(&registry), None);
+    let before = allocations();
+    let warm = explorer.explore(&SequenceNumber::new(), &wide_scope());
+    let spent = allocations() - before;
+    assert_eq!(cold.report(), warm.report());
+    assert!(
+        explorer.streamed().level_bytes > 0,
+        "the run streamed its levels"
+    );
+
+    // Per level: the scoped worker threads of its expansion, merge and
+    // rebuild (about nine allocations at two threads).
+    let (levels, _, states) = run_shape(&registry);
+    let spills = explorer.visited_set().spills();
+    let budget = 16 * levels + 16 * spills + 64;
+    assert!(
+        budget < states / 10,
+        "the pin must tell per-level from per-state costs: budget {budget}, {states} states"
+    );
+    assert!(
+        spent <= budget,
+        "a warm budgeted run allocated {spent} times over {levels} levels and \
+         {spills} visited spills (budget {budget}); something allocates per state"
+    );
+}
+
+#[test]
 fn dropping_a_warm_explorer_frees_per_level_not_per_state() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Teardown frees the explorer's buffers: per level its path records,
-    // per station state its automaton boxes, and a fixed set of slabs,
+    // per station state its automaton boxes, and a fixed set of segments,
     // shards and scratches. Anything held per frontier node, such as a
     // boxed system with its ten or so buffers, multiplies the count by the
     // width of the last two levels.

@@ -47,7 +47,8 @@ mod registry;
 use args::{Args, ArgsError, CommonOpts};
 use nonfifo_adversary::{
     shrink, Discipline, ExploreConfig, ExploreOutcome, Explorer, FalsifyOutcome,
-    GreedyReplayAdversary, MfConfig, MfFalsifier, PfConfig, PfFalsifier, VisitedSpec,
+    GreedyReplayAdversary, MfConfig, MfFalsifier, PfConfig, PfFalsifier, Streamed, VisitedSpec,
+    LEVEL_BLOCK_BYTES,
 };
 use nonfifo_core::{CrashEvent, CrashMode, NonFifoError, SimConfig, SimError, Station};
 use nonfifo_telemetry::{Registry, TraceSink};
@@ -139,7 +140,13 @@ exceeds --memory-budget bytes). Both are exact: reports are
 byte-identical at any budget. --memory-budget alone selects tiered;
 with --visited ram it is a usage error. A bare --visited tiered takes a
 1 GiB (2^30 bytes) budget; the effective budget — default or not — is
-always printed in the scope banner.
+always printed in the scope banner. The budget bounds the visited keys.
+Under any budget the parallel engine also streams every frontier level
+and every finished level's path records through spill files in the
+temp directory, holding two 8 KiB frontier blocks per thread and the
+level in flight in RAM. On disk the frontier takes two levels at a time
+and the path records 8 bytes per state. The sequential oracle keeps its
+queue in RAM.
 
 explore --threads, campaign --threads and serve --workers take at most
 64 threads; 0, the default, means one per core.
@@ -687,9 +694,23 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
         match spec {
             VisitedSpec::Ram => String::new(),
             // The effective budget is always visible — in particular the
-            // implicit 1 GiB default a bare `--visited tiered` picks.
-            other if budget_defaulted => format!(", visited {other} [default budget]"),
-            other => format!(", visited {other}"),
+            // implicit 1 GiB default a bare `--visited tiered` picks — and
+            // so is what it bounds.
+            other => format!(
+                ", visited {other}{}; the budget bounds the keys{}",
+                if budget_defaulted {
+                    " [default budget]"
+                } else {
+                    ""
+                },
+                match explorer.threads() {
+                    Some(_) => format!(
+                        ", plus two {LEVEL_BLOCK_BYTES} B frontier blocks per thread \
+                         and the level in flight; the rest streams through spill files"
+                    ),
+                    None => "; the sequential oracle keeps its queue in RAM".to_string(),
+                },
+            ),
         },
     );
     let outcome = explorer.explore(proto.as_ref(), &cfg);
@@ -794,6 +815,17 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
                 VisitedSpec::Tiered { memory_budget, .. } => memory_budget,
                 VisitedSpec::Ram => 0,
             },
+        );
+    }
+    let streamed = explorer.streamed();
+    if streamed != Streamed::default() {
+        // Like the visited line, a function of the scope and the budget
+        // alone: every rebuilt level and every finished path level goes
+        // to the files whole, at any thread count.
+        println!(
+            "streamed: {} bytes of frontier blocks (at most {} on disk) and \
+             {} bytes of path records through the level spill files",
+            streamed.level_bytes, streamed.level_disk_bytes, streamed.path_bytes,
         );
     }
     export_telemetry(&opts, metrics.as_ref(), trace.as_ref())?;

@@ -235,6 +235,58 @@ fn gbn4_counterexamples_match_their_goldens_byte_for_byte() {
     }
 }
 
+/// Under a memory budget the parallel engine streams its levels and path
+/// records through spill files and reconstructs a counterexample from
+/// the records it reads back. Each report must be the in-RAM run's, byte
+/// for byte, at 1, 2 and 8 threads, plus the `visited:` and `streamed:`
+/// lines: the gbn4 golden, the alternating bit at the default scope, and
+/// the corrupted start whose counterexample is found at depth 0, before
+/// any level streams.
+#[test]
+fn budgeted_counterexamples_match_the_ram_runs_byte_for_byte() {
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/gbn4-cex.parallel.txt"
+    ))
+    .unwrap();
+    let scopes = [
+        ("explore gbn4 --messages 6 --depth 12 --pool 5", true),
+        ("explore abp", true),
+        (
+            "explore seqnum --corrupt-start 8 --messages 2 --depth 8 --pool 4 --max-states 300000",
+            false,
+        ),
+    ];
+    let mut jobs = Vec::new();
+    for (scope, _) in scopes {
+        for threads in [1, 2, 8] {
+            jobs.push(format!("{scope} --threads {threads}"));
+            jobs.push(format!("{scope} --threads {threads} --memory-budget 4096"));
+        }
+    }
+    let runs = run_all(&jobs);
+    for (i, pair) in runs.chunks(2).enumerate() {
+        let ((scope, streams), job) = (scopes[i / 3], &jobs[2 * i + 1]);
+        let (ram, budgeted) = (&pair[0], &pair[1]);
+        assert_eq!(ram.code, Some(2), "{job}");
+        assert_eq!(budgeted.code, Some(2), "{job}");
+        if scope.contains("gbn4") {
+            assert_eq!(ram.report, golden, "{job}");
+        }
+        let (report, extra): (Vec<&str>, Vec<&str>) = budgeted
+            .report
+            .lines()
+            .partition(|l| !l.starts_with("visited: ") && !l.starts_with("streamed: "));
+        assert_eq!(report, ram.report.lines().collect::<Vec<_>>(), "{job}");
+        assert_eq!(
+            extra.iter().any(|l| l.starts_with("streamed: ")),
+            streams,
+            "{job}: {extra:?}"
+        );
+        assert_eq!(budgeted.report, runs[2 * (i / 3 * 3) + 1].report, "{job}");
+    }
+}
+
 /// The reduced engine must agree with the full explorer on the verdict.
 /// Both state counts are functions of the protocol and the scope alone, so
 /// the reduction line and the reduced run's counters are pinned exactly:

@@ -139,7 +139,7 @@ fn parallel_reports_are_byte_identical_across_thread_counts() {
 #[test]
 fn arena_reuse_is_invisible() {
     // The engine's zero-copy machinery — parent-pointer path records,
-    // record slabs, the station table's kept automaton boxes, warm systems
+    // record segments, the station table's kept automaton boxes, warm systems
     // refilled with `assign_from`, reused worker scratch —
     // lives in the arena an `Explorer` owns. Running a random sequence of
     // scopes and protocols through ONE explorer (so every run inherits the
