@@ -45,10 +45,10 @@
 //! the simplest use of the trait, and the easiest to audit. The parallel
 //! engine uses the batched side of the same trait
 //! ([`VisitedSet::contains_resident`] during expansion, then
-//! [`VisitedSet::probe_spilled_sorted`] over sorted per-shard batches and
-//! [`VisitedSet::insert_new`] at the level merge), which turns disk-tier
-//! probing into one sequential block read per batch instead of a random
-//! read per key. Byte-identical reports across both engines and every
+//! [`VisitedSet::probe_spilled_batches`] over sorted per-shard batches and
+//! [`VisitedSet::insert_new`] at each slice's merge), which turns disk-tier
+//! probing into one sequential pass over each run per group of batches
+//! instead of a random read per key. Byte-identical reports across both engines and every
 //! tier — pinned by `tests/visited_props.rs` — are what certify that the
 //! batched path implements exactly this oracle's semantics.
 

@@ -40,7 +40,11 @@
 //!   `tests/explore_alloc.rs`). Under a memory budget the blocks of every
 //!   rebuilt level, and every finished level's path records, stream
 //!   through spill files, so a worker holds two blocks however wide the
-//!   level, and the disk holds two levels however deep the search.
+//!   level, and the disk holds two levels however deep the search. A
+//!   budgeted level is also expanded, merged and admitted one fixed run
+//!   of frontier ranks at a time ([`slice_ranks`]), so the candidates in
+//!   flight are one slice's however wide the level; without a budget the
+//!   slice is the whole level.
 //! - **Tiered dedup.** The visited set behind the engine is a
 //!   [`VisitedSet`] tier chosen by [`VisitedSpec`] (see [`crate::visited`]):
 //!   the RAM tier runs 64 FNV shards on the fixed-key FNV-64 hasher
@@ -54,14 +58,18 @@
 //! **Determinism.** The outcome is a pure function of (protocol, config):
 //! thread count and OS scheduling cannot change it.
 //!
-//! - Workers only *read* the visited set (it is frozen during a level);
-//!   newly discovered states are merged after the level in sorted
+//! - Workers only *read* the visited set (it is frozen during a slice);
+//!   newly discovered states are merged after the slice in sorted
 //!   `(state key, parent rank, step)` order. All paths within a level have
 //!   equal length and the frontier is kept sorted by path order, so
 //!   comparing `(parent rank, step)` *is* comparing full paths — when two
 //!   paths reach the same state in the same level, the lexicographically
 //!   smallest path deterministically claims it, exactly as the old
 //!   owned-path engine did (property-tested in `tests/explore_props.rs`).
+//!   Slices ascend in parent rank, so the first slice to reach a key
+//!   holds its smallest path, and its duplicates in later slices meet the
+//!   admitted key as visited hits: the winners, their ranks and the order
+//!   of inserts are the whole-level merge's.
 //! - The merge itself is **sharded and parallel**: candidates are binned
 //!   by the 64-way mixed-digest shard index ([`shard_of`]) as workers
 //!   discover them, and each shard is sorted, deduplicated, and probed
@@ -71,9 +79,10 @@
 //!   order are exactly the winners the old single-threaded full-sort
 //!   merge produced, whatever thread ran which shard (the determinism
 //!   argument is spelled out in `docs/explorer_internals.md` §7). While
-//!   the tier has runs on disk they are probed once per shard with a
-//!   sorted key batch ([`VisitedSet::probe_spilled_sorted`]), so a 4 KiB
-//!   run block is read once per level instead of once per candidate.
+//!   the tier has runs on disk, each merge thread probes them once for
+//!   its shards' sorted key batches
+//!   ([`VisitedSet::probe_spilled_batches`]), so a 4 KiB run block is read
+//!   once per slice and merge thread instead of once per candidate.
 //! - The winners' records are rebuilt in rank order, each from its parent
 //!   and its recorded step alone, so which thread rebuilt a node cannot
 //!   change it. Station ids may differ with the thread count; they never
@@ -87,8 +96,10 @@
 //! - The state budget is enforced during the sorted merge, so `Truncated`
 //!   outcomes report a thread-count-independent state count. When a level
 //!   contains both a violation and the budget edge, the violation wins
-//!   (the conclusive answer beats the resource excuse); the sequential
-//!   oracle may report `Truncated` on such knife-edge scopes.
+//!   (the conclusive answer beats the resource excuse), even when the
+//!   budget ran out in an earlier slice: the rest of the level is then
+//!   expanded for violations only. The sequential oracle may report
+//!   `Truncated` on such knife-edge scopes.
 //!
 //! Frontier states are counts-only systems ([`System::disable_event_log`]):
 //! no event log, and a monitor that keeps only the copies in transit, so a
@@ -187,9 +198,10 @@ impl PathRec {
 ///
 /// Without a spill file every level stays resident, `levels[d]` holding
 /// depth `d`'s records (`levels[0]` stays empty: the root has no incoming
-/// step). With one, only the level being admitted and rebuilt is resident,
-/// in `levels[1]`, and each finished level goes to the file, from which
-/// [`get`](PathStore::get) reads a record back with one positioned read.
+/// step). With one, only the level being admitted (slice by slice) and
+/// rebuilt is resident, in `levels[1]`, and each finished level goes to
+/// the file, from which [`get`](PathStore::get) reads a record back with
+/// one positioned read.
 #[derive(Debug, Default)]
 struct PathStore {
     levels: Vec<Vec<PathRec>>,
@@ -224,8 +236,8 @@ impl PathStore {
         &self.levels[self.slot(depth)]
     }
 
-    /// The empty buffer the level at `depth` is admitted into.
-    fn begin(&mut self, depth: usize) -> &mut Vec<PathRec> {
+    /// The buffer the level at `depth` is admitted into, slice by slice.
+    fn in_flight(&mut self, depth: usize) -> &mut Vec<PathRec> {
         let slot = self.slot(depth);
         while self.levels.len() <= slot {
             self.levels.push(Vec::new());
@@ -367,6 +379,19 @@ struct WorkerScratch {
     rx_ids: Vec<u32>,
 }
 
+/// Frontier ranks expanded, merged and admitted at once under `spec`:
+/// under a memory budget a fixed slice of `budget / 64` ranks, at least
+/// [`CHUNK`] × [`SHARDS`] (about one budget of candidates at seqnum's four
+/// a node), and `None`, the whole level, without one. It depends on the
+/// budget alone, never on the thread count, so every run of a scope cuts
+/// its levels alike.
+pub(crate) fn slice_ranks(spec: VisitedSpec) -> Option<usize> {
+    match spec {
+        VisitedSpec::Ram => None,
+        VisitedSpec::Tiered { memory_budget } => Some((memory_budget / 64).max(CHUNK * SHARDS)),
+    }
+}
+
 /// Records in the level stored as `segments`.
 fn level_len(segments: &[Segment]) -> usize {
     segments.iter().map(Segment::len).sum()
@@ -387,7 +412,7 @@ fn prime(slot: &mut Option<System>, root: &System) {
 }
 
 /// Per-shard merge state, retained in the arena: the sorted unique key
-/// batch handed to [`VisitedSet::probe_spilled_sorted`] and its hits, both
+/// batch handed to [`VisitedSet::probe_spilled_batches`] and its hits, both
 /// left empty while nothing is on disk; a read and a write position per
 /// worker bin and a min-heap over the bins' heads for the k-way walks;
 /// and how many of the shard's candidates lost. The candidates
@@ -414,14 +439,20 @@ struct Peaks {
     /// held, and the workers' read buffers. Under a budget it is two
     /// blocks per worker.
     resident_bytes: usize,
-    /// The most candidates one level produced, times their 16-byte size:
-    /// what the workers' bins hold at the widest level. On one worker it
+    /// The most candidates one slice produced, times their 16-byte size:
+    /// what the workers' bins hold at the widest slice. On one worker it
     /// is also the candidate capacity a warm arena retains, less the bins'
     /// growth slack. With more workers each bin keeps the most its own
-    /// worker found in one level, however the scheduler spread the levels,
-    /// so the retained capacity can exceed it (2.75x at seqnum 8/26/10 at
-    /// 8 threads on 2 cores).
+    /// worker found in one slice, however the scheduler spread the work,
+    /// so the retained capacity can exceed it (2.75x at seqnum 8/26/10 in
+    /// RAM at 8 threads on 2 cores). Under a budget no worker finds more
+    /// than a slice's candidates at once, so each worker's bins stay
+    /// within a few slices' worth however the scheduler spread the work.
     candidate_bytes: usize,
+    /// The most candidates one level produced over all its slices, times
+    /// 16: what the merge would hold if the level were one slice. Equal to
+    /// `candidate_bytes` without a budget.
+    level_candidate_bytes: usize,
 }
 
 /// The reusable workspace an [`Explorer`](crate::Explorer) owns: the
@@ -515,6 +546,22 @@ impl ExploreArena {
         matches!(self.spec, VisitedSpec::Tiered { .. })
     }
 
+    /// Candidates the workers hold.
+    fn candidates(&self) -> usize {
+        self.workers
+            .iter()
+            .flat_map(|w| &w.candidates)
+            .map(Vec::len)
+            .sum()
+    }
+
+    /// Forgets the workers' candidates, keeping their bins.
+    fn drop_candidates(&mut self) {
+        for bin in self.workers.iter_mut().flat_map(|w| &mut w.candidates) {
+            bin.clear();
+        }
+    }
+
     /// Clears logical state while keeping every allocation: the visited
     /// set, the segments and the merge buffers keep their capacity, and the
     /// station table its automaton boxes.
@@ -606,7 +653,7 @@ struct ExploreTelemetry {
     /// Successor transitions put to sleep by the partial-order reduction
     /// (worker-side; stays 0 with `--por` off or inapplicable).
     pruned: Counter,
-    /// Nanoseconds spent in the *serial* part of the per-level merge
+    /// Nanoseconds spent in the *serial* part of the per-slice merge
     /// (transpose, admit and rank, hand-back — the per-shard sort/probe
     /// work runs on worker threads and is excluded). This over wall time is the
     /// engine's Amdahl serial fraction; a release-only test guards its share.
@@ -618,6 +665,9 @@ struct ExploreTelemetry {
     /// Nanoseconds spent rebuilding the merge winners' systems from their
     /// parents (the phase after the merge; mostly on worker threads).
     rebuild: Counter,
+    /// Rank slices expanded, merged and admitted: one per level without
+    /// a memory budget.
+    slices: Counter,
     /// Frontier width, one observation per depth level.
     frontier_width: Histogram,
 }
@@ -633,6 +683,7 @@ impl ExploreTelemetry {
             merge_serial: registry.counter("explore.merge_serial_ns"),
             expand: registry.counter("explore.phase_ns.expand"),
             rebuild: registry.counter("explore.phase_ns.rebuild"),
+            slices: registry.counter("explore.slices"),
             frontier_width: registry.histogram("explore.frontier_width"),
             registry,
             trace,
@@ -667,6 +718,9 @@ impl ExploreTelemetry {
         self.registry
             .gauge("explore.peak_candidate_bytes")
             .set(peaks.candidate_bytes as u64);
+        self.registry
+            .gauge("explore.peak_level_candidate_bytes")
+            .set(peaks.level_candidate_bytes as u64);
         self.registry
             .gauge("explore.level_store_resident_bytes")
             .set(peaks.resident_bytes as u64);
@@ -797,6 +851,7 @@ impl ParallelExplorer {
         peaks.frontier_bytes = arena.frontier[0].bytes() + arena.stations.bytes();
         peaks.resident_bytes = arena.frontier[0].peak_resident();
         let spilling = arena.spilling();
+        let slice_ranks = slice_ranks(arena.spec);
 
         for depth in 0..cfg.max_depth {
             let width = level_len(&arena.frontier);
@@ -816,156 +871,73 @@ impl ParallelExplorer {
             if let Some(t) = tel {
                 t.frontier_width.record(width as u64);
             }
-            let expand_started = tel.map(|_| Instant::now());
-            self.expand_level(depth, cfg, por, arena);
-            if let (Some(t), Some(started)) = (tel, expand_started) {
-                t.expand.add(started.elapsed().as_nanos() as u64);
+
+            // The level goes through expand, merge and admit one slice of
+            // ranks at a time, in ascending order: without a budget the
+            // whole level at once. A key first reached in a slice is
+            // admitted before the next slice expands, so its duplicates
+            // there are visited hits, as they would have lost the merge to
+            // its smaller path record; the winners and their order are the
+            // whole-level merge's.
+            let slice = slice_ranks.unwrap_or(width);
+            let mut level_candidates = 0;
+            let mut truncated = false;
+            for start in (0..width).step_by(slice) {
+                let ranks = start as u32..(start + slice).min(width) as u32;
+                if let Some(t) = tel {
+                    t.slices.inc();
+                }
+                let expand_started = tel.map(|_| Instant::now());
+                self.expand_slice(depth, ranks, cfg, por, arena);
+                if let (Some(t), Some(started)) = (tel, expand_started) {
+                    t.expand.add(started.elapsed().as_nanos() as u64);
+                }
+
+                // Violations: the lexicographically smallest path wins;
+                // within one level that is the minimal (parent rank, step)
+                // pair, and slices ascend in parent rank, so the first
+                // slice that finds one holds it. It beats a state budget
+                // an earlier slice of the level ran out, as it does when
+                // the level is one slice.
+                let best_violation = arena
+                    .workers
+                    .iter()
+                    .flat_map(|w| w.violations.iter().copied())
+                    .min();
+                if let Some(rec) = best_violation {
+                    let steps = arena.reconstruct(depth, rec);
+                    return (materialize(proto, cfg, steps), peaks);
+                }
+                let found = arena.candidates();
+                level_candidates += found;
+                peaks.candidate_bytes = peaks
+                    .candidate_bytes
+                    .max(found * std::mem::size_of::<Candidate>());
+                if truncated {
+                    // Past the state budget the rest of the level is
+                    // expanded for its violations only.
+                    arena.drop_candidates();
+                } else {
+                    truncated = self.admit_slice(depth, found, cfg, arena, &mut states);
+                }
+            }
+            peaks.level_candidate_bytes = peaks
+                .level_candidate_bytes
+                .max(level_candidates * std::mem::size_of::<Candidate>());
+            if truncated {
+                return (ExploreOutcome::Truncated { states }, peaks);
             }
 
-            // Violations: the lexicographically smallest path wins; within
-            // one level that is the minimal (parent rank, step) pair.
-            let best_violation = arena
-                .workers
-                .iter()
-                .flat_map(|w| w.violations.iter().copied())
-                .min();
-            if let Some(rec) = best_violation {
-                let steps = arena.reconstruct(depth, rec);
-                return (materialize(proto, cfg, steps), peaks);
-            }
-
-            // Deterministic sharded merge: every shard is a disjoint key
-            // space, so each is sorted by (key, parent rank, step),
-            // deduplicated, and disk-probed independently — on worker
-            // threads — and the shard-local decisions are exactly the
-            // decisions the old global sort made. Only the transpose, the
-            // admit-and-rank pass and the hand-back remain serial (timed
-            // as `explore.merge_serial_ns` when telemetry is attached).
             let ExploreArena {
-                visited,
                 workers,
                 paths,
                 frontier,
                 index,
                 stations,
-                bins_in,
-                merges,
-                heap,
                 spill,
                 streamed,
                 ..
             } = &mut *arena;
-
-            let serial_started = tel.map(|_| Instant::now());
-            // Transpose worker-major bins into shard-major groups with
-            // header-only Vec swaps; `bins_in[s * stride + w]` then holds
-            // worker w's candidates for shard s.
-            let stride = workers.len();
-            while bins_in.len() < SHARDS * stride {
-                bins_in.push(Vec::new());
-            }
-            let mut total = 0usize;
-            for (w, scratch) in workers.iter_mut().enumerate() {
-                for (s, bin) in scratch.candidates.iter_mut().enumerate() {
-                    total += bin.len();
-                    std::mem::swap(&mut bins_in[s * stride + w], bin);
-                }
-            }
-            peaks.candidate_bytes = peaks
-                .candidate_bytes
-                .max(total * std::mem::size_of::<Candidate>());
-            let mut serial_ns = serial_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-
-            // Per-shard sort + same-level dedup + batched spilled-run
-            // probe, in the workers' own bins, fanned out over the worker
-            // threads. Tiny levels stay inline: a scope spawn costs more
-            // than sorting a few dozen candidates.
-            let frozen: &dyn VisitedSet = &**visited;
-            let merge_threads = self.threads.min(SHARDS);
-            if merge_threads == 1 || total < CHUNK * SHARDS {
-                for (s, m) in merges.iter_mut().enumerate() {
-                    merge_shard(m, &mut bins_in[s * stride..(s + 1) * stride], frozen);
-                }
-            } else {
-                let per = SHARDS.div_ceil(merge_threads);
-                std::thread::scope(|scope| {
-                    for (ms, bs) in merges
-                        .chunks_mut(per)
-                        .zip(bins_in[..SHARDS * stride].chunks_mut(per * stride))
-                    {
-                        scope.spawn(move || {
-                            for (j, m) in ms.iter_mut().enumerate() {
-                                merge_shard(m, &mut bs[j * stride..(j + 1) * stride], frozen);
-                            }
-                        });
-                    }
-                });
-            }
-
-            let serial_resumed = tel.map(|_| Instant::now());
-
-            // Admit and rank (serial): each bin's winners sit in
-            // descending (parent rank, step) order, so a min-heap over the
-            // bin tails emits the level in global path order with O(1)
-            // by-value pops — each node's index in the level's record
-            // arena, and so in the next frontier, *is* its path rank, the
-            // invariant that lets the merge compare one-word records
-            // instead of whole paths. Each winner key was proven absent by
-            // the resident probe at expansion time plus the spilled probe
-            // above, so the probe-free insert admits every one.
-            let level_dedup: usize = merges.iter().map(|m| m.rejected).sum();
-            if let Some(t) = tel {
-                t.dedup_hits.add(level_dedup as u64);
-            }
-            let level = paths.begin(depth + 1);
-            let bins = &mut bins_in[..SHARDS * stride];
-            heap.clear();
-            for (i, bin) in bins.iter().enumerate() {
-                if let Some(c) = bin.last() {
-                    heap.push(Reverse((c.rec, i)));
-                }
-            }
-            let mut truncated = false;
-            while let Some(mut top) = heap.peek_mut() {
-                let Reverse((_, i)) = *top;
-                let c = bins[i].pop().expect("heap tracks non-empty tails");
-                let admitted = visited.insert_new(c.key);
-                debug_assert!(admitted, "the merge proved every winner absent");
-                states += 1;
-                if let Some(t) = tel {
-                    t.states.inc();
-                }
-                level.push(c.rec);
-                if states >= cfg.max_states {
-                    truncated = true;
-                    break;
-                }
-                // Replacing the top sifts it down once, instead of a pop
-                // and a push.
-                match bins[i].last() {
-                    Some(next) => *top = Reverse((next.rec, i)),
-                    None => {
-                        PeekMut::pop(top);
-                    }
-                }
-            }
-
-            // Hand every bin back to its worker header-only, so each
-            // candidate's capacity is retained once, in the worker that
-            // fills it.
-            for (w, scratch) in workers.iter_mut().enumerate() {
-                for (s, bin) in scratch.candidates.iter_mut().enumerate() {
-                    std::mem::swap(&mut bins[s * stride + w], bin);
-                    bin.clear();
-                }
-            }
-            if truncated {
-                return (ExploreOutcome::Truncated { states }, peaks);
-            }
-            if let (Some(t), Some(resumed)) = (tel, serial_resumed) {
-                serial_ns += resumed.elapsed().as_nanos() as u64;
-                t.merge_serial.add(serial_ns);
-            }
 
             // Rebuild: the next frontier is the winners' records, in rank
             // order — unless the depth bound ends the search here, since
@@ -1030,14 +1002,145 @@ impl ParallelExplorer {
         (ExploreOutcome::Exhausted { states }, peaks)
     }
 
-    /// Expands every frontier node, leaving each worker's discoveries in
-    /// its scratch buffers. Workers claim work from an atomic cursor: a
-    /// resident level in [`CHUNK`]-sized rank ranges, a level in the spill
-    /// file in whole blocks, each read once. A level of one claim runs on
-    /// the calling thread without spawning a scope.
-    fn expand_level(
+    /// Merges the candidates the workers found in the slice just expanded
+    /// and admits the winners: their keys to the visited set, their path
+    /// records to the level in flight, in path order. `total` is the
+    /// slice's candidate count. Returns whether the state budget ran out.
+    fn admit_slice(
         &self,
         depth: usize,
+        total: usize,
+        cfg: &ExploreConfig,
+        arena: &mut ExploreArena,
+        states: &mut usize,
+    ) -> bool {
+        let tel = self.telemetry.as_ref();
+        // Deterministic sharded merge: every shard is a disjoint key
+        // space, so each is sorted by (key, parent rank, step),
+        // deduplicated, and disk-probed independently — on worker
+        // threads — and the shard-local decisions are exactly the
+        // decisions the old global sort made. Only the transpose, the
+        // admit-and-rank pass and the hand-back remain serial (timed
+        // as `explore.merge_serial_ns` when telemetry is attached).
+        let ExploreArena {
+            visited,
+            workers,
+            paths,
+            bins_in,
+            merges,
+            heap,
+            ..
+        } = arena;
+
+        let serial_started = tel.map(|_| Instant::now());
+        // Transpose worker-major bins into shard-major groups with
+        // header-only Vec swaps; `bins_in[s * stride + w]` then holds
+        // worker w's candidates for shard s.
+        let stride = workers.len();
+        while bins_in.len() < SHARDS * stride {
+            bins_in.push(Vec::new());
+        }
+        for (w, scratch) in workers.iter_mut().enumerate() {
+            for (s, bin) in scratch.candidates.iter_mut().enumerate() {
+                std::mem::swap(&mut bins_in[s * stride + w], bin);
+            }
+        }
+        let mut serial_ns = serial_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
+
+        // Per-shard sort + same-slice dedup + batched spilled-run
+        // probe, in the workers' own bins, fanned out over the worker
+        // threads in groups of shards. Tiny slices stay inline: a scope
+        // spawn costs more than sorting a few dozen candidates.
+        let frozen: &dyn VisitedSet = &**visited;
+        let merge_threads = self.threads.min(SHARDS);
+        if merge_threads == 1 || total < CHUNK * SHARDS {
+            merge_shards(merges, &mut bins_in[..SHARDS * stride], frozen);
+        } else {
+            let per = SHARDS.div_ceil(merge_threads);
+            std::thread::scope(|scope| {
+                for (ms, bs) in merges
+                    .chunks_mut(per)
+                    .zip(bins_in[..SHARDS * stride].chunks_mut(per * stride))
+                {
+                    scope.spawn(move || merge_shards(ms, bs, frozen));
+                }
+            });
+        }
+
+        let serial_resumed = tel.map(|_| Instant::now());
+
+        // Admit and rank (serial): each bin's winners sit in
+        // descending (parent rank, step) order, so a min-heap over the
+        // bin tails emits the slice in global path order with O(1)
+        // by-value pops, after the earlier slices' winners — each node's
+        // index in the level's record arena, and so in the next frontier,
+        // *is* its path rank, the invariant that lets the merge compare
+        // one-word records instead of whole paths. Each winner key was
+        // proven absent by the resident probe at expansion time plus the
+        // spilled probe above, so the probe-free insert admits every one.
+        let slice_dedup: usize = merges.iter().map(|m| m.rejected).sum();
+        if let Some(t) = tel {
+            t.dedup_hits.add(slice_dedup as u64);
+        }
+        let level = paths.in_flight(depth + 1);
+        let bins = &mut bins_in[..SHARDS * stride];
+        heap.clear();
+        for (i, bin) in bins.iter().enumerate() {
+            if let Some(c) = bin.last() {
+                heap.push(Reverse((c.rec, i)));
+            }
+        }
+        let mut truncated = false;
+        while let Some(mut top) = heap.peek_mut() {
+            let Reverse((_, i)) = *top;
+            let c = bins[i].pop().expect("heap tracks non-empty tails");
+            let admitted = visited.insert_new(c.key);
+            debug_assert!(admitted, "the merge proved every winner absent");
+            *states += 1;
+            if let Some(t) = tel {
+                t.states.inc();
+            }
+            level.push(c.rec);
+            if *states >= cfg.max_states {
+                truncated = true;
+                break;
+            }
+            // Replacing the top sifts it down once, instead of a pop
+            // and a push.
+            match bins[i].last() {
+                Some(next) => *top = Reverse((next.rec, i)),
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
+        }
+
+        // Hand every bin back to its worker header-only, so each
+        // candidate's capacity is retained once, in the worker that
+        // fills it.
+        for (w, scratch) in workers.iter_mut().enumerate() {
+            for (s, bin) in scratch.candidates.iter_mut().enumerate() {
+                std::mem::swap(&mut bins[s * stride + w], bin);
+                bin.clear();
+            }
+        }
+        if let (Some(t), Some(resumed)) = (tel, serial_resumed) {
+            serial_ns += resumed.elapsed().as_nanos() as u64;
+            t.merge_serial.add(serial_ns);
+        }
+        truncated
+    }
+
+    /// Expands the frontier nodes ranked `ranks`, leaving each worker's
+    /// discoveries in its scratch buffers. Workers claim work from an
+    /// atomic cursor: a resident level in [`CHUNK`]-sized rank ranges, a
+    /// level in the spill file in whole blocks, each read once and clipped
+    /// to `ranks`. A slice of one claim runs on the calling thread without
+    /// spawning a scope.
+    fn expand_slice(
+        &self,
+        depth: usize,
+        ranks: std::ops::Range<u32>,
         cfg: &ExploreConfig,
         por: PorCtx,
         arena: &mut ExploreArena,
@@ -1051,7 +1154,7 @@ impl ParallelExplorer {
             spill,
             ..
         } = arena;
-        // Frozen for the level: workers only probe membership, so a shared
+        // Frozen for the slice: workers only probe membership, so a shared
         // borrow of the tier is all they get (the trait requires `Sync`).
         let level = Level {
             frontier: LevelView {
@@ -1066,18 +1169,25 @@ impl ParallelExplorer {
             tel: self.telemetry.as_ref(),
         };
         let (units, chunk) = match level.frontier.file {
-            Some(_) => (level.frontier.blocks(), 1),
-            None => (level_len(frontier), CHUNK),
+            Some(_) => (
+                level.frontier.block_of(ranks.start)..level.frontier.block_of(ranks.end - 1) + 1,
+                1,
+            ),
+            None => (ranks.start as usize..ranks.end as usize, CHUNK),
         };
-        let cursor = ChunkCursor::new(units, chunk);
-        let claimed = |units: std::ops::Range<usize>| match level.frontier.file {
-            Some(_) => level.frontier.ranks(units),
-            None => units.start as u32..units.end as u32,
+        let cursor = ChunkCursor::new(units.len(), chunk);
+        let claimed = |claim: std::ops::Range<usize>| {
+            let claim = units.start + claim.start..units.start + claim.end;
+            let got = match level.frontier.file {
+                Some(_) => level.frontier.ranks(claim),
+                None => claim.start as u32..claim.end as u32,
+            };
+            got.start.max(ranks.start)..got.end.min(ranks.end)
         };
-        let nworkers = self.threads.min(units.div_ceil(chunk)).max(1);
+        let nworkers = self.threads.min(units.len().div_ceil(chunk)).max(1);
         if nworkers == 1 {
-            while let Some(units) = cursor.claim() {
-                expand_ranks(level, claimed(units), &mut workers[0]);
+            while let Some(claim) = cursor.claim() {
+                expand_ranks(level, claimed(claim), &mut workers[0]);
             }
             return;
         }
@@ -1085,8 +1195,8 @@ impl ParallelExplorer {
             for scratch in workers[..nworkers].iter_mut() {
                 let (cursor, claimed) = (&cursor, &claimed);
                 scope.spawn(move || {
-                    while let Some(units) = cursor.claim() {
-                        expand_ranks(level, claimed(units), scratch);
+                    while let Some(claim) = cursor.claim() {
+                        expand_ranks(level, claimed(claim), scratch);
                     }
                 });
             }
@@ -1094,7 +1204,7 @@ impl ParallelExplorer {
     }
 }
 
-/// What every expansion of one level reads, shared by the workers.
+/// What every expansion of one slice reads, shared by the workers.
 #[derive(Clone, Copy)]
 struct Level<'a> {
     frontier: LevelView<'a>,
@@ -1173,8 +1283,8 @@ fn expand_node(level: Level<'_>, rank: u32, record: &[u8], scratch: &mut WorkerS
         let key = por.key(next);
         // Frozen *resident* membership check — for disk-spilling tiers
         // this is the RAM delta only; spilled-run membership is settled
-        // once per level by the merge's batched sorted probe, so the hot
-        // loop never waits on a positioned read. Same-level duplicates are
+        // once per slice by the merge's batched sorted probe, so the hot
+        // loop never waits on a positioned read. Same-slice duplicates are
         // likewise resolved in the merge.
         if !visited.contains_resident(key) {
             if let Some(t) = tel {
@@ -1296,42 +1406,58 @@ fn rebuild_slice(
     out.seal(file);
 }
 
-/// The sharded merge, one shard at a time, in the workers' own bins for
-/// the shard: sort each bin by `(key, parent rank, step)`, then walk them
-/// k-way to keep each key's first candidate only, and to collect the
-/// sorted unique key batch for the spilled-run probe while something is
-/// on disk. A second walk then drops the candidates the probe found.
-/// Each bin is left holding its winners in *descending* path-record order,
-/// so rank assignment can pop the minimum off its tail in O(1). Runs
-/// concurrently across shards — every buffer it touches is shard-local.
-fn merge_shard(m: &mut ShardMerge, bins: &mut [Vec<Candidate>], frozen: &dyn VisitedSet) {
-    let mut total = 0;
-    for bin in bins.iter_mut() {
-        bin.sort_unstable_by_key(Candidate::order);
-        total += bin.len();
-    }
-    m.keys.clear();
-    m.hits.clear();
-    if frozen.disk_runs() == 0 {
-        keep_firsts(bins, &mut m.cursors, &mut m.heads, |_| true);
-    } else {
+/// The sharded merge of a group of shards, each in the workers' own bins
+/// for it (`bins` holds the shards' bins in turn, as many per shard): sort
+/// each bin by `(key, parent rank, step)`, then walk a shard's bins k-way
+/// to keep each key's first candidate only, and to collect the shard's
+/// sorted unique key batch while something is on disk. One probe then
+/// settles every batch of the group against the spilled runs, reading
+/// each run block once for the group, and a second walk per shard drops
+/// the candidates it found. Each bin is left holding its winners in
+/// *descending* path-record order, so rank assignment can pop the minimum
+/// off its tail in O(1). Groups run concurrently — every buffer a group
+/// touches is its own.
+fn merge_shards(merges: &mut [ShardMerge], bins: &mut [Vec<Candidate>], frozen: &dyn VisitedSet) {
+    let stride = bins.len() / merges.len();
+    let on_disk = frozen.disk_runs() > 0;
+    for (m, bins) in merges.iter_mut().zip(bins.chunks_mut(stride)) {
+        // `rejected` counts the shard's candidates down to its losers.
+        m.rejected = 0;
+        for bin in bins.iter_mut() {
+            bin.sort_unstable_by_key(Candidate::order);
+            m.rejected += bin.len();
+        }
+        m.keys.clear();
         keep_firsts(bins, &mut m.cursors, &mut m.heads, |c| {
-            m.keys.push(c.key);
+            if on_disk {
+                m.keys.push(c.key);
+            }
             true
         });
-        m.hits.resize(m.keys.len(), false);
-        frozen.probe_spilled_sorted(&m.keys, &mut m.hits);
-        let mut hits = m.hits.iter();
-        keep_firsts(bins, &mut m.cursors, &mut m.heads, |_| {
-            !hits.next().expect("one hit per key")
+    }
+    if on_disk {
+        let group = merges.len();
+        let mut shards = merges.iter_mut().map(|m| {
+            m.hits.clear();
+            m.hits.resize(m.keys.len(), false);
+            (&m.keys[..], &mut m.hits[..])
         });
+        let mut batches: [(&[u64], &mut [bool]); SHARDS] =
+            std::array::from_fn(|_| shards.next().unwrap_or((&[], &mut [])));
+        frozen.probe_spilled_batches(&mut batches[..group]);
     }
-    let mut winners = 0;
-    for bin in bins.iter_mut() {
-        bin.sort_unstable_by_key(|c| Reverse(c.rec));
-        winners += bin.len();
+    for (m, bins) in merges.iter_mut().zip(bins.chunks_mut(stride)) {
+        if on_disk {
+            let mut hits = m.hits.iter();
+            keep_firsts(bins, &mut m.cursors, &mut m.heads, |_| {
+                !hits.next().expect("one hit per key")
+            });
+        }
+        for bin in bins.iter_mut() {
+            bin.sort_unstable_by_key(|c| Reverse(c.rec));
+            m.rejected -= bin.len();
+        }
     }
-    m.rejected = total - winners;
 }
 
 /// Walks `bins`, each sorted by [`Candidate::order`], k-way in ascending
@@ -1857,8 +1983,9 @@ mod tests {
         // duplicates that only the merge's spilled probe can reject. The
         // engine holds two systems per worker whatever the scope, no more
         // records than two adjacent levels, and far fewer than one level's
-        // candidates; the report is the in-RAM tier's, and the frontier
-        // and path gauges are the same at every thread count. The records
+        // candidates over all its slices; the report is the in-RAM tier's,
+        // and the frontier and path gauges are the same at every thread
+        // count. The records
         // themselves stream through the spill files: what the level store
         // holds in RAM is bounded by two blocks per worker (each sealed
         // block may overshoot by one record), not by a level's width, and
@@ -1896,11 +2023,11 @@ mod tests {
                 "{records} records held; two adjacent levels need at most {two_levels}"
             );
             let snap = registry.snapshot();
-            let peak_candidates = snap.gauges["explore.peak_candidate_bytes"].value as usize
+            let level_candidates = snap.gauges["explore.peak_level_candidate_bytes"].value as usize
                 / std::mem::size_of::<Candidate>();
             assert!(
-                records < peak_candidates,
-                "{records} records held, but the largest level had only {peak_candidates} candidates"
+                records < level_candidates,
+                "{records} records held, but the largest level had only {level_candidates} candidates"
             );
             let logical = snap.gauges["explore.peak_frontier_bytes"].value as usize;
             let resident = snap.gauges["explore.level_store_resident_bytes"].value as usize;
@@ -1979,22 +2106,19 @@ mod tests {
         }
     }
 
-    /// The bytes of candidate buffer the arena retains: the workers' bins,
-    /// the transpose buffer, and each shard's key batch.
-    fn candidate_capacity(arena: &ExploreArena) -> usize {
-        let bins = arena
-            .workers
-            .iter()
-            .flat_map(|w| &w.candidates)
-            .chain(&arena.bins_in)
-            .map(Vec::capacity)
-            .sum::<usize>();
+    /// The bytes of candidate buffer the arena retains: each worker's bins,
+    /// the transpose buffer, and the shards' key batches.
+    fn candidate_capacity(arena: &ExploreArena) -> (Vec<usize>, usize, usize) {
+        let bytes = |bins: &[Vec<Candidate>]| {
+            bins.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<Candidate>()
+        };
+        let workers = arena.workers.iter().map(|w| bytes(&w.candidates)).collect();
         let batches = arena
             .merges
             .iter()
             .map(|m| m.keys.capacity() * std::mem::size_of::<u64>() + m.hits.capacity())
             .sum::<usize>();
-        bins * std::mem::size_of::<Candidate>() + batches
+        (workers, bytes(&arena.bins_in), batches)
     }
 
     #[test]
@@ -2003,11 +2127,16 @@ mod tests {
         // bins and hands them back, so the transpose side keeps no
         // capacity and a warm arena holds the candidates' once, plus the
         // key batches. On one worker, whose bins see every candidate, that
-        // is at most twice the largest level's candidate bytes; combining
-        // the bins into a per-shard buffer, or keeping a second set of
-        // bins on the transpose side, reads about 5x. With more workers
-        // each bin is sized by the most its own worker found in one level,
-        // which the scheduler decides, so only the hand-back is checked.
+        // is at most twice the largest level's candidate bytes in RAM;
+        // combining the bins into a per-shard buffer, or keeping a second
+        // set of bins on the transpose side, reads about 5x. With more
+        // workers each bin is sized by the most its own worker found at
+        // once, which the scheduler decides: in RAM that is up to a level,
+        // so only the hand-back is checked. Under a budget it is up to one
+        // slice of ranks, so at every thread count each worker's bins stay
+        // within three slices' candidates (their growth slack, and each
+        // shard's largest share over the slices), the key batches within
+        // one, and a slice holds under an eighth of the widest level's.
         let cfg = ExploreConfig {
             max_messages: 8,
             max_depth: 26,
@@ -2026,19 +2155,31 @@ mod tests {
                     let outcome = explorer.explore_in(&SequenceNumber::new(), &cfg, &mut arena);
                     assert!(outcome.is_certificate(), "{outcome:?}");
                 }
-                assert!(
-                    arena.bins_in.iter().all(|bin| bin.capacity() == 0),
+                let (workers, transpose, batches) = candidate_capacity(&arena);
+                assert_eq!(
+                    transpose, 0,
                     "{spec:?} at {threads} threads: a bin was not handed back"
                 );
-                if threads == 1 {
-                    let snap = registry.snapshot();
-                    let peak = snap.gauges["explore.peak_candidate_bytes"].value as usize;
-                    let held = candidate_capacity(&arena);
-                    assert!(
-                        held <= 2 * peak,
-                        "{spec:?}: {held} B retained for a {peak} B peak"
-                    );
+                let snap = registry.snapshot();
+                let peak = snap.gauges["explore.peak_candidate_bytes"].value as usize;
+                let level = snap.gauges["explore.peak_level_candidate_bytes"].value as usize;
+                if spec == VisitedSpec::Ram {
+                    assert_eq!(peak, level, "without a budget a level is one slice");
+                    if threads == 1 {
+                        let held = workers[0] + batches;
+                        assert!(held <= 2 * peak, "{held} B retained for a {peak} B peak");
+                    }
+                    continue;
                 }
+                assert!(
+                    8 * peak < level,
+                    "a {peak} B slice against a {level} B level"
+                );
+                assert!(
+                    workers.iter().all(|&held| held <= 3 * peak) && batches <= peak,
+                    "{threads} threads retain {workers:?} B of bins and {batches} B of \
+                     key batches for a {peak} B slice"
+                );
             }
         }
     }

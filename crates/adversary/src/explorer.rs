@@ -25,7 +25,7 @@
 //! ```
 
 use crate::explore::{run_sequential, ExploreConfig, ExploreOutcome};
-use crate::explore_par::{ExploreArena, ParallelExplorer, Streamed};
+use crate::explore_par::{slice_ranks, ExploreArena, ParallelExplorer, Streamed};
 use crate::visited::{VisitedSet, VisitedSpec};
 use nonfifo_protocols::DataLink;
 use nonfifo_telemetry::{Registry, TraceSink};
@@ -95,6 +95,14 @@ impl Explorer {
     /// sequential oracle.
     pub fn threads(&self) -> Option<usize> {
         self.threads
+    }
+
+    /// Frontier ranks the parallel engine expands, merges and admits at
+    /// once under a memory budget, which bounds the candidates in flight;
+    /// `None` when it takes each level whole (no budget) or for the
+    /// sequential oracle.
+    pub fn slice_ranks(&self) -> Option<usize> {
+        self.threads.and(slice_ranks(self.spec))
     }
 
     /// The visited set of the most recent run: spill count, disk bytes,

@@ -226,6 +226,7 @@ pub(crate) struct LevelView<'a> {
 
 impl<'a> LevelView<'a> {
     /// Blocks in the level.
+    #[cfg(test)]
     pub(crate) fn blocks(&self) -> usize {
         self.index.len()
     }

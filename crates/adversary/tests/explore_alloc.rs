@@ -258,18 +258,22 @@ fn warm_budgeted_exploration_allocates_per_level_not_per_state() {
         "the run streamed its levels"
     );
 
-    // Per level: the scoped worker threads of its expansion, merge and
-    // rebuild (about nine allocations at two threads).
+    // Per rank slice, the scoped worker threads of its expansion and
+    // merge, and per level those of its rebuild: about nine allocations a
+    // level at two threads, and six more for each further slice. A level
+    // is one slice up to 1,024 ranks, so the widest levels here take two.
     let (levels, _, states) = run_shape(&registry);
+    let slices = registry.snapshot().counters["explore.slices"];
+    assert!(slices > levels, "{slices} slices over {levels} levels");
     let spills = explorer.visited_set().spills();
-    let budget = 16 * levels + 16 * spills + 64;
+    let budget = 16 * slices + 16 * spills + 64;
     assert!(
         budget < states / 10,
-        "the pin must tell per-level from per-state costs: budget {budget}, {states} states"
+        "the pin must tell per-slice from per-state costs: budget {budget}, {states} states"
     );
     assert!(
         spent <= budget,
-        "a warm budgeted run allocated {spent} times over {levels} levels and \
+        "a warm budgeted run allocated {spent} times over {slices} slices and \
          {spills} visited spills (budget {budget}); something allocates per state"
     );
 }

@@ -143,10 +143,11 @@ with --visited ram it is a usage error. A bare --visited tiered takes a
 always printed in the scope banner. The budget bounds the visited keys.
 Under any budget the parallel engine also streams every frontier level
 and every finished level's path records through spill files in the
-temp directory, holding two 8 KiB frontier blocks per thread and the
-level in flight in RAM. On disk the frontier takes two levels at a time
-and the path records 8 bytes per state. The sequential oracle keeps its
-queue in RAM.
+temp directory, and takes each level in slices of budget/64 frontier
+nodes (at least 1024), so it holds two 8 KiB frontier blocks per thread,
+one slice's candidates and the level in flight's path records in RAM.
+On disk the frontier takes two levels at a time and the path records 8
+bytes per state. The sequential oracle keeps its queue in RAM.
 
 explore --threads, campaign --threads and serve --workers take at most
 64 threads; 0, the default, means one per core.
@@ -703,10 +704,11 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
                 } else {
                     ""
                 },
-                match explorer.threads() {
-                    Some(_) => format!(
-                        ", plus two {LEVEL_BLOCK_BYTES} B frontier blocks per thread \
-                         and the level in flight; the rest streams through spill files"
+                match explorer.slice_ranks() {
+                    Some(slice) => format!(
+                        ", plus two {LEVEL_BLOCK_BYTES} B frontier blocks per thread, \
+                         the candidates of one slice of {slice} ranks and the level in \
+                         flight's path records; the rest streams through spill files"
                     ),
                     None => "; the sequential oracle keeps its queue in RAM".to_string(),
                 },

@@ -106,10 +106,11 @@ fn bench(extra: &str) -> String {
 /// the peak candidate bytes are what the search did; a candidate is 16 B
 /// (an 8-byte key and an 8-byte packed path record; 17,875 of them at the
 /// widest level), and the path arena holds one 8-byte record per admitted
-/// non-root state. All are functions of the scope alone, so they must
-/// match these exact values at 8 and at 2 threads. Any change to the record
-/// layout, the key width, what a frontier node holds or how much work a
-/// level does moves them.
+/// non-root state. Without a memory budget each level is expanded, merged
+/// and admitted as one slice, so the slice count is the 26 levels. All
+/// are functions of the scope alone, so they must match these exact values
+/// at 8 and at 2 threads. Any change to the record layout, the key width,
+/// what a frontier node holds or how much work a level does moves them.
 #[test]
 fn the_bench_scope_pins_its_frontier_layout_and_work_at_2_and_8_threads() {
     let runs = run_all(&[
@@ -134,6 +135,7 @@ fn the_bench_scope_pins_its_frontier_layout_and_work_at_2_and_8_threads() {
             ("explore.expansions", 87_515),
             ("explore.candidates", 87_514),
             ("explore.dedup_hits", 369_513),
+            ("explore.slices", 26),
         ] {
             assert_eq!(run.counter(name), pinned, "{threads} threads: {name}");
         }
@@ -152,8 +154,17 @@ fn the_bench_scope_pins_its_frontier_layout_and_work_at_2_and_8_threads() {
 /// monolithic run, or never merged, fails one of the two comparisons. The
 /// merge runs in the foreground with budget-sized buffers, so the peak
 /// stays within one 12-byte RAM entry of the budget. Inserts happen only in
-/// the single-threaded post-level merge, so the spill cadence, and with it
-/// the whole report, is the same at 1, 2 and 8 threads.
+/// the single-threaded admit pass, so the spill cadence, and with it the
+/// whole report, is the same at 1, 2 and 8 threads.
+///
+/// At 256 KiB each level goes through expand, merge and admit in slices
+/// of 4,096 ranks (42 slices over the 26 levels), so the candidates in
+/// flight are one slice's: 371,760 B, where the widest level's add up to
+/// 1,072,128 B. Keys that live only on disk stay candidates until the
+/// merge probes them, so the scope makes 311,779 candidates against 87,514
+/// in RAM; the dedup hits, rejected in the expansion or in the merge, are
+/// RAM's 369,513. The slices depend on the budget alone, so every figure
+/// is the same at every thread count.
 #[test]
 fn the_bench_scope_certifies_identically_at_every_visited_budget() {
     let runs = run_all(&[
@@ -188,6 +199,45 @@ fn the_bench_scope_certifies_identically_at_every_visited_budget() {
 
     assert_eq!(runs[3].report, runs[2].report, "2 threads");
     assert_eq!(runs[4].report, runs[2].report, "8 threads");
+    for (threads, run) in [1, 2, 8].into_iter().zip(&runs[2..]) {
+        for (name, pinned) in [
+            ("explore.candidates", 311_779),
+            ("explore.dedup_hits", 369_513),
+            ("explore.slices", 42),
+        ] {
+            assert_eq!(run.counter(name), pinned, "{threads} threads: {name}");
+        }
+        for (name, pinned) in [
+            ("explore.peak_candidate_bytes", 371_760),
+            ("explore.peak_level_candidate_bytes", 1_072_128),
+        ] {
+            assert_eq!(run.gauge(name), pinned, "{threads} threads: {name}");
+        }
+    }
+}
+
+/// Under a memory budget the level in flight's candidates are bounded by
+/// a slice, not a level: at 10/30/12 with 256 KiB the widest level's
+/// candidates add up to 23 MB, nearly all of them keys that live only on
+/// disk, while each slice of 4,096 ranks, at most 2 + 12 successors a
+/// node (send, park, and a delivery per distinct parked header) of 16
+/// bytes, holds at most 917,504 B. The gauge is a function of the scope
+/// and the budget alone. The scope takes seconds in an optimized build, so
+/// this runs with `cargo test --release -- --ignored`.
+#[test]
+#[ignore = "a 1.1M-state scope; run with --release -- --ignored"]
+fn a_budgeted_wide_scope_holds_one_slice_of_candidates() {
+    let run = run_all(&[
+        "explore seqnum --messages 10 --depth 30 --pool 12 --max-states 20000000 \
+         --threads 2 --memory-budget 262144",
+    ])
+    .remove(0);
+    assert_eq!(run.code, Some(0), "{}", run.report);
+    let slice_bound = 4096 * (2 + 12) * 16;
+    let peak = run.gauge("explore.peak_candidate_bytes");
+    assert!(peak <= slice_bound, "{peak} B of candidates in flight");
+    let level = run.gauge("explore.peak_level_candidate_bytes");
+    assert!(level > 20 * slice_bound, "the widest level held {level} B");
 }
 
 /// The benchmark's explore-por-seq scope on the sequential engine: 300

@@ -10,14 +10,16 @@
 use nonfifo::adversary::codec::{load, save, StationTable};
 use nonfifo::adversary::{
     apply_step, scope_root, Discipline, ExploreConfig, ExploreOutcome, Explorer, Schedule,
-    ScheduleStep, StateCodec, System,
+    ScheduleStep, StateCodec, System, VisitedSpec,
 };
 use nonfifo::ioa::{Header, Packet, Payload};
 use nonfifo::protocols::{
     catalog, AfekFlush, AlternatingBit, DataLink, GoBackN, Outnumber, SelectiveReject,
     SequenceNumber, SlidingWindow, StabilizingDl,
 };
+use nonfifo::telemetry::Registry;
 use nonfifo_rng::StdRng;
+use std::sync::Arc;
 
 mod common;
 
@@ -190,6 +192,109 @@ fn counterexamples_replay_and_certificates_quiesce() {
             );
         }
     });
+}
+
+#[test]
+fn budgeted_runs_take_wide_levels_in_slices_and_report_what_ram_does() {
+    // Under a memory budget the parallel engine expands, merges and admits
+    // each level in slices of at least 1,024 frontier ranks. In each scope
+    // below some level spans several slices, and the budgeted report must
+    // be the in-RAM run's byte for byte at every thread count: keys the
+    // first slices admit turn up in later ones as visited hits, not as
+    // fresh states, and a truncation or a counterexample lands exactly
+    // where it does when the level is one slice.
+    let seqnum = SequenceNumber::new();
+    let gbn4 = GoBackN::new(4);
+    let wide = ExploreConfig {
+        max_messages: 7,
+        max_depth: 22,
+        max_pool: 8,
+        max_states: 1_000_000,
+        ..ExploreConfig::default()
+    };
+    let reorder = ExploreConfig {
+        max_messages: 8,
+        max_depth: 12,
+        max_pool: 6,
+        max_states: 1_000_000,
+        discipline: Discipline::BoundedReorder(2),
+        ..ExploreConfig::default()
+    };
+    let scopes: [(&dyn DataLink, ExploreConfig, &str); 6] = [
+        // 12,869 states; its widest level, 2,640, spans three slices.
+        (&seqnum, wide, "exhausted"),
+        // Out of states in the second slice of depth 19's merge.
+        (
+            &seqnum,
+            ExploreConfig {
+                max_states: 10_000,
+                ..wide
+            },
+            "truncated",
+        ),
+        // The violation sits in the first of the last level's 13 slices.
+        (
+            &gbn4,
+            ExploreConfig {
+                max_messages: 6,
+                max_pool: 5,
+                discipline: Discipline::NonFifo,
+                ..reorder
+            },
+            "counterexample",
+        ),
+        // Depth 11 is 3,884 nodes wide; its least violation sits in its
+        // fourth slice.
+        (&gbn4, reorder, "counterexample"),
+        // The knife edge: 8,155 states are admitted when depth 11 starts,
+        // so the budget runs out with the first state its first slice
+        // admits, three slices before the violation. In RAM the level is
+        // expanded whole, its violation first, so the counterexample must
+        // win here too.
+        (
+            &gbn4,
+            ExploreConfig {
+                max_states: 8_156,
+                ..reorder
+            },
+            "counterexample",
+        ),
+        (
+            &gbn4,
+            ExploreConfig {
+                max_states: 8_155,
+                ..reorder
+            },
+            "truncated",
+        ),
+    ];
+    for (proto, cfg, expected) in scopes {
+        let ram = Explorer::new().parallel(1).explore(proto, &cfg);
+        assert_eq!(kind(&ram), expected, "{} at {cfg:?}", proto.name());
+        for budget in [4 * 1024, 64 * 1024] {
+            for threads in [1, 2, 3] {
+                let registry = Arc::new(Registry::new());
+                let budgeted = Explorer::new()
+                    .parallel(threads)
+                    .visited(VisitedSpec::tiered(budget))
+                    .with_telemetry(Arc::clone(&registry), None)
+                    .explore(proto, &cfg);
+                let what = format!("{} at {budget} B, {threads} threads", proto.name());
+                assert_eq!(budgeted.report(), ram.report(), "{what}");
+                let snap = registry.snapshot();
+                let levels = snap.histograms["explore.frontier_width"].count;
+                let slices = snap.counters["explore.slices"];
+                assert!(
+                    slices >= levels + 2,
+                    "{what}: {slices} slices, {levels} levels"
+                );
+                if cfg.max_states == 8_156 {
+                    // The budget did run out before the violation was found.
+                    assert_eq!(snap.counters["explore.states"], 8_156, "{what}");
+                }
+            }
+        }
+    }
 }
 
 /// One instance of every catalog family.
