@@ -83,7 +83,7 @@ impl fmt::Display for Discipline {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Discipline::NonFifo => write!(f, "nonfifo"),
-            Discipline::BoundedReorder(b) => write!(f, "reorder{b}"),
+            Discipline::BoundedReorder(b) => write!(f, "reorder:{b}"),
             Discipline::LossyFifo => write!(f, "lossy"),
         }
     }
@@ -92,16 +92,17 @@ impl fmt::Display for Discipline {
 impl std::str::FromStr for Discipline {
     type Err = String;
 
-    /// Parses `nonfifo`, `lossy`, or `reorder<b>` (e.g. `reorder2`).
+    /// Parses `nonfifo`, `lossy`, or `reorder:B` (e.g. `reorder:2`), the
+    /// simulator's spelling of a reorder bound.
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "nonfifo" => Ok(Discipline::NonFifo),
             "lossy" => Ok(Discipline::LossyFifo),
             _ => s
-                .strip_prefix("reorder")
+                .strip_prefix("reorder:")
                 .and_then(|b| b.parse().ok())
                 .map(Discipline::BoundedReorder)
-                .ok_or_else(|| format!("unknown discipline {s:?} (nonfifo, reorder<b>, lossy)")),
+                .ok_or_else(|| format!("unknown discipline {s:?} (nonfifo, reorder:B, lossy)")),
         }
     }
 }
@@ -719,7 +720,7 @@ mod tests {
             ),
             ("cycle3", Box::new(NaiveCycle::new(3)), cycle3),
             ("gbn1", Box::new(GoBackN::new(1)), ExploreConfig::default()),
-            ("abp reorder8", Box::new(AlternatingBit::new()), reorder),
+            ("abp reorder:8", Box::new(AlternatingBit::new()), reorder),
             (
                 "seqnum corrupt8",
                 Box::new(SequenceNumber::new()),
@@ -764,10 +765,14 @@ mod tests {
 
     #[test]
     fn discipline_parses_and_displays() {
-        for text in ["nonfifo", "lossy", "reorder0", "reorder7"] {
+        for text in ["nonfifo", "lossy", "reorder:0", "reorder:7"] {
             let d: Discipline = text.parse().unwrap();
             assert_eq!(d.to_string(), text);
         }
+        assert_eq!(
+            "reorder2".parse::<Discipline>(),
+            Err(r#"unknown discipline "reorder2" (nonfifo, reorder:B, lossy)"#.to_string())
+        );
         assert!("reorder".parse::<Discipline>().is_err());
         assert!("fifoish".parse::<Discipline>().is_err());
     }

@@ -32,14 +32,14 @@
 //! repeated keys wins, unknown fields are skipped but validated, counts
 //! must be exact `u64`s, and a syntax error anywhere in the line is
 //! reported before any schema error.
-//! The rarer `metrics` and `report` lines write their snapshots with
-//! [`MetricsSnapshot::write_json`] and read them back as [`Json`] values.
+//! The `metrics` and `report` lines carry snapshots the same way, with
+//! [`MetricsSnapshot::write_json`] and [`MetricsSnapshot::read_json`].
 
 use crate::cache::CachedRun;
 use crate::runner::{RunOutcome, RunResult};
 use nonfifo_core::RunCounters;
 use nonfifo_telemetry::{
-    write_string, write_u64, Json, JsonError, JsonReader, MetricsSnapshot, SnapshotError,
+    write_string, write_u64, JsonError, JsonReader, MetricsSnapshot, SnapshotError,
 };
 use std::borrow::Cow;
 use std::fmt;
@@ -288,10 +288,10 @@ pub(crate) struct LineFields<'a> {
     index: Option<Option<u64>>,
     spec: Option<Option<u64>>,
     run: Option<Result<CachedRun, String>>,
-    snapshot: Option<Json>,
+    snapshot: Option<Result<MetricsSnapshot, String>>,
     render: Option<Option<Cow<'a, str>>>,
     cache_hits: Option<Option<u64>>,
-    aggregate: Option<Json>,
+    aggregate: Option<Result<MetricsSnapshot, String>>,
     message: Option<Option<Cow<'a, str>>>,
 }
 
@@ -300,7 +300,7 @@ impl<'a> LineFields<'a> {
     ///
     /// # Errors
     ///
-    /// The first syntax error, exactly as [`Json::parse`] reports it.
+    /// The first syntax error, exactly as `Json::parse` reports it.
     pub(crate) fn read(text: &'a str) -> Result<LineFields<'a>, JsonError> {
         let mut reader = JsonReader::new(text);
         let mut fields = LineFields {
@@ -318,10 +318,14 @@ impl<'a> LineFields<'a> {
                     "index" => r.read_once(&mut fields.index, JsonReader::u64)?,
                     "spec" => r.read_once(&mut fields.spec, JsonReader::u64)?,
                     "run" => r.read_once(&mut fields.run, CachedRun::read_json)?,
-                    "snapshot" => r.read_once(&mut fields.snapshot, JsonReader::value)?,
+                    "snapshot" => r.read_once(&mut fields.snapshot, |r| {
+                        deferred(MetricsSnapshot::read_json(r))
+                    })?,
                     "render" => r.read_once(&mut fields.render, JsonReader::str)?,
                     "cache_hits" => r.read_once(&mut fields.cache_hits, JsonReader::u64)?,
-                    "aggregate" => r.read_once(&mut fields.aggregate, JsonReader::value)?,
+                    "aggregate" => r.read_once(&mut fields.aggregate, |r| {
+                        deferred(MetricsSnapshot::read_json(r))
+                    })?,
                     "message" => r.read_once(&mut fields.message, JsonReader::str)?,
                     _ => r.skip_value()?,
                 }
@@ -373,8 +377,7 @@ impl<'a> LineFields<'a> {
                     .snapshot
                     .ok_or_else(|| wire_err("metrics: missing snapshot"))?;
                 Ok(WireMsg::Metrics {
-                    snapshot: MetricsSnapshot::from_json_value(&snapshot)
-                        .map_err(|e| wire_err(format!("metrics: {e}")))?,
+                    snapshot: snapshot.map_err(|e| wire_err(format!("metrics: {e}")))?,
                 })
             }
             "report" => {
@@ -384,8 +387,7 @@ impl<'a> LineFields<'a> {
                 Ok(WireMsg::Report {
                     render: need_str(self.render, "render")?.into_owned(),
                     cache_hits: need_u64(self.cache_hits, "cache_hits")?,
-                    aggregate: MetricsSnapshot::from_json_value(&aggregate)
-                        .map_err(|e| wire_err(format!("report: {e}")))?,
+                    aggregate: aggregate.map_err(|e| wire_err(format!("report: {e}")))?,
                 })
             }
             "error" => Ok(WireMsg::Error {
@@ -417,10 +419,7 @@ impl CachedRun {
                         Ok(r.str()?.as_deref().and_then(RunOutcome::from_str_opt))
                     })?,
                     None if key == "counters" => {
-                        reader.read_once(&mut counters, |r| match RunCounters::read_json(r) {
-                            Err(SnapshotError::Json(e)) => Err(e),
-                            read => Ok(read.map_err(|e| e.to_string())),
-                        })?
+                        reader.read_once(&mut counters, |r| deferred(RunCounters::read_json(r)))?
                     }
                     None => reader.skip_value()?,
                 }
@@ -448,6 +447,15 @@ impl CachedRun {
     }
 }
 
+/// A decoder's verdict on a value inside a line: a syntax error ends the
+/// line's read, and a schema error waits, as text, for the line's checks.
+fn deferred<T>(read: Result<T, SnapshotError>) -> Result<Result<T, String>, JsonError> {
+    match read {
+        Err(SnapshotError::Json(e)) => Err(e),
+        read => Ok(read.map_err(|e| e.to_string())),
+    }
+}
+
 fn need_u64(read: Option<Option<u64>>, key: &str) -> Result<u64, WireError> {
     read.flatten()
         .ok_or_else(|| wire_err(format!("missing or non-integer field {key:?}")))
@@ -464,7 +472,7 @@ mod tests {
     use crate::runner::{CampaignRunner, IndexedRun};
     use crate::spec::ScenarioSpec;
     use nonfifo_channel::Discipline;
-    use nonfifo_telemetry::Registry;
+    use nonfifo_telemetry::{Json, Registry};
 
     fn sample_run() -> CachedRun {
         let runs = ScenarioSpec::new("t")

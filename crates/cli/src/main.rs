@@ -9,7 +9,7 @@
 //!                  [--metrics] [--metrics-out FILE] [--trace-out FILE]
 //! nonfifo attack   <protocol> [mf|pf|greedy] [--messages N] [--dump FILE]
 //! nonfifo explore  <protocol> [--messages N] [--depth D] [--pool P]
-//!                  [--max-states M] [--discipline nonfifo|reorder<b>|lossy]
+//!                  [--max-states M] [--discipline nonfifo|reorder:B|lossy]
 //!                  [--parallel] [--threads N] [--por] [--differential]
 //!                  [--visited ram|tiered]
 //!                  [--memory-budget BYTES]
@@ -106,7 +106,7 @@ usage:
                    [--metrics] [--metrics-out FILE] [--trace-out FILE]
   nonfifo attack   <protocol> [mf|pf|greedy] [--messages N] [--dump FILE]
   nonfifo explore  <protocol> [--messages N] [--depth D] [--pool P]
-                   [--max-states M] [--discipline nonfifo|reorder<b>|lossy]
+                   [--max-states M] [--discipline nonfifo|reorder:B|lossy]
                    [--parallel] [--threads N] [--por] [--differential]
                    [--visited ram|tiered]
                    [--memory-budget BYTES]
@@ -259,26 +259,27 @@ fn telemetry_sinks(opts: &CommonOpts) -> (Option<Arc<Registry>>, Option<Arc<Trac
 }
 
 /// Prints and/or writes whatever telemetry the run collected, as requested
-/// by `--metrics`, `--metrics-out`, and `--trace-out`.
+/// by `--metrics`, `--metrics-out`, and `--trace-out`. The trace streams
+/// to its file event by event.
 fn export_telemetry(
     opts: &CommonOpts,
     registry: Option<&Arc<Registry>>,
     trace: Option<&Arc<TraceSink>>,
-) -> Result<(), ArgsError> {
+) -> Result<(), NonFifoError> {
     if let Some(registry) = registry {
         let snapshot = registry.snapshot();
         if opts.metrics_summary {
             println!("\nmetrics:\n{}", snapshot.summary());
         }
         if let Some(path) = &opts.metrics_out {
-            std::fs::write(path, snapshot.to_json())
-                .map_err(|e| ArgsError(format!("cannot write {path}: {e}")))?;
+            std::fs::write(path, snapshot.to_json()).map_err(|e| NonFifoError::io(path, &e))?;
             println!("metrics written to {path}");
         }
     }
     if let (Some(trace), Some(path)) = (trace, &opts.trace_out) {
-        std::fs::write(path, trace.to_chrome_json())
-            .map_err(|e| ArgsError(format!("cannot write {path}: {e}")))?;
+        std::fs::File::create(path)
+            .and_then(|file| trace.write_chrome_json(std::io::BufWriter::new(file)))
+            .map_err(|e| NonFifoError::io(path, &e))?;
         println!("trace written to {path}");
     }
     Ok(())
@@ -1315,7 +1316,7 @@ mod tests {
                 "1000",
                 "--differential",
                 "--discipline",
-                "reorder2",
+                "reorder:2",
             ],
             &["parallel", "differential", "no-shrink"],
         )

@@ -1,7 +1,8 @@
 //! `explore`, `campaign`, `serve` and `stabilize` accept only the options
 //! they read: a typo or a retired option is a usage error naming it, never
 //! silently ignored. `--visited` and `--memory-budget` pick the visited
-//! tier, and `--help` prints the usage.
+//! tier, `--help` prints the usage, and a telemetry file that cannot be
+//! written is an I/O error, not a usage error.
 
 use std::process::Command;
 
@@ -248,5 +249,25 @@ fn help_prints_the_usage_and_exits_0() {
         assert!(out.stderr.is_empty(), "{args:?}");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("\nusage:\n  nonfifo simulate"), "{args:?}");
+    }
+}
+
+/// A `--metrics-out` or `--trace-out` file that cannot be written is an
+/// I/O error naming the path (exit 1), not a usage error: no usage text.
+#[test]
+fn failed_telemetry_writes_name_the_path_without_the_usage() {
+    let missing = std::env::temp_dir()
+        .join(format!("nonfifo-no-such-dir-{}", std::process::id()))
+        .join("out.json")
+        .to_string_lossy()
+        .into_owned();
+    for option in ["--metrics-out", "--trace-out"] {
+        let (code, stderr) = nonfifo(&explore(&[option, &missing]));
+        assert_eq!(code, Some(1), "{option}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {missing}: ")),
+            "{option}: {stderr}"
+        );
+        assert!(!stderr.contains("usage:"), "{option}: {stderr}");
     }
 }

@@ -14,7 +14,9 @@
 //! so a malformed document fails with the same message at the same byte
 //! whichever way it is read. On the way out, [`write_u64`] and
 //! [`write_string`] append straight to a `String`; [`Json::write`] is
-//! built on them.
+//! built on them. Metrics snapshots, campaign wire lines and Chrome
+//! traces are read and written that way, with no tree; the [`Json`] tree
+//! serves the benchmark's results files and tests.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -261,11 +263,12 @@ impl std::error::Error for JsonError {}
 ///
 /// A decoder walks the document in order. [`begin_object`] and
 /// [`next_key`] step through an object's fields, [`begin_array`] and
-/// [`next_item`] through an array's elements, [`u64`] and [`str`] read
-/// a value in place, [`skip_value`] passes over one it does not need, and
-/// [`read_once`] lets the first of repeated keys win. Every read validates what it passes, skipped values included, so a
-/// document is accepted exactly when [`Json::parse`] accepts it, and the
-/// first syntax error is reported with the same offset and message. The
+/// [`next_item`] through an array's elements, [`u64`], [`f64`] and
+/// [`str`] read a value in place, [`skip_value`] passes over one it does
+/// not need, and [`read_once`] lets the first of repeated keys win. Every
+/// read validates what it passes, skipped values included, so a document
+/// is accepted exactly when [`Json::parse`] accepts it, and the first
+/// syntax error is reported with the same offset and message. The
 /// typed reads never fail on a value of another type: they consume it and
 /// return `None`, and the decoder names the field at fault.
 ///
@@ -277,6 +280,7 @@ impl std::error::Error for JsonError {}
 /// [`begin_array`]: JsonReader::begin_array
 /// [`next_item`]: JsonReader::next_item
 /// [`u64`]: JsonReader::u64
+/// [`f64`]: JsonReader::f64
 /// [`str`]: JsonReader::str
 /// [`skip_value`]: JsonReader::skip_value
 /// [`read_once`]: JsonReader::read_once
@@ -498,11 +502,27 @@ impl<'a> JsonReader<'a> {
     /// a `u64` exactly when [`Json::parse`] reads it as [`Json::Uint`].
     #[cold]
     fn other_u64(&mut self) -> Result<Option<u64>, JsonError> {
+        Ok(self.scalar_or_skip()?.as_ref().and_then(Json::as_u64))
+    }
+
+    /// Reads the next value: `Some` if it is a number, as [`Json::as_f64`]
+    /// reads it (`-0` is `0.0`), `None` (the value consumed) otherwise.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error in the value.
+    pub fn f64(&mut self) -> Result<Option<f64>, JsonError> {
+        self.skip_ws();
+        Ok(self.scalar_or_skip()?.as_ref().and_then(Json::as_f64))
+    }
+
+    /// The scalar at `pos`, or `None` once a container there is skipped.
+    fn scalar_or_skip(&mut self) -> Result<Option<Json>, JsonError> {
         if matches!(self.peek(), Some(b'{' | b'[')) {
             self.skip_value()?;
             return Ok(None);
         }
-        Ok(self.scalar()?.as_u64())
+        self.scalar().map(Some)
     }
 
     /// Reads the next value: `Some` if it is a string (borrowed from the
@@ -593,12 +613,8 @@ impl<'a> JsonReader<'a> {
         }
     }
 
-    /// Reads the next value as a [`Json`] tree.
-    ///
-    /// # Errors
-    ///
-    /// A syntax error in the value, or nesting past 128 levels.
-    pub fn value(&mut self) -> Result<Json, JsonError> {
+    /// Reads the next value as a [`Json`] tree: [`Json::parse`]'s body.
+    fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
             Some(b'{') => {

@@ -16,11 +16,12 @@
 //!   `--metrics-out` writes and the CLI's `explore_pins` tests read.
 //! * [`TraceSink`] — spans (rounds, deliveries, explorer levels) and
 //!   instants, exported as a Chrome `trace_events` document for
-//!   `chrome://tracing` / Perfetto. What `--trace-out` writes.
-//! * [`Json`] — the zero-dependency JSON value/parser both artifacts are
-//!   built on (the workspace has no serde by policy), and [`JsonReader`],
-//!   the pull reader under it, which decoders of hot formats (campaign
-//!   run lines) walk without building a tree.
+//!   `chrome://tracing` / Perfetto. What `--trace-out` writes, one event
+//!   at a time.
+//! * [`JsonReader`], [`write_string`] and [`write_u64`] — the zero-dependency
+//!   JSON reader and writers (no serde, by policy) that both artifacts and
+//!   the campaign wire lines are read and written with, field by field;
+//!   [`Json`] is the value tree the benchmark's results and tests use.
 //!
 //! Telemetry is always optional at the call site and never feeds back into
 //! simulation state: fingerprints, explorer reports, and experiment tables

@@ -6,7 +6,7 @@
 //! bump the version and keep
 //! [`MetricsSnapshot::from_json`] accepting what it wrote before.
 
-use crate::json::{write_f64, write_string, write_u64, Json, JsonError, JsonReader};
+use crate::json::{write_f64, write_string, write_u64, JsonError, JsonReader};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -39,62 +39,9 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// The histogram as the JSON object a snapshot document holds:
-    /// `count`, `sum`, `min`, `max` and `buckets` as `[le, n]` pairs.
-    pub fn to_json_value(&self) -> Json {
-        Json::Obj(vec![
-            ("count".into(), Json::Uint(self.count)),
-            ("sum".into(), Json::Uint(self.sum)),
-            ("min".into(), Json::Uint(self.min)),
-            ("max".into(), Json::Uint(self.max)),
-            (
-                "buckets".into(),
-                Json::Arr(
-                    self.buckets
-                        .iter()
-                        .map(|&(le, n)| Json::Arr(vec![Json::Uint(le), Json::Uint(n)]))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Parses a [`to_json_value`](Self::to_json_value) object; `name`
-    /// labels the errors.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a missing or non-`u64` field and a bucket that is not a
-    /// `[le, n]` pair of `u64`s.
-    pub fn from_json_value(name: &str, v: &Json) -> Result<HistogramSnapshot, SnapshotError> {
-        let field = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| SnapshotError::Schema(format!("histogram '{name}' missing {key}")))
-        };
-        let mut buckets = Vec::new();
-        if let Some(items) = v.get("buckets").and_then(Json::as_arr) {
-            for item in items {
-                match item.as_arr() {
-                    Some([le, n]) => match (le.as_u64(), n.as_u64()) {
-                        (Some(le), Some(n)) => buckets.push((le, n)),
-                        _ => return schema_err(format!("histogram '{name}' has a bad bucket")),
-                    },
-                    _ => return schema_err(format!("histogram '{name}' has a bad bucket")),
-                }
-            }
-        }
-        Ok(HistogramSnapshot {
-            count: field("count")?,
-            sum: field("sum")?,
-            min: field("min")?,
-            max: field("max")?,
-            buckets,
-        })
-    }
-
-    /// Appends [`to_json_value`](Self::to_json_value)'s object to `out`,
-    /// written straight from the fields.
+    /// Appends the histogram as the JSON object a snapshot document
+    /// holds: `count`, `sum`, `min`, `max` and `buckets` as `[le, n]`
+    /// pairs, written straight from the fields.
     pub fn write_json(&self, out: &mut String) {
         for (key, n) in [
             ("{\"count\":", self.count),
@@ -116,16 +63,18 @@ impl HistogramSnapshot {
         out.push_str("]}");
     }
 
-    /// Reads the next value of `reader` as
-    /// [`from_json_value`](Self::from_json_value) reads a tree: the same
-    /// checks in the same order, the first of repeated keys winning, and
-    /// unknown fields skipped.
+    /// Reads the next value of `reader` as a [`write_json`](Self::write_json)
+    /// object, `name` labelling the errors. The first of repeated keys
+    /// wins, unknown fields are skipped, and the checks run in a fixed
+    /// order: the buckets, then `count`, `sum`, `min` and `max`.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Json`] for a syntax error, after which the reader
     /// is spent; [`SnapshotError::Schema`] for a value that is not such a
-    /// histogram, which the reader has then passed over whole.
+    /// histogram (a missing or non-`u64` field, or a bucket that is not a
+    /// `[le, n]` pair of `u64`s), which the reader has then passed over
+    /// whole.
     pub fn read_json(
         name: &str,
         reader: &mut JsonReader,
@@ -172,7 +121,7 @@ impl HistogramSnapshot {
 
 /// A `buckets` value: `Some` pairs if it is an array of `[le, n]` pairs
 /// of `u64`s, `None` if it is an array holding anything else, and no
-/// buckets if it is not an array (what a tree's `as_arr` skips).
+/// buckets if it is not an array.
 fn read_buckets(reader: &mut JsonReader) -> Result<Option<Vec<(u64, u64)>>, JsonError> {
     let mut buckets = Some(Vec::new());
     if reader.begin_array()? {
@@ -243,6 +192,52 @@ fn schema_err<T>(msg: impl Into<String>) -> Result<T, SnapshotError> {
     Err(SnapshotError::Schema(msg.into()))
 }
 
+/// A snapshot section read whole: its entries, or its first bad entry's
+/// error.
+type Section<T> = Result<BTreeMap<String, T>, SnapshotError>;
+
+/// Reads a section: an object whose every value `read` judges, the last
+/// of repeated names winning. A value that is not an object is an empty
+/// section. Entries after the first bad one are read only for their
+/// syntax.
+fn read_section<T>(
+    reader: &mut JsonReader,
+    mut read: impl FnMut(&str, &mut JsonReader) -> Result<T, SnapshotError>,
+) -> Result<Section<T>, JsonError> {
+    let mut section = Ok(BTreeMap::new());
+    if reader.begin_object()? {
+        while let Some(name) = reader.next_key()? {
+            match (read(&name, reader), &mut section) {
+                (Err(SnapshotError::Json(e)), _) => return Err(e),
+                (Ok(entry), Ok(entries)) => {
+                    entries.insert(name.into_owned(), entry);
+                }
+                (Err(e), Ok(_)) => section = Err(e),
+                (_, Err(_)) => {}
+            }
+        }
+    }
+    Ok(section)
+}
+
+/// Reads a gauge: an object with `u64` `value` and `high_water` fields.
+fn read_gauge(name: &str, reader: &mut JsonReader) -> Result<GaugeSnapshot, SnapshotError> {
+    let (mut value, mut high_water) = (None, None);
+    if reader.begin_object()? {
+        while let Some(key) = reader.next_key()? {
+            match &*key {
+                "value" => reader.read_once(&mut value, JsonReader::u64)?,
+                "high_water" => reader.read_once(&mut high_water, JsonReader::u64)?,
+                _ => reader.skip_value()?,
+            }
+        }
+    }
+    match (value.flatten(), high_water.flatten()) {
+        (Some(value), Some(high_water)) => Ok(GaugeSnapshot { value, high_water }),
+        _ => schema_err(format!("gauge '{name}' is malformed")),
+    }
+}
+
 impl MetricsSnapshot {
     /// Serializes the snapshot as a compact, key-sorted JSON document.
     pub fn to_json(&self) -> String {
@@ -252,9 +247,7 @@ impl MetricsSnapshot {
     }
 
     /// Appends [`to_json`](Self::to_json)'s document to `out`, written
-    /// straight from the maps with no [`Json`] tree in between: how a
-    /// campaign wire line embeds a snapshot. Byte-identical to writing
-    /// [`to_json_value`](Self::to_json_value).
+    /// straight from the maps: how a campaign wire line embeds a snapshot.
     pub fn write_json(&self, out: &mut String) {
         /// Opens the object `key` holds: `,"key":{`.
         fn open(out: &mut String, key: &str) {
@@ -302,122 +295,78 @@ impl MetricsSnapshot {
         out.push_str("}}");
     }
 
-    /// The snapshot as a [`Json`] value — for callers that embed snapshots
-    /// inside a larger document (a campaign wire line) rather than
-    /// writing a standalone file.
-    pub fn to_json_value(&self) -> Json {
-        let counters = Json::Obj(
-            self.counters
-                .iter()
-                .map(|(k, &v)| (k.clone(), Json::Uint(v)))
-                .collect(),
-        );
-        let gauges = Json::Obj(
-            self.gauges
-                .iter()
-                .map(|(k, g)| {
-                    (
-                        k.clone(),
-                        Json::Obj(vec![
-                            ("value".into(), Json::Uint(g.value)),
-                            ("high_water".into(), Json::Uint(g.high_water)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let histograms = Json::Obj(
-            self.histograms
-                .iter()
-                .map(|(k, h)| (k.clone(), h.to_json_value()))
-                .collect(),
-        );
-        let values = Json::Obj(
-            self.values
-                .iter()
-                .map(|(k, &v)| (k.clone(), Json::Float(v)))
-                .collect(),
-        );
-        Json::Obj(vec![
-            ("schema_version".into(), Json::Uint(self.schema_version)),
-            ("counters".into(), counters),
-            ("gauges".into(), gauges),
-            ("histograms".into(), histograms),
-            ("values".into(), values),
-        ])
-    }
-
     /// Parses a snapshot document written by [`to_json`](Self::to_json).
     ///
     /// # Errors
     ///
-    /// Rejects malformed JSON, documents without a `schema_version`, and
-    /// versions newer than this crate understands.
+    /// Rejects malformed JSON (trailing characters included), then what
+    /// [`read_json`](Self::read_json) rejects.
     pub fn from_json(text: &str) -> Result<MetricsSnapshot, SnapshotError> {
-        Self::from_json_value(&Json::parse(text)?)
+        let mut reader = JsonReader::new(text);
+        let read = Self::read_json(&mut reader);
+        if !matches!(read, Err(SnapshotError::Json(_))) {
+            reader.finish()?;
+        }
+        read
     }
 
-    /// Parses a snapshot from an already-parsed [`Json`] value (the inverse
-    /// of [`to_json_value`](Self::to_json_value)).
+    /// Reads the next value of `reader` as a snapshot document, the one
+    /// snapshot decoder. Keys may come in any order and unknown ones are
+    /// skipped; the first of repeated top-level keys wins, the last of
+    /// repeated names inside a section wins, and a section that is not an
+    /// object is ignored. The checks run in a fixed order, wherever the
+    /// keys stand: `schema_version`, then the counters, gauges, histograms
+    /// and values, each section naming its first bad entry.
     ///
     /// # Errors
     ///
-    /// Rejects documents without a `schema_version` and versions newer than
-    /// this crate understands.
-    pub fn from_json_value(doc: &Json) -> Result<MetricsSnapshot, SnapshotError> {
-        let version = match doc.get("schema_version").and_then(Json::as_u64) {
-            Some(v) => v,
-            None => return schema_err("missing schema_version"),
+    /// [`SnapshotError::Json`] for a syntax error, after which the reader
+    /// is spent; [`SnapshotError::Schema`] for a missing or unsupported
+    /// `schema_version` or a malformed entry, which the reader has then
+    /// passed over whole.
+    pub fn read_json(reader: &mut JsonReader) -> Result<MetricsSnapshot, SnapshotError> {
+        let mut version = None;
+        let (mut counters, mut gauges, mut histograms, mut values) = (None, None, None, None);
+        if reader.begin_object()? {
+            while let Some(key) = reader.next_key()? {
+                match &*key {
+                    "schema_version" => reader.read_once(&mut version, JsonReader::u64)?,
+                    "counters" => reader.read_once(&mut counters, |r| {
+                        read_section(r, |name, r| match r.u64()? {
+                            Some(n) => Ok(n),
+                            None => schema_err(format!("counter '{name}' is not a u64")),
+                        })
+                    })?,
+                    "gauges" => reader.read_once(&mut gauges, |r| read_section(r, read_gauge))?,
+                    "histograms" => reader.read_once(&mut histograms, |r| {
+                        read_section(r, HistogramSnapshot::read_json)
+                    })?,
+                    "values" => reader.read_once(&mut values, |r| {
+                        read_section(r, |name, r| match r.f64()? {
+                            Some(x) => Ok(x),
+                            None => schema_err(format!("value '{name}' is not a number")),
+                        })
+                    })?,
+                    _ => reader.skip_value()?,
+                }
+            }
+        }
+        let Some(version) = version.flatten() else {
+            return schema_err("missing schema_version");
         };
         if version == 0 || version > SCHEMA_VERSION {
             return schema_err(format!(
                 "unsupported schema_version {version} (this build reads ≤ {SCHEMA_VERSION})"
             ));
         }
-        let mut snap = MetricsSnapshot {
+        // An absent section is empty.
+        Ok(MetricsSnapshot {
             schema_version: version,
-            ..MetricsSnapshot::default()
-        };
-        // Counters are most of a run's metrics: collecting bulk-builds the
-        // map from the document's sorted keys instead of searching the
-        // tree once per key.
-        if let Some(fields) = doc.get("counters").and_then(Json::as_obj) {
-            snap.counters = fields
-                .iter()
-                .map(|(k, v)| match v.as_u64() {
-                    Some(n) => Ok((k.clone(), n)),
-                    None => schema_err(format!("counter '{k}' is not a u64")),
-                })
-                .collect::<Result<_, _>>()?;
-        }
-        if let Some(fields) = doc.get("gauges").and_then(Json::as_obj) {
-            for (k, v) in fields {
-                let (value, high_water) = match (
-                    v.get("value").and_then(Json::as_u64),
-                    v.get("high_water").and_then(Json::as_u64),
-                ) {
-                    (Some(a), Some(b)) => (a, b),
-                    _ => return schema_err(format!("gauge '{k}' is malformed")),
-                };
-                snap.gauges
-                    .insert(k.clone(), GaugeSnapshot { value, high_water });
-            }
-        }
-        if let Some(fields) = doc.get("histograms").and_then(Json::as_obj) {
-            for (k, v) in fields {
-                snap.histograms
-                    .insert(k.clone(), HistogramSnapshot::from_json_value(k, v)?);
-            }
-        }
-        if let Some(fields) = doc.get("values").and_then(Json::as_obj) {
-            for (k, v) in fields {
-                match v.as_f64() {
-                    Some(x) => snap.values.insert(k.clone(), x),
-                    None => return schema_err(format!("value '{k}' is not a number")),
-                };
-            }
-        }
-        Ok(snap)
+            counters: counters.unwrap_or(Ok(BTreeMap::new()))?,
+            gauges: gauges.unwrap_or(Ok(BTreeMap::new()))?,
+            histograms: histograms.unwrap_or(Ok(BTreeMap::new()))?,
+            values: values.unwrap_or(Ok(BTreeMap::new()))?,
+        })
     }
 
     /// Renders the snapshot as a human-readable summary table.
@@ -518,6 +467,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use crate::Registry;
 
     fn populated() -> MetricsSnapshot {
@@ -533,6 +483,45 @@ mod tests {
         }
         reg.set_value("explore.states_per_sec", 123456.75);
         reg.snapshot()
+    }
+
+    /// The snapshot built as a [`Json`] tree, field by field: the spelling
+    /// the streaming writer must match.
+    fn tree(snap: &MetricsSnapshot) -> Json {
+        fn section<T>(entries: &BTreeMap<String, T>, value: impl Fn(&T) -> Json) -> Json {
+            Json::Obj(entries.iter().map(|(k, v)| (k.clone(), value(v))).collect())
+        }
+        fn obj(fields: Vec<(&str, Json)>) -> Json {
+            Json::Obj(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            )
+        }
+        let gauge = |g: &GaugeSnapshot| {
+            obj(vec![
+                ("value", Json::Uint(g.value)),
+                ("high_water", Json::Uint(g.high_water)),
+            ])
+        };
+        let histogram = |h: &HistogramSnapshot| {
+            let bucket = |&(le, n): &(u64, u64)| Json::Arr(vec![Json::Uint(le), Json::Uint(n)]);
+            obj(vec![
+                ("count", Json::Uint(h.count)),
+                ("sum", Json::Uint(h.sum)),
+                ("min", Json::Uint(h.min)),
+                ("max", Json::Uint(h.max)),
+                ("buckets", Json::Arr(h.buckets.iter().map(bucket).collect())),
+            ])
+        };
+        obj(vec![
+            ("schema_version", Json::Uint(snap.schema_version)),
+            ("counters", section(&snap.counters, |&v| Json::Uint(v))),
+            ("gauges", section(&snap.gauges, gauge)),
+            ("histograms", section(&snap.histograms, histogram)),
+            ("values", section(&snap.values, |&v| Json::Float(v))),
+        ])
     }
 
     #[test]
@@ -567,15 +556,21 @@ mod tests {
         ));
     }
 
+    /// A snapshot's tree renders as its text, the text parses back to the
+    /// same tree, and reading the tree's rendering gives the snapshot.
     #[test]
     fn json_value_round_trip_matches_text_round_trip() {
         let snap = populated();
-        let value = snap.to_json_value();
+        let value = tree(&snap);
         assert_eq!(value.to_string(), snap.to_json());
-        assert_eq!(MetricsSnapshot::from_json_value(&value).unwrap(), snap);
+        assert_eq!(Json::parse(&snap.to_json()).unwrap(), value);
+        assert_eq!(
+            MetricsSnapshot::from_json(&value.to_string()).unwrap(),
+            snap
+        );
     }
 
-    /// The streaming writer spells every snapshot as the tree did: empty
+    /// The streaming writer spells every snapshot as the tree does: empty
     /// maps, names that need escapes, whole, huge, tiny and non-finite
     /// values.
     #[test]
@@ -596,8 +591,40 @@ mod tests {
         for snap in [empty, populated(), odd] {
             let mut out = String::from("prefix");
             snap.write_json(&mut out);
-            assert_eq!(out, format!("prefix{}", snap.to_json_value()));
+            assert_eq!(out, format!("prefix{}", tree(&snap)));
         }
+    }
+
+    /// Top-level keys: the first wins; names in a section: the last wins;
+    /// a section that is not an object is ignored; `schema_version` is
+    /// judged first wherever it stands.
+    #[test]
+    fn read_json_judges_repeats_and_order_by_fixed_rules() {
+        let read = |doc: &str| MetricsSnapshot::from_json(doc).map_err(|e| e.to_string());
+        let snap = read(
+            r#"{"counters":{"a":1,"a":2},"counters":{"b":3},"gauges":[1],"schema_version":1,"schema_version":"x","values":{"r":-0}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            snap.counters.into_iter().collect::<Vec<_>>(),
+            [("a".to_string(), 2)]
+        );
+        assert!(snap.gauges.is_empty());
+        assert_eq!(snap.values["r"].to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            read(r#"{"counters":{"a":-1},"schema_version":2}"#).unwrap_err(),
+            "snapshot schema error: unsupported schema_version 2 (this build reads ≤ 1)"
+        );
+        assert_eq!(
+            read(r#"{"values":{"v":"x"},"counters":{"a":1.5,"b":"y"},"schema_version":1}"#)
+                .unwrap_err(),
+            "snapshot schema error: counter 'a' is not a u64"
+        );
+        // A syntax error anywhere beats a schema error.
+        assert_eq!(
+            read(r#"{"counters":{"a":"x"},"schema_version":1} ,"#).unwrap_err(),
+            "json error at byte 42: trailing characters after document"
+        );
     }
 
     #[test]

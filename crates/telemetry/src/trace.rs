@@ -9,7 +9,8 @@
 //! traces are for *looking at*, never part of any deterministic artifact
 //! (reports and fingerprints must not read them).
 
-use crate::json::Json;
+use crate::json::{write_string, write_u64};
+use std::io::{self, Write};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -103,38 +104,53 @@ impl TraceSink {
     }
 
     /// Serializes the sink as a Chrome `trace_events` JSON document
-    /// (object format: `{"traceEvents": [...]}`).
+    /// (object format: `{"traceEvents": [...]}`):
+    /// [`write_chrome_json`](Self::write_chrome_json) into a buffer.
     pub fn to_chrome_json(&self) -> String {
+        let mut out = Vec::new();
+        self.write_chrome_json(&mut out)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("the trace is written as UTF-8")
+    }
+
+    /// Writes [`to_chrome_json`](Self::to_chrome_json)'s document to
+    /// `out` and flushes it, one event at a time straight from its record:
+    /// the document is never held whole.
+    ///
+    /// # Errors
+    ///
+    /// The first error `out` returns.
+    pub fn write_chrome_json(&self, mut out: impl Write) -> io::Result<()> {
         let events = self.events.lock().expect("trace sink poisoned");
-        let items: Vec<Json> = events
-            .iter()
-            .map(|e| {
-                let mut fields = vec![
-                    ("name".into(), Json::Str(e.name.clone())),
-                    ("cat".into(), Json::Str(e.cat.clone())),
-                    ("ph".into(), Json::Str(e.phase.to_string())),
-                    ("ts".into(), Json::Uint(e.ts_us)),
-                    ("pid".into(), Json::Uint(1)),
-                    ("tid".into(), Json::Uint(e.tid)),
-                ];
-                if e.phase == 'X' {
-                    fields.push(("dur".into(), Json::Uint(e.dur_us)));
-                }
-                if !e.args.is_empty() {
-                    fields.push((
-                        "args".into(),
-                        Json::Obj(
-                            e.args
-                                .iter()
-                                .map(|(k, v)| (k.clone(), Json::Uint(*v)))
-                                .collect(),
-                        ),
-                    ));
-                }
-                Json::Obj(fields)
-            })
-            .collect();
-        Json::Obj(vec![("traceEvents".into(), Json::Arr(items))]).to_string()
+        let mut text = String::new();
+        out.write_all(b"{\"traceEvents\":[")?;
+        for (i, e) in events.iter().enumerate() {
+            text.clear();
+            text.push_str(if i == 0 { "{\"name\":" } else { ",{\"name\":" });
+            write_string(&mut text, &e.name);
+            text.push_str(",\"cat\":");
+            write_string(&mut text, &e.cat);
+            text.push_str(",\"ph\":");
+            write_string(&mut text, e.phase.encode_utf8(&mut [0; 4]));
+            text.push_str(",\"ts\":");
+            write_u64(&mut text, e.ts_us);
+            text.push_str(",\"pid\":1,\"tid\":");
+            write_u64(&mut text, e.tid);
+            if e.phase == 'X' {
+                text.push_str(",\"dur\":");
+                write_u64(&mut text, e.dur_us);
+            }
+            for (j, (key, value)) in e.args.iter().enumerate() {
+                text.push_str(if j == 0 { ",\"args\":{" } else { "," });
+                write_string(&mut text, key);
+                text.push(':');
+                write_u64(&mut text, *value);
+            }
+            text.push_str(if e.args.is_empty() { "}" } else { "}}" });
+            out.write_all(text.as_bytes())?;
+        }
+        out.write_all(b"]}")?;
+        out.flush()
     }
 }
 
@@ -173,10 +189,36 @@ impl Drop for SpanGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
+
+    /// The document the sink's events make as a [`Json`] tree.
+    fn tree(sink: &TraceSink) -> Json {
+        let events = sink.events.lock().unwrap();
+        let items = events.iter().map(|e| {
+            let mut fields = vec![
+                ("name".into(), Json::Str(e.name.clone())),
+                ("cat".into(), Json::Str(e.cat.clone())),
+                ("ph".into(), Json::Str(e.phase.to_string())),
+                ("ts".into(), Json::Uint(e.ts_us)),
+                ("pid".into(), Json::Uint(1)),
+                ("tid".into(), Json::Uint(e.tid)),
+            ];
+            if e.phase == 'X' {
+                fields.push(("dur".into(), Json::Uint(e.dur_us)));
+            }
+            if !e.args.is_empty() {
+                let args = e.args.iter().map(|(k, v)| (k.clone(), Json::Uint(*v)));
+                fields.push(("args".into(), Json::Obj(args.collect())));
+            }
+            Json::Obj(fields)
+        });
+        Json::Obj(vec![("traceEvents".into(), Json::Arr(items.collect()))])
+    }
 
     #[test]
     fn spans_and_instants_export_as_chrome_trace() {
         let sink = TraceSink::new();
+        assert_eq!(sink.to_chrome_json(), r#"{"traceEvents":[]}"#);
         {
             let mut span = sink.span("sim", "round");
             span.arg("deliveries", 4);
@@ -198,5 +240,16 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(4)
         );
+
+        // Names, categories and arg keys that need escapes, and text
+        // beyond ASCII, written as the tree writes them.
+        let odd = "q\"b\\c\u{1}\n\tπ→😀";
+        sink.instant(odd, odd, vec![(odd.into(), u64::MAX), ("k".into(), 0)]);
+        sink.span_with_args(odd, "level 3", vec![(odd.into(), 7)]);
+        drop(sink.span("", ""));
+        let mut written = Vec::new();
+        sink.write_chrome_json(&mut written).unwrap();
+        assert_eq!(String::from_utf8(written).unwrap(), tree(&sink).to_string());
+        assert_eq!(sink.to_chrome_json(), tree(&sink).to_string());
     }
 }

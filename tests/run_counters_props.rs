@@ -34,10 +34,11 @@ use nonfifo::core::{drive_corrupted, RunCounters, SimConfig, Simulation, Stabili
 use nonfifo::ioa::{CopyId, Dir, Event, Header, Packet};
 use nonfifo::protocols::catalog;
 use nonfifo::telemetry::{
-    HistogramSnapshot, Json, JsonReader, LocalHistogram, MetricsSnapshot, Registry, SCHEMA_VERSION,
+    GaugeSnapshot, HistogramSnapshot, Json, JsonReader, LocalHistogram, MetricsSnapshot, Registry,
+    SnapshotError, SCHEMA_VERSION,
 };
 use nonfifo_rng::StdRng;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 mod common;
@@ -743,8 +744,8 @@ mod reference {
             let value = doc
                 .get(key)
                 .ok_or_else(|| format!("{label}: missing {key}"))?;
-            MetricsSnapshot::from_json_value(value)
-                .map(|snap| snap.to_json_value())
+            snapshot_from_tree(value)
+                .map(|snap| snapshot_tree(&snap))
                 .map_err(|e| format!("{label}: {e}"))
         };
         match kind {
@@ -858,11 +859,123 @@ mod reference {
     }
 
     fn histogram(doc: &Json, key: &str) -> Result<Json, String> {
-        let snap =
-            HistogramSnapshot::from_json_value(key, field(doc, key)?).map_err(|e| e.to_string())?;
+        let snap = histogram_from_tree(key, field(doc, key)?).map_err(|e| e.to_string())?;
         let histogram = LocalHistogram::from_snapshot(&snap)
             .ok_or_else(|| format!("{key} is not a histogram's snapshot"))?;
-        Ok(histogram.snapshot().to_json_value())
+        Ok(histogram_tree(&histogram.snapshot()))
+    }
+
+    /// `MetricsSnapshot::from_json`'s verdict on a document.
+    pub fn snapshot_from_text(text: &str) -> Result<MetricsSnapshot, SnapshotError> {
+        snapshot_from_tree(&Json::parse(text)?)
+    }
+
+    /// The tree decoder of a snapshot document: the first of repeated
+    /// top-level keys wins (`Json::get`), the last of repeated names in a
+    /// section wins (map inserts), a section that is not an object is
+    /// ignored, and the checks run in document-independent order.
+    pub fn snapshot_from_tree(doc: &Json) -> Result<MetricsSnapshot, SnapshotError> {
+        let schema = |msg: String| Err(SnapshotError::Schema(msg));
+        let Some(version) = doc.get("schema_version").and_then(Json::as_u64) else {
+            return schema("missing schema_version".to_string());
+        };
+        if version == 0 || version > SCHEMA_VERSION {
+            return schema(format!(
+                "unsupported schema_version {version} (this build reads ≤ {SCHEMA_VERSION})"
+            ));
+        }
+        let mut snap = MetricsSnapshot {
+            schema_version: version,
+            ..MetricsSnapshot::default()
+        };
+        let section = |key: &str| doc.get(key).and_then(Json::as_obj).unwrap_or_default();
+        for (k, v) in section("counters") {
+            match v.as_u64() {
+                Some(n) => snap.counters.insert(k.clone(), n),
+                None => return schema(format!("counter '{k}' is not a u64")),
+            };
+        }
+        for (k, v) in section("gauges") {
+            let read = |key: &str| v.get(key).and_then(Json::as_u64);
+            match (read("value"), read("high_water")) {
+                (Some(value), Some(high_water)) => snap
+                    .gauges
+                    .insert(k.clone(), GaugeSnapshot { value, high_water }),
+                _ => return schema(format!("gauge '{k}' is malformed")),
+            };
+        }
+        for (k, v) in section("histograms") {
+            snap.histograms
+                .insert(k.clone(), histogram_from_tree(k, v)?);
+        }
+        for (k, v) in section("values") {
+            match v.as_f64() {
+                Some(x) => snap.values.insert(k.clone(), x),
+                None => return schema(format!("value '{k}' is not a number")),
+            };
+        }
+        Ok(snap)
+    }
+
+    /// The tree decoder of a histogram object: buckets first, then
+    /// `count`, `sum`, `min` and `max`.
+    pub fn histogram_from_tree(name: &str, v: &Json) -> Result<HistogramSnapshot, SnapshotError> {
+        let field = |key: &str| {
+            v.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| SnapshotError::Schema(format!("histogram '{name}' missing {key}")))
+        };
+        let mut buckets = Vec::new();
+        for item in v.get("buckets").and_then(Json::as_arr).unwrap_or_default() {
+            let pair = match item.as_arr() {
+                Some([le, n]) => le.as_u64().zip(n.as_u64()),
+                _ => None,
+            };
+            let Some(pair) = pair else {
+                let msg = format!("histogram '{name}' has a bad bucket");
+                return Err(SnapshotError::Schema(msg));
+            };
+            buckets.push(pair);
+        }
+        Ok(HistogramSnapshot {
+            count: field("count")?,
+            sum: field("sum")?,
+            min: field("min")?,
+            max: field("max")?,
+            buckets,
+        })
+    }
+
+    /// The tree encoder of a snapshot document.
+    pub fn snapshot_tree(snap: &MetricsSnapshot) -> Json {
+        fn section<T>(entries: &BTreeMap<String, T>, value: impl Fn(&T) -> Json) -> Json {
+            Json::Obj(entries.iter().map(|(k, v)| (k.clone(), value(v))).collect())
+        }
+        let gauge = |g: &GaugeSnapshot| {
+            obj(vec![
+                ("value", Json::Uint(g.value)),
+                ("high_water", Json::Uint(g.high_water)),
+            ])
+        };
+        obj(vec![
+            ("schema_version", Json::Uint(snap.schema_version)),
+            ("counters", section(&snap.counters, |&v| Json::Uint(v))),
+            ("gauges", section(&snap.gauges, gauge)),
+            ("histograms", section(&snap.histograms, histogram_tree)),
+            ("values", section(&snap.values, |&v| Json::Float(v))),
+        ])
+    }
+
+    /// The tree encoder of a histogram object.
+    pub fn histogram_tree(h: &HistogramSnapshot) -> Json {
+        let bucket = |&(le, n): &(u64, u64)| Json::Arr(vec![Json::Uint(le), Json::Uint(n)]);
+        obj(vec![
+            ("count", Json::Uint(h.count)),
+            ("sum", Json::Uint(h.sum)),
+            ("min", Json::Uint(h.min)),
+            ("max", Json::Uint(h.max)),
+            ("buckets", Json::Arr(h.buckets.iter().map(bucket).collect())),
+        ])
     }
 
     fn header_table(doc: &Json) -> Result<Json, String> {
@@ -944,7 +1057,13 @@ const TWENTY_DIGITS: [&str; 4] = [
 /// byte flips, truncations, splices with another line, and 20-digit
 /// integers in place of a number.
 fn mutate(lines: &[String], rng: &mut StdRng) -> String {
-    let mut line = lines[rng.gen_range(0..lines.len())].trim_end().to_string();
+    let line = lines[rng.gen_range(0..lines.len())].trim_end().to_string();
+    mutate_text(line, lines, rng)
+}
+
+/// [`mutate`]'s one to three stacked mutations of `line`, splicing with
+/// `lines`.
+fn mutate_text(mut line: String, lines: &[String], rng: &mut StdRng) -> String {
     for _ in 0..1 + rng.gen_range(0..3) {
         if line.is_empty() {
             break;
@@ -1088,4 +1207,190 @@ fn reordered_padded_and_repeated_fields_decode_the_same_run() {
         assert_eq!(replayed.metrics, record.run.metrics, "run {i}");
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// A snapshot with entries in all four sections, names that need escapes
+/// or hold non-ASCII text, and values whole, negative zero, huge and tiny.
+fn four_section_snapshot() -> MetricsSnapshot {
+    let reg = Registry::new();
+    reg.counter("chan.fwd.sends").add(12);
+    reg.counter("quote\"back\\slash\u{1}π").add(u64::MAX);
+    let g = reg.gauge("sim.fwd.in_transit");
+    g.set(9);
+    g.set(4);
+    let h = reg.histogram("sim.packets_per_message");
+    for v in [0, 1, 2, 2, 5, 1 << 40] {
+        h.record(v);
+    }
+    reg.histogram("empty");
+    for (i, v) in [3.0, -0.0, 1e300, 5e-324, 123456.75]
+        .into_iter()
+        .enumerate()
+    {
+        reg.set_value(&format!("v{i}"), v);
+    }
+    reg.snapshot()
+}
+
+/// The streaming writer spells every snapshot as the tree encoder did:
+/// empty maps, names that need escapes, whole, huge, tiny and non-finite
+/// values; and what it writes reads back as the same snapshot.
+#[test]
+fn written_snapshots_match_the_tree_encoder_byte_for_byte() {
+    let empty = MetricsSnapshot {
+        schema_version: SCHEMA_VERSION,
+        ..MetricsSnapshot::default()
+    };
+    let mut odd = four_section_snapshot();
+    odd.values.insert("nan".to_string(), f64::NAN);
+    odd.values.insert("-inf".to_string(), f64::NEG_INFINITY);
+    for snap in [empty, four_section_snapshot(), odd] {
+        let mut out = String::from("prefix");
+        snap.write_json(&mut out);
+        let tree = reference::snapshot_tree(&snap);
+        assert_eq!(out, format!("prefix{tree}"));
+        if snap.values.values().all(|v| v.is_finite()) {
+            let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
+            assert_eq!(back.to_json(), snap.to_json());
+            assert_eq!(reference::snapshot_from_tree(&tree).unwrap(), back);
+        }
+    }
+}
+
+/// A value a repeated key or name may carry: junk of every JSON type, or
+/// `other`, a value from elsewhere in the document.
+fn junk(other: &Json, rng: &mut StdRng) -> Json {
+    match rng.gen_range(0..7) {
+        0 => Json::Str("junk".to_string()),
+        1 => Json::Uint(u64::MAX),
+        2 => Json::Float(2.5),
+        3 => Json::Int(-1),
+        4 => Json::Null,
+        5 => Json::Obj(vec![("value".to_string(), Json::Arr(Vec::new()))]),
+        _ => other.clone(),
+    }
+}
+
+/// One to three stacked structural mutations of a snapshot document: its
+/// top-level fields shuffled, `schema_version` moved last or given a bad
+/// value, a top-level key repeated, or a name inside a section repeated,
+/// before or after the original.
+fn restructure(doc: &Json, rng: &mut StdRng) -> Json {
+    let Json::Obj(mut fields) = doc.clone() else {
+        return doc.clone();
+    };
+    for _ in 0..1 + rng.gen_range(0..3) {
+        let version = fields.iter().position(|(k, _)| k == "schema_version");
+        match (rng.gen_range(0..5), version) {
+            (0, _) => {
+                for i in (1..fields.len()).rev() {
+                    fields.swap(i, rng.gen_range(0..i + 1));
+                }
+            }
+            (1, Some(at)) => {
+                let version = fields.remove(at);
+                fields.push(version);
+            }
+            (2, Some(at)) => {
+                let bad = [Json::Uint(0), Json::Uint(2), Json::Float(1.0), Json::Null];
+                fields[at].1 = bad[rng.gen_range(0..bad.len())].clone();
+            }
+            (3, _) => {
+                let key = fields[rng.gen_range(0..fields.len())].0.clone();
+                let other = &fields[rng.gen_range(0..fields.len())].1;
+                let repeat = (key, junk(other, rng));
+                fields.insert(rng.gen_range(0..fields.len() + 1), repeat);
+            }
+            _ => {
+                let section = rng.gen_range(0..fields.len());
+                if let Json::Obj(entries) = &mut fields[section].1 {
+                    if !entries.is_empty() {
+                        let name = entries[rng.gen_range(0..entries.len())].0.clone();
+                        let other = entries[rng.gen_range(0..entries.len())].1.clone();
+                        let repeat = (name, junk(&other, rng));
+                        entries.insert(rng.gen_range(0..entries.len() + 1), repeat);
+                    }
+                }
+            }
+        }
+    }
+    Json::Obj(fields)
+}
+
+/// Mutated metrics documents — the campaign goldens and a document with
+/// all four sections — through the streaming decoder and through the tree
+/// decoder it replaced: nothing panics, and `MetricsSnapshot::from_json`
+/// and `WireMsg::parse_line` of a `metrics` and a `report` line embedding
+/// the document give exactly the tree decoder's snapshot or error text.
+/// Mutations stack structural ones (sections in any order,
+/// `schema_version` last, repeated top-level keys, repeated names within a
+/// section) with byte flips, truncations, splices and 20-digit integers.
+#[test]
+fn mutated_metrics_documents_decode_as_the_tree_decoder_did() {
+    let mut docs: Vec<String> = ["growth", "smoke", "stabilize"]
+        .iter()
+        .map(|name| {
+            let path = format!(
+                "{}/campaigns/{name}.metrics.json",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            std::fs::read_to_string(path)
+                .unwrap()
+                .trim_end()
+                .to_string()
+        })
+        .collect();
+    docs.push(four_section_snapshot().to_json());
+    let trees: Vec<Json> = docs.iter().map(|doc| Json::parse(doc).unwrap()).collect();
+    let (accepted, rejected) = (Mutex::new(0u64), Mutex::new(0u64));
+    for_seeds(common::cases(500), |seed, rng| {
+        let pick = rng.gen_range(0..docs.len());
+        let mut doc = docs[pick].clone();
+        if rng.gen_bool(0.5) {
+            doc = restructure(&trees[pick], rng).to_string();
+        }
+        if rng.gen_bool(0.5) {
+            doc = mutate_text(doc, &docs, rng);
+        }
+        let streamed = MetricsSnapshot::from_json(&doc)
+            .map(|snap| snap.to_json())
+            .map_err(|e| e.to_string());
+        let tree = reference::snapshot_from_text(&doc)
+            .map(|snap| snap.to_json())
+            .map_err(|e| e.to_string());
+        assert_eq!(streamed, tree, "seed {seed}: {doc}");
+        *if streamed.is_ok() {
+            &accepted
+        } else {
+            &rejected
+        }
+        .lock()
+        .unwrap() += 1;
+        let v = WIRE_SCHEMA_VERSION;
+        for line in [
+            format!("{{\"v\":{v},\"type\":\"metrics\",\"snapshot\":{doc}}}"),
+            format!(
+                "{{\"v\":{v},\"type\":\"report\",\"render\":\"r\",\"cache_hits\":0,\"aggregate\":{doc}}}"
+            ),
+        ] {
+            let streamed = WireMsg::parse_line(&line)
+                .map(|msg| msg.to_line())
+                .map_err(|e| e.to_string());
+            assert_eq!(
+                streamed,
+                reference::parse_line(&line),
+                "seed {seed}: {line}"
+            );
+        }
+    });
+    if common::cases(500) >= 100 {
+        let (accepted, rejected) = (
+            accepted.into_inner().unwrap(),
+            rejected.into_inner().unwrap(),
+        );
+        assert!(
+            accepted > 0 && rejected > 0,
+            "{accepted} accepted, {rejected} rejected"
+        );
+    }
 }
