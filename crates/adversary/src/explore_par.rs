@@ -859,12 +859,12 @@ impl ParallelExplorer {
                 break;
             }
             let _level_span = tel.and_then(|t| t.trace.as_deref()).map(|trace| {
-                trace.span_with_args(
+                trace.span_with(
                     "explore",
-                    &format!("level {depth}"),
+                    format!("level {depth}"),
                     vec![
-                        ("depth".to_string(), depth as u64),
-                        ("frontier".to_string(), width as u64),
+                        ("depth".into(), depth as u64),
+                        ("frontier".into(), width as u64),
                     ],
                 )
             });
@@ -2121,66 +2121,96 @@ mod tests {
         (workers, bytes(&arena.bins_in), batches)
     }
 
-    #[test]
-    fn the_merge_retains_candidate_buffers_once() {
-        // The merge sorts and deduplicates each shard in the workers' own
-        // bins and hands them back, so the transpose side keeps no
-        // capacity and a warm arena holds the candidates' once, plus the
-        // key batches. On one worker, whose bins see every candidate, that
-        // is at most twice the largest level's candidate bytes in RAM;
-        // combining the bins into a per-shard buffer, or keeping a second
-        // set of bins on the transpose side, reads about 5x. With more
-        // workers each bin is sized by the most its own worker found at
-        // once, which the scheduler decides: in RAM that is up to a level,
-        // so only the hand-back is checked. Under a budget it is up to one
-        // slice of ranks, so at every thread count each worker's bins stay
-        // within three slices' candidates (their growth slack, and each
-        // shard's largest share over the slices), the key batches within
-        // one, and a slice holds under an eighth of the widest level's.
-        let cfg = ExploreConfig {
-            max_messages: 8,
-            max_depth: 26,
-            max_pool: 10,
-            max_states: 20_000_000,
-            ..ExploreConfig::default()
-        };
-        for spec in [VisitedSpec::Ram, VisitedSpec::tiered(32 * 1024)] {
-            for threads in [1, 2, 8] {
-                let registry = Arc::new(Registry::new());
-                let explorer =
-                    ParallelExplorer::new(threads).with_telemetry(Arc::clone(&registry), None);
-                let mut arena = ExploreArena::default();
-                arena.install_visited(spec);
-                for _ in 0..2 {
-                    let outcome = explorer.explore_in(&SequenceNumber::new(), &cfg, &mut arena);
-                    assert!(outcome.is_certificate(), "{outcome:?}");
-                }
-                let (workers, transpose, batches) = candidate_capacity(&arena);
-                assert_eq!(
-                    transpose, 0,
-                    "{spec:?} at {threads} threads: a bin was not handed back"
-                );
-                let snap = registry.snapshot();
-                let peak = snap.gauges["explore.peak_candidate_bytes"].value as usize;
-                let level = snap.gauges["explore.peak_level_candidate_bytes"].value as usize;
-                if spec == VisitedSpec::Ram {
-                    assert_eq!(peak, level, "without a budget a level is one slice");
-                    if threads == 1 {
-                        let held = workers[0] + batches;
-                        assert!(held <= 2 * peak, "{held} B retained for a {peak} B peak");
-                    }
-                    continue;
-                }
-                assert!(
-                    8 * peak < level,
-                    "a {peak} B slice against a {level} B level"
-                );
-                assert!(
-                    workers.iter().all(|&held| held <= 3 * peak) && batches <= peak,
-                    "{threads} threads retain {workers:?} B of bins and {batches} B of \
-                     key batches for a {peak} B slice"
-                );
+    /// The merge sorts and deduplicates each shard in the workers' own
+    /// bins and hands them back, so the transpose side keeps no capacity
+    /// and a warm arena holds the candidates' once, plus the key batches.
+    /// On one worker, whose bins see every candidate, that is at most
+    /// twice the largest level's candidate bytes in RAM; combining the bins
+    /// into a per-shard buffer, or keeping a second set of bins on the
+    /// transpose side, reads about 5x. With more workers each bin is sized
+    /// by the most its own worker found at once, which the scheduler
+    /// decides: in RAM that is up to a level, so only the hand-back is
+    /// checked. Under a budget it is up to one slice of ranks, so at every
+    /// thread count each worker's bins stay within three slices'
+    /// candidates (their growth slack, and each shard's largest share over
+    /// the slices), the key batches within one, and a slice holds under an
+    /// eighth of the widest level's. One test per tier and thread count,
+    /// so that the harness runs them side by side.
+    mod the_merge_retains_candidate_buffers_once {
+        use super::*;
+
+        fn check(spec: VisitedSpec, threads: usize) {
+            let cfg = ExploreConfig {
+                max_messages: 8,
+                max_depth: 26,
+                max_pool: 10,
+                max_states: 20_000_000,
+                ..ExploreConfig::default()
+            };
+            let registry = Arc::new(Registry::new());
+            let explorer =
+                ParallelExplorer::new(threads).with_telemetry(Arc::clone(&registry), None);
+            let mut arena = ExploreArena::default();
+            arena.install_visited(spec);
+            for _ in 0..2 {
+                let outcome = explorer.explore_in(&SequenceNumber::new(), &cfg, &mut arena);
+                assert!(outcome.is_certificate(), "{outcome:?}");
             }
+            let (workers, transpose, batches) = candidate_capacity(&arena);
+            assert_eq!(
+                transpose, 0,
+                "{spec:?} at {threads} threads: a bin was not handed back"
+            );
+            let snap = registry.snapshot();
+            let peak = snap.gauges["explore.peak_candidate_bytes"].value as usize;
+            let level = snap.gauges["explore.peak_level_candidate_bytes"].value as usize;
+            if spec == VisitedSpec::Ram {
+                assert_eq!(peak, level, "without a budget a level is one slice");
+                if threads == 1 {
+                    let held = workers[0] + batches;
+                    assert!(held <= 2 * peak, "{held} B retained for a {peak} B peak");
+                }
+                return;
+            }
+            assert!(
+                8 * peak < level,
+                "a {peak} B slice against a {level} B level"
+            );
+            assert!(
+                workers.iter().all(|&held| held <= 3 * peak) && batches <= peak,
+                "{threads} threads retain {workers:?} B of bins and {batches} B of \
+                 key batches for a {peak} B slice"
+            );
+        }
+
+        #[test]
+        fn ram_at_1_thread() {
+            check(VisitedSpec::Ram, 1);
+        }
+
+        #[test]
+        fn ram_at_2_threads() {
+            check(VisitedSpec::Ram, 2);
+        }
+
+        #[test]
+        fn ram_at_8_threads() {
+            check(VisitedSpec::Ram, 8);
+        }
+
+        #[test]
+        fn tiered_at_1_thread() {
+            check(VisitedSpec::tiered(32 * 1024), 1);
+        }
+
+        #[test]
+        fn tiered_at_2_threads() {
+            check(VisitedSpec::tiered(32 * 1024), 2);
+        }
+
+        #[test]
+        fn tiered_at_8_threads() {
+            check(VisitedSpec::tiered(32 * 1024), 8);
         }
     }
 

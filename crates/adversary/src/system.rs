@@ -235,8 +235,12 @@ impl System {
         self.bwd
             .restore_at_rest(c.sp_bwd, c.rp_bwd, c.dropped_bwd, [], 0);
         self.exec.restore_counts(c);
-        self.monitor
-            .restore_at_rest(c.sm, c.rm, events_of(&c), self.fwd.parked_multiset().iter());
+        self.monitor.restore_at_rest(
+            c.sm,
+            c.rm,
+            events_of(&c),
+            self.fwd.parked_multiset().table(),
+        );
         self.next_msg = c.sm;
         self.round_watermark = CopyId::from_raw(s.round_watermark);
         self.peak_space = s.peak_space;

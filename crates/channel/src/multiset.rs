@@ -2,7 +2,7 @@
 
 use crate::channel::tally_headers;
 use nonfifo_ioa::fingerprint::{fnv64, mix64};
-use nonfifo_ioa::{CopyId, Header, Packet};
+use nonfifo_ioa::{CopyId, CopyIter, CopyTable, Header, Packet};
 use std::collections::BTreeMap;
 
 /// The set of packet copies currently delayed on a channel.
@@ -14,12 +14,16 @@ use std::collections::BTreeMap;
 ///
 /// # Representation
 ///
-/// One flat `Vec<(CopyId, Packet)>` kept sorted by copy id. Channels mint
-/// copy ids monotonically, so inserts are almost always a `push`, and the
-/// per-copy queries ([`packet_of`](PacketMultiset::packet_of),
+/// One [`CopyTable`], the sorted table the spec monitor keeps too, plus a
+/// digest. Channels mint copy ids monotonically, so inserts are almost
+/// always a `push`, and the per-copy queries
+/// ([`packet_of`](PacketMultiset::packet_of),
 /// [`take_copy`](PacketMultiset::take_copy),
 /// [`copies_older_than`](PacketMultiset::copies_older_than)) are binary
-/// searches. The per-value queries are linear scans: the counts
+/// searches. A copy without a payload takes a 12-byte row; the first copy
+/// with one widens the table to 32-byte `(CopyId, Packet)` rows (only
+/// `--payloads` runs and chaos twins send them). The per-value queries are
+/// linear scans: the counts
 /// ([`packet_copies`](PacketMultiset::packet_copies),
 /// [`header_copies`](PacketMultiset::header_copies)), the oldest-of-value
 /// lookups and takes, the census
@@ -29,10 +33,10 @@ use std::collections::BTreeMap;
 /// over the copies older than its watermark). The explorers bound their
 /// pools to a few cache lines, so there the scans are cheap. A simulator
 /// pool is not bounded: at 16 messages the outnumber5 run over `prob:0.5`
-/// ends with 120,842 copies delayed. Two simulator paths scan it: the
-/// stall census, once per stalled run, and the ghost count for
-/// ghost-reading protocols (afek), one pass over the stale copies on
-/// every step. The payoff of the flat table is on the
+/// ends with 120,842 copies delayed, 1.5 MB of narrow rows. Two simulator
+/// paths scan it: the stall census, once per stalled run, and the ghost
+/// count for ghost-reading protocols (afek), one pass over the stale
+/// copies on every step. The payoff of the flat table is on the
 /// state-space-exploration hot path: cloning the multiset is one `memcpy`,
 /// and [`content_hash`](PacketMultiset::content_hash) is an incrementally
 /// maintained accumulator, so hashing a system state no longer walks the
@@ -42,7 +46,7 @@ use std::collections::BTreeMap;
 ///
 /// ```
 /// use nonfifo_channel::PacketMultiset;
-/// use nonfifo_ioa::{CopyId, Header, Packet};
+/// use nonfifo_ioa::{CopyId, CopyIter, CopyTable, Header, Packet};
 ///
 /// let mut ms = PacketMultiset::new();
 /// let p = Packet::header_only(Header::new(0));
@@ -54,8 +58,8 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct PacketMultiset {
-    /// `(copy, packet)` pairs sorted by copy id (mint order).
-    entries: Vec<(CopyId, Packet)>,
+    /// The copies, sorted by copy id (mint order).
+    copies: CopyTable,
     /// Order-independent accumulator: the wrapping sum of
     /// `mix64(fnv64(packet))` over every delayed copy. Two pools with the
     /// same value histogram have the same accumulator, whatever order
@@ -67,7 +71,7 @@ pub struct PacketMultiset {
 impl Clone for PacketMultiset {
     fn clone(&self) -> Self {
         PacketMultiset {
-            entries: self.entries.clone(),
+            copies: self.copies.clone(),
             acc: self.acc,
         }
     }
@@ -75,9 +79,14 @@ impl Clone for PacketMultiset {
     /// Capacity-reusing clone: the explorers assign states into warm trial
     /// systems, so the steady-state expansion loop never touches the heap.
     fn clone_from(&mut self, source: &Self) {
-        self.entries.clone_from(&source.entries);
+        self.copies.clone_from(&source.copies);
         self.acc = source.acc;
     }
+}
+
+/// A copy's term in the content digest.
+fn digest_term(packet: &Packet) -> u64 {
+    mix64(fnv64(packet))
 }
 
 impl PacketMultiset {
@@ -88,12 +97,17 @@ impl PacketMultiset {
 
     /// Total number of delayed copies.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.copies.len()
     }
 
     /// True if no copies are delayed.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.copies.is_empty()
+    }
+
+    /// The delayed copies, as the table the spec monitor keeps too.
+    pub fn table(&self) -> &CopyTable {
+        &self.copies
     }
 
     /// Order-independent 64-bit digest of the value histogram, maintained
@@ -108,7 +122,7 @@ impl PacketMultiset {
     /// just the live entries) — input to the explorer's frontier memory
     /// gauge.
     pub fn heap_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(CopyId, Packet)>()
+        self.copies.heap_bytes()
     }
 
     /// Inserts a copy of `packet`.
@@ -118,101 +132,85 @@ impl PacketMultiset {
     /// Panics if `copy` is already present — copy ids are minted uniquely by
     /// the channel, so a duplicate insert is a harness bug.
     pub fn insert(&mut self, packet: Packet, copy: CopyId) {
-        let pos = match self.entries.last() {
-            // Channels mint ids monotonically, so this is the common case.
-            Some(&(last, _)) if last < copy => self.entries.len(),
-            None => 0,
-            _ => match self.entries.binary_search_by_key(&copy, |e| e.0) {
-                Err(pos) => pos,
-                Ok(_) => panic!("copy {copy} inserted twice"),
-            },
-        };
-        self.entries.insert(pos, (copy, packet));
-        self.acc = self.acc.wrapping_add(mix64(fnv64(&packet)));
+        if self.copies.insert(copy, packet).is_some() {
+            panic!("copy {copy} inserted twice");
+        }
+        self.acc = self.acc.wrapping_add(digest_term(&packet));
     }
 
     fn remove_at(&mut self, pos: usize) -> (Packet, CopyId) {
-        let (copy, packet) = self.entries.remove(pos);
-        self.acc = self.acc.wrapping_sub(mix64(fnv64(&packet)));
+        let (copy, packet) = self.copies.remove_at(pos);
+        self.acc = self.acc.wrapping_sub(digest_term(&packet));
         (packet, copy)
     }
 
     /// Number of delayed copies of the exact packet value `p`.
     pub fn packet_copies(&self, p: Packet) -> usize {
-        self.entries.iter().filter(|&&(_, q)| q == p).count()
+        self.copies.count(|q| q == p)
     }
 
     /// Number of delayed copies whose header is `h` (any payload).
     pub fn header_copies(&self, h: Header) -> usize {
-        self.entries
-            .iter()
-            .filter(|&&(_, q)| q.header() == h)
-            .count()
+        self.copies.count(|q| q.header() == h)
     }
 
     /// The packet value of a delayed copy, if it is delayed.
     pub fn packet_of(&self, copy: CopyId) -> Option<Packet> {
-        self.entries
-            .binary_search_by_key(&copy, |e| e.0)
-            .ok()
-            .map(|pos| self.entries[pos].1)
+        self.copies.get(copy)
     }
 
     /// Adds the delayed copies minted before `watermark` to `counts` by
     /// header (see [`tally_headers`]): one pass over the stale prefix.
     pub fn count_headers_older_than(&self, watermark: CopyId, counts: &mut Vec<(Header, u64)>) {
         let older = self.copies_older_than(watermark);
-        tally_headers(self.entries[..older].iter().map(|&(_, p)| p), counts);
+        tally_headers(self.copies.prefix(older).map(|(_, p)| p), counts);
     }
 
     /// Number of delayed copies minted before `watermark` (any value) —
     /// how many a delivery of `watermark` would overtake.
     pub fn copies_older_than(&self, watermark: CopyId) -> usize {
-        self.entries.partition_point(|&(c, _)| c < watermark)
+        self.copies.older_than(watermark)
     }
 
     /// Removes and returns a specific copy.
     pub fn take_copy(&mut self, copy: CopyId) -> Option<Packet> {
-        let pos = self.entries.binary_search_by_key(&copy, |e| e.0).ok()?;
+        let pos = self.copies.find(copy).ok()?;
         Some(self.remove_at(pos).0)
     }
 
     /// The oldest delayed copy of the exact packet `p`, if any.
     pub fn oldest_of_packet(&self, p: Packet) -> Option<CopyId> {
-        self.entries.iter().find(|&&(_, q)| q == p).map(|&(c, _)| c)
+        self.copies.iter().find(|&(_, q)| q == p).map(|(c, _)| c)
     }
 
     /// Removes and returns the oldest delayed copy of the exact packet `p`.
     pub fn take_oldest_of_packet(&mut self, p: Packet) -> Option<(Packet, CopyId)> {
-        let pos = self.entries.iter().position(|&(_, q)| q == p)?;
-        let (packet, copy) = self.remove_at(pos);
-        Some((packet, copy))
+        let pos = self.copies.position(|q| q == p)?;
+        Some(self.remove_at(pos))
     }
 
     /// Removes and returns the oldest delayed copy with header `h`.
     pub fn take_oldest_of_header(&mut self, h: Header) -> Option<(Packet, CopyId)> {
-        let pos = self.entries.iter().position(|&(_, q)| q.header() == h)?;
-        let (packet, copy) = self.remove_at(pos);
-        Some((packet, copy))
+        let pos = self.copies.position(|q| q.header() == h)?;
+        Some(self.remove_at(pos))
     }
 
     /// Removes and returns the oldest delayed copy overall.
     pub fn take_oldest(&mut self) -> Option<(Packet, CopyId)> {
-        if self.entries.is_empty() {
+        if self.copies.is_empty() {
             return None;
         }
-        let (packet, copy) = self.remove_at(0);
-        Some((packet, copy))
+        Some(self.remove_at(0))
     }
 
     /// Iterates over `(packet, copy)` pairs in copy-mint order.
     pub fn iter(&self) -> impl Iterator<Item = (Packet, CopyId)> + '_ {
-        self.entries.iter().map(|&(c, p)| (p, c))
+        self.copies.iter().map(|(c, p)| (p, c))
     }
 
     /// Iterates over the distinct packet values present, in packet order.
     pub fn packets(&self) -> impl Iterator<Item = Packet> + '_ {
-        let mut values: Vec<Packet> = self.entries.iter().map(|&(_, p)| p).collect();
+        let mut values: Vec<Packet> = self.copies.iter().map(|(_, p)| p).collect();
         values.sort_unstable();
         values.dedup();
         values.into_iter()
@@ -220,7 +218,7 @@ impl PacketMultiset {
 
     /// Per-packet-value copy counts, in packet order (deterministic).
     pub fn histogram(&self) -> Vec<(Packet, usize)> {
-        let mut values: Vec<Packet> = self.entries.iter().map(|&(_, p)| p).collect();
+        let mut values: Vec<Packet> = self.copies.iter().map(|(_, p)| p).collect();
         values.sort_unstable();
         let mut out: Vec<(Packet, usize)> = Vec::new();
         for p in values {
@@ -259,18 +257,13 @@ impl PacketMultiset {
     /// Panics if the copy ids are not strictly ascending. A digest that
     /// does not match the values is caught in debug builds.
     pub fn restore(&mut self, copies: impl IntoIterator<Item = (Packet, CopyId)>, digest: u64) {
-        self.entries.clear();
-        for (packet, copy) in copies {
-            if let Some(&(last, _)) = self.entries.last() {
-                assert!(last < copy, "restored copies out of mint order");
-            }
-            self.entries.push((copy, packet));
-        }
+        self.copies
+            .restore(copies.into_iter().map(|(packet, copy)| (copy, packet)));
         self.acc = digest;
         debug_assert_eq!(
-            self.entries
+            self.copies
                 .iter()
-                .fold(0u64, |acc, (_, p)| acc.wrapping_add(mix64(fnv64(p)))),
+                .fold(0u64, |acc, (_, p)| acc.wrapping_add(digest_term(&p))),
             digest,
             "restored digest does not match the values"
         );
@@ -278,17 +271,19 @@ impl PacketMultiset {
 
     /// Removes every copy, returning them in mint order.
     pub fn drain_all(&mut self) -> Vec<(Packet, CopyId)> {
+        let all = self.iter().collect();
+        self.copies.clear();
         self.acc = 0;
-        self.entries.drain(..).map(|(c, p)| (p, c)).collect()
+        all
     }
 }
 
-impl IntoIterator for &PacketMultiset {
+impl<'a> IntoIterator for &'a PacketMultiset {
     type Item = (Packet, CopyId);
-    type IntoIter = std::vec::IntoIter<(Packet, CopyId)>;
+    type IntoIter = std::iter::Map<CopyIter<'a>, fn((CopyId, Packet)) -> (Packet, CopyId)>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.iter().collect::<Vec<_>>().into_iter()
+        self.copies.iter().map(|(c, p)| (p, c))
     }
 }
 
@@ -428,6 +423,8 @@ mod tests {
     /// the same histogram, per-value counts, oldest-copy answers, and
     /// removal results — and equal histograms must mean equal
     /// `content_hash`, however different the op orders that built them.
+    /// The shared [`CopyTable`] underneath is driven on its own against a
+    /// sorted `Vec<(CopyId, Packet)>` (see [`copy_table_matches_vec_model`]).
     #[test]
     fn flat_repr_matches_btreemap_model() {
         use nonfifo_rng::StdRng;
@@ -468,6 +465,7 @@ mod tests {
             .and_then(|v| v.parse().ok())
             .unwrap_or(16);
         for seed in 0..cases {
+            copy_table_matches_vec_model(seed);
             let mut rng = StdRng::seed_from_u64(seed);
             let mut ms = PacketMultiset::new();
             let mut model = Model::default();
@@ -548,6 +546,148 @@ mod tests {
                     ms.content_hash(),
                     "seed {seed}: digest is not order-independent"
                 );
+            }
+        }
+    }
+
+    /// One random op sequence on a [`CopyTable`] against a sorted
+    /// `Vec<(CopyId, Packet)>`. Ids come in mint order, out of order, and
+    /// from the chaos range at `CHAOS_COPY_BASE`; payloads come only in
+    /// the second half, so the table widens mid-sequence, on an insert of
+    /// a new copy or on one that replaces a header-only copy's packet.
+    /// After every op the table must list the model's copies, answer its
+    /// lookups, and equal — and `clone_from` both ways between — a narrow
+    /// and a wide table rebuilt from the same copies.
+    fn copy_table_matches_vec_model(seed: u64) {
+        use crate::chaos::CHAOS_COPY_BASE;
+        use nonfifo_rng::StdRng;
+
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7ab1e);
+        let mut table = CopyTable::new();
+        let mut model: Vec<(CopyId, Packet)> = Vec::new();
+        let mut next_copy = 2u64;
+        let mut next_chaos = CHAOS_COPY_BASE;
+        // Warm tables of each width, reused by `clone_from`.
+        let mut warm_narrow = CopyTable::new();
+        let mut warm_wide = CopyTable::new();
+        let mut was_wide = false;
+        for step in 0..200 {
+            let payloads = step >= 100;
+            let packet = {
+                let header = Header::new(rng.gen_range(0..4) as u32);
+                match payloads && rng.gen_range(0..3) == 0 {
+                    true => Packet::new(header, Payload::new(rng.gen_range(0..3) as u64)),
+                    false => Packet::header_only(header),
+                }
+            };
+            match rng.gen_range(0..8) {
+                // A fresh id past every other.
+                0..=2 => {
+                    let copy = c(next_copy);
+                    next_copy += 1;
+                    assert_eq!(table.insert(copy, packet), None);
+                    let at = model.partition_point(|e| e.0 < copy);
+                    model.insert(at, (copy, packet));
+                }
+                // A chaos twin, above every channel id.
+                3 => {
+                    let copy = c(next_chaos);
+                    next_chaos += 1;
+                    assert_eq!(table.insert(copy, packet), None);
+                    let at = model.partition_point(|e| e.0 < copy);
+                    model.insert(at, (copy, packet));
+                }
+                // Any id below the next: out of order if new, a
+                // replacement (`set`) if present.
+                4 => {
+                    let copy = c(rng.gen_range(1..next_copy as usize) as u64);
+                    let old = match model.binary_search_by_key(&copy, |e| e.0) {
+                        Ok(i) => Some(std::mem::replace(&mut model[i].1, packet)),
+                        Err(i) => {
+                            model.insert(i, (copy, packet));
+                            None
+                        }
+                    };
+                    assert_eq!(table.insert(copy, packet), old, "seed {seed}");
+                }
+                5 => {
+                    let copy = c(rng.gen_range(1..next_copy as usize) as u64);
+                    let expected = model
+                        .binary_search_by_key(&copy, |e| e.0)
+                        .ok()
+                        .map(|i| model.remove(i).1);
+                    assert_eq!(table.remove(copy), expected, "seed {seed}");
+                }
+                6 => {
+                    let h = packet.header();
+                    let expected = model.iter().position(|e| e.1.header() == h);
+                    assert_eq!(table.position(|q| q.header() == h), expected);
+                    if let Some(i) = expected {
+                        assert_eq!(table.remove_at(i), model.remove(i), "seed {seed}");
+                    }
+                }
+                _ => {
+                    // `clone_from` into warm tables of either width.
+                    warm_narrow.clone_from(&table);
+                    warm_wide.clone_from(&table);
+                    assert_eq!(warm_narrow, table);
+                    assert_eq!(warm_wide, table);
+                }
+            }
+            let listed: Vec<(CopyId, Packet)> = table.iter().collect();
+            assert_eq!(listed, model, "seed {seed}: copies diverged");
+            assert_eq!(table.len(), model.len());
+            assert!(
+                table.is_wide() || model.iter().all(|e| e.1.payload().is_none()),
+                "seed {seed}: a payload copy sits in a narrow table"
+            );
+            assert!(
+                !was_wide || table.is_wide(),
+                "seed {seed}: the table narrowed"
+            );
+            was_wide = table.is_wide();
+            let watermark = c(rng.gen_range(0..next_copy as usize + 1) as u64);
+            let older = model.partition_point(|e| e.0 < watermark);
+            assert_eq!(table.older_than(watermark), older);
+            let prefix: Vec<_> = table.prefix(older).collect();
+            assert_eq!(prefix, model[..older]);
+            let probe = c(rng.gen_range(1..next_copy as usize + 1) as u64);
+            let found = model.binary_search_by_key(&probe, |e| e.0);
+            assert_eq!(table.find(probe), found);
+            assert_eq!(table.get(probe), found.ok().map(|i| model[i].1));
+            let h = Header::new(rng.gen_range(0..4) as u32);
+            assert_eq!(
+                table.count(|q| q.header() == h),
+                model.iter().filter(|e| e.1.header() == h).count()
+            );
+
+            // The same copies in a wide table, and in a narrow one when
+            // none carries a payload: equal either way round, and
+            // `clone_from` crosses widths in both directions.
+            let mut wide = CopyTable::new();
+            wide.insert(c(0), Packet::new(Header::new(0), Payload::new(0)));
+            wide.restore(model.iter().copied());
+            assert!(wide.is_wide());
+            assert_eq!(wide, table, "seed {seed}");
+            assert_eq!(table, wide, "seed {seed}");
+            if model.iter().all(|e| e.1.payload().is_none()) {
+                let mut narrow = CopyTable::new();
+                narrow.restore(model.iter().copied());
+                assert!(!narrow.is_wide());
+                assert_eq!(narrow, wide, "seed {seed}");
+                assert_eq!(wide, narrow, "seed {seed}");
+                let mut to_narrow = narrow.clone();
+                to_narrow.clone_from(&wide);
+                assert_eq!(to_narrow, narrow);
+                let mut to_wide = wide.clone();
+                to_wide.clone_from(&narrow);
+                assert!(!to_wide.is_wide());
+                assert_eq!(to_wide, wide);
+            } else {
+                let mut to_narrow = CopyTable::new();
+                to_narrow.clone_from(&wide);
+                assert!(to_narrow.is_wide());
+                assert_eq!(to_narrow, table);
             }
         }
     }

@@ -428,6 +428,12 @@ impl Simulation {
         self.execution.as_ref()
     }
 
+    /// The online specification monitor, with its tables of the copies
+    /// in transit.
+    pub fn monitor(&self) -> &SpecMonitor {
+        &self.monitor
+    }
+
     /// Payloads delivered so far, in delivery order (recorded only for
     /// rounds driven with [`SimConfig::payloads`] set).
     pub fn delivered_payloads(&self) -> &[u64] {
@@ -567,7 +573,7 @@ impl Simulation {
             self.record(&Event::SendMsg(m));
             let _round_span = trace
                 .as_ref()
-                .map(|t| t.span_with_args("sim", "round", vec![("msg".to_string(), m.id().raw())]));
+                .map(|t| t.span_with("sim", "round", vec![("msg".into(), m.id().raw())]));
             self.next_msg += 1;
             self.tx.on_send_msg(m.payload());
             self.tx_crashed_since_send = false;

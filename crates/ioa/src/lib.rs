@@ -20,6 +20,8 @@
 //!   finite-horizon liveness), plus validity and semi-validity
 //!   (Definitions 3–4).
 //! - [`SpecMonitor`] — an incremental checker suitable for long runs.
+//! - [`CopyTable`] — the copies in transit on one channel, sorted by copy
+//!   id: the table behind the monitor and every channel's delayed pool.
 //! - [`fingerprint`] — a deterministic hasher for protocol state
 //!   fingerprints (used by the boundness experiments of Theorem 2.1).
 //!
@@ -41,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod copy_table;
 pub mod diagram;
 mod event;
 mod execution;
@@ -52,6 +55,7 @@ pub mod spec;
 pub mod text;
 pub mod view;
 
+pub use copy_table::{CopyIter, CopyTable};
 pub use event::Event;
 pub use execution::{Counts, Execution};
 pub use message::{Message, MsgId};

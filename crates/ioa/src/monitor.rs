@@ -6,11 +6,13 @@
 //! every copy ever sent (a receipt after a delivery or a drop is a
 //! violation), but only a copy in transit needs its packet. So each
 //! direction keeps two flat tables: the copies in transit with their
-//! packets, ordered by copy id, and a *settled record* of two bits per
-//! delivered or dropped copy, packed into 64-id words. Space is O(in
-//! transit) plus two bits per settled copy. Channels mint ids in ascending
-//! order, so the common insert into either table is a `push`, a lookup a
-//! binary search, and copying a monitor a `memcpy`.
+//! packets, a [`CopyTable`] ordered by copy id (the same table a channel
+//! keeps its delayed pool in), and a *settled record* of two bits per
+//! delivered or dropped copy, packed into 64-id words. Space is 12 bytes
+//! per header-only copy in transit (32 once a copy carries a payload)
+//! plus two bits per settled copy. Channels mint ids in ascending order,
+//! so the common insert into either table is a `push`, a lookup a binary
+//! search, and copying a monitor a `memcpy`.
 //!
 //! A monitor switched to [`live_copies_only`](SpecMonitor::live_copies_only)
 //! keeps no settled records (the one box that would hold them is absent),
@@ -24,50 +26,10 @@
 //! explorer's counts-only systems run this mode; every counterexample it
 //! reports is replayed on a fully logged system under the full monitor.
 
+use crate::copy_table::CopyTable;
 use crate::event::Event;
-use crate::packet::{CopyId, Dir, Packet};
+use crate::packet::{CopyId, Dir};
 use crate::spec::SpecViolation;
-
-/// One direction's copies in transit with their packets, sorted by copy id.
-///
-/// Channels mint copy ids in ascending order, so a new copy almost always
-/// lands past the last entry, found without a search, and is appended; only
-/// ids from a separate range (the chaos layer's twins, minted from
-/// `CHAOS_COPY_BASE`) arrive out of order and take the binary-search
-/// insert. A flat vector of `Copy` pairs also makes `clone_from` a plain
-/// copy into the target's buffer: no rehash, and no allocation once the
-/// target has held a table this large.
-#[derive(Debug, Clone, Default)]
-struct CopyTable(Vec<(CopyId, Packet)>);
-
-impl CopyTable {
-    fn find(&self, copy: CopyId) -> Result<usize, usize> {
-        match self.0.last() {
-            Some(&(last, _)) if last < copy => Err(self.0.len()),
-            _ => self.0.binary_search_by_key(&copy, |&(id, _)| id),
-        }
-    }
-
-    /// Puts `copy` in transit carrying `packet`, replacing any earlier
-    /// packet.
-    fn put(&mut self, copy: CopyId, packet: Packet) {
-        match self.find(copy) {
-            Ok(i) => self.0[i].1 = packet,
-            Err(i) => self.0.insert(i, (copy, packet)),
-        }
-    }
-
-    /// Takes `copy` out of transit, if it is there.
-    fn remove(&mut self, copy: CopyId) {
-        if let Ok(i) = self.find(copy) {
-            self.0.remove(i);
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.0.capacity() * std::mem::size_of::<(CopyId, Packet)>()
-    }
-}
 
 /// How a settled copy left the channel.
 #[derive(Debug, Clone, Copy)]
@@ -239,11 +201,11 @@ impl Clone for SpecMonitor {
 
     /// Fieldwise `clone_from` so monitor clones in the explorer's pooled
     /// systems copy the tables into the buffers they already own. It goes
-    /// through the inner vectors: the tables' derived `clone_from` would
-    /// allocate fresh ones.
+    /// through the settled records' inner vectors: their derived
+    /// `clone_from` would allocate fresh ones.
     fn clone_from(&mut self, source: &Self) {
-        self.copies_fwd.0.clone_from(&source.copies_fwd.0);
-        self.copies_bwd.0.clone_from(&source.copies_bwd.0);
+        self.copies_fwd.clone_from(&source.copies_fwd);
+        self.copies_bwd.clone_from(&source.copies_bwd);
         match (&mut self.settled, &source.settled) {
             (Some(to), Some(from)) => {
                 for (to, from) in to.iter_mut().zip(from.iter()) {
@@ -309,15 +271,11 @@ impl SpecMonitor {
 
     /// Copies this monitor currently holds an entry for in direction `dir`:
     /// in full mode every copy ever sent or dropped there, those in transit
-    /// at a packet's cost and the settled ones at two bits each; only the
+    /// at a table row each and the settled ones at two bits each; only the
     /// copies in transit in [live-copies](Self::live_copies_only) mode. In
     /// full mode this counts the settled record's bits, a walk over it.
     pub fn tracked_copies(&self, dir: Dir) -> usize {
-        let in_transit = match dir {
-            Dir::Forward => self.copies_fwd.0.len(),
-            Dir::Backward => self.copies_bwd.0.len(),
-        };
-        in_transit + self.settled.as_ref().map_or(0, |s| s[dir as usize].len())
+        self.in_transit(dir).len() + self.settled.as_ref().map_or(0, |s| s[dir as usize].len())
     }
 
     /// True for a [live-copies](Self::live_copies_only) monitor, outside
@@ -329,38 +287,25 @@ impl SpecMonitor {
         self.settled.is_none()
             && self.convergence.is_none()
             && self.first_violation.is_none()
-            && self.copies_bwd.0.is_empty()
+            && self.copies_bwd.is_empty()
     }
 
     /// Puts a live-copies monitor into the [at-rest](Self::is_at_rest)
-    /// state with the given counters and forward copies in transit, which
-    /// must come in ascending copy-id order. The tables keep their
-    /// buffers, so refilling a warm monitor does not allocate.
+    /// state with the given counters and a copy of `forward` as the
+    /// forward copies in transit. The tables keep their buffers, so
+    /// refilling a warm monitor does not allocate.
     ///
     /// # Panics
     ///
     /// Panics on a monitor that keeps settled copies, or in convergence
     /// mode: neither state is made of these parts alone.
-    pub fn restore_at_rest(
-        &mut self,
-        sm: u64,
-        rm: u64,
-        events_seen: u64,
-        forward: impl IntoIterator<Item = (Packet, CopyId)>,
-    ) {
+    pub fn restore_at_rest(&mut self, sm: u64, rm: u64, events_seen: u64, forward: &CopyTable) {
         assert!(
             self.settled.is_none() && self.convergence.is_none(),
             "restore_at_rest needs a live-copies monitor"
         );
-        self.copies_fwd.0.clear();
-        self.copies_fwd
-            .0
-            .extend(forward.into_iter().map(|(packet, copy)| (copy, packet)));
-        debug_assert!(
-            self.copies_fwd.0.windows(2).all(|w| w[0].0 < w[1].0),
-            "forward copies out of mint order"
-        );
-        self.copies_bwd.0.clear();
+        self.copies_fwd.clone_from(forward);
+        self.copies_bwd.clear();
         self.sm = sm;
         self.rm = rm;
         self.events_seen = events_seen;
@@ -373,6 +318,14 @@ impl SpecMonitor {
             std::mem::size_of_val(&**s) + s.iter().map(SettledRecord::heap_bytes).sum::<usize>()
         });
         self.copies_fwd.heap_bytes() + self.copies_bwd.heap_bytes() + settled
+    }
+
+    /// The copies in transit in direction `dir`, with their packets.
+    pub fn in_transit(&self, dir: Dir) -> &CopyTable {
+        match dir {
+            Dir::Forward => &self.copies_fwd,
+            Dir::Backward => &self.copies_bwd,
+        }
     }
 
     /// True if this monitor tracks rather than latches DL overdeliveries.
@@ -464,7 +417,7 @@ impl SpecMonitor {
                 }
             }
             Event::SendPkt { dir, packet, copy } => {
-                self.copies(dir).put(copy, packet);
+                self.copies(dir).insert(copy, packet);
                 if let Some(settled) = &mut self.settled {
                     settled[dir as usize].unsettle(copy);
                 }
@@ -473,11 +426,11 @@ impl SpecMonitor {
             Event::ReceivePkt { dir, packet, copy } => {
                 let table = self.copies(dir);
                 match table.find(copy) {
-                    Ok(i) if table.0[i].1 != packet => {
+                    Ok(i) if table.packet_at(i) != packet => {
                         Err(SpecViolation::CorruptedDelivery { dir, copy })
                     }
                     Ok(i) => {
-                        table.0.remove(i);
+                        table.remove_at(i);
                         if let Some(settled) = &mut self.settled {
                             settled[dir as usize].settle(copy, Fate::Delivered);
                         }
@@ -508,7 +461,7 @@ impl SpecMonitor {
 mod tests {
     use super::*;
     use crate::message::Message;
-    use crate::packet::Header;
+    use crate::packet::{Header, Packet, Payload};
 
     fn sp(c: u64) -> Event {
         Event::SendPkt {
@@ -627,6 +580,55 @@ mod tests {
         assert_eq!(std::mem::size_of::<SpecMonitor>(), 120);
         let live = SpecMonitor::new().live_copies_only();
         assert_eq!(live.heap_bytes(), 0);
+    }
+
+    fn receive(copy: u64, packet: Packet) -> Event {
+        Event::ReceivePkt {
+            dir: Dir::Forward,
+            packet,
+            copy: CopyId::from_raw(copy),
+        }
+    }
+
+    #[test]
+    fn a_payload_on_a_header_only_copy_is_a_corrupted_delivery() {
+        let mut mon = SpecMonitor::new();
+        mon.observe(&sp(1)).unwrap();
+        mon.observe(&sp(2)).unwrap();
+        assert!(!mon.in_transit(Dir::Forward).is_wide());
+        let forged = Packet::new(Header::new(0), Payload::new(9));
+        assert!(matches!(
+            mon.observe(&receive(1, forged)),
+            Err(SpecViolation::CorruptedDelivery { .. })
+        ));
+        // The copy stays in transit, and the table narrow.
+        assert_eq!(mon.in_transit(Dir::Forward).len(), 2);
+        assert!(!mon.in_transit(Dir::Forward).is_wide());
+    }
+
+    #[test]
+    fn a_payload_copy_received_header_only_is_a_corrupted_delivery() {
+        let mut mon = SpecMonitor::new().live_copies_only();
+        let sent = Packet::new(Header::new(0), Payload::new(9));
+        mon.observe(&sp(1)).unwrap();
+        mon.observe(&Event::SendPkt {
+            dir: Dir::Forward,
+            packet: sent,
+            copy: CopyId::from_raw(2),
+        })
+        .unwrap();
+        assert!(mon.in_transit(Dir::Forward).is_wide());
+        assert!(matches!(
+            mon.observe(&rp(2)),
+            Err(SpecViolation::CorruptedDelivery { .. })
+        ));
+        // The header-only copy beside it still matches, and the payload
+        // copy is still in transit with its payload.
+        mon.observe(&rp(1)).unwrap();
+        assert_eq!(
+            mon.in_transit(Dir::Forward).get(CopyId::from_raw(2)),
+            Some(sent)
+        );
     }
 
     #[test]

@@ -42,4 +42,4 @@ pub use metrics::{
 pub use snapshot::{
     GaugeSnapshot, HistogramSnapshot, MetricsSnapshot, SnapshotError, SCHEMA_VERSION,
 };
-pub use trace::{SpanGuard, TraceEvent, TraceSink};
+pub use trace::{SpanGuard, TraceEvent, TraceLabel, TraceSink};

@@ -10,17 +10,22 @@
 //! (reports and fingerprints must not read them).
 
 use crate::json::{write_string, write_u64};
+use std::borrow::Cow;
 use std::io::{self, Write};
 use std::sync::Mutex;
 use std::time::Instant;
+
+/// A name, category or argument key: borrowed when it is fixed at
+/// compile time, as most are, so recording it copies nothing.
+pub type TraceLabel = Cow<'static, str>;
 
 /// One recorded trace event.
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// Event name (e.g. `round`, `level 3`).
-    pub name: String,
+    pub name: TraceLabel,
     /// Category (e.g. `sim`, `explore`).
-    pub cat: String,
+    pub cat: TraceLabel,
     /// Chrome phase: `X` for complete spans, `i` for instants.
     pub phase: char,
     /// Microseconds since the sink was created.
@@ -30,7 +35,7 @@ pub struct TraceEvent {
     /// Logical thread lane the event renders on.
     pub tid: u64,
     /// Numeric arguments attached to the event.
-    pub args: Vec<(String, u64)>,
+    pub args: Vec<(TraceLabel, u64)>,
 }
 
 /// A thread-safe trace sink.
@@ -60,27 +65,44 @@ impl TraceSink {
     }
 
     /// Opens a span; the span is recorded when the guard drops.
-    pub fn span(&self, cat: &str, name: &str) -> SpanGuard<'_> {
-        self.span_with_args(cat, name, Vec::new())
+    pub fn span(&self, cat: impl Into<TraceLabel>, name: impl Into<TraceLabel>) -> SpanGuard<'_> {
+        self.span_with(cat, name, Vec::new())
     }
 
     /// Opens a span carrying numeric arguments.
-    pub fn span_with_args(&self, cat: &str, name: &str, args: Vec<(String, u64)>) -> SpanGuard<'_> {
+    pub fn span_with(
+        &self,
+        cat: impl Into<TraceLabel>,
+        name: impl Into<TraceLabel>,
+        args: Vec<(TraceLabel, u64)>,
+    ) -> SpanGuard<'_> {
         SpanGuard {
             sink: self,
-            name: name.to_string(),
-            cat: cat.to_string(),
+            name: name.into(),
+            cat: cat.into(),
             args,
             began_us: self.now_us(),
         }
     }
 
+    /// [`span_with`](Self::span_with) for labels that are only borrowed,
+    /// which are copied.
+    pub fn span_with_args(&self, cat: &str, name: &str, args: Vec<(String, u64)>) -> SpanGuard<'_> {
+        let args = args.into_iter().map(|(key, v)| (key.into(), v)).collect();
+        self.span_with(cat.to_owned(), name.to_owned(), args)
+    }
+
     /// Records a point event.
-    pub fn instant(&self, cat: &str, name: &str, args: Vec<(String, u64)>) {
+    pub fn instant(
+        &self,
+        cat: impl Into<TraceLabel>,
+        name: impl Into<TraceLabel>,
+        args: Vec<(TraceLabel, u64)>,
+    ) {
         let ts_us = self.now_us();
         self.push(TraceEvent {
-            name: name.to_string(),
-            cat: cat.to_string(),
+            name: name.into(),
+            cat: cat.into(),
             phase: 'i',
             ts_us,
             dur_us: 0,
@@ -158,16 +180,16 @@ impl TraceSink {
 #[derive(Debug)]
 pub struct SpanGuard<'a> {
     sink: &'a TraceSink,
-    name: String,
-    cat: String,
-    args: Vec<(String, u64)>,
+    name: TraceLabel,
+    cat: TraceLabel,
+    args: Vec<(TraceLabel, u64)>,
     began_us: u64,
 }
 
 impl SpanGuard<'_> {
     /// Attaches a numeric argument to the span before it closes.
-    pub fn arg(&mut self, key: &str, value: u64) {
-        self.args.push((key.to_string(), value));
+    pub fn arg(&mut self, key: impl Into<TraceLabel>, value: u64) {
+        self.args.push((key.into(), value));
     }
 }
 
@@ -196,8 +218,8 @@ mod tests {
         let events = sink.events.lock().unwrap();
         let items = events.iter().map(|e| {
             let mut fields = vec![
-                ("name".into(), Json::Str(e.name.clone())),
-                ("cat".into(), Json::Str(e.cat.clone())),
+                ("name".into(), Json::Str(e.name.to_string())),
+                ("cat".into(), Json::Str(e.cat.to_string())),
                 ("ph".into(), Json::Str(e.phase.to_string())),
                 ("ts".into(), Json::Uint(e.ts_us)),
                 ("pid".into(), Json::Uint(1)),
@@ -207,7 +229,7 @@ mod tests {
                 fields.push(("dur".into(), Json::Uint(e.dur_us)));
             }
             if !e.args.is_empty() {
-                let args = e.args.iter().map(|(k, v)| (k.clone(), Json::Uint(*v)));
+                let args = e.args.iter().map(|(k, v)| (k.to_string(), Json::Uint(*v)));
                 fields.push(("args".into(), Json::Obj(args.collect())));
             }
             Json::Obj(fields)
